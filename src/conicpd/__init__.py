@@ -45,6 +45,7 @@ from .laplace import (
     weighted_box_mass,
 )
 from .mellin import (
+    ContourRows,
     DivergenceTable,
     F_contour,
     F_direct,
@@ -55,6 +56,7 @@ from .mellin import (
     divergence_experiment,
     find_L_zero,
     log_F_contour,
+    log_F_contour_rows,
     solve_saddle,
 )
 from .processes import (
@@ -90,7 +92,8 @@ __all__ = [
     "EstimatorResult", "pooled_mean",
     "log_mean", "phi", "analytic_laplace", "mc_laplace",
     "quasi_invariance_check", "functional_distribution_check", "weighted_box_mass",
-    "SaddleSolution", "solve_saddle", "log_F_contour", "F_contour", "F_direct",
+    "SaddleSolution", "solve_saddle", "ContourRows", "log_F_contour_rows",
+    "log_F_contour", "F_contour", "F_direct",
     "LimitStudy", "L_limit_study", "find_L_zero", "RadiusSchedule",
     "DivergenceTable", "divergence_experiment",
     "SphereConfig", "gaussian_charfun", "sphere_charfun_quad", "sphere_charfun_mc",

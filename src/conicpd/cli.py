@@ -249,7 +249,10 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # np.float64 subclasses float, but on numpy 2 its repr is
+        # "np.float64(x)".  str() of numpy integers and of other numpy floats
+        # already prints a plain number.
+        return repr(value) if type(value) is float else repr(float(value))
     return str(value)
 
 

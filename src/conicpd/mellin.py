@@ -8,7 +8,16 @@ inverse-Mellin contour
     F_n(lambda) = (1 / 2 pi) * integral  Gamma(s)^n lambda^{-n s} dt,
     s = gamma + i t,
 
-whose integrand is assembled from the branch-coherent complex log-gamma.
+whose integrand exp(n z(t)), z(t) = log Gamma(s) - s log lambda, is built
+from scipy's branch-continuous complex log-gamma, so it is single-valued
+along the vertical line.  The integrand is analytic and decays like a
+Gaussian around the saddle, so the trapezoid rule on a uniform grid converges
+exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  One evaluation
+of z on a grid shared by every n serves a whole table of n at once.  The
+a-posteriori error is the difference between the step-h sum and the step-2h
+sum over every other node; a cancellation guard refuses sums that rounding
+alone could account for.
+
 The exponential growth rate L(lambda) = lim (log F_n)/n is read off the
 saddle point psi(gamma) = log lambda; the per-n correction is
 -(1/2) log(2 pi n psi'(gamma)), and the limit study reports both the raw
@@ -22,10 +31,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .errors import DomainError, NumericalError
-from .special import digamma, log_gamma, log_gamma_complex, trigamma
+
+# Integrand magnitude, relative to the peak, that the grid treats as zero.
+_LOG_NEGLIGIBLE = math.log(1e-18)
+# A trapezoid sum S_h is accepted when |S_h - S_2h| <= max(_ATOL, _RTOL * S_h).
+_RTOL, _ATOL = 1e-9, 1e-12
+_MAX_HALVINGS = 8
+_MAX_NODES = 1 << 22     # nodes on one grid level: bounds the time of a table
+_BLOCK = 1 << 14         # nodes evaluated at once: bounds the memory of a table
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,7 +60,7 @@ class SaddleSolution:
     curvature: float
 
     def __post_init__(self):
-        if abs(digamma(self.gamma) - math.log(self.lam)) > 1e-10:
+        if abs(special.digamma(self.gamma) - math.log(self.lam)) > 1e-10:
             raise DomainError("gamma does not solve the saddle equation for lambda")
         if not self.curvature > 0.0:
             raise DomainError("saddle curvature must be positive")
@@ -55,74 +72,183 @@ class SaddleSolution:
 
 def solve_saddle(lam: float) -> SaddleSolution:
     """Solve psi(gamma) = log lambda by safeguarded Newton iteration."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise DomainError("lambda must be a positive real")
+    _check_lambda(lam)
     target = math.log(lam)
     lo, hi = 1.0, 2.0
-    while digamma(lo) > target:
+    while special.digamma(lo) > target:
         lo *= 0.5
         if lo < 1e-300:
             raise NumericalError("saddle bracket collapsed at the lower end")
-    while digamma(hi) < target:
+    while special.digamma(hi) < target:
         hi *= 2.0
         if hi > 1e300:
             raise NumericalError("saddle bracket ran away at the upper end")
     g = 0.5 * (lo + hi)
     for _ in range(200):
-        resid = digamma(g) - target
+        resid = float(special.digamma(g)) - target
         if abs(resid) <= 1e-13:
             return SaddleSolution(
                 lam=float(lam), gamma=g,
-                L_value=log_gamma(g) - g * target, curvature=trigamma(g),
+                L_value=float(special.gammaln(g)) - g * target,
+                curvature=float(special.polygamma(1, g)),
             )
         if resid > 0.0:
             hi = g
         else:
             lo = g
-        step = g - resid / trigamma(g)
+        step = g - resid / float(special.polygamma(1, g))
         g = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericalError("saddle iteration did not reach tolerance 1e-13")
 
 
-def log_F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
-    """log F_n(lambda) via the inverse-Mellin contour at Re s = abscissa.
+@dataclass(frozen=True)
+class ContourRows:
+    """log F_n(lambda) for several n from one trapezoid grid, with diagnostics.
 
-    The peak magnitude is factored out before quadrature, so the value stays
-    finite even when n * L(lambda) would overflow or underflow exp().  The
-    abscissa defaults to the saddle point; by contour independence any
-    abscissa > 0 gives the same value, which the tests exercise.
+    ``error`` is the accepted |S_h - S_2h| / S_h, the a-posteriori error of
+    log F_n (equivalently the relative error of F_n); ``nodes`` counts the
+    grid nodes that carried each row's sum.
     """
-    _check_n(n, upper=None)
-    sol_gamma = solve_saddle(lam).gamma if abscissa is None else float(abscissa)
-    if not (math.isfinite(sol_gamma) and sol_gamma > 0.0):
+
+    ns: np.ndarray
+    log_F: np.ndarray
+    error: np.ndarray
+    nodes: np.ndarray
+
+
+def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> ContourRows:
+    """log F_n(lambda) for every n in ``ns`` on the contour Re s = abscissa.
+
+    The abscissa defaults to the saddle point; by contour independence any
+    abscissa > 0 gives the same value, which the tests exercise.  With
+    u(t) = z(t) - z(0),
+
+        log F_n = n z(0) + log(S_n / pi),   S_n = integral_0^inf Re e^{n u(t)} dt,
+
+    so the peak magnitude is factored out and the value stays finite even
+    when n L(lambda) would overflow exp().
+
+    S_n is a trapezoid sum on one uniform grid shared by all rows, with step
+    h = 0.25 / sqrt(n_max psi'(abscissa)), a quarter of the narrowest peak
+    width.  The grid reaches no further than where the n_min integrand has
+    decayed to 1e-18 of its peak, and since |e^{n u(t)}| decreases in t,
+    each row stops at its own first node below that level.  Nodes are
+    evaluated in fixed-size blocks and only per-row sums are kept, so memory
+    does not grow with the grid.  A row is accepted once
+    |S_h - S_2h| <= max(1e-12, 1e-9 S_h), where S_2h sums every other node,
+    and its phase Im(n u) turns by less than pi between neighbouring nodes
+    of the step-2h grid (else both grids can alias the same oscillation and
+    agree on a wrong value).  Otherwise h is halved, evaluating only the new
+    midpoints, at most eight times and up to 2^22 nodes, before
+    NumericalError.
+
+    Off the saddle the integrand oscillates, and S_n can sit far below
+    integral |e^{n u}| dt; the step test then passes on rounding noise.
+    eps * integral |e^{n u}| (4 + |n u|) dt bounds the rounding in S_n, and
+    a row whose bound exceeds 1e-9 S_n raises NumericalError rather than
+    return a value without correct digits.  So does S_n <= 0.
+    """
+    _check_lambda(lam)
+    ns = np.asarray(ns)
+    if ns.ndim != 1 or ns.size == 0:
+        raise DomainError("ns must be a non-empty list of positive integers")
+    for n in ns:
+        _check_n(n, upper=None)
+    gamma = solve_saddle(lam).gamma if abscissa is None else float(abscissa)
+    if not (math.isfinite(gamma) and gamma > 0.0):
         raise DomainError("contour abscissa must be a positive real")
+    unique, inverse = np.unique(ns.astype(np.int64), return_inverse=True)
+    log_f, error, nodes = _trapezoid_rows(unique, lam, gamma)
+    return ContourRows(ns=ns.astype(int), log_F=log_f[inverse], error=error[inverse],
+                       nodes=nodes[inverse])
+
+
+def log_F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
+    """log F_n(lambda) via the inverse-Mellin contour: one row of
+    :func:`log_F_contour_rows`."""
+    return float(log_F_contour_rows([n], lam, abscissa).log_F[0])
+
+
+def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
+    """log F_n, error and node count for sorted distinct ``ns``."""
     log_lam = math.log(lam)
-    peak = n * (log_gamma(sol_gamma) - sol_gamma * log_lam)
-
-    def height(t: float) -> float:
-        z = log_gamma_complex(complex(sol_gamma, t))
-        w = n * (z - complex(sol_gamma, t) * log_lam) - peak
-        return math.exp(w.real) * math.cos(w.imag)
-
-    def log_magnitude(t: float) -> float:
-        return n * (log_gamma_complex(complex(sol_gamma, t)).real - log_gamma(sol_gamma))
-
-    width = 1.0 / math.sqrt(n * trigamma(sol_gamma))
-    cutoff = 8.0 * width
-    while log_magnitude(cutoff) > math.log(1e-18):
+    log_gamma0 = float(special.gammaln(gamma))
+    curvature = float(special.polygamma(1, gamma))
+    n_min, n_max = int(ns[0]), int(ns[-1])
+    cutoff = 8.0 / math.sqrt(n_min * curvature)
+    while n_min * (special.loggamma(complex(gamma, cutoff)).real - log_gamma0) > _LOG_NEGLIGIBLE:
         cutoff *= 1.5
         if cutoff > 1e6:
             raise NumericalError("contour integrand failed to decay; check the abscissa")
-    value, err = integrate.quad(
-        height, 0.0, cutoff, epsabs=1e-14, epsrel=1e-11,
-        limit=400, points=[min(width, 0.5 * cutoff)],
+
+    def node_sums(rows, offset, step):
+        # Per row, over the nodes t = offset + k step <= cutoff before the
+        # row's integrand is negligible: the sums of Re e^{n u} and of the
+        # rounding weight |e^{n u}| (4 + |n u|), the node count, and the
+        # largest phase turn between neighbouring nodes.  ``rows`` is
+        # ascending, so the first row reaches furthest.
+        out = np.zeros((4, rows.size))
+        phase = np.zeros(rows.size)
+        first = 0
+        while True:
+            t = offset + step * np.arange(first, first + _BLOCK)
+            t = t[t <= cutoff]
+            u = special.loggamma(gamma + 1j * t) - log_gamma0 - 1j * log_lam * t
+            lengths = np.searchsorted(-u.real, _LOG_NEGLIGIBLE / -rows)
+            for i in np.flatnonzero(lengths):
+                w = rows[i] * u[:lengths[i]]
+                mag = np.exp(w.real)
+                out[0, i] += np.sum(mag * np.cos(w.imag))
+                out[1, i] += np.sum(mag * (4.0 + np.abs(w)))
+                out[2, i] += lengths[i]
+                out[3, i] = max(out[3, i], np.abs(np.diff(w.imag, prepend=phase[i])).max())
+                phase[i] = w.imag[-1]
+            if t.size < _BLOCK or lengths[0] < t.size:
+                return out
+            first += _BLOCK
+
+    rows = ns.astype(float)
+    # The step-2h sum; t = 0 contributes e^0 = 1 (rounding weight 4) at half weight.
+    step = 0.5 / math.sqrt(n_max * curvature)
+    sums = node_sums(rows, step, step)[:3]
+    sums[:2] = step * (sums[:2] + np.array([[0.5], [2.0]]))
+    sums[2] += 1.0
+    log_f = np.empty(rows.size)
+    error = np.empty(rows.size)
+    nodes = np.empty(rows.size, dtype=int)
+    active = np.arange(rows.size)
+    for _ in range(_MAX_HALVINGS + 1):
+        if 2.0 * sums[2, active].max() > _MAX_NODES:
+            break
+        previous = sums[0, active]
+        step *= 0.5
+        # The midpoints are spaced 2h, so their phase turn stands in for the
+        # step-2h grid's.
+        mids = node_sums(rows[active], step, 2.0 * step)
+        sums[:2, active] = 0.5 * sums[:2, active] + step * mids[:2]
+        sums[2, active] += mids[2]
+        value = sums[0, active]
+        diff = np.abs(value - previous)
+        done = (diff <= np.maximum(_ATOL, _RTOL * value)) & (mids[3] < math.pi)
+        for i, d in zip(active[done], diff[done]):
+            n = int(ns[i])
+            rounding = _EPS * sums[1, i]
+            if sums[0, i] <= 0.0 or rounding > _RTOL * sums[0, i]:
+                raise NumericalError(
+                    f"contour sum is below its rounding error (value={sums[0, i]:.3e}, "
+                    f"rounding bound={rounding:.3e}, n={n}, lambda={lam}, abscissa={gamma})"
+                )
+            log_f[i] = n * (log_gamma0 - gamma * log_lam) + math.log(sums[0, i] / math.pi)
+            error[i] = d / sums[0, i]
+            nodes[i] = int(sums[2, i])
+        active = active[~done]
+        if active.size == 0:
+            return log_f, error, nodes
+    i = active[0]
+    raise NumericalError(
+        f"contour quadrature did not converge in {int(sums[2, i])} nodes "
+        f"(value={sums[0, i]:.3e}, n={int(ns[i])}, lambda={lam}, abscissa={gamma})"
     )
-    if value <= 0.0 or err > max(1e-12, 1e-7 * abs(value)):
-        raise NumericalError(
-            f"contour quadrature did not converge (value={value:.3e}, err={err:.3e}, "
-            f"n={n}, lambda={lam}, abscissa={sol_gamma})"
-        )
-    return peak + math.log(value / math.pi)
 
 
 def F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
@@ -138,8 +264,7 @@ def F_direct(n: int, lam: float, rel_tol: float = 1e-9) -> float:
     Supported for n <= 4; larger n belongs to the contour route.
     """
     _check_n(n, upper=4)
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise DomainError("lambda must be a positive real")
+    _check_lambda(lam)
     if n == 1:
         return math.exp(-lam)
     # The worst spot on the truncation boundary puts one free coordinate at
@@ -188,6 +313,8 @@ class LimitStudy:
     extrapolated_limit: float
     extrapolated_gap: float
     envelope_constant: float    # max_n |gap_n| * n / log n
+    log_F_error: np.ndarray     # a-posteriori contour error of log F_n
+    nodes: np.ndarray           # contour grid nodes per row
 
     def rows(self) -> list[dict]:
         out = []
@@ -203,17 +330,19 @@ class LimitStudy:
 def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     """Tabulate (log F_n)/n for n_min..n_max and extrapolate the n -> inf limit.
 
-    The raw ratio carries a -(1/2 log(2 pi n psi') )/n correction, so at
-    n = 40 it still sits ~0.07 away from L; the corrected column and the
-    least-squares extrapolation (model a + b log n / n + c / n) both land
-    within a few 1e-3 of the saddle value and are what the convergence
+    The whole table comes from one :func:`log_F_contour_rows` grid at the
+    saddle.  The raw ratio carries a -(1/2 log(2 pi n psi') )/n correction,
+    so at n = 40 it still sits ~0.07 away from L; the corrected column and
+    the least-squares extrapolation (model a + b log n / n + c / n) both
+    land within a few 1e-3 of the saddle value and are what the convergence
     acceptance is asserted against.
     """
     if not (2 <= n_min <= n_max <= 60):
         raise DomainError("limit study supports 2 <= n_min <= n_max <= 60")
     sol = solve_saddle(lam)
     ns = np.arange(n_min, n_max + 1)
-    log_f = np.array([log_F_contour(int(n), lam, abscissa=sol.gamma) for n in ns])
+    contour = log_F_contour_rows(ns, lam, abscissa=sol.gamma)
+    log_f = contour.log_F
     ratios = log_f / ns
     gaps = ratios - sol.L_value
     corrected = ratios + 0.5 * np.log(2.0 * math.pi * ns * sol.curvature) / ns
@@ -230,6 +359,7 @@ def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
         lam=float(lam), saddle=sol, ns=ns, log_F=log_f, ratios=ratios, gaps=gaps,
         corrected=corrected, extrapolated_limit=extrapolated,
         extrapolated_gap=extrapolated - sol.L_value, envelope_constant=envelope,
+        log_F_error=contour.error, nodes=contour.nodes,
     )
 
 
@@ -310,14 +440,16 @@ class DivergenceTable:
     radii: np.ndarray
     rates: np.ndarray        # (log D_n)/n
     limits: np.ndarray       # L(lambda * r_n)
+    gammas: np.ndarray       # saddle of lambda * r_n
+    log_F_error: np.ndarray  # a-posteriori contour error of log D_n
+    nodes: np.ndarray        # contour grid nodes per row
 
     def rows(self) -> list[dict]:
         out = []
         for i, n in enumerate(self.ns):
-            sol = solve_saddle(self.lam * self.radii[i])
             out.append({
                 "n": int(n), "lambda": self.lam, "r": float(self.radii[i]),
-                "gamma": sol.gamma, "L": float(self.limits[i]),
+                "gamma": float(self.gammas[i]), "L": float(self.limits[i]),
                 "lnFn_over_n": float(self.rates[i]),
                 "gap": float(self.rates[i] - self.limits[i]),
             })
@@ -331,6 +463,8 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
     off a single crossing point -- so D_n itself runs to 0 or infinity
     geometrically and no constant-radius normalization can converge.  For the
     sqrt-n schedule the effective argument grows and L heads to -infinity.
+    Rows sharing an effective argument lambda r_n share one saddle solve and
+    one contour grid.
     """
     if ns is None:
         ns = np.arange(2, 41)
@@ -338,10 +472,22 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
     if np.any(ns < 1):
         raise DomainError("table indices must be positive")
     radii = np.array([schedule.radius(int(n)) for n in ns])
-    rates = np.array([log_F_contour(int(n), lam * radii[i]) / ns[i] for i, n in enumerate(ns)])
-    limits = np.array([solve_saddle(lam * r).L_value for r in radii])
+    args = lam * radii
+    log_f, limits, gammas, errors, nodes = (np.empty(ns.size) for _ in range(5))
+    for arg in dict.fromkeys(args.tolist()):
+        at = args == arg
+        sol = solve_saddle(arg)
+        contour = log_F_contour_rows(ns[at], arg, abscissa=sol.gamma)
+        log_f[at], errors[at], nodes[at] = contour.log_F, contour.error, contour.nodes
+        limits[at], gammas[at] = sol.L_value, sol.gamma
     return DivergenceTable(lam=float(lam), schedule=schedule, ns=ns, radii=radii,
-                           rates=rates, limits=limits)
+                           rates=log_f / ns, limits=limits, gammas=gammas,
+                           log_F_error=errors, nodes=nodes.astype(int))
+
+
+def _check_lambda(lam):
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
+        raise DomainError("lambda must be a positive real")
 
 
 def _check_n(n, upper):

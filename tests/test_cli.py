@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conicpd import DomainError, PartitionSpec, box_mass_L
-from conicpd.cli import main, parse_step_function
+from conicpd.cli import _fmt, main, parse_step_function
 
 
 def run_cli(capsys, argv):
@@ -221,6 +221,29 @@ def test_divergence_subcommand(capsys):
     radii = [float(line.split(",")[2]) for line in lines[2:]]
     assert radii == pytest.approx([np.sqrt(2), np.sqrt(3), 2.0], rel=1e-12)
     assert run_cli(capsys, ["divergence", "--schedule", "spiral"])[0] == 2
+
+
+def test_fmt_prints_numpy_scalars_as_python_numbers():
+    assert _fmt(np.float64(1.4616321449683622)) == "1.4616321449683622"
+    assert _fmt(np.float32(0.5)) == "0.5"
+    assert _fmt(np.int64(40)) == "40"
+    assert _fmt(1.0) == "1.0" and _fmt(3) == "3" and _fmt(None) == "" and _fmt("a") == "a"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mellin", "--lambda", "0.3", "--nmax", "5"],
+    ["divergence", "--lambda", "0.5", "--schedule", "sqrt_n", "--nmax", "5"],
+    ["saddle", "--lambda", "3", "--format", "csv"],
+])
+def test_contour_csv_cells_parse_as_floats(capsys, argv):
+    code, out, _err = run_cli(capsys, argv)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("# {")
+    assert len(lines) >= 3
+    for line in lines[2:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 # ------------------------------------------------------------- configuration

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from conicpd import mellin
 from conicpd import (
     DivergenceTable,
     DomainError,
     F_contour,
     F_direct,
     L_limit_study,
+    NumericalError,
     RadiusSchedule,
     SaddleSolution,
     bessel_k0,
@@ -16,6 +19,7 @@ from conicpd import (
     divergence_experiment,
     find_L_zero,
     log_F_contour,
+    log_F_contour_rows,
     solve_saddle,
 )
 from conicpd.mellin import D_n, log_D_n, rho_geometric_mean
@@ -326,3 +330,129 @@ def test_radius_schedule_validation():
         bad.radius(3)
     with pytest.raises(DomainError):
         divergence_experiment(1.0, RadiusSchedule("constant"), ns=np.array([0, 2]))
+
+
+# ------------------------------------------------- batched trapezoid contour
+
+def mp_log_F(n, lam, gamma):
+    """log F_n(lam) by mpmath quadrature of the contour at Re s = gamma."""
+    with mpmath.workdps(25):
+        log_lam = mpmath.log(lam)
+        s0 = mpmath.mpf(gamma)
+        peak = n * (mpmath.loggamma(s0) - s0 * log_lam)
+        width = 1 / mpmath.sqrt(n * mpmath.psi(1, s0))
+
+        def height(t):
+            s = mpmath.mpc(s0, t)
+            return mpmath.re(mpmath.exp(n * (mpmath.loggamma(s) - s * log_lam) - peak))
+
+        value = mpmath.quad(height, [mpmath.mpf(0)] + [width * 2 ** k for k in range(-1, 12)])
+        return float(peak + mpmath.log(value / mpmath.pi))
+
+
+def test_contour_rows_equal_single_row_calls():
+    ns = np.arange(1, 31)
+    for lam in (0.01, 0.7, 5.0):
+        rows = log_F_contour_rows(ns, lam)
+        single = np.array([log_F_contour(int(n), lam) for n in ns])
+        assert np.allclose(rows.log_F, single, rtol=1e-12, atol=0.0), lam
+        assert list(rows.ns) == list(ns)
+
+
+def test_contour_rows_keep_input_order_and_repeats():
+    rows = log_F_contour_rows([7, 2, 7, 40], 1.3)
+    assert list(rows.ns) == [7, 2, 7, 40]
+    assert rows.log_F[0] == rows.log_F[2]
+    assert rows.log_F[1] == pytest.approx(log_F_contour(2, 1.3), rel=1e-12)
+
+
+def test_contour_rows_match_mpmath():
+    for lam in (1e-3, 0.3, 1.0, 3.0, 1e3):
+        gamma = solve_saddle(lam).gamma
+        ns = [2, 17, 60]
+        rows = log_F_contour_rows(ns, lam)
+        for n, value in zip(ns, rows.log_F):
+            want = mp_log_F(n, lam, gamma)
+            assert value == pytest.approx(want, rel=1e-10), (n, lam)
+
+
+def test_contour_rows_diagnostics():
+    rows = log_F_contour_rows(np.arange(2, 41), 1.0)
+    assert np.all(rows.error >= 0.0) and np.all(rows.error <= 1e-9)
+    assert rows.nodes.dtype.kind == "i" and np.all(rows.nodes > 1)
+    # a wider peak (smaller n) needs at least as many nodes on the shared grid
+    assert np.all(np.diff(rows.nodes) <= 0)
+
+
+def test_contour_returns_python_floats():
+    assert type(log_F_contour(3, 0.8)) is float
+    sol = solve_saddle(0.8)
+    assert all(type(v) is float for v in (sol.lam, sol.gamma, sol.L_value, sol.curvature))
+    for row in L_limit_study(0.8, n_max=4).rows() + divergence_experiment(
+            0.8, RadiusSchedule("sqrt_n"), ns=[2, 3]).rows():
+        assert all(type(row[k]) is float for k in TABLE_COLUMNS[1:])
+
+
+def test_contour_far_off_saddle_raises_instead_of_cancelling():
+    # At Re s = 0.5 gamma or 0.3 gamma the integral sits thousands of e-folds
+    # below the integrand's magnitude: no double-precision sum can resolve
+    # it, and the answer used to be off by 6.1e3 and 1.4e4 in log F.
+    gamma = solve_saddle(1e3).gamma
+    for factor in (0.5, 0.3):
+        with pytest.raises(NumericalError):
+            log_F_contour(40, 1e3, abscissa=factor * gamma)
+    # the saddle itself is fine
+    assert log_F_contour(40, 1e3) == pytest.approx(-40100.70873047634, rel=1e-12)
+
+
+def test_contour_rows_validation():
+    with pytest.raises(DomainError):
+        log_F_contour_rows([], 1.0)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([2, 0], 1.0)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([[2, 3]], 1.0)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([2], 1.0, abscissa=0.0)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([2], -1.0, abscissa=1.0)
+
+
+def test_limit_study_tiny_lambda_stays_small_and_finite():
+    # lambda = 1e-300 puts the saddle at gamma ~ 1.4e-3, where a uniform grid
+    # needs ~10^5 nodes; they are evaluated in bounded blocks.
+    study = L_limit_study(1e-300, 60)
+    assert np.all(np.isfinite(study.log_F))
+    assert study.log_F[0] == pytest.approx(7.23012615, rel=1e-8)
+    assert np.all(study.log_F_error <= 1e-9)
+    assert study.nodes.shape == study.ns.shape
+
+
+def test_limit_study_and_divergence_carry_diagnostics():
+    study = L_limit_study(2.0, n_max=10)
+    assert study.log_F_error.shape == study.ns.shape == study.nodes.shape
+    assert np.all(study.log_F_error <= 1e-9) and np.all(study.nodes > 1)
+    table = divergence_experiment(2.0, RadiusSchedule("sqrt_n"), ns=np.arange(2, 8))
+    assert table.log_F_error.shape == table.ns.shape == table.nodes.shape
+    assert np.all(table.log_F_error <= 1e-9) and np.all(table.nodes > 1)
+    # the diagnostics stay off the printed rows
+    assert list(table.rows()[0]) == TABLE_COLUMNS
+
+
+def test_divergence_solves_one_saddle_per_row(monkeypatch):
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return solve_saddle(lam)
+
+    monkeypatch.setattr(mellin, "solve_saddle", counting)
+    table = divergence_experiment(1.0, RadiusSchedule("sqrt_n"), ns=np.arange(2, 7))
+    assert len(calls) == 5
+    rows = table.rows()
+    assert len(calls) == 5
+    for row in rows:
+        assert row["gamma"] == solve_saddle(row["lambda"] * row["r"]).gamma
+    calls.clear()
+    divergence_experiment(1.0, RadiusSchedule("constant"), ns=np.arange(2, 7))
+    assert len(calls) == 1
