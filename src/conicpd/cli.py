@@ -3,8 +3,9 @@
 Every subcommand resolves its configuration (flags > config file > defaults),
 runs the corresponding library routine, and emits either newline-delimited
 JSON records or an RFC-4180-style CSV.  The first line always records the
-fully resolved configuration and the tool version, and nothing time- or
-host-dependent is ever written, so identical configurations produce
+fully resolved configuration, the Monte Carlo chunk size (it fixes how each
+stream's draws are cut into batches) and the tool version, and nothing time-
+or host-dependent is ever written, so identical configurations produce
 byte-identical output.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .densities import PartitionSpec, box_mass_L
 from .errors import DomainError, InfiniteVarianceError, NumericalError
-from .estimation import stream_counts
+from .estimation import CHUNK_ROWS, stream_counts
 from .gaussian import charfun_gap_rows
 from .laplace import (
     analytic_laplace,
@@ -258,7 +259,8 @@ def _fmt(value):
 
 def _emit(cfg: dict, columns: list[str], records: list[dict]) -> str:
     header = {k: v for k, v in cfg.items() if k not in ("out", "config")}
-    meta = json.dumps({"config": header, "version": __version__}, sort_keys=True)
+    meta = json.dumps({"chunk_rows": CHUNK_ROWS, "config": header, "version": __version__},
+                      sort_keys=True)
     if cfg["format"] == "json":
         lines = [meta]
         lines += [json.dumps(r, sort_keys=True) for r in records]

@@ -47,10 +47,15 @@ def stream_counts(n_samples: int, streams: int) -> list[int]:
 
 def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: int = 1,
                 chunk: int = CHUNK_ROWS) -> list[EstimatorResult]:
-    """Pooled mean/stderr per column of the kernel output, merged in stream order."""
+    """Pooled mean/stderr per column of the kernel output, merged in stream order.
+
+    Each chunk contributes (count, mean, sum of squared deviations), combined
+    with the pairwise update of Chan, Golub & LeVeque (1979), which keeps the
+    variance accurate when the spread is tiny against the mean.
+    """
     count = 0
-    total = np.zeros(columns)
-    total_sq = np.zeros(columns)
+    mean = np.zeros(columns)
+    m2 = np.zeros(columns)
     for s, rows_for_stream in enumerate(stream_counts(n_samples, streams)):
         gen = rng.child(s).generator()
         left = rows_for_stream
@@ -59,14 +64,17 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
             vals = np.asarray(kernel(gen, rows), dtype=float)
             if vals.ndim == 1:
                 vals = vals[:, None]
-            count += rows
-            total += vals.sum(axis=0)
-            total_sq += (vals * vals).sum(axis=0)
+            chunk_mean = vals.mean(axis=0)
+            dev = vals - chunk_mean
+            chunk_m2 = (dev * dev).sum(axis=0)
+            delta = chunk_mean - mean
+            merged = count + rows
+            mean = mean + delta * (rows / merged)
+            m2 = m2 + chunk_m2 + delta * delta * (count * rows / merged)
+            count = merged
             left -= rows
-    mean = total / count
     if count > 1:
-        var = np.maximum(total_sq - count * mean * mean, 0.0) / (count - 1)
-        err = np.sqrt(var / count)
+        err = np.sqrt(m2 / (count - 1) / count)
     else:
         err = np.zeros(columns)
     return [

@@ -6,9 +6,13 @@ rearrangement (the normalized law) -> scaling by an independent gamma total
 importance weights e^{total mass} attached to the unnormalized draws; nothing
 here ever tries to sample an infinite measure directly.
 
-Truncation policy: stick-breaking stops once the residual stick product drops
-to ``eps``; the discarded mass is recorded on the draw as ``tail_bound`` so
-estimator bias can always be budgeted against the Monte Carlo error.
+Truncation policy: stick-breaking stops at the first stick that takes the
+residual stick product to ``eps`` or below; the discarded mass is recorded on
+the draw as ``tail_bound`` so estimator bias can always be budgeted against
+the Monte Carlo error.  Scalar and batch draws share one recursion,
+``_stick_rows``, which sizes its stick matrix from the Poisson law of the
+stick count and refuses, with ``DomainError``, a first block larger than a
+fixed cell budget.
 """
 
 from __future__ import annotations
@@ -115,24 +119,9 @@ class WeightedAtomSeries:
 
 def sample_gem(theta: float, eps: float, rng) -> GemDraw:
     """Draw sticks with density theta * y^(theta-1) until the residual is <= eps."""
-    _check_theta_eps(theta, eps)
-    gen = as_generator(rng)
-    log_eps = math.log(eps)
-    block = max(8, int(math.ceil(math.log(1.0 / eps) / math.log(theta + 1.0))) + 8)
-    pieces = []
-    carried = 0.0
-    while True:
-        y = _stick_block(gen, theta, block)
-        run = carried + np.cumsum(np.log1p(-y))
-        hits = np.nonzero(run <= log_eps)[0]
-        if hits.size:
-            k = int(hits[0])
-            pieces.append(y[: k + 1])
-            sticks = np.concatenate(pieces)
-            return GemDraw(sticks=sticks, residual=float(np.prod(1.0 - sticks)))
-        pieces.append(y)
-        carried = float(run[-1])
-        block = 8
+    y, _run, _cut = _stick_rows(theta, eps, 1, as_generator(rng))
+    sticks = y[0]
+    return GemDraw(sticks=sticks, residual=float(np.prod(1.0 - sticks)))
 
 
 def _stick_block(gen, theta, count):
@@ -143,6 +132,50 @@ def _stick_block(gen, theta, count):
     u = 1.0 - gen.random(count)
     y = u if theta == 1.0 else -np.expm1(np.log(u) / theta)
     return np.minimum(y, 1.0 - 1e-16)
+
+
+# Largest first stick block, in cells (rows x columns), that a draw may ask
+# for: 2^26 cells are 512 MB per float array.  Every theta <= 80 at eps=1e-10
+# fits at the estimators' 32768-row chunks.
+_CELL_BUDGET = 1 << 26
+
+
+def _stick_rows(theta, eps, rows, gen):
+    """Stick fractions of ``rows`` independent draws, each cut where its residual reaches eps.
+
+    Returns (y, run, cut): the (rows, K) stick matrix, its row-wise running
+    sum of log(1 - y), and per row the first column with run <= log(eps).
+    Entries right of a row's cut are not part of the draw; K = max(cut) + 1.
+
+    Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so a draw
+    needs 1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block
+    has ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
+    outrun.  Only the rows still open are extended, by half the current
+    width at a time, so the work stays linear in the sticks drawn.
+    """
+    _check_theta_eps(theta, eps)
+    log_eps = math.log(eps)
+    m = -theta * log_eps
+    width = math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
+    if rows * width > _CELL_BUDGET:
+        raise DomainError(
+            f"theta*log(1/eps) = {m:.4g} expected sticks per draw over {rows} rows exceeds the "
+            f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
+            "--samples per stream to lower the rows")
+    y = _stick_block(gen, theta, rows * width).reshape(rows, width)
+    run = np.cumsum(np.log1p(-y), axis=1)
+    grow = np.flatnonzero(run[:, -1] > log_eps)
+    while grow.size:
+        add = y.shape[1] // 2
+        ext = _stick_block(gen, theta, grow.size * add).reshape(grow.size, add)
+        y = np.pad(y, ((0, 0), (0, add)))
+        run = np.pad(run, ((0, 0), (0, add)), mode="edge")
+        y[grow, -add:] = ext
+        run[grow, -add:] += np.cumsum(np.log1p(-ext), axis=1)
+        grow = grow[run[grow, -1] > log_eps]
+    cut = np.argmax(run <= log_eps, axis=1)
+    keep = int(cut.max()) + 1
+    return y[:, :keep], run[:, :keep], cut
 
 
 def _check_theta_eps(theta, eps):
@@ -286,22 +319,16 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     """Normalized stick-breaking masses for ``rows`` draws at once.
 
     Returns (masses, tails): a (rows, K) matrix zero-padded after each row's
-    truncation column, and the per-row residual mass at the cut.  Zero padding
-    keeps downstream reductions branch-free.
+    truncation column, with K the longest row's stick count, and the per-row
+    residual mass at the cut.  Zero padding keeps downstream reductions
+    branch-free.
     """
-    _check_theta_eps(theta, eps)
-    log_eps = math.log(eps)
-    cols = max(8, int(math.ceil(math.log(1.0 / eps) / math.log(theta + 1.0))) + 8)
-    y = _stick_block(gen, theta, rows * cols).reshape(rows, cols)
-    run = np.cumsum(np.log1p(-y), axis=1)
-    while run[:, -1].max() > log_eps:
-        ext = _stick_block(gen, theta, rows * 8).reshape(rows, 8)
-        y = np.hstack([y, ext])
-        run = np.hstack([run, run[:, -1:] + np.cumsum(np.log1p(-ext), axis=1)])
-    cut = np.argmax(run <= log_eps, axis=1)
-    keep = np.arange(y.shape[1])[None, :] <= cut[:, None]
-    prefix = np.exp(np.hstack([np.zeros((rows, 1)), run[:, :-1]]))
-    masses = np.where(keep, y * prefix, 0.0)
+    y, run, cut = _stick_rows(theta, eps, rows, gen)
+    prefix = np.empty_like(run)
+    prefix[:, 0] = 1.0
+    np.exp(run[:, :-1], out=prefix[:, 1:])
+    masses = y * prefix
+    masses[np.arange(y.shape[1])[None, :] > cut[:, None]] = 0.0
     tails = np.exp(run[np.arange(rows), cut])
     return masses, tails
 

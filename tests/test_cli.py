@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicpd import DomainError, PartitionSpec, box_mass_L
+from conicpd import DomainError, PartitionSpec, __version__, box_mass_L
 from conicpd.cli import _fmt, main, parse_step_function
+from conicpd.estimation import CHUNK_ROWS
 
 
 def run_cli(capsys, argv):
@@ -88,6 +89,15 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and "diverges" in err
 
 
+def test_oversized_stick_blocks_exit_2_without_running(capsys):
+    # theta * log(1/eps) sticks per draw times the rows of one chunk would
+    # need gigabytes; both routes refuse before drawing anything.
+    for argv in (["sample", "--theta", "1e8", "--samples", "1"],
+                 ["laplace", "--theta", "1e4", "--f", "1@0:1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "--samples" in err, argv
+
+
 def test_invariance_requires_both_explicit_functions(capsys):
     code, _out, err = run_cli(capsys, ["invariance", "--a", "2@0:1", "--samples", "100"])
     assert code == 2 and "both --a and --f" in err
@@ -99,7 +109,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.1.0"
+    assert meta["version"] == "0.2.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -108,6 +118,16 @@ def test_saddle_json_output(capsys):
     # records are emitted with sorted keys
     first_record_line = out.strip().splitlines()[1]
     assert list(json.loads(first_record_line)) == sorted(record)
+
+
+def test_meta_line_records_chunk_rows(capsys):
+    # the Monte Carlo chunk size changes sampled output, so the meta line names it
+    for fmt in ("json", "csv"):
+        code, out, _err = run_cli(capsys, ["sample", "--samples", "1", "--format", fmt])
+        assert code == 0
+        first = out.splitlines()[0]
+        meta = json.loads(first[2:] if fmt == "csv" else first)
+        assert meta["chunk_rows"] == CHUNK_ROWS and meta["version"] == __version__
 
 
 def test_mellin_csv_layout(capsys):

@@ -2,6 +2,8 @@
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +328,117 @@ def test_gamma_batch_layout():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
+def _first_block(theta, eps):
+    m = theta * math.log(1.0 / eps)
+    return math.ceil(1.0 + m + 4.0 * math.sqrt(m)) + 4
+
+
+def _poisson_moment_gaps(counts, m):
+    # z-scores of the sample mean and variance of Poisson(m) counts
+    n = counts.size
+    mean_z = (counts.mean() - m) / math.sqrt(m / n)
+    var_z = (counts.var(ddof=1) - m) / math.sqrt((m + 2.0 * m * m) / n)
+    return mean_z, var_z
+
+
+@pytest.mark.parametrize("theta", [0.5, 4.0])
+def test_stick_count_is_one_plus_poisson(theta):
+    # -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so the number of
+    # sticks before the residual reaches eps is Poisson(theta log(1/eps)).
+    m = theta * math.log(1.0 / EPS)
+    masses, _tails = stick_masses_batch(theta, EPS, 20_000, RngStream(27).generator())
+    batch = np.count_nonzero(masses, axis=1) - 1
+    gen = RngStream(28).generator()
+    scalar = np.array([sample_gem(theta, EPS, gen).sticks.size - 1 for _ in range(3000)])
+    for counts in (batch, scalar):
+        mean_z, var_z = _poisson_moment_gaps(counts, m)
+        assert abs(mean_z) <= 5.0 and abs(var_z) <= 5.0, (theta, counts.mean(), counts.var())
+
+
+@pytest.mark.parametrize("theta, rows", [(0.5, 1), (0.5, 4000), (1.0, 3), (8.0, 500)])
+def test_stick_matrix_is_as_wide_as_its_longest_row(theta, rows):
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(29).generator())
+    sticks = np.count_nonzero(masses, axis=1)
+    assert masses.shape == (rows, sticks.max())
+    assert np.count_nonzero(masses[:, -1]) >= 1
+    # zero padding sits only after each row's cut
+    inside = np.arange(masses.shape[1])[None, :] < sticks[:, None]
+    assert np.all(masses[inside] > 0.0) and np.all(masses[~inside] == 0.0)
+    assert tails.shape == (rows,)
+
+
+def test_stick_rows_that_outgrow_the_first_block_stay_exact():
+    # About one row in 10^5 at theta = 4 needs more sticks than the first
+    # block holds; this stream has one among 20000 rows.
+    theta, rows = 4.0, 20_000
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(4).generator())
+    sticks = np.count_nonzero(masses, axis=1)
+    assert sticks.max() > _first_block(theta, EPS)
+    assert masses.shape[1] == sticks.max()
+    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
+    # the cut is the first stick that takes the residual to eps
+    last = masses[np.arange(rows), sticks - 1]
+    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
+
+
+class _TinyFirstBlock:
+    """Generator whose first batch of uniforms gives theta=1 sticks below 1e-3."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self, size):
+        self.calls += 1
+        u = self.gen.random(size)
+        return 1.0 - 1e-3 * u if self.calls == 1 else u
+
+
+def test_stick_rows_extend_over_several_rounds():
+    # Every row is still open after the first block, and the rows close in
+    # different extension rounds, so the open set shrinks between rounds.
+    rows = 64
+    gen = _TinyFirstBlock(RngStream(32).generator())
+    masses, tails = stick_masses_batch(1.0, EPS, rows, gen)
+    sticks = np.count_nonzero(masses, axis=1)
+    width = _first_block(1.0, EPS)
+    assert gen.calls >= 3 and sticks.min() > width
+    assert sticks.min() <= width * 3 // 2 < sticks.max()
+    assert masses.shape[1] == sticks.max()
+    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
+    last = masses[np.arange(rows), sticks - 1]
+    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
+
+
+def _peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_stick_sampler_refuses_oversized_blocks_before_allocating():
+    gen = RngStream(30).generator()
+
+    def batch():
+        with pytest.raises(DomainError, match="--samples"):
+            stick_masses_batch(1e4, EPS, 32768, gen)
+
+    def scalar():
+        with pytest.raises(DomainError, match="budget"):
+            sample_gem(1e8, EPS, gen)
+
+    for call in (batch, scalar):
+        start = time.perf_counter()
+        assert _peak_traced_bytes(call) < 1 << 20
+        assert time.perf_counter() - start < 1.0
+    # the same theta fits at fewer rows
+    masses, tails = stick_masses_batch(1e4, EPS, 8, gen)
+    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Pooled estimation harness
 
@@ -357,6 +470,28 @@ def test_pooled_mean_is_deterministic_across_calls():
     assert first == second
     shifted = pooled_mean(5000, RngStream(22), 4, kernel)[0]
     assert shifted.estimate != first.estimate
+
+
+def test_pooled_mean_matches_two_pass_on_offset_values():
+    # Values with a spread tiny against their mean, where a one-pass
+    # sum(x^2) - n mean^2 merge loses most of the digits of the variance.
+    chunk, streams, n = 7000, 3, 50_000
+
+    def kernel(gen, rows):
+        return np.column_stack([1e4 + 1e-4 * gen.standard_normal(rows),
+                                1.0 + 1e-9 * gen.random(rows)])
+
+    got = pooled_mean(n, RngStream(31), streams, kernel, columns=2, chunk=chunk)
+    parts = []
+    for s, rows in enumerate(stream_counts(n, streams)):
+        gen = RngStream(31).child(s).generator()
+        parts += [kernel(gen, min(chunk, rows - done)) for done in range(0, rows, chunk)]
+    vals = np.concatenate(parts)
+    for col, result in zip(vals.T, got):
+        mean = math.fsum(col) / n
+        stderr = math.sqrt(math.fsum((col - mean) ** 2) / (n - 1) / n)
+        assert result.estimate == pytest.approx(mean, rel=1e-14)
+        assert result.stderr == pytest.approx(stderr, rel=1e-6)
 
 
 def test_estimator_result_validation():
