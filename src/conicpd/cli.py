@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -202,6 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main() parses with one parser per process: building the tree costs
+    # milliseconds, as much as a small subcommand.  Parsing leaves it as it was.
+    return build_parser()
+
+
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -247,6 +255,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _fmt(value):
+    """One CSV cell: floats by repr, None empty, other text quoted per RFC 4180 when needed."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -254,7 +263,25 @@ def _fmt(value):
         # "np.float64(x)".  str() of numpy integers and of other numpy floats
         # already prints a plain number.
         return repr(value) if type(value) is float else repr(float(value))
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_SAMPLE_DRAW_COLS = ["total_mass", "tail_bound", "log_weight", "seed", "stream_id"]
+_SAMPLE_COLS = ["draw", "atom", "mass", "location"] + _SAMPLE_DRAW_COLS
+
+
+def _sample_csv_lines(records: list[dict]) -> list[str]:
+    """One line per atom: the draw's cells are formatted once and repeated on each."""
+    lines = []
+    for r in records:
+        draw = r["draw"]
+        tail = "".join("," + _fmt(r[c]) for c in _SAMPLE_DRAW_COLS)
+        lines += [f"{draw},{atom},{mass!r},{loc!r}{tail}"
+                  for atom, (mass, loc) in enumerate(zip(r["masses"], r["locations"]))]
+    return lines
 
 
 def _emit(cfg: dict, columns: list[str], records: list[dict]) -> str:
@@ -266,7 +293,10 @@ def _emit(cfg: dict, columns: list[str], records: list[dict]) -> str:
         lines += [json.dumps(r, sort_keys=True) for r in records]
     else:
         lines = ["# " + meta, ",".join(columns)]
-        lines += [",".join(_fmt(r.get(c)) for c in columns) for r in records]
+        if cfg["command"] == "sample":
+            lines += _sample_csv_lines(records)
+        else:
+            lines += [",".join(_fmt(r.get(c)) for c in columns) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -298,22 +328,7 @@ def _run_sample(cfg):
             record["draw"] = draw_index
             records.append(record)
             draw_index += 1
-    if cfg["format"] == "json":
-        cols = []
-    else:
-        cols = ["draw", "atom", "mass", "location", "total_mass", "tail_bound",
-                "log_weight", "seed", "stream_id"]
-        flat = []
-        for record in records:
-            for atom, (mass, loc) in enumerate(zip(record["masses"], record["locations"])):
-                flat.append({
-                    "draw": record["draw"], "atom": atom, "mass": mass, "location": loc,
-                    "total_mass": record["total_mass"], "tail_bound": record["tail_bound"],
-                    "log_weight": record["log_weight"], "seed": record["seed"],
-                    "stream_id": record["stream_id"],
-                })
-        records = flat
-    return cols, records
+    return _SAMPLE_COLS, records
 
 
 def _run_laplace(cfg):
@@ -449,7 +464,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message

@@ -71,7 +71,8 @@ class GemDraw:
         y = np.asarray(self.sticks, dtype=float)
         if y.ndim != 1 or y.size < 1:
             raise DomainError("a GEM draw holds a non-empty stick vector")
-        if np.any(y <= 0.0) or np.any(y >= 1.0):
+        # min/max comparisons are False on NaN, so NaN sticks are rejected too.
+        if not (y.min() > 0.0 and y.max() < 1.0):
             raise DomainError("stick fractions must lie strictly inside (0, 1)")
         check = float(np.prod(1.0 - y))
         if abs(self.residual - check) > 1e-12 * (check + 1e-300):
@@ -101,11 +102,14 @@ class WeightedAtomSeries:
         x = np.asarray(self.locations, dtype=float)
         if m.ndim != 1 or x.ndim != 1 or m.size != x.size or m.size < 1:
             raise DomainError("masses and locations must be matching non-empty vectors")
-        if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
+        # Ndarray methods, not np.any/np.all wrappers: a draw builds three
+        # series, so these checks are a large share of its cost.  Every
+        # comparison is False on NaN, so NaN masses and locations fail too.
+        if not (m.min() > 0.0 and m.max() < math.inf):
             raise DomainError("atom masses must be finite and strictly positive")
-        if np.any(np.diff(m) > 0.0):
+        if (m[1:] > m[:-1]).any():
             raise DomainError("atom masses must be non-increasing")
-        if np.any(x < 0.0) or np.any(x >= 1.0):
+        if not (x.min() >= 0.0 and x.max() < 1.0):
             raise DomainError("atom locations must lie in [0, 1)")
         if not (math.isfinite(self.total_mass) and self.total_mass > 0.0):
             raise DomainError("total_mass must be a positive real")
@@ -128,10 +132,16 @@ def _stick_block(gen, theta, count):
     # Inverse CDF of Beta(1, theta): y = 1 - u^(1/theta), via expm1 so that
     # large theta (sticks near zero) keeps full precision.  The shift makes
     # u positive under the log and the clamp keeps log1p(-y) finite when
-    # expm1 saturates at tiny u.
-    u = 1.0 - gen.random(count)
-    y = u if theta == 1.0 else -np.expm1(np.log(u) / theta)
-    return np.minimum(y, 1.0 - 1e-16)
+    # expm1 saturates at tiny u.  Every step writes into the buffer the
+    # generator returned.
+    y = gen.random(count)
+    np.subtract(1.0, y, out=y)
+    if theta != 1.0:
+        np.log(y, out=y)
+        np.divide(y, theta, out=y)
+        np.expm1(y, out=y)
+        np.negative(y, out=y)
+    return np.minimum(y, 1.0 - 1e-16, out=y)
 
 
 # Largest first stick block, in cells (rows x columns), that a draw may ask
@@ -163,7 +173,9 @@ def _stick_rows(theta, eps, rows, gen):
             f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
             "--samples per stream to lower the rows")
     y = _stick_block(gen, theta, rows * width).reshape(rows, width)
-    run = np.cumsum(np.log1p(-y), axis=1)
+    run = np.negative(y)
+    np.log1p(run, out=run)
+    np.cumsum(run, axis=1, out=run)
     grow = np.flatnonzero(run[:, -1] > log_eps)
     while grow.size:
         add = y.shape[1] // 2
@@ -290,8 +302,8 @@ def series_record(series: WeightedAtomSeries, theta: float, eps: float, rng: Rng
     return {
         "theta": float(theta),
         "eps": float(eps),
-        "masses": [float(v) for v in series.masses],
-        "locations": [float(v) for v in series.locations],
+        "masses": series.masses.tolist(),
+        "locations": series.locations.tolist(),
         "total_mass": float(series.total_mass),
         "tail_bound": float(series.tail_bound),
         "log_weight": float(series.log_weight),
@@ -323,13 +335,15 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     residual mass at the cut.  Zero padding keeps downstream reductions
     branch-free.
     """
+    # Built in place, so the peak is the two matrices plus a boolean mask:
+    # the tails are read before run's buffer takes the stick products
+    # exp(run_{j-1}), and the masses c_j = y_j * exp(run_{j-1}) overwrite y.
     y, run, cut = _stick_rows(theta, eps, rows, gen)
-    prefix = np.empty_like(run)
-    prefix[:, 0] = 1.0
-    np.exp(run[:, :-1], out=prefix[:, 1:])
-    masses = y * prefix
-    masses[np.arange(y.shape[1])[None, :] > cut[:, None]] = 0.0
     tails = np.exp(run[np.arange(rows), cut])
+    prefix = np.exp(run[:, :-1], out=run[:, :-1])
+    masses = y
+    np.multiply(masses[:, 1:], prefix, out=masses[:, 1:])
+    masses[np.arange(masses.shape[1])[None, :] > cut[:, None]] = 0.0
     return masses, tails
 
 

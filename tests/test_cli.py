@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from conicpd import DomainError, PartitionSpec, __version__, box_mass_L
-from conicpd.cli import _fmt, main, parse_step_function
+from conicpd.cli import _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS
 
 
@@ -109,7 +112,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.2.0"
+    assert meta["version"] == "0.2.1"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -264,6 +267,112 @@ def test_contour_csv_cells_parse_as_floats(capsys, argv):
     for line in lines[2:]:
         for cell in line.split(","):
             float(cell)
+
+
+def test_fmt_quotes_text_cells_per_rfc_4180():
+    assert _fmt("0.5,1.5") == '"0.5,1.5"'
+    assert _fmt('say "hi"') == '"say ""hi"""'
+    assert _fmt("a\nb") == '"a\nb"' and _fmt("a\rb") == '"a\rb"'
+    assert _fmt("2@0:1") == "2@0:1"
+
+
+@pytest.mark.parametrize("argv, key, text", [
+    (["partition-sums", "--weights", "0.5,1.5", "--samples", "2000"], "weights", "0.5,1.5"),
+    (["box-mass", "--weights", "0.5,1.5", "--b", "0.5,2"], "weights", "0.5,1.5"),
+    (["laplace", "--f", "1.8@0:0.5,1.2@0.5:1", "--samples", "2000"], "f",
+     "1.8@0:0.5,1.2@0.5:1"),
+])
+def test_csv_text_cells_with_commas_stay_in_their_column(capsys, argv, key, text):
+    code, out, _err = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    reader = csv.DictReader(io.StringIO("\n".join(lines[1:])))
+    rows = list(reader)
+    assert rows
+    for row in rows:
+        assert None not in row and len(row) == len(reader.fieldnames)
+        assert row[key] == text
+        for column in reader.fieldnames:
+            if column != key:
+                float(row[column])
+
+
+# sha256 of every line after the meta line of
+# sample --format F --process P --theta T --streams S --samples 3 --seed 7,
+# frozen from the row-per-atom formatter this one replaced.
+_SAMPLE_BODY_SHA256 = {
+    ("json", "dirichlet", 1, 1): "33a098b2ef977a9048c3126c5d56de29f046fd64889af3463342450a08c1b53a",
+    ("json", "dirichlet", 1, 2): "b130500a06a2a1d25caa1bef70b095c9fc75e818ea44df044e2e1d361422596c",
+    ("json", "dirichlet", 8, 1): "e5a5173a3fb5ce0340506800c9e48e1c10a10e3c1ecb4896d504a99b201694c8",
+    ("json", "dirichlet", 8, 2): "b2dfbcb841730c39b80af8787c47bea63068618fd55111df37e75dae85af8663",
+    ("json", "dirichlet", 64, 1): "b99482e8b394969d2b0e2841491c931b1a85f36029a50f1c3cd5c8d4f9cc2df1",
+    ("json", "dirichlet", 64, 2): "c207231d8b44a22acea7d4838772db7cdaa9871114f6f4e2dfc67f7125ef1c5c",
+    ("json", "gamma", 1, 1): "0dad05d52476b85fcdfea5302e7abe000462cadf374c008dba831f2843c3e5f1",
+    ("json", "gamma", 1, 2): "cc406b0d2b3759eef92fc8200eedfe78a3dd5ae7d93e6f67863df744539c3cea",
+    ("json", "gamma", 8, 1): "005d6b0b195da9bc4731f4ae5f3964b06bbace8181e16877e0a0c27f869d0d94",
+    ("json", "gamma", 8, 2): "3db71ed94effbee7b763a7e59fa2e5d6f2f4cf2063cd7b7ea426e8513fd80bf7",
+    ("json", "gamma", 64, 1): "42a402eb38cf858e6e5843e5d46214882a94308693d5e57b4856a1aab68364a7",
+    ("json", "gamma", 64, 2): "c9e6d85e372fbe90216bdfa74407d9c4c6202d0a0b7bf1be6588ebf895508e82",
+    ("json", "lebesgue", 1, 1): "871e5db13c011ad24702c4ad28f99de25255e04f46783332e13f2ea045677d94",
+    ("json", "lebesgue", 1, 2): "0914936fe344c1bcf53cea5365f30815a8a5c55706d574b97174ed0fd26e81ba",
+    ("json", "lebesgue", 8, 1): "d0833ee0d436f655d8e789bc403b1f0ab413092b96e47a678aa9b7115de43032",
+    ("json", "lebesgue", 8, 2): "ab27fb32ef4bc349eb45de1174f09b75a0112ce95f80e0b6e94335fc008c4c2f",
+    ("json", "lebesgue", 64, 1): "bca9234c76e648979e22d30f0c0d31279a4a1b06e05d4a4a02d0b582158cf727",
+    ("json", "lebesgue", 64, 2): "2dc2383c6c4caf66b0284ca4779f6140edc9a9f86c03ccd92fe5e757bdbedfa3",
+    ("csv", "dirichlet", 1, 1): "8f9b160ae368a2abc7c6713b892c87c142359300d49c331718d52fa07620aaf4",
+    ("csv", "dirichlet", 1, 2): "bdbc58ec8314ffde650b588d9de91280c44104018e546a756c23ad4007868813",
+    ("csv", "dirichlet", 8, 1): "dc8254148dc4ac3ff8461301102318d735b53cbef2d426e1f3d85b89d1016c50",
+    ("csv", "dirichlet", 8, 2): "730c51693179fdaf22d5cd4965a3e8197e8e143a9c2d47f859e8da5bffcc40c1",
+    ("csv", "dirichlet", 64, 1): "0044bb76746259dcfe99b5ebcd367e76e6fc7c3788e68eb11d32b45ccca2a821",
+    ("csv", "dirichlet", 64, 2): "b431eb953092ac873dd2fd38360e8de5efe937f6dea31d632d504b01a86f0a31",
+    ("csv", "gamma", 1, 1): "378e7afeadc06e5601b1beb53d578e388702479e6367349fbf77d62d090e01d0",
+    ("csv", "gamma", 1, 2): "5657636480c5127d19505bce6d241472701c83ffbc48b03271e641ff47a5b518",
+    ("csv", "gamma", 8, 1): "17c6320669045fa644bdcfceb54992f7507c928234903fe4ccc4312365c10dd7",
+    ("csv", "gamma", 8, 2): "99894e1ce9a42519269097d560f4334759d6bfc0376fcbb0c54164fe1aeca945",
+    ("csv", "gamma", 64, 1): "08e46c211c878602d775cf6af7421cf1bedfd834cb90a0c1bfc74ee31be9445d",
+    ("csv", "gamma", 64, 2): "340d69bf643c7a0a15ca572314dac43d9262dc4590d73c2cf9d8b57bc3e649c9",
+    ("csv", "lebesgue", 1, 1): "983f2f3f1573a0604d1e1a352cdb98eb95d2e61927a54016044ae4a839e0f3ce",
+    ("csv", "lebesgue", 1, 2): "f89e910989c713465a061ac01ce3b7a766c2a7aaffb099ede05aa746b54e639a",
+    ("csv", "lebesgue", 8, 1): "6f188f4d5debc589c9492067421e32766777043b6ec810bfbd4b8756d7023a05",
+    ("csv", "lebesgue", 8, 2): "1b1ec2e23f7dfcbf1e108c00fbc84ff86207134f93d9d99e421fa4a817dd433d",
+    ("csv", "lebesgue", 64, 1): "daf420f5837d3546cfc3e308c8bb42b706fec8f7440c1dc3ca1954ed33f917d4",
+    ("csv", "lebesgue", 64, 2): "977fd1acb5631077525be8a1e70ab025227fe56b726e16c0a45450afac2796fc",
+}
+
+
+@pytest.mark.parametrize("fmt, process, theta, streams", list(_SAMPLE_BODY_SHA256))
+def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
+    code, out, _err = run_cli(capsys, [
+        "sample", "--format", fmt, "--process", process, "--theta", str(theta),
+        "--streams", str(streams), "--samples", "3", "--seed", "7"])
+    assert code == 0
+    body = out.split("\n", 1)[1]
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert digest == _SAMPLE_BODY_SHA256[fmt, process, theta, streams]
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    code, out, err = run_cli(capsys, ["sample", "--theta", "x"])
+    assert code == 2 and out == "" and "invalid float value: 'x'" in err
+
+    code, out, err = run_cli(capsys, ["saddle", "--lambda", "2"])
+    assert code == 0 and err == ""
+    meta, record = json_lines(out)
+    assert meta["config"] == {"command": "saddle", "format": "json", "lam": 2.0,
+                              "seed": 0, "streams": 1}
+    assert record["gamma"] == pytest.approx(2.479687450428178690538, abs=1e-9)
+
+    runs = [run_cli(capsys, ["sample", "--samples", "2"]) for _ in range(2)]
+    for code, out, err in runs:
+        assert code == 0 and err == ""
+        assert json_lines(out)[0]["config"] == {
+            "command": "sample", "eps": 1e-10, "format": "json", "process": "gamma",
+            "samples": 2, "seed": 0, "streams": 1, "theta": 1.0}
+    assert runs[0][1] == runs[1][1]
+
+    code, _out, err = run_cli(capsys, ["saddle", "--lambda", "y"])
+    assert code == 2 and "invalid float value: 'y'" in err
+    assert _parser() is _parser()
 
 
 # ------------------------------------------------------------- configuration

@@ -1,12 +1,15 @@
 """Stick-breaking samplers, deterministic RNG streams, transported series,
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
+import hashlib
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from conicpd import (
@@ -439,6 +442,38 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
+def test_stick_batch_peak_memory_is_two_matrices():
+    # The masses are formed in the stick matrix's buffer and the stick
+    # products in the running sums', so the peak stays near two matrices.
+    gen = RngStream(3).generator()
+    out = []
+    peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(4.0, EPS, 20_000, gen)))
+    masses, _tails = out[0]
+    assert peak <= 2.6 * masses.nbytes
+
+
+# sha256 of (shape, masses, tails) bytes, frozen from the out-of-place kernel
+# this one replaced; the (4, 20000, stream 4) batch takes the extension path.
+_STICK_BATCH_DIGESTS = {
+    (0.5, 2000, 9): "fd850baa45517d3e4a70b536b80de258541b8c9378e92fd2753023afe70fd8e0",
+    (1.0, 2000, 9): "f0f823e802a2505952a3868ba2afb16b8f158d0829caa16815472f74355b8b0b",
+    (4.0, 2000, 9): "bc30a58206868477600188713d55a986987cad92b8f58e8e6688fc2e564dda91",
+    (64.0, 64, 9): "6f3086b5090bf42e278b90a35c94d5b28ee307074538bb1ca9041458a3f416f3",
+    (4.0, 20000, 4): "68c09545b94e36f16cc1fe3c4c1bf77427ce484c183a21378eb5d61f5261ba42",
+}
+
+
+@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
+def test_stick_batch_outputs_are_frozen(theta, rows, seed):
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
+    if rows == 20_000:
+        assert masses.shape[1] > _first_block(theta, EPS)
+    digest = hashlib.sha256(np.asarray(masses.shape, dtype=np.int64).tobytes())
+    digest.update(masses.tobytes())
+    digest.update(tails.tobytes())
+    assert digest.hexdigest() == _STICK_BATCH_DIGESTS[theta, rows, seed]
+
+
 # ---------------------------------------------------------------------------
 # Pooled estimation harness
 
@@ -555,3 +590,60 @@ def test_weighted_series_validation():
     with pytest.raises(DomainError):
         WeightedAtomSeries(masses=np.array([0.5, 0.2]), locations=np.array([0.1, 0.2]),
                            total_mass=0.9, tail_bound=0.0, normalized=True)
+
+
+def _series(masses, locations):
+    return WeightedAtomSeries(masses=np.array(masses), locations=np.array(locations),
+                              total_mass=10.0, tail_bound=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+def test_weighted_series_rejects_bad_masses(bad):
+    for masses in ([bad, 0.2], [0.5, bad]):
+        with pytest.raises(DomainError, match="finite and strictly positive"):
+            _series(masses, [0.1, 0.2])
+
+
+def test_weighted_series_rejects_increasing_masses():
+    with pytest.raises(DomainError, match="non-increasing"):
+        _series([0.5, 0.2, 0.3], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.0, math.nan])
+def test_weighted_series_rejects_bad_locations(bad):
+    for locations in ([bad, 0.2], [0.1, bad]):
+        with pytest.raises(DomainError, match=r"locations must lie in \[0, 1\)"):
+            _series([0.5, 0.2], locations)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0])
+def test_gem_draw_rejects_sticks_on_the_boundary(bad):
+    for sticks in ([bad, 0.5], [0.5, bad]):
+        y = np.array(sticks)
+        with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
+            GemDraw(sticks=y, residual=float(np.prod(1.0 - y)))
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@given(st.lists(st.tuples(st.floats(min_value=5e-324, max_value=1e300), _unit),
+                min_size=1, max_size=40))
+def test_valid_sorted_series_construct_unchanged(atoms):
+    atoms.sort(key=lambda a: -a[0])
+    masses = np.array([a[0] for a in atoms])
+    locations = np.array([a[1] for a in atoms])
+    series = WeightedAtomSeries(masses=masses, locations=locations, total_mass=1.0,
+                                tail_bound=0.0, log_weight=2.5)
+    assert series.masses.dtype == float and series.locations.dtype == float
+    assert np.array_equal(series.masses, masses)
+    assert np.array_equal(series.locations, locations)
+    assert (series.total_mass, series.tail_bound, series.log_weight) == (1.0, 0.0, 2.5)
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+                min_size=1, max_size=40))
+def test_valid_gem_draws_construct_unchanged(sticks):
+    y = np.array(sticks)
+    draw = GemDraw(sticks=y, residual=float(np.prod(1.0 - y)))
+    assert np.array_equal(draw.sticks, y)
