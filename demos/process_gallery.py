@@ -2,6 +2,8 @@
 """A tour of the samplers: sticks, normalized series, gamma totals, part sums."""
 
 import numpy as np
+from scipy.special import gammainc
+from scipy.stats import kstest
 
 from conicpd import (
     PartitionSpec,
@@ -10,7 +12,6 @@ from conicpd import (
     sample_dirichlet_process,
     sample_gamma_process,
 )
-from conicpd.stats import gamma_cdf, ks_test
 
 theta = 1.5
 eps = 1e-10
@@ -33,7 +34,7 @@ print(f"  largest atom    : {unnorm.masses[0]:.4f}")
 # The totals of many unnormalized draws follow the gamma(theta) law exactly.
 totals = np.array([sample_gamma_process(theta, eps, gen).total_mass
                    for _ in range(4000)])
-d, p = ks_test(totals, lambda x: gamma_cdf(theta, x))
+d, p = kstest(totals, lambda x: gammainc(theta, x))
 print(f"\ntotals of 4000 draws vs gamma({theta}): KS d = {d:.4f}, p = {p:.3f}")
 
 # Splitting atoms into parts with probabilities theta_i / theta turns one
@@ -42,7 +43,7 @@ spec = PartitionSpec(np.array([0.5, 1.0]))
 sums = np.array([partition_sums(sample_gamma_process(spec.theta, eps, gen), spec, gen)
                  for _ in range(4000)])
 for i, w in enumerate(spec.weights):
-    d, p = ks_test(sums[:, i], lambda x, w=w: gamma_cdf(w, x))
+    d, p = kstest(sums[:, i], lambda x, w=w: gammainc(w, x))
     print(f"part {i} (weight {w}) vs gamma({w}): KS d = {d:.4f}, p = {p:.3f}")
 corr = np.corrcoef(sums[:, 0], sums[:, 1])[0, 1]
 print(f"correlation between the parts: {corr:+.4f}  (should be ~0)")

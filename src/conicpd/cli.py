@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,33 +100,86 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return out
 
 
-_COMMON = {
-    "seed": (int, 0), "streams": (int, 1), "out": (str, None),
-    "format": (str, None), "config": (str, None),
+class Flag(NamedTuple):
+    """One option: its flag and a config-file line (keyed by the flag name
+    without dashes, or by dest) both parse as ``type`` and, if given, must be
+    one of ``choices``."""
+
+    flag: str
+    dest: str
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_THETA = Flag("--theta", "theta", float, 1.0, "total weight theta > 0")
+_EPS = Flag("--eps", "eps", float, 1e-10, "stick-breaking truncation threshold")
+_LAMBDA = Flag("--lambda", "lam", float, 1.0, "argument lambda > 0")
+_NMAX = Flag("--nmax", "nmax", int, 40, "largest n in the table")
+_NMIN = Flag("--nmin", "nmin", int, 2, "smallest n in the table")
+_WEIGHTS = Flag("--weights", "weights", str, None, "comma list of part weights, e.g. 0.5,1.5")
+_EDGES = Flag("--b", "b", str, "1", "comma list of box edges")
+
+
+def _common(fmt: str) -> tuple[Flag, ...]:
+    return (
+        Flag("--seed", "seed", int, 0, "base RNG seed (default 0)"),
+        Flag("--streams", "streams", int, 1, "independent stream count"),
+        Flag("--out", "out", str, None, "output path (default stdout)"),
+        Flag("--format", "format", str, fmt, "output format", ("csv", "json")),
+        Flag("--config", "config", str, None, "key=value file supplying defaults (flags win)"),
+    )
+
+
+# name: (help, default output format, the subcommand's own flags)
+_COMMANDS = {
+    "sample": ("draw weighted atom series", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 5, "number of draws"),
+        Flag("--process", "process", str, "gamma", "measure to draw from",
+             ("dirichlet", "gamma", "lebesgue")),
+    )),
+    "laplace": ("Monte Carlo vs analytic Laplace transform", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
+        Flag("--f", "f", str, None, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
+    )),
+    "invariance": ("multiplicator quasi-invariance identities", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 50_000, "Monte Carlo samples per pair"),
+        Flag("--pairs", "pairs", int, 20, "number of random (a, f) pairs"),
+        Flag("--a", "a", str, None, "explicit multiplicator step function"),
+        Flag("--f", "f", str, None, "explicit test step function"),
+    )),
+    "partition-sums": ("weighted box masses of partition sums", "json", (
+        _WEIGHTS, _EDGES, _EPS,
+        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
+    )),
+    "mellin": ("limit study of (log F_n)/n", "csv", (_LAMBDA, _NMAX, _NMIN)),
+    "saddle": ("saddle point and rate L(lambda)", "json", (_LAMBDA,)),
+    "mp-demo": ("sphere vs Gaussian characteristic functions", "csv", (
+        Flag("--n", "n", str, "5,10,20,50,100,200", "comma list of dimensions"),
+        Flag("--smax", "smax", float, 3.0, "right end of the s grid"),
+        Flag("--spoints", "spoints", int, 31, "number of s grid points"),
+        Flag("--samples", "samples", int, 0, "Monte Carlo samples per point (0 = skip)"),
+    )),
+    "divergence": ("non-convergence along radius schedules", "csv", (
+        _LAMBDA._replace(help="constant test value lambda > 0"),
+        Flag("--schedule", "schedule", str, "constant", "radius schedule",
+             ("constant", "sqrt_n")),
+        Flag("--scale", "scale", float, 1.0, "radius scale"),
+        _NMAX, _NMIN,
+    )),
+    "box-mass": ("exact sigma-finite box masses", "json", (_WEIGHTS, _EDGES)),
 }
 
-_DEFAULTS = {
-    "sample": {"theta": 1.0, "eps": 1e-10, "samples": 5, "process": "gamma", "format": "json"},
-    "laplace": {"theta": 1.0, "eps": 1e-10, "samples": 100_000, "f": None, "format": "json"},
-    "invariance": {"theta": 1.0, "eps": 1e-10, "samples": 50_000, "pairs": 20,
-                   "a": None, "f": None, "format": "json"},
-    "partition-sums": {"eps": 1e-10, "samples": 100_000, "weights": None, "b": "1",
-                       "format": "json"},
-    "mellin": {"lam": 1.0, "nmax": 40, "nmin": 2, "format": "csv"},
-    "saddle": {"lam": 1.0, "format": "json"},
-    "mp-demo": {"n": "5,10,20,50,100,200", "smax": 3.0, "spoints": 31, "samples": 0,
-                "format": "csv"},
-    "divergence": {"lam": 1.0, "schedule": "constant", "scale": 1.0, "nmax": 40,
-                   "nmin": 2, "format": "csv"},
-    "box-mass": {"weights": None, "b": "1", "format": "json"},
-}
+_SPECS = {name: flags + _common(fmt) for name, (_help, fmt, flags) in _COMMANDS.items()}
 
-_TYPES = {
-    "theta": float, "eps": float, "samples": int, "seed": int, "streams": int,
-    "out": str, "format": str, "f": str, "a": str, "pairs": int, "weights": str,
-    "b": str, "lam": float, "nmax": int, "nmin": int, "n": str, "smax": float,
-    "spoints": int, "scale": float, "process": str, "schedule": str,
-}
+# Config-file keys: any key known to some subcommand is accepted; a file
+# cannot name another config file.
+_FILE_KEYS = {key: flag for spec in _SPECS.values() for flag in spec
+              if flag.dest != "config" for key in (flag.flag[2:], flag.dest)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,71 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures on the cone of discrete measures.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text, extra):
-        p = sub.add_parser(name, help=help_text)
-        for flag, dest, kind, help_str in extra:
-            p.add_argument(flag, dest=dest, type=kind, default=None, help=help_str)
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-        p.add_argument("--streams", type=int, default=None, help="independent stream count")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file supplying defaults (flags win)")
-        return p
-
-    add("sample", "draw weighted atom series", [
-        ("--theta", "theta", float, "total weight theta > 0"),
-        ("--eps", "eps", float, "stick-breaking truncation threshold"),
-        ("--samples", "samples", int, "number of draws"),
-        ("--process", "process", str, "dirichlet | gamma | lebesgue"),
-    ])
-    add("laplace", "Monte Carlo vs analytic Laplace transform", [
-        ("--theta", "theta", float, "total weight theta > 0"),
-        ("--eps", "eps", float, "stick-breaking truncation threshold"),
-        ("--samples", "samples", int, "Monte Carlo sample count"),
-        ("--f", "f", str, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
-    ])
-    add("invariance", "multiplicator quasi-invariance identities", [
-        ("--theta", "theta", float, "total weight theta > 0"),
-        ("--eps", "eps", float, "stick-breaking truncation threshold"),
-        ("--samples", "samples", int, "Monte Carlo samples per pair"),
-        ("--pairs", "pairs", int, "number of random (a, f) pairs"),
-        ("--a", "a", str, "explicit multiplicator step function"),
-        ("--f", "f", str, "explicit test step function"),
-    ])
-    add("partition-sums", "weighted box masses of partition sums", [
-        ("--weights", "weights", str, "comma list of part weights, e.g. 0.5,1.5"),
-        ("--b", "b", str, "comma list of box edges"),
-        ("--eps", "eps", float, "stick-breaking truncation threshold"),
-        ("--samples", "samples", int, "Monte Carlo sample count"),
-    ])
-    add("mellin", "limit study of (log F_n)/n", [
-        ("--lambda", "lam", float, "argument lambda > 0"),
-        ("--nmax", "nmax", int, "largest n in the table"),
-        ("--nmin", "nmin", int, "smallest n in the table"),
-    ])
-    add("saddle", "saddle point and rate L(lambda)", [
-        ("--lambda", "lam", float, "argument lambda > 0"),
-    ])
-    add("mp-demo", "sphere vs Gaussian characteristic functions", [
-        ("--n", "n", str, "comma list of dimensions"),
-        ("--smax", "smax", float, "right end of the s grid"),
-        ("--spoints", "spoints", int, "number of s grid points"),
-        ("--samples", "samples", int, "Monte Carlo samples per point (0 = skip)"),
-    ])
-    add("divergence", "non-convergence along radius schedules", [
-        ("--lambda", "lam", float, "constant test value lambda > 0"),
-        ("--schedule", "schedule", str, "constant | sqrt_n"),
-        ("--scale", "scale", float, "radius scale"),
-        ("--nmax", "nmax", int, "largest n"),
-        ("--nmin", "nmin", int, "smallest n"),
-    ])
-    add("box-mass", "exact sigma-finite box masses", [
-        ("--weights", "weights", str, "comma list of part weights"),
-        ("--b", "b", str, "comma list of box edges"),
-    ])
+    for name, spec in _SPECS.items():
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
+        for flag in spec:
+            p.add_argument(flag.flag, dest=flag.dest, type=flag.type, choices=flag.choices,
+                           default=None, help=flag.help)
     return parser
 
 
@@ -224,30 +218,25 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise DomainError(f"config line {idx} is not key=value: '{line}'")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = "lam" if key == "lambda" else key
-        if dest not in _TYPES:
+        flag = _FILE_KEYS.get(key)
+        if flag is None:
             raise DomainError(f"config line {idx} has unknown key '{key}'")
         try:
-            out[dest] = _TYPES[dest](value)
+            out[flag.dest] = flag.type(value)
         except ValueError:
             raise DomainError(f"config line {idx}: cannot parse '{value}' for '{key}'") from None
+        if flag.choices and out[flag.dest] not in flag.choices:
+            raise DomainError(f"config line {idx}: '{value}' is not a valid '{key}' "
+                              f"(choose from {', '.join(flag.choices)})")
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    defaults = dict(_DEFAULTS[args.command])
-    for key, (_kind, fallback) in _COMMON.items():
-        defaults.setdefault(key, fallback)
     file_values = _read_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, fallback in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = fallback
+    for flag in _SPECS[args.command]:
+        value = getattr(args, flag.dest)
+        resolved[flag.dest] = file_values.get(flag.dest, flag.default) if value is None else value
     resolved["command"] = args.command
     if resolved["seed"] < 0 or resolved["streams"] < 1:
         raise DomainError("seed must be >= 0 and streams >= 1")
@@ -309,8 +298,6 @@ def _write(text: str, out: str | None):
 
 
 def _run_sample(cfg):
-    if cfg["process"] not in ("dirichlet", "gamma", "lebesgue"):
-        raise DomainError("process must be dirichlet, gamma or lebesgue")
     records = []
     counts = stream_counts(cfg["samples"], cfg["streams"])
     draw_index = 0
@@ -433,8 +420,6 @@ def _run_mp_demo(cfg):
 
 
 def _run_divergence(cfg):
-    if cfg["schedule"] not in ("constant", "sqrt_n"):
-        raise DomainError("schedule must be constant or sqrt_n")
     schedule = RadiusSchedule(kind=cfg["schedule"], scale=cfg["scale"])
     table = divergence_experiment(cfg["lam"], schedule,
                                   np.arange(cfg["nmin"], cfg["nmax"] + 1))

@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import DomainError
 from .estimation import EstimatorResult, pooled_mean
 from .processes import RngStream
-from .special import bessel_j
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm: float) -> float:
     if not (math.isfinite(s) and s >= 0.0):
         raise DomainError("s must be a finite non-negative real")
     if cfg.n == 2:
-        return bessel_j(0.0, cfg.radius * s)
+        return float(special.j0(cfg.radius * s))
     power = 0.5 * (cfg.n - 3)
 
     def kernel(r):

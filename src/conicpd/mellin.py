@@ -408,31 +408,12 @@ class RadiusSchedule:
         return r
 
 
-def rho_geometric_mean(values) -> float:
-    """Geometric mean of a positive vector."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("geometric mean needs a vector of positive reals")
-    return math.exp(float(np.mean(np.log(arr))))
-
-
-def log_D_n(values, r: float, n: int) -> float:
-    """log of the candidate normalization D_n = F_n(rho(values) * r)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size != n:
-        raise DomainError("need exactly n values")
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError("radius must be a positive real")
-    return log_F_contour(n, rho_geometric_mean(arr) * r)
-
-
-def D_n(values, r: float, n: int) -> float:
-    return math.exp(log_D_n(values, r, n))
-
-
 @dataclass(frozen=True)
 class DivergenceTable:
-    """(log D_n)/n along a radius schedule for constant test value lambda."""
+    """(log D_n)/n along a radius schedule for constant test value lambda.
+
+    D_n = F_n(lambda r_n) is the candidate normalization at radius r_n.
+    """
 
     lam: float
     schedule: RadiusSchedule

@@ -253,14 +253,13 @@ def sample_gamma_variate(shape: float, rng) -> float:
     return value
 
 
-def lebesgue_log_weight(series: WeightedAtomSeries) -> float:
-    """Log importance weight e^{total mass} that tilts the gamma law to the flat one."""
-    return float(series.total_mass)
-
-
 def weight_as_lebesgue(series: WeightedAtomSeries) -> WeightedAtomSeries:
-    """Copy of the series with the flat-measure importance weight filled in."""
-    return replace(series, log_weight=lebesgue_log_weight(series))
+    """Copy of the series with the flat-measure importance weight filled in.
+
+    The log weight is the total mass: e^{total mass} tilts the gamma law to
+    the flat one.
+    """
+    return replace(series, log_weight=float(series.total_mass))
 
 
 def apply_multiplicator(a: StepFunction, series: WeightedAtomSeries) -> WeightedAtomSeries:

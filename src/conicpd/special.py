@@ -1,230 +1,67 @@
-"""Special-function kernels: the log-gamma family and the Bessel functions J and K0.
+"""Public aliases of the log-gamma family and of the Bessel functions J and K0.
 
-The gamma-family functions are evaluated by recurrence-shifting the argument
-past a fixed threshold and applying an eight-term Stirling-type asymptotic
-series there.  The complex variant accumulates the shift logarithms directly
-(each shifted argument stays in the right half-plane), so values are coherent
-along vertical contours instead of being re-folded to a principal branch.
+Each name evaluates the matching :mod:`scipy.special` function after a domain
+check that raises :class:`~conicpd.errors.DomainError`, and returns a Python
+float for a scalar argument.  The library modules call :mod:`scipy.special`
+directly; these names exist for callers of the package.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_SHIFT_THRESHOLD = 10.0
 
-# B_{2k} / (2k (2k - 1)), k = 1..8 -- Stirling series for log Gamma.
-_LOG_GAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-# B_{2k} / (2k), k = 1..8 -- asymptotic series for digamma.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-# B_{2k}, k = 1..8 -- asymptotic series for trigamma.
-_TRIGAMMA_COEFFS = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-
-def _validate_positive(x, name):
+def _positive(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"{name} requires finite, strictly positive arguments")
     return arr
 
 
-def _stirling_log_gamma(w):
-    # Valid once Re(w) >= _SHIFT_THRESHOLD; works for real and complex arrays.
-    rec = 1.0 / (w * w)
-    s = np.full_like(w, _LOG_GAMMA_COEFFS[-1])
-    for c in _LOG_GAMMA_COEFFS[-2::-1]:
-        s = s * rec + c
-    return (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + s / w
+def _out(arr, value):
+    return float(value) if arr.ndim == 0 else value
 
 
 def log_gamma(x):
     """Natural log of the Gamma function for real x > 0 (scalar or array)."""
-    arr = _validate_positive(x, "log_gamma")
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(float)
-    acc = np.zeros_like(w)
-    while True:
-        low = w < _SHIFT_THRESHOLD
-        if not low.any():
-            break
-        acc[low] += np.log(w[low])
-        w[low] += 1.0
-    out = _stirling_log_gamma(w) - acc
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def log_gamma_complex(z):
-    """Analytic continuation of log Gamma on the right half-plane Re(z) > 0.
-
-    The result is the branch-coherent continuation (imaginary part accumulates
-    along vertical lines), not log of Gamma folded into (-pi, pi].
-    """
-    arr = np.asarray(z, dtype=complex)
-    if arr.size == 0 or np.any(~np.isfinite(arr)) or np.any(arr.real <= 0.0):
-        raise DomainError("log_gamma_complex requires finite arguments with Re(z) > 0")
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(complex)
-    acc = np.zeros_like(w)
-    while True:
-        low = w.real < _SHIFT_THRESHOLD
-        if not low.any():
-            break
-        # Re(w) > 0 here, so each principal log is continuous in Im(z) and the
-        # accumulated sum carries the branch without folding.
-        acc[low] += np.log(w[low])
-        w[low] += 1.0
-    out = _stirling_log_gamma(w) - acc
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    arr = _positive(x, "log_gamma")
+    return _out(arr, special.gammaln(arr))
 
 
 def digamma(x):
     """Logarithmic derivative of Gamma for real x > 0 (scalar or array)."""
-    arr = _validate_positive(x, "digamma")
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(float)
-    acc = np.zeros_like(w)
-    while True:
-        low = w < _SHIFT_THRESHOLD
-        if not low.any():
-            break
-        acc[low] += 1.0 / w[low]
-        w[low] += 1.0
-    rec = 1.0 / (w * w)
-    s = np.full_like(w, _DIGAMMA_COEFFS[-1])
-    for c in _DIGAMMA_COEFFS[-2::-1]:
-        s = s * rec + c
-    out = np.log(w) - 0.5 / w - s * rec - acc
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    arr = _positive(x, "digamma")
+    return _out(arr, special.psi(arr))
 
 
 def trigamma(x):
     """Second logarithmic derivative of Gamma for real x > 0 (scalar or array)."""
-    arr = _validate_positive(x, "trigamma")
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(float)
-    acc = np.zeros_like(w)
-    while True:
-        low = w < _SHIFT_THRESHOLD
-        if not low.any():
-            break
-        acc[low] += 1.0 / (w[low] * w[low])
-        w[low] += 1.0
-    rec = 1.0 / (w * w)
-    s = np.full_like(w, _TRIGAMMA_COEFFS[-1])
-    for c in _TRIGAMMA_COEFFS[-2::-1]:
-        s = s * rec + c
-    out = 1.0 / w + 0.5 * rec + s * rec / w + acc
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    arr = _positive(x, "trigamma")
+    return _out(arr, special.polygamma(1, arr))
 
 
 def log_beta(a, b):
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a + b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a) + np.asarray(b))
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    aa, bb = _positive(a, "log_beta"), _positive(b, "log_beta")
+    return _out(np.broadcast(aa, bb), special.betaln(aa, bb))
 
 
 def bessel_j(order, x):
-    """Bessel function of the first kind, real order >= 0, x >= 0.
-
-    Ascending series up to the crossover x = 12; beyond it the Bessel integral
-    representation (exact for real order) evaluated with Gauss-Legendre rules,
-    which stays accurate when the order is large relative to x.
-    """
-    nu = float(order)
-    xx = float(x)
+    """Bessel function of the first kind J_order(x), real order >= 0, x >= 0."""
+    nu, xx = float(order), float(x)
     if not (math.isfinite(nu) and nu >= 0.0):
         raise DomainError("bessel_j requires a finite order >= 0")
     if not math.isfinite(xx) or xx < 0.0:
         raise DomainError("bessel_j requires a finite argument x >= 0")
-    if xx == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if xx <= 12.0:
-        return _bessel_j_series(nu, xx)
-    return _bessel_j_integral(nu, xx)
-
-
-def _bessel_j_series(nu, x):
-    q = 0.25 * x * x
-    term = math.exp(nu * math.log(0.5 * x) - log_gamma(nu + 1.0))
-    total = term
-    for k in range(1, 200):
-        term *= -q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-def _bessel_j_integral(nu, x):
-    # J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
-    #           - sin(nu pi)/pi int_0^inf exp(-nu t - x sinh t) dt
-    count = 32 * int(math.ceil((128 + 2.5 * (nu + x)) / 32.0))
-    nodes, weights = _leggauss(count)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    # the (pi/2) node-map Jacobian and the 1/pi prefactor combine to 1/2
-    value = 0.5 * float(np.cos(nu * theta - x * np.sin(theta)) @ weights)
-    if nu != round(nu):
-        big = math.asinh(60.0 / x)
-        nodes2, weights2 = _leggauss(96)
-        t = 0.5 * big * (nodes2 + 1.0)
-        tail = 0.5 * big * float(np.exp(-nu * t - x * np.sinh(t)) @ weights2)
-        value -= math.sin(math.pi * nu) / math.pi * tail
-    return value
+    return float(special.jv(nu, xx))
 
 
 def bessel_k0(x):
-    """Modified Bessel function K0 for x > 0.
-
-    Trapezoidal evaluation of int_0^inf exp(-x cosh t) dt with the e^{-x}
-    peak factored out; the step shrinks like 1/sqrt(x) so aliasing error
-    stays below ~1e-13 across the whole domain.
-    """
-    xx = float(_validate_positive(x, "bessel_k0"))
-    h = min(0.25, 0.5 / math.sqrt(xx))
-    total = 0.5  # t = 0 term of exp(-x (cosh t - 1)), halved by the trapezoid rule
-    k = 1
-    while True:
-        t = k * h
-        rise = 2.0 * math.sinh(0.5 * t) ** 2  # cosh t - 1, accurate for small t
-        if xx * rise > 50.0:
-            break
-        total += math.exp(-xx * rise)
-        k += 1
-    return h * total * math.exp(-xx)
+    """Modified Bessel function K0 for x > 0 (scalar or array)."""
+    arr = _positive(x, "bessel_k0")
+    return _out(arr, special.k0(arr))

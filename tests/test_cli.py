@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conicpd import DomainError, PartitionSpec, __version__, box_mass_L
-from conicpd.cli import _fmt, _parser, main, parse_step_function
+from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS
 
 
@@ -112,7 +113,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.2.1"
+    assert meta["version"] == "0.2.2"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -411,6 +412,108 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     assert run_cli(capsys, ["saddle", "--config", str(cfg)])[0] == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, key, value", [
+    ("saddle", "format", "xml"),
+    ("sample", "process", "weird"),
+    ("divergence", "schedule", "spiral"),
+])
+def test_allowed_values_are_checked_for_flags_and_config_files(
+        capsys, tmp_path, source, command, key, value):
+    if source == "flag":
+        argv = [command, f"--{key}", value]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [command, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and repr(value) in err
+
+
+def test_config_file_accepts_keys_of_other_subcommands(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("theta = 2.5\nschedule = sqrt_n\nlambda = 2.0\n")
+    code, out, _err = run_cli(capsys, ["saddle", "--config", str(cfg)])
+    assert code == 0
+    assert json_lines(out)[0]["config"] == {"command": "saddle", "format": "json",
+                                             "lam": 2.0, "seed": 0, "streams": 1}
+
+
+# The flags of each subcommand; no other option may appear.
+_COMMON_FLAGS = {"--seed", "--streams", "--out", "--format", "--config"}
+_FLAGS = {
+    "sample": {"--theta", "--eps", "--samples", "--process"},
+    "laplace": {"--theta", "--eps", "--samples", "--f"},
+    "invariance": {"--theta", "--eps", "--samples", "--pairs", "--a", "--f"},
+    "partition-sums": {"--weights", "--b", "--eps", "--samples"},
+    "mellin": {"--lambda", "--nmax", "--nmin"},
+    "saddle": {"--lambda"},
+    "mp-demo": {"--n", "--smax", "--spoints", "--samples"},
+    "divergence": {"--lambda", "--schedule", "--scale", "--nmax", "--nmin"},
+    "box-mass": {"--weights", "--b"},
+}
+
+# A valid value, other than the default, for every option but --config;
+# sample counts are small so each run is quick.
+_COMMON_VALUES = {"seed": "4", "streams": "2"}
+_ROUND_TRIP_VALUES = {
+    "sample": {"theta": "2.0", "eps": "1e-8", "samples": "2", "process": "dirichlet"},
+    "laplace": {"theta": "2.0", "eps": "1e-8", "samples": "200", "f": "2@0:1"},
+    "invariance": {"theta": "2.0", "eps": "1e-8", "samples": "100", "pairs": "1",
+                   "a": "1.5@0:1", "f": "2@0:1"},
+    "partition-sums": {"weights": "0.5,1.5", "b": "0.5,1", "eps": "1e-8", "samples": "200"},
+    "mellin": {"lam": "2.0", "nmax": "5", "nmin": "3"},
+    "saddle": {"lam": "2.0"},
+    "mp-demo": {"n": "5", "smax": "1.5", "spoints": "3", "samples": "16"},
+    "divergence": {"lam": "0.5", "schedule": "sqrt_n", "scale": "1.5", "nmax": "5",
+                   "nmin": "3"},
+    "box-mass": {"weights": "0.5,1.5", "b": "0.5,1"},
+}
+
+
+def _round_trip_cases():
+    for command, spec in _SPECS.items():
+        for flag in spec:
+            if flag.dest != "config":
+                for key in sorted({flag.flag[2:], flag.dest}):
+                    yield command, flag.flag, key
+
+
+def _meta_config(text):
+    return json.loads(text.splitlines()[0].removeprefix("# "))["config"]
+
+
+@pytest.mark.parametrize("command, flag, key", list(_round_trip_cases()))
+def test_config_line_and_flag_resolve_alike(capsys, tmp_path, command, flag, key):
+    spec = {f.flag: f for f in _SPECS[command]}
+    values = dict(_ROUND_TRIP_VALUES[command], **_COMMON_VALUES)
+    values["format"] = "csv" if spec["--format"].default == "json" else "json"
+    values["out"] = str(tmp_path / "out.txt")
+    assert set(values) == {f.dest for f in spec.values()} - {"config"}
+    as_flags = {f.flag: values[f.dest] for f in spec.values() if f.dest in values}
+
+    assert main([command, *(x for item in as_flags.items() for x in item)]) == 0
+    from_flag = (tmp_path / "out.txt").read_text()
+    (tmp_path / "out.txt").unlink()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {as_flags.pop(flag)}\n")
+    argv = [command, *(x for item in as_flags.items() for x in item), "--config", str(cfg)]
+    assert main(argv) == 0
+    from_file = (tmp_path / "out.txt").read_text()
+    assert capsys.readouterr().out == ""
+    assert _meta_config(from_file) == _meta_config(from_flag)
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_help_lists_exactly_the_spec_flags(capsys, command):
+    spec_flags = {f.flag for f in _SPECS[command]}
+    assert spec_flags == _FLAGS[command] | _COMMON_FLAGS
+    code, out, _err = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == spec_flags | {"--help"}
+
+
 def test_negative_seed_rejected(capsys):
     assert run_cli(capsys, ["saddle", "--seed", "-3"])[0] == 2
 
@@ -489,6 +592,20 @@ def check_console_script(path, env=None):
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2, bad.stderr
     assert "invalid configuration" in bad.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """Importing the CLI and building its parser must not pull in scipy.stats.
+
+    scipy.stats alone takes about half a second to import, as long as the
+    rest of the start-up together.
+    """
+    code = ("import sys, conicpd.cli; conicpd.cli.build_parser(); "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_installed(tmp_path):

@@ -22,7 +22,6 @@ from conicpd import (
     log_F_contour_rows,
     solve_saddle,
 )
-from conicpd.mellin import D_n, log_D_n, rho_geometric_mean
 
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -243,42 +242,6 @@ def test_L_crossing_sits_left_of_log_crossing():
 def test_find_L_zero_rejects_bad_bracket():
     with pytest.raises(DomainError):
         find_L_zero(2.0, 3.0)
-
-
-# ------------------------------------------------------------- normalizations
-
-def test_rho_geometric_mean():
-    assert rho_geometric_mean([2.0, 0.5]) == pytest.approx(1.0, rel=1e-14)
-    assert rho_geometric_mean([3.0, 3.0, 3.0]) == pytest.approx(3.0, rel=1e-14)
-    assert rho_geometric_mean([1.0, 2.0, 4.0]) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        rho_geometric_mean([1.0, -2.0])
-    with pytest.raises(DomainError):
-        rho_geometric_mean(np.ones((2, 2)))
-    with pytest.raises(DomainError):
-        rho_geometric_mean([])
-
-
-def test_candidate_normalization_reduces_to_F():
-    for n, lam in ((3, 1.0), (2, 0.5)):
-        assert log_D_n(np.full(n, lam), 1.0, n) == log_F_contour(n, lam)
-
-
-def test_candidate_normalization_scale_covariance():
-    values = np.array([0.5, 1.0, 2.0])
-    c, r = 1.7, 0.8
-    assert D_n(c * values, r, 3) == pytest.approx(D_n(values, c * r, 3), rel=1e-12)
-
-
-def test_candidate_normalization_single_value():
-    assert D_n(np.array([2.0]), 1.5, 1) == pytest.approx(math.exp(-3.0), rel=1e-10)
-
-
-def test_candidate_normalization_validation():
-    with pytest.raises(DomainError):
-        log_D_n(np.ones(3), 1.0, 4)
-    with pytest.raises(DomainError):
-        log_D_n(np.ones(2), -1.0, 2)
 
 
 # ------------------------------------------------------- divergence behaviour
