@@ -14,7 +14,7 @@ The package has three layers:
   (:mod:`~conicpd.mellin`, :mod:`~conicpd.gaussian`).
 """
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .densities import (
     PartitionSpec,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .errors import DomainError, SingularityError
@@ -147,6 +146,7 @@ def semigroup_convolution_check(theta1: float, theta2: float, z_grid=None) -> fl
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(z_grid <= 0.0):
         raise DomainError("convolution grid points must be positive")
+    from scipy import integrate   # only this check integrates; keeps it off the CLI start-up
     log_norm = float(gammaln(t1) + gammaln(t2))
     worst = 0.0
     for z in z_grid:

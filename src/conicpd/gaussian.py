@@ -3,9 +3,9 @@
 This is the classical contrast case for the divergence experiment: the
 characteristic function of a coordinate under the uniform measure on the
 sphere of radius sqrt(n) in R^n tends to the standard Gaussian e^{-s^2/2}.
-Both a one-dimensional quadrature route and a Monte Carlo route are provided,
-plus the convergence table that the acceptance battery checks for a strictly
-shrinking sup-gap.
+It is computed in closed form, 0F1(; n/2; -(radius s)^2/4) (the ``quad``
+column of ``mp-demo``), and by Monte Carlo, one batch of draws per s grid;
+the acceptance battery checks the convergence table for a shrinking sup-gap.
 """
 
 from __future__ import annotations
@@ -14,11 +14,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
+from . import processes
 from .errors import DomainError
-from .estimation import EstimatorResult, pooled_mean
+from .estimation import CHUNK_ROWS, EstimatorResult, pooled_mean
 from .processes import RngStream
+
+# Largest (rows x s points) cosine matrix one Monte Carlo call of
+# charfun_gap_rows builds: 2^22 cells, 128 columns at 32768 rows.
+_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,46 +51,90 @@ def gaussian_charfun(s_norm: float) -> float:
     return math.exp(-0.5 * s * s)
 
 
-def sphere_charfun_quad(cfg: SphereConfig, s_norm: float) -> float:
-    """E[cos(s * x_1)] on the sphere via the one-dimensional marginal integral.
+def _check_s(s_norm) -> np.ndarray:
+    s = np.asarray(s_norm, dtype=float)
+    if s.ndim > 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
+        raise DomainError("s must be a finite non-negative real or a 1-D array of them")
+    return s
+
+
+def _sphere_normals(gen, rows: int, n: int) -> np.ndarray:
+    if rows * n > processes._CELL_BUDGET:
+        raise DomainError(
+            f"{rows} rows of dimension {n} exceed the {processes._CELL_BUDGET}-cell sampler "
+            "budget; lower --n, or use fewer --samples per stream to lower the rows")
+    return gen.standard_normal((rows, n))
+
+
+# Debye's polynomials u_k(p) = p^k poly(p^2) / denominator, k = 1..5 (DLMF 10.41.10).
+_DEBYE = (
+    ((3, -5), 24),
+    ((81, -462, 385), 1152),
+    ((30375, -369603, 765765, -425425), 414720),
+    ((4465125, -94121676, 349922430, -446185740, 185910725), 39813120),
+    ((1519035525, -49286948607, 284499769554, -614135872350, 566098157625,
+      -188699385875), 6688604160),
+)
+
+
+def _hyp0f1_large_order(nu: float, x: np.ndarray) -> np.ndarray:
+    """0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) for nu >= 169.
+
+    scipy's hyp0f1 returns NaN there: it forms Gamma(nu + 1), which overflows,
+    and J_nu(x) apart.  For x < 0.9 nu, Debye's expansion of J_nu and
+    Stirling's series are combined so that no large exponent cancels; beyond,
+    the prefactor is below one and the direct product is safe.
+    """
+    value = np.empty_like(x)
+    near = x < 0.9 * nu
+    w = x[near] / nu
+    t = np.sqrt((1.0 - w) * (1.0 + w))
+    d = w * w / (1.0 + t)
+    p = 1.0 / t
+    debye = 1.0 + sum(np.polynomial.polynomial.polyval(p * p, c) * p**k / (den * nu**k)
+                      for k, (c, den) in enumerate(_DEBYE, 1))
+    stirling = 1 / (12 * nu) - 1 / (360 * nu**3) + 1 / (1260 * nu**5) - 1 / (1680 * nu**7)
+    value[near] = np.exp(stirling - nu * (d + np.log1p(-0.5 * d))) * debye / np.sqrt(t)
+    far = x[~near]
+    value[~near] = (np.exp(special.gammaln(nu + 1.0) + nu * np.log(2.0 / far))
+                    * special.jv(nu, far))
+    return value
+
+
+def sphere_charfun_quad(cfg: SphereConfig, s_norm):
+    """E[cos(s * x_1)] on the sphere in closed form, 0F1(; n/2; -(radius s)^2 / 4).
 
     The x_1 / radius marginal has density proportional to (1 - r^2)^{(n-3)/2}
-    on [-1, 1]; the normalizing constant is computed numerically rather than
-    taken from a closed form.  n = 2 hits a non-integrable-looking endpoint
-    exponent and is served by the exact closed form J_0(radius * s).
+    on [-1, 1], whose cosine transform is this Bessel-type series (J_0 at
+    n = 2).  A scalar s gives a float, a 1-D array of s an array.
     """
-    s = float(s_norm)
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError("s must be a finite non-negative real")
-    if cfg.n == 2:
-        return float(special.j0(cfg.radius * s))
-    power = 0.5 * (cfg.n - 3)
-
-    def kernel(r):
-        return (1.0 - r * r) ** power
-
-    scale, _ = integrate.quad(kernel, -1.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-    value, _ = integrate.quad(
-        lambda r: kernel(r) * math.cos(s * cfg.radius * r),
-        -1.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200,
-    )
-    return value / scale
+    s = _check_s(s_norm)
+    x = np.atleast_1d(cfg.radius * s)
+    if cfg.n <= 340:
+        value = special.hyp0f1(0.5 * cfg.n, -0.25 * x**2)
+    else:
+        value = _hyp0f1_large_order(0.5 * cfg.n - 1.0, x)
+    return value.item() if s.ndim == 0 else value
 
 
-def sphere_charfun_mc(cfg: SphereConfig, s_norm: float, n_samples: int,
-                      rng: RngStream, *, streams: int = 1) -> EstimatorResult:
-    """Monte Carlo E[cos(s * x_1)] with x uniform on the sphere (normalized Gaussians)."""
-    s = float(s_norm)
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError("s must be a finite non-negative real")
+def sphere_charfun_mc(cfg: SphereConfig, s_norm, n_samples: int,
+                      rng: RngStream, *, streams: int = 1):
+    """Monte Carlo E[cos(s * x_1)] with x uniform on the sphere (normalized Gaussians).
+
+    A scalar s gives one EstimatorResult; a 1-D array of s gives one per
+    entry, all from the same draws, each as the scalar call would give it.
+    """
+    s = _check_s(s_norm)
+    k = np.atleast_1d(s) * cfg.radius
 
     def kernel(gen, rows):
-        z = gen.standard_normal((rows, cfg.n))
+        z = _sphere_normals(gen, rows, cfg.n)
         first = z[:, 0] / np.linalg.norm(z, axis=1)
-        return np.cos(s * cfg.radius * first)
+        # Contiguous columns: pooled_mean reduces each like a 1-D array.
+        return np.cos(k[:, None] * first[None, :]).T
 
-    (result,) = pooled_mean(n_samples, rng, streams, kernel)
-    return result
+    results = pooled_mean(n_samples, rng, streams, kernel, columns=k.size)
+    return results[0] if s.ndim == 0 else results
 
 
 def sphere_charfun_mc_vector(cfg: SphereConfig, s_vec, n_samples: int,
@@ -100,7 +149,7 @@ def sphere_charfun_mc_vector(cfg: SphereConfig, s_vec, n_samples: int,
         raise DomainError("s must be a finite vector of length n")
 
     def kernel(gen, rows):
-        z = gen.standard_normal((rows, cfg.n))
+        z = _sphere_normals(gen, rows, cfg.n)
         points = cfg.radius * z / np.linalg.norm(z, axis=1)[:, None]
         return np.cos(points @ s)
 
@@ -112,37 +161,36 @@ def mp_convergence_table(s_grid=None, n_list=(5, 10, 20, 50, 100, 200)) -> list[
     """Sup over the s grid of |sphere charfun - Gaussian charfun| for each n."""
     if s_grid is None:
         s_grid = np.linspace(0.0, 3.0, 61)
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 0.0):
-        raise DomainError("s grid must be non-negative")
-    rows = []
-    for n in n_list:
-        cfg = SphereConfig(n=int(n))
-        gap = max(
-            abs(sphere_charfun_quad(cfg, s) - gaussian_charfun(s)) for s in s_grid
-        )
-        rows.append({"n": int(n), "sup_gap": float(gap)})
-    return rows
+    return [{"n": int(n), "sup_gap": max(r["gap"] for r in charfun_gap_rows(s_grid, [n]))}
+            for n in n_list]
 
 
 def charfun_gap_rows(s_grid, n_list, samples: int = 0,
                      rng: RngStream | None = None, streams: int = 1) -> list[dict]:
-    """Per-(n, s) table with quadrature, optional Monte Carlo, and Gaussian columns."""
-    s_grid = np.asarray(s_grid, dtype=float)
+    """Per-(n, s) table with closed-form, optional Monte Carlo, and Gaussian columns.
+
+    The Monte Carlo columns of one n come from one set of draws, taken in
+    blocks of s points that keep each cosine matrix within _BLOCK_CELLS;
+    every block redraws the same normals, so blocking changes no bit.
+    """
+    s_grid = _check_s(s_grid).ravel()
+    if samples < 0:
+        raise DomainError("samples must be >= 0 (0 skips the Monte Carlo columns)")
+    if samples > 0 and rng is None:
+        raise DomainError("Monte Carlo columns need an RngStream")
+    block = _BLOCK_CELLS // min(CHUNK_ROWS, max(samples, 1))
     rows = []
     for n in n_list:
         cfg = SphereConfig(n=int(n))
-        for s in s_grid:
-            quad_val = sphere_charfun_quad(cfg, float(s))
-            gauss = gaussian_charfun(float(s))
-            row = {"n": int(n), "s": float(s), "quad": quad_val,
-                   "mc": None, "stderr": None,
-                   "gauss": gauss, "gap": abs(quad_val - gauss)}
-            if samples > 0:
-                if rng is None:
-                    raise DomainError("Monte Carlo columns need an RngStream")
-                est = sphere_charfun_mc(cfg, float(s), samples, rng, streams=streams)
-                row["mc"] = est.estimate
-                row["stderr"] = est.stderr
-            rows.append(row)
+        quad = sphere_charfun_quad(cfg, s_grid).tolist()
+        mc = [None] * s_grid.size
+        if samples > 0:
+            mc = [est for i in range(0, s_grid.size, block) for est in sphere_charfun_mc(
+                cfg, s_grid[i:i + block], samples, rng, streams=streams)]
+        for s, quad_val, est in zip(s_grid.tolist(), quad, mc):
+            gauss = gaussian_charfun(s)
+            rows.append({"n": int(n), "s": s, "quad": quad_val,
+                         "mc": None if est is None else est.estimate,
+                         "stderr": None if est is None else est.stderr,
+                         "gauss": gauss, "gap": abs(quad_val - gauss)})
     return rows

@@ -130,7 +130,7 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     if t_grid is None:
         t_grid = np.linspace(b / 8.0, b, 8)
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0) or np.any(t_grid > b):
+    if not np.all((t_grid > 0.0) & (t_grid <= b)):
         raise DomainError("t grid must lie in (0, b]")
 
     def kernel(gen, rows):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicpd import DomainError, PartitionSpec, __version__, box_mass_L
+from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS
 
@@ -113,7 +113,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.2.2"
+    assert meta["version"] == "0.2.3"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -232,6 +232,46 @@ def test_mp_demo_skips_mc_when_samples_zero(capsys):
     assert lines[1] == "n,s,quad,mc,stderr,gauss,gap"
     assert len(lines) == 5
     assert all(line.split(",")[3] == "" for line in lines[2:])   # mc column empty
+
+
+def test_mp_demo_rejects_negative_samples_and_non_finite_s(capsys):
+    # 0 means "skip the Monte Carlo columns"; a negative count used to be
+    # read the same way and written to the meta line.
+    for argv in (["mp-demo", "--n", "3", "--samples", "-5"],
+                 ["mp-demo", "--n", "3", "--smax", "nan"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "invalid configuration" in err, argv
+
+
+def test_mp_demo_refuses_normals_over_the_cell_budget(capsys, monkeypatch):
+    # rows x n normals per chunk are bounded by the sampler's cell budget;
+    # a small budget shows the refusal without a large allocation.
+    monkeypatch.setattr(processes, "_CELL_BUDGET", 4000)
+    code, out, err = run_cli(capsys, ["mp-demo", "--n", "5", "--spoints", "3",
+                                      "--samples", "1000"])
+    assert code == 2 and out == "" and "cell sampler budget" in err
+
+
+# sha256 of the mc,stderr cells (one "mc,stderr" line per row) of
+# mp-demo --n 3,8 --smax 4 --spoints 129 --samples 100000 --streams S --seed 5,
+# frozen from the per-point Monte Carlo runs the batched kernel replaced:
+# several chunks per stream and two column blocks of s points.
+_MP_DEMO_MC_SHA256 = {
+    1: "df65bcb456e0343ea1f560eea7d7bd4065cdce9d7e4fea94e86a4bb4e422a6f9",
+    3: "a4622060b59011e3d5ea4444c3392d329fd1c156872b2c0e1833152bcdf98a37",
+}
+
+
+@pytest.mark.parametrize("streams", list(_MP_DEMO_MC_SHA256))
+def test_mp_demo_mc_cells_are_frozen(capsys, streams):
+    code, out, _err = run_cli(capsys, [
+        "mp-demo", "--n", "3,8", "--smax", "4", "--spoints", "129", "--samples", "100000",
+        "--streams", str(streams), "--seed", "5"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
+    assert len(rows) == 2 * 129
+    body = "".join(f"{row['mc']},{row['stderr']}\n" for row in rows)
+    assert hashlib.sha256(body.encode()).hexdigest() == _MP_DEMO_MC_SHA256[streams]
 
 
 def test_divergence_subcommand(capsys):
@@ -595,17 +635,19 @@ def check_console_script(path, env=None):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """Importing the CLI and building its parser must not pull in scipy.stats.
+    """Importing the CLI and building its parser must not pull in scipy.stats
+    or scipy.integrate.
 
     scipy.stats alone takes about half a second to import, as long as the
-    rest of the start-up together.
+    rest of the start-up together; scipy.integrate adds about a quarter
+    second, and only the semigroup convolution check needs it.
     """
     code = ("import sys, conicpd.cli; conicpd.cli.build_parser(); "
-            "print('scipy.stats' in sys.modules)")
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,6 +16,7 @@ from conicpd import (
     sphere_charfun_mc,
     sphere_charfun_quad,
 )
+from conicpd import processes
 from conicpd.gaussian import sphere_charfun_mc_vector
 
 
@@ -68,6 +71,76 @@ def test_quad_charfun_two_dimensions_against_endpoint_weighted_quadrature():
         val, _ = integrate.quad(lambda r: math.cos(k * r), -1.0, 1.0,
                                 weight="alg", wvar=(-0.5, -0.5))
         assert sphere_charfun_quad(cfg, s) == pytest.approx(val / math.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 200, 340, 341, 5000])
+def test_quad_charfun_matches_mpmath_hyp0f1(n):
+    cfg = SphereConfig(n=n)
+    s_grid = np.linspace(0.0, 20.0, 81)
+    got = sphere_charfun_quad(cfg, s_grid)
+    with mpmath.workdps(40):
+        for s, value in zip(s_grid, got):
+            x = mpmath.mpf(cfg.radius) * mpmath.mpf(float(s))
+            want = mpmath.hyp0f1(mpmath.mpf(n) / 2, -x * x / 4)
+            assert abs(value - float(want)) <= 2e-15, (n, s)
+
+
+def test_quad_charfun_scalar_and_array_forms_agree():
+    cfg = SphereConfig(n=7)
+    s_grid = np.array([0.0, 0.3, 1.7, 4.0])
+    values = sphere_charfun_quad(cfg, s_grid)
+    assert isinstance(sphere_charfun_quad(cfg, 0.3), float)
+    assert values.shape == s_grid.shape
+    assert values.tolist() == [sphere_charfun_quad(cfg, s) for s in s_grid.tolist()]
+    for bad in (np.array([0.5, np.nan]), np.array([0.5, -0.1]), np.array([np.inf]),
+                np.zeros((2, 2))):
+        with pytest.raises(DomainError):
+            sphere_charfun_quad(cfg, bad)
+        with pytest.raises(DomainError):
+            sphere_charfun_mc(cfg, bad, 100, RngStream(0))
+
+
+def test_mc_charfun_array_matches_scalar_calls_bit_for_bit():
+    # One batch of draws serves every s; each column must equal the scalar
+    # call on the same RngStream, over several chunks and streams.
+    cfg = SphereConfig(n=6)
+    s_grid = np.array([0.0, 0.5, 1.25, 3.0])
+    for streams in (1, 3):
+        batch = sphere_charfun_mc(cfg, s_grid, 70_000, RngStream(9), streams=streams)
+        single = [sphere_charfun_mc(cfg, s, 70_000, RngStream(9), streams=streams)
+                  for s in s_grid.tolist()]
+        assert batch == single
+
+
+def test_mc_kernels_refuse_normal_matrices_over_the_cell_budget(monkeypatch):
+    # rows x n normals are bounded by the sampler's cell budget; a small
+    # budget shows the refusal without allocating anything large.
+    monkeypatch.setattr(processes, "_CELL_BUDGET", 4000)
+    cfg = SphereConfig(n=5)
+    with pytest.raises(DomainError, match="cell sampler budget"):
+        sphere_charfun_mc(cfg, 1.0, 1000, RngStream(0))
+    with pytest.raises(DomainError, match="cell sampler budget"):
+        sphere_charfun_mc_vector(cfg, np.ones(5), 1000, RngStream(0))
+    with pytest.raises(DomainError, match="cell sampler budget"):
+        charfun_gap_rows([0.5, 1.0], [5], samples=1000, rng=RngStream(0))
+    # 800 rows x 5 = 4000 cells is exactly the budget and runs
+    assert sphere_charfun_mc(cfg, 1.0, 800, RngStream(0)).n_samples == 800
+    assert sphere_charfun_mc_vector(cfg, np.ones(5), 800, RngStream(0)).n_samples == 800
+
+
+def test_gap_rows_mc_memory_stays_within_the_block_bound():
+    # 300 s points at a full 32768-row chunk would need 300-column cosine
+    # matrices, a 225 MiB peak; blocks of 2^22 cells (128 columns) keep it
+    # near three blocks, 96 MiB.
+    s_grid = np.linspace(0.0, 3.0, 300)
+    tracemalloc.start()
+    try:
+        rows = charfun_gap_rows(s_grid, [3], samples=32_768, rng=RngStream(1))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 300 and all(row["stderr"] > 0.0 for row in rows[1:])
+    assert peak <= 4 * (1 << 22) * 8
 
 
 def test_quad_vs_mc_agreement():
@@ -131,3 +204,5 @@ def test_gap_rows_schema_and_determinism():
     assert all(row["mc"] is not None and row["stderr"] > 0.0 for row in a)
     with pytest.raises(DomainError):
         charfun_gap_rows(s_grid, [3], samples=100, rng=None)
+    with pytest.raises(DomainError, match="samples"):
+        charfun_gap_rows(s_grid, [3], samples=-5, rng=RngStream(7))

@@ -278,6 +278,15 @@ def test_functional_window_validation():
                                       t_grid=np.array([0.0, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_functional_window_rejects_non_finite_t(bad):
+    # A NaN t used to pass the range check and report exact = nan against a
+    # zero estimate with z_score 0, i.e. agreement on garbage.
+    with pytest.raises(DomainError, match="t grid"):
+        functional_distribution_check(1.0, StepFunction.constant(1.0), 1.0, 100,
+                                      RngStream(0), t_grid=np.array([bad, 0.5]))
+
+
 # ------------------------------------------------------- weighted box masses
 
 def test_weighted_box_mass_single_part_unit_box():
