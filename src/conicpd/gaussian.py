@@ -66,7 +66,7 @@ def _sphere_normals(gen, rows: int, n: int) -> np.ndarray:
     return gen.standard_normal((rows, n))
 
 
-# Debye's polynomials u_k(p) = p^k poly(p^2) / denominator, k = 1..5 (DLMF 10.41.10).
+# Debye's polynomials u_k(p) = p^k poly(p^2) / denominator, k = 1..6 (DLMF 10.41.10).
 _DEBYE = (
     ((3, -5), 24),
     ((81, -462, 385), 1152),
@@ -74,16 +74,17 @@ _DEBYE = (
     ((4465125, -94121676, 349922430, -446185740, 185910725), 39813120),
     ((1519035525, -49286948607, 284499769554, -614135872350, 566098157625,
       -188699385875), 6688604160),
+    ((2757049477875, -127577298354750, 1050760774457901, -3369032068261860,
+      5104696716244125, -3685299006138750, 1023694168371875), 4815794995200),
 )
 
 
 def _hyp0f1_large_order(nu: float, x: np.ndarray) -> np.ndarray:
-    """0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) for nu >= 169.
+    """0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) for nu >= 114.
 
-    scipy's hyp0f1 returns NaN there: it forms Gamma(nu + 1), which overflows,
-    and J_nu(x) apart.  For x < 0.9 nu, Debye's expansion of J_nu and
-    Stirling's series are combined so that no large exponent cancels; beyond,
-    the prefactor is below one and the direct product is safe.
+    For x < 0.9 nu, Debye's expansion of J_nu and Stirling's series are
+    combined so that no large exponent cancels; beyond, the prefactor is
+    below one and the direct product is safe.
     """
     value = np.empty_like(x)
     near = x < 0.9 * nu
@@ -110,10 +111,19 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm):
     """
     s = _check_s(s_norm)
     x = np.atleast_1d(cfg.radius * s)
-    if cfg.n <= 340:
-        value = special.hyp0f1(0.5 * cfg.n, -0.25 * x**2)
+    b = 0.5 * cfg.n
+    z = -0.25 * x * x
+    # Where |z| < 1e-4 b, three terms of the series are exact to 5e-18.  Beyond,
+    # scipy's hyp0f1 serves n < 230; it forms Gamma(b) (2/x)^(b-1) apart from
+    # J_{b-1}(x), which would overflow at those small x from n = 176 on.  From
+    # n = 230, Debye's expansion is within 1e-15 of mpmath, while hyp0f1 loses
+    # digits in J_{b-1} at odd n and returns NaN past n = 343.
+    value = 1.0 + z / b * (1.0 + z / (2.0 * (b + 1.0)) * (1.0 + z / (3.0 * (b + 2.0))))
+    rest = -z >= 1e-4 * b
+    if cfg.n < 230:
+        value[rest] = special.hyp0f1(b, z[rest])
     else:
-        value = _hyp0f1_large_order(0.5 * cfg.n - 1.0, x)
+        value[rest] = _hyp0f1_large_order(b - 1.0, x[rest])
     return value.item() if s.ndim == 0 else value
 
 

@@ -73,10 +73,13 @@ def test_quad_charfun_two_dimensions_against_endpoint_weighted_quadrature():
         assert sphere_charfun_quad(cfg, s) == pytest.approx(val / math.pi, abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 50, 200, 340, 341, 5000])
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 180, 200, 229, 230, 300, 313, 340, 341, 5000])
 def test_quad_charfun_matches_mpmath_hyp0f1(n):
+    # The small s reach where Gamma(n/2) (2/x)^(n/2-1) overflows before J is
+    # applied (n = 180..340); s = 2.55 at odd n = 313 is where scipy's J at
+    # half-integer order loses digits.
     cfg = SphereConfig(n=n)
-    s_grid = np.linspace(0.0, 20.0, 81)
+    s_grid = np.concatenate([np.linspace(0.0, 20.0, 81), [0.003, 0.05, 0.1, 2.55]])
     got = sphere_charfun_quad(cfg, s_grid)
     with mpmath.workdps(40):
         for s, value in zip(s_grid, got):
