@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SingularityError
+from .stepfn import _piece_index
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,14 @@ class PartitionSpec:
 
     def probabilities(self) -> np.ndarray:
         return self.weights / self.theta
+
+    def marks(self, u) -> np.ndarray:
+        """Part index of each uniform u in [0, 1): i with probability theta_i / theta.
+
+        Only the inner cuts are compared, so a u above a last cumulative
+        probability that rounds below 1 still lands in the last part.
+        """
+        return _piece_index(np.cumsum(self.probabilities())[:-1], u)
 
 
 def _check_vector(point, n, name):

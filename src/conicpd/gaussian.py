@@ -171,6 +171,8 @@ def mp_convergence_table(s_grid=None, n_list=(5, 10, 20, 50, 100, 200)) -> list[
     """Sup over the s grid of |sphere charfun - Gaussian charfun| for each n."""
     if s_grid is None:
         s_grid = np.linspace(0.0, 3.0, 61)
+    if np.size(s_grid) == 0:
+        raise DomainError("the s grid of a sup needs at least one point")
     return [{"n": int(n), "sup_gap": max(r["gap"] for r in charfun_gap_rows(s_grid, [n]))}
             for n in n_list]
 

@@ -64,7 +64,9 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
 
     def kernel(gen, rows):
         masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen)
-        mean_f = (masses * f(locations)).sum(axis=1)
+        # A constant f skips the lookup; the products are the same floats.
+        values = f.values[0] if f.values.size == 1 else f(locations)
+        mean_f = (masses * values).sum(axis=1)
         return np.exp(totals * (1.0 - mean_f))
 
     (result,) = pooled_mean(n_samples, rng, streams, kernel)
@@ -162,12 +164,10 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
     b_arr = np.atleast_1d(np.asarray(b_values, dtype=float))
     if np.any(b_arr <= 0.0) or not np.all(np.isfinite(b_arr)):
         raise DomainError("box edges must be positive reals")
-    cuts = np.cumsum(spec.probabilities())
 
     def kernel(gen, rows):
         masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen)
-        marks = np.searchsorted(cuts, gen.random(masses.shape), side="right")
-        marks = np.minimum(marks, spec.n - 1)
+        marks = spec.marks(gen.random(masses.shape))
         scaled = masses * totals[:, None]
         largest_part = np.zeros(rows)
         for i in range(spec.n):

@@ -289,10 +289,7 @@ def partition_sums(series: WeightedAtomSeries, spec, rng) -> np.ndarray:
     The tail mass beyond the truncation point is unassigned, so each sum is
     biased low by at most tail_bound.
     """
-    gen = as_generator(rng)
-    cuts = np.cumsum(spec.probabilities())
-    marks = np.searchsorted(cuts, gen.random(series.masses.size), side="right")
-    marks = np.minimum(marks, spec.n - 1)
+    marks = spec.marks(as_generator(rng).random(series.masses.size))
     return np.bincount(marks, weights=series.masses, minlength=spec.n)
 
 

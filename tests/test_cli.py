@@ -15,6 +15,7 @@ import pytest
 from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS
+from conicpd.stepfn import _LOOP_EDGES
 
 
 def run_cli(capsys, argv):
@@ -272,6 +273,62 @@ def test_mp_demo_mc_cells_are_frozen(capsys, streams):
     assert len(rows) == 2 * 129
     body = "".join(f"{row['mc']},{row['stderr']}\n" for row in rows)
     assert hashlib.sha256(body.encode()).hexdigest() == _MP_DEMO_MC_SHA256[streams]
+
+
+def _many_pieces(count: int, step: float) -> str:
+    """--f text of ``count`` equal pieces with values 0.6, 0.6 + step, ..."""
+    return ",".join(f"{0.6 + step * i:g}@{i / count:g}:{(i + 1) / count:g}" for i in range(count))
+
+
+_F = {"constant": "1.5@0:1", "three": "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
+      "forty": _many_pieces(40, 0.05), "eighty": _many_pieces(80, 0.02)}
+
+# sha256 of every line after the meta line of each argv + --seed 11 (and
+# --samples 3000 unless given), frozen from the binary-search lookups that
+# the comparison loop replaced.  The 40-piece f is counted by the loop and
+# the 80-piece f by the searchsorted fallback; the weights 0.1,0.2,0.3 have
+# cumulative probabilities ending at 0.9999999999999999.
+_ESTIMATOR_BODY_SHA256 = [
+    (("laplace", "--theta", "0.5", "--f", _F["constant"], "--streams", "1"),
+     "9b1cce7d778df1bfe612901d0b93977e941c443a8b0261914c67a3a69d57c8c3"),
+    (("laplace", "--theta", "0.5", "--f", _F["three"], "--streams", "1"),
+     "3fae4eead7402893bdab40853014d4f34015588de3e3a8f764a9cfc5bcd61be3"),
+    (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1"),
+     "4f58e3b9b0047d6aeb403fd24f840a0ccb53b3be1f183f56ea851b9fc1a52ac8"),
+    (("laplace", "--theta", "1", "--f", _F["three"], "--streams", "1"),
+     "b8ff7c5b4fb59f5290c1e2678623d485aca8ab71775a7e3af96291f896ae3a6f"),
+    (("laplace", "--theta", "4", "--f", _F["constant"], "--streams", "1"),
+     "b395b307f01bc5c996b62b790106b4cf411f8b8cc7e11279d0b7367d712e9e1f"),
+    (("laplace", "--theta", "4", "--f", _F["three"], "--streams", "2"),
+     "6cc762b8aa81510afafd7465c0c88d325a68f00e58a224174fac79e432e75046"),
+    (("laplace", "--theta", "8", "--f", _F["constant"], "--streams", "1"),
+     "9a124cc56042e997d7d593138d45580c38c454f3040ebcbdc494e2084894c5df"),
+    (("laplace", "--theta", "8", "--f", _F["three"], "--streams", "1"),
+     "60a56f6354dd70e4d97ef2f0cae4f65aee307960e6e7fba579f4b8301ebe44bd"),
+    (("laplace", "--theta", "1", "--f", _F["forty"], "--streams", "1"),
+     "3218e8bda6f0583bb6dfd93edc0e5d22d2a89011878019da7a7da497ff06de93"),
+    (("laplace", "--theta", "1", "--f", _F["eighty"], "--streams", "1"),
+     "10ea18eb0c7324d768c5cf621c5a2aff45bd99cd7a84c4e4854a29a303c615ef"),
+    (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1,2"),
+     "db124e18bab5a31118c9ee02edaaec6b595be57bf49d30e6ca39ff848d1364db"),
+    (("partition-sums", "--weights", "0.1,0.2,0.3"),
+     "0ce4f4e440bf3d64dfaeeae625b38981b54f67733430c18220fbc5b37fcb351d"),
+    (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
+     "f37292522511b849407c268c0c67a49bb6dfe3675713eca16633b858ade1fe20"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _ESTIMATOR_BODY_SHA256)
+def test_estimator_output_bytes_are_frozen(capsys, argv, digest):
+    argv = list(argv) + ["--seed", "11"] + ([] if "--samples" in argv else ["--samples", "3000"])
+    code, out, _err = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
+
+
+def test_frozen_step_functions_straddle_the_lookup_crossover():
+    inner = {key: parse_step_function(text).breakpoints.size - 2 for key, text in _F.items()}
+    assert inner["three"] < inner["forty"] <= _LOOP_EDGES < inner["eighty"]
 
 
 def test_divergence_subcommand(capsys):

@@ -192,6 +192,13 @@ def test_convergence_table_validation():
         mp_convergence_table(s_grid=np.array([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize("s_grid", [[], np.empty(0)])
+def test_convergence_table_rejects_an_empty_grid(s_grid):
+    with pytest.raises(DomainError, match="at least one point"):
+        mp_convergence_table(s_grid=s_grid, n_list=(5,))
+    assert charfun_gap_rows(s_grid, [5]) == []
+
+
 def test_gap_rows_schema_and_determinism():
     s_grid = np.array([0.5, 1.5])
     rows = charfun_gap_rows(s_grid, [3, 10])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicpd import (
     DomainError,
@@ -18,6 +20,7 @@ from conicpd import (
     quasi_invariance_check,
     weighted_box_mass,
 )
+from conicpd.stepfn import _LOOP_EDGES, _piece_index
 
 
 def halves(v0, v1):
@@ -44,6 +47,71 @@ def test_stepfunction_rejects_points_outside_domain():
         f(-0.1)
     with pytest.raises(DomainError):
         f(np.array([0.3, 1.2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.0])
+def test_stepfunction_rejects_nan_and_infinite_points(bad):
+    three = StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
+    for f in (StepFunction.constant(1.5), three):
+        with pytest.raises(DomainError):
+            f(bad)
+        with pytest.raises(DomainError):
+            f(np.array([0.2, bad]))
+        with pytest.raises(DomainError):
+            f(np.array([[0.2, 0.5], [bad, 0.1]]))
+
+
+def test_stepfunction_of_an_empty_array_is_empty():
+    three = StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
+    for f in (StepFunction.constant(1.5), three):
+        for shape in ((0,), (3, 0)):
+            out = f(np.empty(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+
+_unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _grid_and_points(draw, fewest, most):
+    """Strictly increasing inner edges in (0, 1), and points of [0, 1) that include them."""
+    edges = np.sort(np.array(draw(st.lists(_unit_open, min_size=fewest, max_size=most,
+                                           unique=True)), dtype=float))
+    points = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    return edges, np.concatenate([np.array(points, dtype=float), edges, [0.0]])
+
+
+@pytest.mark.parametrize("fewest, most", [(0, _LOOP_EDGES), (_LOOP_EDGES + 1, _LOOP_EDGES + 12)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_piece_index_matches_binary_search_on_both_sides_of_the_crossover(fewest, most, data):
+    edges, x = data.draw(_grid_and_points(fewest, most))
+    breakpoints = np.concatenate([[0.0], edges, [1.0]])
+    expected = np.searchsorted(breakpoints, x, side="right") - 1
+    index = _piece_index(edges, x)
+    assert (index.dtype == np.uint8) == (edges.size <= _LOOP_EDGES)
+    assert np.array_equal(index, expected)
+    assert np.array_equal(_piece_index(edges, x[:, None].repeat(3, axis=1)),
+                          expected[:, None].repeat(3, axis=1))
+    values = np.arange(1.0, edges.size + 2.0)
+    f = StepFunction(breakpoints, values)
+    assert np.array_equal(f(x), values[expected])
+    assert f(float(x[0])) == values[expected[0]]
+
+
+@pytest.mark.parametrize("fewest, most",
+                         [(1, _LOOP_EDGES + 1), (_LOOP_EDGES + 2, _LOOP_EDGES + 12)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partition_marks_match_clipped_binary_search(fewest, most, data):
+    # Weights up to 20 decades apart can also give equal consecutive cuts.
+    weights = data.draw(st.lists(st.floats(1e-10, 1e10), min_size=fewest, max_size=most))
+    points = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    spec = PartitionSpec(np.array(weights))
+    cuts = np.cumsum(spec.probabilities())
+    u = np.concatenate([points, cuts[cuts < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+    expected = np.minimum(np.searchsorted(cuts, u, side="right"), spec.n - 1)
+    assert np.array_equal(spec.marks(u), expected)
 
 
 def test_stepfunction_validation():
