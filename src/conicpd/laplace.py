@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean
-from .processes import RngStream, gamma_batch
+from .processes import RngStream, _positive_real, gamma_batch
 from .stepfn import StepFunction
 
 TRUNCATION_EPS = 1e-10
@@ -33,7 +33,7 @@ TRUNCATION_EPS = 1e-10
 
 def log_mean(f: StepFunction, theta: float = 1.0) -> float:
     """Integral of log f against the base measure of total mass theta."""
-    _check_theta(theta)
+    theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     return theta * float(np.sum(f.widths() * np.log(f.values)))
@@ -53,7 +53,7 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
                eps: float = TRUNCATION_EPS, streams: int = 1,
                allow_infinite_variance: bool = False) -> EstimatorResult:
     """Importance-weighted Monte Carlo estimate of the flat-measure transform."""
-    _check_theta(theta)
+    theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     if f.min_value <= 0.5 and not allow_infinite_variance:
@@ -62,12 +62,19 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
             "raise f or pass allow_infinite_variance=True to force the estimate"
         )
 
+    constant = f.values.size == 1
+
     def kernel(gen, rows):
-        masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen)
+        masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen,
+                                                        locations=not constant)
         # A constant f skips the lookup; the products are the same floats.
-        values = f.values[0] if f.values.size == 1 else f(locations)
-        mean_f = (masses * values).sum(axis=1)
-        return np.exp(totals * (1.0 - mean_f))
+        # They are formed in place: the operands die here, and a fresh
+        # matrix per chunk costs page faults.
+        if constant:
+            weighted = np.multiply(masses, f.values[0], out=masses)
+        else:
+            weighted = np.multiply(masses, f(locations), out=locations)
+        return np.exp(totals * (1.0 - weighted.sum(axis=1)))
 
     (result,) = pooled_mean(n_samples, rng, streams, kernel)
     return result
@@ -126,9 +133,8 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     most t / min f on the event), so the estimator has finite variance for any
     positive step function.
     """
-    _check_theta(theta)
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0.0):
-        raise DomainError("window bound b must be a positive real")
+    theta = _positive_real(theta, "theta")
+    b = _positive_real(b, "window bound b")
     if t_grid is None:
         t_grid = np.linspace(b / 8.0, b, 8)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -137,7 +143,7 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
 
     def kernel(gen, rows):
         masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen)
-        pairing = totals * (masses * f(locations)).sum(axis=1)
+        pairing = totals * np.multiply(masses, f(locations), out=locations).sum(axis=1)
         return np.where(pairing[:, None] <= t_grid[None, :],
                         np.exp(totals)[:, None], 0.0)
 
@@ -166,9 +172,10 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
         raise DomainError("box edges must be positive reals")
 
     def kernel(gen, rows):
-        masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen)
+        masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen,
+                                                         locations=False)
         marks = spec.marks(gen.random(masses.shape))
-        scaled = masses * totals[:, None]
+        scaled = np.multiply(masses, totals[:, None], out=masses)
         largest_part = np.zeros(rows)
         for i in range(spec.n):
             part = np.where(marks == i, scaled, 0.0).sum(axis=1)
@@ -177,8 +184,3 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
         return np.where(inside, np.exp(totals)[:, None], 0.0)
 
     return pooled_mean(n_samples, rng, streams, kernel, columns=b_arr.size)
-
-
-def _check_theta(theta):
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0.0):
-        raise DomainError("theta must be a positive real")

@@ -18,7 +18,8 @@ fixed cell budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +69,21 @@ class GemDraw:
     residual: float
 
     def __post_init__(self):
-        y = np.asarray(self.sticks, dtype=float)
-        if y.ndim != 1 or y.size < 1:
-            raise DomainError("a GEM draw holds a non-empty stick vector")
-        # min/max comparisons are False on NaN, so NaN sticks are rejected too.
-        if not (y.min() > 0.0 and y.max() < 1.0):
-            raise DomainError("stick fractions must lie strictly inside (0, 1)")
+        y = _check_sticks(self.sticks)
         check = float(np.prod(1.0 - y))
         if abs(self.residual - check) > 1e-12 * (check + 1e-300):
             raise DomainError("residual does not match the stick product")
         object.__setattr__(self, "sticks", y)
+
+
+def _check_sticks(sticks) -> np.ndarray:
+    y = np.asarray(sticks, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise DomainError("a GEM draw holds a non-empty stick vector")
+    # min/max comparisons are False on NaN, so NaN sticks are rejected too.
+    if not (y.min() > 0.0 and y.max() < 1.0):
+        raise DomainError("stick fractions must lie strictly inside (0, 1)")
+    return y
 
 
 @dataclass(frozen=True)
@@ -124,24 +130,64 @@ class WeightedAtomSeries:
 def sample_gem(theta: float, eps: float, rng) -> GemDraw:
     """Draw sticks with density theta * y^(theta-1) until the residual is <= eps."""
     y, _run, _cut = _stick_rows(theta, eps, 1, as_generator(rng))
-    sticks = y[0]
-    return GemDraw(sticks=sticks, residual=float(np.prod(1.0 - sticks)))
+    # A zero stick (u = 0 exactly, theta != 1) still fails the range check.
+    # The residual is formed once, here, so the constructor's re-check of it
+    # is skipped.
+    sticks = _check_sticks(y[0])
+    return _unchecked(GemDraw, sticks=sticks, residual=float(np.prod(1.0 - sticks)))
+
+
+def _unchecked(cls, **fields):
+    """Instance of a frozen dataclass built from fields already checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _stick_block(gen, theta, count):
-    # Inverse CDF of Beta(1, theta): y = 1 - u^(1/theta), via expm1 so that
-    # large theta (sticks near zero) keeps full precision.  The shift makes
-    # u positive under the log and the clamp keeps log1p(-y) finite when
-    # expm1 saturates at tiny u.  Every step writes into the buffer the
-    # generator returned.
-    y = gen.random(count)
-    np.subtract(1.0, y, out=y)
+    # Negated inverse CDF of Beta(1, theta): -y = (1 - u)^(1/theta) - 1, via
+    # expm1 so that large theta (sticks near zero) keeps full precision; at
+    # theta = 1 it is u - 1.  The shift makes u positive under the log and the
+    # clamp keeps log1p(-y) finite when expm1 saturates at tiny u.  Negation
+    # and subtraction are exact under a sign flip, so -y carries the bits of
+    # y.  Every step writes into the buffer the generator returned.
+    neg = gen.random(count)
     if theta != 1.0:
-        np.log(y, out=y)
-        np.divide(y, theta, out=y)
-        np.expm1(y, out=y)
-        np.negative(y, out=y)
-    return np.minimum(y, 1.0 - 1e-16, out=y)
+        np.subtract(1.0, neg, out=neg)
+        np.log(neg, out=neg)
+        np.divide(neg, theta, out=neg)
+        np.expm1(neg, out=neg)
+    else:
+        np.subtract(neg, 1.0, out=neg)
+    return np.maximum(neg, -(1.0 - 1e-16), out=neg)
+
+
+def _skip_uniforms(gen, n):
+    """Leave ``gen`` where drawing ``n`` doubles would, without drawing them.
+
+    Each double takes one 64-bit output.  Philox hands its outputs out in
+    blocks of four, one per counter step, so past the rest of the current
+    block it jumps whole blocks in O(1) with ``advance``.  Any other bit
+    generator, or a Philox holding half of a 32-bit pair (which ``advance``
+    would drop), draws and discards.
+    """
+    bitgen = gen.bit_generator
+    if isinstance(bitgen, np.random.Philox):
+        state = bitgen.state
+        if not state["has_uint32"]:
+            left = min(n, 4 - state["buffer_pos"])
+            if left:
+                bitgen.random_raw(left)
+            n -= left
+            # advance() empties the block buffer even for a zero step, which
+            # would lose the outputs still buffered: call it for whole blocks only.
+            if n >= 4:
+                bitgen.advance(n // 4)
+            if n % 4:
+                bitgen.random_raw(n % 4)
+            return
+    gen.random(n)
 
 
 # Largest first stick block, in cells (rows x columns), that a draw may ask
@@ -163,7 +209,7 @@ def _stick_rows(theta, eps, rows, gen):
     outrun.  Only the rows still open are extended, by half the current
     width at a time, so the work stays linear in the sticks drawn.
     """
-    _check_theta_eps(theta, eps)
+    theta, eps = _check_theta_eps(theta, eps)
     log_eps = math.log(eps)
     m = -theta * log_eps
     width = math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
@@ -173,28 +219,42 @@ def _stick_rows(theta, eps, rows, gen):
             f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
             "--samples per stream to lower the rows")
     y = _stick_block(gen, theta, rows * width).reshape(rows, width)
-    run = np.negative(y)
-    np.log1p(run, out=run)
+    run = np.log1p(y)
+    np.negative(y, out=y)
     np.cumsum(run, axis=1, out=run)
     grow = np.flatnonzero(run[:, -1] > log_eps)
     while grow.size:
         add = y.shape[1] // 2
         ext = _stick_block(gen, theta, grow.size * add).reshape(grow.size, add)
+        ext_run = np.log1p(ext)
+        np.negative(ext, out=ext)
         y = np.pad(y, ((0, 0), (0, add)))
         run = np.pad(run, ((0, 0), (0, add)), mode="edge")
         y[grow, -add:] = ext
-        run[grow, -add:] += np.cumsum(np.log1p(-ext), axis=1)
+        run[grow, -add:] += np.cumsum(ext_run, axis=1)
         grow = grow[run[grow, -1] > log_eps]
     cut = np.argmax(run <= log_eps, axis=1)
     keep = int(cut.max()) + 1
     return y[:, :keep], run[:, :keep], cut
 
 
+def _positive_real(value, name, upper=math.inf) -> float:
+    """``value`` as a float in (0, upper); bool is refused, numpy scalars are not."""
+    message = (f"{name} must lie in (0, {upper:g})" if upper < math.inf
+               else f"{name} must be a positive real")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(message)
+    try:
+        x = float(value)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(message) from None
+    if not 0.0 < x < upper:  # False on NaN
+        raise DomainError(message)
+    return x
+
+
 def _check_theta_eps(theta, eps):
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0.0):
-        raise DomainError("theta must be a positive real")
-    if not (isinstance(eps, float) and 0.0 < eps < 1.0):
-        raise DomainError("truncation eps must lie in (0, 1)")
+    return _positive_real(theta, "theta"), _positive_real(eps, "truncation eps", 1.0)
 
 
 def stick_break(draw: GemDraw) -> np.ndarray:
@@ -244,8 +304,7 @@ def sample_gamma_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
 
 def sample_gamma_variate(shape: float, rng) -> float:
     """Exact gamma(shape, 1) draw; shape < 1 uses the u^(1/shape) boost internally."""
-    if not (isinstance(shape, (int, float)) and math.isfinite(shape) and shape > 0.0):
-        raise DomainError("shape must be a positive real")
+    shape = _positive_real(shape, "shape")
     gen = as_generator(rng)
     value = float(gen.standard_gamma(shape))
     while value == 0.0:  # guard against underflow at tiny shapes
@@ -259,7 +318,11 @@ def weight_as_lebesgue(series: WeightedAtomSeries) -> WeightedAtomSeries:
     The log weight is the total mass: e^{total mass} tilts the gamma law to
     the flat one.
     """
-    return replace(series, log_weight=float(series.total_mass))
+    # Only log_weight is new and no check reads it, so the checked fields
+    # are shared, not validated again.
+    if not isinstance(series, WeightedAtomSeries):
+        raise DomainError("series must be a WeightedAtomSeries")
+    return _unchecked(WeightedAtomSeries, **{**vars(series), "log_weight": float(series.total_mass)})
 
 
 def apply_multiplicator(a: StepFunction, series: WeightedAtomSeries) -> WeightedAtomSeries:
@@ -343,10 +406,18 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     return masses, tails
 
 
-def gamma_batch(theta: float, eps: float, rows: int, gen):
-    """Batch of unnormalized draws as (normalized masses, locations, totals, tails)."""
+def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):
+    """Batch of unnormalized draws as (normalized masses, locations, totals, tails).
+
+    With ``locations=False`` the location slot is None: the generator skips
+    the uniforms instead of drawing them, so every later draw is the same.
+    """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
-    locations = gen.random(masses.shape)
+    if locations:
+        locs = gen.random(masses.shape)
+    else:
+        locs = None
+        _skip_uniforms(gen, masses.size)
     totals = gen.standard_gamma(theta, rows)
     totals = np.where(totals == 0.0, np.finfo(float).tiny, totals)
-    return masses, locations, totals, tails
+    return masses, locs, totals, tails

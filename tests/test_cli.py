@@ -315,6 +315,15 @@ _ESTIMATOR_BODY_SHA256 = [
      "0ce4f4e440bf3d64dfaeeae625b38981b54f67733430c18220fbc5b37fcb351d"),
     (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
      "f37292522511b849407c268c0c67a49bb6dfe3675713eca16633b858ade1fe20"),
+    # Kernels that skip their unread location uniforms, frozen while they
+    # still drew them: a chunk boundary inside one stream, two streams, and
+    # the box kernel, which draws its marks after the skipped block.
+    (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1", "--samples", "33000"),
+     "66746af4e7dbb17f86f9716b2ad5e2c452745dd9c5a7e19b99f5d89f2e3a8630"),
+    (("laplace", "--theta", "2", "--f", _F["constant"], "--streams", "2"),
+     "cdc142565bad764cb79d3dd5ed46a944ef12401f05a8151c7df6813e39f0603b"),
+    (("partition-sums", "--weights", "0.5,1.5", "--b", "1", "--samples", "33000"),
+     "0fdb87413f8da22187e6bbfe0e175aa499215070bcfe46f81c5117a43a323759"),
 ]
 
 

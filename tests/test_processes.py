@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, gammainc
 from scipy.stats import ks_2samp, kstest, pearsonr
@@ -29,9 +29,16 @@ from conicpd import (
     stick_break,
     weight_as_lebesgue,
 )
+from conicpd import processes
 from conicpd.errors import DomainError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
-from conicpd.processes import gamma_batch, sample_gamma_variate, stick_masses_batch
+from conicpd.laplace import log_mean, mc_laplace
+from conicpd.processes import (
+    _skip_uniforms,
+    gamma_batch,
+    sample_gamma_variate,
+    stick_masses_batch,
+)
 from conicpd.stepfn import StepFunction
 
 EPS = 1e-10
@@ -599,3 +606,156 @@ def test_valid_gem_draws_construct_unchanged(sticks):
     y = np.array(sticks)
     draw = GemDraw(sticks=y, residual=float(np.prod(1.0 - y)))
     assert np.array_equal(draw.sticks, y)
+
+
+# ---------------------------------------------------------------------------
+# Skipped uniforms: the generator ends where drawing them would leave it
+
+
+def _generator(bit_generator, seed):
+    return np.random.Generator(bit_generator(seed))
+
+
+def _position(gen):
+    """Everything of the bit generator's state that later draws can read."""
+    state = gen.bit_generator.state
+    if state["bit_generator"] != "Philox":
+        return repr(state)
+    # Buffered outputs before buffer_pos are spent; advance() zeroes them.
+    pos = state["buffer_pos"]
+    return (repr(state["state"]), pos, state["has_uint32"], state["uinteger"],
+            state["buffer"][pos:].tolist())
+
+
+def _next_draws(gen):
+    return (gen.random(5), gen.standard_gamma(0.7, 5), gen.standard_normal(5))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), prior=st.integers(0, 9), half=st.booleans(),
+       n=st.one_of(st.integers(0, 9), st.integers(0, 10**5)))
+def test_skipping_uniforms_matches_drawing_them(bit_generator, seed, prior, half, n):
+    drawn, skipped = _generator(bit_generator, seed), _generator(bit_generator, seed)
+    for gen in (drawn, skipped):
+        gen.random(prior)
+        if half:  # leaves half of a 32-bit pair buffered, which advance() would drop
+            gen.integers(0, 7, dtype=np.uint32)
+    drawn.random(n)
+    _skip_uniforms(skipped, n)
+    assert _position(skipped) == _position(drawn)
+    for a, b in zip(_next_draws(skipped), _next_draws(drawn)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("theta, rows", [(0.3, 1), (1.0, 7), (2.5, 513), (16.0, 64)])
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_gamma_batch_without_locations_skips_them_exactly(theta, rows, offset):
+    full, lean = RngStream(23).generator(), RngStream(23).generator()
+    full.random(offset)
+    lean.random(offset)
+    masses, locations, totals, tails = gamma_batch(theta, EPS, rows, full)
+    lean_masses, none, lean_totals, lean_tails = gamma_batch(theta, EPS, rows, lean,
+                                                             locations=False)
+    assert none is None and locations.shape == masses.shape
+    assert np.array_equal(lean_masses, masses)
+    assert np.array_equal(lean_totals, totals)
+    assert np.array_equal(lean_tails, tails)
+    assert _position(lean) == _position(full)
+    for a, b in zip(_next_draws(lean), _next_draws(full)):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Checked values are not checked again
+
+
+def test_lebesgue_copy_shares_the_checked_series(monkeypatch):
+    series = sample_gamma_process(0.9, EPS, RngStream(12).generator())
+
+    def refuse(_self):
+        raise AssertionError("a checked series was validated again")
+
+    monkeypatch.setattr(WeightedAtomSeries, "__post_init__", refuse)
+    weighted = weight_as_lebesgue(series)
+    assert isinstance(weighted, WeightedAtomSeries)
+    assert weighted.masses is series.masses and weighted.locations is series.locations
+    assert (weighted.total_mass, weighted.tail_bound, weighted.normalized) == (
+        series.total_mass, series.tail_bound, series.normalized)
+    assert weighted.log_weight == series.total_mass and series.log_weight == 0.0
+    with pytest.raises(DomainError):
+        weight_as_lebesgue(series_record(series, 0.9, EPS, RngStream(12)))
+
+
+def test_sample_gem_forms_its_residual_once_and_checks_its_sticks(monkeypatch):
+    gen = RngStream(13).generator()
+    for theta in (0.4, 1.0, 7.0):
+        draw = sample_gem(theta, EPS, gen)
+        assert draw.residual == float(np.prod(1.0 - draw.sticks))
+        assert draw.sticks.dtype == float and draw.sticks.ndim == 1
+    # u = 0 gives a zero stick at theta != 1; the draw must still be refused.
+    monkeypatch.setattr(processes, "_stick_rows", lambda *args: (np.array([[0.5, 0.0]]), None, None))
+    with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
+        sample_gem(2.0, EPS, gen)
+
+
+# ---------------------------------------------------------------------------
+# Domain of theta and eps: bool is refused, numpy scalars are numbers
+
+_FLAT = StepFunction(np.array([0.0, 0.4, 1.0]), np.array([1.5, 0.9]))
+_NOT_POSITIVE_REAL = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, True, False, np.bool_(True),
+                     np.float32("nan"), np.float64("inf"), np.int64(0), "2", None, 10**400]),
+    st.floats(max_value=0.0), st.integers(max_value=0))
+_NOT_EPS = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, 1.0, True, False, np.float32(1.0), "0.1", None]),
+    st.floats(min_value=1.0), st.floats(max_value=0.0))
+
+
+def _theta_calls(theta, eps):
+    gen = RngStream(3).generator()
+    return [lambda: sample_gem(theta, eps, gen),
+            lambda: sample_gamma_process(theta, eps, gen),
+            lambda: stick_masses_batch(theta, eps, 4, gen),
+            lambda: gamma_batch(theta, eps, 4, gen),
+            lambda: mc_laplace(theta, _FLAT, 8, RngStream(3), eps=eps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=_NOT_POSITIVE_REAL)
+def test_samplers_refuse_out_of_domain_theta(theta):
+    calls = _theta_calls(theta, EPS) + [lambda: sample_gamma_variate(theta, RngStream(3)),
+                                        lambda: log_mean(_FLAT, theta)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(min_value=0.01, max_value=50.0), eps=_NOT_EPS)
+def test_samplers_refuse_out_of_domain_eps(theta, eps):
+    for call in _theta_calls(theta, eps):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_bool_theta_is_refused_where_it_used_to_pass_as_one():
+    with pytest.raises(DomainError, match="theta must be a positive real"):
+        sample_gem(True, 1e-10, RngStream(1))
+    with pytest.raises(DomainError, match="shape must be a positive real"):
+        sample_gamma_variate(True, RngStream(1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(min_value=0.01, max_value=50.0), eps=st.floats(min_value=1e-8, max_value=0.5),
+       kind=st.sampled_from([np.float64, np.float32, np.int64, np.uint8]))
+def test_numpy_scalars_draw_like_the_equal_float(theta, eps, kind):
+    value = kind(max(1, round(theta)) if np.issubdtype(kind, np.integer) else theta)
+    small = np.float32(eps)
+    pairs = [(lambda t, e, s: sample_gem(t, e, RngStream(s)).sticks),
+             (lambda t, e, s: sample_gamma_process(t, e, RngStream(s)).masses),
+             (lambda t, e, s: sample_gamma_variate(t, RngStream(s))),
+             (lambda t, e, s: gamma_batch(t, e, 3, RngStream(s).generator())[0])]
+    for seed, draw in enumerate(pairs):
+        assert np.array_equal(draw(value, small, seed), draw(float(value), float(small), seed))
+    assert log_mean(_FLAT, value) == log_mean(_FLAT, float(value))
