@@ -16,86 +16,42 @@ The package has three layers:
 
 __version__ = "0.2.3"
 
-from .densities import (
-    PartitionSpec,
-    box_mass_L,
-    dirichlet_log_density,
-    gamma_log_density,
-    lebesgue_log_density,
-    lemma1_pointwise_check,
-    semigroup_convolution_check,
-)
-from .errors import DomainError, InfiniteVarianceError, NumericalError, SingularityError
-from .estimation import EstimatorResult, pooled_mean
-from .gaussian import (
-    SphereConfig,
-    charfun_gap_rows,
-    gaussian_charfun,
-    mp_convergence_table,
-    sphere_charfun_mc,
-    sphere_charfun_quad,
-)
-from .laplace import (
-    analytic_laplace,
-    functional_distribution_check,
-    log_mean,
-    mc_laplace,
-    phi,
-    quasi_invariance_check,
-    weighted_box_mass,
-)
-from .mellin import (
-    ContourRows,
-    DivergenceTable,
-    F_contour,
-    F_direct,
-    LimitStudy,
-    L_limit_study,
-    RadiusSchedule,
-    SaddleSolution,
-    divergence_experiment,
-    find_L_zero,
-    log_F_contour,
-    log_F_contour_rows,
-    solve_saddle,
-)
-from .processes import (
-    GemDraw,
-    RngStream,
-    WeightedAtomSeries,
-    apply_multiplicator,
-    partition_sums,
-    sample_dirichlet_process,
-    sample_gamma_process,
-    sample_gem,
-    series_from_record,
-    series_record,
-    sort_decreasing,
-    stick_break,
-    weight_as_lebesgue,
-)
-from .special import bessel_j, bessel_k0, digamma, log_beta, log_gamma, trigamma
-from .stepfn import StepFunction
+import importlib
 
-__all__ = [
-    "__version__",
-    "DomainError", "SingularityError", "InfiniteVarianceError", "NumericalError",
-    "StepFunction",
-    "log_gamma", "log_beta", "digamma", "trigamma", "bessel_j", "bessel_k0",
-    "PartitionSpec", "dirichlet_log_density", "lebesgue_log_density",
-    "gamma_log_density", "box_mass_L", "lemma1_pointwise_check",
-    "semigroup_convolution_check",
-    "RngStream", "GemDraw", "WeightedAtomSeries", "sample_gem", "stick_break",
-    "sort_decreasing", "sample_dirichlet_process", "sample_gamma_process",
-    "weight_as_lebesgue", "apply_multiplicator", "partition_sums",
-    "series_record", "series_from_record",
-    "EstimatorResult", "pooled_mean",
-    "log_mean", "phi", "analytic_laplace", "mc_laplace",
-    "quasi_invariance_check", "functional_distribution_check", "weighted_box_mass",
-    "SaddleSolution", "solve_saddle", "ContourRows", "log_F_contour_rows",
-    "log_F_contour", "F_contour", "F_direct",
-    "LimitStudy", "L_limit_study", "find_L_zero", "RadiusSchedule",
-    "DivergenceTable", "divergence_experiment",
-    "SphereConfig", "gaussian_charfun", "sphere_charfun_quad", "sphere_charfun_mc",
-    "mp_convergence_table", "charfun_gap_rows",
-]
+# Public name -> defining module.  A module is imported when one of its names
+# is first looked up (PEP 562), so ``import conicpd.cli`` and the samplers do
+# not load scipy; the value is then cached in this namespace.
+_EXPORTS = {name: module for module, names in (
+    ("errors", "DomainError SingularityError InfiniteVarianceError NumericalError"),
+    ("stepfn", "StepFunction"),
+    ("special", "log_gamma log_beta digamma trigamma bessel_j bessel_k0"),
+    ("densities", "PartitionSpec dirichlet_log_density lebesgue_log_density "
+                  "gamma_log_density box_mass_L lemma1_pointwise_check "
+                  "semigroup_convolution_check"),
+    ("processes", "RngStream GemDraw WeightedAtomSeries sample_gem stick_break "
+                  "sort_decreasing sample_dirichlet_process sample_gamma_process "
+                  "weight_as_lebesgue apply_multiplicator partition_sums "
+                  "series_record series_from_record"),
+    ("estimation", "EstimatorResult pooled_mean"),
+    ("laplace", "log_mean phi analytic_laplace mc_laplace quasi_invariance_check "
+                "functional_distribution_check weighted_box_mass"),
+    ("mellin", "SaddleSolution solve_saddle ContourRows log_F_contour_rows "
+               "log_F_contour F_contour F_direct LimitStudy L_limit_study "
+               "find_L_zero RadiusSchedule DivergenceTable divergence_experiment"),
+    ("gaussian", "SphereConfig gaussian_charfun sphere_charfun_quad "
+                 "sphere_charfun_mc mp_convergence_table charfun_gap_rows"),
+) for name in names.split()}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

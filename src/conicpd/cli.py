@@ -22,18 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Modules with functions that call scipy are imported by the runners that use
+# them, so `sample`, `laplace` and `invariance` start without scipy.
 from . import __version__
-from .densities import PartitionSpec, box_mass_L
 from .errors import DomainError, InfiniteVarianceError, NumericalError
 from .estimation import CHUNK_ROWS, stream_counts
-from .gaussian import charfun_gap_rows
-from .laplace import (
-    analytic_laplace,
-    mc_laplace,
-    quasi_invariance_check,
-    weighted_box_mass,
-)
-from .mellin import L_limit_study, RadiusSchedule, divergence_experiment, solve_saddle
 from .processes import (
     RngStream,
     sample_dirichlet_process,
@@ -94,10 +87,9 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 
 def _parse_int_list(text: str, name: str) -> list[int]:
     vals = _parse_float_list(text, name)
-    out = [int(v) for v in vals]
-    if any(o != v for o, v in zip(out, vals)):
+    if not all(v.is_integer() for v in vals):   # False for inf and nan too
         raise DomainError(f"{name} must contain integers")
-    return out
+    return [int(v) for v in vals]
 
 
 class Flag(NamedTuple):
@@ -319,6 +311,7 @@ def _run_sample(cfg):
 
 
 def _run_laplace(cfg):
+    from .laplace import analytic_laplace, mc_laplace
     if not cfg["f"]:
         raise DomainError("laplace needs --f (or f= in the config file)")
     f = parse_step_function(cfg["f"])
@@ -342,6 +335,7 @@ def _random_invariance_pair(gen):
 
 
 def _run_invariance(cfg):
+    from .laplace import quasi_invariance_check
     explicit = bool(cfg["a"]) or bool(cfg["f"])
     if explicit and not (cfg["a"] and cfg["f"]):
         raise DomainError("invariance needs both --a and --f when either is given")
@@ -373,6 +367,8 @@ def _run_invariance(cfg):
 
 
 def _run_partition_sums(cfg):
+    from .densities import PartitionSpec, box_mass_L
+    from .laplace import weighted_box_mass
     if not cfg["weights"]:
         raise DomainError("partition-sums needs --weights")
     spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))
@@ -394,6 +390,7 @@ _MELLIN_COLS = ["n", "lambda", "r", "gamma", "L", "lnFn_over_n", "gap"]
 
 
 def _run_mellin(cfg):
+    from .mellin import L_limit_study
     study = L_limit_study(cfg["lam"], n_max=cfg["nmax"], n_min=cfg["nmin"])
     cfg["extrapolated_limit"] = study.extrapolated_limit
     cfg["extrapolated_gap"] = study.extrapolated_gap
@@ -402,6 +399,7 @@ def _run_mellin(cfg):
 
 
 def _run_saddle(cfg):
+    from .mellin import solve_saddle
     sol = solve_saddle(cfg["lam"])
     record = {"lambda": sol.lam, "gamma": sol.gamma, "L": sol.L_value,
               "curvature": sol.curvature, "ratio_form": sol.ratio_form}
@@ -409,6 +407,7 @@ def _run_saddle(cfg):
 
 
 def _run_mp_demo(cfg):
+    from .gaussian import charfun_gap_rows
     dims = _parse_int_list(cfg["n"], "n")
     if cfg["spoints"] < 2 or cfg["smax"] <= 0.0:
         raise DomainError("need smax > 0 and at least two s points")
@@ -420,6 +419,7 @@ def _run_mp_demo(cfg):
 
 
 def _run_divergence(cfg):
+    from .mellin import RadiusSchedule, divergence_experiment
     schedule = RadiusSchedule(kind=cfg["schedule"], scale=cfg["scale"])
     table = divergence_experiment(cfg["lam"], schedule,
                                   np.arange(cfg["nmin"], cfg["nmax"] + 1))
@@ -427,6 +427,7 @@ def _run_divergence(cfg):
 
 
 def _run_box_mass(cfg):
+    from .densities import PartitionSpec, box_mass_L
     if not cfg["weights"]:
         raise DomainError("box-mass needs --weights")
     spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))

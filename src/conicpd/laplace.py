@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean
@@ -133,6 +132,8 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     most t / min f on the event), so the estimator has finite variance for any
     positive step function.
     """
+    from scipy.special import gammaln   # the only scipy use here; keeps it off the CLI start-up
+
     theta = _positive_real(theta, "theta")
     b = _positive_real(b, "window bound b")
     if t_grid is None:

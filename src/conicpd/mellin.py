@@ -450,6 +450,8 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
     if ns is None:
         ns = np.arange(2, 41)
     ns = np.asarray(ns, dtype=int)
+    if ns.ndim != 1 or ns.size == 0:
+        raise DomainError("ns must be a non-empty list of positive integers")
     if np.any(ns < 1):
         raise DomainError("table indices must be positive")
     radii = np.array([schedule.radius(int(n)) for n in ns])

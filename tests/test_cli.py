@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
@@ -66,6 +68,63 @@ def test_parse_step_function_other_errors():
         parse_step_function("2@0:0.5")
     with pytest.raises(DomainError, match="empty"):
         parse_step_function("   ")
+
+
+# A tiling of [0, 1) by 1-12 pieces: its inner breakpoints, its values and
+# the order its segments are written in.
+_TILINGS = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    max_size=11, unique=True,
+).map(lambda inner: [0.0, *sorted(inner), 1.0]).flatmap(lambda edges: st.tuples(
+    st.just(edges),
+    st.lists(st.floats(min_value=1e-6, max_value=1e6),
+             min_size=len(edges) - 1, max_size=len(edges) - 1),
+    st.permutations(range(len(edges) - 1)),
+))
+
+
+def _segments(edges, values):
+    return [f"{v!r}@{lo!r}:{hi!r}" for v, lo, hi in zip(values, edges[:-1], edges[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TILINGS)
+def test_parse_step_function_round_trips_any_tiling(tiling):
+    edges, values, order = tiling
+    segments = _segments(edges, values)
+    f = parse_step_function(",".join(segments[i] for i in order))
+    assert f.breakpoints.tolist() == edges
+    assert f.values.tolist() == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TILINGS, st.sampled_from(["gap", "overlap", "right end"]), st.data())
+def test_parse_step_function_names_the_segment_that_breaks_a_tiling(tiling, fault, data):
+    edges, values, order = tiling
+    pieces = len(values)
+    if fault == "overlap":   # piece i starts inside the piece before it
+        assume(pieces >= 2)
+        i = data.draw(st.integers(1, pieces - 1))
+        lo, hi = (edges[i - 1] + edges[i]) / 2, edges[i + 1]
+        assume(edges[i - 1] < lo < edges[i])
+    elif fault == "gap":     # piece i starts after the piece before it ends
+        i = data.draw(st.integers(0, pieces - 1))
+        lo, hi = (edges[i] + edges[i + 1]) / 2, edges[i + 1]
+        assume(edges[i] < lo < hi)
+    else:                    # the last piece stops short of 1
+        i = pieces - 1
+        lo, hi = edges[i], (edges[i] + 1.0) / 2
+        assume(lo < hi < 1.0)
+    segments = _segments(edges, values)
+    segments[i] = f"{values[i]!r}@{lo!r}:{hi!r}"
+    text = ",".join(segments[j] for j in order)
+    if fault == "right end":
+        expected = "do not reach the right endpoint 1"
+    else:
+        kind = "overlaps" if fault == "overlap" else "leaves a gap before"
+        expected = f"'{segments[i]}' {kind} position"
+    with pytest.raises(DomainError, match=re.escape(expected)):
+        parse_step_function(text)
 
 
 # ------------------------------------------------------------ exit behaviour
@@ -244,6 +303,20 @@ def test_mp_demo_rejects_negative_samples_and_non_finite_s(capsys):
         assert code == 2 and out == "" and "invalid configuration" in err, argv
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400", "3,inf"])
+def test_mp_demo_refuses_non_finite_dimensions(capsys, tmp_path, source, value):
+    # int() of a non-finite float raised OverflowError or ValueError (exit 1).
+    if source == "flag":
+        argv = ["mp-demo", "--n", value]
+    else:
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"n = {value}\n")
+        argv = ["mp-demo", "--config", str(cfg)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "n must contain integers" in err
+
+
 def test_mp_demo_refuses_normals_over_the_cell_budget(capsys, monkeypatch):
     # rows x n normals per chunk are bounded by the sampler's cell budget;
     # a small budget shows the refusal without a large allocation.
@@ -351,6 +424,12 @@ def test_divergence_subcommand(capsys):
     radii = [float(line.split(",")[2]) for line in lines[2:]]
     assert radii == pytest.approx([np.sqrt(2), np.sqrt(3), 2.0], rel=1e-12)
     assert run_cli(capsys, ["divergence", "--schedule", "spiral"])[0] == 2
+
+
+def test_divergence_refuses_an_empty_range(capsys):
+    # nmin > nmax used to print the meta line, the header and no rows.
+    code, out, err = run_cli(capsys, ["divergence", "--nmin", "5", "--nmax", "2"])
+    assert code == 2 and out == "" and "non-empty" in err
 
 
 def test_fmt_prints_numpy_scalars_as_python_numbers():
@@ -701,19 +780,61 @@ def check_console_script(path, env=None):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """Importing the CLI and building its parser must not pull in scipy.stats
-    or scipy.integrate.
+    """Importing the CLI and building its parser must not pull in scipy.stats,
+    scipy.integrate or scipy.special.
 
     scipy.stats alone takes about half a second to import, as long as the
     rest of the start-up together; scipy.integrate adds about a quarter
-    second, and only the semigroup convolution check needs it.
+    second, and only the semigroup convolution check needs it.  scipy.special
+    takes about a third of a second, and only the subcommands that compute
+    special functions import the modules that use it.
     """
     code = ("import sys, conicpd.cli; conicpd.cli.build_parser(); "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Run in one fresh interpreter: the scipy-free subcommands first, then every
+# subcommand whose runner imports a module that calls scipy.
+_COLD_START = """
+import contextlib, io, json, sys
+from conicpd.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+codes = {
+    "sample": run("sample", "--samples", "2", "--process", "lebesgue"),
+    "laplace": run("laplace", "--f", "2@0:0.5,1.5@0.5:1", "--samples", "500"),
+    "invariance": run("invariance", "--pairs", "1", "--samples", "500"),
+}
+scipy_free = "scipy.special" not in sys.modules
+codes.update({
+    "saddle": run("saddle"),
+    "partition-sums": run("partition-sums", "--weights", "1,1", "--samples", "500"),
+    "mp-demo": run("mp-demo", "--n", "3", "--spoints", "3"),
+    "box-mass": run("box-mass", "--weights", "1,1"),
+    "mellin": run("mellin", "--nmax", "4"),
+    "divergence": run("divergence", "--nmax", "4"),
+})
+print(json.dumps({"scipy_free": scipy_free, "codes": codes}))
+"""
+
+
+def test_scipy_free_subcommands_run_without_scipy_and_the_rest_load_it():
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["scipy_free"], "sample, laplace or invariance loaded scipy.special"
+    assert set(result["codes"]) == set(_SPECS)
+    assert all(code == 0 for code in result["codes"].values()), result["codes"]
 
 
 def test_console_script_installed(tmp_path):

@@ -295,6 +295,13 @@ def test_radius_schedule_validation():
         divergence_experiment(1.0, RadiusSchedule("constant"), ns=np.array([0, 2]))
 
 
+@pytest.mark.parametrize("ns", [np.arange(5, 3), []])
+def test_divergence_experiment_refuses_an_empty_table(ns):
+    # an empty range used to return a table with no rows
+    with pytest.raises(DomainError, match="non-empty"):
+        divergence_experiment(1.0, RadiusSchedule("constant"), ns=ns)
+
+
 # ------------------------------------------------- batched trapezoid contour
 
 def mp_log_F(n, lam, gamma):
