@@ -14,7 +14,7 @@ The package has three layers:
   (:mod:`~conicpd.mellin`, :mod:`~conicpd.gaussian`).
 """
 
-__version__ = "0.2.3"
+__version__ = "0.3.0"
 
 import importlib
 
@@ -24,7 +24,6 @@ import importlib
 _EXPORTS = {name: module for module, names in (
     ("errors", "DomainError SingularityError InfiniteVarianceError NumericalError"),
     ("stepfn", "StepFunction"),
-    ("special", "log_gamma log_beta digamma trigamma bessel_j bessel_k0"),
     ("densities", "PartitionSpec dirichlet_log_density lebesgue_log_density "
                   "gamma_log_density box_mass_L lemma1_pointwise_check "
                   "semigroup_convolution_check"),

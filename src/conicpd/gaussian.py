@@ -66,6 +66,13 @@ def _sphere_normals(gen, rows: int, n: int) -> np.ndarray:
     return gen.standard_normal((rows, n))
 
 
+# Windows of z in which scipy 1.17's hyp0f1(b, z) is off by more than 2e-15,
+# by order b: at b = 21.5 (n = 43) by up to 1.3e-12 on [-43.4, -26.3], with
+# a margin here.  There the value is formed from the contiguous relation
+# F(b) = F(b+1) + z F(b+2) / (b (b+1)), within 5e-16 of mpmath on [-50, -20].
+_HYP0F1_DETOURS = {21.5: (-43.5, -26.2)}
+
+
 # Debye's polynomials u_k(p) = p^k poly(p^2) / denominator, k = 1..6 (DLMF 10.41.10).
 _DEBYE = (
     ((3, -5), 24),
@@ -122,6 +129,12 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm):
     rest = -z >= 1e-4 * b
     if cfg.n < 230:
         value[rest] = special.hyp0f1(b, z[rest])
+        if b in _HYP0F1_DETOURS:
+            lo, hi = _HYP0F1_DETOURS[b]
+            window = (z >= lo) & (z <= hi)
+            zw = z[window]
+            value[window] = (special.hyp0f1(b + 1.0, zw)
+                             + zw * special.hyp0f1(b + 2.0, zw) / (b * (b + 1.0)))
     else:
         value[rest] = _hyp0f1_large_order(b - 1.0, x[rest])
     return value.item() if s.ndim == 0 else value

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean
-from .processes import RngStream, _positive_real, gamma_batch
+from .processes import RngStream, _by_rows, _positive_real, gamma_batch
 from .stepfn import StepFunction
 
 TRUNCATION_EPS = 1e-10
@@ -66,14 +66,21 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     def kernel(gen, rows):
         masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen,
                                                         locations=not constant)
-        # A constant f skips the lookup; the products are the same floats.
-        # They are formed in place: the operands die here, and a fresh
-        # matrix per chunk costs page faults.
-        if constant:
-            weighted = np.multiply(masses, f.values[0], out=masses)
-        else:
-            weighted = np.multiply(masses, f(locations), out=locations)
-        return np.exp(totals * (1.0 - weighted.sum(axis=1)))
+        pairing = np.empty(rows)
+
+        def integrand(lo, hi, _u):
+            # A constant f skips the lookup; the products are the same floats.
+            # They are formed in place: the operands die here, and a fresh
+            # matrix per chunk costs page faults.
+            if constant:
+                weighted = np.multiply(masses[lo:hi], f.values[0], out=masses[lo:hi])
+            else:
+                weighted = np.multiply(masses[lo:hi], f(locations[lo:hi]),
+                                       out=locations[lo:hi])
+            weighted.sum(axis=1, out=pairing[lo:hi])
+
+        _by_rows(rows, masses.shape[1], integrand)
+        return np.exp(totals * (1.0 - pairing))
 
     (result,) = pooled_mean(n_samples, rng, streams, kernel)
     return result
@@ -144,7 +151,14 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
 
     def kernel(gen, rows):
         masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen)
-        pairing = totals * np.multiply(masses, f(locations), out=locations).sum(axis=1)
+        pairing = np.empty(rows)
+
+        def integrand(lo, hi, _u):
+            np.multiply(masses[lo:hi], f(locations[lo:hi]),
+                        out=locations[lo:hi]).sum(axis=1, out=pairing[lo:hi])
+
+        _by_rows(rows, masses.shape[1], integrand)
+        pairing *= totals
         return np.where(pairing[:, None] <= t_grid[None, :],
                         np.exp(totals)[:, None], 0.0)
 
@@ -175,12 +189,18 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
     def kernel(gen, rows):
         masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen,
                                                          locations=False)
-        marks = spec.marks(gen.random(masses.shape))
-        scaled = np.multiply(masses, totals[:, None], out=masses)
         largest_part = np.zeros(rows)
-        for i in range(spec.n):
-            part = np.where(marks == i, scaled, 0.0).sum(axis=1)
-            largest_part = np.maximum(largest_part, part)
+
+        def part_sums(lo, hi, u):
+            marks = spec.marks(u)
+            scaled = np.multiply(masses[lo:hi], totals[lo:hi, None], out=masses[lo:hi])
+            largest = largest_part[lo:hi]
+            for i in range(spec.n):
+                part = np.where(marks == i, scaled, 0.0).sum(axis=1)
+                np.maximum(largest, part, out=largest)
+
+        # The marks' uniforms are drawn row block by row block with the pass.
+        _by_rows(rows, masses.shape[1], part_sums, gen)
         inside = largest_part[:, None] <= b_arr[None, :]
         return np.where(inside, np.exp(totals)[:, None], 0.0)
 

@@ -13,12 +13,21 @@ the Monte Carlo error.  Scalar and batch draws share one recursion,
 ``_stick_rows``, which sizes its stick matrix from the Poisson law of the
 stick count and refuses, with ``DomainError``, a first block larger than a
 fixed cell budget.
+
+Threads: the full-matrix passes of a batch (the first stick block, the
+masses, the location uniforms, and the estimators' integrands) run on
+contiguous row blocks, two per usable CPU, through ``_by_rows``.  Each block
+that draws uniforms draws them from its own copy of the Philox stream, moved
+to the block's first cell, so the output bytes do not depend on the CPU
+count or on thread scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +154,14 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _stick_block(gen, theta, count):
+def _stick_block(u, theta):
     # Negated inverse CDF of Beta(1, theta): -y = (1 - u)^(1/theta) - 1, via
     # expm1 so that large theta (sticks near zero) keeps full precision; at
     # theta = 1 it is u - 1.  The shift makes u positive under the log and the
     # clamp keeps log1p(-y) finite when expm1 saturates at tiny u.  Negation
     # and subtraction are exact under a sign flip, so -y carries the bits of
-    # y.  Every step writes into the buffer the generator returned.
-    neg = gen.random(count)
+    # y.  Every step writes into the uniforms' buffer.
+    neg = u
     if theta != 1.0:
         np.subtract(1.0, neg, out=neg)
         np.log(neg, out=neg)
@@ -196,6 +205,113 @@ def _skip_uniforms(gen, n):
 _CELL_BUDGET = 1 << 26
 
 
+# A pass over fewer cells than this runs as one block: below it, handing
+# blocks to another thread costs more than it saves.
+_SPLIT_CELLS = 1 << 17
+# Threads that run a split pass, the caller included: one per CPU this
+# process may run on.  Each takes row blocks off a shared list until none is
+# left, two blocks per thread, so a thread that starts late or runs on a busy
+# CPU leaves its second block to one that is free.
+_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+# Per calling thread, one Philox generator for each thread of a split pass;
+# moving it to a block's first cell is cheaper than making a new one.
+_spares = threading.local()
+
+
+def _row_pool():
+    """Threads beside the caller for the row blocks, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(_WIDTH - 1, 1), thread_name_prefix="conicpd-rows")
+        return _pool
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# A forked child has none of the pool's threads, and blocks handed to the
+# parent's pool would never run there: it starts a pool of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(rows, cols, work=None, gen=None):
+    """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
+
+    With ``gen``, the pass also draws a (rows, cols) matrix of uniforms in
+    row-major order and returns it; ``u`` is the block's rows of it, else
+    None.  ``work`` may write only rows lo..hi of its outputs, and must call
+    no public conicpd function, so that blocks may run at once: on the
+    caller's thread and on the pool's.  Each block draws from a copy of
+    ``gen`` moved to the block's first cell, and ``gen`` ends where one
+    serial draw would have left it, so the results are the same bytes
+    whichever thread runs which block, and for any block count.
+
+    One block serves the whole pass below ``_SPLIT_CELLS`` cells, on one CPU,
+    and for a generator that cannot be copied and moved so: anything but a
+    numpy Generator on Philox, or a Philox holding half of a 32-bit pair.
+    That block draws with ``gen.random(count)``.
+    """
+    threads = min(_WIDTH, rows) if rows * cols >= _SPLIT_CELLS else 1
+    if threads > 1 and gen is not None:
+        bitgen = getattr(gen, "bit_generator", None)
+        if isinstance(gen, np.random.Generator) and isinstance(bitgen, np.random.Philox):
+            state = bitgen.state
+            if state["has_uint32"]:
+                threads = 1
+        else:
+            threads = 1
+    if threads == 1:
+        u = None if gen is None else gen.random(rows * cols).reshape(rows, cols)
+        if work is not None:
+            work(0, rows, u)
+        return u
+
+    blocks = min(2 * threads, rows)
+    bounds = [rows * b // blocks for b in range(blocks + 1)]
+    u = None if gen is None else np.empty((rows, cols))
+    spares = getattr(_spares, "gens", [])
+    if len(spares) < threads:
+        spares = _spares.gens = [np.random.Generator(np.random.Philox(0))
+                                 for _ in range(threads)]
+    # next() on a range iterator is one call under the interpreter lock, so
+    # each block is taken by exactly one thread.
+    order = iter(range(blocks))
+
+    def drain(spare):
+        for b in order:
+            lo, hi = bounds[b], bounds[b + 1]
+            part = None
+            if gen is not None:
+                spare.bit_generator.state = state
+                _skip_uniforms(spare, lo * cols)
+                part = u[lo:hi]
+                spare.random(out=part)
+            if work is not None:
+                work(lo, hi, part)
+
+    pool = _row_pool()
+    futures = [pool.submit(drain, spare) for spare in spares[1:threads]]
+    try:
+        drain(spares[0])
+    finally:
+        # Wait for every thread, so none still writes once this returns.
+        errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+    if gen is not None:
+        _skip_uniforms(gen, rows * cols)
+    return u
+
+
 def _stick_rows(theta, eps, rows, gen):
     """Stick fractions of ``rows`` independent draws, each cut where its residual reaches eps.
 
@@ -218,14 +334,22 @@ def _stick_rows(theta, eps, rows, gen):
             f"theta*log(1/eps) = {m:.4g} expected sticks per draw over {rows} rows exceeds the "
             f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
             "--samples per stream to lower the rows")
-    y = _stick_block(gen, theta, rows * width).reshape(rows, width)
-    run = np.log1p(y)
-    np.negative(y, out=y)
-    np.cumsum(run, axis=1, out=run)
+    run = np.empty((rows, width))
+    cut = np.empty(rows, np.intp)
+
+    def first_block(lo, hi, u):
+        y = _stick_block(u, theta)
+        block_run = np.log1p(y, out=run[lo:hi])
+        np.negative(y, out=y)
+        np.cumsum(block_run, axis=1, out=block_run)
+        np.argmax(block_run <= log_eps, axis=1, out=cut[lo:hi])
+
+    y = _by_rows(rows, width, first_block, gen)
     grow = np.flatnonzero(run[:, -1] > log_eps)
+    grown = grow
     while grow.size:
         add = y.shape[1] // 2
-        ext = _stick_block(gen, theta, grow.size * add).reshape(grow.size, add)
+        ext = _stick_block(gen.random(grow.size * add), theta).reshape(grow.size, add)
         ext_run = np.log1p(ext)
         np.negative(ext, out=ext)
         y = np.pad(y, ((0, 0), (0, add)))
@@ -233,7 +357,10 @@ def _stick_rows(theta, eps, rows, gen):
         y[grow, -add:] = ext
         run[grow, -add:] += np.cumsum(ext_run, axis=1)
         grow = grow[run[grow, -1] > log_eps]
-    cut = np.argmax(run <= log_eps, axis=1)
+    # A row still open after the first block has no cut there; it is found
+    # once the extension rounds close the row.
+    if grown.size:
+        cut[grown] = np.argmax(run[grown] <= log_eps, axis=1)
     keep = int(cut.max()) + 1
     return y[:, :keep], run[:, :keep], cut
 
@@ -397,12 +524,17 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     # Built in place, so the peak is the two matrices plus a boolean mask:
     # the tails are read before run's buffer takes the stick products
     # exp(run_{j-1}), and the masses c_j = y_j * exp(run_{j-1}) overwrite y.
-    y, run, cut = _stick_rows(theta, eps, rows, gen)
+    masses, run, cut = _stick_rows(theta, eps, rows, gen)
     tails = np.exp(run[np.arange(rows), cut])
-    prefix = np.exp(run[:, :-1], out=run[:, :-1])
-    masses = y
-    np.multiply(masses[:, 1:], prefix, out=masses[:, 1:])
-    masses[np.arange(masses.shape[1])[None, :] > cut[:, None]] = 0.0
+    columns = np.arange(masses.shape[1])
+
+    def form_masses(lo, hi, _u):
+        prefix = np.exp(run[lo:hi, :-1], out=run[lo:hi, :-1])
+        block = masses[lo:hi]
+        np.multiply(block[:, 1:], prefix, out=block[:, 1:])
+        block[columns[None, :] > cut[lo:hi, None]] = 0.0
+
+    _by_rows(rows, masses.shape[1], form_masses)
     return masses, tails
 
 
@@ -414,7 +546,7 @@ def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = T
     """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
     if locations:
-        locs = gen.random(masses.shape)
+        locs = _by_rows(rows, masses.shape[1], gen=gen)
     else:
         locs = None
         _skip_uniforms(gen, masses.size)

@@ -173,7 +173,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.2.3"
+    assert meta["version"] == "0.3.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -406,6 +406,18 @@ def test_estimator_output_bytes_are_frozen(capsys, argv, digest):
     code, out, _err = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("argv, digest", _ESTIMATOR_BODY_SHA256)
+def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch, argv, digest,
+                                                            width):
+    # Width 1 is the serial path; three threads with no size floor split
+    # every pass of every chunk into six uneven blocks, whatever the host's
+    # CPU count.
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    test_estimator_output_bytes_are_frozen(capsys, argv, digest)
 
 
 def test_frozen_step_functions_straddle_the_lookup_crossover():
@@ -781,17 +793,19 @@ def check_console_script(path, env=None):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     """Importing the CLI and building its parser must not pull in scipy.stats,
-    scipy.integrate or scipy.special.
+    scipy.integrate, scipy.special or concurrent.futures.
 
     scipy.stats alone takes about half a second to import, as long as the
     rest of the start-up together; scipy.integrate adds about a quarter
     second, and only the semigroup convolution check needs it.  scipy.special
     takes about a third of a second, and only the subcommands that compute
-    special functions import the modules that use it.
+    special functions import the modules that use it.  concurrent.futures
+    (with the logging it loads) takes about 11 ms, some 6% of the start-up;
+    the samplers import it when they first split a pass over row blocks.
     """
     code = ("import sys, conicpd.cli; conicpd.cli.build_parser(); "
-            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special', "
+            "'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -200,6 +200,24 @@ def test_phi_constant_and_product_rule():
         assert phi(a * b, 1.3) == pytest.approx(phi(a, 1.3) * phi(b, 1.3), rel=1e-13)
 
 
+@st.composite
+def _step_functions(draw):
+    cuts = draw(st.lists(st.floats(1e-3, 0.999), max_size=6, unique=True))
+    grid = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+    values = draw(st.lists(st.floats(math.exp(-3.0), math.exp(3.0)),
+                           min_size=grid.size - 1, max_size=grid.size - 1))
+    return StepFunction(grid, np.array(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_step_functions(), f=_step_functions(), theta=st.floats(0.01, 20.0))
+def test_cocycle_identity_holds_for_any_step_functions_and_theta(a, f, theta):
+    # Psi(a f) phi(a) = Psi(f): the multiplicator moves the transform by
+    # exactly its cocycle, on the union of the two grids.
+    assert analytic_laplace(theta, a * f) * phi(a, theta) == pytest.approx(
+        analytic_laplace(theta, f), rel=1e-12)
+
+
 # ------------------------------------------------------------- analytic route
 
 def test_analytic_laplace_constant_is_power_law():
@@ -332,6 +350,20 @@ def test_functional_window_two_level_function():
     rep = functional_distribution_check(theta, f, 1.0, 200_000, RngStream(18))
     assert rep.c_f == pytest.approx(log_mean(f, theta), rel=1e-15)
     assert np.all(np.abs(rep.z_scores) <= 4.0)
+
+
+def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
+    from conicpd import processes
+
+    reports = []
+    for width in (1, 3):
+        monkeypatch.setattr(processes, "_WIDTH", width)
+        monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+        reports.append(functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 5000,
+                                                     RngStream(18)))
+    serial, split = reports
+    assert np.array_equal(serial.estimates, split.estimates)
+    assert np.array_equal(serial.stderrs, split.stderrs)
 
 
 def test_functional_window_validation():

@@ -2,7 +2,11 @@
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
 import hashlib
+import inspect
 import math
+import os
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -528,6 +532,35 @@ def test_pooled_mean_matches_two_pass_on_offset_values():
         assert result.stderr == pytest.approx(stderr, rel=1e-6)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 400), streams=st.integers(1, 4), chunk=st.integers(1, 150),
+       columns=st.integers(1, 3), loc=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**16))
+def test_pooled_merge_equals_the_one_shot_mean_and_variance(n, streams, chunk, columns,
+                                                            loc, scale, seed):
+    # For any fixed chunk policy, merging per-chunk (count, mean, M2) gives the
+    # mean and variance of all values at once, column by column.
+    def kernel(gen, rows):
+        return loc + scale * gen.standard_normal((rows, columns))
+
+    got = pooled_mean(n, RngStream(seed), streams, kernel, columns=columns, chunk=chunk)
+    parts = []
+    for s, rows in enumerate(stream_counts(n, streams)):
+        gen = RngStream(seed).child(s).generator()
+        parts += [kernel(gen, min(chunk, rows - done)) for done in range(0, rows, chunk)]
+    vals = np.concatenate(parts)
+    assert len(got) == columns
+    for col, result in zip(vals.T, got):
+        mean = math.fsum(col) / n
+        assert result.n_samples == n and result.streams == streams
+        assert result.estimate == pytest.approx(mean, rel=1e-12, abs=1e-12 * (abs(loc) + scale))
+        if n == 1:
+            assert result.stderr == 0.0
+        else:
+            stderr = math.sqrt(math.fsum((col - mean) ** 2) / (n - 1) / n)
+            assert result.stderr == pytest.approx(stderr, rel=1e-6)
+
+
 def test_estimator_result_validation():
     with pytest.raises(DomainError):
         EstimatorResult(math.nan, 0.0, 10, 0, 1)
@@ -664,6 +697,202 @@ def test_gamma_batch_without_locations_skips_them_exactly(theta, rows, offset):
     assert _position(lean) == _position(full)
     for a, b in zip(_next_draws(lean), _next_draws(full)):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: a pass split over threads gives the bytes of the serial pass
+
+
+def _split(monkeypatch, width):
+    """Split every pass of two rows or more over ``width`` threads.
+
+    Returns the list of calls handed to the pool, which grows as they are.
+    """
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    pool, handed = processes._row_pool(), []
+
+    class Counting:
+        def submit(self, fn, *args):
+            handed.append(args)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(processes, "_row_pool", Counting)
+    return handed
+
+
+def _serial_and_split(monkeypatch, threads, make_gen, call):
+    """(outputs, generator position, next draws, calls handed off), serially and split."""
+    runs = []
+    for width in (1, threads):
+        handed = _split(monkeypatch, width)
+        gen = make_gen()
+        outputs = call(gen)
+        runs.append((outputs, _position(gen), _next_draws(gen), len(handed)))
+    return runs
+
+
+def _assert_same_run(serial, split):
+    for a, b in zip(serial[0], split[0]):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert serial[1] == split[1]
+    for a, b in zip(serial[2], split[2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("theta, rows, width, seed", [
+    (0.5, 2001, 3, 9),   # odd rows, uneven blocks
+    (1.0, 2, 5, 9),      # fewer rows than threads
+    (2.5, 513, 4, 9),
+    (4.0, 20_000, 2, 4),  # rows that outgrow the first block
+    (8.0, 999, 3, 9),
+])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, width, seed, offset):
+    def make_gen():
+        gen = RngStream(seed).generator()
+        gen.random(offset)  # a Philox block partly spent
+        return gen
+
+    serial, split = _serial_and_split(monkeypatch, width, make_gen,
+                                      lambda gen: gamma_batch(theta, EPS, rows, gen))
+    _assert_same_run(serial, split)
+    assert serial[3] == 0 and split[3] > 0
+    if rows == 20_000 and offset == 0:
+        assert serial[0][0].shape[1] > _first_block(theta, EPS)
+
+
+@pytest.mark.parametrize("kind", ["half pair", "pcg64"])
+def test_generators_that_cannot_be_moved_draw_serially(monkeypatch, kind):
+    # A Philox holding half of a 32-bit pair would lose it to advance(), and
+    # PCG64's copies are not moved by counter: both draw in one block, and
+    # the passes that draw nothing still split.
+    def make_gen():
+        if kind == "pcg64":
+            return np.random.Generator(np.random.PCG64(17))
+        gen = RngStream(17).generator()
+        gen.integers(0, 7, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"]
+        return gen
+
+    serial, split = _serial_and_split(monkeypatch, 3, make_gen,
+                                      lambda gen: gamma_batch(2.0, EPS, 1001, gen))
+    _assert_same_run(serial, split)
+    assert split[3] > 0
+
+
+def test_duck_typed_generators_keep_drawing_by_count_under_a_split(monkeypatch):
+    # _TinyFirstBlock has random(size) only: every draw stays one serial call.
+    _split(monkeypatch, 3)
+    test_stick_rows_extend_over_several_rounds()
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
+def test_stick_batch_digests_do_not_depend_on_row_blocks(monkeypatch, theta, rows, seed, width):
+    handed = _split(monkeypatch, width)
+    test_stick_batch_outputs_are_frozen(theta, rows, seed)
+    assert (len(handed) > 0) == (width > 1)
+
+
+def test_a_failing_row_block_raises_once_no_block_runs(monkeypatch):
+    _split(monkeypatch, 4)
+    lock, running, finished = threading.Lock(), [0], []
+
+    def work(lo, hi, _u):
+        with lock:
+            running[0] += 1
+        try:
+            time.sleep(0.01)
+            if lo:
+                raise ValueError(f"block at row {lo}")
+        finally:
+            with lock:
+                running[0] -= 1
+                finished.append(lo)
+
+    with pytest.raises(ValueError, match="block at row"):
+        processes._by_rows(8, 3, work)
+    assert running[0] == 0 and 0 in finished
+
+
+def _stick_digest(theta, rows, seed):
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
+    return hashlib.sha256(masses.tobytes() + tails.tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(processes, "_WIDTH", 3)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    want = _stick_digest(2.0, 999, 6)  # the parent's pool exists from here on
+    with multiprocessing.get_context("fork").Pool(1) as children:
+        got = children.apply_async(_stick_digest, (2.0, 999, 6)).get(timeout=60)
+    assert got == want
+
+
+def _gamma_digest(theta, rows, seed):
+    gen = RngStream(seed).generator()
+    masses, locations, totals, tails = gamma_batch(theta, EPS, rows, gen)
+    digest = hashlib.sha256(masses.tobytes() + locations.tobytes() + totals.tobytes())
+    digest.update(tails.tobytes() + gen.random(3).tobytes())
+    return digest.hexdigest()
+
+
+def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
+    # Six threads split their passes over one pool at once, in more blocks
+    # than there are CPUs, switching threads every microsecond: each must get
+    # the bytes it gets alone and serially.
+    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    want = [_gamma_digest(*case) for case in cases]
+    handed = _split(monkeypatch, 5)
+    got = [None] * len(cases)
+
+    def run(k):
+        got[k] = _gamma_digest(*cases[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want and handed
+
+
+def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
+    # A span tracer wraps every public conicpd function and keeps one span
+    # stack, so only private code may run on the pool's threads.
+    from conicpd import cli, laplace  # noqa: F401  (loads every module the runs use)
+
+    caller, off_thread = threading.get_ident(), []
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("conicpd."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if (inspect.isfunction(value) and not attr.startswith("_")
+                    and value.__module__.startswith("conicpd.")):
+                def wrapper(*args, _fn=value, **kwargs):
+                    if threading.get_ident() != caller:
+                        off_thread.append(_fn.__qualname__)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, attr, wrapper)
+    handed = _split(monkeypatch, 3)
+    for argv in (["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1", "--samples", "700"],
+                 ["laplace", "--f", "1.5@0:1", "--samples", "700"],
+                 ["partition-sums", "--weights", "0.5,1.5", "--samples", "700"],
+                 ["invariance", "--pairs", "1", "--samples", "700"]):
+        assert cli.main(argv + ["--seed", "3"]) == 0
+    laplace.functional_distribution_check(1.0, _FLAT, 1.0, 700, RngStream(3))
+    assert handed and off_thread == []
 
 
 # ---------------------------------------------------------------------------

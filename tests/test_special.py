@@ -1,18 +1,18 @@
-"""Special-function tests against high-precision oracle values.
+"""The scipy.special values the library relies on, against high-precision oracles.
 
-The reference numbers were computed once with a 40-digit arbitrary-precision
-evaluation (series + recurrence, independent of this implementation) and are
-frozen here as literals.
+``mellin`` calls ``digamma``, ``gammaln``, ``polygamma`` and ``loggamma``;
+``gaussian`` calls ``gammaln`` and ``jv``; ``densities`` and ``laplace`` call
+``gammaln``; the acceptance battery checks the contour against ``k0``.  The
+reference numbers were computed once with a 40-digit arbitrary-precision
+evaluation (series + recurrence, independent of scipy) and are frozen here
+as literals, so a scipy release that moves one of them shows here first.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import loggamma
-
-from conicpd import bessel_j, bessel_k0, digamma, log_beta, log_gamma, trigamma
-from conicpd.errors import DomainError
+from scipy.special import betaln, gammaln, jv, k0, loggamma, polygamma, psi
 
 EULER_GAMMA = 0.5772156649015328606065
 DIGAMMA_ROOT = 1.461632144968362341263
@@ -30,32 +30,26 @@ def test_log_gamma_oracle_values():
         (1e6, 12815504.56914761165998),
     ]
     for x, want in anchors:
-        got = float(log_gamma(x))
+        got = float(gammaln(x))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (x, got, want)
 
 
 def test_log_gamma_half_is_half_log_pi():
-    assert float(log_gamma(0.5)) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+    assert float(gammaln(0.5)) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
 
 
 def test_log_gamma_recurrence():
     rng = np.random.default_rng(7)
     x = 10.0 ** rng.uniform(-3, 1.7, size=300)
-    lhs = log_gamma(x + 1.0) - log_gamma(x)
+    lhs = gammaln(x + 1.0) - gammaln(x)
     assert np.max(np.abs(lhs - np.log(x))) <= 1e-12
 
 
 def test_log_gamma_vectorized_shape():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = log_gamma(x)
+    out = gammaln(x)
     assert out.shape == x.shape
     assert out[0, 0] == 0.0 and out[0, 1] == 0.0
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
 
 
 def test_digamma_oracle_values():
@@ -66,12 +60,12 @@ def test_digamma_oracle_values():
         (300.0, 5.70211488206463726798),
     ]
     for x, want in anchors:
-        assert float(digamma(x)) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert float(psi(x)) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_digamma_recurrence_and_root():
-    assert float(digamma(2.0)) == pytest.approx(float(digamma(1.0)) + 1.0, abs=1e-14)
-    assert abs(float(digamma(DIGAMMA_ROOT))) <= 1e-13
+    assert float(psi(2.0)) == pytest.approx(float(psi(1.0)) + 1.0, abs=1e-14)
+    assert abs(float(psi(DIGAMMA_ROOT))) <= 1e-13
 
 
 def test_trigamma_oracle_values():
@@ -82,23 +76,24 @@ def test_trigamma_oracle_values():
         (300.0, 0.00333889506171467774947),
     ]
     for x, want in anchors:
-        assert float(trigamma(x)) == pytest.approx(want, rel=1e-13)
+        assert float(polygamma(1, x)) == pytest.approx(want, rel=1e-13)
 
 
 def test_trigamma_recurrence_and_tail():
-    assert float(trigamma(5.0)) == pytest.approx(float(trigamma(4.0)) - 1.0 / 16.0, rel=1e-13)
+    assert float(polygamma(1, 5.0)) == pytest.approx(float(polygamma(1, 4.0)) - 1.0 / 16.0,
+                                                     rel=1e-13)
     # two-term asymptotic tail: next correction is 1/(6 x^3) ~ 6e-9 at x=300
     x = 300.0
-    assert abs(float(trigamma(x)) - (1.0 / x + 0.5 / x ** 2)) <= 1e-8
+    assert abs(float(polygamma(1, x)) - (1.0 / x + 0.5 / x ** 2)) <= 1e-8
 
 
 def test_log_beta_identity_and_symmetry():
     for a, b in [(0.5, 0.5), (1.0, 3.0), (2.7, 0.4), (10.0, 10.0)]:
-        direct = float(log_beta(a, b))
+        direct = float(betaln(a, b))
         assert direct == pytest.approx(
-            float(log_gamma(a) + log_gamma(b) - log_gamma(a + b)), abs=1e-12)
-        assert direct == pytest.approx(float(log_beta(b, a)), abs=1e-15)
-    assert float(log_beta(0.5, 0.5)) == pytest.approx(math.log(math.pi), rel=1e-14)
+            float(gammaln(a) + gammaln(b) - gammaln(a + b)), abs=1e-12)
+        assert direct == pytest.approx(float(betaln(b, a)), abs=1e-15)
+    assert float(betaln(0.5, 0.5)) == pytest.approx(math.log(math.pi), rel=1e-14)
 
 
 # The contour in conicpd.mellin integrates exp(n loggamma(s)) along vertical
@@ -122,7 +117,7 @@ def test_log_gamma_complex_conjugate_symmetry_and_real_axis():
     assert np.max(np.abs(up - np.conj(down))) <= 1e-13
     real = loggamma(np.array([4.2 + 0.0j]))
     assert float(np.imag(real[0])) == 0.0
-    assert float(np.real(real[0])) == pytest.approx(float(log_gamma(4.2)), rel=1e-14)
+    assert float(np.real(real[0])) == pytest.approx(float(gammaln(4.2)), rel=1e-14)
 
 
 def test_log_gamma_complex_imag_part_stays_continuous():
@@ -135,58 +130,46 @@ def test_log_gamma_complex_imag_part_stays_continuous():
 
 
 def test_bessel_j_at_origin():
-    assert float(bessel_j(0, 0.0)) == 1.0
-    assert float(bessel_j(1, 0.0)) == 0.0
-    assert float(bessel_j(2.7, 0.0)) == 0.0
+    assert float(jv(0, 0.0)) == 1.0
+    assert float(jv(1, 0.0)) == 0.0
+    assert float(jv(2.7, 0.0)) == 0.0
 
 
 def test_bessel_j_oracle_values():
-    assert abs(float(bessel_j(0, 2.404825557695772768622))) <= 1e-12
-    assert float(bessel_j(0, 2.5)) == pytest.approx(-0.04838377646819799632729, abs=1e-12)
-    assert float(bessel_j(4.5, 30.0)) == pytest.approx(-0.1293491158467019107455, abs=1e-9)
-    assert float(bessel_j(60, 80.0)) == pytest.approx(-0.08617378984463347083219, abs=1e-9)
-    assert float(bessel_j(33, 50.0)) == pytest.approx(-0.09922011372951544929886, abs=1e-9)
+    assert abs(float(jv(0, 2.404825557695772768622))) <= 1e-12
+    assert float(jv(0, 2.5)) == pytest.approx(-0.04838377646819799632729, abs=1e-12)
+    assert float(jv(4.5, 30.0)) == pytest.approx(-0.1293491158467019107455, abs=1e-9)
+    assert float(jv(60, 80.0)) == pytest.approx(-0.08617378984463347083219, abs=1e-9)
+    assert float(jv(33, 50.0)) == pytest.approx(-0.09922011372951544929886, abs=1e-9)
 
+
+# x = 12 is where the hand-written J that scipy's jv replaced switched from
+# its power series to its asymptotic form; the checks there stay.
 
 def test_bessel_j_recurrence_across_methods():
     # 2 nu/x J_nu = J_{nu-1} + J_{nu+1}
     for nu, x in [(3.0, 8.0), (3.0, 20.0), (2.0, 11.7), (2.0, 12.3), (1.5, 12.0)]:
-        lhs = 2.0 * nu / x * float(bessel_j(nu, x))
-        rhs = float(bessel_j(nu - 1.0, x)) + float(bessel_j(nu + 1.0, x))
+        lhs = 2.0 * nu / x * float(jv(nu, x))
+        rhs = float(jv(nu - 1.0, x)) + float(jv(nu + 1.0, x))
         assert lhs == pytest.approx(rhs, abs=5e-10), (nu, x)
 
 
 def test_bessel_j_continuous_at_method_switch():
     for nu in (0.0, 0.75, 4.0):
-        below = float(bessel_j(nu, 11.9999))
-        above = float(bessel_j(nu, 12.0001))
+        below = float(jv(nu, 11.9999))
+        above = float(jv(nu, 12.0001))
         assert abs(below - above) < 1e-4
 
 
-def test_bessel_j_domain():
-    with pytest.raises(DomainError):
-        bessel_j(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        bessel_j(1.0, -2.0)
-    with pytest.raises(DomainError):
-        bessel_j(math.nan, 2.0)
-
-
 def test_bessel_k0_oracle_values():
-    assert float(bessel_k0(0.1)) == pytest.approx(2.427069024702016612519, rel=1e-12)
-    assert float(bessel_k0(2.0)) == pytest.approx(0.1138938727495334356527, rel=1e-12)
-    assert float(bessel_k0(15.0)) == pytest.approx(9.819536482396434540991e-8, rel=1e-12)
+    assert float(k0(0.1)) == pytest.approx(2.427069024702016612519, rel=1e-12)
+    assert float(k0(2.0)) == pytest.approx(0.1138938727495334356527, rel=1e-12)
+    assert float(k0(15.0)) == pytest.approx(9.819536482396434540991e-8, rel=1e-12)
 
 
 def test_bessel_k0_monotone_and_asymptotic():
-    assert float(bessel_k0(1.0)) > float(bessel_k0(2.0)) > float(bessel_k0(3.0))
+    assert float(k0(1.0)) > float(k0(2.0)) > float(k0(3.0))
     # K0(x) e^x sqrt(x) -> sqrt(pi/2), approached at O(1/x)
-    scaled = float(bessel_k0(200.0)) * math.exp(200.0) * math.sqrt(200.0)
+    scaled = float(k0(200.0)) * math.exp(200.0) * math.sqrt(200.0)
     assert scaled == pytest.approx(1.2525330076834741181, rel=1e-12)
     assert abs(scaled - math.sqrt(math.pi / 2.0)) < 1e-3
-
-
-def test_bessel_k0_domain():
-    for bad in (0.0, -1.0, math.inf):
-        with pytest.raises(DomainError):
-            bessel_k0(bad)
