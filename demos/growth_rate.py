@@ -35,11 +35,11 @@ lam = 1.0
 study = L_limit_study(lam, n_max=30)
 print(f"\nconvergence of (log F_n)/n at lambda = {lam} "
       f"(L = {study.saddle.L_value:.6f}):")
-print(f"{'n':>4} {'(log F_n)/n':>12} {'raw gap':>9} {'corrected':>10}")
+print(f"{'n':>4} {'(log F_n)/n':>12} {'raw gap':>9} {'corrected':>10} {'series':>10}")
 for i, n in enumerate(study.ns):
     if n in (2, 5, 10, 20, 30):
         print(f"{n:>4} {study.ratios[i]:>12.6f} {study.gaps[i]:>+9.4f} "
-              f"{study.corrected[i]:>10.6f}")
+              f"{study.corrected[i]:>10.6f} {study.series[i]:>10.6f}")
 print(f"extrapolated limit {study.extrapolated_limit:.6f} "
       f"(gap {study.extrapolated_gap:+.1e}); raw gaps stay under "
       f"{study.envelope_constant:.2f} * log(n)/n")

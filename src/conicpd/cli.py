@@ -112,12 +112,13 @@ _NMAX = Flag("--nmax", "nmax", int, 40, "largest n in the table")
 _NMIN = Flag("--nmin", "nmin", int, 2, "smallest n in the table")
 _WEIGHTS = Flag("--weights", "weights", str, None, "comma list of part weights, e.g. 0.5,1.5")
 _EDGES = Flag("--b", "b", str, "1", "comma list of box edges")
+# Only the subcommands that draw random numbers take these.
+_RNG = (Flag("--seed", "seed", int, 0, "base RNG seed (default 0)"),
+        Flag("--streams", "streams", int, 1, "independent stream count"))
 
 
 def _common(fmt: str) -> tuple[Flag, ...]:
     return (
-        Flag("--seed", "seed", int, 0, "base RNG seed (default 0)"),
-        Flag("--streams", "streams", int, 1, "independent stream count"),
         Flag("--out", "out", str, None, "output path (default stdout)"),
         Flag("--format", "format", str, fmt, "output format", ("csv", "json")),
         Flag("--config", "config", str, None, "key=value file supplying defaults (flags win)"),
@@ -131,11 +132,13 @@ _COMMANDS = {
         Flag("--samples", "samples", int, 5, "number of draws"),
         Flag("--process", "process", str, "gamma", "measure to draw from",
              ("dirichlet", "gamma", "lebesgue")),
+        *_RNG,
     )),
     "laplace": ("Monte Carlo vs analytic Laplace transform", "json", (
         _THETA, _EPS,
         Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
         Flag("--f", "f", str, None, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
+        *_RNG,
     )),
     "invariance": ("multiplicator quasi-invariance identities", "json", (
         _THETA, _EPS,
@@ -143,10 +146,12 @@ _COMMANDS = {
         Flag("--pairs", "pairs", int, 20, "number of random (a, f) pairs"),
         Flag("--a", "a", str, None, "explicit multiplicator step function"),
         Flag("--f", "f", str, None, "explicit test step function"),
+        *_RNG,
     )),
     "partition-sums": ("weighted box masses of partition sums", "json", (
         _WEIGHTS, _EDGES, _EPS,
         Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
+        *_RNG,
     )),
     "mellin": ("limit study of (log F_n)/n", "csv", (_LAMBDA, _NMAX, _NMIN)),
     "saddle": ("saddle point and rate L(lambda)", "json", (_LAMBDA,)),
@@ -155,6 +160,7 @@ _COMMANDS = {
         Flag("--smax", "smax", float, 3.0, "right end of the s grid"),
         Flag("--spoints", "spoints", int, 31, "number of s grid points"),
         Flag("--samples", "samples", int, 0, "Monte Carlo samples per point (0 = skip)"),
+        *_RNG,
     )),
     "divergence": ("non-convergence along radius schedules", "csv", (
         _LAMBDA._replace(help="constant test value lambda > 0"),
@@ -230,7 +236,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, flag.dest)
         resolved[flag.dest] = file_values.get(flag.dest, flag.default) if value is None else value
     resolved["command"] = args.command
-    if resolved["seed"] < 0 or resolved["streams"] < 1:
+    if resolved.get("seed", 0) < 0 or resolved.get("streams", 1) < 1:
         raise DomainError("seed must be >= 0 and streams >= 1")
     return resolved
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SingularityError
+from .processes import _positive_real
 from .stepfn import _piece_index
 
 
@@ -115,10 +116,8 @@ def _gamma_log_density_1d(theta: float, s: float) -> float:
 
 def box_mass_L(spec: PartitionSpec, b: float) -> float:
     """Scale-free mass of the box [0, b]^n: prod b^{theta_i} / Gamma(theta_i + 1)."""
-    bb = float(b)
-    if not math.isfinite(bb) or bb <= 0.0:
-        raise DomainError("box edge must be a positive real")
-    return math.exp(float(np.sum(spec.weights * math.log(bb) - gammaln(spec.weights + 1.0))))
+    log_b = math.log(_positive_real(b, "box edge"))
+    return math.exp(float(np.sum(spec.weights * log_b - gammaln(spec.weights + 1.0))))
 
 
 def lemma1_pointwise_check(spec: PartitionSpec, point) -> float:
@@ -147,9 +146,7 @@ def semigroup_convolution_check(theta1: float, theta2: float, z_grid=None) -> fl
     x^{theta1-1} (z-x)^{theta2-1} with the algebraic-endpoint rule, so the
     sub-unit shapes are handled without manual subtraction of singularities.
     """
-    t1, t2 = float(theta1), float(theta2)
-    if not (t1 > 0.0 and t2 > 0.0 and math.isfinite(t1) and math.isfinite(t2)):
-        raise DomainError("shape parameters must be positive reals")
+    t1, t2 = _positive_real(theta1, "shape theta1"), _positive_real(theta2, "shape theta2")
     if z_grid is None:
         z_grid = np.linspace(0.25, 5.0, 20)
     z_grid = np.asarray(z_grid, dtype=float)

@@ -19,9 +19,13 @@ sum over every other node; a cancellation guard refuses sums that rounding
 alone could account for.
 
 The exponential growth rate L(lambda) = lim (log F_n)/n is read off the
-saddle point psi(gamma) = log lambda; the per-n correction is
--(1/2) log(2 pi n psi'(gamma)), and the limit study reports both the raw
-ratios and the corrected/extrapolated limit.
+saddle point psi(gamma) = log lambda.  Laplace's method (Olver, Asymptotics
+and Special Functions, ch. 3) gives, with a = psi'(gamma),
+
+    log F_n = n L - (1/2) log(2 pi n a) + log(1 + kappa_1 / n) + O(n^-2),
+    kappa_1 = psi'''(gamma) / (8 a^2) - 5 psi''(gamma)^2 / (24 a^3),
+
+so (log F_n)/n with both corrections removed is within O(n^-3) of L.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
+from .processes import _positive_real
 
 # Integrand magnitude, relative to the peak, that the grid treats as zero.
 _LOG_NEGLIGIBLE = math.log(1e-18)
@@ -72,7 +77,7 @@ class SaddleSolution:
 
 def solve_saddle(lam: float) -> SaddleSolution:
     """Solve psi(gamma) = log lambda by safeguarded Newton iteration."""
-    _check_lambda(lam)
+    lam = _positive_real(lam, "lambda")
     target = math.log(lam)
     lo, hi = 1.0, 2.0
     while special.digamma(lo) > target:
@@ -88,7 +93,7 @@ def solve_saddle(lam: float) -> SaddleSolution:
         resid = float(special.digamma(g)) - target
         if abs(resid) <= 1e-13:
             return SaddleSolution(
-                lam=float(lam), gamma=g,
+                lam=lam, gamma=g,
                 L_value=float(special.gammaln(g)) - g * target,
                 curvature=float(special.polygamma(1, g)),
             )
@@ -148,18 +153,13 @@ def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> Contour
     a row whose bound exceeds 1e-9 S_n raises NumericalError rather than
     return a value without correct digits.  So does S_n <= 0.
     """
-    _check_lambda(lam)
-    ns = np.asarray(ns)
-    if ns.ndim != 1 or ns.size == 0:
-        raise DomainError("ns must be a non-empty list of positive integers")
-    for n in ns:
-        _check_n(n, upper=None)
-    gamma = solve_saddle(lam).gamma if abscissa is None else float(abscissa)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise DomainError("contour abscissa must be a positive real")
-    unique, inverse = np.unique(ns.astype(np.int64), return_inverse=True)
+    lam = _positive_real(lam, "lambda")
+    ns = _check_ns(ns)
+    gamma = (solve_saddle(lam).gamma if abscissa is None
+             else _positive_real(abscissa, "contour abscissa"))
+    unique, inverse = np.unique(ns, return_inverse=True)
     log_f, error, nodes = _trapezoid_rows(unique, lam, gamma)
-    return ContourRows(ns=ns.astype(int), log_F=log_f[inverse], error=error[inverse],
+    return ContourRows(ns=ns, log_F=log_f[inverse], error=error[inverse],
                        nodes=nodes[inverse])
 
 
@@ -264,7 +264,7 @@ def F_direct(n: int, lam: float, rel_tol: float = 1e-9) -> float:
     Supported for n <= 4; larger n belongs to the contour route.
     """
     _check_n(n, upper=4)
-    _check_lambda(lam)
+    lam = _positive_real(lam, "lambda")
     if n == 1:
         return math.exp(-lam)
     # The worst spot on the truncation boundary puts one free coordinate at
@@ -310,32 +310,35 @@ class LimitStudy:
     ratios: np.ndarray          # (log F_n) / n
     gaps: np.ndarray            # ratios - L
     corrected: np.ndarray       # ratios with the known 1/2 log(2 pi n psi') term added back
-    extrapolated_limit: float
+    series: np.ndarray          # corrected less the Laplace term log(1 + kappa_1/n)/n
+    extrapolated_limit: float   # series at the largest n
     extrapolated_gap: float
     envelope_constant: float    # max_n |gap_n| * n / log n
     log_F_error: np.ndarray     # a-posteriori contour error of log F_n
     nodes: np.ndarray           # contour grid nodes per row
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, n in enumerate(self.ns):
-            out.append({
-                "n": int(n), "lambda": self.lam, "r": 1.0,
-                "gamma": self.saddle.gamma, "L": self.saddle.L_value,
-                "lnFn_over_n": float(self.ratios[i]), "gap": float(self.gaps[i]),
-            })
-        return out
+        return _table_rows(self.lam, self.ns, 1.0, self.saddle.gamma, self.saddle.L_value,
+                           self.ratios)
+
+
+def _table_rows(lam, ns, radii, gammas, limits, rates) -> list[dict]:
+    """The printed rows of a (log F_n)/n table; a scalar column is shared by every row."""
+    columns = (c.tolist() for c in np.broadcast_arrays(ns, radii, gammas, limits, rates))
+    return [{"n": n, "lambda": lam, "r": r, "gamma": g, "L": L, "lnFn_over_n": q, "gap": q - L}
+            for n, r, g, L, q in zip(*columns)]
 
 
 def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
-    """Tabulate (log F_n)/n for n_min..n_max and extrapolate the n -> inf limit.
+    """Tabulate (log F_n)/n for n_min..n_max and its n -> inf limit.
 
     The whole table comes from one :func:`log_F_contour_rows` grid at the
-    saddle.  The raw ratio carries a -(1/2 log(2 pi n psi') )/n correction,
-    so at n = 40 it still sits ~0.07 away from L; the corrected column and
-    the least-squares extrapolation (model a + b log n / n + c / n) both
-    land within a few 1e-3 of the saddle value and are what the convergence
-    acceptance is asserted against.
+    saddle.  The raw ratio sits -(1/2) log(2 pi n a)/n away from L, about
+    0.07 at n = 40.  ``corrected`` adds that term back and leaves the O(1/n^2)
+    Laplace term log(1 + kappa_1/n)/n (module docstring); ``series`` removes
+    it too and is within O(n^-3) of L.  Its last row is the extrapolated
+    limit: for every n_max from 2 to 40 at lambda = 0.3, 1 and 3 it lies
+    within 0.05 / n_max^3 of L.
     """
     if not (2 <= n_min <= n_max <= 60):
         raise DomainError("limit study supports 2 <= n_min <= n_max <= 60")
@@ -345,20 +348,17 @@ def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     log_f = contour.log_F
     ratios = log_f / ns
     gaps = ratios - sol.L_value
-    corrected = ratios + 0.5 * np.log(2.0 * math.pi * ns * sol.curvature) / ns
-    fit_mask = ns >= max(n_min, min(8, n_max - 2))
-    design = np.column_stack([
-        np.ones(fit_mask.sum()),
-        np.log(ns[fit_mask]) / ns[fit_mask],
-        1.0 / ns[fit_mask],
-    ])
-    coeffs, *_ = np.linalg.lstsq(design, ratios[fit_mask], rcond=None)
-    extrapolated = float(coeffs[0])
-    envelope = float(np.max(np.abs(gaps) * ns / np.log(ns + (ns == 1))))
+    a = sol.curvature
+    corrected = ratios + 0.5 * np.log(2.0 * math.pi * ns * a) / ns
+    c3, c4 = special.polygamma([2, 3], sol.gamma)
+    kappa1 = c4 / (8.0 * a * a) - 5.0 * c3 * c3 / (24.0 * a ** 3)
+    series = corrected - np.log1p(kappa1 / ns) / ns
+    limit = float(series[-1])
     return LimitStudy(
-        lam=float(lam), saddle=sol, ns=ns, log_F=log_f, ratios=ratios, gaps=gaps,
-        corrected=corrected, extrapolated_limit=extrapolated,
-        extrapolated_gap=extrapolated - sol.L_value, envelope_constant=envelope,
+        lam=sol.lam, saddle=sol, ns=ns, log_F=log_f, ratios=ratios, gaps=gaps,
+        corrected=corrected, series=series, extrapolated_limit=limit,
+        extrapolated_gap=limit - sol.L_value,
+        envelope_constant=float(np.max(np.abs(gaps) * ns / np.log(ns))),
         log_F_error=contour.error, nodes=contour.nodes,
     )
 
@@ -391,8 +391,7 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "sqrt_n", "custom"):
             raise DomainError("schedule kind must be constant, sqrt_n or custom")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError("schedule scale must be a positive real")
+        object.__setattr__(self, "scale", _positive_real(self.scale, "schedule scale"))
         if self.kind == "custom" and self.fn is None:
             raise DomainError("custom schedules need a callable fn")
 
@@ -426,15 +425,7 @@ class DivergenceTable:
     nodes: np.ndarray        # contour grid nodes per row
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, n in enumerate(self.ns):
-            out.append({
-                "n": int(n), "lambda": self.lam, "r": float(self.radii[i]),
-                "gamma": float(self.gammas[i]), "L": float(self.limits[i]),
-                "lnFn_over_n": float(self.rates[i]),
-                "gap": float(self.rates[i] - self.limits[i]),
-            })
-        return out
+        return _table_rows(self.lam, self.ns, self.radii, self.gammas, self.limits, self.rates)
 
 
 def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> DivergenceTable:
@@ -447,14 +438,9 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
     Rows sharing an effective argument lambda r_n share one saddle solve and
     one contour grid.
     """
-    if ns is None:
-        ns = np.arange(2, 41)
-    ns = np.asarray(ns, dtype=int)
-    if ns.ndim != 1 or ns.size == 0:
-        raise DomainError("ns must be a non-empty list of positive integers")
-    if np.any(ns < 1):
-        raise DomainError("table indices must be positive")
-    radii = np.array([schedule.radius(int(n)) for n in ns])
+    lam = _positive_real(lam, "lambda")
+    ns = _check_ns(np.arange(2, 41) if ns is None else ns)
+    radii = np.array([schedule.radius(n) for n in ns.tolist()])
     args = lam * radii
     log_f, limits, gammas, errors, nodes = (np.empty(ns.size) for _ in range(5))
     for arg in dict.fromkeys(args.tolist()):
@@ -463,18 +449,24 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
         contour = log_F_contour_rows(ns[at], arg, abscissa=sol.gamma)
         log_f[at], errors[at], nodes[at] = contour.log_F, contour.error, contour.nodes
         limits[at], gammas[at] = sol.L_value, sol.gamma
-    return DivergenceTable(lam=float(lam), schedule=schedule, ns=ns, radii=radii,
+    return DivergenceTable(lam=lam, schedule=schedule, ns=ns, radii=radii,
                            rates=log_f / ns, limits=limits, gammas=gammas,
                            log_F_error=errors, nodes=nodes.astype(int))
 
 
-def _check_lambda(lam):
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise DomainError("lambda must be a positive real")
-
-
 def _check_n(n, upper):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError("n must be a positive integer")
     if upper is not None and n > upper:
         raise DomainError(f"direct quadrature supports n <= {upper}")
+
+
+def _check_ns(ns) -> np.ndarray:
+    """``ns`` as a non-empty 1-D int array, each entry checked by :func:`_check_n`."""
+    array = np.asarray(ns)
+    if array.ndim != 1 or array.size == 0:
+        raise DomainError("ns must be a non-empty list of positive integers")
+    # The entries as given: np.asarray turns [True, 2] into [1, 2].
+    for n in array if isinstance(ns, np.ndarray) else ns:
+        _check_n(n, upper=None)
+    return array.astype(int)

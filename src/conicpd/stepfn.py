@@ -86,9 +86,10 @@ class StepFunction:
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
+            # Each piece of the merged grid takes the factors' values at its
+            # left edge; a midpoint can round onto the right edge.
             grid = np.union1d(self.breakpoints, other.breakpoints)
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            return StepFunction(grid, self(mids) * other(mids))
+            return StepFunction(grid, self(grid[:-1]) * other(grid[:-1]))
         return StepFunction(self.breakpoints, self.values * float(other))
 
     __rmul__ = __mul__

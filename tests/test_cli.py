@@ -173,7 +173,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.3.0"
+    assert meta["version"] == "0.4.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -556,8 +556,7 @@ def test_parser_is_reused_without_carrying_state(capsys):
     code, out, err = run_cli(capsys, ["saddle", "--lambda", "2"])
     assert code == 0 and err == ""
     meta, record = json_lines(out)
-    assert meta["config"] == {"command": "saddle", "format": "json", "lam": 2.0,
-                              "seed": 0, "streams": 1}
+    assert meta["config"] == {"command": "saddle", "format": "json", "lam": 2.0}
     assert record["gamma"] == pytest.approx(2.479687450428178690538, abs=1e-9)
 
     runs = [run_cli(capsys, ["sample", "--samples", "2"]) for _ in range(2)]
@@ -633,35 +632,39 @@ def test_config_file_accepts_keys_of_other_subcommands(capsys, tmp_path):
     code, out, _err = run_cli(capsys, ["saddle", "--config", str(cfg)])
     assert code == 0
     assert json_lines(out)[0]["config"] == {"command": "saddle", "format": "json",
-                                             "lam": 2.0, "seed": 0, "streams": 1}
+                                             "lam": 2.0}
 
 
-# The flags of each subcommand; no other option may appear.
-_COMMON_FLAGS = {"--seed", "--streams", "--out", "--format", "--config"}
+# The flags of each subcommand; no other option may appear.  Only the
+# subcommands that draw random numbers take --seed and --streams.
+_COMMON_FLAGS = {"--out", "--format", "--config"}
 _FLAGS = {
-    "sample": {"--theta", "--eps", "--samples", "--process"},
-    "laplace": {"--theta", "--eps", "--samples", "--f"},
-    "invariance": {"--theta", "--eps", "--samples", "--pairs", "--a", "--f"},
-    "partition-sums": {"--weights", "--b", "--eps", "--samples"},
+    "sample": {"--theta", "--eps", "--samples", "--process", "--seed", "--streams"},
+    "laplace": {"--theta", "--eps", "--samples", "--f", "--seed", "--streams"},
+    "invariance": {"--theta", "--eps", "--samples", "--pairs", "--a", "--f", "--seed",
+                   "--streams"},
+    "partition-sums": {"--weights", "--b", "--eps", "--samples", "--seed", "--streams"},
     "mellin": {"--lambda", "--nmax", "--nmin"},
     "saddle": {"--lambda"},
-    "mp-demo": {"--n", "--smax", "--spoints", "--samples"},
+    "mp-demo": {"--n", "--smax", "--spoints", "--samples", "--seed", "--streams"},
     "divergence": {"--lambda", "--schedule", "--scale", "--nmax", "--nmin"},
     "box-mass": {"--weights", "--b"},
 }
 
 # A valid value, other than the default, for every option but --config;
 # sample counts are small so each run is quick.
-_COMMON_VALUES = {"seed": "4", "streams": "2"}
+_RNG_VALUES = {"seed": "4", "streams": "2"}
 _ROUND_TRIP_VALUES = {
-    "sample": {"theta": "2.0", "eps": "1e-8", "samples": "2", "process": "dirichlet"},
-    "laplace": {"theta": "2.0", "eps": "1e-8", "samples": "200", "f": "2@0:1"},
+    "sample": {"theta": "2.0", "eps": "1e-8", "samples": "2", "process": "dirichlet",
+               **_RNG_VALUES},
+    "laplace": {"theta": "2.0", "eps": "1e-8", "samples": "200", "f": "2@0:1", **_RNG_VALUES},
     "invariance": {"theta": "2.0", "eps": "1e-8", "samples": "100", "pairs": "1",
-                   "a": "1.5@0:1", "f": "2@0:1"},
-    "partition-sums": {"weights": "0.5,1.5", "b": "0.5,1", "eps": "1e-8", "samples": "200"},
+                   "a": "1.5@0:1", "f": "2@0:1", **_RNG_VALUES},
+    "partition-sums": {"weights": "0.5,1.5", "b": "0.5,1", "eps": "1e-8", "samples": "200",
+                       **_RNG_VALUES},
     "mellin": {"lam": "2.0", "nmax": "5", "nmin": "3"},
     "saddle": {"lam": "2.0"},
-    "mp-demo": {"n": "5", "smax": "1.5", "spoints": "3", "samples": "16"},
+    "mp-demo": {"n": "5", "smax": "1.5", "spoints": "3", "samples": "16", **_RNG_VALUES},
     "divergence": {"lam": "0.5", "schedule": "sqrt_n", "scale": "1.5", "nmax": "5",
                    "nmin": "3"},
     "box-mass": {"weights": "0.5,1.5", "b": "0.5,1"},
@@ -683,7 +686,7 @@ def _meta_config(text):
 @pytest.mark.parametrize("command, flag, key", list(_round_trip_cases()))
 def test_config_line_and_flag_resolve_alike(capsys, tmp_path, command, flag, key):
     spec = {f.flag: f for f in _SPECS[command]}
-    values = dict(_ROUND_TRIP_VALUES[command], **_COMMON_VALUES)
+    values = dict(_ROUND_TRIP_VALUES[command])
     values["format"] = "csv" if spec["--format"].default == "json" else "json"
     values["out"] = str(tmp_path / "out.txt")
     assert set(values) == {f.dest for f in spec.values()} - {"config"}
@@ -712,7 +715,16 @@ def test_help_lists_exactly_the_spec_flags(capsys, command):
 
 
 def test_negative_seed_rejected(capsys):
-    assert run_cli(capsys, ["saddle", "--seed", "-3"])[0] == 2
+    code, out, err = run_cli(capsys, ["laplace", "--f", "2@0:1", "--seed", "-3"])
+    assert code == 2 and out == "" and "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["mellin", "saddle", "divergence", "box-mass"])
+def test_deterministic_subcommands_take_no_seed(capsys, command):
+    # They draw nothing at random, so a seed would be a setting that changes nothing.
+    for flag in ("--seed", "--streams"):
+        code, out, err = run_cli(capsys, [command, flag, "1"])
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 # ------------------------------------------------------------- repeatability

@@ -137,6 +137,18 @@ def test_stepfunction_product_merges_grids():
     assert np.array_equal(h.values, [8.0, 1.0, 1.5])
 
 
+@pytest.mark.parametrize("edge", [0.3, 0.5, 0.123])
+def test_stepfunction_product_keeps_a_one_ulp_piece(edge):
+    # The midpoint of [0.3, nextafter(0.3)) rounds onto its right edge, so a
+    # product that evaluated midpoints gave that piece the next piece's value.
+    after = np.nextafter(edge, 1.0)
+    f = StepFunction(np.array([0.0, edge, 1.0]), np.array([1.0, 2.0]))
+    g = StepFunction(np.array([0.0, after, 1.0]), np.array([3.0, 5.0]))
+    h = f * g
+    assert np.array_equal(h.breakpoints, [0.0, edge, after, 1.0])
+    assert np.array_equal(h.values, [3.0, 6.0, 10.0])
+
+
 def test_stepfunction_scalar_multiply_and_reciprocal():
     f = halves(2.0, 0.5)
     g = 3.0 * f
@@ -216,6 +228,17 @@ def test_cocycle_identity_holds_for_any_step_functions_and_theta(a, f, theta):
     # exactly its cocycle, on the union of the two grids.
     assert analytic_laplace(theta, a * f) * phi(a, theta) == pytest.approx(
         analytic_laplace(theta, f), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_step_functions(), g=_step_functions(), h=_step_functions(),
+       c=st.floats(math.exp(-3.0), math.exp(3.0)))
+def test_stepfunction_product_and_scaling_are_associative(f, g, h, c):
+    for left, right in (((f * g) * h, f * (g * h)),
+                        ((c * f) * g, c * (f * g)),
+                        ((f * c) * g, f * (c * g))):
+        assert np.array_equal(left.breakpoints, right.breakpoints)
+        np.testing.assert_allclose(left.values, right.values, rtol=1e-14, atol=0.0)
 
 
 # ------------------------------------------------------------- analytic route

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import k0, psi
+from scipy.special import k0, polygamma, psi
 
 from conicpd import mellin
 from conicpd import (
@@ -13,12 +13,15 @@ from conicpd import (
     F_direct,
     L_limit_study,
     NumericalError,
+    PartitionSpec,
     RadiusSchedule,
     SaddleSolution,
+    box_mass_L,
     divergence_experiment,
     find_L_zero,
     log_F_contour,
     log_F_contour_rows,
+    semigroup_convolution_check,
     solve_saddle,
 )
 
@@ -186,8 +189,9 @@ def test_limit_study_structure_and_convergence():
 
     # the corrected column removes the leading term...
     assert abs(study.corrected[-1] - sol.L_value) <= 0.01
-    # ...and the fitted extrapolation lands much closer still
+    # ...and the Laplace series lands much closer still
     assert abs(study.extrapolated_gap) <= 2e-3
+    assert study.extrapolated_limit == study.series[-1]
     assert study.extrapolated_limit == pytest.approx(
         sol.L_value + study.extrapolated_gap, rel=1e-12)
 
@@ -213,6 +217,52 @@ def test_limit_study_validation():
         L_limit_study(1.0, n_max=4, n_min=5)
     with pytest.raises(DomainError):
         L_limit_study(1.0, n_max=10, n_min=1)
+
+
+def laplace_kappa1(gamma):
+    """First Laplace correction of F_n: F_n ~ e^{nL} (1 + kappa_1/n) / sqrt(2 pi n a)."""
+    a, c3, c4 = (float(polygamma(k, gamma)) for k in (1, 2, 3))
+    return c4 / (8 * a * a) - 5 * c3 * c3 / (24 * a ** 3)
+
+
+# n = 2..40 and 12 values up to 640: the series must hold past the tables.
+_SERIES_NS = np.concatenate([np.arange(2, 41), np.geomspace(50, 640, 12).round().astype(int)])
+
+
+@pytest.mark.parametrize("lam", np.geomspace(1e-4, 1e4, 17).tolist())
+def test_log_F_follows_its_laplace_series_to_order_n_squared(lam):
+    # log F_n - (n L - 1/2 log(2 pi n a) + log(1 + kappa_1/n)) = O(n^-2); the
+    # largest n^2 |remainder| on this grid is 0.0193, at lambda = 0.1.
+    sol = solve_saddle(lam)
+    ns = _SERIES_NS
+    series = (ns * sol.L_value - 0.5 * np.log(2 * math.pi * ns * sol.curvature)
+              + np.log1p(laplace_kappa1(sol.gamma) / ns))
+    remainder = log_F_contour_rows(ns, lam).log_F - series
+    assert np.all(ns ** 2 * np.abs(remainder) <= 0.05)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("n_min, n_max", [(2, 3), (20, 21), (39, 40), (2, 40)])
+def test_extrapolated_limit_is_within_n_cubed_of_L(lam, n_min, n_max):
+    # A least-squares fit with three unknowns on these tables missed L by up
+    # to 0.39 on two-row windows and by 9e-5 on n = 2..40.
+    study = L_limit_study(lam, n_max=n_max, n_min=n_min)
+    assert abs(study.extrapolated_gap) <= 0.05 / n_max ** 3
+    kappa1 = laplace_kappa1(study.saddle.gamma)
+    assert np.allclose(study.series, study.corrected - np.log1p(kappa1 / study.ns) / study.ns,
+                       rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+def test_contour_matches_meijer_g(lam):
+    # F_n(lambda) = G^{n,0}_{0,n}(lambda^n | 0, ..., 0): mpmath's Meijer G is
+    # an oracle that shares no code with the contour.
+    ns = [2, 3, 4, 6, 10]
+    rows = log_F_contour_rows(ns, lam)
+    with mpmath.workdps(20):
+        for n, log_f in zip(ns, rows.log_F):
+            g = mpmath.meijerg([[], []], [[0] * n, []], mpmath.mpf(lam) ** n)
+            assert abs(float(mpmath.log(g)) - log_f) <= 1e-13, n
 
 
 # ------------------------------------------------------------------ L profile
@@ -241,6 +291,50 @@ def test_L_crossing_sits_left_of_log_crossing():
 def test_find_L_zero_rejects_bad_bracket():
     with pytest.raises(DomainError):
         find_L_zero(2.0, 3.0)
+
+
+# ------------------------------------------------------ argument checks
+
+_REAL_BAD = (True, False, "2")
+_INDEX_BAD = (True, "2", 2.7)
+_SPEC = PartitionSpec(np.array([0.5, 1.5]))
+
+
+def _rates(lam, schedule, ns):
+    return divergence_experiment(lam, schedule, ns=ns).rates.tolist()
+
+
+# A call taking a positive real or a table index x, the values of x it must
+# refuse, and a value whose numpy scalars must give the Python number's result.
+_ARGUMENT_CASES = {
+    "solve_saddle": (lambda x: solve_saddle(x).gamma, _REAL_BAD, 2.0),
+    "log_F_contour lambda": (lambda x: log_F_contour(3, x), _REAL_BAD, 2.0),
+    "contour abscissa": (lambda x: log_F_contour(3, 1.0, abscissa=x), _REAL_BAD, 2.0),
+    "F_direct lambda": (lambda x: F_direct(2, x), _REAL_BAD, 2.0),
+    "divergence lambda": (lambda x: _rates(x, RadiusSchedule("constant"), [2, 3]),
+                          _REAL_BAD, 2.0),
+    "schedule scale": (lambda x: _rates(1.0, RadiusSchedule("sqrt_n", scale=x), [2, 3]),
+                       _REAL_BAD, 2.0),
+    "box_mass_L": (lambda x: box_mass_L(_SPEC, x), _REAL_BAD, 2.0),
+    "semigroup shape": (lambda x: semigroup_convolution_check(x, 1.5, z_grid=[1.0]),
+                        _REAL_BAD, 2.0),
+    "F_direct n": (lambda n: F_direct(n, 1.0), _INDEX_BAD, 2),
+    "log_F_contour n": (lambda n: log_F_contour(n, 1.0), _INDEX_BAD, 2),
+    "divergence ns": (lambda n: _rates(1.0, RadiusSchedule("constant"), [n]), _INDEX_BAD, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARGUMENT_CASES))
+def test_bool_text_and_fractions_are_refused_and_numpy_scalars_accepted(case):
+    call, bad, good = _ARGUMENT_CASES[case]
+    for value in bad:
+        with pytest.raises(DomainError):
+            call(value)
+    want = call(good)
+    kinds = (np.int64, np.int32) if isinstance(good, int) else (np.int64, np.float32,
+                                                               np.float64)
+    for kind in kinds:
+        assert call(kind(good)) == want, kind
 
 
 # ------------------------------------------------------- divergence behaviour
@@ -379,6 +473,10 @@ def test_contour_rows_validation():
         log_F_contour_rows([], 1.0)
     with pytest.raises(DomainError):
         log_F_contour_rows([2, 0], 1.0)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([True, 2], 1.0)
+    with pytest.raises(DomainError):
+        divergence_experiment(1.0, RadiusSchedule("constant"), ns=(2, 3.5))
     with pytest.raises(DomainError):
         log_F_contour_rows([[2, 3]], 1.0)
     with pytest.raises(DomainError):

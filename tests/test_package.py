@@ -1,9 +1,11 @@
-"""The package namespace: every public name is looked up in its defining
-module on first use, so importing conicpd loads no module that is not used."""
+"""The package as a whole.  Every public name is looked up in its defining
+module on first use, so importing conicpd loads no module that is not used;
+pyproject.toml carries the package's version; the demos run."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +62,20 @@ def test_importing_the_package_loads_only_what_is_looked_up():
             "if m.startswith(('conicpd.', 'scipy'))); before = loaded(); "
             "conicpd.RngStream; print(json.dumps([before, loaded()]))")
     assert _fresh(code) == [[], ["conicpd.errors", "conicpd.processes", "conicpd.stepfn"]]
+
+
+def test_pyproject_version_is_the_package_version():
+    # A regex, not tomllib: Python 3.10 has no TOML reader in the standard library.
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version\s*=\s*"([^"]+)"', project, re.M) == [conicpd.__version__]
+
+
+def test_growth_rate_demo_runs(tmp_path):
+    # The demo reads the limit study's fields; it may write growth_rate.png
+    # into its working directory.
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / "growth_rate.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "extrapolated limit" in proc.stdout
