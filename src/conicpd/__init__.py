@@ -33,7 +33,7 @@ _EXPORTS = {name: module for module, names in (
                   "series_record series_from_record"),
     ("estimation", "EstimatorResult pooled_mean"),
     ("laplace", "log_mean phi analytic_laplace mc_laplace quasi_invariance_check "
-                "functional_distribution_check weighted_box_mass"),
+                "quasi_invariance_pairs functional_distribution_check weighted_box_mass"),
     ("mellin", "SaddleSolution solve_saddle ContourRows log_F_contour_rows "
                "log_F_contour F_contour F_direct LimitStudy L_limit_study "
                "find_L_zero RadiusSchedule DivergenceTable divergence_experiment"),

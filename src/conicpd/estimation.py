@@ -53,10 +53,19 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     with the pairwise update of Chan, Golub & LeVeque (1979), which keeps the
     variance accurate when the spread is tiny against the mean.
     """
+    return _pooled_mean(stream_counts(n_samples, streams), rng, kernel, columns, chunk)
+
+
+def _pooled_mean(counts, rng, kernel, columns=1, chunk=CHUNK_ROWS):
+    """``pooled_mean`` over the per-stream sample counts ``counts``, in private code only.
+
+    It calls no public conicpd function, so a job that may run off the
+    calling thread can use it with a kernel that calls none either.
+    """
     count = 0
     mean = np.zeros(columns)
     m2 = np.zeros(columns)
-    for s, rows_for_stream in enumerate(stream_counts(n_samples, streams)):
+    for s, rows_for_stream in enumerate(counts):
         gen = rng.child(s).generator()
         left = rows_for_stream
         while left > 0:
@@ -78,6 +87,6 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     else:
         err = np.zeros(columns)
     return [
-        EstimatorResult(float(m), float(e), count, rng.seed, streams)
+        EstimatorResult(float(m), float(e), count, rng.seed, len(counts))
         for m, e in zip(mean, err)
     ]

@@ -11,6 +11,7 @@ the acceptance battery checks the convergence table for a shrinking sup-gap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,11 @@ class SphereConfig:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise DomainError("sphere dimension must be an integer >= 2")
-        r = self.radius if self.radius else math.sqrt(self.n)
-        if not (math.isfinite(r) and r > 0.0):
-            raise DomainError("sphere radius must be a positive real")
+        r = self.radius
+        if isinstance(r, numbers.Real) and not isinstance(r, bool) and r == 0.0:
+            r = math.sqrt(self.n)
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "radius", float(r))
+        object.__setattr__(self, "radius", processes._positive_real(r, "sphere radius"))
 
 
 def gaussian_charfun(s_norm: float) -> float:

@@ -23,8 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfiniteVarianceError
-from .estimation import EstimatorResult, pooled_mean
-from .processes import RngStream, _by_rows, _positive_real, gamma_batch
+from .estimation import CHUNK_ROWS, EstimatorResult, _pooled_mean, pooled_mean, stream_counts
+from .processes import (
+    RngStream,
+    _by_items,
+    _by_rows,
+    _check_theta_eps,
+    _first_width,
+    _gamma_batch,
+    _positive_real,
+    gamma_batch,
+)
 from .stepfn import StepFunction
 
 TRUNCATION_EPS = 1e-10
@@ -55,17 +64,29 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
+    _check_variance(f, allow_infinite_variance)
+    (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, f, eps, gamma_batch))
+    return result
+
+
+def _check_variance(f, allow_infinite_variance=False):
     if f.min_value <= 0.5 and not allow_infinite_variance:
         raise InfiniteVarianceError(
             "second moment Psi(2f-1) diverges for min f <= 1/2; "
             "raise f or pass allow_infinite_variance=True to force the estimate"
         )
 
+
+def _laplace_kernel(theta, f, eps, batch):
+    """Estimator kernel of Psi(f): exp(total * (1 - <f, P>)) per draw of ``batch``.
+
+    ``batch`` is ``gamma_batch``, or ``_gamma_batch`` for a kernel that must
+    call no public function.
+    """
     constant = f.values.size == 1
 
     def kernel(gen, rows):
-        masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen,
-                                                        locations=not constant)
+        masses, locations, totals, _tails = batch(theta, eps, rows, gen, locations=not constant)
         pairing = np.empty(rows)
 
         def integrand(lo, hi, _u):
@@ -82,8 +103,7 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
         _by_rows(rows, masses.shape[1], integrand)
         return np.exp(totals * (1.0 - pairing))
 
-    (result,) = pooled_mean(n_samples, rng, streams, kernel)
-    return result
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -103,17 +123,47 @@ def quasi_invariance_check(theta: float, a: StepFunction, f: StepFunction,
                            n_samples: int = 100_000, rng: RngStream = RngStream(0), *,
                            eps: float = TRUNCATION_EPS, streams: int = 1) -> QuasiInvarianceReport:
     """Check Psi(a f) * phi(a) = Psi(f) exactly, and Psi(a f) by Monte Carlo."""
-    af = a * f
-    value_f = analytic_laplace(theta, f)
-    value_af = analytic_laplace(theta, af)
-    cocycle = phi(a, theta)
-    residual = abs(value_af * cocycle - value_f)
-    mc = mc_laplace(theta, af, n_samples, rng, eps=eps, streams=streams)
-    z = (mc.estimate - value_af) / mc.stderr if mc.stderr > 0 else 0.0
-    return QuasiInvarianceReport(
-        theta=theta, phi_a=cocycle, analytic_f=value_f, analytic_af=value_af,
-        analytic_residual=residual, mc=mc, z_score=z,
-    )
+    return quasi_invariance_pairs(theta, [(a, f)], n_samples, rng, eps=eps, streams=streams)[0]
+
+
+def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
+                           rng: RngStream = RngStream(0), *, eps: float = TRUNCATION_EPS,
+                           streams: int = 1) -> list[QuasiInvarianceReport]:
+    """``quasi_invariance_check`` for each (a, f) of ``pairs``, in pair order.
+
+    Pair k estimates Psi(a f) on the streams of ``rng.child(k * streams)``.
+    The exact sides are formed first, in pair order, on the calling thread.
+    The estimates run one after another when each one's passes are large
+    enough to split into row blocks, else at once on the row-block pool;
+    the reports are the same bytes either way.
+    """
+    theta, eps = _check_theta_eps(theta, eps)
+    counts = stream_counts(n_samples, streams)
+    exact = []
+    for a, f in pairs:
+        af = a * f
+        value_f = analytic_laplace(theta, f)
+        value_af = analytic_laplace(theta, af)
+        cocycle = phi(a, theta)
+        _check_variance(af)
+        exact.append((af, cocycle, value_f, value_af))
+
+    estimates = [None] * len(exact)
+
+    def estimate(k):
+        # Private code only: this may run on a pool thread.
+        kernel = _laplace_kernel(theta, exact[k][0], eps, _gamma_batch)
+        (estimates[k],) = _pooled_mean(counts, rng.child(k * streams), kernel)
+
+    _by_items(len(exact), estimate, min(CHUNK_ROWS, counts[0]) * _first_width(theta, eps))
+    reports = []
+    for (_af, cocycle, value_f, value_af), mc in zip(exact, estimates):
+        z = (mc.estimate - value_af) / mc.stderr if mc.stderr > 0 else 0.0
+        reports.append(QuasiInvarianceReport(
+            theta=theta, phi_a=cocycle, analytic_f=value_f, analytic_af=value_af,
+            analytic_residual=abs(value_af * cocycle - value_f), mc=mc, z_score=z,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -182,9 +232,8 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
     with part i with probability theta_i / theta, forms the part sums, and
     weights the all-parts-below-b indicator by e^{total mass}.
     """
-    b_arr = np.atleast_1d(np.asarray(b_values, dtype=float))
-    if np.any(b_arr <= 0.0) or not np.all(np.isfinite(b_arr)):
-        raise DomainError("box edges must be positive reals")
+    b_arr = np.array([_positive_real(b, "box edge b")
+                      for b in (b_values if np.ndim(b_values) else [b_values])], dtype=float)
 
     def kernel(gen, rows):
         masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen,

@@ -14,12 +14,16 @@ the Monte Carlo error.  Scalar and batch draws share one recursion,
 stick count and refuses, with ``DomainError``, a first block larger than a
 fixed cell budget.
 
-Threads: the full-matrix passes of a batch (the first stick block, the
-masses, the location uniforms, and the estimators' integrands) run on
-contiguous row blocks, two per usable CPU, through ``_by_rows``.  Each block
-that draws uniforms draws them from its own copy of the Philox stream, moved
-to the block's first cell, so the output bytes do not depend on the CPU
-count or on thread scheduling.
+Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
+a persistent pool, one thread per usable CPU in all.  A batch's full-matrix
+passes (the first stick block, the masses, the location uniforms, and the
+estimators' integrands) run as jobs of contiguous row blocks, two per
+thread, through ``_by_rows``.  Each block that draws uniforms draws them
+from its own copy of the Philox stream, moved to the block's first cell.
+Independent estimates whose passes are too small to split, such as the
+invariance pairs, run whole as jobs through ``_by_items``, each on its own
+streams; inside such a job every pass is one block.  Either way the output
+bytes do not depend on the CPU count or on thread scheduling.
 """
 
 from __future__ import annotations
@@ -208,21 +212,20 @@ _CELL_BUDGET = 1 << 26
 # A pass over fewer cells than this runs as one block: below it, handing
 # blocks to another thread costs more than it saves.
 _SPLIT_CELLS = 1 << 17
-# Threads that run a split pass, the caller included: one per CPU this
-# process may run on.  Each takes row blocks off a shared list until none is
-# left, two blocks per thread, so a thread that starts late or runs on a busy
-# CPU leaves its second block to one that is free.
+# Threads that run shared jobs, the caller included: one per CPU this
+# process may run on.
 _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 _pool = None
 _pool_lock = threading.Lock()
-# Per calling thread, one Philox generator for each thread of a split pass;
-# moving it to a block's first cell is cheaper than making a new one.
-_spares = threading.local()
+# Per thread: ``gens``, one Philox generator for each thread of a split pass
+# (moving it to a block's first cell is cheaper than making a new one), and
+# ``in_job``, set while the thread runs a job of ``_share``.
+_local = threading.local()
 
 
 def _row_pool():
-    """Threads beside the caller for the row blocks, started on first use."""
+    """Threads beside the caller for shared jobs, started on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -236,10 +239,75 @@ def _forget_pool():
     _pool, _pool_lock = None, threading.Lock()
 
 
-# A forked child has none of the pool's threads, and blocks handed to the
+# A forked child has none of the pool's threads, and jobs handed to the
 # parent's pool would never run there: it starts a pool of its own.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _free_threads(jobs):
+    """Threads to share ``jobs`` jobs over: one inside a job of ``_share``, else up to _WIDTH."""
+    return 1 if getattr(_local, "in_job", False) else min(_WIDTH, jobs)
+
+
+def _share(count, run, threads):
+    """Run ``run(k, slot)`` for every k in range(count) on ``threads`` threads.
+
+    The caller's thread (slot 0) and ``threads - 1`` pool threads (slots
+    1, 2, ...) take k in turn off one shared iterator until none is left, so
+    a thread that starts late or runs on a busy CPU leaves its share to one
+    that is free.  Returns once every thread has stopped.  After a failure
+    no thread takes a new k, and the failure with the lowest k is raised:
+    the one a serial loop would meet first, since every lower k was taken
+    earlier and ran to its end.  Inside ``run``, ``_free_threads`` is one, so
+    a job never hands work to the pool and waits for it while the pool's
+    threads may all be waiting likewise.
+    """
+    # next() on a range iterator is one call under the interpreter lock, so
+    # each k is taken by exactly one thread.
+    order = iter(range(count))
+    failed = {}
+
+    def drain(slot):
+        _local.in_job = True
+        try:
+            while not failed:
+                k = next(order, None)
+                if k is None:
+                    break
+                try:
+                    run(k, slot)
+                except BaseException as error:  # re-raised on the caller's thread below
+                    failed[k] = error
+        finally:
+            _local.in_job = False
+
+    pool = _row_pool()
+    futures = [pool.submit(drain, slot) for slot in range(1, threads)]
+    try:
+        drain(0)
+    finally:
+        # Wait for every thread, so none still writes once this returns.
+        for future in futures:
+            future.result()
+    if failed:
+        raise failed[min(failed)]
+
+
+def _by_items(count, run, cells):
+    """Run ``run(k)`` for k in range(count): at once when each is too small to split.
+
+    ``cells`` is the size of an item's largest pass.  From ``_SPLIT_CELLS``
+    on, the items run one after another on the caller's thread, each
+    splitting its own passes into row blocks; smaller items are shared out
+    whole by ``_share``.  ``run`` follows ``_by_rows``'s rules for ``work``.
+    """
+    threads = _free_threads(count) if cells < _SPLIT_CELLS else 1
+    if threads < 2:
+        for k in range(count):
+            run(k)
+    else:
+        _share(count, lambda k, _slot: run(k), threads)
 
 
 def _by_rows(rows, cols, work=None, gen=None):
@@ -249,17 +317,19 @@ def _by_rows(rows, cols, work=None, gen=None):
     row-major order and returns it; ``u`` is the block's rows of it, else
     None.  ``work`` may write only rows lo..hi of its outputs, and must call
     no public conicpd function, so that blocks may run at once: on the
-    caller's thread and on the pool's.  Each block draws from a copy of
-    ``gen`` moved to the block's first cell, and ``gen`` ends where one
-    serial draw would have left it, so the results are the same bytes
-    whichever thread runs which block, and for any block count.
+    caller's thread and on the pool's, as jobs of ``_share``, two blocks per
+    thread.  Each block draws from a copy of ``gen`` moved to the block's
+    first cell, and ``gen`` ends where one serial draw would have left it,
+    so the results are the same bytes whichever thread runs which block, and
+    for any block count.
 
     One block serves the whole pass below ``_SPLIT_CELLS`` cells, on one CPU,
-    and for a generator that cannot be copied and moved so: anything but a
-    numpy Generator on Philox, or a Philox holding half of a 32-bit pair.
-    That block draws with ``gen.random(count)``.
+    inside a job of ``_share`` (a row block's or a whole item's), and for a
+    generator that cannot be copied and moved so: anything but a numpy
+    Generator on Philox, or a Philox holding half of a 32-bit pair.  That
+    block draws with ``gen.random(count)``.
     """
-    threads = min(_WIDTH, rows) if rows * cols >= _SPLIT_CELLS else 1
+    threads = _free_threads(rows) if rows * cols >= _SPLIT_CELLS else 1
     if threads > 1 and gen is not None:
         bitgen = getattr(gen, "bit_generator", None)
         if isinstance(gen, np.random.Generator) and isinstance(bitgen, np.random.Philox):
@@ -277,39 +347,33 @@ def _by_rows(rows, cols, work=None, gen=None):
     blocks = min(2 * threads, rows)
     bounds = [rows * b // blocks for b in range(blocks + 1)]
     u = None if gen is None else np.empty((rows, cols))
-    spares = getattr(_spares, "gens", [])
+    spares = getattr(_local, "gens", [])
     if len(spares) < threads:
-        spares = _spares.gens = [np.random.Generator(np.random.Philox(0))
-                                 for _ in range(threads)]
-    # next() on a range iterator is one call under the interpreter lock, so
-    # each block is taken by exactly one thread.
-    order = iter(range(blocks))
+        spares = _local.gens = [np.random.Generator(np.random.Philox(0))
+                                for _ in range(threads)]
 
-    def drain(spare):
-        for b in order:
-            lo, hi = bounds[b], bounds[b + 1]
-            part = None
-            if gen is not None:
-                spare.bit_generator.state = state
-                _skip_uniforms(spare, lo * cols)
-                part = u[lo:hi]
-                spare.random(out=part)
-            if work is not None:
-                work(lo, hi, part)
+    def block(b, slot):
+        lo, hi = bounds[b], bounds[b + 1]
+        part = None
+        if gen is not None:
+            spare = spares[slot]
+            spare.bit_generator.state = state
+            _skip_uniforms(spare, lo * cols)
+            part = u[lo:hi]
+            spare.random(out=part)
+        if work is not None:
+            work(lo, hi, part)
 
-    pool = _row_pool()
-    futures = [pool.submit(drain, spare) for spare in spares[1:threads]]
-    try:
-        drain(spares[0])
-    finally:
-        # Wait for every thread, so none still writes once this returns.
-        errors = [future.exception() for future in futures]
-    for error in errors:
-        if error is not None:
-            raise error
+    _share(blocks, block, threads)
     if gen is not None:
         _skip_uniforms(gen, rows * cols)
     return u
+
+
+def _first_width(theta, eps):
+    """Columns of the first stick block a draw at (theta, eps) asks for (see ``_stick_rows``)."""
+    m = -theta * math.log(eps)
+    return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
 
 def _stick_rows(theta, eps, rows, gen):
@@ -328,7 +392,7 @@ def _stick_rows(theta, eps, rows, gen):
     theta, eps = _check_theta_eps(theta, eps)
     log_eps = math.log(eps)
     m = -theta * log_eps
-    width = math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
+    width = _first_width(theta, eps)
     if rows * width > _CELL_BUDGET:
         raise DomainError(
             f"theta*log(1/eps) = {m:.4g} expected sticks per draw over {rows} rows exceeds the "
@@ -521,6 +585,10 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     residual mass at the cut.  Zero padding keeps downstream reductions
     branch-free.
     """
+    return _stick_masses(theta, eps, rows, gen)
+
+
+def _stick_masses(theta, eps, rows, gen):
     # Built in place, so the peak is the two matrices plus a boolean mask:
     # the tails are read before run's buffer takes the stick products
     # exp(run_{j-1}), and the masses c_j = y_j * exp(run_{j-1}) overwrite y.
@@ -544,7 +612,16 @@ def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = T
     With ``locations=False`` the location slot is None: the generator skips
     the uniforms instead of drawing them, so every later draw is the same.
     """
-    masses, tails = stick_masses_batch(theta, eps, rows, gen)
+    return _gamma_batch(theta, eps, rows, gen, locations=locations, sticks=stick_masses_batch)
+
+
+def _gamma_batch(theta, eps, rows, gen, *, locations=True, sticks=_stick_masses):
+    """``gamma_batch`` in private code only, for jobs that may run off the calling thread.
+
+    ``sticks`` draws the normalized masses; ``gamma_batch`` passes the public
+    ``stick_masses_batch``, so that a tracer sees its calls.
+    """
+    masses, tails = sticks(theta, eps, rows, gen)
     if locations:
         locs = _by_rows(rows, masses.shape[1], gen=gen)
     else:

@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
+from conicpd import DomainError, NumericalError, PartitionSpec, __version__, box_mass_L, processes
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS
 from conicpd.stepfn import _LOOP_EDGES
@@ -418,6 +420,53 @@ def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch,
     monkeypatch.setattr(processes, "_WIDTH", width)
     monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
     test_estimator_output_bytes_are_frozen(capsys, argv, digest)
+
+
+_INVARIANCE_CASE = next(case for case in _ESTIMATOR_BODY_SHA256 if case[0][0] == "invariance")
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_invariance_bytes_do_not_depend_on_pair_fan_out(capsys, monkeypatch, width):
+    # No pass reaches the size floor, so at width 2 and 3 the pairs run at
+    # once on the pool, each with its passes in one block; width 1 runs them
+    # one after another.
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    test_estimator_output_bytes_are_frozen(capsys, *_INVARIANCE_CASE)
+
+
+def test_the_first_failing_pair_surfaces_once_no_pair_runs(capsys, monkeypatch):
+    # Pair 5 fails first in time while pair 2 waits for it; pair 2's failure
+    # is the one a serial run meets, so it is the one reported.
+    from conicpd import estimation, laplace
+
+    monkeypatch.setattr(processes, "_WIDTH", 3)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    lock, running, fifth_failed = threading.Lock(), [0], threading.Event()
+
+    def failing(counts, rng, kernel, *args):
+        pair = rng.stream_id - 1000
+        with lock:
+            running[0] += 1
+        try:
+            if pair == 2:
+                fifth_failed.wait(30.0)
+                time.sleep(0.01)
+            if pair in (2, 5):
+                if pair == 5:
+                    fifth_failed.set()
+                raise NumericalError(f"pair {pair} failed")
+            return estimation._pooled_mean(counts, rng, kernel, *args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(laplace, "_pooled_mean", failing)
+    code, out, err = run_cli(capsys, ["invariance", "--pairs", "12", "--samples", "300",
+                                      "--streams", "1", "--seed", "4"])
+    assert code == 3 and out == ""
+    assert "pair 2 failed" in err and "pair 5" not in err
+    assert fifth_failed.is_set() and running[0] == 0
 
 
 def test_frozen_step_functions_straddle_the_lookup_crossover():

@@ -30,6 +30,13 @@ def test_sphere_config_defaults_and_validation():
         SphereConfig(n=3, radius=-1.0)
     with pytest.raises(DomainError):
         SphereConfig(n=2.5, radius=1.0)
+    # Zero means the default sqrt(n); bool and text are refused, numpy
+    # scalars are numbers.
+    assert SphereConfig(n=4, radius=0).radius == SphereConfig(n=4, radius=0.0).radius == 2.0
+    assert SphereConfig(n=4, radius=np.float32(1.5)).radius == 1.5
+    for bad in (True, False, np.bool_(True), "2", None, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="sphere radius must be a positive real"):
+            SphereConfig(n=3, radius=bad)
 
 
 def test_gaussian_charfun_values():

@@ -18,6 +18,7 @@ from conicpd import (
     mc_laplace,
     phi,
     quasi_invariance_check,
+    quasi_invariance_pairs,
     weighted_box_mass,
 )
 from conicpd.stepfn import _LOOP_EDGES, _piece_index
@@ -346,6 +347,27 @@ def test_quasi_invariance_general_multiplicator():
     assert abs(rep.z_score) <= 4.0
 
 
+@pytest.mark.parametrize("width, floor", [(1, 1 << 17), (3, 1 << 62)])
+def test_invariance_pairs_estimate_each_pair_on_its_own_streams(monkeypatch, width, floor):
+    # Pair k's estimate is mc_laplace's on streams 1000 + 2k, 1000 + 2k + 1,
+    # serially and with the pairs fanned out.  A pair outside the
+    # finite-variance region is refused as mc_laplace refuses it.
+    from conicpd import processes
+
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", floor)
+    pairs = [(halves(1.3, 0.9), halves(2.0, 1.2)), (halves(2.0, 0.5), halves(1.5, 2.5)),
+             (StepFunction.constant(1.1), StepFunction.constant(1.4))]
+    reports = quasi_invariance_pairs(1.5, pairs, 900, RngStream(5, 1000), streams=2)
+    for k, ((a, f), rep) in enumerate(zip(pairs, reports)):
+        assert rep.mc == mc_laplace(1.5, a * f, 900, RngStream(5, 1000 + 2 * k), streams=2)
+        assert rep == quasi_invariance_check(1.5, a, f, 900, RngStream(5, 1000 + 2 * k),
+                                             streams=2)
+    with pytest.raises(InfiniteVarianceError):
+        quasi_invariance_pairs(1.5, pairs + [(halves(0.5, 1.0), halves(1.0, 1.0))], 900,
+                               RngStream(5, 1000), streams=2)
+
+
 # -------------------------------------------------- windowed functional law
 
 def test_functional_window_flat_case_is_linear():
@@ -435,3 +457,10 @@ def test_weighted_box_mass_validation():
         weighted_box_mass(spec, -0.5, 100, RngStream(0))
     with pytest.raises(DomainError):
         weighted_box_mass(spec, [1.0, np.inf], 100, RngStream(0))
+    # Bool and text are refused, alone or in a list; numpy scalars are numbers.
+    for bad in ([True], True, "2", ["2"], [1.0, "2"], [np.bool_(True)], [[1.0]], None):
+        with pytest.raises(DomainError, match="box edge b must be a positive real"):
+            weighted_box_mass(spec, bad, 100, RngStream(0))
+    want = weighted_box_mass(spec, [1.0, 2.0], 100, RngStream(0))
+    assert weighted_box_mass(spec, np.array([1, 2]), 100, RngStream(0)) == want
+    assert weighted_box_mass(spec, [np.float32(1.0), np.int64(2)], 100, RngStream(0)) == want

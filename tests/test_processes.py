@@ -1,6 +1,7 @@
 """Stick-breaking samplers, deterministic RNG streams, transported series,
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
+import collections
 import hashlib
 import inspect
 import math
@@ -36,7 +37,7 @@ from conicpd import (
 from conicpd import processes
 from conicpd.errors import DomainError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
-from conicpd.laplace import log_mean, mc_laplace
+from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
 from conicpd.processes import (
     _skip_uniforms,
     gamma_batch,
@@ -816,6 +817,24 @@ def test_a_failing_row_block_raises_once_no_block_runs(monkeypatch):
     assert running[0] == 0 and 0 in finished
 
 
+def test_passes_inside_a_shared_job_run_as_one_block(monkeypatch):
+    # A job that split its pass would hand blocks to the pool and wait for
+    # them while the pool's threads run jobs that wait likewise.
+    handed = _split(monkeypatch, 3)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1)  # items of 0 cells fan out
+    blocks = []
+
+    def run(k):
+        processes._by_rows(50, 4, lambda lo, hi, _u: blocks.append((k, lo, hi)))
+
+    processes._by_items(8, run, 0)
+    assert sorted(blocks) == [(k, 0, 50) for k in range(8)]
+    assert len(handed) == 2  # the two pool threads' shares of the items, no row blocks
+    blocks.clear()
+    processes._by_items(2, run, 1)  # items at the floor run serially and split
+    assert len(blocks) == 12 and len(handed) == 6
+
+
 def _stick_digest(theta, rows, seed):
     masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
     return hashlib.sha256(masses.tobytes() + tails.tobytes()).hexdigest()
@@ -833,6 +852,35 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
     assert got == want
 
 
+def _invariance_digest(theta, samples, seed):
+    from conicpd.cli import _random_invariance_pair
+
+    gen = RngStream(seed, 7).generator()
+    pairs = [_random_invariance_pair(gen) for _ in range(5)]
+    reports = quasi_invariance_pairs(theta, pairs, samples, RngStream(seed, 1000), streams=2)
+    return hashlib.sha256(repr([(r.mc.estimate, r.mc.stderr, r.z_score)
+                                for r in reports]).encode()).hexdigest()
+
+
+def _invariance_digest_and_pool(theta, samples, seed):
+    return _invariance_digest(theta, samples, seed), processes._pool is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_fans_pairs_out_on_a_pool_of_its_own(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    want = _invariance_digest(1.5, 900, 6)
+    monkeypatch.setattr(processes, "_WIDTH", 3)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    assert _invariance_digest(1.5, 900, 6) == want  # the parent's pool exists from here on
+    with multiprocessing.get_context("fork").Pool(1) as children:
+        got, child_pool = children.apply_async(_invariance_digest_and_pool,
+                                               (1.5, 900, 6)).get(timeout=60)
+    assert got == want and child_pool
+
+
 def _gamma_digest(theta, rows, seed):
     gen = RngStream(seed).generator()
     masses, locations, totals, tails = gamma_batch(theta, EPS, rows, gen)
@@ -841,18 +889,12 @@ def _gamma_digest(theta, rows, seed):
     return digest.hexdigest()
 
 
-def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
-    # Six threads split their passes over one pool at once, in more blocks
-    # than there are CPUs, switching threads every microsecond: each must get
-    # the bytes it gets alone and serially.
-    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
-    monkeypatch.setattr(processes, "_WIDTH", 1)
-    want = [_gamma_digest(*case) for case in cases]
-    handed = _split(monkeypatch, 5)
+def _digests_at_once(digest, cases):
+    """digest(*case) for every case, each on a thread of its own, all at once."""
     got = [None] * len(cases)
 
     def run(k):
-        got[k] = _gamma_digest(*cases[k])
+        got[k] = digest(*cases[k])
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
     interval = sys.getswitchinterval()
@@ -865,15 +907,35 @@ def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert got == want and handed
+    return got
 
 
-def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
-    # A span tracer wraps every public conicpd function and keeps one span
-    # stack, so only private code may run on the pool's threads.
+def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
+    # Six threads split their passes over one pool at once, in more blocks
+    # than there are CPUs, switching threads every microsecond: each must get
+    # the bytes it gets alone and serially.
+    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    want = [_gamma_digest(*case) for case in cases]
+    handed = _split(monkeypatch, 5)
+    assert _digests_at_once(_gamma_digest, cases) == want and handed
+
+
+def test_concurrent_callers_fan_pairs_out_and_keep_their_bytes(monkeypatch):
+    # The same with whole invariance pairs as the pool's jobs: six callers
+    # each fan five pairs out over the one pool at once.
+    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    want = [_invariance_digest(*case) for case in cases]
+    handed = _split(monkeypatch, 5)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    assert _digests_at_once(_invariance_digest, cases) == want and handed
+
+
+def _wrap_public(monkeypatch, record):
+    """Make every public conicpd function call ``record(function)`` first."""
     from conicpd import cli, laplace  # noqa: F401  (loads every module the runs use)
 
-    caller, off_thread = threading.get_ident(), []
     for name, module in list(sys.modules.items()):
         if not name.startswith("conicpd."):
             continue
@@ -881,10 +943,23 @@ def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
             if (inspect.isfunction(value) and not attr.startswith("_")
                     and value.__module__.startswith("conicpd.")):
                 def wrapper(*args, _fn=value, **kwargs):
-                    if threading.get_ident() != caller:
-                        off_thread.append(_fn.__qualname__)
+                    record(_fn)
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
+    # A span tracer wraps every public conicpd function and keeps one span
+    # stack, so only private code may run on the pool's threads.
+    from conicpd import cli, laplace
+
+    caller, off_thread = threading.get_ident(), []
+
+    def record(fn):
+        if threading.get_ident() != caller:
+            off_thread.append(fn.__qualname__)
+
+    _wrap_public(monkeypatch, record)
     handed = _split(monkeypatch, 3)
     for argv in (["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1", "--samples", "700"],
                  ["laplace", "--f", "1.5@0:1", "--samples", "700"],
@@ -893,6 +968,46 @@ def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
         assert cli.main(argv + ["--seed", "3"]) == 0
     laplace.functional_distribution_check(1.0, _FLAT, 1.0, 700, RngStream(3))
     assert handed and off_thread == []
+
+    # Pairs too small to split their rows run whole on the pool.  A pair the
+    # caller takes waits until a pool thread has started one, so the pool
+    # runs pairs however fast the caller is.
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    pool_ran, deadline = threading.Event(), time.monotonic() + 30.0
+    pooled_mean_of = laplace._pooled_mean
+
+    def gated(*args):
+        if threading.get_ident() == caller:
+            pool_ran.wait(max(0.0, deadline - time.monotonic()))
+        else:
+            pool_ran.set()
+        return pooled_mean_of(*args)
+
+    monkeypatch.setattr(laplace, "_pooled_mean", gated)
+    assert cli.main(["invariance", "--pairs", "24", "--samples", "700", "--seed", "3"]) == 0
+    assert pool_ran.is_set() and off_thread == []
+
+
+def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
+    # What a span tracer counts (the batch samplers, the pooled means and so
+    # the kernel chunks) is the same serially, with rows split, and with
+    # invariance pairs fanned out.
+    from conicpd import cli
+
+    counts = []
+    for width, floor in ((1, processes._SPLIT_CELLS), (3, 0), (3, 1 << 62)):
+        calls = collections.Counter()
+        with monkeypatch.context() as patch:
+            _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
+            patch.setattr(processes, "_WIDTH", width)
+            patch.setattr(processes, "_SPLIT_CELLS", floor)
+            for argv in (["invariance", "--pairs", "6", "--samples", "1500"],
+                         ["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
+                          "--samples", "1500"]):
+                assert cli.main(argv + ["--seed", "3"]) == 0
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["stick_masses_batch"] > 0 and counts[0]["pooled_mean"] > 0
 
 
 # ---------------------------------------------------------------------------
