@@ -39,11 +39,21 @@ class EstimatorResult:
 
 
 def stream_counts(n_samples: int, streams: int) -> list[int]:
-    """Deterministic split of the sample budget across streams."""
+    """Deterministic split of the sample budget across streams: stream s draws entry s.
+
+    Only the min(n_samples, streams) streams that draw are listed; the
+    others would draw nothing.
+    """
+    return _stream_counts(n_samples, streams)
+
+
+def _stream_counts(n_samples, streams):
+    """``stream_counts`` in private code, for jobs that may run off the calling thread."""
     if n_samples < 1 or streams < 1:
         raise DomainError("sample and stream counts must be positive integers")
     base, extra = divmod(n_samples, streams)
-    return [base + (1 if s < extra else 0) for s in range(streams)]
+    return [base + (1 if s < extra else 0) for s in range(min(n_samples, streams))]
+
 
 def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: int = 1,
                 chunk: int = CHUNK_ROWS) -> list[EstimatorResult]:
@@ -53,15 +63,16 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     with the pairwise update of Chan, Golub & LeVeque (1979), which keeps the
     variance accurate when the spread is tiny against the mean.
     """
-    return _pooled_mean(stream_counts(n_samples, streams), rng, kernel, columns, chunk)
+    return _pooled_mean(n_samples, rng, streams, kernel, columns, chunk)
 
 
-def _pooled_mean(counts, rng, kernel, columns=1, chunk=CHUNK_ROWS):
-    """``pooled_mean`` over the per-stream sample counts ``counts``, in private code only.
+def _pooled_mean(n_samples, rng, streams, kernel, columns=1, chunk=CHUNK_ROWS):
+    """``pooled_mean`` in private code only.
 
     It calls no public conicpd function, so a job that may run off the
     calling thread can use it with a kernel that calls none either.
     """
+    counts = _stream_counts(n_samples, streams)
     count = 0
     mean = np.zeros(columns)
     m2 = np.zeros(columns)
@@ -87,6 +98,6 @@ def _pooled_mean(counts, rng, kernel, columns=1, chunk=CHUNK_ROWS):
     else:
         err = np.zeros(columns)
     return [
-        EstimatorResult(float(m), float(e), count, rng.seed, len(counts))
+        EstimatorResult(float(m), float(e), count, rng.seed, streams)
         for m, e in zip(mean, err)
     ]

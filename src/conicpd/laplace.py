@@ -153,7 +153,7 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
     def estimate(k):
         # Private code only: this may run on a pool thread.
         kernel = _laplace_kernel(theta, exact[k][0], eps, _gamma_batch)
-        (estimates[k],) = _pooled_mean(counts, rng.child(k * streams), kernel)
+        (estimates[k],) = _pooled_mean(n_samples, rng.child(k * streams), streams, kernel)
 
     _by_items(len(exact), estimate, min(CHUNK_ROWS, counts[0]) * _first_width(theta, eps))
     reports = []

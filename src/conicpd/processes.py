@@ -14,6 +14,18 @@ the Monte Carlo error.  Scalar and batch draws share one recursion,
 stick count and refuses, with ``DomainError``, a first block larger than a
 fixed cell budget.
 
+Scalar draws: ``sample_dirichlet_process`` and ``sample_gamma_process``
+build each draw's series once, through ``_sorted_draw``: the public
+``sample_gem``, the stick break, the locations and one stable sort by
+decreasing mass; the gamma total then scales the sorted masses.
+``sample_gem`` checks theta and eps once and that every stick is positive
+(the clamp in ``_stick_block`` already keeps them below 1).  The series
+skip ``WeightedAtomSeries``'s O(K) checks that their construction implies:
+the sort orders finite masses, scaling by a positive total keeps the order,
+and ``gen.random`` puts every location in [0, 1).  They keep the O(1) end
+checks (the last mass positive, which NaN fails too, and the first
+finite), the total, the tail and, for the normalized series, the sum.
+
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
 a persistent pool, one thread per usable CPU in all.  A batch's full-matrix
 passes (the first stick block, the masses, the location uniforms, and the
@@ -57,6 +69,9 @@ class RngStream:
             raise DomainError("seed and stream_id must be integers")
         if self.seed < 0 or self.stream_id < 0:
             raise DomainError("seed and stream_id must be non-negative")
+        # Philox is keyed by two 64-bit words.
+        if self.seed >> 64 or self.stream_id >> 64:
+            raise DomainError("seed and stream_id must be below 2**64")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -89,13 +104,16 @@ class GemDraw:
         object.__setattr__(self, "sticks", y)
 
 
+_STICK_RANGE = "stick fractions must lie strictly inside (0, 1)"
+
+
 def _check_sticks(sticks) -> np.ndarray:
     y = np.asarray(sticks, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise DomainError("a GEM draw holds a non-empty stick vector")
     # min/max comparisons are False on NaN, so NaN sticks are rejected too.
     if not (y.min() > 0.0 and y.max() < 1.0):
-        raise DomainError("stick fractions must lie strictly inside (0, 1)")
+        raise DomainError(_STICK_RANGE)
     return y
 
 
@@ -121,32 +139,45 @@ class WeightedAtomSeries:
         x = np.asarray(self.locations, dtype=float)
         if m.ndim != 1 or x.ndim != 1 or m.size != x.size or m.size < 1:
             raise DomainError("masses and locations must be matching non-empty vectors")
-        # Ndarray methods, not np.any/np.all wrappers: a draw builds three
-        # series, so these checks are a large share of its cost.  Every
-        # comparison is False on NaN, so NaN masses and locations fail too.
-        if not (m.min() > 0.0 and m.max() < math.inf):
-            raise DomainError("atom masses must be finite and strictly positive")
+        # Ndarray methods, not np.any/np.all wrappers: these checks are a
+        # large share of a small series' cost.  Every comparison is False on
+        # NaN, so NaN masses and locations fail too.
+        _check_mass_range(m.min(), m.max())
         if (m[1:] > m[:-1]).any():
             raise DomainError("atom masses must be non-increasing")
         if not (x.min() >= 0.0 and x.max() < 1.0):
             raise DomainError("atom locations must lie in [0, 1)")
-        if not (math.isfinite(self.total_mass) and self.total_mass > 0.0):
-            raise DomainError("total_mass must be a positive real")
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise DomainError("tail_bound must be a non-negative real")
-        if self.normalized and not (1.0 - self.tail_bound - 1e-9 <= m.sum() <= 1.0 + 1e-9):
-            raise DomainError("normalized series must carry unit total mass")
+        _check_totals(m, self.total_mass, self.tail_bound, self.normalized)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "locations", x)
 
 
+def _check_mass_range(smallest, largest):
+    """``WeightedAtomSeries``'s check of its smallest and largest mass."""
+    if not (smallest > 0.0 and largest < math.inf):
+        raise DomainError("atom masses must be finite and strictly positive")
+
+
+def _check_totals(masses, total, tail, normalized):
+    """``WeightedAtomSeries``'s checks of total_mass, tail_bound and the normalized sum."""
+    if not (math.isfinite(total) and total > 0.0):
+        raise DomainError("total_mass must be a positive real")
+    if not (math.isfinite(tail) and tail >= 0.0):
+        raise DomainError("tail_bound must be a non-negative real")
+    if normalized and not (1.0 - tail - 1e-9 <= masses.sum() <= 1.0 + 1e-9):
+        raise DomainError("normalized series must carry unit total mass")
+
+
 def sample_gem(theta: float, eps: float, rng) -> GemDraw:
     """Draw sticks with density theta * y^(theta-1) until the residual is <= eps."""
-    y, _run, _cut = _stick_rows(theta, eps, 1, as_generator(rng))
-    # A zero stick (u = 0 exactly, theta != 1) still fails the range check.
-    # The residual is formed once, here, so the constructor's re-check of it
-    # is skipped.
-    sticks = _check_sticks(y[0])
+    gen = as_generator(rng)
+    theta, eps = _check_theta_eps(theta, eps)
+    sticks = _stick_rows(theta, eps, 1, gen)[0][0]
+    # _stick_block clamps every stick below 1, but a zero stick (u = 0
+    # exactly, theta != 1) can still occur.  The residual is formed once,
+    # here, so the constructor's re-check of it is skipped.
+    if not sticks.min() > 0.0:
+        raise DomainError(_STICK_RANGE)
     return _unchecked(GemDraw, sticks=sticks, residual=float(np.prod(1.0 - sticks)))
 
 
@@ -387,9 +418,9 @@ def _stick_rows(theta, eps, rows, gen):
     needs 1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block
     has ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
     outrun.  Only the rows still open are extended, by half the current
-    width at a time, so the work stays linear in the sticks drawn.
+    width at a time, so the work stays linear in the sticks drawn.  ``theta``
+    and ``eps`` must be checked floats.
     """
-    theta, eps = _check_theta_eps(theta, eps)
     log_eps = math.log(eps)
     m = -theta * log_eps
     width = _first_width(theta, eps)
@@ -465,38 +496,51 @@ def sort_decreasing(masses) -> np.ndarray:
 
 def sample_dirichlet_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
     """Normalized draw: sorted stick-breaking masses with i.i.d. uniform locations."""
-    gen = as_generator(rng)
-    draw = sample_gem(theta, eps, gen)
-    masses = stick_break(draw)
-    locations = gen.random(masses.size)
-    order = np.argsort(-masses, kind="stable")
-    return WeightedAtomSeries(
-        masses=masses[order],
-        locations=locations[order],
-        total_mass=1.0,
-        tail_bound=draw.residual,
-        normalized=True,
-    )
+    masses, locations, residual = _sorted_draw(theta, eps, as_generator(rng))
+    return _drawn_series(masses, locations, 1.0, residual, normalized=True)
 
 
 def sample_gamma_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
     """Unnormalized draw: a normalized series scaled by an independent gamma total."""
     gen = as_generator(rng)
-    base = sample_dirichlet_process(theta, eps, gen)
-    total = sample_gamma_variate(theta, gen)
-    return WeightedAtomSeries(
-        masses=base.masses * total,
-        locations=base.locations,
-        total_mass=total,
-        tail_bound=base.tail_bound * total,
-        normalized=False,
-    )
+    masses, locations, residual = _sorted_draw(theta, eps, gen)
+    # sample_gem has checked theta, so float(theta) is the checked shape.
+    total = _gamma_variate(float(theta), gen)
+    return _drawn_series(masses * total, locations, total, residual * total, normalized=False)
+
+
+def _sorted_draw(theta, eps, gen):
+    """(masses, locations, residual) of one normalized draw, masses in decreasing order.
+
+    The sticks come from the public ``sample_gem``, so a tracer counts it
+    once per draw; the locations are drawn after them, in stick order.
+    """
+    draw = sample_gem(theta, eps, gen)
+    masses = stick_break(draw)
+    locations = gen.random(masses.size)
+    order = np.argsort(-masses, kind="stable")
+    return masses[order], locations[order], draw.residual
+
+
+def _drawn_series(masses, locations, total, tail, *, normalized):
+    """``WeightedAtomSeries`` of a ``_sorted_draw`` draw, checked as its construction needs.
+
+    Only the checks the construction does not imply run (see the module
+    docstring), through the constructor's own helpers.  NaN sorts last, so the
+    check masses[-1] > 0 refuses it too.
+    """
+    _check_mass_range(masses[-1], masses[0])
+    _check_totals(masses, total, tail, normalized)
+    return _unchecked(WeightedAtomSeries, masses=masses, locations=locations, total_mass=total,
+                      tail_bound=tail, log_weight=0.0, normalized=normalized)
 
 
 def sample_gamma_variate(shape: float, rng) -> float:
     """Exact gamma(shape, 1) draw; shape < 1 uses the u^(1/shape) boost internally."""
-    shape = _positive_real(shape, "shape")
-    gen = as_generator(rng)
+    return _gamma_variate(_positive_real(shape, "shape"), as_generator(rng))
+
+
+def _gamma_variate(shape, gen):
     value = float(gen.standard_gamma(shape))
     while value == 0.0:  # guard against underflow at tiny shapes
         value = float(gen.standard_gamma(shape))
@@ -592,6 +636,7 @@ def _stick_masses(theta, eps, rows, gen):
     # Built in place, so the peak is the two matrices plus a boolean mask:
     # the tails are read before run's buffer takes the stick products
     # exp(run_{j-1}), and the masses c_j = y_j * exp(run_{j-1}) overwrite y.
+    theta, eps = _check_theta_eps(theta, eps)
     masses, run, cut = _stick_rows(theta, eps, rows, gen)
     tails = np.exp(run[np.arange(rows), cut])
     columns = np.arange(masses.shape[1])

@@ -444,7 +444,7 @@ def test_the_first_failing_pair_surfaces_once_no_pair_runs(capsys, monkeypatch):
     monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
     lock, running, fifth_failed = threading.Lock(), [0], threading.Event()
 
-    def failing(counts, rng, kernel, *args):
+    def failing(n_samples, rng, *args):
         pair = rng.stream_id - 1000
         with lock:
             running[0] += 1
@@ -456,7 +456,7 @@ def test_the_first_failing_pair_surfaces_once_no_pair_runs(capsys, monkeypatch):
                 if pair == 5:
                     fifth_failed.set()
                 raise NumericalError(f"pair {pair} failed")
-            return estimation._pooled_mean(counts, rng, kernel, *args)
+            return estimation._pooled_mean(n_samples, rng, *args)
         finally:
             with lock:
                 running[0] -= 1
@@ -596,6 +596,69 @@ def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
     body = out.split("\n", 1)[1]
     digest = hashlib.sha256(body.encode()).hexdigest()
     assert digest == _SAMPLE_BODY_SHA256[fmt, process, theta, streams]
+
+
+# sha256 of every line after the meta line of the bench's draws-shaped
+# sample --theta T --process P --format F --samples N --seed 14, frozen
+# before the scalar samplers built each draw's series once.
+_DRAWS_BODY_SHA256 = {
+    (1, 150, "gamma", "json"): "0c528d7f6e4396d9d231577091ca0d31718e1370bef70fb46c0f711078b1ef1e",
+    (1, 150, "gamma", "csv"): "bda7c7a9a636b78704eddfe524c5eac0a98bcde6169341e9f8586e82cb7c5bff",
+    (1, 150, "lebesgue", "json"): "46cd3870f7d5b73f37b83e0caae19705286eaaecc3ca8ef869fb017f725a845a",
+    (1, 150, "lebesgue", "csv"): "6609786a4bb0ced0f09622d2fa2a15b3551f50d002c230519dcb111c977f35bf",
+    (8, 25, "gamma", "json"): "215d53427b02d7d4424c48ff3cc6b35b47ecdb4107e57e7241922fc5dcc0b589",
+    (8, 25, "gamma", "csv"): "89c5fb77341db783a5b1a6245254c53dc79645dcdfe75e7207c18934f48b0461",
+    (8, 25, "lebesgue", "json"): "7c31ae58c72bddaa9ebbc2110f51490045c4dcf49c2c7d3791f3cea6fa3c150c",
+    (8, 25, "lebesgue", "csv"): "85026f422cc2686471b7361595454c25826358fecf18374646ec3414ba7181e0",
+    (64, 4, "gamma", "json"): "eb6ab388b3f980223bab00599c9e22d1276f494f0b31dde33c48e6614bc2ebdb",
+    (64, 4, "gamma", "csv"): "a6155b6c07a5209bd917319ba735e973405a0b4534ba348473c548d6912fd85a",
+    (64, 4, "lebesgue", "json"): "c418045c90e70d2e12823e9cfce7cb82e2c31359e8e662f548843b54b1e30fa0",
+    (64, 4, "lebesgue", "csv"): "6de03be1041718899b21a6dc49485d74b2c4c264bcb3cf0cfee43ca914e777de",
+}
+
+
+@pytest.mark.parametrize("theta, samples, process, fmt", list(_DRAWS_BODY_SHA256))
+def test_draws_shaped_sample_bytes_are_frozen(capsys, theta, samples, process, fmt):
+    code, out, _err = run_cli(capsys, [
+        "sample", "--theta", repr(float(theta)), "--process", process, "--format", fmt,
+        "--samples", str(samples), "--seed", "14"])
+    assert code == 0
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == _DRAWS_BODY_SHA256[
+        theta, samples, process, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--process", "lebesgue"],
+    ["laplace", "--f", "2@0:1"],
+])
+def test_streams_that_draw_nothing_are_not_walked(capsys, monkeypatch, argv):
+    # Only min(samples, streams) streams draw; the rest are not even keyed,
+    # so a huge --streams costs nothing, and the meta line reports it as given.
+    made = []
+    generator = processes.RngStream.generator
+
+    def counted(self):
+        made.append(self.stream_id)
+        return generator(self)
+
+    monkeypatch.setattr(processes.RngStream, "generator", counted)
+    code, many, err = run_cli(capsys, argv + ["--samples", "3", "--streams", str(10**5)])
+    assert code == 0 and err == "" and made == [0, 1, 2]
+    code, few, err = run_cli(capsys, argv + ["--samples", "3", "--streams", "3"])
+    assert code == 0 and err == "" and made == [0, 1, 2] * 2
+    assert json.loads(many.split("\n", 1)[0])["config"]["streams"] == 10**5
+    assert many.split("\n", 1)[1] == few.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seed", str(2**64)],
+    ["invariance", "--pairs", "3", "--samples", "3", "--streams", str(2**63)],
+])
+def test_seeds_and_streams_past_64_bits_exit_2(capsys, argv):
+    # Philox keys are two 64-bit words; the last case keys pair 2 at 2**64.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "below 2**64" in err
 
 
 def test_parser_is_reused_without_carrying_state(capsys):

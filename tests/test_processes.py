@@ -2,10 +2,12 @@
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
 import collections
+import dataclasses
 import hashlib
 import inspect
 import math
 import os
+import struct
 import sys
 import threading
 import time
@@ -1103,3 +1105,138 @@ def test_numpy_scalars_draw_like_the_equal_float(theta, eps, kind):
     for seed, draw in enumerate(pairs):
         assert np.array_equal(draw(value, small, seed), draw(float(value), float(small), seed))
     assert log_mean(_FLAT, value) == log_mean(_FLAT, float(value))
+
+
+# ---------------------------------------------------------------------------
+# Scalar draws: one sorted series per draw, checked where construction does not imply
+
+
+class _Uniforms(np.random.Generator):
+    """Philox generator whose k-th ``random`` call returns ``alter(k, u)``.
+
+    With ``total``, every gamma draw returns ``total`` instead.
+    """
+
+    def __init__(self, seed, alter, total=None):
+        super().__init__(RngStream(seed).generator().bit_generator)
+        self.alter, self.total, self.calls = alter, total, 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return self.alter(self.calls, super().random(size))
+
+    def standard_gamma(self, shape, size=None):
+        return super().standard_gamma(shape, size) if self.total is None else self.total
+
+
+def _tiny_first_block(call, u):
+    # theta = 1 sticks below 1e-3 in the first block: a one-row draw stays open.
+    return 1.0 - 1e-3 * u if call == 1 else u
+
+
+# sha256 of the draw's fields and the next three uniforms, frozen before the
+# scalar samplers built each draw's series once.
+_TINY_FIRST_BLOCK_SHA256 = {
+    "sample_gem": "edb80eba0742e5e2e2a14419c42325b5d7b5ed7ba45c7895b36e51407b0a5679",
+    "sample_dirichlet_process": "5c0180eb8bf8fcb6c3a6f7b0185236abdfd1627e2ca0d6fcc561d935ecf65677",
+    "sample_gamma_process": "753cafa257bef2834330facc9a1d32f6366f96ef044e103fa65162d07430a1a9",
+}
+
+
+@pytest.mark.parametrize("name", list(_TINY_FIRST_BLOCK_SHA256))
+def test_one_row_draw_past_its_first_block_is_frozen(name):
+    # The row is open after its first block and closes after two extension
+    # rounds, so a one-row draw goes through the growth path.
+    gen = _Uniforms(32, _tiny_first_block)
+    draw = getattr(processes, name)(1.0, EPS, gen)
+    if name == "sample_gem":
+        size, fields = draw.sticks.size, draw.sticks.tobytes() + struct.pack("<d", draw.residual)
+    else:
+        size = draw.masses.size
+        fields = (draw.masses.tobytes() + draw.locations.tobytes()
+                  + struct.pack("<dd", draw.total_mass, draw.tail_bound))
+    assert gen.calls == (3 if name == "sample_gem" else 4)
+    assert size > processes._first_width(1.0, EPS) * 3 // 2
+    digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
+    assert digest == _TINY_FIRST_BLOCK_SHA256[name]
+
+
+def _fields(obj):
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), seed=st.integers(0, 2**32),
+       process=st.sampled_from(["gem", "dirichlet", "gamma", "lebesgue"]))
+def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process):
+    # The scalar samplers run only the checks their construction does not
+    # imply; every draw must still pass every check, with equal fields.
+    eps = 10.0 ** log10_eps
+    if process == "gem":
+        draw = sample_gem(theta, eps, RngStream(seed))
+        again = GemDraw(sticks=draw.sticks, residual=draw.residual)
+    else:
+        sampler = sample_dirichlet_process if process == "dirichlet" else sample_gamma_process
+        draw = sampler(theta, eps, RngStream(seed))
+        if process == "lebesgue":
+            draw = weight_as_lebesgue(draw)
+        again = WeightedAtomSeries(**{f.name: getattr(draw, f.name)
+                                      for f in dataclasses.fields(draw)})
+        assert draw.normalized == (process == "dirichlet")
+    for got, want in zip(_fields(draw), _fields(again)):
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def _zero_stick(call, u):
+    # u = 0 gives a zero stick at theta != 1.
+    if call == 1:
+        u[3] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("sampler", [sample_gem, sample_dirichlet_process, sample_gamma_process])
+def test_scalar_draws_refuse_a_zero_stick(sampler):
+    with pytest.raises(DomainError, match=r"^stick fractions must lie strictly inside \(0, 1\)$"):
+        sampler(2.0, EPS, _Uniforms(5, _zero_stick))
+
+
+@pytest.mark.parametrize("sampler", [sample_dirichlet_process, sample_gamma_process])
+def test_scalar_draws_refuse_a_nan_mass(monkeypatch, sampler):
+    stick_masses = processes.stick_break
+
+    def with_nan(draw):
+        masses = stick_masses(draw)
+        masses[2] = math.nan
+        return masses
+
+    monkeypatch.setattr(processes, "stick_break", with_nan)
+    with pytest.raises(DomainError, match="^atom masses must be finite and strictly positive$"):
+        sampler(3.0, EPS, RngStream(6))
+
+
+def test_gamma_draw_refuses_masses_that_underflow_when_scaled():
+    # A subnormal total is a valid total, but the smallest masses times it
+    # round to zero.
+    gen = _Uniforms(7, lambda _call, u: u, total=1e-316)
+    with pytest.raises(DomainError, match="^atom masses must be finite and strictly positive$"):
+        sample_gamma_process(3.0, EPS, gen)
+    # The same masses at a normal total pass.
+    series = sample_gamma_process(3.0, EPS, _Uniforms(7, lambda _call, u: u, total=1e-3))
+    assert series.masses[-1] > 0.0 and series.total_mass == 1e-3
+
+
+@pytest.mark.parametrize("process, per_draw", [("gamma", "sample_gamma_process"),
+                                               ("lebesgue", "sample_gamma_process"),
+                                               ("dirichlet", "sample_dirichlet_process")])
+def test_sample_calls_the_public_samplers_once_per_draw(monkeypatch, capsys, process, per_draw):
+    # A span tracer sees the per-draw samplers only through module globals.
+    from conicpd import cli
+
+    calls = collections.Counter()
+    _wrap_public(monkeypatch, lambda fn: calls.update([fn.__name__]))
+    argv = ["sample", "--process", process, "--theta", "8", "--samples", "7", "--streams", "2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls["sample_gem"] == 7 and calls[per_draw] == 7
+    assert calls["sample_gamma_process"] + calls["sample_dirichlet_process"] == 7
