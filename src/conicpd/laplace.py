@@ -30,9 +30,12 @@ from .processes import (
     _by_rows,
     _check_theta_eps,
     _first_width,
-    _gamma_batch,
+    _gamma_totals,
     _positive_real,
+    _skip_uniforms,
+    _stick_masses,
     gamma_batch,
+    stick_masses_batch,
 )
 from .stepfn import StepFunction
 
@@ -65,7 +68,8 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     _check_variance(f, allow_infinite_variance)
-    (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, f, eps, gamma_batch))
+    kernel = _laplace_kernel(theta, f, eps, stick_masses_batch)
+    (result,) = pooled_mean(n_samples, rng, streams, kernel)
     return result
 
 
@@ -77,33 +81,53 @@ def _check_variance(f, allow_infinite_variance=False):
         )
 
 
-def _laplace_kernel(theta, f, eps, batch):
-    """Estimator kernel of Psi(f): exp(total * (1 - <f, P>)) per draw of ``batch``.
+def _laplace_kernel(theta, f, eps, sticks):
+    """Estimator kernel of Psi(f): exp(total * (1 - <f, P>)) per draw.
 
-    ``batch`` is ``gamma_batch``, or ``_gamma_batch`` for a kernel that must
-    call no public function.
+    ``sticks`` draws the normalized masses: the public ``stick_masses_batch``,
+    so that a tracer sees one stick batch per chunk, or ``_stick_masses`` for
+    a kernel that must call no public function.  The draws are
+    ``gamma_batch``'s, without its location matrix.
     """
-    constant = f.values.size == 1
-
     def kernel(gen, rows):
-        masses, locations, totals, _tails = batch(theta, eps, rows, gen, locations=not constant)
-        pairing = np.empty(rows)
-
-        def integrand(lo, hi, _u):
-            # A constant f skips the lookup; the products are the same floats.
-            # They are formed in place: the operands die here, and a fresh
-            # matrix per chunk costs page faults.
-            if constant:
-                weighted = np.multiply(masses[lo:hi], f.values[0], out=masses[lo:hi])
-            else:
-                weighted = np.multiply(masses[lo:hi], f(locations[lo:hi]),
-                                       out=locations[lo:hi])
-            weighted.sum(axis=1, out=pairing[lo:hi])
-
-        _by_rows(rows, masses.shape[1], integrand)
-        return np.exp(totals * (1.0 - pairing))
+        masses, _tails = sticks(theta, eps, rows, gen)
+        pairing = _pairing(masses, f, gen)
+        return np.exp(_gamma_totals(theta, rows, gen) * (1.0 - pairing))
 
     return kernel
+
+
+def _pairing(masses, f, gen):
+    """Per-row <f, P>: each row of ``masses`` against f at its draw's locations.
+
+    The locations are the (rows, K) uniforms that follow the sticks in
+    ``gen``, as ``gamma_batch`` draws them.  They are drawn row block by row
+    block into scratch and reduced at once, so no location or f-value
+    matrix exists; a constant f reads none of them, and ``gen`` skips them.
+    Either way ``gen`` ends where ``gamma_batch``'s draw leaves it, and each
+    row's sum is the float ``(masses * f(locations)).sum(axis=1)`` gives.
+    A constant f's products overwrite ``masses``.
+    """
+    rows, cols = masses.shape
+    pairing = np.empty(rows)
+    if f.values.size == 1:
+        _skip_uniforms(gen, masses.size)
+
+        def integrand(lo, hi, _u):
+            # The lookup is skipped; the products are the same floats.
+            np.multiply(masses[lo:hi], f.values[0], out=masses[lo:hi]).sum(
+                axis=1, out=pairing[lo:hi])
+
+        _by_rows(rows, cols, integrand)
+    else:
+        def integrand(lo, hi, u):
+            # Uniforms lie in [0, 1), so f is read without its domain check;
+            # its values, and then the products, take the uniforms' place.
+            values = f._at(u, out=u)
+            np.multiply(masses[lo:hi], values, out=values).sum(axis=1, out=pairing[lo:hi])
+
+        _by_rows(rows, cols, integrand, gen)
+    return pairing
 
 
 @dataclass(frozen=True)
@@ -152,7 +176,7 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
 
     def estimate(k):
         # Private code only: this may run on a pool thread.
-        kernel = _laplace_kernel(theta, exact[k][0], eps, _gamma_batch)
+        kernel = _laplace_kernel(theta, exact[k][0], eps, _stick_masses)
         (estimates[k],) = _pooled_mean(n_samples, rng.child(k * streams), streams, kernel)
 
     _by_items(len(exact), estimate, min(CHUNK_ROWS, counts[0]) * _first_width(theta, eps))
@@ -200,14 +224,9 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
         raise DomainError("t grid must lie in (0, b]")
 
     def kernel(gen, rows):
-        masses, locations, totals, _tails = gamma_batch(theta, eps, rows, gen)
-        pairing = np.empty(rows)
-
-        def integrand(lo, hi, _u):
-            np.multiply(masses[lo:hi], f(locations[lo:hi]),
-                        out=locations[lo:hi]).sum(axis=1, out=pairing[lo:hi])
-
-        _by_rows(rows, masses.shape[1], integrand)
+        masses, _tails = stick_masses_batch(theta, eps, rows, gen)
+        pairing = _pairing(masses, f, gen)
+        totals = _gamma_totals(theta, rows, gen)
         pairing *= totals
         return np.where(pairing[:, None] <= t_grid[None, :],
                         np.exp(totals)[:, None], 0.0)
@@ -248,7 +267,7 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
                 part = np.where(marks == i, scaled, 0.0).sum(axis=1)
                 np.maximum(largest, part, out=largest)
 
-        # The marks' uniforms are drawn row block by row block with the pass.
+        # The marks' uniforms are drawn into scratch, row block by row block.
         _by_rows(rows, masses.shape[1], part_sums, gen)
         inside = largest_part[:, None] <= b_arr[None, :]
         return np.where(inside, np.exp(totals)[:, None], 0.0)

@@ -12,7 +12,8 @@ the draw as ``tail_bound`` so estimator bias can always be budgeted against
 the Monte Carlo error.  Scalar and batch draws share one recursion,
 ``_stick_rows``, which sizes its stick matrix from the Poisson law of the
 stick count and refuses, with ``DomainError``, a first block larger than a
-fixed cell budget.
+fixed cell budget; the few rows that outgrow the first block are extended
+in arrays of their own.
 
 Scalar draws: ``sample_dirichlet_process`` and ``sample_gamma_process``
 build each draw's series once, through ``_sorted_draw``: the public
@@ -27,15 +28,20 @@ checks (the last mass positive, which NaN fails too, and the first
 finite), the total, the tail and, for the normalized series, the sum.
 
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
-a persistent pool, one thread per usable CPU in all.  A batch's full-matrix
-passes (the first stick block, the masses, the location uniforms, and the
-estimators' integrands) run as jobs of contiguous row blocks, two per
-thread, through ``_by_rows``.  Each block that draws uniforms draws them
-from its own copy of the Philox stream, moved to the block's first cell.
-Independent estimates whose passes are too small to split, such as the
-invariance pairs, run whole as jobs through ``_by_items``, each on its own
-streams; inside such a job every pass is one block.  Either way the output
-bytes do not depend on the CPU count or on thread scheduling.
+a persistent pool, one thread per usable CPU in all.  A batch chunk makes
+two passes over contiguous row blocks of at most 2^16 cells, through
+``_by_rows``.  The first (``_stick_rows``) turns each block's uniforms into
+sticks and, while the block is in cache, into its running sums, cuts,
+tails and masses.  The second (the estimator kernels in ``laplace``) draws
+each block's location or mark uniforms into per-thread scratch and reduces
+them at once to the per-row value, so no location, f-value or mark matrix
+is made.  A pass from 2^17 cells on is shared out, at least two blocks per
+thread, and each block draws its uniforms from its own copy of the Philox
+stream, moved to the block's first cell.  Independent estimates whose
+passes are too small to split, such as the invariance pairs, run whole as
+jobs through ``_by_items``, each on its own streams; inside such a job
+every pass runs its blocks in turn.  Either way the output bytes do not
+depend on the CPU count or on thread scheduling.
 """
 
 from __future__ import annotations
@@ -240,9 +246,12 @@ def _skip_uniforms(gen, n):
 _CELL_BUDGET = 1 << 26
 
 
-# A pass over fewer cells than this runs as one block: below it, handing
-# blocks to another thread costs more than it saves.
+# A pass over fewer cells than this runs on the caller's thread alone:
+# below it, handing blocks to another thread costs more than it saves.
 _SPLIT_CELLS = 1 << 17
+# Most cells a row block holds: 512 KB per float64 array, so a block's
+# uniforms and its work's scratch stay in a core's cache.
+_BLOCK_CELLS = 1 << 16
 # Threads that run shared jobs, the caller included: one per CPU this
 # process may run on.
 _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -250,8 +259,9 @@ _WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _pool = None
 _pool_lock = threading.Lock()
 # Per thread: ``gens``, one Philox generator for each thread of a split pass
-# (moving it to a block's first cell is cheaper than making a new one), and
-# ``in_job``, set while the thread runs a job of ``_share``.
+# (moving it to a block's first cell is cheaper than making a new one),
+# ``arena``, the thread's scratch arrays (see ``_scratch``), and ``in_job``,
+# set while the thread runs a job of ``_share``.
 _local = threading.local()
 
 
@@ -341,64 +351,112 @@ def _by_items(count, run, cells):
         _share(count, lambda k, _slot: run(k), threads)
 
 
-def _by_rows(rows, cols, work=None, gen=None):
+def _movable(gen):
+    """Whether copies of ``gen`` can be moved to any cell of its uniform stream.
+
+    True for a numpy Generator on Philox, unless it holds half of a 32-bit
+    pair, which ``advance`` would drop.  A subclass may draw otherwise than
+    its bit generator, so it is not moved.
+    """
+    return (type(gen) is np.random.Generator
+            and isinstance(gen.bit_generator, np.random.Philox)
+            and not gen.bit_generator.state["has_uint32"])
+
+
+def _scratch(name, shape, dtype=float):
+    """This thread's scratch array ``name``, viewed as ``shape``.
+
+    The buffer is kept for the thread's later passes and grows only when a
+    block needs more cells than any before it; a row block holds at most
+    ``_BLOCK_CELLS`` cells unless a single row is longer.  Names in use:
+    ``"block"`` (a block's uniforms, or the stick pass's running sums) and
+    ``"closed"`` (the stick pass's cut test).
+    """
+    cells = shape[0] * shape[1]
+    try:
+        buf = _local.arena[name]
+        if buf.size >= cells:
+            return buf[:cells].reshape(shape)
+    except AttributeError:
+        _local.arena = {}
+    except KeyError:
+        pass
+    buf = _local.arena[name] = np.empty(cells, dtype)
+    return buf[:cells].reshape(shape)
+
+
+def _by_rows(rows, cols, work=None, gen=None, *, keep=False):
     """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
 
-    With ``gen``, the pass also draws a (rows, cols) matrix of uniforms in
-    row-major order and returns it; ``u`` is the block's rows of it, else
-    None.  ``work`` may write only rows lo..hi of its outputs, and must call
-    no public conicpd function, so that blocks may run at once: on the
-    caller's thread and on the pool's, as jobs of ``_share``, two blocks per
-    thread.  Each block draws from a copy of ``gen`` moved to the block's
-    first cell, and ``gen`` ends where one serial draw would have left it,
-    so the results are the same bytes whichever thread runs which block, and
-    for any block count.
+    A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
+    what its work reads and writes stays in a core's cache.  With ``gen``,
+    ``u`` is the block's rows of a (rows, cols) matrix of uniforms drawn in
+    row-major order, else None.  With ``keep`` that matrix is made whole and
+    returned; without it, a pass of several blocks draws each block's
+    uniforms into its thread's scratch block (``_scratch("block", ...)``,
+    which ``work`` must then not take itself) and never holds the matrix.
+    ``gen`` ends where one serial draw of the matrix would have left it,
+    and the results are the same bytes whichever thread runs which block,
+    and for any block count.
 
-    One block serves the whole pass below ``_SPLIT_CELLS`` cells, on one CPU,
-    inside a job of ``_share`` (a row block's or a whole item's), and for a
-    generator that cannot be copied and moved so: anything but a numpy
-    Generator on Philox, or a Philox holding half of a 32-bit pair.  That
-    block draws with ``gen.random(count)``.
+    ``work`` may write only rows lo..hi of its outputs, use scratch of its
+    own thread only, and call no public conicpd function, so that blocks may
+    run at once: on the caller's thread and on the pool's, as jobs of
+    ``_share``, at least two blocks per thread, each drawing from a copy of
+    ``gen`` moved to its first cell.  Below ``_SPLIT_CELLS`` cells, on one
+    CPU, and inside a job of ``_share`` (a row block's or a whole item's),
+    the blocks run one after another on the caller's thread, each drawing
+    from ``gen`` itself.  A pass of one block, and a generator that can do
+    neither (one that ``_movable`` refuses, on a split pass, or one that is
+    not numpy's own Generator), draws the whole matrix at once with
+    ``gen.random(count)`` before any block runs.
     """
     threads = _free_threads(rows) if rows * cols >= _SPLIT_CELLS else 1
-    if threads > 1 and gen is not None:
-        bitgen = getattr(gen, "bit_generator", None)
-        if isinstance(gen, np.random.Generator) and isinstance(bitgen, np.random.Philox):
-            state = bitgen.state
-            if state["has_uint32"]:
-                threads = 1
-        else:
-            threads = 1
-    if threads == 1:
-        u = None if gen is None else gen.random(rows * cols).reshape(rows, cols)
-        if work is not None:
-            work(0, rows, u)
-        return u
-
-    blocks = min(2 * threads, rows)
-    bounds = [rows * b // blocks for b in range(blocks + 1)]
-    u = None if gen is None else np.empty((rows, cols))
-    spares = getattr(_local, "gens", [])
-    if len(spares) < threads:
-        spares = _local.gens = [np.random.Generator(np.random.Philox(0))
-                                for _ in range(threads)]
+    blocks = -(-rows // max(1, _BLOCK_CELLS // cols))
+    if threads > 1:
+        # Whole rounds of blocks, so that no thread is left with one more.
+        blocks = min(max(2, -(-blocks // threads)) * threads, rows)
+    # How the uniforms are drawn: by each block from its own moved copy of
+    # gen, by each block in turn from gen itself (numpy's Generator on one
+    # thread), or all at once before the blocks run (a pass of one block, or
+    # any other generator).
+    moved = threads > 1 and _movable(gen)
+    in_turn = threads == 1 < blocks and type(gen) is np.random.Generator
+    if gen is None or moved or in_turn:
+        whole = np.empty((rows, cols)) if gen is not None and keep else None
+    else:
+        whole = gen.random(rows * cols).reshape(rows, cols)
+    if moved:
+        state = gen.bit_generator.state
+        spares = getattr(_local, "gens", [])
+        if len(spares) < threads:
+            spares = _local.gens = [np.random.Generator(np.random.Philox(0))
+                                    for _ in range(threads)]
 
     def block(b, slot):
-        lo, hi = bounds[b], bounds[b + 1]
-        part = None
-        if gen is not None:
-            spare = spares[slot]
-            spare.bit_generator.state = state
-            _skip_uniforms(spare, lo * cols)
-            part = u[lo:hi]
-            spare.random(out=part)
+        lo, hi = rows * b // blocks, rows * (b + 1) // blocks
+        part = None if whole is None else whole[lo:hi]
+        if moved or in_turn:
+            if part is None:
+                part = _scratch("block", (hi - lo, cols))
+            if moved:
+                spare = spares[slot]
+                spare.bit_generator.state = state
+                _skip_uniforms(spare, lo * cols)
+                spare.random(out=part)
+            else:
+                gen.random(out=part)
         if work is not None:
             work(lo, hi, part)
 
-    _share(blocks, block, threads)
-    if gen is not None:
+    if threads == 1:
+        for b in range(blocks):
+            block(b, 0)
+    else:
+        _share(blocks, block, threads)
+    if moved:
         _skip_uniforms(gen, rows * cols)
-    return u
+    return whole if keep else None
 
 
 def _first_width(theta, eps):
@@ -407,19 +465,30 @@ def _first_width(theta, eps):
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
 
-def _stick_rows(theta, eps, rows, gen):
-    """Stick fractions of ``rows`` independent draws, each cut where its residual reaches eps.
+def _stick_rows(theta, eps, rows, gen, masses=False):
+    """Sticks of ``rows`` independent draws, each cut where its residual reaches eps.
 
-    Returns (y, run, cut): the (rows, K) stick matrix, its row-wise running
-    sum of log(1 - y), and per row the first column with run <= log(eps).
-    Entries right of a row's cut are not part of the draw; K = max(cut) + 1.
+    Returns (matrix, tails).  ``matrix`` is (rows, K) with K = max(cut) + 1,
+    where a row's cut is its first column with run <= log(eps), run being
+    the row's running sum of log(1 - y).  It holds the sticks y, whose
+    entries right of a row's cut are not part of the draw; with ``masses``,
+    it holds the masses c_0 = y_0, c_j = y_j * exp(run_{j-1}) instead, zero
+    right of the cut, and ``tails`` is exp(run) at each row's cut (else
+    None).
+
+    One pass of row blocks forms all of this while a block is in cache; the
+    running sums live in per-thread scratch.  Cells right of the cut are
+    the ones whose left neighbour has run <= log(eps): the comparison that
+    finds the cut, shifted one column.
 
     Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so a draw
     needs 1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block
     has ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
     outrun.  Only the rows still open are extended, by half the current
-    width at a time, so the work stays linear in the sticks drawn.  ``theta``
-    and ``eps`` must be checked floats.
+    width at a time, in arrays that hold only those rows, so the work stays
+    linear in the sticks drawn; the matrix is widened once, at the end, and
+    only if a row was extended.  ``theta`` and ``eps`` must be checked
+    floats.
     """
     log_eps = math.log(eps)
     m = -theta * log_eps
@@ -429,35 +498,76 @@ def _stick_rows(theta, eps, rows, gen):
             f"theta*log(1/eps) = {m:.4g} expected sticks per draw over {rows} rows exceeds the "
             f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
             "--samples per stream to lower the rows")
-    run = np.empty((rows, width))
     cut = np.empty(rows, np.intp)
+    tails = np.empty(rows) if masses else None
+    last = np.empty(rows)
 
     def first_block(lo, hi, u):
+        # ndarray methods, not their np.* wrappers: a one-row draw's cost is
+        # mostly per-call overhead.
         y = _stick_block(u, theta)
-        block_run = np.log1p(y, out=run[lo:hi])
+        run = np.log1p(y, out=_scratch("block", y.shape))
         np.negative(y, out=y)
-        np.cumsum(block_run, axis=1, out=block_run)
-        np.argmax(block_run <= log_eps, axis=1, out=cut[lo:hi])
+        run.cumsum(axis=1, out=run)
+        closed = np.less_equal(run, log_eps, out=_scratch("closed", y.shape, bool))
+        block_cut = closed.argmax(axis=1, out=cut[lo:hi])
+        last[lo:hi] = run[:, -1]
+        if masses:
+            np.exp(run[np.arange(hi - lo), block_cut], out=tails[lo:hi])
+            _form_masses(y, run, closed)
 
-    y = _by_rows(rows, width, first_block, gen)
-    grow = np.flatnonzero(run[:, -1] > log_eps)
-    grown = grow
+    y = _by_rows(rows, width, first_block, gen, keep=True)
+    grow = (last > log_eps).nonzero()[0]
+    rounds, start, run_end = [], width, last[grow]
     while grow.size:
-        add = y.shape[1] // 2
+        # A row still open here has no cut in the first block; it is found
+        # in the round that closes the row.
+        add = start // 2
         ext = _stick_block(gen.random(grow.size * add), theta).reshape(grow.size, add)
-        ext_run = np.log1p(ext)
+        run = np.log1p(ext)
         np.negative(ext, out=ext)
-        y = np.pad(y, ((0, 0), (0, add)))
-        run = np.pad(run, ((0, 0), (0, add)), mode="edge")
-        y[grow, -add:] = ext
-        run[grow, -add:] += np.cumsum(ext_run, axis=1)
-        grow = grow[run[grow, -1] > log_eps]
-    # A row still open after the first block has no cut there; it is found
-    # once the extension rounds close the row.
-    if grown.size:
-        cut[grown] = np.argmax(run[grown] <= log_eps, axis=1)
+        np.cumsum(run, axis=1, out=run)
+        run += run_end[:, None]
+        closed = run <= log_eps
+        closing = closed[:, -1]
+        ext_cut = np.argmax(closed[closing], axis=1)
+        cut[grow[closing]] = start + ext_cut
+        if masses:
+            tails[grow[closing]] = np.exp(run[np.flatnonzero(closing), ext_cut])
+        rounds.append((grow, start, ext))
+        run_before = run_end
+        grow, run_end = grow[~closing], run[~closing, -1]
+        if masses:
+            _form_masses(ext, run, closed, run_before)
+        start += add
     keep = int(cut.max()) + 1
-    return y[:, :keep], run[:, :keep], cut
+    if not rounds:
+        return y[:, :keep], tails
+    wide = np.zeros((rows, keep))
+    wide[:, :width] = y
+    for grow, start, ext in rounds:
+        ext = ext[:, :keep - start]
+        wide[grow, start:start + ext.shape[1]] = ext
+    return wide, tails
+
+
+def _form_masses(y, run, closed, run_before=None):
+    """Turn a block of sticks y into masses in place: y_j * exp(run_{j-1}), zero right of the cut.
+
+    ``run`` holds the block's running sums of log(1 - y) and ``closed`` the
+    test run <= log(eps); all three are C-contiguous and of one shape, and
+    ``run`` is overwritten.  Column 0 is multiplied by exp(run_before), the
+    running sum just left of the block, or kept as it is without it: a
+    draw's first mass is its first stick.  No row is closed left of a block.
+    """
+    first = y[:, 0].copy() if run_before is None else y[:, 0] * np.exp(run_before)
+    # One pass over the flat block shifted by a cell, so each cell meets its
+    # left neighbour's exp(run) and cut test; column 0 meets the previous
+    # row's last, and is put back after.
+    flat, before = y.reshape(-1)[1:], run.reshape(-1)[:-1]
+    np.multiply(flat, np.exp(before, out=before), out=flat)
+    flat[closed.reshape(-1)[:-1]] = 0.0
+    y[:, 0] = first
 
 
 def _positive_real(value, name, upper=math.inf) -> float:
@@ -633,22 +743,9 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
 
 
 def _stick_masses(theta, eps, rows, gen):
-    # Built in place, so the peak is the two matrices plus a boolean mask:
-    # the tails are read before run's buffer takes the stick products
-    # exp(run_{j-1}), and the masses c_j = y_j * exp(run_{j-1}) overwrite y.
+    """``stick_masses_batch`` in private code only, for jobs that may run off the calling thread."""
     theta, eps = _check_theta_eps(theta, eps)
-    masses, run, cut = _stick_rows(theta, eps, rows, gen)
-    tails = np.exp(run[np.arange(rows), cut])
-    columns = np.arange(masses.shape[1])
-
-    def form_masses(lo, hi, _u):
-        prefix = np.exp(run[lo:hi, :-1], out=run[lo:hi, :-1])
-        block = masses[lo:hi]
-        np.multiply(block[:, 1:], prefix, out=block[:, 1:])
-        block[columns[None, :] > cut[lo:hi, None]] = 0.0
-
-    _by_rows(rows, masses.shape[1], form_masses)
-    return masses, tails
+    return _stick_rows(theta, eps, rows, gen, masses=True)
 
 
 def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):
@@ -656,22 +753,19 @@ def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = T
 
     With ``locations=False`` the location slot is None: the generator skips
     the uniforms instead of drawing them, so every later draw is the same.
+    The estimators that read locations draw them block by block instead
+    (``laplace._pairing``); this whole-matrix form is their reference.
     """
-    return _gamma_batch(theta, eps, rows, gen, locations=locations, sticks=stick_masses_batch)
-
-
-def _gamma_batch(theta, eps, rows, gen, *, locations=True, sticks=_stick_masses):
-    """``gamma_batch`` in private code only, for jobs that may run off the calling thread.
-
-    ``sticks`` draws the normalized masses; ``gamma_batch`` passes the public
-    ``stick_masses_batch``, so that a tracer sees its calls.
-    """
-    masses, tails = sticks(theta, eps, rows, gen)
+    masses, tails = stick_masses_batch(theta, eps, rows, gen)
     if locations:
-        locs = _by_rows(rows, masses.shape[1], gen=gen)
+        locs = _by_rows(rows, masses.shape[1], gen=gen, keep=True)
     else:
         locs = None
         _skip_uniforms(gen, masses.size)
+    return masses, locs, _gamma_totals(theta, rows, gen), tails
+
+
+def _gamma_totals(theta, rows, gen):
+    """Gamma(theta) totals of ``rows`` draws, drawn after their locations; a zero becomes tiny."""
     totals = gen.standard_gamma(theta, rows)
-    totals = np.where(totals == 0.0, np.finfo(float).tiny, totals)
-    return masses, locs, totals, tails
+    return np.where(totals == 0.0, np.finfo(float).tiny, totals)

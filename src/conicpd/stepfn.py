@@ -73,8 +73,15 @@ class StepFunction:
         # A NaN propagates through min/max and fails both comparisons.
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
             raise DomainError("step functions are defined on [0, 1)")
-        out = self.values[_piece_index(self.breakpoints[1:-1], arr)]
+        out = self._at(arr)
         return float(out) if arr.ndim == 0 else out
+
+    def _at(self, x, out=None):
+        """Values at the points of an array ``x`` known to lie in [0, 1); ``out`` may be ``x``."""
+        # take() gathers the same floats as values[index], without first
+        # converting _piece_index's uint8 counts to a wider index array.
+        index = _piece_index(self.breakpoints[1:-1], x)
+        return np.take(self.values, index, out=out, mode="clip")
 
     @property
     def min_value(self) -> float:

@@ -435,6 +435,58 @@ def test_invariance_bytes_do_not_depend_on_pair_fan_out(capsys, monkeypatch, wid
     test_estimator_output_bytes_are_frozen(capsys, *_INVARIANCE_CASE)
 
 
+_STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
+
+# sha256 of every line after the meta line of the bench's 14 mc-shaped argv
+# (workload seed 2, whose second theta = 4 task extends a stick batch), plus
+# the theta = 4 task of workload seed 311 whose first stick block is outgrown,
+# each with its --seed; frozen before the kernels streamed their row blocks.
+_MC_BODY_SHA256 = [
+    (("laplace", "--theta", "0.5", "--f", "1.5@0.0:1.0", "--samples", "8192"),
+     "2104669064", "e22c898f411becf500f753757395f00ed9a67d2c1448f2f8dcea4d63613548ea"),
+    (("laplace", "--theta", "0.5", "--f", _STEP3, "--samples", "8192"),
+     "1705610640", "7938448afc98ab8e85c896b37eb19d6d9cce37655d4b0f4c92724d9616d1e4d6"),
+    (("laplace", "--theta", "1.0", "--f", "1.5@0.0:1.0", "--samples", "8192"),
+     "1457654484", "7d3eb7f21f925007ccb920ccaafb720693e66f67f3ceaa9da83583916f3c77c6"),
+    (("laplace", "--theta", "1.0", "--f", _STEP3, "--samples", "8192"),
+     "1312480814", "fc5b7c9a189f1266c669c7026984a1223f7da360a4edfa0a84f303c35db9ec73"),
+    (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
+     "816715227", "69fc860c3b68436c9c360fa41a308d683e08fa4b4cd6cefbb445837a088cfb31"),
+    (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
+     "1673831587", "cd985b697f6f78eeaa65ea5df17057c6a470dd9378ace43bf44e67c3d58f9c53"),
+    (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
+     "1609523211", "1d24c2f506871bf45c81423b2e989dcd4358fe60ff01e0ef0bce38338192c4b0"),
+    (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
+     "973238861", "c625cb832505a678950ab08c280305c42454faf146c156c4bcfe113ebab19ab1"),
+    (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
+     "1188544692", "4c1e5b490b761b7e3097ca8a1942b4cbad7b7dc77936c1abeb126034903f9923"),
+    (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
+     "116293682", "d2fff02b6bd7d64dbfcb32c05e10402848c7cd6dc661c068cc737b009dda64a7"),
+    (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
+     "1120397550", "4ea9299820d1ae6af6d31251cf427edcead62bfd1d5fef47fea7475cf11537bc"),
+    (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
+     "31173149", "1ff855e7f984a18a06476751ca599b6cb10275c7e0f2c2cf1633af8d017a7b1a"),
+    (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1.0,2.0", "--samples", "8192"),
+     "433586074", "11e9e9ece5dfb3b1f5ce1b68aae201bc9b2b199b503f17160d0a2abb737236ee"),
+    (("invariance", "--pairs", "24", "--samples", "1500", "--format", "csv"),
+     "540110510", "42185d0f390e84af1becb44155f0e49c9a67f673742357a5fda31763dc005249"),
+    (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
+     "1654520701", "68891bb571cae1078ea8882c5d557b89e2be35c7f0894429cc85be75d350a619"),
+]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("argv, seed, digest", _MC_BODY_SHA256)
+def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, digest, width):
+    # As in the row-block test above: width 1 is serial, and with no size
+    # floor every pass of two rows or more splits over 2 or 3 threads.
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    code, out, _err = run_cli(capsys, list(argv) + ["--seed", seed])
+    assert code == 0
+    assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
+
+
 def test_the_first_failing_pair_surfaces_once_no_pair_runs(capsys, monkeypatch):
     # Pair 5 fails first in time while pair 2 waits for it; pair 2's failure
     # is the one a serial run meets, so it is the one reported.

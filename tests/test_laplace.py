@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -409,6 +410,33 @@ def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
     serial, split = reports
     assert np.array_equal(serial.estimates, split.estimates)
     assert np.array_equal(serial.stderrs, split.stderrs)
+
+
+# sha256 of (estimates, stderrs, z_scores) bytes of functional_distribution_check(
+# theta, f, b, samples, RngStream(seed), streams=...), frozen while its kernel
+# still held whole location and f-value matrices.  The first case has two
+# chunks in one stream; the last one's batch outgrows its first stick block.
+_WINDOW_SHA256 = {
+    (1.0, "three", 1.0, 40_000, 7, 2): "b380bb51756e04d8a62b330c5fac412beea83d9c7c8ae37413390a78b1ade68e",
+    (2.5, "constant", 2.0, 5000, 8, 1): "b87bfa649911f91f84b1f64af8a69c0afa3c79617881a8113625f07ed13c54dd",
+    (4.0, "three", 1.5, 20_000, 4, 1): "bf9ba944760d9818ced8f50c29143707d3bcdf38ad058290cf77cf164a9cd4ef",
+}
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("case", list(_WINDOW_SHA256))
+def test_functional_window_reports_are_frozen(monkeypatch, case, width):
+    from conicpd import processes
+
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    theta, name, b, samples, seed, streams = case
+    f = (StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
+         if name == "three" else StepFunction.constant(1.5))
+    rep = functional_distribution_check(theta, f, b, samples, RngStream(seed), streams=streams)
+    digest = hashlib.sha256(rep.estimates.tobytes() + rep.stderrs.tobytes()
+                            + rep.z_scores.tobytes()).hexdigest()
+    assert digest == _WINDOW_SHA256[case]
 
 
 def test_functional_window_validation():

@@ -36,7 +36,7 @@ from conicpd import (
     stick_break,
     weight_as_lebesgue,
 )
-from conicpd import processes
+from conicpd import laplace, processes
 from conicpd.errors import DomainError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
 from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
@@ -449,13 +449,32 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
 
 
 def test_stick_batch_peak_memory_is_two_matrices():
-    # The masses are formed in the stick matrix's buffer and the stick
-    # products in the running sums', so the peak stays near two matrices.
+    # The masses are formed in the stick matrix's buffer, and the running
+    # sums live in scratch blocks of at most 2^16 cells per thread, so the
+    # peak stays near one matrix (of the first block's width) when no row
+    # outgrows the first block.
     gen = RngStream(3).generator()
     out = []
     peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(4.0, EPS, 20_000, gen)))
     masses, _tails = out[0]
-    assert peak <= 2.6 * masses.nbytes
+    assert masses.shape[1] <= _first_block(4.0, EPS)
+    assert peak <= 1.3 * masses.nbytes
+
+
+@pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 4), (1.0, 8192, 9)])
+def test_extending_stick_batch_peak_memory_is_two_matrices(monkeypatch, theta, rows, seed):
+    # Rows still open after the first block grow in arrays of their own, and
+    # the masses matrix is widened once, so the peak is the first block's
+    # matrix and the widened one.  On one thread the warm-up call makes every
+    # scratch block the measured call uses; they are kept between calls.
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
+    gen = RngStream(seed).generator()
+    out = []
+    peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(theta, EPS, rows, gen)))
+    masses, _tails = out[0]
+    assert masses.shape[1] > _first_block(theta, EPS)
+    assert peak <= 2.1 * masses.nbytes
 
 
 # sha256 of (shape, masses, tails) bytes, frozen from the out-of-place kernel
@@ -765,6 +784,32 @@ def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, widt
         assert serial[0][0].shape[1] > _first_block(theta, EPS)
 
 
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.3, 10.0), rows=st.integers(1, 700), seed=st.integers(0, 2**32),
+       offset=st.integers(0, 5), width=st.integers(1, 3), pieces=st.sampled_from([1, 2, 3, 70]))
+def test_streamed_pairing_is_the_whole_matrix_product(theta, rows, seed, offset, width, pieces):
+    # The kernels pair each row's masses with f at location uniforms drawn
+    # block by block into scratch; the public gamma_batch draws the whole
+    # location matrix.  The per-row sums must be the same floats, and the
+    # generator must end where gamma_batch leaves it.  70 pieces take the
+    # binary-search lookup.
+    f = StepFunction(np.linspace(0.0, 1.0, pieces + 1),
+                     0.5 + np.random.default_rng(seed).random(pieces))
+    gens = [RngStream(seed).generator() for _ in range(2)]
+    for gen in gens:
+        gen.random(offset)  # a Philox block partly spent
+    masses, locations, totals, _tails = gamma_batch(theta, EPS, rows, gens[0])
+    want = (masses * f(locations)).sum(axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "_WIDTH", width)
+        patch.setattr(processes, "_SPLIT_CELLS", 0)
+        streamed, _tails = stick_masses_batch(theta, EPS, rows, gens[1])
+        got = laplace._pairing(streamed, f, gens[1])
+        got_totals = processes._gamma_totals(theta, rows, gens[1])
+    assert np.array_equal(got, want) and np.array_equal(got_totals, totals)
+    assert _position(gens[1]) == _position(gens[0])
+
+
 @pytest.mark.parametrize("kind", ["half pair", "pcg64"])
 def test_generators_that_cannot_be_moved_draw_serially(monkeypatch, kind):
     # A Philox holding half of a 32-bit pair would lose it to advance(), and
@@ -953,7 +998,7 @@ def _wrap_public(monkeypatch, record):
 def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
     # A span tracer wraps every public conicpd function and keeps one span
     # stack, so only private code may run on the pool's threads.
-    from conicpd import cli, laplace
+    from conicpd import cli
 
     caller, off_thread = threading.get_ident(), []
 
