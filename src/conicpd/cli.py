@@ -4,9 +4,10 @@ Every subcommand resolves its configuration (flags > config file > defaults),
 runs the corresponding library routine, and emits either newline-delimited
 JSON records or an RFC-4180-style CSV.  The first line always records the
 fully resolved configuration, the Monte Carlo chunk size (it fixes how each
-stream's draws are cut into batches) and the tool version, and nothing time-
-or host-dependent is ever written, so identical configurations produce
-byte-identical output.
+stream's draws are cut into batches; ``sample`` adds its own batch bound)
+and the tool version, and nothing time- or host-dependent is ever written,
+so identical configurations produce byte-identical output.  Records are
+written as they are formed, once every refusal that needs no draw has run.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 """
@@ -14,7 +15,9 @@ Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -27,13 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, InfiniteVarianceError, NumericalError
 from .estimation import CHUNK_ROWS, stream_counts
-from .processes import (
-    RngStream,
-    sample_dirichlet_process,
-    sample_gamma_process,
-    series_record,
-    weight_as_lebesgue,
-)
+from .processes import RngStream, _batch_rows, _draw_rows
 from .stepfn import StepFunction
 
 
@@ -258,62 +255,72 @@ def _fmt(value):
 
 _SAMPLE_DRAW_COLS = ["total_mass", "tail_bound", "log_weight", "seed", "stream_id"]
 _SAMPLE_COLS = ["draw", "atom", "mass", "location"] + _SAMPLE_DRAW_COLS
+# Most first-block cells (rows x the first stick block's columns) that one
+# batch of `sample` draws holds, with at least one row.  It fixes which draws
+# share a stick pass, and so the output bytes: the meta line records it.
+SAMPLE_BATCH_CELLS = 1 << 18
 
 
-def _sample_csv_lines(records: list[dict]) -> list[str]:
+def _sample_csv_lines(r: dict) -> str:
     """One line per atom: the draw's cells are formatted once and repeated on each."""
-    lines = []
-    for r in records:
-        draw = r["draw"]
-        tail = "".join("," + _fmt(r[c]) for c in _SAMPLE_DRAW_COLS)
-        lines += [f"{draw},{atom},{mass!r},{loc!r}{tail}"
-                  for atom, (mass, loc) in enumerate(zip(r["masses"], r["locations"]))]
-    return lines
+    draw = r["draw"]
+    tail = "".join("," + _fmt(r[c]) for c in _SAMPLE_DRAW_COLS)
+    return "".join(f"{draw},{atom},{mass!r},{loc!r}{tail}\n"
+                   for atom, (mass, loc) in enumerate(zip(r["masses"], r["locations"])))
 
 
-def _emit(cfg: dict, columns: list[str], records: list[dict]) -> str:
+def _emit(cfg: dict, columns: list[str], records, fh):
+    """Write the meta line (and CSV header), then each record as soon as it is formed."""
     header = {k: v for k, v in cfg.items() if k not in ("out", "config")}
-    meta = json.dumps({"chunk_rows": CHUNK_ROWS, "config": header, "version": __version__},
-                      sort_keys=True)
+    meta = {"chunk_rows": CHUNK_ROWS, "config": header, "version": __version__}
+    if cfg["command"] == "sample":
+        meta["batch_cells"] = SAMPLE_BATCH_CELLS
+    meta = json.dumps(meta, sort_keys=True)
     if cfg["format"] == "json":
-        lines = [meta]
-        lines += [json.dumps(r, sort_keys=True) for r in records]
-    else:
-        lines = ["# " + meta, ",".join(columns)]
-        if cfg["command"] == "sample":
-            lines += _sample_csv_lines(records)
-        else:
-            lines += [",".join(_fmt(r.get(c)) for c in columns) for r in records]
-    return "\n".join(lines) + "\n"
-
-
-def _write(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
+        fh.write(meta + "\n")
+        for r in records:
+            fh.write(json.dumps(r, sort_keys=True) + "\n")
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    fh.write("# " + meta + "\n" + ",".join(columns) + "\n")
+    if cfg["command"] == "sample":
+        for r in records:
+            fh.write(_sample_csv_lines(r))
+        return
+    for r in records:
+        fh.write(",".join(_fmt(r.get(c)) for c in columns) + "\n")
+
+
+def _output(out: str | None):
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="\n")
 
 
 def _run_sample(cfg):
-    records = []
+    # Every refusal that needs no draw runs here, before anything is written:
+    # theta, eps, the sample count, the last stream's key and the first block.
     counts = stream_counts(cfg["samples"], cfg["streams"])
-    draw_index = 0
+    RngStream(cfg["seed"], len(counts) - 1)
+    rows = _batch_rows(cfg["theta"], cfg["eps"], SAMPLE_BATCH_CELLS)
+    return _SAMPLE_COLS, _sample_records(cfg, counts, rows)
+
+
+def _sample_records(cfg, counts, rows):
+    """Each stream's draws, in batches of at most ``rows``, one record per draw."""
+    theta, eps, seed = cfg["theta"], cfg["eps"], cfg["seed"]
+    normalized, lebesgue = cfg["process"] == "dirichlet", cfg["process"] == "lebesgue"
+    draw = itertools.count()
     for stream, count in enumerate(counts):
-        rng = RngStream(cfg["seed"], stream)
-        gen = rng.generator()
-        for _ in range(count):
-            if cfg["process"] == "dirichlet":
-                series = sample_dirichlet_process(cfg["theta"], cfg["eps"], gen)
-            else:
-                series = sample_gamma_process(cfg["theta"], cfg["eps"], gen)
-                if cfg["process"] == "lebesgue":
-                    series = weight_as_lebesgue(series)
-            record = series_record(series, cfg["theta"], cfg["eps"], rng)
-            record["draw"] = draw_index
-            records.append(record)
-            draw_index += 1
-    return _SAMPLE_COLS, records
+        gen = RngStream(seed, stream).generator()
+        for start in range(0, count, rows):
+            # A generator expression per batch: its rows, views of the batch's
+            # matrices, are let go before the next batch is drawn.
+            yield from ({"theta": theta, "eps": eps, "masses": masses.tolist(),
+                         "locations": locations.tolist(), "total_mass": total,
+                         "tail_bound": tail, "log_weight": total if lebesgue else 0.0,
+                         "seed": seed, "stream_id": stream, "draw": next(draw)}
+                        for masses, locations, total, tail in _draw_rows(
+                            theta, eps, min(rows, count - start), gen, normalized=normalized))
 
 
 def _run_laplace(cfg):
@@ -463,7 +470,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         columns, records = _HANDLERS[args.command](cfg)
-        _write(_emit(cfg, columns, records), cfg.get("out"))
+        with _output(cfg.get("out")) as fh:
+            _emit(cfg, columns, records, fh)
     except InfiniteVarianceError:
         # Reword the library hint: the CLI deliberately has no override flag.
         print(

@@ -89,19 +89,20 @@ def solve_saddle(lam: float) -> SaddleSolution:
         if hi > 1e300:
             raise NumericalError("saddle bracket ran away at the upper end")
     g = 0.5 * (lo + hi)
+    # psi'(g) is zeta(2, g), the bits of scipy's polygamma(1, g) without its dispatch.
     for _ in range(200):
         resid = float(special.digamma(g)) - target
         if abs(resid) <= 1e-13:
             return SaddleSolution(
                 lam=lam, gamma=g,
                 L_value=float(special.gammaln(g)) - g * target,
-                curvature=float(special.polygamma(1, g)),
+                curvature=float(special.zeta(2.0, g)),
             )
         if resid > 0.0:
             hi = g
         else:
             lo = g
-        step = g - resid / float(special.polygamma(1, g))
+        step = g - resid / float(special.zeta(2.0, g))
         g = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericalError("saddle iteration did not reach tolerance 1e-13")
 
@@ -173,7 +174,7 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
     """log F_n, error and node count for sorted distinct ``ns``."""
     log_lam = math.log(lam)
     log_gamma0 = float(special.gammaln(gamma))
-    curvature = float(special.polygamma(1, gamma))
+    curvature = float(special.zeta(2.0, gamma))
     n_min, n_max = int(ns[0]), int(ns[-1])
     cutoff = 8.0 / math.sqrt(n_min * curvature)
     while n_min * (special.loggamma(complex(gamma, cutoff)).real - log_gamma0) > _LOG_NEGLIGIBLE:
@@ -350,7 +351,9 @@ def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     gaps = ratios - sol.L_value
     a = sol.curvature
     corrected = ratios + 0.5 * np.log(2.0 * math.pi * ns * a) / ns
-    c3, c4 = special.polygamma([2, 3], sol.gamma)
+    # psi''(g) and psi'''(g): scipy's polygamma(n, x) is (-1)^(n+1) n! zeta(n+1, x),
+    # so these are its bits without its dispatch.
+    c3, c4 = -2.0 * special.zeta(3.0, sol.gamma), 6.0 * special.zeta(4.0, sol.gamma)
     kappa1 = c4 / (8.0 * a * a) - 5.0 * c3 * c3 / (24.0 * a ** 3)
     series = corrected - np.log1p(kappa1 / ns) / ns
     limit = float(series[-1])

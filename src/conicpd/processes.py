@@ -9,23 +9,25 @@ here ever tries to sample an infinite measure directly.
 Truncation policy: stick-breaking stops at the first stick that takes the
 residual stick product to ``eps`` or below; the discarded mass is recorded on
 the draw as ``tail_bound`` so estimator bias can always be budgeted against
-the Monte Carlo error.  Scalar and batch draws share one recursion,
+the Monte Carlo error.  Every draw goes through one recursion,
 ``_stick_rows``, which sizes its stick matrix from the Poisson law of the
 stick count and refuses, with ``DomainError``, a first block larger than a
 fixed cell budget; the few rows that outgrow the first block are extended
 in arrays of their own.
 
-Scalar draws: ``sample_dirichlet_process`` and ``sample_gamma_process``
-build each draw's series once, through ``_sorted_draw``: the public
-``sample_gem``, the stick break, the locations and one stable sort by
-decreasing mass; the gamma total then scales the sorted masses.
+Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
+``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
+case.  The stick pass forms the masses and each row's cut; the locations
+and, for unnormalized draws, the gamma totals follow in ``gamma_batch``'s
+order, so the rows are ``gamma_batch``'s, each sorted by decreasing mass
+with one stable argsort and scaled by its total.  A row skips
+``WeightedAtomSeries``'s O(K) checks that its construction implies: the
+sort orders finite masses, scaling by a positive total keeps the order,
+and ``gen.random`` puts every location in [0, 1).  It keeps the O(1) end
+checks (the last kept mass positive, which NaN fails too, and the first
+finite), the total, the tail and, for normalized draws, the sum.
 ``sample_gem`` checks theta and eps once and that every stick is positive
-(the clamp in ``_stick_block`` already keeps them below 1).  The series
-skip ``WeightedAtomSeries``'s O(K) checks that their construction implies:
-the sort orders finite masses, scaling by a positive total keeps the order,
-and ``gen.random`` puts every location in [0, 1).  They keep the O(1) end
-checks (the last mass positive, which NaN fails too, and the first
-finite), the total, the tail and, for the normalized series, the sum.
+(the clamp in ``_stick_block`` already keeps them below 1).
 
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
 a persistent pool, one thread per usable CPU in all.  A batch chunk makes
@@ -158,10 +160,13 @@ class WeightedAtomSeries:
         object.__setattr__(self, "locations", x)
 
 
+_MASS_RANGE = "atom masses must be finite and strictly positive"
+
+
 def _check_mass_range(smallest, largest):
     """``WeightedAtomSeries``'s check of its smallest and largest mass."""
     if not (smallest > 0.0 and largest < math.inf):
-        raise DomainError("atom masses must be finite and strictly positive")
+        raise DomainError(_MASS_RANGE)
 
 
 def _check_totals(masses, total, tail, normalized):
@@ -465,16 +470,38 @@ def _first_width(theta, eps):
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
 
+def _budgeted_width(theta, eps, rows):
+    """``_first_width``, refused when ``rows`` rows of it exceed ``_CELL_BUDGET`` cells."""
+    width = _first_width(theta, eps)
+    if rows * width > _CELL_BUDGET:
+        raise DomainError(
+            f"theta*log(1/eps) = {-theta * math.log(eps):.4g} expected sticks per draw over "
+            f"{rows} rows exceeds the {_CELL_BUDGET}-cell sampler budget; lower theta, raise "
+            "eps, or use fewer --samples per stream to lower the rows")
+    return width
+
+
+def _batch_rows(theta, eps, cells):
+    """Rows of a batch of at most ``cells`` first-block cells at (theta, eps), at least one.
+
+    Checks theta and eps, and refuses, as ``_stick_rows`` would, a draw
+    whose single row outgrows the cell budget, so a caller can refuse
+    before it draws anything.
+    """
+    theta, eps = _check_theta_eps(theta, eps)
+    return max(1, cells // _budgeted_width(theta, eps, 1))
+
+
 def _stick_rows(theta, eps, rows, gen, masses=False):
     """Sticks of ``rows`` independent draws, each cut where its residual reaches eps.
 
-    Returns (matrix, tails).  ``matrix`` is (rows, K) with K = max(cut) + 1,
-    where a row's cut is its first column with run <= log(eps), run being
-    the row's running sum of log(1 - y).  It holds the sticks y, whose
-    entries right of a row's cut are not part of the draw; with ``masses``,
-    it holds the masses c_0 = y_0, c_j = y_j * exp(run_{j-1}) instead, zero
-    right of the cut, and ``tails`` is exp(run) at each row's cut (else
-    None).
+    Returns (matrix, tails, cuts).  ``matrix`` is (rows, K) with K =
+    max(cuts) + 1, where a row's cut is its first column with run <=
+    log(eps), run being the row's running sum of log(1 - y).  It holds the
+    sticks y, whose entries right of a row's cut are not part of the draw;
+    with ``masses``, it holds the masses c_0 = y_0, c_j = y_j *
+    exp(run_{j-1}) instead, zero right of the cut, and ``tails`` is
+    exp(run) at each row's cut (else None).
 
     One pass of row blocks forms all of this while a block is in cache; the
     running sums live in per-thread scratch.  Cells right of the cut are
@@ -491,13 +518,7 @@ def _stick_rows(theta, eps, rows, gen, masses=False):
     floats.
     """
     log_eps = math.log(eps)
-    m = -theta * log_eps
-    width = _first_width(theta, eps)
-    if rows * width > _CELL_BUDGET:
-        raise DomainError(
-            f"theta*log(1/eps) = {m:.4g} expected sticks per draw over {rows} rows exceeds the "
-            f"{_CELL_BUDGET}-cell sampler budget; lower theta, raise eps, or use fewer "
-            "--samples per stream to lower the rows")
+    width = _budgeted_width(theta, eps, rows)
     cut = np.empty(rows, np.intp)
     tails = np.empty(rows) if masses else None
     last = np.empty(rows)
@@ -542,13 +563,13 @@ def _stick_rows(theta, eps, rows, gen, masses=False):
         start += add
     keep = int(cut.max()) + 1
     if not rounds:
-        return y[:, :keep], tails
+        return y[:, :keep], tails, cut
     wide = np.zeros((rows, keep))
     wide[:, :width] = y
     for grow, start, ext in rounds:
         ext = ext[:, :keep - start]
         wide[grow, start:start + ext.shape[1]] = ext
-    return wide, tails
+    return wide, tails, cut
 
 
 def _form_masses(y, run, closed, run_before=None):
@@ -606,51 +627,69 @@ def sort_decreasing(masses) -> np.ndarray:
 
 def sample_dirichlet_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
     """Normalized draw: sorted stick-breaking masses with i.i.d. uniform locations."""
-    masses, locations, residual = _sorted_draw(theta, eps, as_generator(rng))
-    return _drawn_series(masses, locations, 1.0, residual, normalized=True)
+    return _one_draw(theta, eps, rng, normalized=True)
 
 
 def sample_gamma_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
     """Unnormalized draw: a normalized series scaled by an independent gamma total."""
+    return _one_draw(theta, eps, rng, normalized=False)
+
+
+def _one_draw(theta, eps, rng, *, normalized):
+    """The one-row case of ``_draw_rows``, as a ``WeightedAtomSeries``."""
     gen = as_generator(rng)
-    masses, locations, residual = _sorted_draw(theta, eps, gen)
-    # sample_gem has checked theta, so float(theta) is the checked shape.
-    total = _gamma_variate(float(theta), gen)
-    return _drawn_series(masses * total, locations, total, residual * total, normalized=False)
-
-
-def _sorted_draw(theta, eps, gen):
-    """(masses, locations, residual) of one normalized draw, masses in decreasing order.
-
-    The sticks come from the public ``sample_gem``, so a tracer counts it
-    once per draw; the locations are drawn after them, in stick order.
-    """
-    draw = sample_gem(theta, eps, gen)
-    masses = stick_break(draw)
-    locations = gen.random(masses.size)
-    order = np.argsort(-masses, kind="stable")
-    return masses[order], locations[order], draw.residual
-
-
-def _drawn_series(masses, locations, total, tail, *, normalized):
-    """``WeightedAtomSeries`` of a ``_sorted_draw`` draw, checked as its construction needs.
-
-    Only the checks the construction does not imply run (see the module
-    docstring), through the constructor's own helpers.  NaN sorts last, so the
-    check masses[-1] > 0 refuses it too.
-    """
-    _check_mass_range(masses[-1], masses[0])
-    _check_totals(masses, total, tail, normalized)
+    masses, locations, total, tail = next(_draw_rows(theta, eps, 1, gen, normalized=normalized))
     return _unchecked(WeightedAtomSeries, masses=masses, locations=locations, total_mass=total,
                       tail_bound=tail, log_weight=0.0, normalized=normalized)
 
 
+def _draw_rows(theta, eps, rows, gen, *, normalized):
+    """Yield ``rows`` draws as (masses, locations, total, tail), each checked as it is reached.
+
+    The rows are ``gamma_batch(theta, eps, rows, gen)``'s: the stick pass,
+    then the (rows, K) location uniforms, then, unless ``normalized``, the
+    gamma totals, which scale each row's masses and tail (a normalized draw
+    has total 1.0 and draws no totals).  Each row's masses and locations
+    are sorted by decreasing mass and cut to the row's own atoms; they are
+    views of the batch's matrices.  Only the checks the construction does
+    not imply run (see the module docstring), through the constructor's own
+    helpers, so a refusal stops the draws at the row that fails it.
+    """
+    theta, eps = _check_theta_eps(theta, eps)
+    masses, tails, cuts = _stick_rows(theta, eps, rows, gen, masses=True)
+    # One stable argsort orders each row by decreasing mass: the zeros right
+    # of its cut follow its atoms, and NaN sorts last.  (Not negated in place:
+    # numpy 2.4 negates a one-column view of an 8-column matrix wrongly.)
+    order = np.argsort(-masses, axis=1, kind="stable")
+    index = np.arange(rows)
+    masses = masses[index[:, None], order]
+    locations = _by_rows(rows, masses.shape[1], gen=gen, keep=True)[index[:, None], order]
+    smallest = masses[index, cuts].tolist()
+    if normalized:
+        totals = [1.0] * rows
+    else:
+        totals = _gamma_totals(theta, rows, gen)
+        masses *= totals[:, None]
+        tails = tails * totals
+        totals = totals.tolist()
+    for row, (cut, low, total, tail) in enumerate(zip(cuts.tolist(), smallest, totals,
+                                                      tails.tolist())):
+        if not low > 0.0:
+            # A kept mass of 0 is a zero stick (u = 0 at theta != 1): every
+            # kept cell's stick product exceeds eps, so it does not underflow
+            # unless eps is below about 1e-290.
+            if not np.isnan(masses[row]).any():
+                raise DomainError(_STICK_RANGE)
+            raise DomainError(_MASS_RANGE)
+        kept = masses[row, :cut + 1]
+        _check_mass_range(kept[-1], kept[0])
+        _check_totals(kept, total, tail, normalized)
+        yield kept, locations[row, :cut + 1], total, tail
+
+
 def sample_gamma_variate(shape: float, rng) -> float:
     """Exact gamma(shape, 1) draw; shape < 1 uses the u^(1/shape) boost internally."""
-    return _gamma_variate(_positive_real(shape, "shape"), as_generator(rng))
-
-
-def _gamma_variate(shape, gen):
+    shape, gen = _positive_real(shape, "shape"), as_generator(rng)
     value = float(gen.standard_gamma(shape))
     while value == 0.0:  # guard against underflow at tiny shapes
         value = float(gen.standard_gamma(shape))
@@ -745,7 +784,7 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
 def _stick_masses(theta, eps, rows, gen):
     """``stick_masses_batch`` in private code only, for jobs that may run off the calling thread."""
     theta, eps = _check_theta_eps(theta, eps)
-    return _stick_rows(theta, eps, rows, gen, masses=True)
+    return _stick_rows(theta, eps, rows, gen, masses=True)[:2]
 
 
 def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):

@@ -17,8 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicpd import DomainError, NumericalError, PartitionSpec, __version__, box_mass_L, processes
+from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
-from conicpd.estimation import CHUNK_ROWS
+from conicpd.estimation import CHUNK_ROWS, stream_counts
 from conicpd.stepfn import _LOOP_EDGES
 
 
@@ -175,7 +176,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.4.0"
+    assert meta["version"] == "0.5.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -194,6 +195,9 @@ def test_meta_line_records_chunk_rows(capsys):
         first = out.splitlines()[0]
         meta = json.loads(first[2:] if fmt == "csv" else first)
         assert meta["chunk_rows"] == CHUNK_ROWS and meta["version"] == __version__
+        # sample's batch bound decides which draws share a stick pass
+        assert meta["batch_cells"] == cli.SAMPLE_BATCH_CELLS == 1 << 18
+    assert "batch_cells" not in json_lines(run_cli(capsys, ["saddle"])[1])[0]
 
 
 def test_mellin_csv_layout(capsys):
@@ -598,44 +602,45 @@ def test_csv_text_cells_with_commas_stay_in_their_column(capsys, argv, key, text
 
 # sha256 of every line after the meta line of
 # sample --format F --process P --theta T --streams S --samples 3 --seed 7,
-# frozen from the row-per-atom formatter this one replaced.
+# frozen at version 0.5.0 (batched draws), once the records had matched
+# test_sample_records_are_sorted_gamma_batch_rows.
 _SAMPLE_BODY_SHA256 = {
-    ("json", "dirichlet", 1, 1): "33a098b2ef977a9048c3126c5d56de29f046fd64889af3463342450a08c1b53a",
-    ("json", "dirichlet", 1, 2): "b130500a06a2a1d25caa1bef70b095c9fc75e818ea44df044e2e1d361422596c",
-    ("json", "dirichlet", 8, 1): "e5a5173a3fb5ce0340506800c9e48e1c10a10e3c1ecb4896d504a99b201694c8",
-    ("json", "dirichlet", 8, 2): "b2dfbcb841730c39b80af8787c47bea63068618fd55111df37e75dae85af8663",
-    ("json", "dirichlet", 64, 1): "b99482e8b394969d2b0e2841491c931b1a85f36029a50f1c3cd5c8d4f9cc2df1",
-    ("json", "dirichlet", 64, 2): "c207231d8b44a22acea7d4838772db7cdaa9871114f6f4e2dfc67f7125ef1c5c",
-    ("json", "gamma", 1, 1): "0dad05d52476b85fcdfea5302e7abe000462cadf374c008dba831f2843c3e5f1",
-    ("json", "gamma", 1, 2): "cc406b0d2b3759eef92fc8200eedfe78a3dd5ae7d93e6f67863df744539c3cea",
-    ("json", "gamma", 8, 1): "005d6b0b195da9bc4731f4ae5f3964b06bbace8181e16877e0a0c27f869d0d94",
-    ("json", "gamma", 8, 2): "3db71ed94effbee7b763a7e59fa2e5d6f2f4cf2063cd7b7ea426e8513fd80bf7",
-    ("json", "gamma", 64, 1): "42a402eb38cf858e6e5843e5d46214882a94308693d5e57b4856a1aab68364a7",
-    ("json", "gamma", 64, 2): "c9e6d85e372fbe90216bdfa74407d9c4c6202d0a0b7bf1be6588ebf895508e82",
-    ("json", "lebesgue", 1, 1): "871e5db13c011ad24702c4ad28f99de25255e04f46783332e13f2ea045677d94",
-    ("json", "lebesgue", 1, 2): "0914936fe344c1bcf53cea5365f30815a8a5c55706d574b97174ed0fd26e81ba",
-    ("json", "lebesgue", 8, 1): "d0833ee0d436f655d8e789bc403b1f0ab413092b96e47a678aa9b7115de43032",
-    ("json", "lebesgue", 8, 2): "ab27fb32ef4bc349eb45de1174f09b75a0112ce95f80e0b6e94335fc008c4c2f",
-    ("json", "lebesgue", 64, 1): "bca9234c76e648979e22d30f0c0d31279a4a1b06e05d4a4a02d0b582158cf727",
-    ("json", "lebesgue", 64, 2): "2dc2383c6c4caf66b0284ca4779f6140edc9a9f86c03ccd92fe5e757bdbedfa3",
-    ("csv", "dirichlet", 1, 1): "8f9b160ae368a2abc7c6713b892c87c142359300d49c331718d52fa07620aaf4",
-    ("csv", "dirichlet", 1, 2): "bdbc58ec8314ffde650b588d9de91280c44104018e546a756c23ad4007868813",
-    ("csv", "dirichlet", 8, 1): "dc8254148dc4ac3ff8461301102318d735b53cbef2d426e1f3d85b89d1016c50",
-    ("csv", "dirichlet", 8, 2): "730c51693179fdaf22d5cd4965a3e8197e8e143a9c2d47f859e8da5bffcc40c1",
-    ("csv", "dirichlet", 64, 1): "0044bb76746259dcfe99b5ebcd367e76e6fc7c3788e68eb11d32b45ccca2a821",
-    ("csv", "dirichlet", 64, 2): "b431eb953092ac873dd2fd38360e8de5efe937f6dea31d632d504b01a86f0a31",
-    ("csv", "gamma", 1, 1): "378e7afeadc06e5601b1beb53d578e388702479e6367349fbf77d62d090e01d0",
-    ("csv", "gamma", 1, 2): "5657636480c5127d19505bce6d241472701c83ffbc48b03271e641ff47a5b518",
-    ("csv", "gamma", 8, 1): "17c6320669045fa644bdcfceb54992f7507c928234903fe4ccc4312365c10dd7",
-    ("csv", "gamma", 8, 2): "99894e1ce9a42519269097d560f4334759d6bfc0376fcbb0c54164fe1aeca945",
-    ("csv", "gamma", 64, 1): "08e46c211c878602d775cf6af7421cf1bedfd834cb90a0c1bfc74ee31be9445d",
-    ("csv", "gamma", 64, 2): "340d69bf643c7a0a15ca572314dac43d9262dc4590d73c2cf9d8b57bc3e649c9",
-    ("csv", "lebesgue", 1, 1): "983f2f3f1573a0604d1e1a352cdb98eb95d2e61927a54016044ae4a839e0f3ce",
-    ("csv", "lebesgue", 1, 2): "f89e910989c713465a061ac01ce3b7a766c2a7aaffb099ede05aa746b54e639a",
-    ("csv", "lebesgue", 8, 1): "6f188f4d5debc589c9492067421e32766777043b6ec810bfbd4b8756d7023a05",
-    ("csv", "lebesgue", 8, 2): "1b1ec2e23f7dfcbf1e108c00fbc84ff86207134f93d9d99e421fa4a817dd433d",
-    ("csv", "lebesgue", 64, 1): "daf420f5837d3546cfc3e308c8bb42b706fec8f7440c1dc3ca1954ed33f917d4",
-    ("csv", "lebesgue", 64, 2): "977fd1acb5631077525be8a1e70ab025227fe56b726e16c0a45450afac2796fc",
+    ("json", "dirichlet", 1, 1): "c7cf487b2bb024cd94231c97ba7619562e02cea1519de7369594a675fc554c53",
+    ("json", "dirichlet", 1, 2): "7b4442b836274bdd7cb60b8a6960c824e413fe1495373497aa63cf11b8ab75c5",
+    ("json", "dirichlet", 8, 1): "c8bf5267b0757a1e3dac500d638d8c23ddf76dc646074808780ae78240e7872d",
+    ("json", "dirichlet", 8, 2): "9a9ccf3bd9c03c6556d64674753af52b2be98044e1febbd774b71675de94ccca",
+    ("json", "dirichlet", 64, 1): "54cf11dcc7ce17a12746aa630d1ffa68bc4207ea7a2851bc7e06614439dbace1",
+    ("json", "dirichlet", 64, 2): "670e299b527871a9b1d11440dae4a5a83d24c11bb72e3ef7badca11ca4e641c5",
+    ("json", "gamma", 1, 1): "d98eede945aee64bc8d5ea4dd7bb4ec6c7d4e1a2e91552d718143590cf82b8f0",
+    ("json", "gamma", 1, 2): "65607bb805bc177691b0d4bdbdae3deb488c2bf149c5f8b87d0026ce7bc906a6",
+    ("json", "gamma", 8, 1): "9741d38c3820abb73c5807b31e5e5dd61b877efb2a237db98de42b914ddc0675",
+    ("json", "gamma", 8, 2): "d1c26d1e3c6c207ef423878672812527ce150f55f82162f1e85bd45ca19c482e",
+    ("json", "gamma", 64, 1): "6f4f30fd3d346e19c9a15ce02287fa86c65fde18a94efe640c080971e9711189",
+    ("json", "gamma", 64, 2): "78fdc67bca61002b1fb8d822594423bd80c25e81b5eb24957dfdd611e4d52c65",
+    ("json", "lebesgue", 1, 1): "558dbf8ce7d958b2ba5ceaf5b901ba699b957c30337a1b447c81f7362f9bd484",
+    ("json", "lebesgue", 1, 2): "09fe2456e6ab08c6b70451e22c3eda5173c29c9ae3e2921d622717753b983dae",
+    ("json", "lebesgue", 8, 1): "0ef41cc6e486be43c89e1ef11d18ad0bec65d16501194c3bf1d406b933f0b66f",
+    ("json", "lebesgue", 8, 2): "190ffc429c25e35a384ebd1d0768d2dd4bdb8e39c1fe1fded1279209099a0a51",
+    ("json", "lebesgue", 64, 1): "12a79bb9cdf95e19c678149ea3069dc2f5bba56f12e24b327be358a998c49fbe",
+    ("json", "lebesgue", 64, 2): "4ae76fa80dc16d2ca0ca7b9de13834cd8ca5ae97caf8673d14c199846c537ba5",
+    ("csv", "dirichlet", 1, 1): "f2ff54fe32db7bfdd3d75bbd42ab77f50683090d2fc4b7239b006987bc7b8da1",
+    ("csv", "dirichlet", 1, 2): "f727e16d5f98cfb886ae543dd0fe166a1e5b67ed805699e9f28825d78aae76b0",
+    ("csv", "dirichlet", 8, 1): "2943beb538f71f566a902309512adfa1065523d4d20d6b8062356a4ee89b7038",
+    ("csv", "dirichlet", 8, 2): "65f83a7202243ae3a91890313e335944fb2a6b7bd33141dfb974e137aab7bf60",
+    ("csv", "dirichlet", 64, 1): "b18f6ff7b4d463d92ffa4c2357dc40bc871a24b14c55b6c2bb11febfc7b40b5e",
+    ("csv", "dirichlet", 64, 2): "74a9c4e846cbe9d1e2ccc956628b1a9c0a5f03af8dc7bf20465a65878a4b3ee6",
+    ("csv", "gamma", 1, 1): "cd3fb749cefb411fa78872f3e5018384d3de375d07e5f11e92a8d44aafff107a",
+    ("csv", "gamma", 1, 2): "b7bac88bee3740722043350b840d0a3ef76faf8a8863d53ecd82562528b7d608",
+    ("csv", "gamma", 8, 1): "c39252d3345599c829a76872d6c2a5ae71caebafc95d3d0a530d28f8f2528d49",
+    ("csv", "gamma", 8, 2): "1a5d5b85191c6b6a664c4612c3dbab4df7cddbfd4f8d1fed3078b146803966e8",
+    ("csv", "gamma", 64, 1): "08239e8e87d2fd49c16b27563345302a97277beb7b5ff761bb0d22a776d7b763",
+    ("csv", "gamma", 64, 2): "ede3a79b67a9183e6f514a7a83d94c12ad5ef442d478699e3296ebb99359780c",
+    ("csv", "lebesgue", 1, 1): "96bc2c347afb1f404c3b48d6aba75057ed22b0d8d970cbfee3628668d20278e8",
+    ("csv", "lebesgue", 1, 2): "b6a512ab1047fd846bbf04e19eeb24eacef3973a6e5e24666cdec6cb7f1f5a46",
+    ("csv", "lebesgue", 8, 1): "d21d7bd360bfa22dbaa862a000aedfb31f40bbc796c3a3482aef0a4f13b272e1",
+    ("csv", "lebesgue", 8, 2): "683f90ac2be167394014383273f680ff0d64756f9323cf51d0d9d6a7ef9f661b",
+    ("csv", "lebesgue", 64, 1): "4bfd681f732429f6d7d8683e92d6826712ab466ad70ca6e23c1495b0032771d2",
+    ("csv", "lebesgue", 64, 2): "84b3941b183c13f52d9cda20a446366f8fe2414a91b49a27c6dd0ae70ee26fb1",
 }
 
 
@@ -651,21 +656,21 @@ def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
 
 
 # sha256 of every line after the meta line of the bench's draws-shaped
-# sample --theta T --process P --format F --samples N --seed 14, frozen
-# before the scalar samplers built each draw's series once.
+# sample --theta T --process P --format F --samples N --seed 14, frozen at
+# version 0.5.0 like the table above.
 _DRAWS_BODY_SHA256 = {
-    (1, 150, "gamma", "json"): "0c528d7f6e4396d9d231577091ca0d31718e1370bef70fb46c0f711078b1ef1e",
-    (1, 150, "gamma", "csv"): "bda7c7a9a636b78704eddfe524c5eac0a98bcde6169341e9f8586e82cb7c5bff",
-    (1, 150, "lebesgue", "json"): "46cd3870f7d5b73f37b83e0caae19705286eaaecc3ca8ef869fb017f725a845a",
-    (1, 150, "lebesgue", "csv"): "6609786a4bb0ced0f09622d2fa2a15b3551f50d002c230519dcb111c977f35bf",
-    (8, 25, "gamma", "json"): "215d53427b02d7d4424c48ff3cc6b35b47ecdb4107e57e7241922fc5dcc0b589",
-    (8, 25, "gamma", "csv"): "89c5fb77341db783a5b1a6245254c53dc79645dcdfe75e7207c18934f48b0461",
-    (8, 25, "lebesgue", "json"): "7c31ae58c72bddaa9ebbc2110f51490045c4dcf49c2c7d3791f3cea6fa3c150c",
-    (8, 25, "lebesgue", "csv"): "85026f422cc2686471b7361595454c25826358fecf18374646ec3414ba7181e0",
-    (64, 4, "gamma", "json"): "eb6ab388b3f980223bab00599c9e22d1276f494f0b31dde33c48e6614bc2ebdb",
-    (64, 4, "gamma", "csv"): "a6155b6c07a5209bd917319ba735e973405a0b4534ba348473c548d6912fd85a",
-    (64, 4, "lebesgue", "json"): "c418045c90e70d2e12823e9cfce7cb82e2c31359e8e662f548843b54b1e30fa0",
-    (64, 4, "lebesgue", "csv"): "6de03be1041718899b21a6dc49485d74b2c4c264bcb3cf0cfee43ca914e777de",
+    (1, 150, "gamma", "json"): "a6705567bce33adf246a30b3cb76d99a0d7ef3755fd40ed02acf07c744735fc4",
+    (1, 150, "gamma", "csv"): "af2583d1a4615eb51fcaf902f757d2144df73d5b0d37fcb419a071e25353e3dd",
+    (1, 150, "lebesgue", "json"): "dfff90b47aeace87c14997ea6b4ae8c3e18c008cc850f911eaea3a9e9994c685",
+    (1, 150, "lebesgue", "csv"): "947719571575ab28feea8ef1fc36eb1731b39fd9df30a8a2b6184c2465b91a52",
+    (8, 25, "gamma", "json"): "f2b7cebe68b98665d9ba14046bf182a717c5eb1c1ba06ad5c680ee13e3074835",
+    (8, 25, "gamma", "csv"): "965898404ba6cc7ecd299bc16fe905bd648cb939fe0ec07244375fe8cb9bb8e3",
+    (8, 25, "lebesgue", "json"): "0bc7478d539babc1201e25e272ffc3164f0fd0547c20dcc10c3054be62869d04",
+    (8, 25, "lebesgue", "csv"): "db9b78968734e6f3304912b8a354605ca124cc43962879115e25e607955f001f",
+    (64, 4, "gamma", "json"): "29d0d61e723177baef26078d78284c0412a28f4177afa7e9e9809e9184fd3c55",
+    (64, 4, "gamma", "csv"): "b8fa40303cffef4e2ba0d9b600709028aff23d75ceb8d7e192e9d01ecc73c78e",
+    (64, 4, "lebesgue", "json"): "aeb0e6defd8e3d4faa01ff49995c7b231fddff6f24b47127cd03fef3e13667d7",
+    (64, 4, "lebesgue", "csv"): "a863bf05b2eaa501afe85d5af1bfdf214b8a3bf033ed3784b31cd9bb64acc5cf",
 }
 
 
@@ -678,6 +683,175 @@ def test_draws_shaped_sample_bytes_are_frozen(capsys, theta, samples, process, f
     body = out.split("\n", 1)[1]
     assert hashlib.sha256(body.encode()).hexdigest() == _DRAWS_BODY_SHA256[
         theta, samples, process, fmt]
+
+
+def sample_records(out, fmt):
+    """The draw records of ``sample`` output in either format, as JSON would give them."""
+    if fmt == "json":
+        return json_lines(out)[1:]
+    records = []
+    for row in csv.DictReader(io.StringIO(out.split("\n", 1)[1])):
+        if not records or records[-1]["draw"] != int(row["draw"]):
+            records.append({"draw": int(row["draw"]), "masses": [], "locations": [],
+                            **{c: float(row[c]) for c in ("total_mass", "tail_bound",
+                                                          "log_weight")},
+                            "seed": int(row["seed"]), "stream_id": int(row["stream_id"])})
+        assert int(row["atom"]) == len(records[-1]["masses"])
+        records[-1]["masses"].append(float(row["mass"]))
+        records[-1]["locations"].append(float(row["location"]))
+    return records
+
+
+def expected_sample_rows(process, batch):
+    """``sample``'s records of a ``gamma_batch`` batch: each row sorted by decreasing mass."""
+    masses, locations, totals, tails = batch
+    rows = []
+    for m, x, total, tail in zip(masses, locations, totals.tolist(), tails.tolist()):
+        order = np.argsort(-m, kind="stable")[:np.count_nonzero(m)]
+        scale = 1.0 if process == "dirichlet" else total
+        rows.append({"masses": m[order] * scale, "locations": x[order], "total_mass": scale,
+                     "tail_bound": tail * scale,
+                     "log_weight": total if process == "lebesgue" else 0.0})
+    return rows
+
+
+def assert_records_match(records, expected):
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        for key in ("masses", "locations"):
+            assert np.array_equal(np.array(got[key]), want[key]), key
+        for key in ("total_mass", "tail_bound", "log_weight"):
+            assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("streams", [1, 2])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("theta", [1, 8, 64])
+@pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
+def test_sample_records_are_sorted_gamma_batch_rows(capsys, process, theta, fmt, streams):
+    # One batch per stream here: the stream's records are the rows of one
+    # gamma_batch call on its generator, each sorted by decreasing mass, the
+    # masses and tail scaled by the total (a dirichlet draw has total 1).
+    samples, seed = 5, 23
+    code, out, err = run_cli(capsys, [
+        "sample", "--process", process, "--theta", str(theta), "--format", fmt,
+        "--samples", str(samples), "--streams", str(streams), "--seed", str(seed)])
+    assert code == 0 and err == ""
+    records = sample_records(out, fmt)
+    assert [r["draw"] for r in records] == list(range(samples))
+    for stream, count in enumerate(stream_counts(samples, streams)):
+        got = [r for r in records if r["stream_id"] == stream]
+        assert all(r["seed"] == seed for r in got)
+        gen = processes.RngStream(seed, stream).generator()
+        assert_records_match(got, expected_sample_rows(
+            process, processes.gamma_batch(theta, 1e-10, count, gen)))
+
+
+@pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
+def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
+    # With batches of at most `rows` draws, stream s runs ceil(count_s / rows)
+    # stick passes, and each gamma batch is the next gamma_batch call on the
+    # stream's generator.
+    passes = []
+    stick_rows = processes._stick_rows
+
+    def counted(theta, eps, rows, gen, masses=False):
+        passes.append(rows)
+        return stick_rows(theta, eps, rows, gen, masses)
+
+    monkeypatch.setattr(processes, "_stick_rows", counted)
+    theta, samples, streams, seed = 8.0, 11, 2, 4
+    width = processes._first_width(theta, 1e-10)
+    for rows in (3, 4, 11):
+        monkeypatch.setattr(cli, "SAMPLE_BATCH_CELLS", rows * width + width - 1)
+        passes.clear()
+        code, out, _err = run_cli(capsys, [
+            "sample", "--process", process, "--theta", str(theta), "--samples", str(samples),
+            "--streams", str(streams), "--seed", str(seed)])
+        assert code == 0
+        assert json_lines(out)[0]["batch_cells"] == rows * width + width - 1
+        counts = stream_counts(samples, streams)
+        sizes = [min(rows, count - start) for count in counts for start in range(0, count, rows)]
+        assert passes == sizes and len(sizes) == sum(-(-count // rows) for count in counts)
+        if process == "dirichlet":
+            continue
+        records, expected = json_lines(out)[1:], []
+        for stream, count in enumerate(counts):
+            gen = processes.RngStream(seed, stream).generator()
+            for start in range(0, count, rows):
+                expected += expected_sample_rows(process, processes.gamma_batch(
+                    theta, 1e-10, min(rows, count - start), gen))
+        assert_records_match(records, expected)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theta", "-1"], ["--theta", "nan"], ["--eps", "1.5"], ["--eps", "0"],
+    ["--seed", str(2**64)], ["--samples", "0"], ["--theta", "1e8"],
+])
+def test_sample_refusals_before_any_draw_leave_the_output_empty(capsys, tmp_path, flags):
+    out = tmp_path / "draws.json"
+    for argv in (["sample"] + flags, ["sample", "--out", str(out)] + flags):
+        code, text, err = run_cli(capsys, argv)
+        assert code == 2 and text == "" and "invalid configuration" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_refusal_mid_run_keeps_the_draws_already_written(capsys, monkeypatch, fmt):
+    # With batches of two draws, a NaN mass in the second batch refuses its
+    # first row: the first batch's two draws are written, and the run exits 2.
+    stick_rows, passes = processes._stick_rows, []
+
+    def nan_in_second_batch(*args, **kwargs):
+        masses, tails, cuts = stick_rows(*args, **kwargs)
+        passes.append(len(cuts))
+        if len(passes) == 2:
+            masses[0, 1] = np.nan
+        return masses, tails, cuts
+
+    monkeypatch.setattr(processes, "_stick_rows", nan_in_second_batch)
+    monkeypatch.setattr(cli, "SAMPLE_BATCH_CELLS", 2 * processes._first_width(1.0, 1e-10))
+    argv = ["sample", "--samples", "5", "--seed", "3", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and err.strip() == (
+        "conicpd: invalid configuration: atom masses must be finite and strictly positive")
+    assert passes == [2, 2] and [r["draw"] for r in sample_records(out, fmt)] == [0, 1]
+    monkeypatch.setattr(processes, "_stick_rows", stick_rows)
+    code, whole, _err = run_cli(capsys, argv)
+    assert code == 0 and whole.startswith(out) and len(sample_records(whole, fmt)) == 5
+
+
+# The child's own peak resident memory, in bytes.  On Linux, ru_maxrss also
+# counts the memory of the process that started it, up to its exec, so the
+# child reads its address space's high-water mark (VmHWM) instead.
+_PEAK_RSS = """
+import resource, sys
+from conicpd.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        print(1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024))
+sys.exit(code)
+"""
+
+
+def test_sample_memory_does_not_grow_with_the_draw_count(tmp_path):
+    # Each draw is written as it is formed, so ten times the draws keep the
+    # same peak; holding every record took about 10 KB a draw.
+    peaks_mb = []
+    for samples in (2000, 20_000):
+        out = tmp_path / f"{samples}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "sample", "--theta", "1", "--format", "csv",
+             "--samples", str(samples), "--out", str(out)],
+            capture_output=True, text=True, timeout=600,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().count("\n") > samples
+        peaks_mb.append(int(proc.stdout) / 2**20)
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 16.0, peaks_mb
 
 
 @pytest.mark.parametrize("argv", [

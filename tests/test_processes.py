@@ -2,9 +2,12 @@
 and the pooled Monte Carlo harness, with distributional checks via KS."""
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
+import json
 import math
 import os
 import struct
@@ -1171,7 +1174,9 @@ class _Uniforms(np.random.Generator):
         return self.alter(self.calls, super().random(size))
 
     def standard_gamma(self, shape, size=None):
-        return super().standard_gamma(shape, size) if self.total is None else self.total
+        if self.total is None:
+            return super().standard_gamma(shape, size)
+        return self.total if size is None else np.full(size, self.total)
 
 
 def _tiny_first_block(call, u):
@@ -1179,12 +1184,13 @@ def _tiny_first_block(call, u):
     return 1.0 - 1e-3 * u if call == 1 else u
 
 
-# sha256 of the draw's fields and the next three uniforms, frozen before the
-# scalar samplers built each draw's series once.
+# sha256 of the draw's fields and the next three uniforms.  sample_gem's was
+# frozen before the scalar samplers built each draw's series once; the two
+# series samplers' at version 0.5.0, when they became one-row batches.
 _TINY_FIRST_BLOCK_SHA256 = {
     "sample_gem": "edb80eba0742e5e2e2a14419c42325b5d7b5ed7ba45c7895b36e51407b0a5679",
-    "sample_dirichlet_process": "5c0180eb8bf8fcb6c3a6f7b0185236abdfd1627e2ca0d6fcc561d935ecf65677",
-    "sample_gamma_process": "753cafa257bef2834330facc9a1d32f6366f96ef044e103fa65162d07430a1a9",
+    "sample_dirichlet_process": "9948cee2a51b0ad7aa36409722d2b247666b6e2e828c403f6e5ecada41dfd4eb",
+    "sample_gamma_process": "293711fa2c3fd9568c34534a82e992588e622a97fde4c5b7ddbd26d0b4db6063",
 }
 
 
@@ -1210,13 +1216,38 @@ def _fields(obj):
     return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
 
 
+def _cli_draws_pass_the_full_constructor(theta, eps, seed, process, samples, streams):
+    from conicpd import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sample", "--theta", repr(theta), "--eps", repr(eps), "--seed", str(seed),
+                         "--process", process, "--samples", str(samples),
+                         "--streams", str(streams)]) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+    assert len(records) == samples
+    for record in records:
+        series = series_from_record({**record, "normalized": process == "dirichlet"})
+        assert series.masses.tolist() == record["masses"]
+        assert series.locations.tolist() == record["locations"]
+        assert (series.total_mass, series.tail_bound, series.log_weight) == (
+            record["total_mass"], record["tail_bound"], record["log_weight"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), seed=st.integers(0, 2**32),
-       process=st.sampled_from(["gem", "dirichlet", "gamma", "lebesgue"]))
-def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process):
-    # The scalar samplers run only the checks their construction does not
-    # imply; every draw must still pass every check, with equal fields.
+       process=st.sampled_from(["gem", "dirichlet", "gamma", "lebesgue", "cli"]),
+       cli_process=st.sampled_from(["dirichlet", "gamma", "lebesgue"]),
+       samples=st.integers(1, 40), streams=st.integers(1, 3))
+def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process, cli_process,
+                                                 samples, streams):
+    # The samplers run only the checks their construction does not imply;
+    # every draw, and every record `sample` writes, must still pass every
+    # check, with equal fields.
     eps = 10.0 ** log10_eps
+    if process == "cli":
+        _cli_draws_pass_the_full_constructor(theta, eps, seed, cli_process, samples, streams)
+        return
     if process == "gem":
         draw = sample_gem(theta, eps, RngStream(seed))
         again = GemDraw(sticks=draw.sticks, residual=draw.residual)
@@ -1231,6 +1262,17 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
     for got, want in zip(_fields(draw), _fields(again)):
         assert type(got) is type(want)
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
+    # At theta 1/16 and eps 0.01 both rows keep one atom of an 8-column first
+    # block: a (2, 1) view, which numpy 2.4 negates wrongly in place.
+    rows = list(processes._draw_rows(0.0625, 0.01, 2, RngStream(1).generator(), normalized=True))
+    masses, locations, _totals, tails = gamma_batch(0.0625, 0.01, 2, RngStream(1).generator())
+    assert masses.shape == (2, 1) and processes._first_width(0.0625, 0.01) == 8
+    for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
+        assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
+        assert (total, tail) == (1.0, want_tail)
 
 
 def _zero_stick(call, u):
@@ -1248,14 +1290,14 @@ def test_scalar_draws_refuse_a_zero_stick(sampler):
 
 @pytest.mark.parametrize("sampler", [sample_dirichlet_process, sample_gamma_process])
 def test_scalar_draws_refuse_a_nan_mass(monkeypatch, sampler):
-    stick_masses = processes.stick_break
+    stick_rows = processes._stick_rows
 
-    def with_nan(draw):
-        masses = stick_masses(draw)
-        masses[2] = math.nan
-        return masses
+    def with_nan(*args, **kwargs):
+        masses, tails, cuts = stick_rows(*args, **kwargs)
+        masses[0, 2] = math.nan
+        return masses, tails, cuts
 
-    monkeypatch.setattr(processes, "stick_break", with_nan)
+    monkeypatch.setattr(processes, "_stick_rows", with_nan)
     with pytest.raises(DomainError, match="^atom masses must be finite and strictly positive$"):
         sampler(3.0, EPS, RngStream(6))
 
@@ -1269,19 +1311,3 @@ def test_gamma_draw_refuses_masses_that_underflow_when_scaled():
     # The same masses at a normal total pass.
     series = sample_gamma_process(3.0, EPS, _Uniforms(7, lambda _call, u: u, total=1e-3))
     assert series.masses[-1] > 0.0 and series.total_mass == 1e-3
-
-
-@pytest.mark.parametrize("process, per_draw", [("gamma", "sample_gamma_process"),
-                                               ("lebesgue", "sample_gamma_process"),
-                                               ("dirichlet", "sample_dirichlet_process")])
-def test_sample_calls_the_public_samplers_once_per_draw(monkeypatch, capsys, process, per_draw):
-    # A span tracer sees the per-draw samplers only through module globals.
-    from conicpd import cli
-
-    calls = collections.Counter()
-    _wrap_public(monkeypatch, lambda fn: calls.update([fn.__name__]))
-    argv = ["sample", "--process", process, "--theta", "8", "--samples", "7", "--streams", "2"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert calls["sample_gem"] == 7 and calls[per_draw] == 7
-    assert calls["sample_gamma_process"] + calls["sample_dirichlet_process"] == 7
