@@ -14,7 +14,7 @@ The package has three layers:
   (:mod:`~conicpd.mellin`, :mod:`~conicpd.gaussian`).
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 import importlib
 
@@ -27,10 +27,9 @@ _EXPORTS = {name: module for module, names in (
     ("densities", "PartitionSpec dirichlet_log_density lebesgue_log_density "
                   "gamma_log_density box_mass_L lemma1_pointwise_check "
                   "semigroup_convolution_check"),
-    ("processes", "RngStream GemDraw WeightedAtomSeries sample_gem stick_break "
-                  "sort_decreasing sample_dirichlet_process sample_gamma_process "
-                  "weight_as_lebesgue apply_multiplicator partition_sums "
-                  "series_record series_from_record"),
+    ("processes", "RngStream WeightedAtomSeries sample_dirichlet_process "
+                  "sample_gamma_process weight_as_lebesgue apply_multiplicator "
+                  "partition_sums series_from_record"),
     ("estimation", "EstimatorResult pooled_mean"),
     ("laplace", "log_mean phi analytic_laplace mc_laplace quasi_invariance_check "
                 "quasi_invariance_pairs functional_distribution_check weighted_box_mass"),

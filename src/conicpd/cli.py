@@ -415,11 +415,20 @@ def _run_saddle(cfg):
     return list(record), [record]
 
 
+# Most rows (s points x dimensions) an `mp-demo` table may hold.  A table
+# this long already takes seconds and hundreds of megabytes; a much larger
+# --spoints would fail to allocate its grid instead of being refused.
+MP_DEMO_ROWS = 1 << 20
+
+
 def _run_mp_demo(cfg):
     from .gaussian import charfun_gap_rows
     dims = _parse_int_list(cfg["n"], "n")
     if cfg["spoints"] < 2 or cfg["smax"] <= 0.0:
         raise DomainError("need smax > 0 and at least two s points")
+    if cfg["spoints"] * len(dims) > MP_DEMO_ROWS:
+        raise DomainError(f"--spoints x dimensions = {cfg['spoints'] * len(dims)} rows exceeds "
+                          f"the {MP_DEMO_ROWS}-row mp-demo table; lower --spoints")
     s_grid = np.linspace(0.0, cfg["smax"], cfg["spoints"])
     rng = RngStream(cfg["seed"]) if cfg["samples"] > 0 else None
     rows = charfun_gap_rows(s_grid, dims, samples=cfg["samples"], rng=rng,

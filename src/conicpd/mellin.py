@@ -42,7 +42,8 @@ from .processes import _positive_real
 
 # Integrand magnitude, relative to the peak, that the grid treats as zero.
 _LOG_NEGLIGIBLE = math.log(1e-18)
-# A trapezoid sum S_h is accepted when |S_h - S_2h| <= max(_ATOL, _RTOL * S_h).
+# A trapezoid sum S_h is accepted when |S_h - S_2h| <= max(_ATOL, _RTOL * S_h),
+# and F_direct's Gauss-Legendre refinements when they agree to _RTOL.
 _RTOL, _ATOL = 1e-9, 1e-12
 _MAX_HALVINGS = 8
 _MAX_NODES = 1 << 22     # nodes on one grid level: bounds the time of a table
@@ -256,12 +257,13 @@ def F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
     return math.exp(log_F_contour(n, lam, abscissa))
 
 
-def F_direct(n: int, lam: float, rel_tol: float = 1e-9) -> float:
+def F_direct(n: int, lam: float) -> float:
     """Direct quadrature of exp(-lambda sum e^{x_k}) over the zero-sum hyperplane.
 
     The free coordinates are truncated to a box chosen so the discarded mass
     is negligible, then integrated on tensor Gauss-Legendre grids of
-    increasing order until two consecutive refinements agree to rel_tol.
+    increasing order until two consecutive refinements agree to a relative
+    _RTOL (1e-9).
     Supported for n <= 4; larger n belongs to the contour route.
     """
     _check_n(n, upper=4)
@@ -277,10 +279,10 @@ def F_direct(n: int, lam: float, rel_tol: float = 1e-9) -> float:
     previous = None
     for order in (48, 72, 108, 162, 243):
         value = _tensor_quad(n - 1, box, lam, order)
-        if previous is not None and abs(value - previous) <= rel_tol * abs(value):
+        if previous is not None and abs(value - previous) <= _RTOL * abs(value):
             return value
         previous = value
-    raise NumericalError(f"direct quadrature for n={n} did not stabilize to {rel_tol}")
+    raise NumericalError(f"direct quadrature for n={n} did not stabilize to {_RTOL}")
 
 
 def _tensor_quad(dims: int, box: float, lam: float, order: int) -> float:

@@ -13,7 +13,9 @@ the Monte Carlo error.  Every draw goes through one recursion,
 ``_stick_rows``, which sizes its stick matrix from the Poisson law of the
 stick count and refuses, with ``DomainError``, a first block larger than a
 fixed cell budget; the few rows that outgrow the first block are extended
-in arrays of their own.
+in arrays of their own.  The first block and each extension round are one
+stick step, ``_stick_pass``; an extension starts from the run its rows
+reached before it.
 
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
@@ -25,14 +27,14 @@ with one stable argsort and scaled by its total.  A row skips
 sort orders finite masses, scaling by a positive total keeps the order,
 and ``gen.random`` puts every location in [0, 1).  It keeps the O(1) end
 checks (the last kept mass positive, which NaN fails too, and the first
-finite), the total, the tail and, for normalized draws, the sum.
-``sample_gem`` checks theta and eps once and that every stick is positive
-(the clamp in ``_stick_block`` already keeps them below 1).
+finite), the total, the tail and, for normalized draws, the sum.  A kept
+mass of zero is a zero stick, refused as such (the clamp in
+``_stick_block`` already keeps every stick below 1).
 
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
 a persistent pool, one thread per usable CPU in all.  A batch chunk makes
 two passes over contiguous row blocks of at most 2^16 cells, through
-``_by_rows``.  The first (``_stick_rows``) turns each block's uniforms into
+``_by_rows``.  The first (``_stick_pass``) turns each block's uniforms into
 sticks and, while the block is in cache, into its running sums, cuts,
 tails and masses.  The second (the estimator kernels in ``laplace``) draws
 each block's location or mark uniforms into per-thread scratch and reduces
@@ -98,34 +100,6 @@ def as_generator(rng) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class GemDraw:
-    """Stick fractions y_i in (0,1) plus the residual product prod(1 - y_i)."""
-
-    sticks: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        y = _check_sticks(self.sticks)
-        check = float(np.prod(1.0 - y))
-        if abs(self.residual - check) > 1e-12 * (check + 1e-300):
-            raise DomainError("residual does not match the stick product")
-        object.__setattr__(self, "sticks", y)
-
-
-_STICK_RANGE = "stick fractions must lie strictly inside (0, 1)"
-
-
-def _check_sticks(sticks) -> np.ndarray:
-    y = np.asarray(sticks, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise DomainError("a GEM draw holds a non-empty stick vector")
-    # min/max comparisons are False on NaN, so NaN sticks are rejected too.
-    if not (y.min() > 0.0 and y.max() < 1.0):
-        raise DomainError(_STICK_RANGE)
-    return y
-
-
-@dataclass(frozen=True)
 class WeightedAtomSeries:
     """Finitely many atoms (mass, location) of a discrete measure on [0, 1).
 
@@ -161,6 +135,7 @@ class WeightedAtomSeries:
 
 
 _MASS_RANGE = "atom masses must be finite and strictly positive"
+_STICK_RANGE = "stick fractions must lie strictly inside (0, 1)"
 
 
 def _check_mass_range(smallest, largest):
@@ -177,19 +152,6 @@ def _check_totals(masses, total, tail, normalized):
         raise DomainError("tail_bound must be a non-negative real")
     if normalized and not (1.0 - tail - 1e-9 <= masses.sum() <= 1.0 + 1e-9):
         raise DomainError("normalized series must carry unit total mass")
-
-
-def sample_gem(theta: float, eps: float, rng) -> GemDraw:
-    """Draw sticks with density theta * y^(theta-1) until the residual is <= eps."""
-    gen = as_generator(rng)
-    theta, eps = _check_theta_eps(theta, eps)
-    sticks = _stick_rows(theta, eps, 1, gen)[0][0]
-    # _stick_block clamps every stick below 1, but a zero stick (u = 0
-    # exactly, theta != 1) can still occur.  The residual is formed once,
-    # here, so the constructor's re-check of it is skipped.
-    if not sticks.min() > 0.0:
-        raise DomainError(_STICK_RANGE)
-    return _unchecked(GemDraw, sticks=sticks, residual=float(np.prod(1.0 - sticks)))
 
 
 def _unchecked(cls, **fields):
@@ -492,84 +454,87 @@ def _batch_rows(theta, eps, cells):
     return max(1, cells // _budgeted_width(theta, eps, 1))
 
 
-def _stick_rows(theta, eps, rows, gen, masses=False):
-    """Sticks of ``rows`` independent draws, each cut where its residual reaches eps.
+def _stick_rows(theta, eps, rows, gen):
+    """Masses of ``rows`` independent draws, each cut where its residual reaches eps.
 
-    Returns (matrix, tails, cuts).  ``matrix`` is (rows, K) with K =
+    Returns (masses, tails, cuts).  ``masses`` is (rows, K) with K =
     max(cuts) + 1, where a row's cut is its first column with run <=
-    log(eps), run being the row's running sum of log(1 - y).  It holds the
-    sticks y, whose entries right of a row's cut are not part of the draw;
-    with ``masses``, it holds the masses c_0 = y_0, c_j = y_j *
-    exp(run_{j-1}) instead, zero right of the cut, and ``tails`` is
-    exp(run) at each row's cut (else None).
-
-    One pass of row blocks forms all of this while a block is in cache; the
-    running sums live in per-thread scratch.  Cells right of the cut are
-    the ones whose left neighbour has run <= log(eps): the comparison that
-    finds the cut, shifted one column.
+    log(eps), run being the row's running sum of log(1 - y) over its sticks
+    y.  It holds c_0 = y_0, c_j = y_j * exp(run_{j-1}), zero right of a
+    row's cut, and ``tails`` is exp(run) at each row's cut.
 
     Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so a draw
     needs 1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block
     has ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
     outrun.  Only the rows still open are extended, by half the current
     width at a time, in arrays that hold only those rows, so the work stays
-    linear in the sticks drawn; the matrix is widened once, at the end, and
+    linear in the sticks drawn.  The first block and each extension round
+    are one ``_stick_pass``; the matrix is widened once, at the end, and
     only if a row was extended.  ``theta`` and ``eps`` must be checked
     floats.
     """
     log_eps = math.log(eps)
     width = _budgeted_width(theta, eps, rows)
-    cut = np.empty(rows, np.intp)
-    tails = np.empty(rows) if masses else None
-    last = np.empty(rows)
+    masses, tails, cut, last = _stick_pass(theta, log_eps, rows, width, gen)
+    grow = (last > log_eps).nonzero()[0]
+    rounds, start = [], width
+    while grow.size:
+        # A row still open here has no cut yet; it is found in the round
+        # that closes the row.
+        add = start // 2
+        ext, ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, grow.size, add, gen,
+                                                        before=last[grow])
+        closing = ext_last <= log_eps
+        cut[grow[closing]] = start + ext_cut[closing]
+        tails[grow[closing]] = ext_tails[closing]
+        last[grow] = ext_last
+        rounds.append((grow, start, ext))
+        grow, start = grow[~closing], start + add
+    keep = int(cut.max()) + 1
+    if not rounds:
+        return masses[:, :keep], tails, cut
+    wide = np.zeros((rows, keep))
+    wide[:, :width] = masses
+    for grow, start, ext in rounds:
+        ext = ext[:, :keep - start]
+        wide[grow, start:start + ext.shape[1]] = ext
+    return wide, tails, cut
 
-    def first_block(lo, hi, u):
+
+def _stick_pass(theta, log_eps, rows, cols, gen, before=None):
+    """One stick step: ``cols`` more sticks for each of ``rows`` rows, as masses.
+
+    Returns (masses, tails, cuts, ends) of the step's columns: the masses,
+    zero right of a row's cut; exp(run) at the cut; the cut's column in the
+    step (0 for a row that stays open); and run at the step's last column.
+    ``before`` holds each row's run just left of the step (a draw's first
+    block has none); it is added to the step's running sums after their
+    cumsum, and scales the step's first mass.
+
+    One pass of row blocks forms all of this while a block is in cache; the
+    running sums and the cut test live in per-thread scratch.  Cells right
+    of the cut are the ones whose left neighbour has run <= log(eps): the
+    comparison that finds the cut, shifted one column.
+    """
+    cuts, tails, ends = np.empty(rows, np.intp), np.empty(rows), np.empty(rows)
+
+    def step(lo, hi, u):
         # ndarray methods, not their np.* wrappers: a one-row draw's cost is
         # mostly per-call overhead.
         y = _stick_block(u, theta)
         run = np.log1p(y, out=_scratch("block", y.shape))
         np.negative(y, out=y)
         run.cumsum(axis=1, out=run)
+        left = None if before is None else before[lo:hi]
+        if left is not None:
+            run += left[:, None]
         closed = np.less_equal(run, log_eps, out=_scratch("closed", y.shape, bool))
-        block_cut = closed.argmax(axis=1, out=cut[lo:hi])
-        last[lo:hi] = run[:, -1]
-        if masses:
-            np.exp(run[np.arange(hi - lo), block_cut], out=tails[lo:hi])
-            _form_masses(y, run, closed)
+        cut = closed.argmax(axis=1, out=cuts[lo:hi])
+        ends[lo:hi] = run[:, -1]
+        np.exp(run[np.arange(hi - lo), cut], out=tails[lo:hi])
+        _form_masses(y, run, closed, left)
 
-    y = _by_rows(rows, width, first_block, gen, keep=True)
-    grow = (last > log_eps).nonzero()[0]
-    rounds, start, run_end = [], width, last[grow]
-    while grow.size:
-        # A row still open here has no cut in the first block; it is found
-        # in the round that closes the row.
-        add = start // 2
-        ext = _stick_block(gen.random(grow.size * add), theta).reshape(grow.size, add)
-        run = np.log1p(ext)
-        np.negative(ext, out=ext)
-        np.cumsum(run, axis=1, out=run)
-        run += run_end[:, None]
-        closed = run <= log_eps
-        closing = closed[:, -1]
-        ext_cut = np.argmax(closed[closing], axis=1)
-        cut[grow[closing]] = start + ext_cut
-        if masses:
-            tails[grow[closing]] = np.exp(run[np.flatnonzero(closing), ext_cut])
-        rounds.append((grow, start, ext))
-        run_before = run_end
-        grow, run_end = grow[~closing], run[~closing, -1]
-        if masses:
-            _form_masses(ext, run, closed, run_before)
-        start += add
-    keep = int(cut.max()) + 1
-    if not rounds:
-        return y[:, :keep], tails, cut
-    wide = np.zeros((rows, keep))
-    wide[:, :width] = y
-    for grow, start, ext in rounds:
-        ext = ext[:, :keep - start]
-        wide[grow, start:start + ext.shape[1]] = ext
-    return wide, tails, cut
+    return _by_rows(rows, cols, step, gen, keep=True), tails, cuts, ends
 
 
 def _form_masses(y, run, closed, run_before=None):
@@ -610,21 +575,6 @@ def _check_theta_eps(theta, eps):
     return _positive_real(theta, "theta"), _positive_real(eps, "truncation eps", 1.0)
 
 
-def stick_break(draw: GemDraw) -> np.ndarray:
-    """Masses c_i = y_i * prod_{j<i} (1 - y_j), in stick order (unsorted)."""
-    y = draw.sticks
-    prefix = np.concatenate(([1.0], np.cumprod(1.0 - y)[:-1]))
-    return y * prefix
-
-
-def sort_decreasing(masses) -> np.ndarray:
-    """Decreasing rearrangement; ties keep their original order (stable)."""
-    m = np.asarray(masses, dtype=float)
-    if m.ndim != 1 or not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-        raise DomainError("masses must be a vector of positive reals")
-    return m[np.argsort(-m, kind="stable")]
-
-
 def sample_dirichlet_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
     """Normalized draw: sorted stick-breaking masses with i.i.d. uniform locations."""
     return _one_draw(theta, eps, rng, normalized=True)
@@ -656,7 +606,7 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     helpers, so a refusal stops the draws at the row that fails it.
     """
     theta, eps = _check_theta_eps(theta, eps)
-    masses, tails, cuts = _stick_rows(theta, eps, rows, gen, masses=True)
+    masses, tails, cuts = _stick_rows(theta, eps, rows, gen)
     # One stable argsort orders each row by decreasing mass: the zeros right
     # of its cut follow its atoms, and NaN sorts last.  (Not negated in place:
     # numpy 2.4 negates a one-column view of an 8-column matrix wrongly.)
@@ -685,15 +635,6 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
         _check_mass_range(kept[-1], kept[0])
         _check_totals(kept, total, tail, normalized)
         yield kept, locations[row, :cut + 1], total, tail
-
-
-def sample_gamma_variate(shape: float, rng) -> float:
-    """Exact gamma(shape, 1) draw; shape < 1 uses the u^(1/shape) boost internally."""
-    shape, gen = _positive_real(shape, "shape"), as_generator(rng)
-    value = float(gen.standard_gamma(shape))
-    while value == 0.0:  # guard against underflow at tiny shapes
-        value = float(gen.standard_gamma(shape))
-    return value
 
 
 def weight_as_lebesgue(series: WeightedAtomSeries) -> WeightedAtomSeries:
@@ -740,21 +681,6 @@ def partition_sums(series: WeightedAtomSeries, spec, rng) -> np.ndarray:
     return np.bincount(marks, weights=series.masses, minlength=spec.n)
 
 
-def series_record(series: WeightedAtomSeries, theta: float, eps: float, rng: RngStream) -> dict:
-    """Flat JSON-ready record of one draw plus the sampler configuration."""
-    return {
-        "theta": float(theta),
-        "eps": float(eps),
-        "masses": series.masses.tolist(),
-        "locations": series.locations.tolist(),
-        "total_mass": float(series.total_mass),
-        "tail_bound": float(series.tail_bound),
-        "log_weight": float(series.log_weight),
-        "seed": rng.seed,
-        "stream_id": rng.stream_id,
-    }
-
-
 def series_from_record(record: dict) -> WeightedAtomSeries:
     return WeightedAtomSeries(
         masses=np.asarray(record["masses"], dtype=float),
@@ -784,7 +710,7 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
 def _stick_masses(theta, eps, rows, gen):
     """``stick_masses_batch`` in private code only, for jobs that may run off the calling thread."""
     theta, eps = _check_theta_eps(theta, eps)
-    return _stick_rows(theta, eps, rows, gen, masses=True)[:2]
+    return _stick_rows(theta, eps, rows, gen)[:2]
 
 
 def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):

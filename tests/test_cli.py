@@ -176,7 +176,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.5.0"
+    assert meta["version"] == "0.6.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -330,6 +330,35 @@ def test_mp_demo_refuses_normals_over_the_cell_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["mp-demo", "--n", "5", "--spoints", "3",
                                       "--samples", "1000"])
     assert code == 2 and out == "" and "cell sampler budget" in err
+
+
+# Runs the CLI with its address space capped at 1 GiB, so an allocation the
+# CLI should have refused fails at once instead of swapping.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conicpd.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_mp_demo_refuses_an_oversized_table_before_allocating():
+    # A 10^12-point grid used to exit 1 with a memory-error traceback.
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "mp-demo", "--n", "5", "--spoints", str(10**12)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid configuration" in proc.stderr and "--spoints" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_mp_demo_row_bound_counts_every_dimension(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MP_DEMO_ROWS", 6)
+    code, out, _err = run_cli(capsys, ["mp-demo", "--n", "3,5", "--spoints", "3"])
+    assert code == 0 and len(out.splitlines()) == 2 + 6
+    code, out, err = run_cli(capsys, ["mp-demo", "--n", "3,5", "--spoints", "4"])
+    assert code == 2 and out == "" and "6-row mp-demo table" in err
 
 
 # sha256 of the mc,stderr cells (one "mc,stderr" line per row) of
@@ -755,9 +784,9 @@ def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
     passes = []
     stick_rows = processes._stick_rows
 
-    def counted(theta, eps, rows, gen, masses=False):
+    def counted(theta, eps, rows, gen):
         passes.append(rows)
-        return stick_rows(theta, eps, rows, gen, masses)
+        return stick_rows(theta, eps, rows, gen)
 
     monkeypatch.setattr(processes, "_stick_rows", counted)
     theta, samples, streams, seed = 8.0, 11, 2, 4

@@ -71,11 +71,13 @@ def test_pyproject_version_is_the_package_version():
     assert re.findall(r'^version\s*=\s*"([^"]+)"', project, re.M) == [conicpd.__version__]
 
 
-def test_growth_rate_demo_runs(tmp_path):
-    # The demo reads the limit study's fields; it may write growth_rate.png
-    # into its working directory.
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / "growth_rate.py")],
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_runs(tmp_path, demo):
+    # Each demo runs in a fresh directory, where it may write its figure;
+    # one that uses a public name the package no longer has fails here.
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert proc.returncode == 0, proc.stderr
-    assert "extrapolated limit" in proc.stdout
+    if demo == "growth_rate.py":  # it reads the limit study's fields
+        assert "extrapolated limit" in proc.stdout

@@ -24,7 +24,6 @@ from scipy.special import betainc, gammainc
 from scipy.stats import ks_2samp, kstest, pearsonr
 
 from conicpd import (
-    GemDraw,
     PartitionSpec,
     RngStream,
     WeightedAtomSeries,
@@ -32,11 +31,7 @@ from conicpd import (
     partition_sums,
     sample_dirichlet_process,
     sample_gamma_process,
-    sample_gem,
     series_from_record,
-    series_record,
-    sort_decreasing,
-    stick_break,
     weight_as_lebesgue,
 )
 from conicpd import laplace, processes
@@ -46,7 +41,6 @@ from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
 from conicpd.processes import (
     _skip_uniforms,
     gamma_batch,
-    sample_gamma_variate,
     stick_masses_batch,
 )
 from conicpd.stepfn import StepFunction
@@ -80,19 +74,6 @@ def test_rng_stream_validation():
 # GEM / stick-breaking
 
 
-def test_sample_gem_truncation_and_support():
-    gen = RngStream(1).generator()
-    for theta in (0.3, 1.0, 2.5):
-        draw = sample_gem(theta, EPS, gen)
-        assert np.all(draw.sticks > 0.0) and np.all(draw.sticks <= 1.0)
-        assert 0.0 <= draw.residual <= EPS
-
-
-def test_gem_draw_rejects_inconsistent_residual():
-    with pytest.raises(DomainError):
-        GemDraw(sticks=np.array([0.5, 0.5]), residual=0.4)
-
-
 def test_gem_first_stick_mean():
     # sticks are Beta(1, theta): E[y1] = 1/(1+theta).  This is the only stick
     # law consistent with gamma(theta_i) partition marginals and the
@@ -114,38 +95,6 @@ def test_gem_expected_residual_after_k_sticks():
         want = (theta / (theta + 1.0)) ** k
         err = residual.std(ddof=1) / math.sqrt(residual.size)
         assert abs(residual.mean() - want) <= 4.0 * err
-
-
-def test_stick_break_examples():
-    draw = GemDraw(sticks=np.array([0.5, 0.5]), residual=0.25)
-    assert np.allclose(stick_break(draw), [0.5, 0.25], atol=1e-15)
-    single = GemDraw(sticks=np.array([0.7]), residual=0.3)
-    assert np.allclose(stick_break(single), [0.7], atol=1e-15)
-
-
-def test_stick_break_telescoping():
-    gen = RngStream(4).generator()
-    for _ in range(100):
-        draw = sample_gem(1.3, EPS, gen)
-        masses = stick_break(draw)
-        assert np.all(masses > 0.0)
-        assert abs(masses.sum() + draw.residual - 1.0) <= 1e-12
-
-
-def test_sort_decreasing():
-    assert np.allclose(sort_decreasing([0.2, 0.5, 0.3]), [0.5, 0.3, 0.2])
-    already = np.array([0.5, 0.3, 0.2])
-    assert np.array_equal(sort_decreasing(already), already)
-    with pytest.raises(DomainError):
-        sort_decreasing([0.5, -0.1])
-
-
-def test_sort_decreasing_stable_on_ties():
-    # ties keep first-seen order; tag values by tiny offsets would break
-    # bitwise equality, so check with exact duplicates and argsort semantics
-    m = np.array([0.25, 0.5, 0.25])
-    out = sort_decreasing(m)
-    assert np.array_equal(out, [0.5, 0.25, 0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +145,14 @@ def test_gamma_process_truncation_bias():
         assert abs(s.masses.sum() + s.tail_bound - s.total_mass) <= 1e-12 * s.total_mass
 
 
-def test_gamma_variate_moments_and_sub_unit_shape():
+def test_gamma_totals_moments_and_sub_unit_shape():
     gen = RngStream(9).generator()
-    draws = np.array([sample_gamma_variate(1.0, gen) for _ in range(20_000)])
+    draws = processes._gamma_totals(1.0, 20_000, gen)
     assert abs(draws.mean() - 1.0) <= 4.0 * draws.std(ddof=1) / math.sqrt(draws.size)
-    # shape 0.3: KS distance against the regularized-incomplete-gamma CDF
-    small = gen.standard_gamma(0.3, size=1_000_000)
-    small = small[small > 0.0]
+    # shape 0.3: KS distance against the regularized-incomplete-gamma CDF;
+    # a total that underflows to zero is replaced by the smallest normal float.
+    small = processes._gamma_totals(0.3, 1_000_000, gen)
+    assert small.min() > 0.0
     d = kstest(small, lambda x: gammainc(0.3, x)).statistic
     assert d <= 0.002
 
@@ -213,17 +163,6 @@ def test_lebesgue_weighting():
     assert series.log_weight == 0.0
     weighted = weight_as_lebesgue(series)
     assert weighted.log_weight == series.total_mass
-
-
-def test_series_record_roundtrip():
-    rng = RngStream(11, 2)
-    series = weight_as_lebesgue(sample_gamma_process(0.9, EPS, rng.generator()))
-    record = series_record(series, 0.9, EPS, rng)
-    assert record["seed"] == 11 and record["stream_id"] == 2
-    back = series_from_record(record)
-    assert np.array_equal(back.masses, series.masses)
-    assert np.array_equal(back.locations, series.locations)
-    assert back.log_weight == series.log_weight
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +260,18 @@ def test_partition_sums_series_route_matches_spec():
 # Batch kernels vs one-at-a-time sampler
 
 
-def test_batch_and_scalar_samplers_agree_in_law():
-    gen = RngStream(18).generator()
-    theta = 0.7
-    batch_first, _ = stick_masses_batch(theta, EPS, 3000, gen)
-    scalar_first = np.array([stick_break(sample_gem(theta, EPS, gen))[0]
-                             for _ in range(3000)])
-    _d, p = ks_2samp(batch_first[:, 0], scalar_first)
-    assert p >= 1e-3
+@pytest.mark.parametrize("theta", [0.7, 4.0])
+def test_sticks_recovered_from_the_masses_are_beta(theta):
+    # y_j = c_j / (1 - sum_{i<j} c_i) is the j-th stick, Beta(1, theta) with
+    # CDF 1 - (1 - y)^theta, on every row still open at column j.
+    masses, _tails = stick_masses_batch(theta, EPS, 20_000, RngStream(18).generator())
+    residual = 1.0 - np.cumsum(masses, axis=1)
+    for j in (0, 1, 5):
+        open_rows = masses[:, j] > 0.0
+        before = 1.0 if j == 0 else residual[open_rows, j - 1]
+        sticks = masses[open_rows, j] / before
+        p = kstest(sticks, lambda y: 1.0 - (1.0 - y) ** theta).pvalue
+        assert p >= 1e-3, (theta, j, p)
 
 
 def test_gamma_batch_layout():
@@ -359,12 +302,9 @@ def test_stick_count_is_one_plus_poisson(theta):
     # sticks before the residual reaches eps is Poisson(theta log(1/eps)).
     m = theta * math.log(1.0 / EPS)
     masses, _tails = stick_masses_batch(theta, EPS, 20_000, RngStream(27).generator())
-    batch = np.count_nonzero(masses, axis=1) - 1
-    gen = RngStream(28).generator()
-    scalar = np.array([sample_gem(theta, EPS, gen).sticks.size - 1 for _ in range(3000)])
-    for counts in (batch, scalar):
-        mean_z, var_z = _poisson_moment_gaps(counts, m)
-        assert abs(mean_z) <= 5.0 and abs(var_z) <= 5.0, (theta, counts.mean(), counts.var())
+    counts = np.count_nonzero(masses, axis=1) - 1
+    mean_z, var_z = _poisson_moment_gaps(counts, m)
+    assert abs(mean_z) <= 5.0 and abs(var_z) <= 5.0, (theta, counts.mean(), counts.var())
 
 
 @pytest.mark.parametrize("theta, rows", [(0.5, 1), (0.5, 4000), (1.0, 3), (8.0, 500)])
@@ -440,7 +380,7 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
 
     def scalar():
         with pytest.raises(DomainError, match="budget"):
-            sample_gem(1e8, EPS, gen)
+            sample_dirichlet_process(1e8, EPS, gen)
 
     for call in (batch, scalar):
         start = time.perf_counter()
@@ -633,14 +573,6 @@ def test_weighted_series_rejects_bad_locations(bad):
             _series([0.5, 0.2], locations)
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0])
-def test_gem_draw_rejects_sticks_on_the_boundary(bad):
-    for sticks in ([bad, 0.5], [0.5, bad]):
-        y = np.array(sticks)
-        with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
-            GemDraw(sticks=y, residual=float(np.prod(1.0 - y)))
-
-
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 
@@ -656,14 +588,6 @@ def test_valid_sorted_series_construct_unchanged(atoms):
     assert np.array_equal(series.masses, masses)
     assert np.array_equal(series.locations, locations)
     assert (series.total_mass, series.tail_bound, series.log_weight) == (1.0, 0.0, 2.5)
-
-
-@given(st.lists(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
-                min_size=1, max_size=40))
-def test_valid_gem_draws_construct_unchanged(sticks):
-    y = np.array(sticks)
-    draw = GemDraw(sticks=y, residual=float(np.prod(1.0 - y)))
-    assert np.array_equal(draw.sticks, y)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,19 +1002,7 @@ def test_lebesgue_copy_shares_the_checked_series(monkeypatch):
         series.total_mass, series.tail_bound, series.normalized)
     assert weighted.log_weight == series.total_mass and series.log_weight == 0.0
     with pytest.raises(DomainError):
-        weight_as_lebesgue(series_record(series, 0.9, EPS, RngStream(12)))
-
-
-def test_sample_gem_forms_its_residual_once_and_checks_its_sticks(monkeypatch):
-    gen = RngStream(13).generator()
-    for theta in (0.4, 1.0, 7.0):
-        draw = sample_gem(theta, EPS, gen)
-        assert draw.residual == float(np.prod(1.0 - draw.sticks))
-        assert draw.sticks.dtype == float and draw.sticks.ndim == 1
-    # u = 0 gives a zero stick at theta != 1; the draw must still be refused.
-    monkeypatch.setattr(processes, "_stick_rows", lambda *args: (np.array([[0.5, 0.0]]), None, None))
-    with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
-        sample_gem(2.0, EPS, gen)
+        weight_as_lebesgue(dict(vars(series)))
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1020,7 @@ _NOT_EPS = st.one_of(
 
 def _theta_calls(theta, eps):
     gen = RngStream(3).generator()
-    return [lambda: sample_gem(theta, eps, gen),
+    return [lambda: sample_dirichlet_process(theta, eps, gen),
             lambda: sample_gamma_process(theta, eps, gen),
             lambda: stick_masses_batch(theta, eps, 4, gen),
             lambda: gamma_batch(theta, eps, 4, gen),
@@ -1118,9 +1030,7 @@ def _theta_calls(theta, eps):
 @settings(max_examples=60, deadline=None)
 @given(theta=_NOT_POSITIVE_REAL)
 def test_samplers_refuse_out_of_domain_theta(theta):
-    calls = _theta_calls(theta, EPS) + [lambda: sample_gamma_variate(theta, RngStream(3)),
-                                        lambda: log_mean(_FLAT, theta)]
-    for call in calls:
+    for call in _theta_calls(theta, EPS) + [lambda: log_mean(_FLAT, theta)]:
         with pytest.raises(DomainError):
             call()
 
@@ -1135,9 +1045,7 @@ def test_samplers_refuse_out_of_domain_eps(theta, eps):
 
 def test_bool_theta_is_refused_where_it_used_to_pass_as_one():
     with pytest.raises(DomainError, match="theta must be a positive real"):
-        sample_gem(True, 1e-10, RngStream(1))
-    with pytest.raises(DomainError, match="shape must be a positive real"):
-        sample_gamma_variate(True, RngStream(1))
+        sample_dirichlet_process(True, 1e-10, RngStream(1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1146,9 +1054,8 @@ def test_bool_theta_is_refused_where_it_used_to_pass_as_one():
 def test_numpy_scalars_draw_like_the_equal_float(theta, eps, kind):
     value = kind(max(1, round(theta)) if np.issubdtype(kind, np.integer) else theta)
     small = np.float32(eps)
-    pairs = [(lambda t, e, s: sample_gem(t, e, RngStream(s)).sticks),
+    pairs = [(lambda t, e, s: sample_dirichlet_process(t, e, RngStream(s)).masses),
              (lambda t, e, s: sample_gamma_process(t, e, RngStream(s)).masses),
-             (lambda t, e, s: sample_gamma_variate(t, RngStream(s))),
              (lambda t, e, s: gamma_batch(t, e, 3, RngStream(s).generator())[0])]
     for seed, draw in enumerate(pairs):
         assert np.array_equal(draw(value, small, seed), draw(float(value), float(small), seed))
@@ -1184,11 +1091,9 @@ def _tiny_first_block(call, u):
     return 1.0 - 1e-3 * u if call == 1 else u
 
 
-# sha256 of the draw's fields and the next three uniforms.  sample_gem's was
-# frozen before the scalar samplers built each draw's series once; the two
-# series samplers' at version 0.5.0, when they became one-row batches.
+# sha256 of the draw's fields and the next three uniforms, frozen at version
+# 0.5.0, when the series samplers became one-row batches.
 _TINY_FIRST_BLOCK_SHA256 = {
-    "sample_gem": "edb80eba0742e5e2e2a14419c42325b5d7b5ed7ba45c7895b36e51407b0a5679",
     "sample_dirichlet_process": "9948cee2a51b0ad7aa36409722d2b247666b6e2e828c403f6e5ecada41dfd4eb",
     "sample_gamma_process": "293711fa2c3fd9568c34534a82e992588e622a97fde4c5b7ddbd26d0b4db6063",
 }
@@ -1200,14 +1105,10 @@ def test_one_row_draw_past_its_first_block_is_frozen(name):
     # rounds, so a one-row draw goes through the growth path.
     gen = _Uniforms(32, _tiny_first_block)
     draw = getattr(processes, name)(1.0, EPS, gen)
-    if name == "sample_gem":
-        size, fields = draw.sticks.size, draw.sticks.tobytes() + struct.pack("<d", draw.residual)
-    else:
-        size = draw.masses.size
-        fields = (draw.masses.tobytes() + draw.locations.tobytes()
-                  + struct.pack("<dd", draw.total_mass, draw.tail_bound))
-    assert gen.calls == (3 if name == "sample_gem" else 4)
-    assert size > processes._first_width(1.0, EPS) * 3 // 2
+    fields = (draw.masses.tobytes() + draw.locations.tobytes()
+              + struct.pack("<dd", draw.total_mass, draw.tail_bound))
+    assert gen.calls == 4
+    assert draw.masses.size > processes._first_width(1.0, EPS) * 3 // 2
     digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
     assert digest == _TINY_FIRST_BLOCK_SHA256[name]
 
@@ -1236,7 +1137,7 @@ def _cli_draws_pass_the_full_constructor(theta, eps, seed, process, samples, str
 
 @settings(max_examples=80, deadline=None)
 @given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), seed=st.integers(0, 2**32),
-       process=st.sampled_from(["gem", "dirichlet", "gamma", "lebesgue", "cli"]),
+       process=st.sampled_from(["dirichlet", "gamma", "lebesgue", "cli"]),
        cli_process=st.sampled_from(["dirichlet", "gamma", "lebesgue"]),
        samples=st.integers(1, 40), streams=st.integers(1, 3))
 def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process, cli_process,
@@ -1248,17 +1149,12 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
     if process == "cli":
         _cli_draws_pass_the_full_constructor(theta, eps, seed, cli_process, samples, streams)
         return
-    if process == "gem":
-        draw = sample_gem(theta, eps, RngStream(seed))
-        again = GemDraw(sticks=draw.sticks, residual=draw.residual)
-    else:
-        sampler = sample_dirichlet_process if process == "dirichlet" else sample_gamma_process
-        draw = sampler(theta, eps, RngStream(seed))
-        if process == "lebesgue":
-            draw = weight_as_lebesgue(draw)
-        again = WeightedAtomSeries(**{f.name: getattr(draw, f.name)
-                                      for f in dataclasses.fields(draw)})
-        assert draw.normalized == (process == "dirichlet")
+    sampler = sample_dirichlet_process if process == "dirichlet" else sample_gamma_process
+    draw = sampler(theta, eps, RngStream(seed))
+    if process == "lebesgue":
+        draw = weight_as_lebesgue(draw)
+    again = WeightedAtomSeries(**{f.name: getattr(draw, f.name) for f in dataclasses.fields(draw)})
+    assert draw.normalized == (process == "dirichlet")
     for got, want in zip(_fields(draw), _fields(again)):
         assert type(got) is type(want)
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
@@ -1282,7 +1178,7 @@ def _zero_stick(call, u):
     return u
 
 
-@pytest.mark.parametrize("sampler", [sample_gem, sample_dirichlet_process, sample_gamma_process])
+@pytest.mark.parametrize("sampler", [sample_dirichlet_process, sample_gamma_process])
 def test_scalar_draws_refuse_a_zero_stick(sampler):
     with pytest.raises(DomainError, match=r"^stick fractions must lie strictly inside \(0, 1\)$"):
         sampler(2.0, EPS, _Uniforms(5, _zero_stick))
