@@ -97,6 +97,34 @@ def test_gem_expected_residual_after_k_sticks():
         assert abs(residual.mean() - want) <= 4.0 * err
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+def test_stick_rows_stop_at_the_first_residual_below_eps(theta):
+    # Each row's masses are positive up to its cut and zero after it; its
+    # tail, the residual after the cut, is at most eps, and the residual
+    # before the cut's stick is above it.
+    masses, tails = stick_masses_batch(theta, 1e-3, 2000, RngStream(1).generator())
+    cut = np.count_nonzero(masses, axis=1) - 1
+    index = np.arange(masses.shape[0])
+    assert np.all(masses[np.arange(masses.shape[1]) <= cut[:, None]] > 0.0)
+    assert np.all(masses <= 1.0)
+    assert np.all((tails > 0.0) & (tails <= 1e-3))
+    assert np.all(tails + masses[index, cut] > 1e-3)
+    assert np.allclose(masses.sum(axis=1) + tails, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("u, eps, want_masses, want_tail", [
+    (0.5, 0.35, [0.5, 0.25], 0.25),
+    (0.3, 0.35, [0.7], 0.3),
+])
+def test_known_sticks_break_into_known_masses(u, eps, want_masses, want_tail):
+    # At theta = 1 a uniform u is the stick 1 - u, so a constant u gives
+    # equal sticks: c_j = y (1 - y)^j up to the first residual at most eps.
+    gen = _Uniforms(1, lambda call, v: np.full_like(v, u) if call == 1 else v)
+    masses, tails = stick_masses_batch(1.0, eps, 1, gen)
+    assert np.allclose(masses[0], want_masses, rtol=0.0, atol=1e-15)
+    assert abs(tails[0] - want_tail) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet / gamma processes
 
@@ -163,6 +191,45 @@ def test_lebesgue_weighting():
     assert series.log_weight == 0.0
     weighted = weight_as_lebesgue(series)
     assert weighted.log_weight == series.total_mass
+
+
+@pytest.mark.parametrize("sticks, order", [
+    ([0.2, 0.5, 0.3], [1, 2, 0]),
+    ([0.5, 0.3, 0.2], [0, 1, 2]),
+    ([0.25, 0.5, 0.25], [1, 0, 2]),  # ties keep their stick order
+])
+def test_draws_sort_masses_and_locations_together(monkeypatch, sticks, order):
+    # Masses in stick order come back decreasing, each with its own location.
+    monkeypatch.setattr(processes, "_stick_rows",
+                        lambda *args: (np.array([sticks]), np.array([0.0]), np.array([2])))
+    locations = processes._by_rows(1, 3, gen=RngStream(8).generator(), keep=True)[0]
+    series = sample_dirichlet_process(1.0, EPS, RngStream(8))
+    assert np.array_equal(series.masses, np.array(sticks)[order])
+    assert np.array_equal(series.locations, locations[order])
+
+
+@pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
+def test_sample_records_round_trip_to_the_stream_draws(process):
+    # With one sample per stream, each record `sample` writes is that
+    # stream's one-row draw, and reads back into the same series.
+    from conicpd import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sample", "--theta", "0.9", "--eps", repr(EPS), "--seed", "11",
+                         "--process", process, "--samples", "3", "--streams", "3"]) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+    assert [(r["seed"], r["stream_id"]) for r in records] == [(11, 0), (11, 1), (11, 2)]
+    sampler = sample_dirichlet_process if process == "dirichlet" else sample_gamma_process
+    for record in records:
+        want = sampler(0.9, EPS, RngStream(11, record["stream_id"]))
+        if process == "lebesgue":
+            want = weight_as_lebesgue(want)
+        back = series_from_record({**record, "normalized": process == "dirichlet"})
+        assert np.array_equal(back.masses, want.masses)
+        assert np.array_equal(back.locations, want.locations)
+        assert (back.total_mass, back.tail_bound, back.log_weight) == (
+            want.total_mass, want.tail_bound, want.log_weight)
 
 
 # ---------------------------------------------------------------------------
