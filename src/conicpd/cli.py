@@ -436,8 +436,18 @@ def _run_mp_demo(cfg):
     return ["n", "s", "quad", "mc", "stderr", "gauss", "gap"], rows
 
 
+# Most rows (nmax - nmin + 1) a `divergence` table may hold.  A sqrt_n table
+# of this length already takes seconds; a much larger --nmax would run for
+# minutes or fail to allocate its range instead of being refused.
+DIVERGENCE_ROWS = 1 << 14
+
+
 def _run_divergence(cfg):
     from .mellin import RadiusSchedule, divergence_experiment
+    rows = cfg["nmax"] - cfg["nmin"] + 1
+    if rows > DIVERGENCE_ROWS:
+        raise DomainError(f"nmax - nmin + 1 = {rows} rows exceeds the {DIVERGENCE_ROWS}-row "
+                          "divergence table; lower --nmax")
     schedule = RadiusSchedule(kind=cfg["schedule"], scale=cfg["scale"])
     table = divergence_experiment(cfg["lam"], schedule,
                                   np.arange(cfg["nmin"], cfg["nmax"] + 1))

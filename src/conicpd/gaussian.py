@@ -4,8 +4,11 @@ This is the classical contrast case for the divergence experiment: the
 characteristic function of a coordinate under the uniform measure on the
 sphere of radius sqrt(n) in R^n tends to the standard Gaussian e^{-s^2/2}.
 It is computed in closed form, 0F1(; n/2; -(radius s)^2/4) (the ``quad``
-column of ``mp-demo``), and by Monte Carlo, one batch of draws per s grid;
-the acceptance battery checks the convergence table for a shrinking sup-gap.
+column of ``mp-demo``), and by Monte Carlo, one batch of draws per s grid.
+The Monte Carlo draws the coordinate's own law, one normal and one
+chi-square value per sample, so its work and memory are O(rows) at any
+n >= 2; only the direction-vector route draws whole points.  The acceptance
+battery checks the convergence table for a shrinking sup-gap.
 """
 
 from __future__ import annotations
@@ -59,12 +62,17 @@ def _check_s(s_norm) -> np.ndarray:
     return s
 
 
-def _sphere_normals(gen, rows: int, n: int) -> np.ndarray:
-    if rows * n > processes._CELL_BUDGET:
-        raise DomainError(
-            f"{rows} rows of dimension {n} exceed the {processes._CELL_BUDGET}-cell sampler "
-            "budget; lower --n, or use fewer --samples per stream to lower the rows")
-    return gen.standard_normal((rows, n))
+def _sphere_coordinate(gen, rows: int, n: int) -> np.ndarray:
+    """``rows`` draws of x_1 / radius for x uniform on the sphere in R^n.
+
+    For g ~ N(0, I_n), g_1 / |g| is the coordinate, and the other n - 1
+    squares sum to a chi-square with n - 1 degrees of freedom independent
+    of g_1.  So one normal g and one chi-square c per row, drawn in that
+    order, give g / sqrt(g^2 + c) with the same law in O(rows).
+    """
+    g = gen.standard_normal(rows)
+    c = gen.chisquare(n - 1, rows)
+    return g / np.sqrt(g * g + c)
 
 
 # Windows of z in which scipy 1.17's hyp0f1(b, z) is off by more than 2e-15,
@@ -143,17 +151,18 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm):
 
 def sphere_charfun_mc(cfg: SphereConfig, s_norm, n_samples: int,
                       rng: RngStream, *, streams: int = 1):
-    """Monte Carlo E[cos(s * x_1)] with x uniform on the sphere (normalized Gaussians).
+    """Monte Carlo E[cos(s * x_1)] with x uniform on the sphere.
 
-    A scalar s gives one EstimatorResult; a 1-D array of s gives one per
-    entry, all from the same draws, each as the scalar call would give it.
+    Each sample draws the coordinate x_1 / radius directly (see
+    :func:`_sphere_coordinate`), so a chunk costs O(rows) at any n.  A scalar
+    s gives one EstimatorResult; a 1-D array of s gives one per entry, all
+    from the same draws, each as the scalar call would give it.
     """
     s = _check_s(s_norm)
     k = np.atleast_1d(s) * cfg.radius
 
     def kernel(gen, rows):
-        z = _sphere_normals(gen, rows, cfg.n)
-        first = z[:, 0] / np.linalg.norm(z, axis=1)
+        first = _sphere_coordinate(gen, rows, cfg.n)
         # Contiguous columns: pooled_mean reduces each like a 1-D array.
         return np.cos(k[:, None] * first[None, :]).T
 
@@ -165,15 +174,20 @@ def sphere_charfun_mc_vector(cfg: SphereConfig, s_vec, n_samples: int,
                              rng: RngStream, *, streams: int = 1) -> EstimatorResult:
     """Monte Carlo E[cos(<s, x>)] for an arbitrary direction vector s.
 
-    By rotational invariance this must agree with the axis-aligned route at
-    |s|; the test battery uses it to confirm the one-dimensional reduction.
+    It draws whole points from rows x n normals, within the sampler's cell
+    budget.  By rotational invariance it must agree with the axis-aligned
+    route at |s|, so it is that route's independent oracle.
     """
     s = np.asarray(s_vec, dtype=float)
     if s.shape != (cfg.n,) or not np.all(np.isfinite(s)):
         raise DomainError("s must be a finite vector of length n")
 
     def kernel(gen, rows):
-        z = _sphere_normals(gen, rows, cfg.n)
+        if rows * cfg.n > processes._CELL_BUDGET:
+            raise DomainError(
+                f"{rows} rows of dimension {cfg.n} exceed the {processes._CELL_BUDGET}-cell "
+                "sampler budget; lower n, or the samples per stream to lower the rows")
+        z = gen.standard_normal((rows, cfg.n))
         points = cfg.radius * z / np.linalg.norm(z, axis=1)[:, None]
         return np.cos(points @ s)
 
@@ -197,7 +211,8 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
 
     The Monte Carlo columns of one n come from one set of draws, taken in
     blocks of s points that keep each cosine matrix within _BLOCK_CELLS;
-    every block redraws the same normals, so blocking changes no bit.
+    every block redraws the same coordinates, one normal and one chi-square
+    value per sample at any n >= 2, so blocking changes no bit.
     """
     s_grid = _check_s(s_grid).ravel()
     if samples < 0:

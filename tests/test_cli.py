@@ -176,7 +176,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.6.0"
+    assert meta["version"] == "0.7.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -323,13 +323,14 @@ def test_mp_demo_refuses_non_finite_dimensions(capsys, tmp_path, source, value):
     assert code == 2 and out == "" and "n must contain integers" in err
 
 
-def test_mp_demo_refuses_normals_over_the_cell_budget(capsys, monkeypatch):
-    # rows x n normals per chunk are bounded by the sampler's cell budget;
-    # a small budget shows the refusal without a large allocation.
+def test_mp_demo_draws_do_not_depend_on_the_cell_budget(capsys, monkeypatch):
+    # Each sample draws one normal and one chi-square value, so no rows x n
+    # normal matrix exists: a budget below rows x n changes no byte.
+    argv = ["mp-demo", "--n", "5", "--spoints", "3", "--samples", "1000"]
+    code, want, _err = run_cli(capsys, argv)
+    assert code == 0
     monkeypatch.setattr(processes, "_CELL_BUDGET", 4000)
-    code, out, err = run_cli(capsys, ["mp-demo", "--n", "5", "--spoints", "3",
-                                      "--samples", "1000"])
-    assert code == 2 and out == "" and "cell sampler budget" in err
+    assert run_cli(capsys, argv) == (0, want, "")
 
 
 # Runs the CLI with its address space capped at 1 GiB, so an allocation the
@@ -342,15 +343,30 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_capped(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+
+
 def test_mp_demo_refuses_an_oversized_table_before_allocating():
     # A 10^12-point grid used to exit 1 with a memory-error traceback.
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED, "mp-demo", "--n", "5", "--spoints", str(10**12)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    proc = _run_capped("mp-demo", "--n", "5", "--spoints", str(10**12))
     assert proc.returncode == 2 and proc.stdout == ""
     assert "invalid configuration" in proc.stderr and "--spoints" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_mp_demo_serves_a_million_dimensions_at_a_full_chunk():
+    # 32768 rows x 10^6 normals would be 262 GB; the coordinate's own law
+    # needs two numbers a row.  Until 0.7.0 this exited 2 over the cell budget.
+    proc = _run_capped("mp-demo", "--n", "5000,1000000", "--spoints", "4",
+                       "--samples", "100000", "--streams", "2")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout.split("\n", 1)[1])))
+    assert [int(row["n"]) for row in rows] == [5000] * 4 + [1000000] * 4
+    for row in rows[1:4] + rows[5:]:
+        assert abs(float(row["mc"]) - float(row["quad"])) <= 4.0 * float(row["stderr"]), row
 
 
 def test_mp_demo_row_bound_counts_every_dimension(capsys, monkeypatch):
@@ -363,11 +379,12 @@ def test_mp_demo_row_bound_counts_every_dimension(capsys, monkeypatch):
 
 # sha256 of the mc,stderr cells (one "mc,stderr" line per row) of
 # mp-demo --n 3,8 --smax 4 --spoints 129 --samples 100000 --streams S --seed 5,
-# frozen from the per-point Monte Carlo runs the batched kernel replaced:
-# several chunks per stream and two column blocks of s points.
+# frozen at 0.7.0 from the one-normal, one-chi-square coordinate draw (whose
+# law tests are in test_gaussian.py): several chunks per stream and two
+# column blocks of s points.
 _MP_DEMO_MC_SHA256 = {
-    1: "df65bcb456e0343ea1f560eea7d7bd4065cdce9d7e4fea94e86a4bb4e422a6f9",
-    3: "a4622060b59011e3d5ea4444c3392d329fd1c156872b2c0e1833152bcdf98a37",
+    1: "967f8d73877c4e81607439c7bf9a5aff0e88d6aa2e028ab4b34a1c346b514b00",
+    3: "5e54254eb8e788d6ad68c9be95bca38206b6677167ef4a412cd5f839de8a4df9",
 }
 
 
@@ -576,6 +593,23 @@ def test_divergence_refuses_an_empty_range(capsys):
     # nmin > nmax used to print the meta line, the header and no rows.
     code, out, err = run_cli(capsys, ["divergence", "--nmin", "5", "--nmax", "2"])
     assert code == 2 and out == "" and "non-empty" in err
+
+
+def test_divergence_row_bound_counts_the_whole_range(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DIVERGENCE_ROWS", 3)
+    code, out, _err = run_cli(capsys, ["divergence", "--nmin", "2", "--nmax", "4"])
+    assert code == 0 and len(out.splitlines()) == 2 + 3
+    code, out, err = run_cli(capsys, ["divergence", "--nmin", "2", "--nmax", "5"])
+    assert code == 2 and out == "" and "3-row divergence table" in err
+
+
+def test_divergence_refuses_an_oversized_range_before_allocating():
+    # np.arange(2, 10^12 + 1) used to fail to allocate; a range in the
+    # millions ran for minutes.
+    proc = _run_capped("divergence", "--nmax", str(10**12))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid configuration" in proc.stderr and "--nmax" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fmt_prints_numpy_scalars_as_python_numbers():

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from conicpd import (
     DomainError,
@@ -17,7 +17,7 @@ from conicpd import (
     sphere_charfun_quad,
 )
 from conicpd import processes
-from conicpd.gaussian import sphere_charfun_mc_vector
+from conicpd.gaussian import _sphere_coordinate, sphere_charfun_mc_vector
 
 
 def test_sphere_config_defaults_and_validation():
@@ -125,20 +125,49 @@ def test_mc_charfun_array_matches_scalar_calls_bit_for_bit():
         assert batch == single
 
 
-def test_mc_kernels_refuse_normal_matrices_over_the_cell_budget(monkeypatch):
-    # rows x n normals are bounded by the sampler's cell budget; a small
-    # budget shows the refusal without allocating anything large.
+def test_mc_vector_refuses_normal_matrices_over_the_cell_budget(monkeypatch):
+    # rows x n normals of the vector route are bounded by the sampler's cell
+    # budget; a small budget shows the refusal without allocating anything
+    # large.  The axis route and the gap table draw O(rows) and still serve.
     monkeypatch.setattr(processes, "_CELL_BUDGET", 4000)
     cfg = SphereConfig(n=5)
     with pytest.raises(DomainError, match="cell sampler budget"):
-        sphere_charfun_mc(cfg, 1.0, 1000, RngStream(0))
-    with pytest.raises(DomainError, match="cell sampler budget"):
         sphere_charfun_mc_vector(cfg, np.ones(5), 1000, RngStream(0))
-    with pytest.raises(DomainError, match="cell sampler budget"):
-        charfun_gap_rows([0.5, 1.0], [5], samples=1000, rng=RngStream(0))
     # 800 rows x 5 = 4000 cells is exactly the budget and runs
-    assert sphere_charfun_mc(cfg, 1.0, 800, RngStream(0)).n_samples == 800
     assert sphere_charfun_mc_vector(cfg, np.ones(5), 800, RngStream(0)).n_samples == 800
+    assert sphere_charfun_mc(cfg, 1.0, 1000, RngStream(0)).n_samples == 1000
+    assert len(charfun_gap_rows([0.5, 1.0], [5], samples=1000, rng=RngStream(0))) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 10**6])
+def test_sphere_coordinate_square_is_beta(n):
+    # (x_1 / radius)^2 on the sphere in R^n is Beta(1/2, (n - 1)/2).
+    first = _sphere_coordinate(RngStream(60, n % 97).generator(), 20_000, n)
+    assert np.all(np.abs(first) <= 1.0)
+    assert stats.kstest(first * first, stats.beta(0.5, 0.5 * (n - 1)).cdf).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("n", [5000, 10**6])
+def test_mc_charfun_matches_quad_on_the_debye_branch(n):
+    cfg = SphereConfig(n=n)
+    s_grid = np.array([0.5, 1.0, 2.0])
+    want = sphere_charfun_quad(cfg, s_grid)
+    for s, w, est in zip(s_grid, want, sphere_charfun_mc(cfg, s_grid, 40_000, RngStream(61))):
+        assert abs(est.estimate - w) <= 4.0 * est.stderr, (n, s)
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_mc_axis_and_vector_routes_agree(n):
+    # The vector route draws whole points, the axis route only the
+    # coordinate's law; by rotational invariance both estimate the same value.
+    cfg = SphereConfig(n=n)
+    direction = RngStream(62, n).generator().standard_normal(n)
+    for s in (0.5, 1.5):
+        axis = sphere_charfun_mc(cfg, s, 40_000, RngStream(63))
+        vector = sphere_charfun_mc_vector(cfg, s * direction / np.linalg.norm(direction),
+                                          40_000, RngStream(64))
+        assert abs(axis.estimate - vector.estimate) <= 4.0 * math.hypot(
+            axis.stderr, vector.stderr), (n, s)
 
 
 def test_gap_rows_mc_memory_stays_within_the_block_bound():
