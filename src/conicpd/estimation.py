@@ -11,6 +11,7 @@ rerun guarantee rests on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,20 @@ def stream_counts(n_samples: int, streams: int) -> list[int]:
     """Deterministic split of the sample budget across streams: stream s draws entry s.
 
     Only the min(n_samples, streams) streams that draw are listed; the
-    others would draw nothing.
+    others would draw nothing.  Both counts must be positive integers (bool
+    is refused, numpy integers are not), and the entries are Python ints.
     """
-    return _stream_counts(n_samples, streams)
-
-
-def _stream_counts(n_samples, streams):
-    """``stream_counts`` in private code, for jobs that may run off the calling thread."""
-    if n_samples < 1 or streams < 1:
-        raise DomainError("sample and stream counts must be positive integers")
+    n_samples = _count(n_samples, "sample count")
+    streams = _count(streams, "stream count")
     base, extra = divmod(n_samples, streams)
     return [base + (1 if s < extra else 0) for s in range(min(n_samples, streams))]
+
+
+def _count(value, name) -> int:
+    """``value`` as a Python int >= 1; bool and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return int(value)
 
 
 def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: int = 1,
@@ -61,18 +65,15 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
 
     Each chunk contributes (count, mean, sum of squared deviations), combined
     with the pairwise update of Chan, Golub & LeVeque (1979), which keeps the
-    variance accurate when the spread is tiny against the mean.
+    variance accurate when the spread is tiny against the mean.  A column
+    reduces the same way whether it is a one-column kernel's or a column of
+    an F-ordered (rows, columns) array; a C-ordered one sums row by row.
+    The counts, ``rng`` and ``chunk`` are checked before anything is drawn.
     """
-    return _pooled_mean(n_samples, rng, streams, kernel, columns, chunk)
-
-
-def _pooled_mean(n_samples, rng, streams, kernel, columns=1, chunk=CHUNK_ROWS):
-    """``pooled_mean`` in private code only.
-
-    It calls no public conicpd function, so a job that may run off the
-    calling thread can use it with a kernel that calls none either.
-    """
-    counts = _stream_counts(n_samples, streams)
+    counts = stream_counts(n_samples, streams)
+    if not isinstance(rng, RngStream):
+        raise DomainError("rng must be an RngStream")
+    chunk = _count(chunk, "chunk")
     count = 0
     mean = np.zeros(columns)
     m2 = np.zeros(columns)
@@ -98,6 +99,6 @@ def _pooled_mean(n_samples, rng, streams, kernel, columns=1, chunk=CHUNK_ROWS):
     else:
         err = np.zeros(columns)
     return [
-        EstimatorResult(float(m), float(e), count, rng.seed, streams)
+        EstimatorResult(float(m), float(e), count, rng.seed, int(streams))
         for m, e in zip(mean, err)
     ]

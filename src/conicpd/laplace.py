@@ -23,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfiniteVarianceError
-from .estimation import CHUNK_ROWS, EstimatorResult, _pooled_mean, pooled_mean, stream_counts
+from .estimation import EstimatorResult, pooled_mean, stream_counts
 from .processes import (
     RngStream,
-    _by_items,
     _by_rows,
     _check_theta_eps,
-    _first_width,
     _gamma_totals,
     _positive_real,
+    _scratch,
     _skip_uniforms,
-    _stick_masses,
     gamma_batch,
     stick_masses_batch,
 )
@@ -68,8 +66,7 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     _check_variance(f, allow_infinite_variance)
-    kernel = _laplace_kernel(theta, f, eps, stick_masses_batch)
-    (result,) = pooled_mean(n_samples, rng, streams, kernel)
+    (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, [f], eps))
     return result
 
 
@@ -81,52 +78,59 @@ def _check_variance(f, allow_infinite_variance=False):
         )
 
 
-def _laplace_kernel(theta, f, eps, sticks):
-    """Estimator kernel of Psi(f): exp(total * (1 - <f, P>)) per draw.
+def _laplace_kernel(theta, fs, eps):
+    """Estimator kernel of Psi(f) for each f of ``fs``: exp(total * (1 - <f, P>)) per draw.
 
-    ``sticks`` draws the normalized masses: the public ``stick_masses_batch``,
-    so that a tracer sees one stick batch per chunk, or ``_stick_masses`` for
-    a kernel that must call no public function.  The draws are
-    ``gamma_batch``'s, without its location matrix.
+    One draw serves every f: column k of the F-ordered (rows, len(fs))
+    output is f_k's, the same floats as a kernel of f_k alone.  The draws
+    are ``gamma_batch``'s, without its location matrix.
     """
     def kernel(gen, rows):
-        masses, _tails = sticks(theta, eps, rows, gen)
-        pairing = _pairing(masses, f, gen)
-        return np.exp(_gamma_totals(theta, rows, gen) * (1.0 - pairing))
+        masses, _tails = stick_masses_batch(theta, eps, rows, gen)
+        pairing = _pairing(masses, fs, gen)
+        np.subtract(1.0, pairing, out=pairing)
+        pairing *= _gamma_totals(theta, rows, gen)[:, None]
+        return np.exp(pairing, out=pairing)
 
     return kernel
 
 
-def _pairing(masses, f, gen):
-    """Per-row <f, P>: each row of ``masses`` against f at its draw's locations.
+def _pairing(masses, fs, gen):
+    """<f, P> per row and per f of ``fs``: an F-ordered (rows, len(fs)) array.
 
-    The locations are the (rows, K) uniforms that follow the sticks in
-    ``gen``, as ``gamma_batch`` draws them.  They are drawn row block by row
-    block into scratch and reduced at once, so no location or f-value
-    matrix exists; a constant f reads none of them, and ``gen`` skips them.
-    Either way ``gen`` ends where ``gamma_batch``'s draw leaves it, and each
-    row's sum is the float ``(masses * f(locations)).sum(axis=1)`` gives.
-    A constant f's products overwrite ``masses``.
+    Each row of ``masses`` is paired with every f at its draw's locations:
+    the (rows, K) uniforms that follow the sticks in ``gen``, as
+    ``gamma_batch`` draws them.  They are drawn row block by row block into
+    scratch and reduced at once, so no location or f-value matrix exists; if
+    every f is constant none of them is read, and ``gen`` skips them.
+    Either way ``gen`` ends where ``gamma_batch``'s draw leaves it, and
+    column k holds the floats ``(masses * f_k(locations)).sum(axis=1)``
+    gives.  The last f's products overwrite the block's uniforms or, for a
+    constant f, ``masses``; the others' go to scratch of their own, since a
+    later f still reads both.
     """
     rows, cols = masses.shape
-    pairing = np.empty(rows)
-    if f.values.size == 1:
+    pairing = np.empty((rows, len(fs)), order="F")
+    lookup = any(f.values.size > 1 for f in fs)
+    if not lookup:
         _skip_uniforms(gen, masses.size)
+    last = len(fs) - 1
 
-        def integrand(lo, hi, _u):
-            # The lookup is skipped; the products are the same floats.
-            np.multiply(masses[lo:hi], f.values[0], out=masses[lo:hi]).sum(
-                axis=1, out=pairing[lo:hi])
+    def integrand(lo, hi, u):
+        block = masses[lo:hi]
+        for k, f in enumerate(fs):
+            if f.values.size == 1:
+                # The lookup is skipped; the products are the same floats.
+                out = block if k == last else _scratch("products", block.shape)
+                products = np.multiply(block, f.values[0], out=out)
+            else:
+                # Uniforms lie in [0, 1), so f is read without its domain
+                # check; its values, and then the products, go to ``out``.
+                out = u if k == last else _scratch("products", block.shape)
+                products = np.multiply(block, f._at(u, out=out), out=out)
+            products.sum(axis=1, out=pairing[lo:hi, k])
 
-        _by_rows(rows, cols, integrand)
-    else:
-        def integrand(lo, hi, u):
-            # Uniforms lie in [0, 1), so f is read without its domain check;
-            # its values, and then the products, take the uniforms' place.
-            values = f._at(u, out=u)
-            np.multiply(masses[lo:hi], values, out=values).sum(axis=1, out=pairing[lo:hi])
-
-        _by_rows(rows, cols, integrand, gen)
+    _by_rows(rows, cols, integrand, gen if lookup else None)
     return pairing
 
 
@@ -155,14 +159,14 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
                            streams: int = 1) -> list[QuasiInvarianceReport]:
     """``quasi_invariance_check`` for each (a, f) of ``pairs``, in pair order.
 
-    Pair k estimates Psi(a f) on the streams of ``rng.child(k * streams)``.
-    The exact sides are formed first, in pair order, on the calling thread.
-    The estimates run one after another when each one's passes are large
-    enough to split into row blocks, else at once on the row-block pool;
-    the reports are the same bytes either way.
+    One batch of draws serves every pair, as ``weighted_box_mass``'s serves
+    every b: each draw is paired with every a f, so pair k's report is
+    ``quasi_invariance_check(theta, a_k, f_k, n_samples, rng)``'s, bit for
+    bit, and the pairs' z-scores are correlated.  The exact sides are
+    formed first, in pair order, and an empty ``pairs`` draws nothing.
     """
     theta, eps = _check_theta_eps(theta, eps)
-    counts = stream_counts(n_samples, streams)
+    stream_counts(n_samples, streams)  # refuses bad counts, even with no pairs
     exact = []
     for a, f in pairs:
         af = a * f
@@ -171,15 +175,11 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
         cocycle = phi(a, theta)
         _check_variance(af)
         exact.append((af, cocycle, value_f, value_af))
+    if not exact:
+        return []
 
-    estimates = [None] * len(exact)
-
-    def estimate(k):
-        # Private code only: this may run on a pool thread.
-        kernel = _laplace_kernel(theta, exact[k][0], eps, _stick_masses)
-        (estimates[k],) = _pooled_mean(n_samples, rng.child(k * streams), streams, kernel)
-
-    _by_items(len(exact), estimate, min(CHUNK_ROWS, counts[0]) * _first_width(theta, eps))
+    kernel = _laplace_kernel(theta, [af for af, *_ in exact], eps)
+    estimates = pooled_mean(n_samples, rng, streams, kernel, columns=len(exact))
     reports = []
     for (_af, cocycle, value_f, value_af), mc in zip(exact, estimates):
         z = (mc.estimate - value_af) / mc.stderr if mc.stderr > 0 else 0.0
@@ -220,15 +220,17 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     if t_grid is None:
         t_grid = np.linspace(b / 8.0, b, 8)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise DomainError("the t grid of a window needs at least one point")
     if not np.all((t_grid > 0.0) & (t_grid <= b)):
         raise DomainError("t grid must lie in (0, b]")
 
     def kernel(gen, rows):
         masses, _tails = stick_masses_batch(theta, eps, rows, gen)
-        pairing = _pairing(masses, f, gen)
+        pairing = _pairing(masses, [f], gen)
         totals = _gamma_totals(theta, rows, gen)
-        pairing *= totals
-        return np.where(pairing[:, None] <= t_grid[None, :],
+        pairing *= totals[:, None]
+        return np.where(pairing <= t_grid[None, :],
                         np.exp(totals)[:, None], 0.0)
 
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)

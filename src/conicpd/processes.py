@@ -38,14 +38,14 @@ two passes over contiguous row blocks of at most 2^16 cells, through
 sticks and, while the block is in cache, into its running sums, cuts,
 tails and masses.  The second (the estimator kernels in ``laplace``) draws
 each block's location or mark uniforms into per-thread scratch and reduces
-them at once to the per-row value, so no location, f-value or mark matrix
-is made.  A pass from 2^17 cells on is shared out, at least two blocks per
-thread, and each block draws its uniforms from its own copy of the Philox
-stream, moved to the block's first cell.  Independent estimates whose
-passes are too small to split, such as the invariance pairs, run whole as
-jobs through ``_by_items``, each on its own streams; inside such a job
-every pass runs its blocks in turn.  Either way the output bytes do not
-depend on the CPU count or on thread scheduling.
+them at once to the per-row values, one per column the kernel serves, so
+no location, f-value or mark matrix is made.  A pass from 2^17 cells on is
+shared out, at least two blocks per thread, and each block draws its
+uniforms from its own copy of the Philox stream, moved to the block's
+first cell; a smaller pass runs its blocks in turn on the caller's thread.
+The jobs are row blocks only, and every public function runs on the
+caller's thread.  The output bytes do not depend on the CPU count or on
+thread scheduling.
 """
 
 from __future__ import annotations
@@ -267,9 +267,10 @@ def _share(count, run, threads):
     that is free.  Returns once every thread has stopped.  After a failure
     no thread takes a new k, and the failure with the lowest k is raised:
     the one a serial loop would meet first, since every lower k was taken
-    earlier and ran to its end.  Inside ``run``, ``_free_threads`` is one, so
-    a job never hands work to the pool and waits for it while the pool's
-    threads may all be waiting likewise.
+    earlier and ran to its end.  The jobs are ``_by_rows``'s row blocks.
+    Inside ``run``, ``_free_threads`` is one, so a job never hands work to
+    the pool and waits for it while the pool's threads may all be waiting
+    likewise.
     """
     # next() on a range iterator is one call under the interpreter lock, so
     # each k is taken by exactly one thread.
@@ -302,22 +303,6 @@ def _share(count, run, threads):
         raise failed[min(failed)]
 
 
-def _by_items(count, run, cells):
-    """Run ``run(k)`` for k in range(count): at once when each is too small to split.
-
-    ``cells`` is the size of an item's largest pass.  From ``_SPLIT_CELLS``
-    on, the items run one after another on the caller's thread, each
-    splitting its own passes into row blocks; smaller items are shared out
-    whole by ``_share``.  ``run`` follows ``_by_rows``'s rules for ``work``.
-    """
-    threads = _free_threads(count) if cells < _SPLIT_CELLS else 1
-    if threads < 2:
-        for k in range(count):
-            run(k)
-    else:
-        _share(count, lambda k, _slot: run(k), threads)
-
-
 def _movable(gen):
     """Whether copies of ``gen`` can be moved to any cell of its uniform stream.
 
@@ -336,8 +321,9 @@ def _scratch(name, shape, dtype=float):
     The buffer is kept for the thread's later passes and grows only when a
     block needs more cells than any before it; a row block holds at most
     ``_BLOCK_CELLS`` cells unless a single row is longer.  Names in use:
-    ``"block"`` (a block's uniforms, or the stick pass's running sums) and
-    ``"closed"`` (the stick pass's cut test).
+    ``"block"`` (a block's uniforms, or the stick pass's running sums),
+    ``"closed"`` (the stick pass's cut test) and ``"products"`` (a pairing's
+    products while a later function still reads the block).
     """
     cells = shape[0] * shape[1]
     try:
@@ -371,12 +357,12 @@ def _by_rows(rows, cols, work=None, gen=None, *, keep=False):
     run at once: on the caller's thread and on the pool's, as jobs of
     ``_share``, at least two blocks per thread, each drawing from a copy of
     ``gen`` moved to its first cell.  Below ``_SPLIT_CELLS`` cells, on one
-    CPU, and inside a job of ``_share`` (a row block's or a whole item's),
-    the blocks run one after another on the caller's thread, each drawing
-    from ``gen`` itself.  A pass of one block, and a generator that can do
-    neither (one that ``_movable`` refuses, on a split pass, or one that is
-    not numpy's own Generator), draws the whole matrix at once with
-    ``gen.random(count)`` before any block runs.
+    CPU, and inside a job of ``_share``, the blocks run one after another
+    on the calling thread, each drawing from ``gen`` itself.  A pass of one
+    block, and a generator that can do neither (one that ``_movable``
+    refuses, on a split pass, or one that is not numpy's own Generator),
+    draws the whole matrix at once with ``gen.random(count)`` before any
+    block runs.
     """
     threads = _free_threads(rows) if rows * cols >= _SPLIT_CELLS else 1
     blocks = -(-rows // max(1, _BLOCK_CELLS // cols))
@@ -704,11 +690,6 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     residual mass at the cut.  Zero padding keeps downstream reductions
     branch-free.
     """
-    return _stick_masses(theta, eps, rows, gen)
-
-
-def _stick_masses(theta, eps, rows, gen):
-    """``stick_masses_batch`` in private code only, for jobs that may run off the calling thread."""
     theta, eps = _check_theta_eps(theta, eps)
     return _stick_rows(theta, eps, rows, gen)[:2]
 

@@ -7,8 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicpd import DomainError, NumericalError, PartitionSpec, __version__, box_mass_L, processes
+from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
 from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS, stream_counts
@@ -176,7 +174,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.7.0"
+    assert meta["version"] == "0.8.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -438,8 +436,9 @@ _ESTIMATOR_BODY_SHA256 = [
      "db124e18bab5a31118c9ee02edaaec6b595be57bf49d30e6ca39ff848d1364db"),
     (("partition-sums", "--weights", "0.1,0.2,0.3"),
      "0ce4f4e440bf3d64dfaeeae625b38981b54f67733430c18220fbc5b37fcb351d"),
+    # Re-frozen at 0.8.0, when the pairs came to share one batch of draws.
     (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
-     "f37292522511b849407c268c0c67a49bb6dfe3675713eca16633b858ade1fe20"),
+     "2b4f1d6e58def911bf6e5a596e6bb28496a13140a4b6ef7a114ac0231e825bf2"),
     # Kernels that skip their unread location uniforms, frozen while they
     # still drew them: a chunk boundary inside one stream, two streams, and
     # the box kernel, which draws its marks after the skipped block.
@@ -470,19 +469,6 @@ def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch,
     monkeypatch.setattr(processes, "_WIDTH", width)
     monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
     test_estimator_output_bytes_are_frozen(capsys, argv, digest)
-
-
-_INVARIANCE_CASE = next(case for case in _ESTIMATOR_BODY_SHA256 if case[0][0] == "invariance")
-
-
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_invariance_bytes_do_not_depend_on_pair_fan_out(capsys, monkeypatch, width):
-    # No pass reaches the size floor, so at width 2 and 3 the pairs run at
-    # once on the pool, each with its passes in one block; width 1 runs them
-    # one after another.
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
-    test_estimator_output_bytes_are_frozen(capsys, *_INVARIANCE_CASE)
 
 
 _STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
@@ -518,8 +504,9 @@ _MC_BODY_SHA256 = [
      "31173149", "1ff855e7f984a18a06476751ca599b6cb10275c7e0f2c2cf1633af8d017a7b1a"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1.0,2.0", "--samples", "8192"),
      "433586074", "11e9e9ece5dfb3b1f5ce1b68aae201bc9b2b199b503f17160d0a2abb737236ee"),
+    # Re-frozen at 0.8.0, as the --pairs 4 entry above.
     (("invariance", "--pairs", "24", "--samples", "1500", "--format", "csv"),
-     "540110510", "42185d0f390e84af1becb44155f0e49c9a67f673742357a5fda31763dc005249"),
+     "540110510", "804f6c0585ce0427f194b47e69263775ffa23f4b0aafb126d6c2e4bf7dac69a1"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
      "1654520701", "68891bb571cae1078ea8882c5d557b89e2be35c7f0894429cc85be75d350a619"),
 ]
@@ -535,40 +522,6 @@ def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, dige
     code, out, _err = run_cli(capsys, list(argv) + ["--seed", seed])
     assert code == 0
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
-
-
-def test_the_first_failing_pair_surfaces_once_no_pair_runs(capsys, monkeypatch):
-    # Pair 5 fails first in time while pair 2 waits for it; pair 2's failure
-    # is the one a serial run meets, so it is the one reported.
-    from conicpd import estimation, laplace
-
-    monkeypatch.setattr(processes, "_WIDTH", 3)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
-    lock, running, fifth_failed = threading.Lock(), [0], threading.Event()
-
-    def failing(n_samples, rng, *args):
-        pair = rng.stream_id - 1000
-        with lock:
-            running[0] += 1
-        try:
-            if pair == 2:
-                fifth_failed.wait(30.0)
-                time.sleep(0.01)
-            if pair in (2, 5):
-                if pair == 5:
-                    fifth_failed.set()
-                raise NumericalError(f"pair {pair} failed")
-            return estimation._pooled_mean(n_samples, rng, *args)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(laplace, "_pooled_mean", failing)
-    code, out, err = run_cli(capsys, ["invariance", "--pairs", "12", "--samples", "300",
-                                      "--streams", "1", "--seed", "4"])
-    assert code == 3 and out == ""
-    assert "pair 2 failed" in err and "pair 5" not in err
-    assert fifth_failed.is_set() and running[0] == 0
 
 
 def test_frozen_step_functions_straddle_the_lookup_crossover():
@@ -942,12 +895,32 @@ def test_streams_that_draw_nothing_are_not_walked(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--seed", str(2**64)],
-    ["invariance", "--pairs", "3", "--samples", "3", "--streams", str(2**63)],
+    ["laplace", "--f", "2@0:1", "--samples", "3", "--seed", str(2**64)],
 ])
 def test_seeds_and_streams_past_64_bits_exit_2(capsys, argv):
-    # Philox keys are two 64-bit words; the last case keys pair 2 at 2**64.
+    # Philox keys are two 64-bit words.
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and "below 2**64" in err
+
+
+def test_invariance_pairs_key_only_the_streams_that_draw(capsys, monkeypatch):
+    # The pairs share one batch on streams 1000, 1001, ..., so a --streams of
+    # 2**63 keys the pair generator's stream and the three streams that draw.
+    # (Until 0.8.0 pair k drew on streams from 1000 + k * streams, and pair 2
+    # was refused at 2**64.)
+    made = []
+    generator = processes.RngStream.generator
+
+    def counted(self):
+        made.append(self.stream_id)
+        return generator(self)
+
+    monkeypatch.setattr(processes.RngStream, "generator", counted)
+    argv = ["invariance", "--pairs", "3", "--samples", "3"]
+    code, many, err = run_cli(capsys, argv + ["--streams", str(2**63)])
+    assert code == 0 and err == "" and made == [999_983, 1000, 1001, 1002]
+    code, few, err = run_cli(capsys, argv + ["--streams", "3"])
+    assert code == 0 and many.split("\n", 1)[1] == few.split("\n", 1)[1]
 
 
 def test_parser_is_reused_without_carrying_state(capsys):

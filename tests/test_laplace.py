@@ -324,6 +324,41 @@ def test_mc_laplace_validation():
         mc_laplace(1.0, 2.0, 100, RngStream(0))
 
 
+_ESTIMATORS = {
+    "mc_laplace": lambda n, streams: [mc_laplace(1.0, halves(1.2, 0.8), n, RngStream(4),
+                                                 streams=streams)],
+    "weighted_box_mass": lambda n, streams: weighted_box_mass(
+        PartitionSpec(np.array([0.5, 1.5])), [0.5, 1.0], n, RngStream(4), streams=streams),
+    "quasi_invariance_pairs": lambda n, streams: [rep.mc for rep in quasi_invariance_pairs(
+        1.0, [(halves(1.3, 0.9), halves(2.0, 1.2))], n, RngStream(4), streams=streams)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("n_samples, streams", [
+    (True, 1), (100.5, 1), (100.0, 1), ("100", 1), (0, 1), (-3, 1), (None, 1),
+    (100, True), (100, 2.5), (100, 0), (100, np.bool_(True)),
+])
+def test_estimators_refuse_counts_that_are_not_positive_integers(monkeypatch, name,
+                                                                 n_samples, streams):
+    # True used to draw one sample, and 100.5 and 2.5 failed inside numpy.
+    # The refusal comes before any draw.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the counts")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match="positive integer"):
+        _ESTIMATORS[name](n_samples, streams)
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_take_numpy_integer_counts_as_python_ints(name):
+    got = _ESTIMATORS[name](np.int64(100), np.int32(2))
+    want = _ESTIMATORS[name](100, 2)
+    assert got == want
+    assert all(type(r.n_samples) is int and type(r.streams) is int for r in got)
+
+
 # ------------------------------------------------------------ quasi-invariance
 
 def test_quasi_invariance_identity_and_mc():
@@ -348,25 +383,46 @@ def test_quasi_invariance_general_multiplicator():
     assert abs(rep.z_score) <= 4.0
 
 
-@pytest.mark.parametrize("width, floor", [(1, 1 << 17), (3, 1 << 62)])
-def test_invariance_pairs_estimate_each_pair_on_its_own_streams(monkeypatch, width, floor):
-    # Pair k's estimate is mc_laplace's on streams 1000 + 2k, 1000 + 2k + 1,
-    # serially and with the pairs fanned out.  A pair outside the
-    # finite-variance region is refused as mc_laplace refuses it.
+_SEVENTY = StepFunction(np.linspace(0.0, 1.0, 71), 0.6 + np.random.default_rng(3).random(70))
+
+
+@pytest.mark.parametrize("samples", [900, 33_000])
+@pytest.mark.parametrize("streams", [1, 2])
+@pytest.mark.parametrize("width, floor", [(1, 1 << 17), (3, 0)])
+def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, width, floor, streams, samples):
+    # Every pair is estimated from the same draws on rng's own streams, so
+    # pair k's report is quasi_invariance_check's and its estimate
+    # mc_laplace's, bit for bit: serially and with every pass split, across
+    # a chunk boundary at 33 000 samples.  Constant products (the middle and
+    # last pairs) skip the lookup; the 70-piece f takes the binary search.
+    # A pair outside the finite-variance region is refused as mc_laplace
+    # refuses it.
     from conicpd import processes
 
     monkeypatch.setattr(processes, "_WIDTH", width)
     monkeypatch.setattr(processes, "_SPLIT_CELLS", floor)
-    pairs = [(halves(1.3, 0.9), halves(2.0, 1.2)), (halves(2.0, 0.5), halves(1.5, 2.5)),
-             (StepFunction.constant(1.1), StepFunction.constant(1.4))]
-    reports = quasi_invariance_pairs(1.5, pairs, 900, RngStream(5, 1000), streams=2)
-    for k, ((a, f), rep) in enumerate(zip(pairs, reports)):
-        assert rep.mc == mc_laplace(1.5, a * f, 900, RngStream(5, 1000 + 2 * k), streams=2)
-        assert rep == quasi_invariance_check(1.5, a, f, 900, RngStream(5, 1000 + 2 * k),
-                                             streams=2)
+    pairs = [(halves(1.3, 0.9), halves(2.0, 1.2)),
+             (StepFunction.constant(1.1), StepFunction.constant(1.4)),
+             (halves(1.2, 1.0), _SEVENTY),
+             (halves(2.0, 0.5), halves(1.5, 2.5)),
+             (halves(0.9, 0.9), StepFunction.constant(1.3))]
+    rng = RngStream(5, 1000)
+    reports = quasi_invariance_pairs(1.5, pairs, samples, rng, streams=streams)
+    assert len(reports) == len(pairs)
+    for (a, f), rep in zip(pairs, reports):
+        assert rep.mc == mc_laplace(1.5, a * f, samples, rng, streams=streams)
+        assert rep == quasi_invariance_check(1.5, a, f, samples, rng, streams=streams)
     with pytest.raises(InfiniteVarianceError):
-        quasi_invariance_pairs(1.5, pairs + [(halves(0.5, 1.0), halves(1.0, 1.0))], 900,
-                               RngStream(5, 1000), streams=2)
+        quasi_invariance_pairs(1.5, pairs + [(halves(0.5, 1.0), halves(1.0, 1.0))], samples,
+                               rng, streams=streams)
+
+
+def test_no_invariance_pairs_draw_nothing(monkeypatch):
+    def refuse(_self):
+        raise AssertionError("a draw was made for no pairs")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    assert quasi_invariance_pairs(1.5, [], 900, RngStream(5)) == []
 
 
 # -------------------------------------------------- windowed functional law
@@ -396,6 +452,17 @@ def test_functional_window_two_level_function():
     rep = functional_distribution_check(theta, f, 1.0, 200_000, RngStream(18))
     assert rep.c_f == pytest.approx(log_mean(f, theta), rel=1e-15)
     assert np.all(np.abs(rep.z_scores) <= 4.0)
+
+
+def test_functional_window_refuses_an_empty_t_grid(monkeypatch):
+    # It used to draw every sample, warn "Mean of empty slice" and report nothing.
+    def refuse(_self):
+        raise AssertionError("drew for an empty t grid")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match="at least one point"):
+        functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 500, RngStream(18),
+                                      t_grid=[])
 
 
 def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):

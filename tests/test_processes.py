@@ -520,6 +520,25 @@ def test_stream_counts_split():
         stream_counts(0, 1)
 
 
+@pytest.mark.parametrize("rng, chunk, match", [
+    (np.random.default_rng(3), 100, "RngStream"),
+    (np.random.Generator(np.random.Philox(3)), 100, "RngStream"),
+    (3, 100, "RngStream"),
+    (RngStream(3), 0, "chunk"),
+    (RngStream(3), -1, "chunk"),
+    (RngStream(3), 2.5, "chunk"),
+    (RngStream(3), True, "chunk"),
+])
+def test_pooled_mean_refuses_before_any_draw(rng, chunk, match):
+    # A numpy Generator failed on its missing child(), chunk 0 divided by
+    # zero and -1 failed inside numpy.
+    def kernel(gen, rows):
+        raise AssertionError("drew before refusing")
+
+    with pytest.raises(DomainError, match=match):
+        pooled_mean(100, rng, 1, kernel, chunk=chunk)
+
+
 def test_pooled_mean_matches_direct_computation():
     def kernel(gen, rows):
         return gen.random(rows)
@@ -780,26 +799,30 @@ def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, widt
 
 @settings(max_examples=40, deadline=None)
 @given(theta=st.floats(0.3, 10.0), rows=st.integers(1, 700), seed=st.integers(0, 2**32),
-       offset=st.integers(0, 5), width=st.integers(1, 3), pieces=st.sampled_from([1, 2, 3, 70]))
+       offset=st.integers(0, 5), width=st.integers(1, 3),
+       pieces=st.lists(st.sampled_from([1, 2, 3, 70]), min_size=1, max_size=3))
 def test_streamed_pairing_is_the_whole_matrix_product(theta, rows, seed, offset, width, pieces):
-    # The kernels pair each row's masses with f at location uniforms drawn
-    # block by block into scratch; the public gamma_batch draws the whole
-    # location matrix.  The per-row sums must be the same floats, and the
-    # generator must end where gamma_batch leaves it.  70 pieces take the
-    # binary-search lookup.
-    f = StepFunction(np.linspace(0.0, 1.0, pieces + 1),
-                     0.5 + np.random.default_rng(seed).random(pieces))
+    # The kernels pair each row's masses with every f at location uniforms
+    # drawn block by block into scratch; the public gamma_batch draws the
+    # whole location matrix.  Each f's per-row sums must be the same floats,
+    # whichever functions come before or after it, and the generator must
+    # end where gamma_batch leaves it.  70 pieces take the binary-search
+    # lookup, and a list of constants draws no uniforms.
+    shapes = np.random.default_rng(seed)
+    fs = [StepFunction(np.linspace(0.0, 1.0, count + 1), 0.5 + shapes.random(count))
+          for count in pieces]
     gens = [RngStream(seed).generator() for _ in range(2)]
     for gen in gens:
         gen.random(offset)  # a Philox block partly spent
     masses, locations, totals, _tails = gamma_batch(theta, EPS, rows, gens[0])
-    want = (masses * f(locations)).sum(axis=1)
+    want = np.column_stack([(masses * f(locations)).sum(axis=1) for f in fs])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(processes, "_WIDTH", width)
         patch.setattr(processes, "_SPLIT_CELLS", 0)
         streamed, _tails = stick_masses_batch(theta, EPS, rows, gens[1])
-        got = laplace._pairing(streamed, f, gens[1])
+        got = laplace._pairing(streamed, fs, gens[1])
         got_totals = processes._gamma_totals(theta, rows, gens[1])
+    assert got.flags.f_contiguous and got.shape == (rows, len(fs))
     assert np.array_equal(got, want) and np.array_equal(got_totals, totals)
     assert _position(gens[1]) == _position(gens[0])
 
@@ -862,18 +885,17 @@ def test_passes_inside_a_shared_job_run_as_one_block(monkeypatch):
     # A job that split its pass would hand blocks to the pool and wait for
     # them while the pool's threads run jobs that wait likewise.
     handed = _split(monkeypatch, 3)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1)  # items of 0 cells fan out
     blocks = []
 
-    def run(k):
+    def run(k, _slot):
         processes._by_rows(50, 4, lambda lo, hi, _u: blocks.append((k, lo, hi)))
 
-    processes._by_items(8, run, 0)
+    processes._share(8, run, 3)
     assert sorted(blocks) == [(k, 0, 50) for k in range(8)]
-    assert len(handed) == 2  # the two pool threads' shares of the items, no row blocks
+    assert len(handed) == 2  # the two pool threads' shares of the jobs, no row blocks
     blocks.clear()
-    processes._by_items(2, run, 1)  # items at the floor run serially and split
-    assert len(blocks) == 12 and len(handed) == 6
+    run(0, 0)  # outside a job the same pass splits
+    assert len(blocks) == 6 and len(handed) == 4
 
 
 def _stick_digest(theta, rows, seed):
@@ -908,13 +930,13 @@ def _invariance_digest_and_pool(theta, samples, seed):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_fans_pairs_out_on_a_pool_of_its_own(monkeypatch):
+def test_a_forked_child_splits_pair_estimates_on_a_pool_of_its_own(monkeypatch):
     import multiprocessing
 
     monkeypatch.setattr(processes, "_WIDTH", 1)
     want = _invariance_digest(1.5, 900, 6)
     monkeypatch.setattr(processes, "_WIDTH", 3)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
     assert _invariance_digest(1.5, 900, 6) == want  # the parent's pool exists from here on
     with multiprocessing.get_context("fork").Pool(1) as children:
         got, child_pool = children.apply_async(_invariance_digest_and_pool,
@@ -962,14 +984,13 @@ def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
     assert _digests_at_once(_gamma_digest, cases) == want and handed
 
 
-def test_concurrent_callers_fan_pairs_out_and_keep_their_bytes(monkeypatch):
-    # The same with whole invariance pairs as the pool's jobs: six callers
-    # each fan five pairs out over the one pool at once.
+def test_concurrent_callers_split_pair_estimates_and_keep_their_bytes(monkeypatch):
+    # The same with the passes of invariance pair estimates: six callers
+    # each split every pass of five pairs' one batch over the one pool at once.
     cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
     monkeypatch.setattr(processes, "_WIDTH", 1)
     want = [_invariance_digest(*case) for case in cases]
     handed = _split(monkeypatch, 5)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
     assert _digests_at_once(_invariance_digest, cases) == want and handed
 
 
@@ -1005,28 +1026,11 @@ def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
     for argv in (["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1", "--samples", "700"],
                  ["laplace", "--f", "1.5@0:1", "--samples", "700"],
                  ["partition-sums", "--weights", "0.5,1.5", "--samples", "700"],
-                 ["invariance", "--pairs", "1", "--samples", "700"]):
+                 ["invariance", "--pairs", "1", "--samples", "700"],
+                 ["invariance", "--pairs", "3", "--samples", "700"]):
         assert cli.main(argv + ["--seed", "3"]) == 0
     laplace.functional_distribution_check(1.0, _FLAT, 1.0, 700, RngStream(3))
     assert handed and off_thread == []
-
-    # Pairs too small to split their rows run whole on the pool.  A pair the
-    # caller takes waits until a pool thread has started one, so the pool
-    # runs pairs however fast the caller is.
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 1 << 62)
-    pool_ran, deadline = threading.Event(), time.monotonic() + 30.0
-    pooled_mean_of = laplace._pooled_mean
-
-    def gated(*args):
-        if threading.get_ident() == caller:
-            pool_ran.wait(max(0.0, deadline - time.monotonic()))
-        else:
-            pool_ran.set()
-        return pooled_mean_of(*args)
-
-    monkeypatch.setattr(laplace, "_pooled_mean", gated)
-    assert cli.main(["invariance", "--pairs", "24", "--samples", "700", "--seed", "3"]) == 0
-    assert pool_ran.is_set() and off_thread == []
 
 
 def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
