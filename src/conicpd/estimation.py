@@ -68,7 +68,9 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     variance accurate when the spread is tiny against the mean.  A column
     reduces the same way whether it is a one-column kernel's or a column of
     an F-ordered (rows, columns) array; a C-ordered one sums row by row.
-    The counts, ``rng`` and ``chunk`` are checked before anything is drawn.
+    The counts, ``rng`` and ``chunk`` are checked before anything is drawn,
+    and each chunk's values must be (rows, columns), or (rows,) for one
+    column: a column count that is not ``columns`` is refused, not broadcast.
     """
     counts = stream_counts(n_samples, streams)
     if not isinstance(rng, RngStream):
@@ -85,6 +87,9 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
             vals = np.asarray(kernel(gen, rows), dtype=float)
             if vals.ndim == 1:
                 vals = vals[:, None]
+            if vals.shape != (rows, columns):
+                raise DomainError(f"the kernel returned a {vals.shape} array for {rows} rows "
+                                  f"of {columns} column(s)")
             chunk_mean = vals.mean(axis=0)
             dev = vals - chunk_mean
             chunk_m2 = (dev * dev).sum(axis=0)

@@ -211,11 +211,14 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
 
     The indicator window keeps the weighted integrand bounded (total mass is at
     most t / min f on the event), so the estimator has finite variance for any
-    positive step function.
+    positive step function.  The arguments are checked before anything is
+    drawn.
     """
     from scipy.special import gammaln   # the only scipy use here; keeps it off the CLI start-up
 
-    theta = _positive_real(theta, "theta")
+    theta, eps = _check_theta_eps(theta, eps)
+    if not isinstance(f, StepFunction):
+        raise DomainError("f must be a StepFunction")
     b = _positive_real(b, "window bound b")
     if t_grid is None:
         t_grid = np.linspace(b / 8.0, b, 8)
@@ -251,8 +254,14 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
 
     One batch of draws serves every requested b: the kernel marks each atom
     with part i with probability theta_i / theta, forms the part sums, and
-    weights the all-parts-below-b indicator by e^{total mass}.
+    weights the all-parts-below-b indicator by e^{total mass}.  ``spec``,
+    ``eps``, the edges and the counts are checked before anything is drawn.
     """
+    from .densities import PartitionSpec   # scipy comes with it; keeps it off the CLI start-up
+
+    if not isinstance(spec, PartitionSpec):
+        raise DomainError("spec must be a PartitionSpec")
+    _check_theta_eps(spec.theta, eps)
     b_arr = np.array([_positive_real(b, "box edge b")
                       for b in (b_values if np.ndim(b_values) else [b_values])], dtype=float)
 

@@ -10,12 +10,17 @@ Truncation policy: stick-breaking stops at the first stick that takes the
 residual stick product to ``eps`` or below; the discarded mass is recorded on
 the draw as ``tail_bound`` so estimator bias can always be budgeted against
 the Monte Carlo error.  Every draw goes through one recursion,
-``_stick_rows``, which sizes its stick matrix from the Poisson law of the
-stick count and refuses, with ``DomainError``, a first block larger than a
-fixed cell budget; the few rows that outgrow the first block are extended
-in arrays of their own.  The first block and each extension round are one
-stick step, ``_stick_pass``; an extension starts from the run its rows
-reached before it.
+``_stick_rows``.  The steps of a row's running sum of log(1 - y) form a
+rate-theta Poisson process, so a draw needs 1 + Poisson(theta log(1/eps))
+sticks: the first block holds about that mean plus a margin that is wide
+for few rows and narrow for many, and the rows still open are extended in
+short rounds.  The masses live in one buffer, sized at the Poisson count's
+far quantile and refused, with ``DomainError``, beyond a fixed cell budget;
+the first block is written compactly at its front, moved to the buffer's
+stride only when a row stays open, and grown by realloc, under the same
+budget, in the rare round past it.  The first block and each extension
+round are one stick step, ``_stick_pass``; an extension starts from the
+run its rows reached before it.
 
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
@@ -28,8 +33,7 @@ sort orders finite masses, scaling by a positive total keeps the order,
 and ``gen.random`` puts every location in [0, 1).  It keeps the O(1) end
 checks (the last kept mass positive, which NaN fails too, and the first
 finite), the total, the tail and, for normalized draws, the sum.  A kept
-mass of zero is a zero stick, refused as such (the clamp in
-``_stick_block`` already keeps every stick below 1).
+mass of zero is a zero stick, refused as such.
 
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
 a persistent pool, one thread per usable CPU in all.  A batch chunk makes
@@ -162,22 +166,22 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _stick_block(u, theta):
-    # Negated inverse CDF of Beta(1, theta): -y = (1 - u)^(1/theta) - 1, via
-    # expm1 so that large theta (sticks near zero) keeps full precision; at
-    # theta = 1 it is u - 1.  The shift makes u positive under the log and the
-    # clamp keeps log1p(-y) finite when expm1 saturates at tiny u.  Negation
-    # and subtraction are exact under a sign flip, so -y carries the bits of
-    # y.  Every step writes into the uniforms' buffer.
-    neg = u
+def _stick_block(u, theta, steps):
+    # Inverse CDF of Beta(1, theta): a stick y has log(1 - y) = log(1 - u) /
+    # theta, which goes to ``steps`` as the step of its row's running sum,
+    # and y is -expm1 of it, so that large theta (sticks near zero) keeps
+    # full precision; at theta = 1 the step is log(u) and y = 1 - u.  The
+    # sticks overwrite the uniforms.
     if theta != 1.0:
-        np.subtract(1.0, neg, out=neg)
-        np.log(neg, out=neg)
-        np.divide(neg, theta, out=neg)
-        np.expm1(neg, out=neg)
+        np.subtract(1.0, u, out=steps)
+        np.log(steps, out=steps)
+        np.divide(steps, theta, out=steps)
+        np.expm1(steps, out=u)
+        np.negative(u, out=u)
     else:
-        np.subtract(neg, 1.0, out=neg)
-    return np.maximum(neg, -(1.0 - 1e-16), out=neg)
+        np.log(u, out=steps)
+        np.subtract(1.0, u, out=u)
+    return steps
 
 
 def _skip_uniforms(gen, n):
@@ -207,9 +211,10 @@ def _skip_uniforms(gen, n):
     gen.random(n)
 
 
-# Largest first stick block, in cells (rows x columns), that a draw may ask
-# for: 2^26 cells are 512 MB per float array.  Every theta <= 80 at eps=1e-10
-# fits at the estimators' 32768-row chunks.
+# Largest stick buffer, in cells (rows x columns), that a draw may hold: 2^26
+# cells are 512 MB per float array.  At the estimators' 32768-row chunks and
+# eps = 1e-10 the buffer fits up to theta = 80, and a round past it up to
+# theta = 77.
 _CELL_BUDGET = 1 << 26
 
 
@@ -338,19 +343,20 @@ def _scratch(name, shape, dtype=float):
     return buf[:cells].reshape(shape)
 
 
-def _by_rows(rows, cols, work=None, gen=None, *, keep=False):
+def _by_rows(rows, cols, work=None, gen=None, *, out=None):
     """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
 
     A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
     what its work reads and writes stays in a core's cache.  With ``gen``,
     ``u`` is the block's rows of a (rows, cols) matrix of uniforms drawn in
-    row-major order, else None.  With ``keep`` that matrix is made whole and
-    returned; without it, a pass of several blocks draws each block's
-    uniforms into its thread's scratch block (``_scratch("block", ...)``,
-    which ``work`` must then not take itself) and never holds the matrix.
-    ``gen`` ends where one serial draw of the matrix would have left it,
-    and the results are the same bytes whichever thread runs which block,
-    and for any block count.
+    row-major order, else None.  With ``out``, a C-contiguous (rows, cols)
+    float array, that matrix is drawn into it and ``out`` is returned;
+    without it, a pass of several blocks draws each block's uniforms into
+    its thread's scratch block (``_scratch("block", ...)``, which ``work``
+    must then not take itself) and never holds the matrix.  ``gen`` ends
+    where one serial draw of the matrix would have left it, and the results
+    are the same bytes whichever thread runs which block, and for any block
+    count.
 
     ``work`` may write only rows lo..hi of its outputs, use scratch of its
     own thread only, and call no public conicpd function, so that blocks may
@@ -375,10 +381,14 @@ def _by_rows(rows, cols, work=None, gen=None, *, keep=False):
     # any other generator).
     moved = threads > 1 and _movable(gen)
     in_turn = threads == 1 < blocks and type(gen) is np.random.Generator
-    if gen is None or moved or in_turn:
-        whole = np.empty((rows, cols)) if gen is not None and keep else None
-    else:
-        whole = gen.random(rows * cols).reshape(rows, cols)
+    whole = out
+    if gen is not None and not (moved or in_turn):
+        if whole is None:
+            whole = gen.random(rows * cols).reshape(rows, cols)
+        elif type(gen) is np.random.Generator:
+            gen.random(out=whole)
+        else:
+            whole[...] = gen.random(rows * cols).reshape(rows, cols)
     if moved:
         state = gen.bit_generator.state
         spares = getattr(_local, "gens", [])
@@ -409,18 +419,17 @@ def _by_rows(rows, cols, work=None, gen=None, *, keep=False):
         _share(blocks, block, threads)
     if moved:
         _skip_uniforms(gen, rows * cols)
-    return whole if keep else None
+    return out
 
 
-def _first_width(theta, eps):
-    """Columns of the first stick block a draw at (theta, eps) asks for (see ``_stick_rows``)."""
+def _buffer_width(theta, eps):
+    """Columns of the stick buffer a draw at (theta, eps) holds (see ``_stick_rows``)."""
     m = -theta * math.log(eps)
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
 
-def _budgeted_width(theta, eps, rows):
-    """``_first_width``, refused when ``rows`` rows of it exceed ``_CELL_BUDGET`` cells."""
-    width = _first_width(theta, eps)
+def _budgeted(theta, eps, rows, width):
+    """``width``, refused when ``rows`` rows of it exceed ``_CELL_BUDGET`` cells."""
     if rows * width > _CELL_BUDGET:
         raise DomainError(
             f"theta*log(1/eps) = {-theta * math.log(eps):.4g} expected sticks per draw over "
@@ -429,15 +438,45 @@ def _budgeted_width(theta, eps, rows):
     return width
 
 
+# Margin of a draw's first stick block, in standard deviations of its stick
+# count: wide for few rows, whose extension round would cost more than the
+# cells it saves, and narrow for many, which extend a few rows anyway.  The
+# switch goes by rows * sqrt(m), the cells one unit of margin costs.
+_WIDE_MARGIN, _NARROW_MARGIN = 4.0, 0.75
+_WIDE_CELLS, _NARROW_CELLS = 1 << 8, 1 << 12
+
+
+def _first_width(theta, eps, rows):
+    """Columns of the first stick block of a ``rows``-row draw at (theta, eps) (see ``_stick_rows``).
+
+    At most ``_buffer_width(theta, eps)``, since the margin is at most 4.
+    """
+    m = -theta * math.log(eps)
+    scale = rows * math.sqrt(m)
+    if scale <= _WIDE_CELLS:
+        margin = _WIDE_MARGIN
+    elif scale >= _NARROW_CELLS:
+        margin = _NARROW_MARGIN
+    else:
+        share = math.log(scale / _WIDE_CELLS) / math.log(_NARROW_CELLS / _WIDE_CELLS)
+        margin = _WIDE_MARGIN + share * (_NARROW_MARGIN - _WIDE_MARGIN)
+    return math.ceil(1.0 + m + margin * math.sqrt(m))
+
+
+def _round_width(theta, eps):
+    """Columns each extension round adds to the rows still open: 2 sqrt(m), at least 4."""
+    return max(4, math.ceil(2.0 * math.sqrt(-theta * math.log(eps))))
+
+
 def _batch_rows(theta, eps, cells):
-    """Rows of a batch of at most ``cells`` first-block cells at (theta, eps), at least one.
+    """Rows of a batch of at most ``cells`` buffer cells at (theta, eps), at least one.
 
     Checks theta and eps, and refuses, as ``_stick_rows`` would, a draw
     whose single row outgrows the cell budget, so a caller can refuse
     before it draws anything.
     """
     theta, eps = _check_theta_eps(theta, eps)
-    return max(1, cells // _budgeted_width(theta, eps, 1))
+    return max(1, cells // _budgeted(theta, eps, 1, _buffer_width(theta, eps)))
 
 
 def _stick_rows(theta, eps, rows, gen):
@@ -449,78 +488,115 @@ def _stick_rows(theta, eps, rows, gen):
     y.  It holds c_0 = y_0, c_j = y_j * exp(run_{j-1}), zero right of a
     row's cut, and ``tails`` is exp(run) at each row's cut.
 
-    Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so a draw
-    needs 1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block
-    has ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
-    outrun.  Only the rows still open are extended, by half the current
-    width at a time, in arrays that hold only those rows, so the work stays
-    linear in the sticks drawn.  The first block and each extension round
-    are one ``_stick_pass``; the matrix is widened once, at the end, and
-    only if a row was extended.  ``theta`` and ``eps`` must be checked
-    floats.
+    Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so the
+    steps of run form a rate-theta Poisson process, and a draw needs
+    1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block has
+    ceil(1 + m + a sqrt(m)) columns (``_first_width``): a = 4 while rows *
+    sqrt(m) is at most 2^8, so one-row draws and small batches seldom
+    extend; a = 0.75 from 2^12 on, where some rows extend anyway and a
+    narrow block saves more cells than the rounds cost; log-linear between.
+    The rows still open are extended in rounds of max(4, ceil(2 sqrt(m)))
+    columns (``_round_width``), each one ``_stick_pass`` over those rows
+    only, so the work stays linear in the sticks drawn.
+
+    Memory: the masses live in one buffer of rows x ``_buffer_width``
+    cells, ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in
+    10^5 outrun; a draw whose buffer exceeds ``_CELL_BUDGET`` cells is
+    refused with ``DomainError`` before anything is allocated.  The first
+    block is written compactly at its front and, only if a row stays open,
+    moved to the buffer's stride (``_restride``); each round then writes its
+    rows' columns in place.  A round that starts at the buffer's end grows
+    it by one round with ``ndarray.resize`` (a realloc, refused like the
+    buffer beyond the budget) and moves the rows again, so an extending draw
+    holds one matrix, never two; only while something else refers to the
+    buffer (a tracer reading locals, say) is it grown by a copy.  ``theta``
+    and ``eps`` must be checked floats.
     """
     log_eps = math.log(eps)
-    width = _budgeted_width(theta, eps, rows)
-    masses, tails, cut, last = _stick_pass(theta, log_eps, rows, width, gen)
+    stride = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
+    width = _first_width(theta, eps, rows)
+    buffer = np.empty(rows * stride)
+    first = buffer[:rows * width].reshape(rows, width)
+    tails, cut, last = _stick_pass(theta, log_eps, first, gen)
     grow = (last > log_eps).nonzero()[0]
-    rounds, start = [], width
+    if not grow.size:
+        return first[:, :int(cut.max()) + 1], tails, cut
+    del first  # a view of the buffer would keep ndarray.resize from growing it in place
+    _restride(buffer, rows, width, stride)
+    add, start = _round_width(theta, eps), width
     while grow.size:
         # A row still open here has no cut yet; it is found in the round
-        # that closes the row.
-        add = start // 2
-        ext, ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, grow.size, add, gen,
-                                                        before=last[grow])
+        # that closes the row.  A round ends at the buffer's last column,
+        # and only a round that starts there grows the buffer.
+        if start == stride:
+            _budgeted(theta, eps, rows, stride + add)
+            try:
+                buffer.resize(rows * (stride + add))  # a realloc: no second matrix
+            except ValueError:  # something else refers to it (a tracer, say): copy
+                buffer = np.concatenate((buffer, np.empty(rows * (stride + add) - buffer.size)))
+            _restride(buffer, rows, stride, stride + add)
+            stride += add
+        end = min(start + add, stride)
+        ext = np.empty((grow.size, end - start))
+        ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, ext, gen, before=last[grow])
+        buffer.reshape(rows, stride)[grow, start:end] = ext
         closing = ext_last <= log_eps
         cut[grow[closing]] = start + ext_cut[closing]
         tails[grow[closing]] = ext_tails[closing]
         last[grow] = ext_last
-        rounds.append((grow, start, ext))
-        grow, start = grow[~closing], start + add
-    keep = int(cut.max()) + 1
-    if not rounds:
-        return masses[:, :keep], tails, cut
-    wide = np.zeros((rows, keep))
-    wide[:, :width] = masses
-    for grow, start, ext in rounds:
-        ext = ext[:, :keep - start]
-        wide[grow, start:start + ext.shape[1]] = ext
-    return wide, tails, cut
+        grow, start = grow[~closing], end
+    return buffer.reshape(rows, stride)[:, :int(cut.max()) + 1], tails, cut
 
 
-def _stick_pass(theta, log_eps, rows, cols, gen, before=None):
-    """One stick step: ``cols`` more sticks for each of ``rows`` rows, as masses.
+def _restride(buffer, rows, old, new):
+    """Move the (rows, old) matrix at the front of ``buffer`` to stride ``new`` >= old, in place.
 
-    Returns (masses, tails, cuts, ends) of the step's columns: the masses,
-    zero right of a row's cut; exp(run) at the cut; the cut's column in the
-    step (0 for a row that stays open); and run at the step's last column.
-    ``before`` holds each row's run just left of the step (a draw's first
-    block has none); it is added to the step's running sums after their
-    cumsum, and scales the step's first mass.
+    The rows move in descending blocks, each to cells at or after its own,
+    so no row is overwritten before it has moved.  The new columns are
+    zeroed: the padding right of the rows that are closed.
+    """
+    step = max(1, _BLOCK_CELLS // new)
+    for hi in range(rows, 0, -step):
+        lo = max(0, hi - step)
+        moved = buffer[lo * new:hi * new].reshape(hi - lo, new)
+        moved[:, :old] = buffer[lo * old:hi * old].reshape(hi - lo, old)
+        moved[:, old:] = 0.0
+
+
+def _stick_pass(theta, log_eps, out, gen, before=None):
+    """One stick step: ``out``'s columns of sticks for each of its rows, formed as masses in place.
+
+    Returns (tails, cuts, ends) of the step's columns: exp(run) at the cut;
+    the cut's column in the step (0 for a row that stays open); and run at
+    the step's last column.  ``out`` (C-contiguous) holds the masses, zero
+    right of a row's cut.  ``before`` holds each row's run just left of the
+    step (a draw's first block has none); it is added to the step's running
+    sums after their cumsum, and scales the step's first mass.
 
     One pass of row blocks forms all of this while a block is in cache; the
     running sums and the cut test live in per-thread scratch.  Cells right
     of the cut are the ones whose left neighbour has run <= log(eps): the
     comparison that finds the cut, shifted one column.
     """
+    rows, cols = out.shape
     cuts, tails, ends = np.empty(rows, np.intp), np.empty(rows), np.empty(rows)
 
     def step(lo, hi, u):
         # ndarray methods, not their np.* wrappers: a one-row draw's cost is
         # mostly per-call overhead.
-        y = _stick_block(u, theta)
-        run = np.log1p(y, out=_scratch("block", y.shape))
-        np.negative(y, out=y)
+        run = _stick_block(u, theta, _scratch("block", u.shape))
         run.cumsum(axis=1, out=run)
         left = None if before is None else before[lo:hi]
         if left is not None:
             run += left[:, None]
-        closed = np.less_equal(run, log_eps, out=_scratch("closed", y.shape, bool))
+        closed = np.less_equal(run, log_eps, out=_scratch("closed", u.shape, bool))
         cut = closed.argmax(axis=1, out=cuts[lo:hi])
         ends[lo:hi] = run[:, -1]
         np.exp(run[np.arange(hi - lo), cut], out=tails[lo:hi])
-        _form_masses(y, run, closed, left)
+        _form_masses(u, run, closed, left)
 
-    return _by_rows(rows, cols, step, gen, keep=True), tails, cuts, ends
+    _by_rows(rows, cols, step, gen, out=out)
+    return tails, cuts, ends
 
 
 def _form_masses(y, run, closed, run_before=None):
@@ -599,7 +675,8 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     order = np.argsort(-masses, axis=1, kind="stable")
     index = np.arange(rows)
     masses = masses[index[:, None], order]
-    locations = _by_rows(rows, masses.shape[1], gen=gen, keep=True)[index[:, None], order]
+    locations = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
+    locations = locations[index[:, None], order]
     smallest = masses[index, cuts].tolist()
     if normalized:
         totals = [1.0] * rows
@@ -704,7 +781,7 @@ def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = T
     """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
     if locations:
-        locs = _by_rows(rows, masses.shape[1], gen=gen, keep=True)
+        locs = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
     else:
         locs = None
         _skip_uniforms(gen, masses.size)

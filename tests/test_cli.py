@@ -174,7 +174,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.8.0"
+    assert meta["version"] == "0.9.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -332,19 +332,52 @@ def test_mp_demo_draws_do_not_depend_on_the_cell_budget(capsys, monkeypatch):
 
 
 # Runs the CLI with its address space capped at 1 GiB, so an allocation the
-# CLI should have refused fails at once instead of swapping.
+# CLI should have refused fails at once instead of swapping.  A non-zero
+# first argument replaces the sampler's cell budget.
 _CAPPED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conicpd import processes
+processes._CELL_BUDGET = int(sys.argv[1]) or processes._CELL_BUDGET
 from conicpd.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def _run_capped(*argv):
+def _run_capped(*argv, budget=0):
     return subprocess.run(
-        [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        [sys.executable, "-c", _CAPPED, str(budget), *argv], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--theta", "1e4", "--f", "1.5@0:1"],
+    ["invariance", "--theta", "1e4", "--pairs", "1"],
+    ["partition-sums", "--weights", "5000,5000"],
+])
+def test_estimators_at_large_theta_exit_0_or_2_in_bounded_memory(argv):
+    # 2.3e5 sticks a draw: eight rows fit the cell budget, a full chunk does
+    # not and is refused before anything is drawn.
+    for samples, codes in (("8", (0, 2)), ("40000", (2,))):
+        proc = _run_capped(*argv, "--samples", samples)
+        assert proc.returncode in codes, (samples, proc.stderr)
+        assert "MemoryError" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["laplace", "--theta", "40", "--f", "1.5@0:1"], 5),
+    (["invariance", "--theta", "40", "--pairs", "1"], 3),
+    (["partition-sums", "--weights", "10,30"], 5),
+])
+def test_a_round_past_the_cell_budget_exits_2(argv, seed):
+    # A budget that holds the stick buffer of one 4000-row chunk at theta =
+    # 40 and no more: a row of this seed's chunk outruns the buffer, and the
+    # round that would grow it is refused before it is allocated.
+    rows = 4000
+    proc = _run_capped(*argv, "--samples", str(rows), "--seed", str(seed),
+                       budget=rows * processes._buffer_width(40.0, 1e-10))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "sampler budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_mp_demo_refuses_an_oversized_table_before_allocating():
@@ -408,46 +441,47 @@ _F = {"constant": "1.5@0:1", "three": "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
 
 # sha256 of every line after the meta line of each argv + --seed 11 (and
 # --samples 3000 unless given), frozen from the binary-search lookups that
-# the comparison loop replaced.  The 40-piece f is counted by the loop and
-# the 80-piece f by the searchsorted fallback; the weights 0.1,0.2,0.3 have
-# cumulative probabilities ending at 0.9999999999999999.
+# the comparison loop replaced, and re-frozen at 0.9.0 with the narrow first
+# stick block, which changed every byte.  The 40-piece f is counted by the
+# loop and the 80-piece f by the searchsorted fallback; the weights
+# 0.1,0.2,0.3 have cumulative probabilities ending at 0.9999999999999999.
 _ESTIMATOR_BODY_SHA256 = [
     (("laplace", "--theta", "0.5", "--f", _F["constant"], "--streams", "1"),
-     "9b1cce7d778df1bfe612901d0b93977e941c443a8b0261914c67a3a69d57c8c3"),
+     "749c21fa41a9c8e883038a5ac807240d629ac2d4cd12f732cce576f31b09db45"),
     (("laplace", "--theta", "0.5", "--f", _F["three"], "--streams", "1"),
-     "3fae4eead7402893bdab40853014d4f34015588de3e3a8f764a9cfc5bcd61be3"),
+     "576b22ee3e5b72e9d176bb4de774ee6ac4a1a2f324c38fad2456cbb81d90daae"),
     (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1"),
-     "4f58e3b9b0047d6aeb403fd24f840a0ccb53b3be1f183f56ea851b9fc1a52ac8"),
+     "d8c6251c5b593868b203c049027c75c496c989f122c9e4a79480698eee30377c"),
     (("laplace", "--theta", "1", "--f", _F["three"], "--streams", "1"),
-     "b8ff7c5b4fb59f5290c1e2678623d485aca8ab71775a7e3af96291f896ae3a6f"),
+     "013f3cdaf4e52d366d8d2a7331822296de837709e7b5072e3edc068d56566eb3"),
     (("laplace", "--theta", "4", "--f", _F["constant"], "--streams", "1"),
-     "b395b307f01bc5c996b62b790106b4cf411f8b8cc7e11279d0b7367d712e9e1f"),
+     "3a5618765e9a9e57fe38db6c968749db3bdc8ddc908754f3f69845baa6df59ca"),
     (("laplace", "--theta", "4", "--f", _F["three"], "--streams", "2"),
-     "6cc762b8aa81510afafd7465c0c88d325a68f00e58a224174fac79e432e75046"),
+     "37eca51b7eae180772177a0da7272099d763451c7be2bd1e76fbc9a68a2349ac"),
     (("laplace", "--theta", "8", "--f", _F["constant"], "--streams", "1"),
-     "9a124cc56042e997d7d593138d45580c38c454f3040ebcbdc494e2084894c5df"),
+     "1b8118f92447a98d0f7bc6258b3b867be4237ad0e82eaa4fa993c04011b47053"),
     (("laplace", "--theta", "8", "--f", _F["three"], "--streams", "1"),
-     "60a56f6354dd70e4d97ef2f0cae4f65aee307960e6e7fba579f4b8301ebe44bd"),
+     "8caf1081bd06c87d819187b943b8a87b429b0496b18d0b721212a75ec96695a6"),
     (("laplace", "--theta", "1", "--f", _F["forty"], "--streams", "1"),
-     "3218e8bda6f0583bb6dfd93edc0e5d22d2a89011878019da7a7da497ff06de93"),
+     "bda6cdec578b980a0014cf326a8578b36af39a0bfe1325dbafe78df59d20f384"),
     (("laplace", "--theta", "1", "--f", _F["eighty"], "--streams", "1"),
-     "10ea18eb0c7324d768c5cf621c5a2aff45bd99cd7a84c4e4854a29a303c615ef"),
+     "718e1113a1fd6a4275a5488c37280d5d036f9300fec4880cc4185ec0e7141428"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1,2"),
-     "db124e18bab5a31118c9ee02edaaec6b595be57bf49d30e6ca39ff848d1364db"),
+     "ab2371a12994561f2ee3d0bc64212fbaa2207f2a7ec16b0f804f6208cf378f1b"),
     (("partition-sums", "--weights", "0.1,0.2,0.3"),
-     "0ce4f4e440bf3d64dfaeeae625b38981b54f67733430c18220fbc5b37fcb351d"),
+     "d1212dac12f90cbeb9fcfa3d9457d2dba050c27c6df0c6df5c314ad5cd983265"),
     # Re-frozen at 0.8.0, when the pairs came to share one batch of draws.
     (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
-     "2b4f1d6e58def911bf6e5a596e6bb28496a13140a4b6ef7a114ac0231e825bf2"),
+     "5877276b102e96530f8fe0e363ce3690bb73c669d8e186cd3d2f75d6ac306360"),
     # Kernels that skip their unread location uniforms, frozen while they
     # still drew them: a chunk boundary inside one stream, two streams, and
     # the box kernel, which draws its marks after the skipped block.
     (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1", "--samples", "33000"),
-     "66746af4e7dbb17f86f9716b2ad5e2c452745dd9c5a7e19b99f5d89f2e3a8630"),
+     "8ed733f1c1eb5adf79e792cdd31abc06f58b9cf60ca3a9af3f391bc6858d65d9"),
     (("laplace", "--theta", "2", "--f", _F["constant"], "--streams", "2"),
-     "cdc142565bad764cb79d3dd5ed46a944ef12401f05a8151c7df6813e39f0603b"),
+     "f9fae40282b4061d6a27c2b9d2021b9abe0a1b94b2bf21ecadef50b05446d625"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "1", "--samples", "33000"),
-     "0fdb87413f8da22187e6bbfe0e175aa499215070bcfe46f81c5117a43a323759"),
+     "2fff2ef00b4a9b24ea8a0fe55e8f683453ee35dee023a9938470d0c308a7196a"),
 ]
 
 
@@ -474,41 +508,43 @@ def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch,
 _STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
 
 # sha256 of every line after the meta line of the bench's 14 mc-shaped argv
-# (workload seed 2, whose second theta = 4 task extends a stick batch), plus
-# the theta = 4 task of workload seed 311 whose first stick block is outgrown,
-# each with its --seed; frozen before the kernels streamed their row blocks.
+# (workload seed 2), plus a theta = 4 task of workload seed 311, each with
+# its --seed; frozen before the kernels streamed their row blocks, and
+# re-frozen at 0.9.0 as the table above.  Every chunk here extends past its
+# first stick block; the second theta = 1 task and the first theta = 4 task
+# also grow their stick buffer.
 _MC_BODY_SHA256 = [
     (("laplace", "--theta", "0.5", "--f", "1.5@0.0:1.0", "--samples", "8192"),
-     "2104669064", "e22c898f411becf500f753757395f00ed9a67d2c1448f2f8dcea4d63613548ea"),
+     "2104669064", "c03f1bd3094973e62ab153320b4c92b0af4cec377f7cd4f55410ce935bf23103"),
     (("laplace", "--theta", "0.5", "--f", _STEP3, "--samples", "8192"),
-     "1705610640", "7938448afc98ab8e85c896b37eb19d6d9cce37655d4b0f4c92724d9616d1e4d6"),
+     "1705610640", "4e272ee8c012d861e83a4ba1bbf8283a936b8346c1b3fde06b07a4791eafc3cd"),
     (("laplace", "--theta", "1.0", "--f", "1.5@0.0:1.0", "--samples", "8192"),
-     "1457654484", "7d3eb7f21f925007ccb920ccaafb720693e66f67f3ceaa9da83583916f3c77c6"),
+     "1457654484", "dceadaf87a00ff62ee20f331009d738a5fc5faf44c33cd66dbb179194b7c4536"),
     (("laplace", "--theta", "1.0", "--f", _STEP3, "--samples", "8192"),
-     "1312480814", "fc5b7c9a189f1266c669c7026984a1223f7da360a4edfa0a84f303c35db9ec73"),
+     "1312480814", "12d8f60ff4fbd3df2a5786fb25b4f124222642d6cc6b57158583e9c3eb9ce861"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "816715227", "69fc860c3b68436c9c360fa41a308d683e08fa4b4cd6cefbb445837a088cfb31"),
+     "816715227", "0a84dafb51e941475dbd46f1bfc175444e4b37081124532a6bfb06f7592c8157"),
     (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
-     "1673831587", "cd985b697f6f78eeaa65ea5df17057c6a470dd9378ace43bf44e67c3d58f9c53"),
+     "1673831587", "ff63565029c1017b4d8097eb4bafe65d6be5493856940e1b47655aa13ead1a5d"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "1609523211", "1d24c2f506871bf45c81423b2e989dcd4358fe60ff01e0ef0bce38338192c4b0"),
+     "1609523211", "318769bff463b9b1c3144f19f69d22ffa11ef9c78e08d24b50e7e14afd481d50"),
     (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
-     "973238861", "c625cb832505a678950ab08c280305c42454faf146c156c4bcfe113ebab19ab1"),
+     "973238861", "9d508feaf43706091dd8f730e2ccaa40e59d8d02275b59c5c3ae142df1d699f3"),
     (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
-     "1188544692", "4c1e5b490b761b7e3097ca8a1942b4cbad7b7dc77936c1abeb126034903f9923"),
+     "1188544692", "2e47e82187f6284c335a5965b644ae98e005a7c5d05b0026aa349de4e7df0e4d"),
     (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
-     "116293682", "d2fff02b6bd7d64dbfcb32c05e10402848c7cd6dc661c068cc737b009dda64a7"),
+     "116293682", "5af31e5a75898ebee557431c531d14b9d01cf043474578dab67849a6340bdd73"),
     (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
-     "1120397550", "4ea9299820d1ae6af6d31251cf427edcead62bfd1d5fef47fea7475cf11537bc"),
+     "1120397550", "6a0dbbde953a442c9917d845dfaebcc57bc2609d11788503726c0921388bc377"),
     (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
-     "31173149", "1ff855e7f984a18a06476751ca599b6cb10275c7e0f2c2cf1633af8d017a7b1a"),
+     "31173149", "1e2d7586513dedcfda851efaa49b0fc464206a9d93c03ee839eb0f01bab070da"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1.0,2.0", "--samples", "8192"),
-     "433586074", "11e9e9ece5dfb3b1f5ce1b68aae201bc9b2b199b503f17160d0a2abb737236ee"),
+     "433586074", "3fc8fdd16bb1c2a6860f6320135e146470db40d5b187e810510c0a736e4622dc"),
     # Re-frozen at 0.8.0, as the --pairs 4 entry above.
     (("invariance", "--pairs", "24", "--samples", "1500", "--format", "csv"),
-     "540110510", "804f6c0585ce0427f194b47e69263775ffa23f4b0aafb126d6c2e4bf7dac69a1"),
+     "540110510", "9a6a9c927f48f587dcd792441c699c004f874e74978eb9c8d8039077b7cea0a4"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "1654520701", "68891bb571cae1078ea8882c5d557b89e2be35c7f0894429cc85be75d350a619"),
+     "1654520701", "459bf98300f6f7d471b540cbdfba5f53708ef2d60e979c39ec528d1de2d29c6a"),
 ]
 
 
@@ -619,44 +655,45 @@ def test_csv_text_cells_with_commas_stay_in_their_column(capsys, argv, key, text
 # sha256 of every line after the meta line of
 # sample --format F --process P --theta T --streams S --samples 3 --seed 7,
 # frozen at version 0.5.0 (batched draws), once the records had matched
-# test_sample_records_are_sorted_gamma_batch_rows.
+# test_sample_records_are_sorted_gamma_batch_rows, and re-frozen at 0.9.0
+# with the stick batches.
 _SAMPLE_BODY_SHA256 = {
-    ("json", "dirichlet", 1, 1): "c7cf487b2bb024cd94231c97ba7619562e02cea1519de7369594a675fc554c53",
-    ("json", "dirichlet", 1, 2): "7b4442b836274bdd7cb60b8a6960c824e413fe1495373497aa63cf11b8ab75c5",
-    ("json", "dirichlet", 8, 1): "c8bf5267b0757a1e3dac500d638d8c23ddf76dc646074808780ae78240e7872d",
-    ("json", "dirichlet", 8, 2): "9a9ccf3bd9c03c6556d64674753af52b2be98044e1febbd774b71675de94ccca",
-    ("json", "dirichlet", 64, 1): "54cf11dcc7ce17a12746aa630d1ffa68bc4207ea7a2851bc7e06614439dbace1",
-    ("json", "dirichlet", 64, 2): "670e299b527871a9b1d11440dae4a5a83d24c11bb72e3ef7badca11ca4e641c5",
-    ("json", "gamma", 1, 1): "d98eede945aee64bc8d5ea4dd7bb4ec6c7d4e1a2e91552d718143590cf82b8f0",
-    ("json", "gamma", 1, 2): "65607bb805bc177691b0d4bdbdae3deb488c2bf149c5f8b87d0026ce7bc906a6",
-    ("json", "gamma", 8, 1): "9741d38c3820abb73c5807b31e5e5dd61b877efb2a237db98de42b914ddc0675",
-    ("json", "gamma", 8, 2): "d1c26d1e3c6c207ef423878672812527ce150f55f82162f1e85bd45ca19c482e",
-    ("json", "gamma", 64, 1): "6f4f30fd3d346e19c9a15ce02287fa86c65fde18a94efe640c080971e9711189",
-    ("json", "gamma", 64, 2): "78fdc67bca61002b1fb8d822594423bd80c25e81b5eb24957dfdd611e4d52c65",
-    ("json", "lebesgue", 1, 1): "558dbf8ce7d958b2ba5ceaf5b901ba699b957c30337a1b447c81f7362f9bd484",
-    ("json", "lebesgue", 1, 2): "09fe2456e6ab08c6b70451e22c3eda5173c29c9ae3e2921d622717753b983dae",
-    ("json", "lebesgue", 8, 1): "0ef41cc6e486be43c89e1ef11d18ad0bec65d16501194c3bf1d406b933f0b66f",
-    ("json", "lebesgue", 8, 2): "190ffc429c25e35a384ebd1d0768d2dd4bdb8e39c1fe1fded1279209099a0a51",
-    ("json", "lebesgue", 64, 1): "12a79bb9cdf95e19c678149ea3069dc2f5bba56f12e24b327be358a998c49fbe",
-    ("json", "lebesgue", 64, 2): "4ae76fa80dc16d2ca0ca7b9de13834cd8ca5ae97caf8673d14c199846c537ba5",
-    ("csv", "dirichlet", 1, 1): "f2ff54fe32db7bfdd3d75bbd42ab77f50683090d2fc4b7239b006987bc7b8da1",
-    ("csv", "dirichlet", 1, 2): "f727e16d5f98cfb886ae543dd0fe166a1e5b67ed805699e9f28825d78aae76b0",
-    ("csv", "dirichlet", 8, 1): "2943beb538f71f566a902309512adfa1065523d4d20d6b8062356a4ee89b7038",
-    ("csv", "dirichlet", 8, 2): "65f83a7202243ae3a91890313e335944fb2a6b7bd33141dfb974e137aab7bf60",
-    ("csv", "dirichlet", 64, 1): "b18f6ff7b4d463d92ffa4c2357dc40bc871a24b14c55b6c2bb11febfc7b40b5e",
-    ("csv", "dirichlet", 64, 2): "74a9c4e846cbe9d1e2ccc956628b1a9c0a5f03af8dc7bf20465a65878a4b3ee6",
-    ("csv", "gamma", 1, 1): "cd3fb749cefb411fa78872f3e5018384d3de375d07e5f11e92a8d44aafff107a",
-    ("csv", "gamma", 1, 2): "b7bac88bee3740722043350b840d0a3ef76faf8a8863d53ecd82562528b7d608",
-    ("csv", "gamma", 8, 1): "c39252d3345599c829a76872d6c2a5ae71caebafc95d3d0a530d28f8f2528d49",
-    ("csv", "gamma", 8, 2): "1a5d5b85191c6b6a664c4612c3dbab4df7cddbfd4f8d1fed3078b146803966e8",
-    ("csv", "gamma", 64, 1): "08239e8e87d2fd49c16b27563345302a97277beb7b5ff761bb0d22a776d7b763",
-    ("csv", "gamma", 64, 2): "ede3a79b67a9183e6f514a7a83d94c12ad5ef442d478699e3296ebb99359780c",
-    ("csv", "lebesgue", 1, 1): "96bc2c347afb1f404c3b48d6aba75057ed22b0d8d970cbfee3628668d20278e8",
-    ("csv", "lebesgue", 1, 2): "b6a512ab1047fd846bbf04e19eeb24eacef3973a6e5e24666cdec6cb7f1f5a46",
-    ("csv", "lebesgue", 8, 1): "d21d7bd360bfa22dbaa862a000aedfb31f40bbc796c3a3482aef0a4f13b272e1",
-    ("csv", "lebesgue", 8, 2): "683f90ac2be167394014383273f680ff0d64756f9323cf51d0d9d6a7ef9f661b",
-    ("csv", "lebesgue", 64, 1): "4bfd681f732429f6d7d8683e92d6826712ab466ad70ca6e23c1495b0032771d2",
-    ("csv", "lebesgue", 64, 2): "84b3941b183c13f52d9cda20a446366f8fe2414a91b49a27c6dd0ae70ee26fb1",
+    ("json", "dirichlet", 1, 1): "12bcd0dce0c616e4e8ad61b2b62a6f81902318afc678f8456cabf1460cd6e26d",
+    ("json", "dirichlet", 1, 2): "9332cfdaa1bafbedca69e17ed63a33eaf6c243535c9c6c6231a0076af57c8572",
+    ("json", "dirichlet", 8, 1): "f3154fc5980674ba1c4cd30b2d9663065959e8f2b4f4047b0210d40346836760",
+    ("json", "dirichlet", 8, 2): "3f30af03858fe2c843dcf080c44d6654d167064f7f6862dcb28bd6a4c6283c5d",
+    ("json", "dirichlet", 64, 1): "8fa564381ca52636492d00c02ff4c102b5671eb4a61d1ceb0d48794e3a2669d8",
+    ("json", "dirichlet", 64, 2): "5ce51f5107e8017dee22b97ebc1d77ddc20f4ed25c729a8c3137d681623d0ef6",
+    ("json", "gamma", 1, 1): "daea83c34968050ac497d71c4953d2db0afef3a7f4de5833f127a44b8263d920",
+    ("json", "gamma", 1, 2): "23e94e1284e072fe823f12e213c1ac74deee219d73d1a719f46c7f7c407be040",
+    ("json", "gamma", 8, 1): "cfe81a54784a1e91b41e393186a2dedc2120feb8d1c96f237ff206bf7042681e",
+    ("json", "gamma", 8, 2): "7f1022793f7799300509f2fd22e241da37f3350546dc29e97e2176834a334a79",
+    ("json", "gamma", 64, 1): "c433b602a1508cad927c7fa500074e24ce176d19f1bc65be9df9286308b44d94",
+    ("json", "gamma", 64, 2): "e03325f3ac11af707bb8374fc2c1e32358fa65254788e0320c478b80ad1a7667",
+    ("json", "lebesgue", 1, 1): "7fb59634f953e807a1a568f2959c884305dc71342266c189a43bb9389e1763ab",
+    ("json", "lebesgue", 1, 2): "7670ac3d431910b1d2a943b538ee41907d934a49c6ad576d9d5903388b7feb17",
+    ("json", "lebesgue", 8, 1): "328bfe671dc78d91dce71d68bcf15aee5949ec16cfcd1118b19eb126d5a22db8",
+    ("json", "lebesgue", 8, 2): "5d07ac540f926a34d8cfb0088efcd044e8c9d69dbef548b7dfc86e2996c0c253",
+    ("json", "lebesgue", 64, 1): "95ae121f66a89dc5b0aab79771dc94956d9cd9525dc7309733b6c6b3e1d27b66",
+    ("json", "lebesgue", 64, 2): "e3ef70005ba655f914718784ef109a263364c133229b554b2cfac8070ab90b01",
+    ("csv", "dirichlet", 1, 1): "f8ff35b382154c87762680fa830cc067c702499cf15f2d2181c3de4e4660fa79",
+    ("csv", "dirichlet", 1, 2): "d9fa2459f65ed58d665d730ab5a6c8b1eb94cc4a2620c4a17fca6e1a8c74ce82",
+    ("csv", "dirichlet", 8, 1): "8e9429c91bc7033dd173219ce7d39b935166d50d0ab3430aaf93e1b1c6b06a59",
+    ("csv", "dirichlet", 8, 2): "ec3bf0efe4061487534bd5d78725ac64802f5f20d93423f54005dba48ac2c7e4",
+    ("csv", "dirichlet", 64, 1): "f4f5a6036a2a6ab2cdaa962a1ffa41ecc711c5841c51d39d2288a3547dfd278d",
+    ("csv", "dirichlet", 64, 2): "cee16305237d424ef804d0c374245094d69e47a7266d5f115c0823066e12d5bd",
+    ("csv", "gamma", 1, 1): "ae74273b559841f6a3893e1d68cd3b3b81bb9904ae2282a0a1588f78b708e905",
+    ("csv", "gamma", 1, 2): "85163221d4dc3afa6ac555e764a46c895079b4ad7d132fcd4e766088879b8513",
+    ("csv", "gamma", 8, 1): "894d981dda46ff434450c34b543d1ee589127d3384d8b8ead07902f29d03cdd2",
+    ("csv", "gamma", 8, 2): "24d068ca1038cc7686e71a90b07f12825190613450f3210b871d69992d35c66d",
+    ("csv", "gamma", 64, 1): "2bf1f5e50f7f742d6b24a21036031f1a1e22bf9c97a4812ce431c29ab0179017",
+    ("csv", "gamma", 64, 2): "14a4c5af6c2cd6c22378a3feabce5f2850d597dba8464716338936424bd3eaef",
+    ("csv", "lebesgue", 1, 1): "cbef4d7b630d90f3ad72fae4710e005e7fe81126f9fcd569a045d2f30d9ce90f",
+    ("csv", "lebesgue", 1, 2): "4df4015a8a7bcb893deb5bf35af755d2ba3c49bc10bc598d179bfb527a0955ef",
+    ("csv", "lebesgue", 8, 1): "5e6cb98190d065f24df852168e40d62e55199be79a1ae65029f7229aa7af75d2",
+    ("csv", "lebesgue", 8, 2): "447749b53218e39e22d24bbea988a98b0639316b9848a93a7c26bde555371aad",
+    ("csv", "lebesgue", 64, 1): "77a3105916ae69bb67ca362f40cb5df4e7667309887b10ad3c4ead7c777c21f7",
+    ("csv", "lebesgue", 64, 2): "44ffa5cc4a881b712a1ffdb32ab8f92009203fd94ebf8beb4902648739e80927",
 }
 
 
@@ -673,20 +710,20 @@ def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
 
 # sha256 of every line after the meta line of the bench's draws-shaped
 # sample --theta T --process P --format F --samples N --seed 14, frozen at
-# version 0.5.0 like the table above.
+# version 0.5.0 and re-frozen at 0.9.0 like the table above.
 _DRAWS_BODY_SHA256 = {
-    (1, 150, "gamma", "json"): "a6705567bce33adf246a30b3cb76d99a0d7ef3755fd40ed02acf07c744735fc4",
-    (1, 150, "gamma", "csv"): "af2583d1a4615eb51fcaf902f757d2144df73d5b0d37fcb419a071e25353e3dd",
-    (1, 150, "lebesgue", "json"): "dfff90b47aeace87c14997ea6b4ae8c3e18c008cc850f911eaea3a9e9994c685",
-    (1, 150, "lebesgue", "csv"): "947719571575ab28feea8ef1fc36eb1731b39fd9df30a8a2b6184c2465b91a52",
-    (8, 25, "gamma", "json"): "f2b7cebe68b98665d9ba14046bf182a717c5eb1c1ba06ad5c680ee13e3074835",
-    (8, 25, "gamma", "csv"): "965898404ba6cc7ecd299bc16fe905bd648cb939fe0ec07244375fe8cb9bb8e3",
-    (8, 25, "lebesgue", "json"): "0bc7478d539babc1201e25e272ffc3164f0fd0547c20dcc10c3054be62869d04",
-    (8, 25, "lebesgue", "csv"): "db9b78968734e6f3304912b8a354605ca124cc43962879115e25e607955f001f",
-    (64, 4, "gamma", "json"): "29d0d61e723177baef26078d78284c0412a28f4177afa7e9e9809e9184fd3c55",
-    (64, 4, "gamma", "csv"): "b8fa40303cffef4e2ba0d9b600709028aff23d75ceb8d7e192e9d01ecc73c78e",
-    (64, 4, "lebesgue", "json"): "aeb0e6defd8e3d4faa01ff49995c7b231fddff6f24b47127cd03fef3e13667d7",
-    (64, 4, "lebesgue", "csv"): "a863bf05b2eaa501afe85d5af1bfdf214b8a3bf033ed3784b31cd9bb64acc5cf",
+    (1, 150, "gamma", "json"): "00653d93ca3334e5573f9e92a44fc67b85b0927693aed94cb5cd9e397bb4dd8c",
+    (1, 150, "gamma", "csv"): "ad3e2e973c6bd99558b2f67cc775d6d21b97a29c4bc54a91d1401b8b486cc7de",
+    (1, 150, "lebesgue", "json"): "a349d8668a2ddf261e2792851dec833bb783bd22e942c8f7bb0b233a33f68111",
+    (1, 150, "lebesgue", "csv"): "c42ce884e8fdee20aeecf5c0be8357e762432d2f4fd8feadf8305c8bb28e3152",
+    (8, 25, "gamma", "json"): "c32437e81ce0dd1262e302c26b57346807af4f2a97d679e9cfe8f3d76ff6425d",
+    (8, 25, "gamma", "csv"): "1484dd16403f0523cb759477e5af685f0647ad3cdf33c442ae01d77256ccdd50",
+    (8, 25, "lebesgue", "json"): "90c936be6a9301a304c23cd7c3f8aa26ed4be120338c1286af80a1bdb0693905",
+    (8, 25, "lebesgue", "csv"): "3c5b6bb45a7f44c452ed490b5147b26243915698b0c3fea1bb6e2880533c7a09",
+    (64, 4, "gamma", "json"): "d8a018fb634eae0dd7c8fb040be232be03a9dcb3592520fa9bb6f5f09f47758b",
+    (64, 4, "gamma", "csv"): "01e9b9c73da212c36993235f4b61eefaf6ce3c00b2be3e96149686961c86ba41",
+    (64, 4, "lebesgue", "json"): "208e671aa579c87d48e1808a39ffddb58f4ffdb3dd3fcaa3ef62f8bcf2dc0c69",
+    (64, 4, "lebesgue", "csv"): "2ac904bbe385d04f4a23491f721f2b153dc3ae7212739c939dec70d1af561ae7",
 }
 
 
@@ -777,7 +814,7 @@ def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
 
     monkeypatch.setattr(processes, "_stick_rows", counted)
     theta, samples, streams, seed = 8.0, 11, 2, 4
-    width = processes._first_width(theta, 1e-10)
+    width = processes._buffer_width(theta, 1e-10)
     for rows in (3, 4, 11):
         monkeypatch.setattr(cli, "SAMPLE_BATCH_CELLS", rows * width + width - 1)
         passes.clear()
@@ -826,7 +863,7 @@ def test_a_refusal_mid_run_keeps_the_draws_already_written(capsys, monkeypatch, 
         return masses, tails, cuts
 
     monkeypatch.setattr(processes, "_stick_rows", nan_in_second_batch)
-    monkeypatch.setattr(cli, "SAMPLE_BATCH_CELLS", 2 * processes._first_width(1.0, 1e-10))
+    monkeypatch.setattr(cli, "SAMPLE_BATCH_CELLS", 2 * processes._buffer_width(1.0, 1e-10))
     argv = ["sample", "--samples", "5", "--seed", "3", "--format", fmt]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and err.strip() == (

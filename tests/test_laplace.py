@@ -465,6 +465,28 @@ def test_functional_window_refuses_an_empty_t_grid(monkeypatch):
                                       t_grid=[])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: functional_distribution_check(1.0, 2.0, 1.0, 100, RngStream(0)), "StepFunction"),
+    (lambda: functional_distribution_check(1.0, None, 1.0, 100, RngStream(0)), "StepFunction"),
+    (lambda: functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 100, RngStream(0),
+                                           eps=0.0), "eps"),
+    (lambda: weighted_box_mass(None, 1.0, 100, RngStream(0)), "PartitionSpec"),
+    (lambda: weighted_box_mass(np.array([0.5, 1.5]), 1.0, 100, RngStream(0)), "PartitionSpec"),
+    (lambda: weighted_box_mass(PartitionSpec(np.array([1.0])), 1.0, 100, RngStream(0),
+                               eps=1.5), "eps"),
+])
+def test_window_and_box_estimators_check_their_arguments_before_drawing(monkeypatch, call,
+                                                                        match):
+    # A float f used to fail with AttributeError inside the kernel, after the
+    # first stick batch was drawn, and a spec of None on its missing .theta.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the arguments")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
     from conicpd import processes
 
@@ -481,12 +503,13 @@ def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
 
 # sha256 of (estimates, stderrs, z_scores) bytes of functional_distribution_check(
 # theta, f, b, samples, RngStream(seed), streams=...), frozen while its kernel
-# still held whole location and f-value matrices.  The first case has two
-# chunks in one stream; the last one's batch outgrows its first stick block.
+# still held whole location and f-value matrices, and re-frozen at 0.9.0
+# with the narrow first stick block.  The first case has two chunks in one
+# stream; the last one's batch grows its stick buffer.
 _WINDOW_SHA256 = {
-    (1.0, "three", 1.0, 40_000, 7, 2): "b380bb51756e04d8a62b330c5fac412beea83d9c7c8ae37413390a78b1ade68e",
-    (2.5, "constant", 2.0, 5000, 8, 1): "b87bfa649911f91f84b1f64af8a69c0afa3c79617881a8113625f07ed13c54dd",
-    (4.0, "three", 1.5, 20_000, 4, 1): "bf9ba944760d9818ced8f50c29143707d3bcdf38ad058290cf77cf164a9cd4ef",
+    (1.0, "three", 1.0, 40_000, 7, 2): "dec657c6ce1f896e269e790ea6cbdb6ad442f6496dc1a748fb47f81bd8bd4c09",
+    (2.5, "constant", 2.0, 5000, 8, 1): "ae7b31ec346ab8235f65ef95c75dbb95e8a49888051347df242b99aae4481ac2",
+    (4.0, "three", 1.5, 20_000, 4, 1): "18d1e3e5116a302705169a371d29e8aeff6be69e7b44b94de6d017c59579d3dc",
 }
 
 

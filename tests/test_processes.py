@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, gammainc
 from scipy.stats import ks_2samp, kstest, pearsonr
@@ -202,7 +202,7 @@ def test_draws_sort_masses_and_locations_together(monkeypatch, sticks, order):
     # Masses in stick order come back decreasing, each with its own location.
     monkeypatch.setattr(processes, "_stick_rows",
                         lambda *args: (np.array([sticks]), np.array([0.0]), np.array([2])))
-    locations = processes._by_rows(1, 3, gen=RngStream(8).generator(), keep=True)[0]
+    locations = processes._by_rows(1, 3, gen=RngStream(8).generator(), out=np.empty((1, 3)))[0]
     series = sample_dirichlet_process(1.0, EPS, RngStream(8))
     assert np.array_equal(series.masses, np.array(sticks)[order])
     assert np.array_equal(series.locations, locations[order])
@@ -350,9 +350,101 @@ def test_gamma_batch_layout():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-def _first_block(theta, eps):
-    m = theta * math.log(1.0 / eps)
-    return math.ceil(1.0 + m + 4.0 * math.sqrt(m)) + 4
+def _block_ends(theta, eps, rows):
+    """Columns at which a draw's first block and each later extension round end, endlessly.
+
+    The layout of ``_stick_rows``: a round adds ``_round_width`` columns, but
+    ends at the buffer's last column; a round that starts there grows the
+    buffer by one round.
+    """
+    end = processes._first_width(theta, eps, rows)
+    stride, add = processes._buffer_width(theta, eps), processes._round_width(theta, eps)
+    while True:
+        yield end
+        if end == stride:
+            stride += add
+        end = min(end + add, stride)
+
+
+def _rounds(theta, eps, rows, sticks):
+    """Extension rounds that a row of ``sticks`` sticks takes in a ``rows``-row draw."""
+    return next(k for k, end in enumerate(_block_ends(theta, eps, rows)) if sticks <= end)
+
+
+def _recursion_step(theta, log_eps, u, before):
+    """One block of sticks, column by column: (masses, cuts, tails, runs at its end).
+
+    ``u`` holds the block's uniforms, a row per open draw, and ``before``
+    each row's run just left of the block (None for a first block).  A stick
+    y has log(1 - y) = log(1 - u) / theta (log u and y = 1 - u at theta = 1);
+    the block's runs add up from its first column and then add ``before``.
+    A row's mass is y times exp(run) left of it, or y alone in a first
+    block's first column, and zero right of the cut, the first column whose
+    run is at most log(eps).  A cut of -1 marks a row still open.
+    """
+    rows, cols = u.shape
+    masses, cuts, tails = np.zeros((rows, cols)), np.full(rows, -1), np.zeros(rows)
+    columns = np.ascontiguousarray(u.T)
+    total, run = None, before
+    for j in range(cols):
+        if theta != 1.0:
+            step = np.log(1.0 - columns[j]) / theta
+            y = -np.expm1(step)
+        else:
+            step, y = np.log(columns[j]), 1.0 - columns[j]
+        total = step if total is None else total + step
+        left, run = run, total if before is None else total + before
+        still = cuts < 0
+        masses[still, j] = (y if left is None else y * np.exp(left))[still]
+        closing = still & (run <= log_eps)
+        cuts[closing], tails[closing] = j, np.exp(run[closing])
+    return masses, cuts, tails, run
+
+
+def _recursion_batch(theta, eps, rows, gen):
+    """``stick_masses_batch`` by ``_recursion_step`` over the same uniform layout.
+
+    The first block's uniforms come first, then each round's, for the rows
+    still open, in row order.
+    """
+    log_eps = math.log(eps)
+    masses, cuts, tails, runs = np.zeros((rows, 0)), np.full(rows, -1), np.zeros(rows), None
+    live, start = np.arange(rows), 0
+    for end in _block_ends(theta, eps, rows):
+        if not live.size:
+            break
+        u = gen.random(live.size * (end - start)).reshape(live.size, end - start)
+        block, cut, tail, run = _recursion_step(theta, log_eps, u,
+                                                None if runs is None else runs[live])
+        masses = np.hstack([masses, np.zeros((rows, end - start))])
+        masses[live, start:] = block
+        runs = np.zeros(rows) if runs is None else runs
+        runs[live] = run
+        closed = cut >= 0
+        cuts[live[closed]], tails[live[closed]] = start + cut[closed], tail[closed]
+        live, start = live[~closed], end
+    return masses[:, :cuts.max() + 1], tails
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), rows=st.integers(1, 300),
+       seed=st.integers(0, 2**32), width=st.integers(1, 3))
+@example(theta=0.3, log10_eps=-2.0, rows=2, seed=23, width=1)
+@example(theta=1.0, log10_eps=-10.0, rows=300, seed=5, width=3)
+def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed, width):
+    # The vectorized stick step (uniforms drawn into the buffer, a cumsum of
+    # the steps, masses formed on the flat block shifted by a cell, rows
+    # moved to the buffer's stride, rounds written in place) gives the very
+    # floats of a column-by-column recursion.  The first example keeps one
+    # atom per row of an 8-column first block, a (2, 1) view of it; numpy
+    # 2.4 negates such a view wrongly in place.
+    eps = 10.0 ** log10_eps
+    want_masses, want_tails = _recursion_batch(theta, eps, rows, RngStream(seed).generator())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "_WIDTH", width)
+        patch.setattr(processes, "_SPLIT_CELLS", 0)
+        masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
+    assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
 
 
 def _poisson_moment_gaps(counts, m):
@@ -387,12 +479,15 @@ def test_stick_matrix_is_as_wide_as_its_longest_row(theta, rows):
 
 
 def test_stick_rows_that_outgrow_the_first_block_stay_exact():
-    # About one row in 10^5 at theta = 4 needs more sticks than the first
-    # block holds; this stream has one among 20000 rows.
+    # The first block of 20000 rows at theta = 4 ends 0.75 standard
+    # deviations past the mean stick count, so about a fifth of the rows
+    # extend; this stream's longest row takes three rounds, the last of
+    # them past the buffer.
     theta, rows = 4.0, 20_000
     masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(4).generator())
     sticks = np.count_nonzero(masses, axis=1)
-    assert sticks.max() > _first_block(theta, EPS)
+    assert _rounds(theta, EPS, rows, sticks.max()) == 3
+    assert 0.1 < np.mean(sticks > processes._first_width(theta, EPS, rows)) < 0.4
     assert masses.shape[1] == sticks.max()
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
     # the cut is the first stick that takes the residual to eps
@@ -414,14 +509,15 @@ class _TinyFirstBlock:
 
 def test_stick_rows_extend_over_several_rounds():
     # Every row is still open after the first block, and the rows close in
-    # different extension rounds, so the open set shrinks between rounds.
+    # different extension rounds, so the open set shrinks between rounds;
+    # the later rounds grow the buffer.
     rows = 64
     gen = _TinyFirstBlock(RngStream(32).generator())
     masses, tails = stick_masses_batch(1.0, EPS, rows, gen)
     sticks = np.count_nonzero(masses, axis=1)
-    width = _first_block(1.0, EPS)
-    assert gen.calls >= 3 and sticks.min() > width
-    assert sticks.min() <= width * 3 // 2 < sticks.max()
+    rounds = {_rounds(1.0, EPS, rows, count) for count in sticks}
+    assert gen.calls == 1 + max(rounds) and min(rounds) >= 1 and len(rounds) >= 3
+    assert sticks.max() > processes._buffer_width(1.0, EPS)
     assert masses.shape[1] == sticks.max()
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
     last = masses[np.arange(rows), sticks - 1]
@@ -459,54 +555,122 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
 
 
 def test_stick_batch_peak_memory_is_two_matrices():
-    # The masses are formed in the stick matrix's buffer, and the running
-    # sums live in scratch blocks of at most 2^16 cells per thread, so the
-    # peak stays near one matrix (of the first block's width) when no row
-    # outgrows the first block.
+    # The masses are formed in the stick buffer, the running sums live in
+    # scratch blocks of at most 2^16 cells per thread, and the rows that
+    # outgrow the first block extend inside the buffer, so the peak stays
+    # near one matrix (of the buffer's width) when no row outgrows the buffer.
     gen = RngStream(3).generator()
     out = []
     peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(4.0, EPS, 20_000, gen)))
     masses, _tails = out[0]
-    assert masses.shape[1] <= _first_block(4.0, EPS)
+    assert processes._first_width(4.0, EPS, 20_000) < masses.shape[1]
+    assert masses.shape[1] <= processes._buffer_width(4.0, EPS)
     assert peak <= 1.3 * masses.nbytes
 
 
 @pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 4), (1.0, 8192, 9)])
 def test_extending_stick_batch_peak_memory_is_two_matrices(monkeypatch, theta, rows, seed):
-    # Rows still open after the first block grow in arrays of their own, and
-    # the masses matrix is widened once, so the peak is the first block's
-    # matrix and the widened one.  On one thread the warm-up call makes every
-    # scratch block the measured call uses; they are kept between calls.
+    # Rows still open after the first block grow in the buffer, beside
+    # per-round arrays that hold only those rows.  On one thread the warm-up
+    # call makes every scratch block the measured call uses; they are kept
+    # between calls.
     monkeypatch.setattr(processes, "_WIDTH", 1)
     stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
     gen = RngStream(seed).generator()
     out = []
     peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(theta, EPS, rows, gen)))
     masses, _tails = out[0]
-    assert masses.shape[1] > _first_block(theta, EPS)
+    assert masses.shape[1] > processes._first_width(theta, EPS, rows)
     assert peak <= 2.1 * masses.nbytes
 
 
-# sha256 of (shape, masses, tails) bytes, frozen from the out-of-place kernel
-# this one replaced; the (4, 20000, stream 4) batch takes the extension path.
+def test_a_batch_that_outgrows_its_buffer_grows_in_place(monkeypatch):
+    # Fewer than 3 rows in 10^5 outrun the buffer; this stream has some
+    # among 32768 rows at theta = 4.  The buffer is grown by realloc and its
+    # rows moved in place, so the peak stays near one matrix, and the rows
+    # stay exact.
+    theta, rows = 4.0, 32768
+    monkeypatch.setattr(processes, "_WIDTH", 1)
+    stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+    out = []
+    peak = _peak_traced_bytes(
+        lambda: out.append(stick_masses_batch(theta, EPS, rows, RngStream(1).generator())))
+    masses, tails = out[0]
+    sticks = np.count_nonzero(masses, axis=1)
+    assert masses.shape[1] == sticks.max() > processes._buffer_width(theta, EPS)
+    assert peak <= 1.3 * masses.nbytes
+    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
+    last = masses[np.arange(rows), sticks - 1]
+    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
+
+
+def test_a_buffer_that_cannot_be_resized_grows_by_a_copy():
+    # A tracer that reads the frame's locals holds a reference to the stick
+    # buffer, and ndarray.resize refuses a buffer referred to elsewhere: the
+    # buffer is then grown by a copy, to the same bytes.
+    want = stick_masses_batch(4.0, EPS, 20_000, RngStream(4).generator())
+    lines, first = inspect.getsourcelines(processes._stick_rows)
+    copy = first + next(k for k, text in enumerate(lines) if "np.concatenate" in text)
+    seen = set()
+
+    def tracer(frame, _event, _arg):
+        if frame.f_code is not processes._stick_rows.__code__:
+            return None
+        seen.add(frame.f_lineno)
+        frame.f_locals  # noqa: B018  (refers to every local, the buffer too)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        got = stick_masses_batch(4.0, EPS, 20_000, RngStream(4).generator())
+    finally:
+        sys.settrace(None)
+    assert copy in seen
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_round_past_the_cell_budget_is_refused_before_it_is_allocated(monkeypatch):
+    # The same batch with a budget that holds its buffer and no more: the
+    # round that would grow the buffer is refused, and nothing past the
+    # buffer is allocated.
+    theta, rows = 4.0, 32768
+    cells = rows * processes._buffer_width(theta, EPS)
+    monkeypatch.setattr(processes, "_CELL_BUDGET", cells)
+
+    def refused():
+        with pytest.raises(DomainError, match="budget"):
+            stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+
+    assert _peak_traced_bytes(refused) <= 1.1 * 8 * cells
+    monkeypatch.setattr(processes, "_CELL_BUDGET", cells + rows * processes._round_width(theta, EPS))
+    masses, _tails = stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+    assert masses.shape[1] > processes._buffer_width(theta, EPS)
+
+
+# sha256 of (shape, masses, tails) bytes, with the extension rounds the
+# longest row takes.  Re-frozen at 0.9.0, when the first block narrowed to
+# the Poisson mean and the runs came straight from the uniforms; the
+# recursion test below checks the same layout stick by stick.  Every batch
+# here extends, and the two largest grow their buffer in their third round.
 _STICK_BATCH_DIGESTS = {
-    (0.5, 2000, 9): "fd850baa45517d3e4a70b536b80de258541b8c9378e92fd2753023afe70fd8e0",
-    (1.0, 2000, 9): "f0f823e802a2505952a3868ba2afb16b8f158d0829caa16815472f74355b8b0b",
-    (4.0, 2000, 9): "bc30a58206868477600188713d55a986987cad92b8f58e8e6688fc2e564dda91",
-    (64.0, 64, 9): "6f3086b5090bf42e278b90a35c94d5b28ee307074538bb1ca9041458a3f416f3",
-    (4.0, 20000, 4): "68c09545b94e36f16cc1fe3c4c1bf77427ce484c183a21378eb5d61f5261ba42",
+    (0.5, 2000, 9): (2, "dbe2604caa0a709854c9af9382a285f0577e9644276ed127342c1d25df544916"),
+    (1.0, 2000, 9): (2, "9919ad2cbcfa26ea41eddba73c3305043f12da3954337bc86d89bd43d8d145a5"),
+    (4.0, 2000, 9): (2, "623ce9879ab83005b633e0aeee3284644259e23d4e41ae449f73432331cc8df9"),
+    (64.0, 64, 9): (1, "e8c27a353918301670c29068c781eb2b5afe8023d2f797e731fa151300874189"),
+    (4.0, 20000, 4): (3, "4d6b1b3502b0e7af9d6c5f8b4465fbb305d45f634355aec0b16419f49d101997"),
+    (4.0, 32768, 1): (3, "b9fb10492b03fc44c7f4b9dd86afe763d862b476ba6682a9c48625301e317adb"),
 }
 
 
 @pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
 def test_stick_batch_outputs_are_frozen(theta, rows, seed):
     masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
-    if rows == 20_000:
-        assert masses.shape[1] > _first_block(theta, EPS)
+    rounds, want = _STICK_BATCH_DIGESTS[theta, rows, seed]
+    assert _rounds(theta, EPS, rows, masses.shape[1]) == rounds
     digest = hashlib.sha256(np.asarray(masses.shape, dtype=np.int64).tobytes())
     digest.update(masses.tobytes())
     digest.update(tails.tobytes())
-    assert digest.hexdigest() == _STICK_BATCH_DIGESTS[theta, rows, seed]
+    assert digest.hexdigest() == want
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +701,21 @@ def test_pooled_mean_refuses_before_any_draw(rng, chunk, match):
 
     with pytest.raises(DomainError, match=match):
         pooled_mean(100, rng, 1, kernel, chunk=chunk)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda gen, rows: gen.random(rows),                 # one column for three
+    lambda gen, rows: gen.random((rows, 2)),
+    lambda gen, rows: gen.random((rows, 4)),
+    lambda gen, rows: gen.random((rows + 1, 3)),        # a row too many
+    lambda gen, rows: gen.random((rows, 3, 1)),
+])
+def test_pooled_mean_refuses_a_kernel_of_another_shape(kernel):
+    # A one-column kernel used to broadcast into three identical results.
+    with pytest.raises(DomainError, match="kernel returned"):
+        pooled_mean(100, RngStream(0), 1, kernel, columns=3)
+    got = pooled_mean(100, RngStream(0), 1, lambda gen, rows: gen.random((rows, 3)), columns=3)
+    assert len({r.estimate for r in got}) == 3
 
 
 def test_pooled_mean_matches_direct_computation():
@@ -794,7 +973,7 @@ def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, widt
     _assert_same_run(serial, split)
     assert serial[3] == 0 and split[3] > 0
     if rows == 20_000 and offset == 0:
-        assert serial[0][0].shape[1] > _first_block(theta, EPS)
+        assert serial[0][0].shape[1] > processes._first_width(theta, EPS, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1036,22 +1215,31 @@ def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
 def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
     # What a span tracer counts (the batch samplers, the pooled means and so
     # the kernel chunks) is the same serially, with rows split, and with
-    # invariance pairs fanned out.
+    # every draw extended in many rounds of two columns after a first block
+    # of one, each round of two rows or more split over three threads.
     from conicpd import cli
 
-    counts = []
-    for width, floor in ((1, processes._SPLIT_CELLS), (3, 0), (3, 1 << 62)):
+    counts, passes = [], []
+    stick_pass = processes._stick_pass
+    for width, floor, narrow in ((1, processes._SPLIT_CELLS, False), (3, 0, False),
+                                 (3, 0, True)):
         calls = collections.Counter()
         with monkeypatch.context() as patch:
             _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
             patch.setattr(processes, "_WIDTH", width)
             patch.setattr(processes, "_SPLIT_CELLS", floor)
+            if narrow:
+                patch.setattr(processes, "_first_width", lambda theta, eps, rows: 1)
+                patch.setattr(processes, "_round_width", lambda theta, eps: 2)
+                patch.setattr(processes, "_stick_pass",
+                              lambda *args, **kw: passes.append(1) or stick_pass(*args, **kw))
             for argv in (["invariance", "--pairs", "6", "--samples", "1500"],
                          ["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
                           "--samples", "1500"]):
                 assert cli.main(argv + ["--seed", "3"]) == 0
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
+    assert len(passes) >= 10 * counts[2]["stick_masses_batch"]
     assert counts[0]["stick_masses_batch"] > 0 and counts[0]["pooled_mean"] > 0
 
 
@@ -1163,23 +1351,25 @@ def _tiny_first_block(call, u):
 
 
 # sha256 of the draw's fields and the next three uniforms, frozen at version
-# 0.5.0, when the series samplers became one-row batches.
+# 0.5.0, when the series samplers became one-row batches, and re-frozen at
+# 0.9.0 with the stick batches.
 _TINY_FIRST_BLOCK_SHA256 = {
-    "sample_dirichlet_process": "9948cee2a51b0ad7aa36409722d2b247666b6e2e828c403f6e5ecada41dfd4eb",
-    "sample_gamma_process": "293711fa2c3fd9568c34534a82e992588e622a97fde4c5b7ddbd26d0b4db6063",
+    "sample_dirichlet_process": "7c2fb161dee0cd29aa2b74b905beaefbe0bb2bfeac3c4ff4fcaa3ac45fd65a52",
+    "sample_gamma_process": "f8bd4c30ec4aa5110e17bf607f4d4dda1912efb37457d674d328a915079eb395",
 }
 
 
 @pytest.mark.parametrize("name", list(_TINY_FIRST_BLOCK_SHA256))
 def test_one_row_draw_past_its_first_block_is_frozen(name):
-    # The row is open after its first block and closes after two extension
-    # rounds, so a one-row draw goes through the growth path.
+    # The row is open after its first block and closes in its third
+    # extension round, past the buffer, so a one-row draw goes through the
+    # growth path: the first block, three rounds, then the locations.
     gen = _Uniforms(32, _tiny_first_block)
     draw = getattr(processes, name)(1.0, EPS, gen)
     fields = (draw.masses.tobytes() + draw.locations.tobytes()
               + struct.pack("<dd", draw.total_mass, draw.tail_bound))
-    assert gen.calls == 4
-    assert draw.masses.size > processes._first_width(1.0, EPS) * 3 // 2
+    assert gen.calls == 5 and _rounds(1.0, EPS, 1, draw.masses.size) == 3
+    assert draw.masses.size > processes._buffer_width(1.0, EPS)
     digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
     assert digest == _TINY_FIRST_BLOCK_SHA256[name]
 
@@ -1232,11 +1422,12 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
 
 
 def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
-    # At theta 1/16 and eps 0.01 both rows keep one atom of an 8-column first
-    # block: a (2, 1) view, which numpy 2.4 negates wrongly in place.
-    rows = list(processes._draw_rows(0.0625, 0.01, 2, RngStream(1).generator(), normalized=True))
-    masses, locations, _totals, tails = gamma_batch(0.0625, 0.01, 2, RngStream(1).generator())
-    assert masses.shape == (2, 1) and processes._first_width(0.0625, 0.01) == 8
+    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of an
+    # 8-column first block: a (2, 1) view, which numpy 2.4 negates wrongly in
+    # place.
+    rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(), normalized=True))
+    masses, locations, _totals, tails = gamma_batch(0.3, 0.01, 2, RngStream(23).generator())
+    assert masses.shape == (2, 1) and masses.strides[0] == 8 * masses.itemsize
     for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
         assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
         assert (total, tail) == (1.0, want_tail)
