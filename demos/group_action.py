@@ -16,7 +16,7 @@ from conicpd import (
     analytic_laplace,
     apply_multiplicator,
     phi,
-    quasi_invariance_check,
+    quasi_invariance_pairs,
     sample_gamma_process,
 )
 
@@ -39,8 +39,8 @@ for label, a in multiplicators:
 
 print("\nfirst two rows have zero log-mean, so phi = 1: the measure is invariant.")
 
-report = quasi_invariance_check(theta, multiplicators[0][1], f,
-                                n_samples=100_000, rng=RngStream(3))
+(report,) = quasi_invariance_pairs(theta, [(multiplicators[0][1], f)],
+                                   n_samples=100_000, rng=RngStream(3))
 print(f"\nMonte Carlo side for the first row: estimate {report.mc.estimate:.5f}"
       f" vs Psi(af) = {report.analytic_af:.5f}  (z = {report.z_score:+.2f})")
 

@@ -14,7 +14,7 @@ The package has three layers:
   (:mod:`~conicpd.mellin`, :mod:`~conicpd.gaussian`).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 import importlib
 
@@ -28,13 +28,13 @@ _EXPORTS = {name: module for module, names in (
                   "gamma_log_density box_mass_L lemma1_pointwise_check "
                   "semigroup_convolution_check"),
     ("processes", "RngStream WeightedAtomSeries sample_dirichlet_process "
-                  "sample_gamma_process weight_as_lebesgue apply_multiplicator "
+                  "sample_gamma_process apply_multiplicator "
                   "partition_sums series_from_record"),
     ("estimation", "EstimatorResult pooled_mean"),
-    ("laplace", "log_mean phi analytic_laplace mc_laplace quasi_invariance_check "
-                "quasi_invariance_pairs functional_distribution_check weighted_box_mass"),
+    ("laplace", "log_mean phi analytic_laplace mc_laplace quasi_invariance_pairs "
+                "functional_distribution_check weighted_box_mass"),
     ("mellin", "SaddleSolution solve_saddle ContourRows log_F_contour_rows "
-               "log_F_contour F_contour F_direct LimitStudy L_limit_study "
+               "F_contour F_direct LimitStudy L_limit_study "
                "find_L_zero RadiusSchedule DivergenceTable divergence_experiment"),
     ("gaussian", "SphereConfig gaussian_charfun sphere_charfun_quad "
                  "sphere_charfun_mc mp_convergence_table charfun_gap_rows"),

@@ -11,13 +11,12 @@ rerun guarantee rests on.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .processes import RngStream
+from .processes import RngStream, _integer
 
 CHUNK_ROWS = 32768
 
@@ -46,17 +45,10 @@ def stream_counts(n_samples: int, streams: int) -> list[int]:
     others would draw nothing.  Both counts must be positive integers (bool
     is refused, numpy integers are not), and the entries are Python ints.
     """
-    n_samples = _count(n_samples, "sample count")
-    streams = _count(streams, "stream count")
+    n_samples = _integer(n_samples, "sample count")
+    streams = _integer(streams, "stream count")
     base, extra = divmod(n_samples, streams)
     return [base + (1 if s < extra else 0) for s in range(min(n_samples, streams))]
-
-
-def _count(value, name) -> int:
-    """``value`` as a Python int >= 1; bool and non-integers are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return int(value)
 
 
 def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: int = 1,
@@ -68,14 +60,16 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     variance accurate when the spread is tiny against the mean.  A column
     reduces the same way whether it is a one-column kernel's or a column of
     an F-ordered (rows, columns) array; a C-ordered one sums row by row.
-    The counts, ``rng`` and ``chunk`` are checked before anything is drawn,
-    and each chunk's values must be (rows, columns), or (rows,) for one
-    column: a column count that is not ``columns`` is refused, not broadcast.
+    The counts, ``rng``, ``columns`` and ``chunk`` are checked before
+    anything is drawn, and each chunk's values must be (rows, columns), or
+    (rows,) for one column: a column count that is not ``columns`` is
+    refused, not broadcast.
     """
     counts = stream_counts(n_samples, streams)
     if not isinstance(rng, RngStream):
         raise DomainError("rng must be an RngStream")
-    chunk = _count(chunk, "chunk")
+    columns = _integer(columns, "columns")
+    chunk = _integer(chunk, "chunk")
     count = 0
     mean = np.zeros(columns)
     m2 = np.zeros(columns)

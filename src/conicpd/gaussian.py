@@ -38,12 +38,10 @@ class SphereConfig:
     radius: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise DomainError("sphere dimension must be an integer >= 2")
+        object.__setattr__(self, "n", processes._integer(self.n, "sphere dimension", lower=2))
         r = self.radius
         if isinstance(r, numbers.Real) and not isinstance(r, bool) and r == 0.0:
             r = math.sqrt(self.n)
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "radius", processes._positive_real(r, "sphere radius"))
 
 
@@ -199,30 +197,33 @@ def mp_convergence_table(s_grid=None, n_list=(5, 10, 20, 50, 100, 200)) -> list[
     """Sup over the s grid of |sphere charfun - Gaussian charfun| for each n."""
     if s_grid is None:
         s_grid = np.linspace(0.0, 3.0, 61)
-    if np.size(s_grid) == 0:
+    width = np.size(s_grid)
+    if width == 0:
         raise DomainError("the s grid of a sup needs at least one point")
-    return [{"n": int(n), "sup_gap": max(r["gap"] for r in charfun_gap_rows(s_grid, [n]))}
-            for n in n_list]
+    rows = charfun_gap_rows(s_grid, n_list)
+    return [{"n": rows[i]["n"], "sup_gap": max(r["gap"] for r in rows[i:i + width])}
+            for i in range(0, len(rows), width)]
 
 
 def charfun_gap_rows(s_grid, n_list, samples: int = 0,
                      rng: RngStream | None = None, streams: int = 1) -> list[dict]:
     """Per-(n, s) table with closed-form, optional Monte Carlo, and Gaussian columns.
 
+    ``samples`` = 0 skips the Monte Carlo columns.  Every argument, each
+    dimension of ``n_list`` included, is checked before anything is drawn.
     The Monte Carlo columns of one n come from one set of draws, taken in
     blocks of s points that keep each cosine matrix within _BLOCK_CELLS;
     every block redraws the same coordinates, one normal and one chi-square
     value per sample at any n >= 2, so blocking changes no bit.
     """
     s_grid = _check_s(s_grid).ravel()
-    if samples < 0:
-        raise DomainError("samples must be >= 0 (0 skips the Monte Carlo columns)")
+    samples = processes._integer(samples, "samples", lower=0)
     if samples > 0 and rng is None:
         raise DomainError("Monte Carlo columns need an RngStream")
+    configs = [SphereConfig(n=n) for n in n_list]
     block = _BLOCK_CELLS // min(CHUNK_ROWS, max(samples, 1))
     rows = []
-    for n in n_list:
-        cfg = SphereConfig(n=int(n))
+    for cfg in configs:
         quad = sphere_charfun_quad(cfg, s_grid).tolist()
         mc = [None] * s_grid.size
         if samples > 0:
@@ -230,7 +231,7 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
                 cfg, s_grid[i:i + block], samples, rng, streams=streams)]
         for s, quad_val, est in zip(s_grid.tolist(), quad, mc):
             gauss = gaussian_charfun(s)
-            rows.append({"n": int(n), "s": s, "quad": quad_val,
+            rows.append({"n": cfg.n, "s": s, "quad": quad_val,
                          "mc": None if est is None else est.estimate,
                          "stderr": None if est is None else est.stderr,
                          "gauss": gauss, "gap": abs(quad_val - gauss)})

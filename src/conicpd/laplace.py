@@ -147,23 +147,18 @@ class QuasiInvarianceReport:
     z_score: float
 
 
-def quasi_invariance_check(theta: float, a: StepFunction, f: StepFunction,
-                           n_samples: int = 100_000, rng: RngStream = RngStream(0), *,
-                           eps: float = TRUNCATION_EPS, streams: int = 1) -> QuasiInvarianceReport:
-    """Check Psi(a f) * phi(a) = Psi(f) exactly, and Psi(a f) by Monte Carlo."""
-    return quasi_invariance_pairs(theta, [(a, f)], n_samples, rng, eps=eps, streams=streams)[0]
-
-
 def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
                            rng: RngStream = RngStream(0), *, eps: float = TRUNCATION_EPS,
                            streams: int = 1) -> list[QuasiInvarianceReport]:
-    """``quasi_invariance_check`` for each (a, f) of ``pairs``, in pair order.
+    """Check Psi(a f) * phi(a) = Psi(f) exactly, and Psi(a f) by Monte Carlo, per (a, f).
 
-    One batch of draws serves every pair, as ``weighted_box_mass``'s serves
-    every b: each draw is paired with every a f, so pair k's report is
-    ``quasi_invariance_check(theta, a_k, f_k, n_samples, rng)``'s, bit for
-    bit, and the pairs' z-scores are correlated.  The exact sides are
-    formed first, in pair order, and an empty ``pairs`` draws nothing.
+    The reports come in pair order.  One batch of draws serves every pair,
+    as ``weighted_box_mass``'s serves every b: each draw is paired with
+    every a f, so pair k's report is that of the pair of one,
+    ``quasi_invariance_pairs(theta, [(a_k, f_k)], n_samples, rng)[0]``, bit
+    for bit, its ``mc`` is ``mc_laplace(theta, a_k f_k, n_samples, rng)``,
+    and the pairs' z-scores are correlated.  The exact sides are formed
+    first, in pair order, and an empty ``pairs`` draws nothing.
     """
     theta, eps = _check_theta_eps(theta, eps)
     stream_counts(n_samples, streams)  # refuses bad counts, even with no pairs
@@ -233,8 +228,7 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
         pairing = _pairing(masses, [f], gen)
         totals = _gamma_totals(theta, rows, gen)
         pairing *= totals[:, None]
-        return np.where(pairing <= t_grid[None, :],
-                        np.exp(totals)[:, None], 0.0)
+        return _window_weights(pairing[:, 0], t_grid, totals)
 
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)
     c_f = log_mean(f, theta)
@@ -280,7 +274,19 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
 
         # The marks' uniforms are drawn into scratch, row block by row block.
         _by_rows(rows, masses.shape[1], part_sums, gen)
-        inside = largest_part[:, None] <= b_arr[None, :]
-        return np.where(inside, np.exp(totals)[:, None], 0.0)
+        return _window_weights(largest_part, b_arr, totals)
 
     return pooled_mean(n_samples, rng, streams, kernel, columns=b_arr.size)
+
+
+def _window_weights(stat, grid, totals):
+    """Weight e^{total} where ``stat`` <= t, else 0: a (rows, grid.size) array.
+
+    Only the rows inside some window are exponentiated, so a row outside
+    every window, whose total may be large, cannot overflow exp.
+    """
+    inside = stat[:, None] <= grid[None, :]
+    kept = inside.any(axis=1)
+    weights = np.zeros(stat.size)
+    weights[kept] = np.exp(totals[kept])
+    return np.where(inside, weights[:, None], 0.0)

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
-from .processes import _positive_real
+from .processes import _integer, _positive_real
 
 # Integrand magnitude, relative to the peak, that the grid treats as zero.
 _LOG_NEGLIGIBLE = math.log(1e-18)
@@ -165,12 +165,6 @@ def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> Contour
                        nodes=nodes[inverse])
 
 
-def log_F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
-    """log F_n(lambda) via the inverse-Mellin contour: one row of
-    :func:`log_F_contour_rows`."""
-    return float(log_F_contour_rows([n], lam, abscissa).log_F[0])
-
-
 def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
     """log F_n, error and node count for sorted distinct ``ns``."""
     log_lam = math.log(lam)
@@ -254,7 +248,8 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
 
 
 def F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
-    return math.exp(log_F_contour(n, lam, abscissa))
+    """F_n(lambda) from the contour: one row of :func:`log_F_contour_rows`, exponentiated."""
+    return math.exp(log_F_contour_rows([n], lam, abscissa).log_F[0])
 
 
 def F_direct(n: int, lam: float) -> float:
@@ -266,7 +261,7 @@ def F_direct(n: int, lam: float) -> float:
     _RTOL (1e-9).
     Supported for n <= 4; larger n belongs to the contour route.
     """
-    _check_n(n, upper=4)
+    n = _integer(n, "direct quadrature n", upper=4)
     lam = _positive_real(lam, "lambda")
     if n == 1:
         return math.exp(-lam)
@@ -459,19 +454,12 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
                            log_F_error=errors, nodes=nodes.astype(int))
 
 
-def _check_n(n, upper):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError("n must be a positive integer")
-    if upper is not None and n > upper:
-        raise DomainError(f"direct quadrature supports n <= {upper}")
-
-
 def _check_ns(ns) -> np.ndarray:
-    """``ns`` as a non-empty 1-D int array, each entry checked by :func:`_check_n`."""
+    """``ns`` as a non-empty 1-D int array of positive integers, each entry checked as given."""
     array = np.asarray(ns)
     if array.ndim != 1 or array.size == 0:
         raise DomainError("ns must be a non-empty list of positive integers")
     # The entries as given: np.asarray turns [True, 2] into [1, 2].
     for n in array if isinstance(ns, np.ndarray) else ns:
-        _check_n(n, upper=None)
+        _integer(n, "n")
     return array.astype(int)

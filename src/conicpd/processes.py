@@ -79,13 +79,9 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not isinstance(self.stream_id, int):
-            raise DomainError("seed and stream_id must be integers")
-        if self.seed < 0 or self.stream_id < 0:
-            raise DomainError("seed and stream_id must be non-negative")
         # Philox is keyed by two 64-bit words.
-        if self.seed >> 64 or self.stream_id >> 64:
-            raise DomainError("seed and stream_id must be below 2**64")
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, 2**64 - 1))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -633,6 +629,23 @@ def _positive_real(value, name, upper=math.inf) -> float:
     return x
 
 
+def _integer(value, name, lower=1, upper=None) -> int:
+    """``value`` as a Python int in [lower, upper]; bool is refused, numpy integers are not."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+        if lower <= value and (upper is None or value <= upper):
+            return value
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        lower, f"an integer >= {lower}")
+    if upper is None:
+        limit = ""
+    elif upper >= 1 << 32 and upper & (upper + 1) == 0:  # 2**k - 1
+        limit = f" below 2**{upper.bit_length()}"
+    else:
+        limit = f" <= {upper}"
+    raise DomainError(f"{name} must be {kind}{limit}")
+
+
 def _check_theta_eps(theta, eps):
     return _positive_real(theta, "theta"), _positive_real(eps, "truncation eps", 1.0)
 
@@ -700,19 +713,6 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
         yield kept, locations[row, :cut + 1], total, tail
 
 
-def weight_as_lebesgue(series: WeightedAtomSeries) -> WeightedAtomSeries:
-    """Copy of the series with the flat-measure importance weight filled in.
-
-    The log weight is the total mass: e^{total mass} tilts the gamma law to
-    the flat one.
-    """
-    # Only log_weight is new and no check reads it, so the checked fields
-    # are shared, not validated again.
-    if not isinstance(series, WeightedAtomSeries):
-        raise DomainError("series must be a WeightedAtomSeries")
-    return _unchecked(WeightedAtomSeries, **{**vars(series), "log_weight": float(series.total_mass)})
-
-
 def apply_multiplicator(a: StepFunction, series: WeightedAtomSeries) -> WeightedAtomSeries:
     """Multiply each atom mass by a(location) and re-sort jointly by new mass.
 
@@ -768,7 +768,7 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     branch-free.
     """
     theta, eps = _check_theta_eps(theta, eps)
-    return _stick_rows(theta, eps, rows, gen)[:2]
+    return _stick_rows(theta, eps, _integer(rows, "rows"), gen)[:2]
 
 
 def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):

@@ -174,7 +174,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.9.0"
+    assert meta["version"] == "0.10.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -362,6 +362,14 @@ def test_estimators_at_large_theta_exit_0_or_2_in_bounded_memory(argv):
         proc = _run_capped(*argv, "--samples", samples)
         assert proc.returncode in codes, (samples, proc.stderr)
         assert "MemoryError" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_rows_outside_every_box_do_not_overflow():
+    # At weights 5000,5000 most totals overflow exp; those rows lie outside
+    # every box, and exponentiating them used to print "RuntimeWarning:
+    # overflow encountered in exp" on stderr.
+    proc = _run_capped("partition-sums", "--weights", "5000,5000", "--samples", "8")
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv, seed", [

@@ -111,6 +111,9 @@ def test_quad_charfun_scalar_and_array_forms_agree():
             sphere_charfun_quad(cfg, bad)
         with pytest.raises(DomainError):
             sphere_charfun_mc(cfg, bad, 100, RngStream(0))
+    # An empty s array used to draw every sample and return [].
+    with pytest.raises(DomainError, match="columns must be a positive integer"):
+        sphere_charfun_mc(cfg, np.array([]), 100, RngStream(0))
 
 
 def test_mc_charfun_array_matches_scalar_calls_bit_for_bit():
@@ -229,6 +232,52 @@ def test_convergence_table_shrinks_like_one_over_n():
 def test_convergence_table_validation():
     with pytest.raises(DomainError):
         mp_convergence_table(s_grid=np.array([-1.0, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [5.7, 2.5, True, np.float64(6.0), "5", 1])
+def test_gap_tables_refuse_a_dimension_that_is_not_an_integer_of_at_least_2(monkeypatch, bad):
+    # 5.7 used to be computed and labelled as n = 5, and 2.5 as n = 2.  The
+    # refusal comes before any draw, also when a good n comes first.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the dimension")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match="sphere dimension"):
+        charfun_gap_rows([0.5], [bad])
+    with pytest.raises(DomainError, match="sphere dimension"):
+        charfun_gap_rows([0.5], [3, bad], samples=100, rng=RngStream(0))
+    with pytest.raises(DomainError, match="sphere dimension"):
+        mp_convergence_table(n_list=(bad,))
+
+
+def test_gap_tables_take_numpy_integer_dimensions_as_python_ints():
+    rows = charfun_gap_rows([0.5], [np.int64(5), np.uint8(7)])
+    assert rows == charfun_gap_rows([0.5], [5, 7])
+    assert [type(row["n"]) for row in rows] == [int, int]
+    table = mp_convergence_table(n_list=np.array([5, 10]))
+    assert table == mp_convergence_table(n_list=(5, 10))
+    assert [type(row["n"]) for row in table] == [int, int]
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "100", -1, None])
+def test_gap_rows_refuse_a_sample_count_that_is_not_a_non_negative_integer(monkeypatch,
+                                                                         samples):
+    # 2.5 used to fail with TypeError.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the sample count")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match="samples must be a non-negative integer"):
+        charfun_gap_rows([0.5], [3], samples=samples, rng=RngStream(0))
+
+
+def test_convergence_table_is_the_sup_of_the_gap_rows_per_n():
+    s_grid = np.linspace(0.0, 3.0, 13)
+    table = mp_convergence_table(s_grid, n_list=(5, 3, 5))
+    assert [row["n"] for row in table] == [5, 3, 5]
+    for row in table:
+        assert row["sup_gap"] == max(r["gap"] for r in charfun_gap_rows(s_grid, [row["n"]]))
+    assert mp_convergence_table(s_grid, n_list=()) == []
 
 
 @pytest.mark.parametrize("s_grid", [[], np.empty(0)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from conicpd import (
     log_mean,
     mc_laplace,
     phi,
-    quasi_invariance_check,
     quasi_invariance_pairs,
     weighted_box_mass,
 )
@@ -365,7 +365,7 @@ def test_quasi_invariance_identity_and_mc():
     theta = 1.0
     a = halves(2.0, 0.5)              # zero log-mean: phi(a) = 1
     f = halves(1.5, 2.5)
-    rep = quasi_invariance_check(theta, a, f, n_samples=60_000, rng=RngStream(14))
+    (rep,) = quasi_invariance_pairs(theta, [(a, f)], n_samples=60_000, rng=RngStream(14))
     assert rep.analytic_residual <= 1e-14
     assert rep.phi_a == pytest.approx(1.0, abs=1e-14)
     assert rep.analytic_af == pytest.approx(rep.analytic_f, rel=1e-12)
@@ -377,7 +377,7 @@ def test_quasi_invariance_general_multiplicator():
     theta = 1.5
     a = halves(1.3, 0.9)
     f = halves(2.0, 1.2)
-    rep = quasi_invariance_check(theta, a, f, n_samples=60_000, rng=RngStream(15))
+    (rep,) = quasi_invariance_pairs(theta, [(a, f)], n_samples=60_000, rng=RngStream(15))
     assert abs(rep.phi_a - 1.0) > 0.05
     assert abs(rep.analytic_af * rep.phi_a - rep.analytic_f) <= 1e-14
     assert abs(rep.z_score) <= 4.0
@@ -391,7 +391,7 @@ _SEVENTY = StepFunction(np.linspace(0.0, 1.0, 71), 0.6 + np.random.default_rng(3
 @pytest.mark.parametrize("width, floor", [(1, 1 << 17), (3, 0)])
 def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, width, floor, streams, samples):
     # Every pair is estimated from the same draws on rng's own streams, so
-    # pair k's report is quasi_invariance_check's and its estimate
+    # pair k's report is that of the pair of one and its estimate
     # mc_laplace's, bit for bit: serially and with every pass split, across
     # a chunk boundary at 33 000 samples.  Constant products (the middle and
     # last pairs) skip the lookup; the 70-piece f takes the binary search.
@@ -411,7 +411,7 @@ def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, width, floor, st
     assert len(reports) == len(pairs)
     for (a, f), rep in zip(pairs, reports):
         assert rep.mc == mc_laplace(1.5, a * f, samples, rng, streams=streams)
-        assert rep == quasi_invariance_check(1.5, a, f, samples, rng, streams=streams)
+        assert [rep] == quasi_invariance_pairs(1.5, [(a, f)], samples, rng, streams=streams)
     with pytest.raises(InfiniteVarianceError):
         quasi_invariance_pairs(1.5, pairs + [(halves(0.5, 1.0), halves(1.0, 1.0))], samples,
                                rng, streams=streams)
@@ -474,6 +474,9 @@ def test_functional_window_refuses_an_empty_t_grid(monkeypatch):
     (lambda: weighted_box_mass(np.array([0.5, 1.5]), 1.0, 100, RngStream(0)), "PartitionSpec"),
     (lambda: weighted_box_mass(PartitionSpec(np.array([1.0])), 1.0, 100, RngStream(0),
                                eps=1.5), "eps"),
+    # No edge used to draw every sample and return [].
+    (lambda: weighted_box_mass(PartitionSpec(np.array([1.0])), [], 100, RngStream(0)),
+     "columns must be a positive integer"),
 ])
 def test_window_and_box_estimators_check_their_arguments_before_drawing(monkeypatch, call,
                                                                         match):
@@ -527,6 +530,30 @@ def test_functional_window_reports_are_frozen(monkeypatch, case, width):
     digest = hashlib.sha256(rep.estimates.tobytes() + rep.stderrs.tobytes()
                             + rep.z_scores.tobytes()).hexdigest()
     assert digest == _WINDOW_SHA256[case]
+
+
+def test_windows_exponentiate_only_the_rows_they_keep():
+    # At theta = 3000 most totals overflow exp; those rows lie outside every
+    # window, and exponentiating them used to print "overflow encountered in
+    # exp".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = functional_distribution_check(3000.0, StepFunction.constant(1.0), 1.0, 8,
+                                            RngStream(0))
+    assert np.all(np.isfinite(rep.estimates)) and np.all(np.isfinite(rep.stderrs))
+
+
+def test_window_weights_are_the_weights_of_every_row_masked():
+    from conicpd.laplace import _window_weights
+
+    gen = np.random.default_rng(5)
+    stat = gen.random(400) * 3.0
+    stat[::7] = np.nan
+    totals = gen.random(400) * 40.0
+    grid = np.array([0.5, 1.0, 2.0])
+    got = _window_weights(stat, grid, totals)
+    want = np.where(stat[:, None] <= grid[None, :], np.exp(totals)[:, None], 0.0)
+    assert got.shape == (400, 3) and got.tobytes() == want.tobytes()
 
 
 def test_functional_window_validation():

@@ -19,7 +19,6 @@ from conicpd import (
     box_mass_L,
     divergence_experiment,
     find_L_zero,
-    log_F_contour,
     log_F_contour_rows,
     semigroup_convolution_check,
     solve_saddle,
@@ -120,16 +119,16 @@ def test_contour_two_atom_case_is_bessel():
 def test_contour_independent_of_abscissa():
     for n, lam in ((2, 1.0), (3, 0.5), (5, 2.0)):
         gamma = solve_saddle(lam).gamma
-        base = log_F_contour(n, lam)
+        base = log_F_contour_rows([n], lam).log_F[0]
         for factor in (0.8, 1.0, 1.2, 1.5):
-            shifted = log_F_contour(n, lam, abscissa=factor * gamma)
+            shifted = log_F_contour_rows([n], lam, abscissa=factor * gamma).log_F[0]
             assert shifted == pytest.approx(base, abs=1e-8), (n, lam, factor)
 
 
 def test_contour_handles_large_n_without_overflow():
     # n L(2) ~ -87 at n = 60: the log route must stay finite.  The value
     # sits below n L by the ~2.6 half-log correction at this n.
-    val = log_F_contour(60, 2.0)
+    val = log_F_contour_rows([60], 2.0).log_F[0]
     assert math.isfinite(val)
     assert val == pytest.approx(60 * SADDLE_ANCHORS[2.0][1], abs=3.5)
 
@@ -140,7 +139,9 @@ def test_contour_validation():
     with pytest.raises(DomainError):
         F_contour(2, -1.0)
     with pytest.raises(DomainError):
-        log_F_contour(2, 1.0, abscissa=-0.3)
+        F_contour(2, 1.0, abscissa=-0.3)
+    with pytest.raises(DomainError):
+        log_F_contour_rows([2], 1.0, abscissa=-0.3)
 
 
 # --------------------------------------------------------------- direct route
@@ -308,8 +309,10 @@ def _rates(lam, schedule, ns):
 # refuse, and a value whose numpy scalars must give the Python number's result.
 _ARGUMENT_CASES = {
     "solve_saddle": (lambda x: solve_saddle(x).gamma, _REAL_BAD, 2.0),
-    "log_F_contour lambda": (lambda x: log_F_contour(3, x), _REAL_BAD, 2.0),
-    "contour abscissa": (lambda x: log_F_contour(3, 1.0, abscissa=x), _REAL_BAD, 2.0),
+    "log_F_contour_rows lambda": (lambda x: log_F_contour_rows([3], x).log_F[0], _REAL_BAD,
+                                  2.0),
+    "contour abscissa": (lambda x: log_F_contour_rows([3], 1.0, abscissa=x).log_F[0],
+                         _REAL_BAD, 2.0),
     "F_direct lambda": (lambda x: F_direct(2, x), _REAL_BAD, 2.0),
     "divergence lambda": (lambda x: _rates(x, RadiusSchedule("constant"), [2, 3]),
                           _REAL_BAD, 2.0),
@@ -319,7 +322,7 @@ _ARGUMENT_CASES = {
     "semigroup shape": (lambda x: semigroup_convolution_check(x, 1.5, z_grid=[1.0]),
                         _REAL_BAD, 2.0),
     "F_direct n": (lambda n: F_direct(n, 1.0), _INDEX_BAD, 2),
-    "log_F_contour n": (lambda n: log_F_contour(n, 1.0), _INDEX_BAD, 2),
+    "log_F_contour_rows n": (lambda n: log_F_contour_rows([n], 1.0).log_F[0], _INDEX_BAD, 2),
     "divergence ns": (lambda n: _rates(1.0, RadiusSchedule("constant"), [n]), _INDEX_BAD, 2),
 }
 
@@ -417,7 +420,7 @@ def test_contour_rows_equal_single_row_calls():
     ns = np.arange(1, 31)
     for lam in (0.01, 0.7, 5.0):
         rows = log_F_contour_rows(ns, lam)
-        single = np.array([log_F_contour(int(n), lam) for n in ns])
+        single = np.array([log_F_contour_rows([n], lam).log_F[0] for n in ns])
         assert np.allclose(rows.log_F, single, rtol=1e-12, atol=0.0), lam
         assert list(rows.ns) == list(ns)
 
@@ -426,7 +429,7 @@ def test_contour_rows_keep_input_order_and_repeats():
     rows = log_F_contour_rows([7, 2, 7, 40], 1.3)
     assert list(rows.ns) == [7, 2, 7, 40]
     assert rows.log_F[0] == rows.log_F[2]
-    assert rows.log_F[1] == pytest.approx(log_F_contour(2, 1.3), rel=1e-12)
+    assert rows.log_F[1] == pytest.approx(log_F_contour_rows([2], 1.3).log_F[0], rel=1e-12)
 
 
 def test_contour_rows_match_mpmath():
@@ -448,7 +451,7 @@ def test_contour_rows_diagnostics():
 
 
 def test_contour_returns_python_floats():
-    assert type(log_F_contour(3, 0.8)) is float
+    assert type(F_contour(3, 0.8)) is float
     sol = solve_saddle(0.8)
     assert all(type(v) is float for v in (sol.lam, sol.gamma, sol.L_value, sol.curvature))
     for row in L_limit_study(0.8, n_max=4).rows() + divergence_experiment(
@@ -463,9 +466,9 @@ def test_contour_far_off_saddle_raises_instead_of_cancelling():
     gamma = solve_saddle(1e3).gamma
     for factor in (0.5, 0.3):
         with pytest.raises(NumericalError):
-            log_F_contour(40, 1e3, abscissa=factor * gamma)
+            log_F_contour_rows([40], 1e3, abscissa=factor * gamma)
     # the saddle itself is fine
-    assert log_F_contour(40, 1e3) == pytest.approx(-40100.70873047634, rel=1e-12)
+    assert log_F_contour_rows([40], 1e3).log_F[0] == pytest.approx(-40100.70873047634, rel=1e-12)
 
 
 def test_contour_rows_validation():

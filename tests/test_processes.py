@@ -32,7 +32,6 @@ from conicpd import (
     sample_dirichlet_process,
     sample_gamma_process,
     series_from_record,
-    weight_as_lebesgue,
 )
 from conicpd import laplace, processes
 from conicpd.errors import DomainError
@@ -68,6 +67,57 @@ def test_rng_stream_validation():
         RngStream(-1)
     with pytest.raises(DomainError):
         RngStream(0, -2)
+
+
+@pytest.mark.parametrize("key", [(True,), (1, True), (np.bool_(True),), (2.0,), ("3",),
+                                 (2**64,), (0, 2**64), (None,)])
+def test_rng_stream_refuses_bool_and_non_integer_keys(key):
+    # True was taken as seed 1 until 0.10.0.
+    with pytest.raises(DomainError, match="seed|stream_id"):
+        RngStream(*key)
+
+
+@pytest.mark.parametrize("key, want", [
+    ((np.int64(5),), (5, 0)),
+    ((np.uint64(3),), (3, 0)),
+    ((np.int32(7), np.uint64(2**64 - 1)), (7, 2**64 - 1)),
+])
+def test_rng_stream_takes_numpy_integer_keys_as_python_ints(key, want):
+    # numpy integers were refused until 0.10.0.
+    stream = RngStream(*key)
+    assert stream == RngStream(*want)
+    assert type(stream.seed) is int and type(stream.stream_id) is int
+    assert np.array_equal(stream.generator().random(8), RngStream(*want).generator().random(8))
+
+
+@pytest.mark.parametrize("value, lower, upper, match", [
+    (True, 1, None, "n must be a positive integer$"),
+    (np.bool_(False), 0, None, "n must be a non-negative integer$"),
+    (2.0, 1, None, "positive integer"),
+    (0, 1, None, "positive integer"),
+    (1, 2, None, "n must be an integer >= 2$"),
+    (5, 1, 4, "n must be a positive integer <= 4$"),
+    (2**64, 0, 2**64 - 1, "n must be a non-negative integer below 2[*][*]64$"),
+    (-1, 0, 2**64 - 1, "below 2[*][*]64"),
+])
+def test_integer_refuses_bool_fractions_and_values_out_of_range(value, lower, upper, match):
+    with pytest.raises(DomainError, match=match):
+        processes._integer(value, "n", lower, upper)
+
+
+@pytest.mark.parametrize("rows", [2.5, True, 0, np.float64(3.0)])
+def test_batch_kernels_refuse_a_row_count_that_is_not_a_positive_integer(rows):
+    # 2.5 and True failed with TypeError inside numpy, and 0 with ValueError.
+    for kernel in (stick_masses_batch, gamma_batch):
+        with pytest.raises(DomainError, match="rows must be a positive integer"):
+            kernel(1.0, 1e-3, rows, RngStream(0).generator())
+
+
+def test_integer_returns_python_ints():
+    for value in (3, np.int8(3), np.uint64(3), np.int64(3)):
+        got = processes._integer(value, "n", 3, 3)
+        assert got == 3 and type(got) is int
+    assert processes._integer(2**64 - 1, "n", 0, 2**64 - 1) == 2**64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +236,22 @@ def test_gamma_totals_moments_and_sub_unit_shape():
 
 
 def test_lebesgue_weighting():
-    gen = RngStream(10).generator()
-    series = sample_gamma_process(1.0, EPS, gen)
-    assert series.log_weight == 0.0
-    weighted = weight_as_lebesgue(series)
-    assert weighted.log_weight == series.total_mass
+    # `sample --process lebesgue` writes the gamma draws with the flat-measure
+    # importance weight filled in: log_weight is the total mass.
+    from conicpd import cli
+
+    records = {}
+    for process in ("gamma", "lebesgue"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sample", "--theta", "1", "--seed", "10", "--process", process,
+                             "--samples", "4"]) == 0
+        records[process] = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+    assert len(records["lebesgue"]) == 4
+    for gamma, weighted in zip(records["gamma"], records["lebesgue"]):
+        assert gamma["log_weight"] == 0.0
+        assert weighted["log_weight"] == weighted["total_mass"] == gamma["total_mass"]
+        assert {**weighted, "log_weight": 0.0} == gamma
 
 
 @pytest.mark.parametrize("sticks, order", [
@@ -224,7 +285,7 @@ def test_sample_records_round_trip_to_the_stream_draws(process):
     for record in records:
         want = sampler(0.9, EPS, RngStream(11, record["stream_id"]))
         if process == "lebesgue":
-            want = weight_as_lebesgue(want)
+            want = dataclasses.replace(want, log_weight=want.total_mass)
         back = series_from_record({**record, "normalized": process == "dirichlet"})
         assert np.array_equal(back.masses, want.masses)
         assert np.array_equal(back.locations, want.locations)
@@ -701,6 +762,16 @@ def test_pooled_mean_refuses_before_any_draw(rng, chunk, match):
 
     with pytest.raises(DomainError, match=match):
         pooled_mean(100, rng, 1, kernel, chunk=chunk)
+
+
+@pytest.mark.parametrize("columns", [True, 2.0, 0, -1, None, "2"])
+def test_pooled_mean_refuses_a_column_count_that_is_not_a_positive_integer(columns):
+    # True and 2.0 used to fail with TypeError inside numpy.
+    def kernel(gen, rows):
+        raise AssertionError("drew before refusing")
+
+    with pytest.raises(DomainError, match="columns must be a positive integer"):
+        pooled_mean(100, RngStream(3), 1, kernel, columns=columns)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -1244,27 +1315,6 @@ def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Checked values are not checked again
-
-
-def test_lebesgue_copy_shares_the_checked_series(monkeypatch):
-    series = sample_gamma_process(0.9, EPS, RngStream(12).generator())
-
-    def refuse(_self):
-        raise AssertionError("a checked series was validated again")
-
-    monkeypatch.setattr(WeightedAtomSeries, "__post_init__", refuse)
-    weighted = weight_as_lebesgue(series)
-    assert isinstance(weighted, WeightedAtomSeries)
-    assert weighted.masses is series.masses and weighted.locations is series.locations
-    assert (weighted.total_mass, weighted.tail_bound, weighted.normalized) == (
-        series.total_mass, series.tail_bound, series.normalized)
-    assert weighted.log_weight == series.total_mass and series.log_weight == 0.0
-    with pytest.raises(DomainError):
-        weight_as_lebesgue(dict(vars(series)))
-
-
-# ---------------------------------------------------------------------------
 # Domain of theta and eps: bool is refused, numpy scalars are numbers
 
 _FLAT = StepFunction(np.array([0.0, 0.4, 1.0]), np.array([1.5, 0.9]))
@@ -1413,7 +1463,7 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
     sampler = sample_dirichlet_process if process == "dirichlet" else sample_gamma_process
     draw = sampler(theta, eps, RngStream(seed))
     if process == "lebesgue":
-        draw = weight_as_lebesgue(draw)
+        draw = dataclasses.replace(draw, log_weight=draw.total_mass)
     again = WeightedAtomSeries(**{f.name: getattr(draw, f.name) for f in dataclasses.fields(draw)})
     assert draw.normalized == (process == "dirichlet")
     for got, want in zip(_fields(draw), _fields(again)):
