@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, InfiniteVarianceError, NumericalError
 from .estimation import CHUNK_ROWS, stream_counts
-from .processes import RngStream, _batch_rows, _draw_rows
+from .processes import RngStream, _batch_rows, _draw_rows, _integer
 from .stepfn import StepFunction
 
 
@@ -233,8 +233,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, flag.dest)
         resolved[flag.dest] = file_values.get(flag.dest, flag.default) if value is None else value
     resolved["command"] = args.command
-    if resolved.get("seed", 0) < 0 or resolved.get("streams", 1) < 1:
-        raise DomainError("seed must be >= 0 and streams >= 1")
     return resolved
 
 
@@ -255,8 +253,8 @@ def _fmt(value):
 
 _SAMPLE_DRAW_COLS = ["total_mass", "tail_bound", "log_weight", "seed", "stream_id"]
 _SAMPLE_COLS = ["draw", "atom", "mass", "location"] + _SAMPLE_DRAW_COLS
-# Most first-block cells (rows x the first stick block's columns) that one
-# batch of `sample` draws holds, with at least one row.  It fixes which draws
+# Most stick-buffer cells (rows x the buffer's columns) that one batch of
+# `sample` draws holds, with at least one row.  It fixes which draws
 # share a stick pass, and so the output bytes: the meta line records it.
 SAMPLE_BATCH_CELLS = 1 << 18
 
@@ -352,9 +350,7 @@ def _run_invariance(cfg):
     explicit = bool(cfg["a"]) or bool(cfg["f"])
     if explicit and not (cfg["a"] and cfg["f"]):
         raise DomainError("invariance needs both --a and --f when either is given")
-    pair_count = 1 if explicit else cfg["pairs"]
-    if pair_count < 1:
-        raise DomainError("pairs must be a positive integer")
+    pair_count = 1 if explicit else _integer(cfg["pairs"], "pairs")
     config_gen = RngStream(cfg["seed"], 999_983).generator()
     if explicit:
         pairs = [(parse_step_function(cfg["a"]), parse_step_function(cfg["f"]))]
@@ -430,8 +426,7 @@ def _run_mp_demo(cfg):
         raise DomainError(f"--spoints x dimensions = {cfg['spoints'] * len(dims)} rows exceeds "
                           f"the {MP_DEMO_ROWS}-row mp-demo table; lower --spoints")
     s_grid = np.linspace(0.0, cfg["smax"], cfg["spoints"])
-    rng = RngStream(cfg["seed"]) if cfg["samples"] > 0 else None
-    rows = charfun_gap_rows(s_grid, dims, samples=cfg["samples"], rng=rng,
+    rows = charfun_gap_rows(s_grid, dims, samples=cfg["samples"], rng=RngStream(cfg["seed"]),
                             streams=cfg["streams"])
     return ["n", "s", "quad", "mc", "stderr", "gauss", "gap"], rows
 

@@ -11,7 +11,7 @@ semigroup property in the total weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,17 +26,14 @@ class PartitionSpec:
     """Positive weight vector theta_1..theta_n; ``theta`` is their sum."""
 
     weights: np.ndarray
-    theta: float = 0.0
+    theta: float = field(init=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise DomainError("partition weights must be a non-empty vector of positive reals")
-        total = float(w.sum())
-        if self.theta and abs(self.theta - total) > 1e-12 * max(1.0, abs(total)):
-            raise DomainError("declared theta does not match the sum of the weights")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "theta", total)
+        object.__setattr__(self, "theta", float(w.sum()))
 
     @property
     def n(self) -> int:
@@ -139,23 +136,19 @@ def lemma1_pointwise_check(spec: PartitionSpec, point) -> float:
     return abs(lhs - rhs)
 
 
-def semigroup_convolution_check(theta1: float, theta2: float, z_grid=None) -> float:
+def semigroup_convolution_check(theta1: float, theta2: float) -> float:
     """Max deviation of (L_theta1 * L_theta2)(z) from L_(theta1+theta2)(z) on a grid.
 
-    The convolution side is adaptive quadrature of the kernel
-    x^{theta1-1} (z-x)^{theta2-1} with the algebraic-endpoint rule, so the
-    sub-unit shapes are handled without manual subtraction of singularities.
+    The grid is 20 evenly spaced points z in [0.25, 5].  The convolution
+    side is adaptive quadrature of the kernel x^{theta1-1} (z-x)^{theta2-1}
+    with the algebraic-endpoint rule, so the sub-unit shapes are handled
+    without manual subtraction of singularities.
     """
     t1, t2 = _positive_real(theta1, "shape theta1"), _positive_real(theta2, "shape theta2")
-    if z_grid is None:
-        z_grid = np.linspace(0.25, 5.0, 20)
-    z_grid = np.asarray(z_grid, dtype=float)
-    if np.any(z_grid <= 0.0):
-        raise DomainError("convolution grid points must be positive")
     from scipy import integrate   # only this check integrates; keeps it off the CLI start-up
     log_norm = float(gammaln(t1) + gammaln(t2))
     worst = 0.0
-    for z in z_grid:
+    for z in np.linspace(0.25, 5.0, 20):
         raw, _ = integrate.quad(
             lambda _x: 1.0, 0.0, z, weight="alg", wvar=(t1 - 1.0, t2 - 1.0),
             epsabs=1e-13, epsrel=1e-12, limit=200,

@@ -14,7 +14,6 @@ battery checks the convergence table for a shrinking sup-gap.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +31,16 @@ _BLOCK_CELLS = 1 << 22
 
 @dataclass(frozen=True)
 class SphereConfig:
-    """Dimension and radius of the sphere; radius defaults to sqrt(n)."""
+    """Dimension n >= 2 of the sphere, whose radius is sqrt(n)."""
 
     n: int
-    radius: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "n", processes._integer(self.n, "sphere dimension", lower=2))
-        r = self.radius
-        if isinstance(r, numbers.Real) and not isinstance(r, bool) and r == 0.0:
-            r = math.sqrt(self.n)
-        object.__setattr__(self, "radius", processes._positive_real(r, "sphere radius"))
+
+    @property
+    def radius(self) -> float:
+        return math.sqrt(self.n)
 
 
 def gaussian_charfun(s_norm: float) -> float:
@@ -157,6 +155,8 @@ def sphere_charfun_mc(cfg: SphereConfig, s_norm, n_samples: int,
     from the same draws, each as the scalar call would give it.
     """
     s = _check_s(s_norm)
+    if s.size == 0:
+        raise DomainError("a characteristic function needs at least one s")
     k = np.atleast_1d(s) * cfg.radius
 
     def kernel(gen, rows):
@@ -193,14 +193,13 @@ def sphere_charfun_mc_vector(cfg: SphereConfig, s_vec, n_samples: int,
     return result
 
 
-def mp_convergence_table(s_grid=None, n_list=(5, 10, 20, 50, 100, 200)) -> list[dict]:
-    """Sup over the s grid of |sphere charfun - Gaussian charfun| for each n."""
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 3.0, 61)
-    width = np.size(s_grid)
-    if width == 0:
-        raise DomainError("the s grid of a sup needs at least one point")
-    rows = charfun_gap_rows(s_grid, n_list)
+def mp_convergence_table() -> list[dict]:
+    """Sup over 61 points s in [0, 3] of |sphere charfun - Gaussian charfun|, per n.
+
+    The dimensions are n = 5, 10, 20, 50, 100 and 200.
+    """
+    width = 61
+    rows = charfun_gap_rows(np.linspace(0.0, 3.0, width), (5, 10, 20, 50, 100, 200))
     return [{"n": rows[i]["n"], "sup_gap": max(r["gap"] for r in rows[i:i + width])}
             for i in range(0, len(rows), width)]
 
@@ -218,6 +217,7 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
     """
     s_grid = _check_s(s_grid).ravel()
     samples = processes._integer(samples, "samples", lower=0)
+    streams = processes._integer(streams, "stream count")
     if samples > 0 and rng is None:
         raise DomainError("Monte Carlo columns need an RngStream")
     configs = [SphereConfig(n=n) for n in n_list]

@@ -200,11 +200,12 @@ class FunctionalWindowReport:
 
 def functional_distribution_check(theta: float, f: StepFunction, b: float,
                                   n_samples: int, rng: RngStream, *,
-                                  t_grid=None, eps: float = TRUNCATION_EPS,
+                                  eps: float = TRUNCATION_EPS,
                                   streams: int = 1) -> FunctionalWindowReport:
     """Compare the weighted law of <f, xi> below b with e^{-c(f)} t^theta / Gamma(theta+1).
 
-    The indicator window keeps the weighted integrand bounded (total mass is at
+    The law is read at the eight points t = b/8, 2b/8, ..., b.  The
+    indicator window keeps the weighted integrand bounded (total mass is at
     most t / min f on the event), so the estimator has finite variance for any
     positive step function.  The arguments are checked before anything is
     drawn.
@@ -215,13 +216,7 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     b = _positive_real(b, "window bound b")
-    if t_grid is None:
-        t_grid = np.linspace(b / 8.0, b, 8)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise DomainError("the t grid of a window needs at least one point")
-    if not np.all((t_grid > 0.0) & (t_grid <= b)):
-        raise DomainError("t grid must lie in (0, b]")
+    t_grid = np.linspace(b / 8.0, b, 8)
 
     def kernel(gen, rows):
         masses, _tails = stick_masses_batch(theta, eps, rows, gen)
@@ -258,6 +253,8 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
     _check_theta_eps(spec.theta, eps)
     b_arr = np.array([_positive_real(b, "box edge b")
                       for b in (b_values if np.ndim(b_values) else [b_values])], dtype=float)
+    if b_arr.size == 0:
+        raise DomainError("a box mass needs at least one box edge b")
 
     def kernel(gen, rows):
         masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -247,9 +246,12 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
     )
 
 
-def F_contour(n: int, lam: float, abscissa: float | None = None) -> float:
-    """F_n(lambda) from the contour: one row of :func:`log_F_contour_rows`, exponentiated."""
-    return math.exp(log_F_contour_rows([n], lam, abscissa).log_F[0])
+def F_contour(n: int, lam: float) -> float:
+    """F_n(lambda) from the contour through the saddle, on the linear scale.
+
+    It is one row of :func:`log_F_contour_rows`, exponentiated.
+    """
+    return math.exp(log_F_contour_rows([n], lam).log_F[0])
 
 
 def F_direct(n: int, lam: float) -> float:
@@ -363,12 +365,12 @@ def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     )
 
 
-def find_L_zero(lo: float = 0.5, hi: float = 1.5) -> float:
-    """Bisection for the unique lambda where L crosses zero (L is strictly decreasing)."""
-    f_lo = solve_saddle(lo).L_value
-    f_hi = solve_saddle(hi).L_value
-    if not (f_lo > 0.0 > f_hi):
-        raise DomainError("bracket does not straddle the zero of L")
+def find_L_zero() -> float:
+    """Bisection for the unique lambda where L crosses zero (L is strictly decreasing).
+
+    The bracket is [0.5, 1.5]: L(0.5) > 0 > L(1.5), and the zero lies near 0.918.
+    """
+    lo, hi = 0.5, 1.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if solve_saddle(mid).L_value > 0.0:
@@ -382,28 +384,21 @@ def find_L_zero(lo: float = 0.5, hi: float = 1.5) -> float:
 
 @dataclass(frozen=True)
 class RadiusSchedule:
-    """Radius sequence r_n: constant, c * sqrt(n), or a custom positive function."""
+    """Radius sequence r_n: the constant c, or c * sqrt(n)."""
 
     kind: str
     scale: float = 1.0
-    fn: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sqrt_n", "custom"):
-            raise DomainError("schedule kind must be constant, sqrt_n or custom")
+        if self.kind not in ("constant", "sqrt_n"):
+            raise DomainError("schedule kind must be constant or sqrt_n")
         object.__setattr__(self, "scale", _positive_real(self.scale, "schedule scale"))
-        if self.kind == "custom" and self.fn is None:
-            raise DomainError("custom schedules need a callable fn")
 
     def radius(self, n: int) -> float:
-        if self.kind == "constant":
-            r = self.scale
-        elif self.kind == "sqrt_n":
-            r = self.scale * math.sqrt(n)
-        else:
-            r = float(self.fn(n))
+        r = self.scale if self.kind == "constant" else self.scale * math.sqrt(n)
         if not (math.isfinite(r) and r > 0.0):
-            raise DomainError(f"schedule produced a non-positive radius at n={n}")
+            raise DomainError(f"schedule produced a radius that is not a finite positive real "
+                              f"at n={n}")
         return r
 
 
@@ -428,7 +423,7 @@ class DivergenceTable:
         return _table_rows(self.lam, self.ns, self.radii, self.gammas, self.limits, self.rates)
 
 
-def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> DivergenceTable:
+def divergence_experiment(lam: float, schedule: RadiusSchedule, ns) -> DivergenceTable:
     """Track (log D_n)/n for f = const lambda along a radius schedule.
 
     For a constant schedule the rate tends to L(lambda r), which is nonzero
@@ -439,7 +434,7 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns=None) -> Dive
     one contour grid.
     """
     lam = _positive_real(lam, "lambda")
-    ns = _check_ns(np.arange(2, 41) if ns is None else ns)
+    ns = _check_ns(ns)
     radii = np.array([schedule.radius(n) for n in ns.tolist()])
     args = lam * radii
     log_f, limits, gammas, errors, nodes = (np.empty(ns.size) for _ in range(5))

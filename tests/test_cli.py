@@ -174,7 +174,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.10.0"
+    assert meta["version"] == "0.11.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -941,6 +941,8 @@ def test_streams_that_draw_nothing_are_not_walked(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["sample", "--seed", str(2**64)],
     ["laplace", "--f", "2@0:1", "--samples", "3", "--seed", str(2**64)],
+    # Without Monte Carlo columns this used to exit 0 and print the seed.
+    ["mp-demo", "--samples", "0", "--seed", str(2**64)],
 ])
 def test_seeds_and_streams_past_64_bits_exit_2(capsys, argv):
     # Philox keys are two 64-bit words.
@@ -1134,8 +1136,30 @@ def test_help_lists_exactly_the_spec_flags(capsys, command):
 
 
 def test_negative_seed_rejected(capsys):
+    # The library's check of the seed, not one of the CLI's own.
     code, out, err = run_cli(capsys, ["laplace", "--f", "2@0:1", "--seed", "-3"])
-    assert code == 2 and out == "" and "seed must be >= 0" in err
+    assert code == 2 and out == ""
+    assert "seed must be a non-negative integer below 2**64" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
+    (["invariance", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
+    (["partition-sums", "--weights", "1", "--seed", "-1"],
+     "seed must be a non-negative integer below 2**64"),
+    (["mp-demo", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
+    (["sample", "--streams", "0"], "stream count must be a positive integer"),
+    (["laplace", "--f", "2@0:1", "--streams", "0"], "stream count must be a positive integer"),
+    (["invariance", "--streams", "0"], "stream count must be a positive integer"),
+    (["partition-sums", "--weights", "1", "--streams", "0"],
+     "stream count must be a positive integer"),
+    # Without Monte Carlo columns mp-demo used to accept any stream count.
+    (["mp-demo", "--streams", "0"], "stream count must be a positive integer"),
+    (["invariance", "--pairs", "0"], "pairs must be a positive integer"),
+])
+def test_seeds_streams_and_pairs_are_checked_by_the_library(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and message in err
 
 
 @pytest.mark.parametrize("command", ["mellin", "saddle", "divergence", "box-mass"])

@@ -28,9 +28,9 @@ def test_partition_spec_totals():
 
 
 def test_partition_spec_declared_theta_must_match():
-    PartitionSpec(np.array([1.0, 1.0]), theta=2.0)  # consistent: fine
-    with pytest.raises(DomainError):
-        PartitionSpec(np.array([1.0, 1.0]), theta=2.5)
+    # theta is the sum of the weights; it cannot be declared.
+    with pytest.raises(TypeError):
+        PartitionSpec(np.array([1.0, 1.0]), theta=2.0)
     with pytest.raises(DomainError):
         PartitionSpec(np.array([1.0, -1.0]))
 

@@ -21,22 +21,16 @@ from conicpd.gaussian import _sphere_coordinate, sphere_charfun_mc_vector
 
 
 def test_sphere_config_defaults_and_validation():
-    cfg = SphereConfig(n=9)
-    assert cfg.radius == 3.0
-    assert SphereConfig(n=4, radius=1.5).radius == 1.5
+    assert SphereConfig(n=9).radius == 3.0
+    for n in (2, 5, 200):
+        assert SphereConfig(n=n).radius == math.sqrt(n)
     with pytest.raises(DomainError):
         SphereConfig(n=1)
     with pytest.raises(DomainError):
-        SphereConfig(n=3, radius=-1.0)
-    with pytest.raises(DomainError):
-        SphereConfig(n=2.5, radius=1.0)
-    # Zero means the default sqrt(n); bool and text are refused, numpy
-    # scalars are numbers.
-    assert SphereConfig(n=4, radius=0).radius == SphereConfig(n=4, radius=0.0).radius == 2.0
-    assert SphereConfig(n=4, radius=np.float32(1.5)).radius == 1.5
-    for bad in (True, False, np.bool_(True), "2", None, float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="sphere radius must be a positive real"):
-            SphereConfig(n=3, radius=bad)
+        SphereConfig(n=2.5)
+    # The radius is sqrt(n); it cannot be set.
+    with pytest.raises(TypeError):
+        SphereConfig(n=4, radius=1.5)
 
 
 def test_gaussian_charfun_values():
@@ -111,8 +105,9 @@ def test_quad_charfun_scalar_and_array_forms_agree():
             sphere_charfun_quad(cfg, bad)
         with pytest.raises(DomainError):
             sphere_charfun_mc(cfg, bad, 100, RngStream(0))
-    # An empty s array used to draw every sample and return [].
-    with pytest.raises(DomainError, match="columns must be a positive integer"):
+    # An empty s array used to draw every sample and return [], and then was
+    # refused only by pooled_mean's column check.
+    with pytest.raises(DomainError, match="at least one s"):
         sphere_charfun_mc(cfg, np.array([]), 100, RngStream(0))
 
 
@@ -229,11 +224,6 @@ def test_convergence_table_shrinks_like_one_over_n():
     assert -1.4 < slope < -0.6
 
 
-def test_convergence_table_validation():
-    with pytest.raises(DomainError):
-        mp_convergence_table(s_grid=np.array([-1.0, 0.5]))
-
-
 @pytest.mark.parametrize("bad", [5.7, 2.5, True, np.float64(6.0), "5", 1])
 def test_gap_tables_refuse_a_dimension_that_is_not_an_integer_of_at_least_2(monkeypatch, bad):
     # 5.7 used to be computed and labelled as n = 5, and 2.5 as n = 2.  The
@@ -246,17 +236,12 @@ def test_gap_tables_refuse_a_dimension_that_is_not_an_integer_of_at_least_2(monk
         charfun_gap_rows([0.5], [bad])
     with pytest.raises(DomainError, match="sphere dimension"):
         charfun_gap_rows([0.5], [3, bad], samples=100, rng=RngStream(0))
-    with pytest.raises(DomainError, match="sphere dimension"):
-        mp_convergence_table(n_list=(bad,))
 
 
 def test_gap_tables_take_numpy_integer_dimensions_as_python_ints():
     rows = charfun_gap_rows([0.5], [np.int64(5), np.uint8(7)])
     assert rows == charfun_gap_rows([0.5], [5, 7])
     assert [type(row["n"]) for row in rows] == [int, int]
-    table = mp_convergence_table(n_list=np.array([5, 10]))
-    assert table == mp_convergence_table(n_list=(5, 10))
-    assert [type(row["n"]) for row in table] == [int, int]
 
 
 @pytest.mark.parametrize("samples", [2.5, True, "100", -1, None])
@@ -272,19 +257,31 @@ def test_gap_rows_refuse_a_sample_count_that_is_not_a_non_negative_integer(monke
 
 
 def test_convergence_table_is_the_sup_of_the_gap_rows_per_n():
-    s_grid = np.linspace(0.0, 3.0, 13)
-    table = mp_convergence_table(s_grid, n_list=(5, 3, 5))
-    assert [row["n"] for row in table] == [5, 3, 5]
+    s_grid = np.linspace(0.0, 3.0, 61)
+    table = mp_convergence_table()
+    assert [row["n"] for row in table] == [5, 10, 20, 50, 100, 200]
+    assert all(type(row["n"]) is int for row in table)
     for row in table:
         assert row["sup_gap"] == max(r["gap"] for r in charfun_gap_rows(s_grid, [row["n"]]))
-    assert mp_convergence_table(s_grid, n_list=()) == []
 
 
 @pytest.mark.parametrize("s_grid", [[], np.empty(0)])
-def test_convergence_table_rejects_an_empty_grid(s_grid):
-    with pytest.raises(DomainError, match="at least one point"):
-        mp_convergence_table(s_grid=s_grid, n_list=(5,))
+def test_gap_rows_of_an_empty_grid_are_empty(s_grid):
     assert charfun_gap_rows(s_grid, [5]) == []
+
+
+@pytest.mark.parametrize("streams", [True, 0, "x", 2.5])
+def test_gap_rows_refuse_a_stream_count_that_is_not_a_positive_integer(monkeypatch, streams):
+    # Without Monte Carlo columns the stream count was never looked at, so
+    # these were accepted at samples = 0.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the stream count")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(DomainError, match="stream count must be a positive integer"):
+        charfun_gap_rows([0.5], [3], streams=streams)
+    with pytest.raises(DomainError, match="stream count must be a positive integer"):
+        charfun_gap_rows([0.5], [3], samples=100, rng=RngStream(0), streams=streams)
 
 
 def test_gap_rows_schema_and_determinism():
