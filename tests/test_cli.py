@@ -1135,26 +1135,27 @@ def test_help_lists_exactly_the_spec_flags(capsys, command):
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == spec_flags | {"--help"}
 
 
+_BAD_SEED = "seed must be a non-negative integer below 2**64"
+_BAD_STREAMS = "stream count must be a positive integer"
+
+
 def test_negative_seed_rejected(capsys):
     # The library's check of the seed, not one of the CLI's own.
     code, out, err = run_cli(capsys, ["laplace", "--f", "2@0:1", "--seed", "-3"])
-    assert code == 2 and out == ""
-    assert "seed must be a non-negative integer below 2**64" in err
+    assert code == 2 and out == "" and _BAD_SEED in err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sample", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
-    (["invariance", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
-    (["partition-sums", "--weights", "1", "--seed", "-1"],
-     "seed must be a non-negative integer below 2**64"),
-    (["mp-demo", "--seed", "-1"], "seed must be a non-negative integer below 2**64"),
-    (["sample", "--streams", "0"], "stream count must be a positive integer"),
-    (["laplace", "--f", "2@0:1", "--streams", "0"], "stream count must be a positive integer"),
-    (["invariance", "--streams", "0"], "stream count must be a positive integer"),
-    (["partition-sums", "--weights", "1", "--streams", "0"],
-     "stream count must be a positive integer"),
+    (["sample", "--seed", "-1"], _BAD_SEED),
+    (["invariance", "--seed", "-1"], _BAD_SEED),
+    (["partition-sums", "--weights", "1", "--seed", "-1"], _BAD_SEED),
+    (["mp-demo", "--seed", "-1"], _BAD_SEED),
+    (["sample", "--streams", "0"], _BAD_STREAMS),
+    (["laplace", "--f", "2@0:1", "--streams", "0"], _BAD_STREAMS),
+    (["invariance", "--streams", "0"], _BAD_STREAMS),
+    (["partition-sums", "--weights", "1", "--streams", "0"], _BAD_STREAMS),
     # Without Monte Carlo columns mp-demo used to accept any stream count.
-    (["mp-demo", "--streams", "0"], "stream count must be a positive integer"),
+    (["mp-demo", "--streams", "0"], _BAD_STREAMS),
     (["invariance", "--pairs", "0"], "pairs must be a positive integer"),
 ])
 def test_seeds_streams_and_pairs_are_checked_by_the_library(capsys, argv, message):
