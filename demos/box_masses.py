@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sigma-finite box masses: Monte Carlo with e^{total} weights vs closed form.
 
-Marking each atom of a weight-theta draw with part i at probability
-theta_i / theta and summing per part gives the finite-dimensional projections
-of the flat measure.  Their mass on the box [0,b]^n is the product of
-b^{theta_i} / Gamma(theta_i + 1) -- a quantity larger than any probability
-could be once b grows, which is the sigma-finiteness on display.
+Splitting the atoms of a weight-theta draw by location, part i taking those
+in a piece of [0, 1) of width theta_i / theta, and summing per part gives the
+finite-dimensional projections of the flat measure.  Their mass on the box
+[0,b]^n is the product of b^{theta_i} / Gamma(theta_i + 1) -- a quantity
+larger than any probability could be once b grows, which is the
+sigma-finiteness on display.
 """
 
 import numpy as np

@@ -42,13 +42,18 @@ class PartitionSpec:
     def probabilities(self) -> np.ndarray:
         return self.weights / self.theta
 
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The parts' pieces of [0, 1): 0, the cumulative probabilities but the last, and 1."""
+        return np.r_[0.0, np.cumsum(self.probabilities())[:-1], 1.0]
+
     def marks(self, u) -> np.ndarray:
         """Part index of each uniform u in [0, 1): i with probability theta_i / theta.
 
-        Only the inner cuts are compared, so a u above a last cumulative
+        Only the inner breakpoints are compared, so a u above a last cumulative
         probability that rounds below 1 still lands in the last part.
         """
-        return _piece_index(np.cumsum(self.probabilities())[:-1], u)
+        return _piece_index(self.breakpoints[1:-1], u)
 
 
 def _check_vector(point, n, name):

@@ -218,8 +218,10 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
     s_grid = _check_s(s_grid).ravel()
     samples = processes._integer(samples, "samples", lower=0)
     streams = processes._integer(streams, "stream count")
-    if samples > 0 and rng is None:
+    if rng is None and samples > 0:
         raise DomainError("Monte Carlo columns need an RngStream")
+    if rng is not None and not isinstance(rng, RngStream):
+        raise DomainError("rng must be an RngStream")
     configs = [SphereConfig(n=n) for n in n_list]
     block = _BLOCK_CELLS // min(CHUNK_ROWS, max(samples, 1))
     rows = []

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean, stream_counts
@@ -32,10 +33,9 @@ from .processes import (
     _positive_real,
     _scratch,
     _skip_uniforms,
-    gamma_batch,
     stick_masses_batch,
 )
-from .stepfn import StepFunction
+from .stepfn import StepFunction, _common_grid, _piece_index
 
 TRUNCATION_EPS = 1e-10
 
@@ -66,7 +66,8 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     _check_variance(f, allow_infinite_variance)
-    (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, [f], eps))
+    kernel = _kernel(theta, eps, *_common_grid([f]), _laplace_weights)
+    (result,) = pooled_mean(n_samples, rng, streams, kernel)
     return result
 
 
@@ -78,59 +79,71 @@ def _check_variance(f, allow_infinite_variance=False):
         )
 
 
-def _laplace_kernel(theta, fs, eps):
-    """Estimator kernel of Psi(f) for each f of ``fs``: exp(total * (1 - <f, P>)) per draw.
+def _kernel(theta, eps, grid, values, finish, fold=None):
+    """The one kernel of every estimator: ``finish(pairing, totals)`` per draw.
 
-    One draw serves every f: column k of the F-ordered (rows, len(fs))
-    output is f_k's, the same floats as a kernel of f_k alone.  The draws
-    are ``gamma_batch``'s, without its location matrix.
+    Four steps on ``gamma_batch``'s draws: the stick pass, one streamed
+    pairing of the atoms' locations with the piece ``grid`` and value table
+    ``values`` (``_pairing``, which folds the columns with ``fold`` if one is
+    given), the gamma totals, and ``finish``.  Column k of the pairing is
+    <f_k, P> for the step function f_k whose values column k holds; with an
+    identity table it is the normalized mass of the atoms in piece k.
     """
     def kernel(gen, rows):
         masses, _tails = stick_masses_batch(theta, eps, rows, gen)
-        pairing = _pairing(masses, fs, gen)
-        np.subtract(1.0, pairing, out=pairing)
-        pairing *= _gamma_totals(theta, rows, gen)[:, None]
-        return np.exp(pairing, out=pairing)
+        pairing = _pairing(masses, grid, values, gen, fold)
+        return finish(pairing, _gamma_totals(theta, rows, gen))
 
     return kernel
 
 
-def _pairing(masses, fs, gen):
-    """<f, P> per row and per f of ``fs``: an F-ordered (rows, len(fs)) array.
+def _laplace_weights(pairing, totals):
+    """Integrand of Psi(f) per draw and f: exp(total * (1 - <f, P>)), formed in ``pairing``."""
+    np.subtract(1.0, pairing, out=pairing)
+    pairing *= totals[:, None]
+    return np.exp(pairing, out=pairing)
 
-    Each row of ``masses`` is paired with every f at its draw's locations:
-    the (rows, K) uniforms that follow the sticks in ``gen``, as
-    ``gamma_batch`` draws them.  They are drawn row block by row block into
-    scratch and reduced at once, so no location or f-value matrix exists; if
-    every f is constant none of them is read, and ``gen`` skips them.
-    Either way ``gen`` ends where ``gamma_batch``'s draw leaves it, and
-    column k holds the floats ``(masses * f_k(locations)).sum(axis=1)``
-    gives.  The last f's products overwrite the block's uniforms or, for a
-    constant f, ``masses``; the others' go to scratch of their own, since a
-    later f still reads both.
+
+def _pairing(masses, grid, values, gen, fold=None):
+    """Each row's masses summed against each column at the atoms: an F-ordered (rows, columns).
+
+    The atoms' locations are the (rows, K) uniforms that follow the sticks
+    in ``gen``, as ``gamma_batch`` draws them; piece j of ``grid``, the
+    breakpoints from 0 to 1, gives column k the value values[j, k].  Each
+    row block of uniforms is drawn into scratch and finds its pieces once;
+    each column is then taken, multiplied by the masses and summed in the
+    block's cells, so no location, value or product matrix exists.  A grid
+    of one piece reads no location, and ``gen`` skips them.  Either way
+    ``gen`` ends where ``gamma_batch`` leaves it, and column k holds the
+    floats of ``(masses * values[pieces, k]).sum(axis=1)``, ``pieces`` being
+    the locations' piece indices: for a step function f's column,
+    ``(masses * f(locations)).sum(axis=1)``'s.  A ``fold``, such as
+    np.maximum, folds each block's column sums into one column that starts
+    at 0, as they are formed: (rows, 1), however many columns there are.
     """
     rows, cols = masses.shape
-    pairing = np.empty((rows, len(fs)), order="F")
-    lookup = any(f.values.size > 1 for f in fs)
-    if not lookup:
+    edges = grid[1:-1]
+    pairing = np.empty((rows, values.shape[1]), order="F") if fold is None else np.zeros((rows, 1))
+    if not edges.size:
         _skip_uniforms(gen, masses.size)
-    last = len(fs) - 1
 
     def integrand(lo, hi, u):
         block = masses[lo:hi]
-        for k, f in enumerate(fs):
-            if f.values.size == 1:
-                # The lookup is skipped; the products are the same floats.
-                out = block if k == last else _scratch("products", block.shape)
-                products = np.multiply(block, f.values[0], out=out)
+        # Uniforms lie in [0, 1), so no domain check is needed; once their
+        # pieces are found, the products go to their cells.
+        index = None if u is None else _piece_index(edges, u)
+        out = _scratch("block", block.shape) if u is None else u
+        for k, column in enumerate(values.T):
+            # take() gathers the same floats as column[index], without first
+            # widening _piece_index's uint8 counts.
+            factor = column[0] if index is None else np.take(column, index, out=out, mode="clip")
+            products = np.multiply(block, factor, out=out)
+            if fold is None:
+                products.sum(axis=1, out=pairing[lo:hi, k])
             else:
-                # Uniforms lie in [0, 1), so f is read without its domain
-                # check; its values, and then the products, go to ``out``.
-                out = u if k == last else _scratch("products", block.shape)
-                products = np.multiply(block, f._at(u, out=out), out=out)
-            products.sum(axis=1, out=pairing[lo:hi, k])
+                fold(pairing[lo:hi, 0], products.sum(axis=1), out=pairing[lo:hi, 0])
 
-    _by_rows(rows, cols, integrand, gen if lookup else None)
+    _by_rows(rows, cols, integrand, gen if edges.size else None)
     return pairing
 
 
@@ -173,7 +186,7 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
     if not exact:
         return []
 
-    kernel = _laplace_kernel(theta, [af for af, *_ in exact], eps)
+    kernel = _kernel(theta, eps, *_common_grid([af for af, *_ in exact]), _laplace_weights)
     estimates = pooled_mean(n_samples, rng, streams, kernel, columns=len(exact))
     reports = []
     for (_af, cocycle, value_f, value_af), mc in zip(exact, estimates):
@@ -218,13 +231,8 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     b = _positive_real(b, "window bound b")
     t_grid = np.linspace(b / 8.0, b, 8)
 
-    def kernel(gen, rows):
-        masses, _tails = stick_masses_batch(theta, eps, rows, gen)
-        pairing = _pairing(masses, [f], gen)
-        totals = _gamma_totals(theta, rows, gen)
-        pairing *= totals[:, None]
-        return _window_weights(pairing[:, 0], t_grid, totals)
-
+    kernel = _kernel(theta, eps, *_common_grid([f]), lambda pairing, totals: _window_weights(
+        pairing[:, 0] * totals, t_grid, totals))
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)
     c_f = log_mean(f, theta)
     exact = np.exp(-c_f + theta * np.log(t_grid) - gammaln(theta + 1.0))
@@ -241,10 +249,13 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
                       eps: float = TRUNCATION_EPS, streams: int = 1) -> list[EstimatorResult]:
     """Weighted mass of the box [0, b]^n under independent splitting of the atoms.
 
-    One batch of draws serves every requested b: the kernel marks each atom
-    with part i with probability theta_i / theta, forms the part sums, and
-    weights the all-parts-below-b indicator by e^{total mass}.  ``spec``,
-    ``eps``, the edges and the counts are checked before anything is drawn.
+    One batch of draws serves every requested b.  The parts are the pieces
+    of [0, 1) between ``spec.breakpoints``, so an atom falls in part i, with
+    probability theta_i / theta, where its location lies: the kernel pairs
+    the masses with an identity table on that grid, keeping only each row's
+    largest part as it goes, scales it by the draw's total, and weights the
+    all-parts-below-b indicator by e^{total mass}.  ``spec``, ``eps``, the
+    edges and the counts are checked before anything is drawn.
     """
     from .densities import PartitionSpec   # scipy comes with it; keeps it off the CLI start-up
 
@@ -256,23 +267,10 @@ def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
     if b_arr.size == 0:
         raise DomainError("a box mass needs at least one box edge b")
 
-    def kernel(gen, rows):
-        masses, _locations, totals, _tails = gamma_batch(spec.theta, eps, rows, gen,
-                                                         locations=False)
-        largest_part = np.zeros(rows)
-
-        def part_sums(lo, hi, u):
-            marks = spec.marks(u)
-            scaled = np.multiply(masses[lo:hi], totals[lo:hi, None], out=masses[lo:hi])
-            largest = largest_part[lo:hi]
-            for i in range(spec.n):
-                part = np.where(marks == i, scaled, 0.0).sum(axis=1)
-                np.maximum(largest, part, out=largest)
-
-        # The marks' uniforms are drawn into scratch, row block by row block.
-        _by_rows(rows, masses.shape[1], part_sums, gen)
-        return _window_weights(largest_part, b_arr, totals)
-
+    # The identity table as a read-only view of 2n - 1 floats, not n * n.
+    identity = sliding_window_view(np.eye(1, 2 * spec.n - 1, spec.n - 1)[0], spec.n)[::-1]
+    kernel = _kernel(spec.theta, eps, spec.breakpoints, identity, lambda largest, totals:
+                     _window_weights(largest[:, 0] * totals, b_arr, totals), np.maximum)
     return pooled_mean(n_samples, rng, streams, kernel, columns=b_arr.size)
 
 

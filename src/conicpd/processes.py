@@ -40,13 +40,14 @@ a persistent pool, one thread per usable CPU in all.  A batch chunk makes
 two passes over contiguous row blocks of at most 2^16 cells, through
 ``_by_rows``.  The first (``_stick_pass``) turns each block's uniforms into
 sticks and, while the block is in cache, into its running sums, cuts,
-tails and masses.  The second (the estimator kernels in ``laplace``) draws
-each block's location or mark uniforms into per-thread scratch and reduces
-them at once to the per-row values, one per column the kernel serves, so
-no location, f-value or mark matrix is made.  A pass from 2^17 cells on is
-shared out, at least two blocks per thread, and each block draws its
-uniforms from its own copy of the Philox stream, moved to the block's
-first cell; a smaller pass runs its blocks in turn on the caller's thread.
+tails and masses.  The second (``laplace._pairing``, in every estimator
+kernel) draws each block's location uniforms into per-thread scratch,
+finds their pieces of the kernel's grid and reduces them at once to the
+per-row values, one per column the kernel serves, so no location, value or
+product matrix is made.  A pass from 2^17 cells on is shared out, at least
+two blocks per thread, and each block draws its uniforms from its own copy
+of the Philox stream, moved to the block's first cell; a smaller pass runs
+its blocks in turn on the caller's thread.
 The jobs are row blocks only, and every public function runs on the
 caller's thread.  The output bytes do not depend on the CPU count or on
 thread scheduling.
@@ -322,9 +323,9 @@ def _scratch(name, shape, dtype=float):
     The buffer is kept for the thread's later passes and grows only when a
     block needs more cells than any before it; a row block holds at most
     ``_BLOCK_CELLS`` cells unless a single row is longer.  Names in use:
-    ``"block"`` (a block's uniforms, or the stick pass's running sums),
-    ``"closed"`` (the stick pass's cut test) and ``"products"`` (a pairing's
-    products while a later function still reads the block).
+    ``"block"`` (a block's uniforms, the stick pass's running sums, or the
+    products of a pairing that draws no uniforms) and ``"closed"`` (the
+    stick pass's cut test).
     """
     cells = shape[0] * shape[1]
     try:
@@ -771,21 +772,17 @@ def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.nda
     return _stick_rows(theta, eps, _integer(rows, "rows"), gen)[:2]
 
 
-def gamma_batch(theta: float, eps: float, rows: int, gen, *, locations: bool = True):
+def gamma_batch(theta: float, eps: float, rows: int, gen):
     """Batch of unnormalized draws as (normalized masses, locations, totals, tails).
 
-    With ``locations=False`` the location slot is None: the generator skips
-    the uniforms instead of drawing them, so every later draw is the same.
-    The estimators that read locations draw them block by block instead
+    The draws are the stick pass, the (rows, K) location uniforms and the
+    gamma totals, in that order.  The estimator kernels draw the locations
+    block by block instead, or skip them when they read none
     (``laplace._pairing``); this whole-matrix form is their reference.
     """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
-    if locations:
-        locs = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
-    else:
-        locs = None
-        _skip_uniforms(gen, masses.size)
-    return masses, locs, _gamma_totals(theta, rows, gen), tails
+    locations = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
+    return masses, locations, _gamma_totals(theta, rows, gen), tails
 
 
 def _gamma_totals(theta, rows, gen):

@@ -73,15 +73,10 @@ class StepFunction:
         # A NaN propagates through min/max and fails both comparisons.
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
             raise DomainError("step functions are defined on [0, 1)")
-        out = self._at(arr)
-        return float(out) if arr.ndim == 0 else out
-
-    def _at(self, x, out=None):
-        """Values at the points of an array ``x`` known to lie in [0, 1); ``out`` may be ``x``."""
         # take() gathers the same floats as values[index], without first
         # converting _piece_index's uint8 counts to a wider index array.
-        index = _piece_index(self.breakpoints[1:-1], x)
-        return np.take(self.values, index, out=out, mode="clip")
+        out = np.take(self.values, _piece_index(self.breakpoints[1:-1], arr), mode="clip")
+        return float(out) if arr.ndim == 0 else out
 
     @property
     def min_value(self) -> float:
@@ -93,10 +88,8 @@ class StepFunction:
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            # Each piece of the merged grid takes the factors' values at its
-            # left edge; a midpoint can round onto the right edge.
-            grid = np.union1d(self.breakpoints, other.breakpoints)
-            return StepFunction(grid, self(grid[:-1]) * other(grid[:-1]))
+            grid, values = _common_grid([self, other])
+            return StepFunction(grid, values[:, 0] * values[:, 1])
         return StepFunction(self.breakpoints, self.values * float(other))
 
     __rmul__ = __mul__
@@ -106,3 +99,15 @@ class StepFunction:
 
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
+
+
+def _common_grid(fs) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the grids of ``fs``: (breakpoints, values), values[j, k] being fs[k] on piece j.
+
+    Each piece of the union lies inside one piece of every f, so a point's
+    value of f_k is its piece's value in column k: the same float as f_k(x).
+    A piece takes each f's value at its left edge; a midpoint can round onto
+    the right edge.
+    """
+    grid = np.unique(np.concatenate([f.breakpoints for f in fs]))
+    return grid, np.column_stack([f(grid[:-1]) for f in fs])

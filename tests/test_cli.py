@@ -174,7 +174,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.11.0"
+    assert meta["version"] == "0.12.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -474,22 +474,24 @@ _ESTIMATOR_BODY_SHA256 = [
      "bda6cdec578b980a0014cf326a8578b36af39a0bfe1325dbafe78df59d20f384"),
     (("laplace", "--theta", "1", "--f", _F["eighty"], "--streams", "1"),
      "718e1113a1fd6a4275a5488c37280d5d036f9300fec4880cc4185ec0e7141428"),
+    # Re-frozen at 0.12.0, when the box kernel came to split the atoms by
+    # their locations instead of by marks drawn after the totals.
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1,2"),
-     "ab2371a12994561f2ee3d0bc64212fbaa2207f2a7ec16b0f804f6208cf378f1b"),
+     "da4c9e419c9b3d0ed4bf727657f77b16a8e7788ef03e95da70d5527014aa3ecc"),
     (("partition-sums", "--weights", "0.1,0.2,0.3"),
-     "d1212dac12f90cbeb9fcfa3d9457d2dba050c27c6df0c6df5c314ad5cd983265"),
+     "4103e89de43eaaa9e6fdc3808afc9a7084943d74078c2566ee4832dd25b86a05"),
     # Re-frozen at 0.8.0, when the pairs came to share one batch of draws.
     (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
      "5877276b102e96530f8fe0e363ce3690bb73c669d8e186cd3d2f75d6ac306360"),
     # Kernels that skip their unread location uniforms, frozen while they
-    # still drew them: a chunk boundary inside one stream, two streams, and
-    # the box kernel, which draws its marks after the skipped block.
+    # still drew them: a chunk boundary inside one stream, and two streams.
     (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1", "--samples", "33000"),
      "8ed733f1c1eb5adf79e792cdd31abc06f58b9cf60ca3a9af3f391bc6858d65d9"),
     (("laplace", "--theta", "2", "--f", _F["constant"], "--streams", "2"),
      "f9fae40282b4061d6a27c2b9d2021b9abe0a1b94b2bf21ecadef50b05446d625"),
+    # The box kernel at a chunk boundary, re-frozen at 0.12.0 as above.
     (("partition-sums", "--weights", "0.5,1.5", "--b", "1", "--samples", "33000"),
-     "2fff2ef00b4a9b24ea8a0fe55e8f683453ee35dee023a9938470d0c308a7196a"),
+     "29d653fbe1ec07ad9137723a0d3059683a05037ef605a77a60e27e10d4261c40"),
 ]
 
 
@@ -546,8 +548,9 @@ _MC_BODY_SHA256 = [
      "1120397550", "6a0dbbde953a442c9917d845dfaebcc57bc2609d11788503726c0921388bc377"),
     (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
      "31173149", "1e2d7586513dedcfda851efaa49b0fc464206a9d93c03ee839eb0f01bab070da"),
+    # Re-frozen at 0.12.0, as the partition-sums entries above.
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1.0,2.0", "--samples", "8192"),
-     "433586074", "3fc8fdd16bb1c2a6860f6320135e146470db40d5b187e810510c0a736e4622dc"),
+     "433586074", "316056c1fd9b90712420317e2453f1d88be4ca27065cab0c4264f269bc903162"),
     # Re-frozen at 0.8.0, as the --pairs 4 entry above.
     (("invariance", "--pairs", "24", "--samples", "1500", "--format", "csv"),
      "540110510", "9a6a9c927f48f587dcd792441c699c004f874e74978eb9c8d8039077b7cea0a4"),

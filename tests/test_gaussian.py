@@ -16,7 +16,7 @@ from conicpd import (
     sphere_charfun_mc,
     sphere_charfun_quad,
 )
-from conicpd import processes
+from conicpd import gaussian, processes
 from conicpd.gaussian import _sphere_coordinate, sphere_charfun_mc_vector
 
 
@@ -282,6 +282,29 @@ def test_gap_rows_refuse_a_stream_count_that_is_not_a_positive_integer(monkeypat
         charfun_gap_rows([0.5], [3], streams=streams)
     with pytest.raises(DomainError, match="stream count must be a positive integer"):
         charfun_gap_rows([0.5], [3], samples=100, rng=RngStream(0), streams=streams)
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+@pytest.mark.parametrize("rng", ["x", 7, np.random.default_rng(0)])
+def test_gap_rows_refuse_an_rng_that_is_not_an_rng_stream(monkeypatch, samples, rng):
+    # Without Monte Carlo columns the rng was never looked at, so these were
+    # accepted at samples = 0.
+    def refuse(*_args):
+        raise AssertionError("formed a row before refusing the rng")
+
+    monkeypatch.setattr(gaussian, "sphere_charfun_quad", refuse)
+    with pytest.raises(DomainError, match="rng must be an RngStream"):
+        charfun_gap_rows([0.5], [3], samples=samples, rng=rng)
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+def test_gap_rows_need_an_rng_only_for_monte_carlo_columns(samples):
+    if samples:
+        with pytest.raises(DomainError, match="Monte Carlo columns need an RngStream"):
+            charfun_gap_rows([0.5], [3], samples=samples, rng=None)
+    else:
+        (row,) = charfun_gap_rows([0.5], [3], samples=samples, rng=None)
+        assert row["mc"] is None and row["stderr"] is None
 
 
 def test_gap_rows_schema_and_determinism():

@@ -42,7 +42,7 @@ from conicpd.processes import (
     gamma_batch,
     stick_masses_batch,
 )
-from conicpd.stepfn import StepFunction
+from conicpd.stepfn import StepFunction, _common_grid
 
 EPS = 1e-10
 
@@ -966,24 +966,6 @@ def test_skipping_uniforms_matches_drawing_them(bit_generator, seed, prior, half
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("theta, rows", [(0.3, 1), (1.0, 7), (2.5, 513), (16.0, 64)])
-@pytest.mark.parametrize("offset", [0, 1, 2, 3])
-def test_gamma_batch_without_locations_skips_them_exactly(theta, rows, offset):
-    full, lean = RngStream(23).generator(), RngStream(23).generator()
-    full.random(offset)
-    lean.random(offset)
-    masses, locations, totals, tails = gamma_batch(theta, EPS, rows, full)
-    lean_masses, none, lean_totals, lean_tails = gamma_batch(theta, EPS, rows, lean,
-                                                             locations=False)
-    assert none is None and locations.shape == masses.shape
-    assert np.array_equal(lean_masses, masses)
-    assert np.array_equal(lean_totals, totals)
-    assert np.array_equal(lean_tails, tails)
-    assert _position(lean) == _position(full)
-    for a, b in zip(_next_draws(lean), _next_draws(full)):
-        assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Row blocks: a pass split over threads gives the bytes of the serial pass
 
@@ -1019,7 +1001,7 @@ def _serial_and_split(monkeypatch, threads, make_gen, call):
 
 def _assert_same_run(serial, split):
     for a, b in zip(serial[0], split[0]):
-        assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(a, b)
     assert serial[1] == split[1]
     for a, b in zip(serial[2], split[2]):
         assert np.array_equal(a, b)
@@ -1051,16 +1033,21 @@ def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, widt
 @given(theta=st.floats(0.3, 10.0), rows=st.integers(1, 700), seed=st.integers(0, 2**32),
        offset=st.integers(0, 5), width=st.integers(1, 3),
        pieces=st.lists(st.sampled_from([1, 2, 3, 70]), min_size=1, max_size=3))
+@example(theta=1.5, rows=300, seed=7, offset=3, width=3, pieces=[1, 1])
+@example(theta=2.0, rows=200, seed=8, offset=1, width=2, pieces=[1, 70])
 def test_streamed_pairing_is_the_whole_matrix_product(theta, rows, seed, offset, width, pieces):
-    # The kernels pair each row's masses with every f at location uniforms
-    # drawn block by block into scratch; the public gamma_batch draws the
-    # whole location matrix.  Each f's per-row sums must be the same floats,
-    # whichever functions come before or after it, and the generator must
-    # end where gamma_batch leaves it.  70 pieces take the binary-search
-    # lookup, and a list of constants draws no uniforms.
+    # The kernels pair each row's masses with every f, on the union of the
+    # fs' grids, at location uniforms drawn block by block into scratch; the
+    # public gamma_batch draws the whole location matrix.  Each f's per-row
+    # sums must be the same floats, whichever functions come before or after
+    # it, and the generator must end where gamma_batch leaves it.  A union
+    # grid past 64 inner edges (any list with a 70-piece f) takes the
+    # binary-search lookup, and a list of constants, a grid of one piece,
+    # draws no uniforms: the two examples pin both.
     shapes = np.random.default_rng(seed)
     fs = [StepFunction(np.linspace(0.0, 1.0, count + 1), 0.5 + shapes.random(count))
           for count in pieces]
+    grid, values = _common_grid(fs)
     gens = [RngStream(seed).generator() for _ in range(2)]
     for gen in gens:
         gen.random(offset)  # a Philox block partly spent
@@ -1070,11 +1057,58 @@ def test_streamed_pairing_is_the_whole_matrix_product(theta, rows, seed, offset,
         patch.setattr(processes, "_WIDTH", width)
         patch.setattr(processes, "_SPLIT_CELLS", 0)
         streamed, _tails = stick_masses_batch(theta, EPS, rows, gens[1])
-        got = laplace._pairing(streamed, fs, gens[1])
+        got = laplace._pairing(streamed, grid, values, gens[1])
         got_totals = processes._gamma_totals(theta, rows, gens[1])
     assert got.flags.f_contiguous and got.shape == (rows, len(fs))
     assert np.array_equal(got, want) and np.array_equal(got_totals, totals)
     assert _position(gens[1]) == _position(gens[0])
+    for a, b in zip(_next_draws(gens[1]), _next_draws(gens[0])):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("weights, rows", [((0.5, 1.0, 1.5), 700), ((0.1, 0.2, 0.3), 257),
+                                           ((2.0,), 90)])
+def test_box_kernel_splits_the_atoms_by_location(monkeypatch, weights, rows, offset, width):
+    # weighted_box_mass pairs each draw's masses with an identity table on
+    # the partition's pieces, so part i holds the atoms whose location lies
+    # in piece i.  Its largest part, times the total, must be the floats of
+    # gamma_batch's whole mass matrix summed by location piece, and the
+    # generator must end where gamma_batch leaves it.  One part is a grid of
+    # one piece, which skips the locations.
+    spec = PartitionSpec(np.array(weights))
+    gens = [RngStream(31).generator() for _ in range(2)]
+    for gen in gens:
+        gen.random(offset)  # a Philox block partly spent
+    masses, locations, totals, _tails = gamma_batch(spec.theta, EPS, rows, gens[0])
+    marks = spec.marks(locations)
+    parts = np.column_stack([np.where(marks == i, masses, 0.0).sum(axis=1)
+                             for i in range(spec.n)])
+    want = parts.max(axis=1) * totals
+    # The kernel weighted_box_mass builds, caught before anything is drawn,
+    # with its window step replaced by the statistic it windows.
+    monkeypatch.setattr(laplace, "pooled_mean", lambda n, rng, streams, kernel, columns: kernel)
+    monkeypatch.setattr(laplace, "_window_weights", lambda stat, grid, totals: stat)
+    kernel = laplace.weighted_box_mass(spec, [1.0], 1, RngStream(0))
+    monkeypatch.setattr(processes, "_WIDTH", width)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    assert np.array_equal(kernel(gens[1], rows), want)
+    assert _position(gens[1]) == _position(gens[0])
+
+
+def test_box_kernel_memory_does_not_grow_with_the_parts():
+    # Each row block folds its parts into their maximum as it goes, and the
+    # identity table is a view of 2n - 1 floats, so 400 parts must peak where
+    # 2 parts do.  A (rows, parts) pairing alone would add 6.5 MB here, and
+    # an n x n table 1.3 MB.  The first calls fill the thread's scratch.
+    def peak(n):
+        spec = PartitionSpec(np.full(n, 1.0 / n))
+        laplace.weighted_box_mass(spec, [1.0], 2048, RngStream(1))
+        return _peak_traced_bytes(lambda: laplace.weighted_box_mass(spec, [1.0], 2048,
+                                                                    RngStream(1)))
+
+    assert peak(400) < 1.25 * peak(2)
 
 
 @pytest.mark.parametrize("kind", ["half pair", "pcg64"])
