@@ -571,6 +571,73 @@ def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, dige
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
 
 
+def _window(command, lam, first, *schedule):
+    return (command, "--lambda", lam, *schedule, "--nmin", str(first), "--nmax", str(first + 1))
+
+
+# sha256 of every line after the meta line, preceded by the meta line's
+# contour-derived extrapolated_limit, extrapolated_gap and envelope_constant
+# where present: the bench's 15 contour windows and 4 saddle argv, and the
+# default mellin and sqrt_n divergence tables.  Frozen at 0.12.0, before
+# each grid level came to evaluate only the nodes it keeps.
+_QUADRATURE_BODY_SHA256 = [
+    (_window("mellin", "0.3", 2),
+     "a463ed1a666dcca9971ae83707d7e43f300ee6edcbd829ed2576e6f98839e3ca"),
+    (_window("mellin", "1.0", 2),
+     "c6961761770def055d21d39e2c03f0fd180908f9b6c693de642b35f935a0ceb8"),
+    (_window("mellin", "3.0", 2),
+     "5082f19fc4616db7bf21cdd3ed7c56c4b919ddc537c1e8d3224938652fa0c71b"),
+    (_window("divergence", "1.0", 2, "--schedule", "constant"),
+     "548142d1aa060717d96cc91e0a27aae3eb16b6ffdae22afc246f12b11d52878f"),
+    (_window("divergence", "0.5", 2, "--schedule", "sqrt_n"),
+     "fbf964395849c6aad56f639c7f73f84df14c51512c309a87634f496e9c71e933"),
+    (_window("mellin", "0.3", 20),
+     "2b4231c6562b83a03ca0c7bd1dc30a07ea0668845a14e727c55cc885151bcdea"),
+    (_window("mellin", "1.0", 20),
+     "45a703b8cfab18660f8ee9e540e7a2af87ed502c3341383a64919df5393aa6d6"),
+    (_window("mellin", "3.0", 20),
+     "9d8a3f155dc3674098dc0b59a0dd1537d1b2791a34ddcd8e2952f548c230dea6"),
+    (_window("divergence", "1.0", 20, "--schedule", "constant"),
+     "d758b51aeadb6fb156e25c6f31177e23df7b79d05da94af0833e9197f4566fc6"),
+    (_window("divergence", "0.5", 20, "--schedule", "sqrt_n"),
+     "944156ccc35e1d966c6a596def96b7ac8cc802b57272ec3bc7265da1af47eb23"),
+    (_window("mellin", "0.3", 39),
+     "869d272aba7bb633754abc8453341c750c8c439d6c5b1f003776a7ba36ab1b7b"),
+    (_window("mellin", "1.0", 39),
+     "d060a7db3c0d7d5eab531421eb640f896839d2738f2e7d9c6d44e82f02063fd5"),
+    (_window("mellin", "3.0", 39),
+     "fb4a72cc510977379f90e42fc825e3a2653160b74c0bb8747b5a4ec1674d4fc8"),
+    (_window("divergence", "1.0", 39, "--schedule", "constant"),
+     "2682a621d5213d97a08c5807dc42024d293d2c54f0564de0e1826cd752fdd59a"),
+    (_window("divergence", "0.5", 39, "--schedule", "sqrt_n"),
+     "eea386220f9d50a3da6079a7014d074b82656feab99bbae76c3999d33df3468f"),
+    (("saddle", "--lambda", "1e-08"),
+     "17fab6c23422d26604f4ae9afbc65f2d28cfd64d5b5a538167bd06668541bf0d"),
+    (("saddle", "--lambda", "0.001"),
+     "61ba45f00b42344aac33a7233975be54430b32b60369509968009fe18406235c"),
+    (("saddle", "--lambda", "1000.0"),
+     "e21b59e1ccef1af07939c2f3e7f7616d14a342847d51f340f9776ccdeed585ae"),
+    (("saddle", "--lambda", "100000000.0"),
+     "3c172f9e19f2d82a093fcee88e6d24660c0ccc4c8e18e3611a1145e902b6b201"),
+    (("mellin", "--nmax", "40"),
+     "7cf56b82ac4639943ff317dbde291ad389d08beaeb8917726b742d81fa827a01"),
+    (("divergence", "--schedule", "sqrt_n"),
+     "c94cb4ec9e6c9651910b9d7429f43a5d5e590d76273ca6c43ad03e1f7b6b9018"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _QUADRATURE_BODY_SHA256)
+def test_quadrature_output_bytes_are_frozen(capsys, argv, digest):
+    code, out, _err = run_cli(capsys, list(argv))
+    assert code == 0
+    meta, body = out.split("\n", 1)
+    config = json.loads(meta.removeprefix("# "))["config"]
+    fields = "".join(f"{key}={config[key]!r}\n" for key in (
+        "extrapolated_limit", "extrapolated_gap", "envelope_constant") if key in config)
+    assert (argv[0] == "mellin") == bool(fields)
+    assert hashlib.sha256((fields + body).encode()).hexdigest() == digest
+
+
 def test_frozen_step_functions_straddle_the_lookup_crossover():
     inner = {key: parse_step_function(text).breakpoints.size - 2 for key, text in _F.items()}
     assert inner["three"] < inner["forty"] <= _LOOP_EDGES < inner["eighty"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -422,6 +423,39 @@ def test_contour_rows_keep_input_order_and_repeats():
     assert list(rows.ns) == [7, 2, 7, 40]
     assert rows.log_F[0] == rows.log_F[2]
     assert rows.log_F[1] == pytest.approx(log_F_contour_rows([2], 1.3).log_F[0], rel=1e-12)
+
+
+# sha256 of the bytes of log_F, error and nodes of log_F_contour_rows(ns,
+# lam, abscissa), frozen at 0.12.0 before each grid level came to evaluate
+# only the nodes it keeps.  lambda = 1e-300 runs ~10^5 nodes in several
+# blocks; abscissa 2.0 at lambda = 1 sits off the saddle (gamma ~ 1.46).
+_CONTOUR_ROWS_SHA256 = [
+    (np.arange(2, 61), 1e-300, None,
+     "b0b1cd2388ba4a88805f93efa81e0650e5c81984f77d039cbd8470f3e579d54f"),
+    (np.arange(2, 61), 0.01, None,
+     "b9294ce18705861d12302463d25fbf14c0e238bf93dbfdfc4ac3cf60066f928f"),
+    (np.arange(2, 61), 0.3, None,
+     "9ad8e180166db31f3f79d99ea5f9a6033cc69a7cd39f5827a8bff2cbfc5b6c45"),
+    (np.arange(2, 61), 1.0, None,
+     "27a860d1c4b9afb348acafad3a1e6b49b833fdf079452506c1b2282fcd4524db"),
+    (np.arange(2, 61), 3.0, None,
+     "bcab7cbeebf988faafde3ad142ee9c9e6c81d042bf63be36ab259c372d7c7b5e"),
+    (np.arange(2, 61), 1e3, None,
+     "700a94a0c1378bb4eb29cf898a78498324e0a6cb9e7011dc8667e63c43452208"),
+    (np.arange(2, 61), 1e6, None,
+     "b05affd33626301a0c4cb5cb614d5adac64973c265b294bba763d36a8a0fa5a5"),
+    ([7, 2, 7, 40], 1.3, None,
+     "f4ee02f93e1db5f010f521ee4bc33ed1370bcca01b3475c2a0caa23d96472a57"),
+    (np.arange(2, 13), 1.0, 2.0,
+     "82716ef8eb4ca5c791881d02e8e621b54e4ecdd8db0c5fa3896549493a232870"),
+]
+
+
+@pytest.mark.parametrize("ns, lam, abscissa, digest", _CONTOUR_ROWS_SHA256)
+def test_contour_rows_bytes_are_frozen(ns, lam, abscissa, digest):
+    rows = log_F_contour_rows(ns, lam, abscissa=abscissa)
+    data = rows.log_F.tobytes() + rows.error.tobytes() + rows.nodes.astype(np.int64).tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_contour_rows_match_mpmath():
