@@ -46,7 +46,7 @@ _LOG_NEGLIGIBLE = math.log(1e-18)
 _RTOL, _ATOL = 1e-9, 1e-12
 _MAX_HALVINGS = 8
 _MAX_NODES = 1 << 22     # nodes on one grid level: bounds the time of a table
-_BLOCK = 1 << 14         # nodes evaluated at once: bounds the memory of a table
+_BLOCK = 1 << 14         # nodes, and row-by-node cells, formed at once: bounds a table's memory
 _EPS = float(np.finfo(float).eps)
 
 
@@ -138,9 +138,11 @@ def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> Contour
     h = 0.25 / sqrt(n_max psi'(abscissa)), a quarter of the narrowest peak
     width.  The grid reaches no further than where the n_min integrand has
     decayed to 1e-18 of its peak, and since |e^{n u(t)}| decreases in t,
-    each row stops at its own first node below that level.  Nodes are
-    evaluated in fixed-size blocks and only per-row sums are kept, so memory
-    does not grow with the grid.  A row is accepted once
+    each row stops at its own first node below that level.  Each grid level
+    forms only the nodes up to that reach, in blocks of at most 2^14, and
+    forms every row's terms of a block in one pass over a (rows, nodes)
+    matrix of at most 2^14 cells; only per-row sums are kept, so memory does
+    not grow with the grid.  A row is accepted once
     |S_h - S_2h| <= max(1e-12, 1e-9 S_h), where S_2h sums every other node,
     and its phase Im(n u) turns by less than pi between neighbouring nodes
     of the step-2h grid (else both grids can alias the same oscillation and
@@ -174,30 +176,48 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
     while n_min * (special.loggamma(complex(gamma, cutoff)).real - log_gamma0) > _LOG_NEGLIGIBLE:
         cutoff *= 1.5
         if cutoff > 1e6:
-            raise NumericalError("contour integrand failed to decay; check the abscissa")
+            raise NumericalError(
+                f"contour integrand failed to decay within |t| <= 1e6 (n={n_min}, "
+                f"lambda={lam}, abscissa={gamma})"
+            )
 
     def node_sums(rows, offset, step):
         # Per row, over the nodes t = offset + k step <= cutoff before the
         # row's integrand is negligible: the sums of Re e^{n u} and of the
         # rounding weight |e^{n u}| (4 + |n u|), the node count, and the
         # largest phase turn between neighbouring nodes.  ``rows`` is
-        # ascending, so the first row reaches furthest.
+        # ascending, so the first row reaches furthest and the rows that
+        # reach no node of a block come last.
         out = np.zeros((4, rows.size))
         phase = np.zeros(rows.size)
         first = 0
         while True:
-            t = offset + step * np.arange(first, first + _BLOCK)
-            t = t[t <= cutoff]
+            t = _grid_block(offset, step, first, cutoff)
             u = special.loggamma(gamma + 1j * t) - log_gamma0 - 1j * log_lam * t
             lengths = np.searchsorted(-u.real, _LOG_NEGLIGIBLE / -rows)
-            for i in np.flatnonzero(lengths):
-                w = rows[i] * u[:lengths[i]]
+            out[2] += lengths
+            start, live = 0, np.count_nonzero(lengths)
+            while start < live:
+                # Rows start..stop-1 as one matrix of at most _BLOCK cells
+                # (one row at least), as wide as the longest of them.
+                reach = int(lengths[start])
+                stop = min(live, start + max(1, _BLOCK // reach))
+                w = rows[start:stop, None] * u[None, :reach]
                 mag = np.exp(w.real)
-                out[0, i] += np.sum(mag * np.cos(w.imag))
-                out[1, i] += np.sum(mag * (4.0 + np.abs(w)))
-                out[2, i] += lengths[i]
-                out[3, i] = max(out[3, i], np.abs(np.diff(w.imag, prepend=phase[i])).max())
-                phase[i] = w.imag[-1]
+                terms = np.empty((2, stop - start, reach))
+                np.multiply(mag, np.cos(w.imag), out=terms[0])
+                np.multiply(mag, 4.0 + np.abs(w), out=terms[1])
+                # Each row's phases after its last one of the previous block, and their turns.
+                angle = np.concatenate((phase[start:stop, None], w.imag), axis=1)
+                turns = np.abs(angle[:, 1:] - angle[:, :-1])
+                # Each row sums its own prefix as a 1-D array of that length,
+                # so padding past its end cannot move the pairwise rounding.
+                for j, end in enumerate(lengths[start:stop].tolist()):
+                    i = start + j
+                    out[:2, i] += terms[:, j, :end].sum(axis=1)
+                    out[3, i] = max(out[3, i], turns[j, :end].max())
+                    phase[i] = angle[j, end]
+                start = stop
             if t.size < _BLOCK or lengths[0] < t.size:
                 return out
             first += _BLOCK
@@ -244,6 +264,20 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
         f"contour quadrature did not converge in {int(sums[2, i])} nodes "
         f"(value={sums[0, i]:.3e}, n={int(ns[i])}, lambda={lam}, abscissa={gamma})"
     )
+
+
+def _grid_block(offset: float, step: float, first: int, cutoff: float) -> np.ndarray:
+    """The nodes t = offset + k step <= cutoff for k = first, ..., first + _BLOCK - 1.
+
+    t rises with k, so the kept nodes are a prefix of the block.  Its length
+    is counted from the cutoff, with a margin for rounding, and only that
+    many nodes are formed; the trim below then gives the same floats as
+    forming the whole block and filtering it.
+    """
+    reach = (cutoff - offset) / step - first + 2.0
+    count = max(0, int(reach)) if reach < _BLOCK else _BLOCK
+    t = offset + step * np.arange(first, first + count)
+    return t[t <= cutoff]
 
 
 def F_contour(n: int, lam: float) -> float:
@@ -435,8 +469,13 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns) -> Divergenc
     """
     lam = _positive_real(lam, "lambda")
     ns = _check_ns(ns)
-    radii = np.array([schedule.radius(n) for n in ns.tolist()])
-    args = lam * radii
+    radii = [schedule.radius(n) for n in ns.tolist()]
+    # Python floats overflow to inf and underflow to 0 without a warning.
+    args = [lam * r for r in radii]
+    for n, arg in zip(ns.tolist(), args):
+        if not (math.isfinite(arg) and arg > 0.0):
+            raise DomainError(f"lambda * r_n = {arg!r} is not a finite positive real at n={n}")
+    radii, args = np.array(radii), np.array(args)
     log_f, limits, gammas, errors, nodes = (np.empty(ns.size) for _ in range(5))
     for arg in dict.fromkeys(args.tolist()):
         at = args == arg

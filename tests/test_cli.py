@@ -679,6 +679,30 @@ def test_divergence_refuses_an_oversized_range_before_allocating():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--lambda", "1e10", "--scale", "1e300", "--schedule", "sqrt_n"], "inf"),
+    (["--lambda", "1e-300", "--scale", "1e-300"], "0.0"),
+])
+def test_divergence_refuses_an_argument_that_overflows_or_underflows(argv, value):
+    # A subprocess, so that a numpy warning would reach stderr as it does
+    # for a user: lambda * r_n used to print "RuntimeWarning: overflow
+    # encountered in multiply" and then blame "lambda".
+    proc = _run_capped("divergence", *argv, "--nmin", "2", "--nmax", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("conicpd: invalid configuration: lambda * r_n = "
+                           f"{value} is not a finite positive real at n=2\n")
+
+
+def test_a_contour_that_does_not_decay_names_its_inputs(capsys):
+    # The CLI has no abscissa flag, so "check the abscissa" named nothing
+    # the user could act on.
+    code, out, err = run_cli(capsys, ["mellin", "--lambda", "1e12", "--nmin", "2", "--nmax", "3"])
+    assert code == 3 and out == ""
+    assert err.startswith("conicpd: numerical failure: contour integrand failed to decay")
+    for field in ("|t| <= 1e6", "n=2", "lambda=1000000000000.0", "abscissa=1000000000000.4"):
+        assert field in err, field
+
+
 def test_fmt_prints_numpy_scalars_as_python_numbers():
     assert _fmt(np.float64(1.4616321449683622)) == "1.4616321449683622"
     assert _fmt(np.float32(0.5)) == "0.5"

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import k0, polygamma, psi
 
 from conicpd import mellin
@@ -384,6 +386,19 @@ def test_radius_schedule_validation():
         divergence_experiment(1.0, RadiusSchedule("constant"), ns=np.array([0, 2]))
 
 
+@pytest.mark.parametrize("lam, schedule, ns, where", [
+    (1e10, RadiusSchedule("sqrt_n", 1e300), [2, 3], "= inf .* at n=2"),
+    (1e-300, RadiusSchedule("constant", 1e-300), [2, 3], "= 0.0 .* at n=2"),
+    (10.0, RadiusSchedule("sqrt_n", 1e307), [2, 4], "= inf .* at n=4"),
+])
+def test_divergence_refuses_an_argument_that_overflows_or_underflows(lam, schedule, ns, where):
+    # lambda * r_n used to overflow in numpy with a RuntimeWarning (an error
+    # in this suite), or to underflow to 0; either way the saddle solve then
+    # refused "lambda", which was valid.
+    with pytest.raises(DomainError, match=r"lambda \* r_n " + where):
+        divergence_experiment(lam, schedule, ns)
+
+
 @pytest.mark.parametrize("ns", [np.arange(5, 3), []])
 def test_divergence_experiment_refuses_an_empty_table(ns):
     # an empty range used to return a table with no rows
@@ -456,6 +471,33 @@ def test_contour_rows_bytes_are_frozen(ns, lam, abscissa, digest):
     rows = log_F_contour_rows(ns, lam, abscissa=abscissa)
     data = rows.log_F.tobytes() + rows.error.tobytes() + rows.nodes.astype(np.int64).tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+_BLOCK = mellin._BLOCK
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.floats(1e-9, 1.0), phase=st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
+       first=st.integers(0, 3).map(lambda m: m * _BLOCK) | st.integers(0, 3 * _BLOCK),
+       nodes=st.integers(-3 * _BLOCK, 2 * _BLOCK), fraction=st.sampled_from([0.0, 0.5]),
+       ulps=st.integers(-2, 2))
+# A cutoff on a node; one ulp below a node with first > 0; a block of at
+# least _BLOCK kept nodes; a cutoff below the offset.
+@example(step=0.1, phase=1.0, first=0, nodes=37, fraction=0.0, ulps=0)
+@example(step=0.003, phase=0.5, first=_BLOCK, nodes=120, fraction=0.0, ulps=-1)
+@example(step=1e-6, phase=1.0, first=2 * _BLOCK, nodes=_BLOCK + 5, fraction=0.5, ulps=0)
+@example(step=0.25, phase=1.0, first=0, nodes=-1, fraction=0.5, ulps=0)
+def test_grid_block_forms_only_the_kept_nodes(step, phase, first, nodes, fraction, ulps):
+    # _grid_block counts the nodes up to the cutoff instead of forming a
+    # whole block and filtering it; the floats must be the same.
+    offset = phase * step
+    cutoff = offset + step * (first + nodes + fraction)
+    for _ in range(abs(ulps)):
+        cutoff = float(np.nextafter(cutoff, math.copysign(math.inf, ulps)))
+    block = offset + step * np.arange(first, first + _BLOCK)
+    want = block[block <= cutoff]
+    got = mellin._grid_block(offset, step, first, cutoff)
+    assert np.array_equal(got, want)
 
 
 def test_contour_rows_match_mpmath():
