@@ -29,7 +29,7 @@ import numpy as np
 # them, so `sample`, `laplace` and `invariance` start without scipy.
 from . import __version__
 from .errors import DomainError, InfiniteVarianceError, NumericalError
-from .estimation import CHUNK_ROWS, stream_counts
+from .estimation import CHUNK_ROWS, _stream_chunks, stream_counts
 from .processes import RngStream, _batch_rows, _draw_rows, _integer
 from .stepfn import StepFunction
 
@@ -308,17 +308,15 @@ def _sample_records(cfg, counts, rows):
     theta, eps, seed = cfg["theta"], cfg["eps"], cfg["seed"]
     normalized, lebesgue = cfg["process"] == "dirichlet", cfg["process"] == "lebesgue"
     draw = itertools.count()
-    for stream, count in enumerate(counts):
-        gen = RngStream(seed, stream).generator()
-        for start in range(0, count, rows):
-            # A generator expression per batch: its rows, views of the batch's
-            # matrices, are let go before the next batch is drawn.
-            yield from ({"theta": theta, "eps": eps, "masses": masses.tolist(),
-                         "locations": locations.tolist(), "total_mass": total,
-                         "tail_bound": tail, "log_weight": total if lebesgue else 0.0,
-                         "seed": seed, "stream_id": stream, "draw": next(draw)}
-                        for masses, locations, total, tail in _draw_rows(
-                            theta, eps, min(rows, count - start), gen, normalized=normalized))
+    for stream, gen, batch in _stream_chunks(RngStream(seed), counts, rows):
+        # A generator expression per batch: its rows, views of the batch's
+        # matrices, are let go before the next batch is drawn.
+        yield from ({"theta": theta, "eps": eps, "masses": masses.tolist(),
+                     "locations": locations.tolist(), "total_mass": total,
+                     "tail_bound": tail, "log_weight": total if lebesgue else 0.0,
+                     "seed": seed, "stream_id": stream, "draw": next(draw)}
+                    for masses, locations, total, tail in _draw_rows(
+                        theta, eps, batch, gen, normalized=normalized))
 
 
 def _run_laplace(cfg):

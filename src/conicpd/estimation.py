@@ -51,6 +51,19 @@ def stream_counts(n_samples: int, streams: int) -> list[int]:
     return [base + (1 if s < extra else 0) for s in range(min(n_samples, streams))]
 
 
+def _stream_chunks(rng: RngStream, counts, chunk: int):
+    """The stream walk of the byte-determinism contract, as (stream, gen, rows) per chunk.
+
+    Stream s draws from ``rng.child(s)``'s generator, ``counts[s]`` rows in
+    chunks of ``chunk`` and a last one of the rest; every chunk of a stream
+    shares its generator.
+    """
+    for stream, count in enumerate(counts):
+        gen = rng.child(stream).generator()
+        for start in range(0, count, chunk):
+            yield stream, gen, min(chunk, count - start)
+
+
 def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: int = 1,
                 chunk: int = CHUNK_ROWS) -> list[EstimatorResult]:
     """Pooled mean/stderr per column of the kernel output, merged in stream order.
@@ -73,26 +86,21 @@ def pooled_mean(n_samples: int, rng: RngStream, streams: int, kernel, columns: i
     count = 0
     mean = np.zeros(columns)
     m2 = np.zeros(columns)
-    for s, rows_for_stream in enumerate(counts):
-        gen = rng.child(s).generator()
-        left = rows_for_stream
-        while left > 0:
-            rows = min(chunk, left)
-            vals = np.asarray(kernel(gen, rows), dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, None]
-            if vals.shape != (rows, columns):
-                raise DomainError(f"the kernel returned a {vals.shape} array for {rows} rows "
-                                  f"of {columns} column(s)")
-            chunk_mean = vals.mean(axis=0)
-            dev = vals - chunk_mean
-            chunk_m2 = (dev * dev).sum(axis=0)
-            delta = chunk_mean - mean
-            merged = count + rows
-            mean = mean + delta * (rows / merged)
-            m2 = m2 + chunk_m2 + delta * delta * (count * rows / merged)
-            count = merged
-            left -= rows
+    for _stream, gen, rows in _stream_chunks(rng, counts, chunk):
+        vals = np.asarray(kernel(gen, rows), dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if vals.shape != (rows, columns):
+            raise DomainError(f"the kernel returned a {vals.shape} array for {rows} rows "
+                              f"of {columns} column(s)")
+        chunk_mean = vals.mean(axis=0)
+        dev = vals - chunk_mean
+        chunk_m2 = (dev * dev).sum(axis=0)
+        delta = chunk_mean - mean
+        merged = count + rows
+        mean = mean + delta * (rows / merged)
+        m2 = m2 + chunk_m2 + delta * delta * (count * rows / merged)
+        count = merged
     if count > 1:
         err = np.sqrt(m2 / (count - 1) / count)
     else:

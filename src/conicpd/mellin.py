@@ -171,6 +171,8 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
     log_lam = math.log(lam)
     log_gamma0 = float(special.gammaln(gamma))
     curvature = float(special.zeta(2.0, gamma))
+    if not math.isfinite(curvature):  # a tiny abscissa: the decay search would never move
+        raise NumericalError(f"psi'(abscissa) = {curvature} is not finite at abscissa={gamma}")
     n_min, n_max = int(ns[0]), int(ns[-1])
     cutoff = 8.0 / math.sqrt(n_min * curvature)
     while n_min * (special.loggamma(complex(gamma, cutoff)).real - log_gamma0) > _LOG_NEGLIGIBLE:
@@ -218,9 +220,11 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
                     out[3, i] = max(out[3, i], turns[j, :end].max())
                     phase[i] = angle[j, end]
                 start = stop
-            if t.size < _BLOCK or lengths[0] < t.size:
-                return out
             first += _BLOCK
+            # A level past _MAX_NODES is refused below; forming the rest of
+            # it (some 10^10 nodes at an abscissa of 1e-9) would never end.
+            if t.size < _BLOCK or lengths[0] < t.size or first >= _MAX_NODES:
+                return out
 
     rows = ns.astype(float)
     # The step-2h sum; t = 0 contributes e^0 = 1 (rounding weight 4) at half weight.
@@ -495,5 +499,5 @@ def _check_ns(ns) -> np.ndarray:
         raise DomainError("ns must be a non-empty list of positive integers")
     # The entries as given: np.asarray turns [True, 2] into [1, 2].
     for n in array if isinstance(ns, np.ndarray) else ns:
-        _integer(n, "n")
+        _integer(n, "n", upper=2**63 - 1)
     return array.astype(int)

@@ -16,11 +16,10 @@ sticks: the first block holds about that mean plus a margin that is wide
 for few rows and narrow for many, and the rows still open are extended in
 short rounds.  The masses live in one buffer, sized at the Poisson count's
 far quantile and refused, with ``DomainError``, beyond a fixed cell budget;
-the first block is written compactly at its front, moved to the buffer's
-stride only when a row stays open, and grown by realloc, under the same
-budget, in the rare round past it.  The first block and each extension
-round are one stick step, ``_stick_pass``; an extension starts from the
-run its rows reached before it.
+every block is written at the buffer's stride, and the buffer is grown by
+realloc, under the same budget, only in the rare round past it.  The first
+block and each extension round are one stick step, ``_stick_pass``; an
+extension starts from the run its rows reached before it.
 
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
@@ -38,19 +37,19 @@ mass of zero is a zero stick, refused as such.
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
 a persistent pool, one thread per usable CPU in all.  A batch chunk makes
 two passes over contiguous row blocks of at most 2^16 cells, through
-``_by_rows``.  The first (``_stick_pass``) turns each block's uniforms into
-sticks and, while the block is in cache, into its running sums, cuts,
-tails and masses.  The second (``laplace._pairing``, in every estimator
-kernel) draws each block's location uniforms into per-thread scratch,
-finds their pieces of the kernel's grid and reduces them at once to the
-per-row values, one per column the kernel serves, so no location, value or
-product matrix is made.  A pass from 2^17 cells on is shared out, at least
-two blocks per thread, and each block draws its uniforms from its own copy
-of the Philox stream, moved to the block's first cell; a smaller pass runs
-its blocks in turn on the caller's thread.
-The jobs are row blocks only, and every public function runs on the
-caller's thread.  The output bytes do not depend on the CPU count or on
-thread scheduling.
+``_by_rows``, which draws each block's uniforms into per-thread scratch.
+The first (``_stick_pass``) turns a block's uniforms into sticks and, while
+the block is in cache, into its running sums, cuts, tails and masses, and
+copies the masses to the buffer.  The second (``laplace._pairing``, in
+every estimator kernel) finds each block's location uniforms' pieces of
+the kernel's grid and reduces them at once to the per-row values, one per
+column the kernel serves, so no location, value or product matrix is made.
+A pass from 2^17 cells on is shared out, at least two blocks per thread,
+and each block draws its uniforms from its own copy of the Philox stream,
+moved to the block's first cell; a smaller pass runs its blocks in turn on
+the caller's thread, each drawing from the stream itself.  The jobs are
+row blocks only, and every public function runs on the caller's thread.
+The output bytes do not depend on the CPU count or on thread scheduling.
 """
 
 from __future__ import annotations
@@ -321,13 +320,17 @@ def _scratch(name, shape, dtype=float):
     """This thread's scratch array ``name``, viewed as ``shape``.
 
     The buffer is kept for the thread's later passes and grows only when a
-    block needs more cells than any before it; a row block holds at most
-    ``_BLOCK_CELLS`` cells unless a single row is longer.  Names in use:
-    ``"block"`` (a block's uniforms, the stick pass's running sums, or the
-    products of a pairing that draws no uniforms) and ``"closed"`` (the
-    stick pass's cut test).
+    block needs more cells than any before it.  A row block holds at most
+    ``_BLOCK_CELLS`` cells unless a single row is longer; such a block gets
+    a fresh array that is not kept, so a thread keeps at most
+    ``_BLOCK_CELLS`` cells per name.  Names in use: ``"block"`` (a block's
+    uniforms, or the products of a pairing that draws no uniforms),
+    ``"run"`` (the stick pass's running sums) and ``"closed"`` (the stick
+    pass's cut test).
     """
     cells = shape[0] * shape[1]
+    if cells > _BLOCK_CELLS:
+        return np.empty(shape, dtype)
     try:
         buf = _local.arena[name]
         if buf.size >= cells:
@@ -337,23 +340,21 @@ def _scratch(name, shape, dtype=float):
     except KeyError:
         pass
     buf = _local.arena[name] = np.empty(cells, dtype)
-    return buf[:cells].reshape(shape)
+    return buf.reshape(shape)
 
 
-def _by_rows(rows, cols, work=None, gen=None, *, out=None):
+def _by_rows(rows, cols, work, gen=None):
     """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
 
     A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
     what its work reads and writes stays in a core's cache.  With ``gen``,
     ``u`` is the block's rows of a (rows, cols) matrix of uniforms drawn in
-    row-major order, else None.  With ``out``, a C-contiguous (rows, cols)
-    float array, that matrix is drawn into it and ``out`` is returned;
-    without it, a pass of several blocks draws each block's uniforms into
-    its thread's scratch block (``_scratch("block", ...)``, which ``work``
-    must then not take itself) and never holds the matrix.  ``gen`` ends
-    where one serial draw of the matrix would have left it, and the results
-    are the same bytes whichever thread runs which block, and for any block
-    count.
+    row-major order, C-contiguous and free for ``work`` to overwrite, else
+    None.  Each block's uniforms are drawn into its thread's scratch block
+    (``_scratch("block", ...)``, which ``work`` must then not take itself),
+    so the pass never holds the matrix.  ``gen`` ends where one serial draw
+    of the matrix would have left it, and the results are the same bytes
+    whichever thread runs which block, and for any block count.
 
     ``work`` may write only rows lo..hi of its outputs, use scratch of its
     own thread only, and call no public conicpd function, so that blocks may
@@ -361,11 +362,10 @@ def _by_rows(rows, cols, work=None, gen=None, *, out=None):
     ``_share``, at least two blocks per thread, each drawing from a copy of
     ``gen`` moved to its first cell.  Below ``_SPLIT_CELLS`` cells, on one
     CPU, and inside a job of ``_share``, the blocks run one after another
-    on the calling thread, each drawing from ``gen`` itself.  A pass of one
-    block, and a generator that can do neither (one that ``_movable``
-    refuses, on a split pass, or one that is not numpy's own Generator),
-    draws the whole matrix at once with ``gen.random(count)`` before any
-    block runs.
+    on the calling thread, each drawing from ``gen`` itself.  A generator
+    that can do neither (one that ``_movable`` refuses, on a split pass, or
+    one that is not numpy's own Generator) draws the whole matrix at once
+    with ``gen.random(count)`` before any block runs.
     """
     threads = _free_threads(rows) if rows * cols >= _SPLIT_CELLS else 1
     blocks = -(-rows // max(1, _BLOCK_CELLS // cols))
@@ -374,18 +374,13 @@ def _by_rows(rows, cols, work=None, gen=None, *, out=None):
         blocks = min(max(2, -(-blocks // threads)) * threads, rows)
     # How the uniforms are drawn: by each block from its own moved copy of
     # gen, by each block in turn from gen itself (numpy's Generator on one
-    # thread), or all at once before the blocks run (a pass of one block, or
-    # any other generator).
+    # thread), or all at once before the blocks run (any other generator,
+    # and one that cannot be moved on a split pass).
     moved = threads > 1 and _movable(gen)
-    in_turn = threads == 1 < blocks and type(gen) is np.random.Generator
-    whole = out
+    in_turn = threads == 1 and type(gen) is np.random.Generator
+    whole = None
     if gen is not None and not (moved or in_turn):
-        if whole is None:
-            whole = gen.random(rows * cols).reshape(rows, cols)
-        elif type(gen) is np.random.Generator:
-            gen.random(out=whole)
-        else:
-            whole[...] = gen.random(rows * cols).reshape(rows, cols)
+        whole = gen.random(rows * cols).reshape(rows, cols)
     if moved:
         state = gen.bit_generator.state
         spares = getattr(_local, "gens", [])
@@ -397,8 +392,7 @@ def _by_rows(rows, cols, work=None, gen=None, *, out=None):
         lo, hi = rows * b // blocks, rows * (b + 1) // blocks
         part = None if whole is None else whole[lo:hi]
         if moved or in_turn:
-            if part is None:
-                part = _scratch("block", (hi - lo, cols))
+            part = _scratch("block", (hi - lo, cols))
             if moved:
                 spare = spares[slot]
                 spare.bit_generator.state = state
@@ -406,8 +400,7 @@ def _by_rows(rows, cols, work=None, gen=None, *, out=None):
                 spare.random(out=part)
             else:
                 gen.random(out=part)
-        if work is not None:
-            work(lo, hi, part)
+        work(lo, hi, part)
 
     if threads == 1:
         for b in range(blocks):
@@ -416,7 +409,6 @@ def _by_rows(rows, cols, work=None, gen=None, *, out=None):
         _share(blocks, block, threads)
     if moved:
         _skip_uniforms(gen, rows * cols)
-    return out
 
 
 def _buffer_width(theta, eps):
@@ -500,26 +492,23 @@ def _stick_rows(theta, eps, rows, gen):
     cells, ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in
     10^5 outrun; a draw whose buffer exceeds ``_CELL_BUDGET`` cells is
     refused with ``DomainError`` before anything is allocated.  The first
-    block is written compactly at its front and, only if a row stays open,
-    moved to the buffer's stride (``_restride``); each round then writes its
-    rows' columns in place.  A round that starts at the buffer's end grows
-    it by one round with ``ndarray.resize`` (a realloc, refused like the
-    buffer beyond the budget) and moves the rows again, so an extending draw
-    holds one matrix, never two; only while something else refers to the
-    buffer (a tracer reading locals, say) is it grown by a copy.  ``theta``
-    and ``eps`` must be checked floats.
+    block is written at the buffer's stride, and if a row stays open the
+    columns right of it are zeroed once; each round then writes its rows'
+    columns in place.  A round that starts at the buffer's end grows it by
+    one round with ``ndarray.resize`` (a realloc, refused like the buffer
+    beyond the budget) and moves the rows to the new stride (``_restride``),
+    so an extending draw holds one matrix, never two; only while something
+    else refers to the buffer (a tracer reading locals, say) is it grown by
+    a copy.  ``theta`` and ``eps`` must be checked floats.
     """
     log_eps = math.log(eps)
     stride = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
     width = _first_width(theta, eps, rows)
     buffer = np.empty(rows * stride)
-    first = buffer[:rows * width].reshape(rows, width)
-    tails, cut, last = _stick_pass(theta, log_eps, first, gen)
+    tails, cut, last = _stick_pass(theta, log_eps, buffer.reshape(rows, stride)[:, :width], gen)
     grow = (last > log_eps).nonzero()[0]
-    if not grow.size:
-        return first[:, :int(cut.max()) + 1], tails, cut
-    del first  # a view of the buffer would keep ndarray.resize from growing it in place
-    _restride(buffer, rows, width, stride)
+    if grow.size:
+        buffer.reshape(rows, stride)[:, width:] = 0.0  # the padding right of the closed rows
     add, start = _round_width(theta, eps), width
     while grow.size:
         # A row still open here has no cut yet; it is found in the round
@@ -548,9 +537,10 @@ def _stick_rows(theta, eps, rows, gen):
 def _restride(buffer, rows, old, new):
     """Move the (rows, old) matrix at the front of ``buffer`` to stride ``new`` >= old, in place.
 
-    The rows move in descending blocks, each to cells at or after its own,
-    so no row is overwritten before it has moved.  The new columns are
-    zeroed: the padding right of the rows that are closed.
+    Used only when a round grows the stick buffer past its end.  The rows
+    move in descending blocks, each to cells at or after its own, so no row
+    is overwritten before it has moved.  The new columns are zeroed: the
+    padding right of the rows that are closed.
     """
     step = max(1, _BLOCK_CELLS // new)
     for hi in range(rows, 0, -step):
@@ -565,13 +555,15 @@ def _stick_pass(theta, log_eps, out, gen, before=None):
 
     Returns (tails, cuts, ends) of the step's columns: exp(run) at the cut;
     the cut's column in the step (0 for a row that stays open); and run at
-    the step's last column.  ``out`` (C-contiguous) holds the masses, zero
-    right of a row's cut.  ``before`` holds each row's run just left of the
-    step (a draw's first block has none); it is added to the step's running
-    sums after their cumsum, and scales the step's first mass.
+    the step's last column.  ``out``, which may be a view with a wider row
+    stride, receives the masses, zero right of a row's cut.  ``before``
+    holds each row's run just left of the step (a draw's first block has
+    none); it is added to the step's running sums after their cumsum, and
+    scales the step's first mass.
 
-    One pass of row blocks forms all of this while a block is in cache; the
-    running sums and the cut test live in per-thread scratch.  Cells right
+    One pass of row blocks forms all of this while a block is in cache: the
+    masses in the block's uniforms, the running sums and the cut test in
+    per-thread scratch; then the block is copied to ``out``.  Cells right
     of the cut are the ones whose left neighbour has run <= log(eps): the
     comparison that finds the cut, shifted one column.
     """
@@ -581,7 +573,7 @@ def _stick_pass(theta, log_eps, out, gen, before=None):
     def step(lo, hi, u):
         # ndarray methods, not their np.* wrappers: a one-row draw's cost is
         # mostly per-call overhead.
-        run = _stick_block(u, theta, _scratch("block", u.shape))
+        run = _stick_block(u, theta, _scratch("run", u.shape))
         run.cumsum(axis=1, out=run)
         left = None if before is None else before[lo:hi]
         if left is not None:
@@ -591,8 +583,9 @@ def _stick_pass(theta, log_eps, out, gen, before=None):
         ends[lo:hi] = run[:, -1]
         np.exp(run[np.arange(hi - lo), cut], out=tails[lo:hi])
         _form_masses(u, run, closed, left)
+        out[lo:hi] = u
 
-    _by_rows(rows, cols, step, gen, out=out)
+    _by_rows(rows, cols, step, gen)
     return tails, cuts, ends
 
 
@@ -689,8 +682,7 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     order = np.argsort(-masses, axis=1, kind="stable")
     index = np.arange(rows)
     masses = masses[index[:, None], order]
-    locations = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
-    locations = locations[index[:, None], order]
+    locations = gen.random(masses.shape)[index[:, None], order]
     smallest = masses[index, cuts].tolist()
     if normalized:
         totals = [1.0] * rows
@@ -781,8 +773,7 @@ def gamma_batch(theta: float, eps: float, rows: int, gen):
     (``laplace._pairing``); this whole-matrix form is their reference.
     """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
-    locations = _by_rows(rows, masses.shape[1], gen=gen, out=np.empty(masses.shape))
-    return masses, locations, _gamma_totals(theta, rows, gen), tails
+    return masses, gen.random(masses.shape), _gamma_totals(theta, rows, gen), tails
 
 
 def _gamma_totals(theta, rows, gen):

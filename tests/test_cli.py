@@ -693,6 +693,15 @@ def test_divergence_refuses_an_argument_that_overflows_or_underflows(argv, value
                            f"{value} is not a finite positive real at n=2\n")
 
 
+def test_divergence_refuses_an_n_past_int64():
+    # mellin._check_ns's astype(int) used to exit 1 with an OverflowError
+    # traceback.
+    proc = _run_capped("divergence", "--nmin", str(10**30), "--nmax", str(10**30))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("conicpd: invalid configuration: "
+                           "n must be a positive integer below 2**63\n")
+
+
 def test_a_contour_that_does_not_decay_names_its_inputs(capsys):
     # The CLI has no abscissa flag, so "check the abscissa" named nothing
     # the user could act on.

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -397,6 +401,42 @@ def test_divergence_refuses_an_argument_that_overflows_or_underflows(lam, schedu
     # refused "lambda", which was valid.
     with pytest.raises(DomainError, match=r"lambda \* r_n " + where):
         divergence_experiment(lam, schedule, ns)
+
+
+_TINY_ABSCISSA = """
+import sys
+from conicpd import NumericalError, log_F_contour_rows
+try:
+    log_F_contour_rows([2], 1.0, abscissa=float(sys.argv[1]))
+except NumericalError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize("abscissa, message", [
+    ("1e-300", "psi'(abscissa) = inf is not finite at abscissa=1e-300"),
+    ("1e-9", "contour quadrature did not converge in 4194305 nodes"),
+])
+def test_a_tiny_abscissa_is_refused_instead_of_hanging(abscissa, message):
+    # At 1e-300, psi'(abscissa) = zeta(2, abscissa) is inf, and the decay
+    # search started at cutoff 0, which "cutoff *= 1.5" never left.  At 1e-9
+    # the first grid level held some 10^10 nodes, formed in full before the
+    # node cap refused it.  A subprocess, so that a regression fails here
+    # instead of stalling the suite.
+    proc = subprocess.run([sys.executable, "-c", _TINY_ABSCISSA, abscissa], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(Path(mellin.__file__).parents[1])))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(message)
+
+
+@pytest.mark.parametrize("ns", [[10**30], [2, 2**63], np.array([2**63], dtype=np.uint64)])
+def test_contour_refuses_an_n_past_int64(ns):
+    # astype(int) used to raise a bare OverflowError.
+    with pytest.raises(DomainError, match=r"^n must be a positive integer below 2\*\*63$"):
+        log_F_contour_rows(ns, 1.0)
+    with pytest.raises(DomainError, match=r"^n must be a positive integer below 2\*\*63$"):
+        divergence_experiment(1.0, RadiusSchedule("constant"), ns)
 
 
 @pytest.mark.parametrize("ns", [np.arange(5, 3), []])

@@ -263,7 +263,7 @@ def test_draws_sort_masses_and_locations_together(monkeypatch, sticks, order):
     # Masses in stick order come back decreasing, each with its own location.
     monkeypatch.setattr(processes, "_stick_rows",
                         lambda *args: (np.array([sticks]), np.array([0.0]), np.array([2])))
-    locations = processes._by_rows(1, 3, gen=RngStream(8).generator(), out=np.empty((1, 3)))[0]
+    locations = RngStream(8).generator().random((1, 3))[0]
     series = sample_dirichlet_process(1.0, EPS, RngStream(8))
     assert np.array_equal(series.masses, np.array(sticks)[order])
     assert np.array_equal(series.locations, locations[order])
@@ -643,6 +643,22 @@ def test_extending_stick_batch_peak_memory_is_two_matrices(monkeypatch, theta, r
     masses, _tails = out[0]
     assert masses.shape[1] > processes._first_width(theta, EPS, rows)
     assert peak <= 2.1 * masses.nbytes
+
+
+def test_rows_that_extend_inside_the_buffer_are_never_moved(monkeypatch):
+    # The first block is written at the buffer's stride, so rows that
+    # outgrow it but not the buffer extend where they lie: only a round past
+    # the buffer's end moves the rows.
+    theta, rows = 4.0, 4096
+    moves = []
+    restride = processes._restride
+    monkeypatch.setattr(processes, "_restride", lambda *args: (moves.append(args), restride(*args)))
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+    sticks = np.count_nonzero(masses, axis=1)
+    assert processes._first_width(theta, EPS, rows) < sticks.max() <= masses.shape[1]
+    assert masses.shape[1] <= processes._buffer_width(theta, EPS)
+    assert moves == []
+    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
 def test_a_batch_that_outgrows_its_buffer_grows_in_place(monkeypatch):
@@ -1458,6 +1474,29 @@ def test_one_row_draw_past_its_first_block_is_frozen(name):
     assert digest == _TINY_FIRST_BLOCK_SHA256[name]
 
 
+def test_retained_scratch_is_bounded():
+    # A one-row draw at theta = 1e4 holds 2.3e5 sticks, so its one block is
+    # longer than _BLOCK_CELLS; its scratch is made for it and let go.  The
+    # draw runs on a new thread, whose scratch starts empty.  The digest,
+    # of the draw's fields and the next three uniforms, was taken when every
+    # block's scratch was kept.
+    kept, digest = [], []
+
+    def draw():
+        gen = RngStream(41).generator()
+        series = sample_gamma_process(1e4, EPS, gen)
+        fields = (series.masses.tobytes() + series.locations.tobytes()
+                  + struct.pack("<dd", series.total_mass, series.tail_bound))
+        digest.append(hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest())
+        kept.extend(array.size for array in getattr(processes._local, "arena", {}).values())
+
+    thread = threading.Thread(target=draw)
+    thread.start()
+    thread.join()
+    assert max(kept, default=0) <= processes._BLOCK_CELLS
+    assert digest == ["c2473a4e9f6c318be387326aaea3095c6233bece4f27aec2da98a188dc1d3f82"]
+
+
 def _fields(obj):
     return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
 
@@ -1506,11 +1545,11 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
 
 
 def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
-    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of an
-    # 8-column first block: a (2, 1) view, which numpy 2.4 negates wrongly in
+    # At theta 0.3 and eps 0.25 both rows of stream 2 keep one atom of an
+    # 8-column buffer: a (2, 1) view, which numpy 2.4 negates wrongly in
     # place.
-    rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(), normalized=True))
-    masses, locations, _totals, tails = gamma_batch(0.3, 0.01, 2, RngStream(23).generator())
+    rows = list(processes._draw_rows(0.3, 0.25, 2, RngStream(2).generator(), normalized=True))
+    masses, locations, _totals, tails = gamma_batch(0.3, 0.25, 2, RngStream(2).generator())
     assert masses.shape == (2, 1) and masses.strides[0] == 8 * masses.itemsize
     for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
         assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
