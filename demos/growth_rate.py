@@ -38,7 +38,7 @@ print(f"\nconvergence of (log F_n)/n at lambda = {lam} "
 print(f"{'n':>4} {'(log F_n)/n':>12} {'raw gap':>9} {'corrected':>10} {'series':>10}")
 for i, n in enumerate(study.ns):
     if n in (2, 5, 10, 20, 30):
-        print(f"{n:>4} {study.ratios[i]:>12.6f} {study.gaps[i]:>+9.4f} "
+        print(f"{n:>4} {study.rates[i]:>12.6f} {study.gaps[i]:>+9.4f} "
               f"{study.corrected[i]:>10.6f} {study.series[i]:>10.6f}")
 print(f"extrapolated limit {study.extrapolated_limit:.6f} "
       f"(gap {study.extrapolated_gap:+.1e}); raw gaps stay under "

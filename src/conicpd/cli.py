@@ -324,9 +324,9 @@ def _run_laplace(cfg):
     if not cfg["f"]:
         raise DomainError("laplace needs --f (or f= in the config file)")
     f = parse_step_function(cfg["f"])
+    exact = analytic_laplace(cfg["theta"], f)
     est = mc_laplace(cfg["theta"], f, cfg["samples"], RngStream(cfg["seed"]),
                      eps=cfg["eps"], streams=cfg["streams"])
-    exact = analytic_laplace(cfg["theta"], f)
     z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
     record = {"theta": cfg["theta"], "f": cfg["f"], "samples": est.n_samples,
               "estimate": est.estimate, "stderr": est.stderr,
@@ -376,11 +376,11 @@ def _run_partition_sums(cfg):
         raise DomainError("partition-sums needs --weights")
     spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))
     edges = _parse_float_list(cfg["b"], "b")
+    exacts = [box_mass_L(spec, b) for b in edges]
     results = weighted_box_mass(spec, edges, cfg["samples"], RngStream(cfg["seed"]),
                                 eps=cfg["eps"], streams=cfg["streams"])
     records = []
-    for b, est in zip(edges, results):
-        exact = box_mass_L(spec, b)
+    for b, exact, est in zip(edges, exacts, results):
         z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
         records.append({"weights": cfg["weights"], "b": b, "samples": est.n_samples,
                         "estimate": est.estimate, "stderr": est.stderr,

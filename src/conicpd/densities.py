@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SingularityError
-from .processes import _positive_real
+from .processes import _finite_exp, _positive_real
 from .stepfn import _piece_index
 
 
@@ -32,8 +32,12 @@ class PartitionSpec:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise DomainError("partition weights must be a non-empty vector of positive reals")
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            theta = float(w.sum())
+        if not math.isfinite(theta):
+            raise DomainError("partition weights must have a finite total")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "theta", float(w.sum()))
+        object.__setattr__(self, "theta", theta)
 
     @property
     def n(self) -> int:
@@ -119,7 +123,9 @@ def _gamma_log_density_1d(theta: float, s: float) -> float:
 def box_mass_L(spec: PartitionSpec, b: float) -> float:
     """Scale-free mass of the box [0, b]^n: prod b^{theta_i} / Gamma(theta_i + 1)."""
     log_b = math.log(_positive_real(b, "box edge"))
-    return math.exp(float(np.sum(spec.weights * log_b - gammaln(spec.weights + 1.0))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
+        exponent = float(np.sum(spec.weights * log_b - gammaln(spec.weights + 1.0)))
+    return _finite_exp(exponent, "the box mass prod b^theta_i / Gamma(theta_i + 1)")
 
 
 def lemma1_pointwise_check(spec: PartitionSpec, point) -> float:

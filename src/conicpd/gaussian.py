@@ -51,10 +51,16 @@ def gaussian_charfun(s_norm: float) -> float:
     return math.exp(-0.5 * s * s)
 
 
-def _check_s(s_norm) -> np.ndarray:
+def _check_s(s_norm, radius: float = 1.0) -> np.ndarray:
+    """``s_norm`` as a float array, each s finite, non-negative, and finite times ``radius``."""
     s = np.asarray(s_norm, dtype=float)
     if s.ndim > 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
         raise DomainError("s must be a finite non-negative real or a 1-D array of them")
+    # The largest s * radius is the product of the largest s; a Python float
+    # product overflows to inf without a warning.
+    if s.size and math.isinf(float(s.max()) * radius):
+        raise DomainError(f"s * sqrt(n) overflows a float at s = {float(s.max())!r} and "
+                          f"sqrt(n) = {radius!r}")
     return s
 
 
@@ -95,8 +101,8 @@ def _hyp0f1_large_order(nu: float, x: np.ndarray) -> np.ndarray:
     """0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) for nu >= 114.
 
     For x < 0.9 nu, Debye's expansion of J_nu and Stirling's series are
-    combined so that no large exponent cancels; beyond, the prefactor is
-    below one and the direct product is safe.
+    combined so that no large exponent cancels; beyond, the far-field
+    product serves.
     """
     value = np.empty_like(x)
     near = x < 0.9 * nu
@@ -108,10 +114,17 @@ def _hyp0f1_large_order(nu: float, x: np.ndarray) -> np.ndarray:
                       for k, (c, den) in enumerate(_DEBYE, 1))
     stirling = 1 / (12 * nu) - 1 / (360 * nu**3) + 1 / (1260 * nu**5) - 1 / (1680 * nu**7)
     value[near] = np.exp(stirling - nu * (d + np.log1p(-0.5 * d))) * debye / np.sqrt(t)
-    far = x[~near]
-    value[~near] = (np.exp(special.gammaln(nu + 1.0) + nu * np.log(2.0 / far))
-                    * special.jv(nu, far))
+    value[~near] = _hyp0f1_far(nu, x[~near])
     return value
+
+
+def _hyp0f1_far(nu: float, x: np.ndarray) -> np.ndarray:
+    """0F1(; nu + 1; -x^2/4) as the product Gamma(nu + 1) (2/x)^nu J_nu(x), for x >= 0.9 nu.
+
+    There the prefactor is below one, so the product is safe; it also serves
+    an x past 2.7e154, where -x^2/4 overflows.
+    """
+    return np.exp(special.gammaln(nu + 1.0) + nu * np.log(2.0 / x)) * special.jv(nu, x)
 
 
 def sphere_charfun_quad(cfg: SphereConfig, s_norm):
@@ -121,18 +134,24 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm):
     on [-1, 1], whose cosine transform is this Bessel-type series (J_0 at
     n = 2).  A scalar s gives a float, a 1-D array of s an array.
     """
-    s = _check_s(s_norm)
+    s = _check_s(s_norm, cfg.radius)
     x = np.atleast_1d(cfg.radius * s)
     b = 0.5 * cfg.n
-    z = -0.25 * x * x
     # Where |z| < 1e-4 b, three terms of the series are exact to 5e-18.  Beyond,
-    # scipy's hyp0f1 serves n < 230; it forms Gamma(b) (2/x)^(b-1) apart from
+    # scipy's hyp0f1 serves n < 230 up to the z that overflows, and the
+    # far-field product past it; hyp0f1 forms Gamma(b) (2/x)^(b-1) apart from
     # J_{b-1}(x), which would overflow at those small x from n = 176 on.  From
     # n = 230, Debye's expansion is within 1e-15 of mpmath, while hyp0f1 loses
-    # digits in J_{b-1} at odd n and returns NaN past n = 343.
-    value = 1.0 + z / b * (1.0 + z / (2.0 * (b + 1.0)) * (1.0 + z / (3.0 * (b + 2.0))))
+    # digits in J_{b-1} at odd n and returns NaN past n = 343.  The series
+    # overflows from x = 1e52, and z from 2.7e154; neither value is kept there.
+    with np.errstate(over="ignore"):
+        z = -0.25 * x * x
+        value = 1.0 + z / b * (1.0 + z / (2.0 * (b + 1.0)) * (1.0 + z / (3.0 * (b + 2.0))))
     rest = -z >= 1e-4 * b
     if cfg.n < 230:
+        far = np.isinf(z)
+        value[far] = _hyp0f1_far(b - 1.0, x[far])
+        rest &= ~far
         value[rest] = special.hyp0f1(b, z[rest])
         if b in _HYP0F1_DETOURS:
             lo, hi = _HYP0F1_DETOURS[b]
@@ -154,7 +173,7 @@ def sphere_charfun_mc(cfg: SphereConfig, s_norm, n_samples: int,
     s gives one EstimatorResult; a 1-D array of s gives one per entry, all
     from the same draws, each as the scalar call would give it.
     """
-    s = _check_s(s_norm)
+    s = _check_s(s_norm, cfg.radius)
     if s.size == 0:
         raise DomainError("a characteristic function needs at least one s")
     k = np.atleast_1d(s) * cfg.radius
@@ -215,7 +234,6 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
     every block redraws the same coordinates, one normal and one chi-square
     value per sample at any n >= 2, so blocking changes no bit.
     """
-    s_grid = _check_s(s_grid).ravel()
     samples = processes._integer(samples, "samples", lower=0)
     streams = processes._integer(streams, "stream count")
     if rng is None and samples > 0:
@@ -223,6 +241,7 @@ def charfun_gap_rows(s_grid, n_list, samples: int = 0,
     if rng is not None and not isinstance(rng, RngStream):
         raise DomainError("rng must be an RngStream")
     configs = [SphereConfig(n=n) for n in n_list]
+    s_grid = _check_s(s_grid, max((cfg.radius for cfg in configs), default=1.0)).ravel()
     block = _BLOCK_CELLS // min(CHUNK_ROWS, max(samples, 1))
     rows = []
     for cfg in configs:

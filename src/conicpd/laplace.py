@@ -17,7 +17,6 @@ below that line unless explicitly overridden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .processes import (
     RngStream,
     _by_rows,
     _check_theta_eps,
+    _finite_exp,
     _gamma_totals,
     _positive_real,
     _scratch,
@@ -50,12 +50,12 @@ def log_mean(f: StepFunction, theta: float = 1.0) -> float:
 
 def phi(a: StepFunction, theta: float = 1.0) -> float:
     """Multiplicator cocycle exp(integral of log a dm); equals 1 on the kernel group."""
-    return math.exp(log_mean(a, theta))
+    return _finite_exp(log_mean(a, theta), "the cocycle phi(a)")
 
 
 def analytic_laplace(theta: float, f: StepFunction) -> float:
     """Closed-form transform exp(-integral of log f dm)."""
-    return math.exp(-log_mean(f, theta))
+    return _finite_exp(-log_mean(f, theta), "the transform Psi(f)")
 
 
 def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
@@ -220,8 +220,8 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     The law is read at the eight points t = b/8, 2b/8, ..., b.  The
     indicator window keeps the weighted integrand bounded (total mass is at
     most t / min f on the event), so the estimator has finite variance for any
-    positive step function.  The arguments are checked before anything is
-    drawn.
+    positive step function.  The arguments are checked, and the exact side
+    formed, before anything is drawn.
     """
     from scipy.special import gammaln   # the only scipy use here; keeps it off the CLI start-up
 
@@ -230,12 +230,14 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
         raise DomainError("f must be a StepFunction")
     b = _positive_real(b, "window bound b")
     t_grid = np.linspace(b / 8.0, b, 8)
+    c_f = log_mean(f, theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
+        exponent = -c_f + theta * np.log(t_grid) - gammaln(theta + 1.0)
+    exact = _finite_exp(exponent, "the window law e^{-c(f)} t^theta / Gamma(theta + 1)")
 
     kernel = _kernel(theta, eps, *_common_grid([f]), lambda pairing, totals: _window_weights(
         pairing[:, 0] * totals, t_grid, totals))
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)
-    c_f = log_mean(f, theta)
-    exact = np.exp(-c_f + theta * np.log(t_grid) - gammaln(theta + 1.0))
     est = np.array([r.estimate for r in results])
     err = np.array([r.stderr for r in results])
     z = np.where(err > 0, (est - exact) / np.where(err > 0, err, 1.0), 0.0)

@@ -148,7 +148,8 @@ def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> Contour
     of the step-2h grid (else both grids can alias the same oscillation and
     agree on a wrong value).  Otherwise h is halved, evaluating only the new
     midpoints, at most eight times and up to 2^22 nodes, before
-    NumericalError.
+    NumericalError; a first level too fine for that cap is refused before
+    it is formed.
 
     Off the saddle the integrand oscillates, and S_n can sit far below
     integral |e^{n u}| dt; the step test then passes on rounding noise.
@@ -167,7 +168,11 @@ def log_F_contour_rows(ns, lam: float, abscissa: float | None = None) -> Contour
 
 
 def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
-    """log F_n, error and node count for sorted distinct ``ns``."""
+    """log F_n, error and node count for sorted distinct ``ns``.
+
+    A grid whose first halving would pass _MAX_NODES is refused before any
+    of its nodes is formed, from one evaluation at the n_min row's reach.
+    """
     log_lam = math.log(lam)
     log_gamma0 = float(special.gammaln(gamma))
     curvature = float(special.zeta(2.0, gamma))
@@ -183,6 +188,9 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
                 f"lambda={lam}, abscissa={gamma})"
             )
 
+    def exponent(t):  # u(t) = z(t) - z(0)
+        return special.loggamma(gamma + 1j * t) - log_gamma0 - 1j * log_lam * t
+
     def node_sums(rows, offset, step):
         # Per row, over the nodes t = offset + k step <= cutoff before the
         # row's integrand is negligible: the sums of Re e^{n u} and of the
@@ -195,7 +203,7 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
         first = 0
         while True:
             t = _grid_block(offset, step, first, cutoff)
-            u = special.loggamma(gamma + 1j * t) - log_gamma0 - 1j * log_lam * t
+            u = exponent(t)
             lengths = np.searchsorted(-u.real, _LOG_NEGLIGIBLE / -rows)
             out[2] += lengths
             start, live = 0, np.count_nonzero(lengths)
@@ -221,14 +229,22 @@ def _trapezoid_rows(ns: np.ndarray, lam: float, gamma: float):
                     phase[i] = angle[j, end]
                 start = stop
             first += _BLOCK
-            # A level past _MAX_NODES is refused below; forming the rest of
-            # it (some 10^10 nodes at an abscissa of 1e-9) would never end.
-            if t.size < _BLOCK or lengths[0] < t.size or first >= _MAX_NODES:
+            if t.size < _BLOCK or lengths[0] < t.size:
                 return out
 
     rows = ns.astype(float)
-    # The step-2h sum; t = 0 contributes e^0 = 1 (rounding weight 4) at half weight.
     step = 0.5 / math.sqrt(n_max * curvature)
+    # The loop below refuses the first level, before its first halving, when
+    # row n_min keeps at least 2^21 of its nodes.  |e^{n u}| falls with t, so
+    # that row's 2^21-th node, kept or not, tells before any node is formed:
+    # at an abscissa of 1e-9 the level holds some 10^10 of them.
+    last = step + step * (_MAX_NODES // 2 - 1)
+    if last <= cutoff and -exponent(last).real < _LOG_NEGLIGIBLE / -rows[0]:
+        raise NumericalError(
+            f"contour quadrature needs more than {_MAX_NODES} nodes at n={n_min} "
+            f"(lambda={lam}, abscissa={gamma})"
+        )
+    # The step-2h sum; t = 0 contributes e^0 = 1 (rounding weight 4) at half weight.
     sums = node_sums(rows, step, step)[:3]
     sums[:2] = step * (sums[:2] + np.array([[0.5], [2.0]]))
     sums[2] += 1.0
@@ -338,89 +354,6 @@ def _tensor_quad(dims: int, box: float, lam: float, order: int) -> float:
 
 
 @dataclass(frozen=True)
-class LimitStudy:
-    """Convergence of (log F_n)/n toward the saddle rate L(lambda)."""
-
-    lam: float
-    saddle: SaddleSolution
-    ns: np.ndarray
-    log_F: np.ndarray
-    ratios: np.ndarray          # (log F_n) / n
-    gaps: np.ndarray            # ratios - L
-    corrected: np.ndarray       # ratios with the known 1/2 log(2 pi n psi') term added back
-    series: np.ndarray          # corrected less the Laplace term log(1 + kappa_1/n)/n
-    extrapolated_limit: float   # series at the largest n
-    extrapolated_gap: float
-    envelope_constant: float    # max_n |gap_n| * n / log n
-    log_F_error: np.ndarray     # a-posteriori contour error of log F_n
-    nodes: np.ndarray           # contour grid nodes per row
-
-    def rows(self) -> list[dict]:
-        return _table_rows(self.lam, self.ns, 1.0, self.saddle.gamma, self.saddle.L_value,
-                           self.ratios)
-
-
-def _table_rows(lam, ns, radii, gammas, limits, rates) -> list[dict]:
-    """The printed rows of a (log F_n)/n table; a scalar column is shared by every row."""
-    columns = (c.tolist() for c in np.broadcast_arrays(ns, radii, gammas, limits, rates))
-    return [{"n": n, "lambda": lam, "r": r, "gamma": g, "L": L, "lnFn_over_n": q, "gap": q - L}
-            for n, r, g, L, q in zip(*columns)]
-
-
-def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
-    """Tabulate (log F_n)/n for n_min..n_max and its n -> inf limit.
-
-    The whole table comes from one :func:`log_F_contour_rows` grid at the
-    saddle.  The raw ratio sits -(1/2) log(2 pi n a)/n away from L, about
-    0.07 at n = 40.  ``corrected`` adds that term back and leaves the O(1/n^2)
-    Laplace term log(1 + kappa_1/n)/n (module docstring); ``series`` removes
-    it too and is within O(n^-3) of L.  Its last row is the extrapolated
-    limit: for every n_max from 2 to 40 at lambda = 0.3, 1 and 3 it lies
-    within 0.05 / n_max^3 of L.
-    """
-    if not (2 <= n_min <= n_max <= 60):
-        raise DomainError("limit study supports 2 <= n_min <= n_max <= 60")
-    sol = solve_saddle(lam)
-    ns = np.arange(n_min, n_max + 1)
-    contour = log_F_contour_rows(ns, lam, abscissa=sol.gamma)
-    log_f = contour.log_F
-    ratios = log_f / ns
-    gaps = ratios - sol.L_value
-    a = sol.curvature
-    corrected = ratios + 0.5 * np.log(2.0 * math.pi * ns * a) / ns
-    # psi''(g) and psi'''(g): scipy's polygamma(n, x) is (-1)^(n+1) n! zeta(n+1, x),
-    # so these are its bits without its dispatch.
-    c3, c4 = -2.0 * special.zeta(3.0, sol.gamma), 6.0 * special.zeta(4.0, sol.gamma)
-    kappa1 = c4 / (8.0 * a * a) - 5.0 * c3 * c3 / (24.0 * a ** 3)
-    series = corrected - np.log1p(kappa1 / ns) / ns
-    limit = float(series[-1])
-    return LimitStudy(
-        lam=sol.lam, saddle=sol, ns=ns, log_F=log_f, ratios=ratios, gaps=gaps,
-        corrected=corrected, series=series, extrapolated_limit=limit,
-        extrapolated_gap=limit - sol.L_value,
-        envelope_constant=float(np.max(np.abs(gaps) * ns / np.log(ns))),
-        log_F_error=contour.error, nodes=contour.nodes,
-    )
-
-
-def find_L_zero() -> float:
-    """Bisection for the unique lambda where L crosses zero (L is strictly decreasing).
-
-    The bracket is [0.5, 1.5]: L(0.5) > 0 > L(1.5), and the zero lies near 0.918.
-    """
-    lo, hi = 0.5, 1.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if solve_saddle(mid).L_value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
 class RadiusSchedule:
     """Radius sequence r_n: the constant c, or c * sqrt(n)."""
 
@@ -444,21 +377,101 @@ class RadiusSchedule:
 class DivergenceTable:
     """(log D_n)/n along a radius schedule for constant test value lambda.
 
-    D_n = F_n(lambda r_n) is the candidate normalization at radius r_n.
+    D_n = F_n(lambda r_n) is the candidate normalization at radius r_n.  The
+    table of every (log F_n)/n: a :class:`LimitStudy` is this table at the
+    constant radius 1.
     """
 
     lam: float
     schedule: RadiusSchedule
     ns: np.ndarray
     radii: np.ndarray
+    log_F: np.ndarray        # log D_n
     rates: np.ndarray        # (log D_n)/n
     limits: np.ndarray       # L(lambda * r_n)
     gammas: np.ndarray       # saddle of lambda * r_n
     log_F_error: np.ndarray  # a-posteriori contour error of log D_n
     nodes: np.ndarray        # contour grid nodes per row
 
+    @property
+    def gaps(self) -> np.ndarray:
+        """rates - limits: each row's rate less its L(lambda r_n)."""
+        return self.rates - self.limits
+
     def rows(self) -> list[dict]:
-        return _table_rows(self.lam, self.ns, self.radii, self.gammas, self.limits, self.rates)
+        """The printed rows, one per n, in the columns of ``mellin`` and ``divergence``."""
+        columns = (c.tolist() for c in (self.ns, self.radii, self.gammas, self.limits, self.rates))
+        return [{"n": n, "lambda": self.lam, "r": r, "gamma": g, "L": L, "lnFn_over_n": q,
+                 "gap": q - L} for n, r, g, L, q in zip(*columns)]
+
+
+@dataclass(frozen=True)
+class LimitStudy(DivergenceTable):
+    """The radius-1 table of (log F_n)/n, with Laplace's series for its limit L(lambda).
+
+    Its table columns are those of ``divergence_experiment(lam,
+    RadiusSchedule("constant"), ns)``, bit for bit.
+    """
+
+    saddle: SaddleSolution
+    corrected: np.ndarray       # rates with the known 1/2 log(2 pi n psi') term added back
+    series: np.ndarray          # corrected less the Laplace term log(1 + kappa_1/n)/n
+    extrapolated_limit: float   # series at the largest n
+    extrapolated_gap: float
+    envelope_constant: float    # max_n |gap_n| * n / log n
+
+
+def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
+    """Tabulate (log F_n)/n for n_min..n_max and its n -> inf limit.
+
+    The study is the divergence table at the constant radius 1, from one
+    saddle solve and one :func:`log_F_contour_rows` grid at the saddle.  The
+    raw rate sits -(1/2) log(2 pi n a)/n away from L, about 0.07 at n = 40.
+    ``corrected`` adds that term back and leaves the O(1/n^2) Laplace term
+    log(1 + kappa_1/n)/n (module docstring); ``series`` removes it too and
+    is within O(n^-3) of L.  Its last row is the extrapolated limit: for
+    every n_max from 2 to 40 at lambda = 0.3, 1 and 3 it lies within
+    0.05 / n_max^3 of L.
+    """
+    if not (2 <= n_min <= n_max <= 60):
+        raise DomainError("limit study supports 2 <= n_min <= n_max <= 60")
+    sol = solve_saddle(lam)
+    ns = np.arange(n_min, n_max + 1)
+    contour = log_F_contour_rows(ns, lam, abscissa=sol.gamma)
+    rates = contour.log_F / ns
+    a = sol.curvature
+    corrected = rates + 0.5 * np.log(2.0 * math.pi * ns * a) / ns
+    # psi''(g) and psi'''(g): scipy's polygamma(n, x) is (-1)^(n+1) n! zeta(n+1, x),
+    # so these are its bits without its dispatch.
+    c3, c4 = -2.0 * special.zeta(3.0, sol.gamma), 6.0 * special.zeta(4.0, sol.gamma)
+    kappa1 = c4 / (8.0 * a * a) - 5.0 * c3 * c3 / (24.0 * a ** 3)
+    series = corrected - np.log1p(kappa1 / ns) / ns
+    limit = float(series[-1])
+    return LimitStudy(
+        lam=sol.lam, schedule=RadiusSchedule("constant"), ns=ns, radii=np.ones(ns.size),
+        log_F=contour.log_F, rates=rates, limits=np.full(ns.size, sol.L_value),
+        gammas=np.full(ns.size, sol.gamma), log_F_error=contour.error, nodes=contour.nodes,
+        saddle=sol, corrected=corrected, series=series, extrapolated_limit=limit,
+        extrapolated_gap=limit - sol.L_value,
+        envelope_constant=float(np.max(np.abs(rates - sol.L_value) * ns / np.log(ns))),
+    )
+
+
+def find_L_zero() -> float:
+    """Bisection for the unique lambda where L crosses zero (L is strictly decreasing).
+
+    The bracket is [0.5, 1.5]: L(0.5) > 0 > L(1.5), and the zero lies near 0.918.
+    """
+    lo, hi = 0.5, 1.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if solve_saddle(mid).L_value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
 
 
 def divergence_experiment(lam: float, schedule: RadiusSchedule, ns) -> DivergenceTable:
@@ -487,7 +500,7 @@ def divergence_experiment(lam: float, schedule: RadiusSchedule, ns) -> Divergenc
         contour = log_F_contour_rows(ns[at], arg, abscissa=sol.gamma)
         log_f[at], errors[at], nodes[at] = contour.log_F, contour.error, contour.nodes
         limits[at], gammas[at] = sol.L_value, sol.gamma
-    return DivergenceTable(lam=lam, schedule=schedule, ns=ns, radii=radii,
+    return DivergenceTable(lam=lam, schedule=schedule, ns=ns, radii=radii, log_F=log_f,
                            rates=log_f / ns, limits=limits, gammas=gammas,
                            log_F_error=errors, nodes=nodes.astype(int))
 

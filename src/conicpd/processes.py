@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .stepfn import StepFunction
 
 
@@ -162,6 +162,11 @@ def _unchecked(cls, **fields):
     return obj
 
 
+# log(1 - u) >= log(2^-53) > -37 for a uniform u < 1, so only a theta below
+# this can take a step log(1 - u) / theta past the float range.
+_TINY_THETA = 37.0 / np.finfo(float).max
+
+
 def _stick_block(u, theta, steps):
     # Inverse CDF of Beta(1, theta): a stick y has log(1 - y) = log(1 - u) /
     # theta, which goes to ``steps`` as the step of its row's running sum,
@@ -171,7 +176,11 @@ def _stick_block(u, theta, steps):
     if theta != 1.0:
         np.subtract(1.0, u, out=steps)
         np.log(steps, out=steps)
-        np.divide(steps, theta, out=steps)
+        if theta > _TINY_THETA:
+            np.divide(steps, theta, out=steps)
+        else:  # a step of -inf is the exact limit: a stick of 1, and no tail
+            with np.errstate(over="ignore"):
+                np.divide(steps, theta, out=steps)
         np.expm1(steps, out=u)
         np.negative(u, out=u)
     else:
@@ -621,6 +630,27 @@ def _positive_real(value, name, upper=math.inf) -> float:
     if not 0.0 < x < upper:  # False on NaN
         raise DomainError(message)
     return x
+
+
+def _finite_exp(exponent, quantity):
+    """The closed form e^exponent: math.exp of a float, np.exp of an array.
+
+    A value that is not a finite float raises NumericalError naming
+    ``quantity``, in place of an OverflowError or an inf.
+    """
+    if isinstance(exponent, np.ndarray):
+        with np.errstate(over="ignore"):
+            value = np.exp(exponent)
+        finite = np.isfinite(value).all()
+    else:
+        try:
+            value = math.exp(exponent)
+        except OverflowError:
+            value = math.inf
+        finite = math.isfinite(value)
+    if not finite:
+        raise NumericalError(f"{quantity} = exp({np.max(exponent):.6g}) is not a finite float")
+    return value
 
 
 def _integer(value, name, lower=1, upper=None) -> int:

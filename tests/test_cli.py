@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, processes
+from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, laplace, processes
 from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS, stream_counts
@@ -370,6 +371,76 @@ def test_rows_outside_every_box_do_not_overflow():
     # overflow encountered in exp" on stderr.
     proc = _run_capped("partition-sums", "--weights", "5000,5000", "--samples", "8")
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("theta, eps", [(0.5, 1e-10), (1.0, 1e-10), (4.0, 1e-10), (1.0, 1e-3)])
+def test_ranked_dirichlet_atoms_meet_the_poisson_dirichlet_oracles(capsys, theta, eps):
+    # Under PD(theta), E[sum V_i^k] = Gamma(k) Gamma(theta + 1) / Gamma(theta + k),
+    # and the largest atom has E[V_1] = integral_0^inf exp(-y - theta E_1(y)) dy
+    # (0.62433 at theta = 1, the Golomb-Dickman constant).  The atoms past
+    # the truncation sum to at most tail_bound, which bounds what each
+    # statistic can lose to it.
+    from scipy import integrate, special
+
+    code, out, _ = run_cli(capsys, ["sample", "--process", "dirichlet", "--theta", str(theta),
+                                    "--eps", str(eps), "--samples", "4000"])
+    assert code == 0
+    records = json_lines(out)[1:]
+    stats = []
+    for record in records:
+        masses = np.array(record["masses"])
+        stats.append([np.sum(masses ** 2), np.sum(masses ** 3), masses[0]])
+    stats = np.array(stats)
+    largest, _ = integrate.quad(lambda y: math.exp(-y - theta * special.exp1(y)), 0.0, np.inf)
+    assert largest == pytest.approx({0.5: 0.75782, 1.0: 0.62433, 4.0: 0.33677}[theta], abs=1e-5)
+    want = [1.0 / (theta + 1.0), 2.0 / ((theta + 1.0) * (theta + 2.0)), largest]
+    stderr = stats.std(axis=0, ddof=1) / math.sqrt(len(records))
+    allowance = 4.0 * stderr + np.mean([record["tail_bound"] for record in records])
+    assert np.all(np.abs(stats.mean(axis=0) - want) <= allowance)
+
+
+_BOX_OVERFLOW = "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(920.87) is not a finite"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["box-mass", "--weights", "0.5,1.5", "--b", "1e200"], 3, _BOX_OVERFLOW),
+    (["partition-sums", "--weights", "0.5,1.5", "--b", "1e200", "--samples", "16"], 3,
+     _BOX_OVERFLOW),
+    (["box-mass", "--weights", "1e306,1e306", "--b", "1e300"], 3, "exp(nan) is not a finite"),
+    (["box-mass", "--weights", "1e308,1e308", "--b", "2"], 2,
+     "partition weights must have a finite total"),
+    (["invariance", "--theta", "1e5", "--pairs", "1", "--samples", "16"], 3,
+     "the cocycle phi(a) = exp(1993.95) is not a finite float"),
+    (["laplace", "--theta", "2000", "--f", "0.6@0:1", "--samples", "16"], 3,
+     "the transform Psi(f) = exp(1021.65) is not a finite float"),
+    (["sample", "--theta", "1e-320", "--samples", "2"], 0, ""),
+    (["sample", "--theta", "1e-320", "--samples", "2", "--process", "dirichlet"], 0, ""),
+    (["laplace", "--theta", "1e-320", "--f", "1.5@0:1", "--samples", "16"], 0, ""),
+    (["invariance", "--theta", "1e-320", "--pairs", "1", "--samples", "16"], 0, ""),
+    (["mp-demo", "--n", "3", "--smax", "1e200", "--spoints", "2"], 0, ""),
+    (["mp-demo", "--n", "3,230", "--smax", "1e60", "--spoints", "2", "--samples", "16"], 0, ""),
+    (["mp-demo", "--n", "5", "--smax", "1e308", "--spoints", "2"], 2,
+     "s * sqrt(n) overflows a float"),
+])
+def test_extreme_inputs_exit_0_2_or_3_without_a_warning_or_a_non_finite_cell(capsys, argv,
+                                                                             code, message):
+    # Each of these used to exit 1 with a traceback, to warn on stderr, or to
+    # print NaN.  Under this suite's filterwarnings, a warning raises here.
+    got, out, err = run_cli(capsys, argv)
+    assert got == code, err
+    assert message in err and (err == "") == (code == 0)
+    assert "NaN" not in out and "Infinity" not in out
+    if argv[:2] == ["sample", "--theta"]:  # the exact limit: one stick of 1, no tail
+        for record in json_lines(out)[1:]:
+            assert record["masses"] == [record["total_mass"]] and record["tail_bound"] == 0.0
+
+
+def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("drew before refusing the exact side")
+
+    monkeypatch.setattr(laplace, "weighted_box_mass", refuse)
+    assert run_cli(capsys, ["partition-sums", "--weights", "0.5,1.5", "--b", "1e200"])[0] == 3
 
 
 @pytest.mark.parametrize("argv, seed", [

@@ -92,6 +92,24 @@ def test_quad_charfun_matches_mpmath_hyp0f1(n):
             assert abs(value - float(want)) <= 2e-15, (n, s)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 43, 229, 230, 401])
+def test_quad_charfun_past_the_overflow_of_z_is_finite_and_within_the_bessel_envelope(n):
+    # From x = s sqrt(n) of about 1e52 the three-term series overflowed, and
+    # past 2.7e154, -x^2/4 itself, so that hyp0f1 returned NaN.  There |J_nu(x)|
+    # is within sqrt(2 / (pi x)), to 1 + O(x^-2), at these orders.
+    cfg = SphereConfig(n=n)
+    s_grid = np.array([1e52, 1e120, 2.6e154, 2.7e154, 1e200, 1e300, 1e308]) / cfg.radius
+    values = sphere_charfun_quad(cfg, s_grid)
+    assert np.all(np.isfinite(values))
+    x = cfg.radius * s_grid
+    b = 0.5 * n
+    log_envelope = (math.lgamma(b) + (b - 1.0) * np.log(2.0 / x)
+                    + 0.5 * np.log(2.0 / math.pi / x))
+    assert np.all(np.abs(values) <= np.exp(log_envelope) * (1.0 + 1e-9))
+    with pytest.raises(DomainError, match=r"s \* sqrt\(n\) overflows a float"):
+        sphere_charfun_quad(cfg, np.finfo(float).max / cfg.radius * 1.01)
+
+
 def test_quad_charfun_scalar_and_array_forms_agree():
     cfg = SphereConfig(n=7)
     s_grid = np.array([0.0, 0.3, 1.7, 4.0])

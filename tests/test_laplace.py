@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conicpd import (
     DomainError,
     InfiniteVarianceError,
+    NumericalError,
     PartitionSpec,
     RngStream,
     StepFunction,
@@ -453,6 +454,17 @@ def test_functional_window_two_level_function():
     rep = functional_distribution_check(theta, f, 1.0, 200_000, RngStream(18))
     assert rep.c_f == pytest.approx(log_mean(f, theta), rel=1e-15)
     assert np.all(np.abs(rep.z_scores) <= 4.0)
+
+
+@pytest.mark.parametrize("theta, b, log", [(50.0, 1e10, "982.542"), (1e306, 1e300, "nan")])
+def test_an_overflowing_window_law_is_refused_before_drawing(monkeypatch, theta, b, log):
+    # It was formed after the draws, and overflowed to inf with a warning.
+    def refuse(_self):
+        raise AssertionError("drew before refusing the exact side")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    with pytest.raises(NumericalError, match=rf"the window law .* = exp\({log}\) is not a finite"):
+        functional_distribution_check(theta, StepFunction.constant(1.5), b, 100, RngStream(0))
 
 
 @pytest.mark.parametrize("call, match", [

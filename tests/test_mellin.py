@@ -415,13 +415,14 @@ except NumericalError as error:
 
 @pytest.mark.parametrize("abscissa, message", [
     ("1e-300", "psi'(abscissa) = inf is not finite at abscissa=1e-300"),
-    ("1e-9", "contour quadrature did not converge in 4194305 nodes"),
+    ("1e-9", "contour quadrature needs more than 4194304 nodes at n=2 (lambda=1.0, "
+             "abscissa=1e-09)"),
 ])
 def test_a_tiny_abscissa_is_refused_instead_of_hanging(abscissa, message):
     # At 1e-300, psi'(abscissa) = zeta(2, abscissa) is inf, and the decay
     # search started at cutoff 0, which "cutoff *= 1.5" never left.  At 1e-9
-    # the first grid level held some 10^10 nodes, formed in full before the
-    # node cap refused it.  A subprocess, so that a regression fails here
+    # the first grid level holds some 10^10 nodes, once formed in full before
+    # the node cap refused it.  A subprocess, so that a regression fails here
     # instead of stalling the suite.
     proc = subprocess.run([sys.executable, "-c", _TINY_ABSCISSA, abscissa], capture_output=True,
                           text=True, timeout=60,
@@ -615,6 +616,46 @@ def test_limit_study_and_divergence_carry_diagnostics():
     assert np.all(table.log_F_error <= 1e-9) and np.all(table.nodes > 1)
     # the diagnostics stay off the printed rows
     assert list(table.rows()[0]) == TABLE_COLUMNS
+
+
+@pytest.mark.parametrize("ns, abscissa", [([2, 2**62], None), ([2], 1e-9), ([2], 1e-6)])
+def test_a_level_over_the_node_cap_is_refused_before_any_node_is_formed(monkeypatch, ns,
+                                                                        abscissa):
+    # Each first level would hold more than 2^21 nodes of row n = 2; forming
+    # them up to the cap took about a second before the refusal.
+    def no_block(*args):
+        raise AssertionError("a grid block was formed")
+
+    monkeypatch.setattr(mellin, "_grid_block", no_block)
+    with pytest.raises(NumericalError, match=r"needs more than 4194304 nodes at n=2 "
+                                             r"\(lambda=1.0, abscissa="):
+        log_F_contour_rows(ns, 1.0, abscissa=abscissa)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("n_min, n_max", [(2, 3), (20, 21), (2, 40)])
+def test_a_limit_study_is_the_radius_1_divergence_table(lam, n_min, n_max):
+    study = L_limit_study(lam, n_max, n_min)
+    table = divergence_experiment(lam, RadiusSchedule("constant"), np.arange(n_min, n_max + 1))
+    assert isinstance(study, DivergenceTable) and study.schedule == table.schedule
+    for name in ("ns", "radii", "log_F", "rates", "limits", "gammas", "log_F_error", "nodes"):
+        mine, theirs = getattr(study, name), getattr(table, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+    assert study.rows() == table.rows()
+    assert study.gaps.tobytes() == (study.rates - study.saddle.L_value).tobytes()
+    assert not hasattr(study, "ratios") and not hasattr(mellin, "_table_rows")
+
+
+def test_a_limit_study_solves_one_saddle(monkeypatch):
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return solve_saddle(lam)
+
+    monkeypatch.setattr(mellin, "solve_saddle", counting)
+    L_limit_study(1.0, n_max=6).rows()
+    assert calls == [1.0]
 
 
 def test_divergence_solves_one_saddle_per_row(monkeypatch):

@@ -74,8 +74,9 @@ def test_pyproject_version_is_the_package_version():
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
 def test_demo_runs(tmp_path, demo):
     # Each demo runs in a fresh directory, where it may write its figure;
-    # one that uses a public name the package no longer has fails here.
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
+    # one that uses a public name the package no longer has fails here, and
+    # so does one that raises a warning, as in the tests.
+    proc = subprocess.run([sys.executable, "-W", "error", str(REPO / "demos" / demo)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert proc.returncode == 0, proc.stderr
