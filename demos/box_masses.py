@@ -23,8 +23,8 @@ for weights in ([1.0], [1.0, 1.0], [0.5, 1.5], [0.5, 1.0, 1.5]):
     print(f"  {'b':>4} {'exact':>10} {'estimate':>10} {'stderr':>9} {'z':>6}")
     for b, est in zip(b_values, results):
         exact = box_mass_L(spec, b)
-        z = (est.estimate - exact) / est.stderr if est.stderr else 0.0
-        print(f"  {b:>4} {exact:>10.5f} {est.estimate:>10.5f} {est.stderr:>9.2e} {z:>+6.2f}")
+        print(f"  {b:>4} {exact:>10.5f} {est.estimate:>10.5f} {est.stderr:>9.2e} "
+              f"{est.z(exact):>+6.2f}")
     print()
 
 spec = PartitionSpec(np.array([1.0, 1.0, 1.0]))

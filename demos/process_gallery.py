@@ -37,10 +37,11 @@ totals = np.array([sample_gamma_process(theta, eps, gen).total_mass
 d, p = kstest(totals, lambda x: gammainc(theta, x))
 print(f"\ntotals of 4000 draws vs gamma({theta}): KS d = {d:.4f}, p = {p:.3f}")
 
-# Splitting atoms into parts with probabilities theta_i / theta turns one
-# draw of weight theta into independent gamma(theta_i) part sums.
+# Splitting atoms by location, part i taking a piece of [0, 1) of width
+# theta_i / theta, turns one draw of weight theta into independent
+# gamma(theta_i) part sums.
 spec = PartitionSpec(np.array([0.5, 1.0]))
-sums = np.array([partition_sums(sample_gamma_process(spec.theta, eps, gen), spec, gen)
+sums = np.array([partition_sums(sample_gamma_process(spec.theta, eps, gen), spec)
                  for _ in range(4000)])
 for i, w in enumerate(spec.weights):
     d, p = kstest(sums[:, i], lambda x, w=w: gammainc(w, x))

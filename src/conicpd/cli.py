@@ -122,61 +122,6 @@ def _common(fmt: str) -> tuple[Flag, ...]:
     )
 
 
-# name: (help, default output format, the subcommand's own flags)
-_COMMANDS = {
-    "sample": ("draw weighted atom series", "json", (
-        _THETA, _EPS,
-        Flag("--samples", "samples", int, 5, "number of draws"),
-        Flag("--process", "process", str, "gamma", "measure to draw from",
-             ("dirichlet", "gamma", "lebesgue")),
-        *_RNG,
-    )),
-    "laplace": ("Monte Carlo vs analytic Laplace transform", "json", (
-        _THETA, _EPS,
-        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
-        Flag("--f", "f", str, None, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
-        *_RNG,
-    )),
-    "invariance": ("multiplicator quasi-invariance identities", "json", (
-        _THETA, _EPS,
-        Flag("--samples", "samples", int, 50_000, "Monte Carlo samples per pair"),
-        Flag("--pairs", "pairs", int, 20, "number of random (a, f) pairs"),
-        Flag("--a", "a", str, None, "explicit multiplicator step function"),
-        Flag("--f", "f", str, None, "explicit test step function"),
-        *_RNG,
-    )),
-    "partition-sums": ("weighted box masses of partition sums", "json", (
-        _WEIGHTS, _EDGES, _EPS,
-        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
-        *_RNG,
-    )),
-    "mellin": ("limit study of (log F_n)/n", "csv", (_LAMBDA, _NMAX, _NMIN)),
-    "saddle": ("saddle point and rate L(lambda)", "json", (_LAMBDA,)),
-    "mp-demo": ("sphere vs Gaussian characteristic functions", "csv", (
-        Flag("--n", "n", str, "5,10,20,50,100,200", "comma list of dimensions"),
-        Flag("--smax", "smax", float, 3.0, "right end of the s grid"),
-        Flag("--spoints", "spoints", int, 31, "number of s grid points"),
-        Flag("--samples", "samples", int, 0, "Monte Carlo samples per point (0 = skip)"),
-        *_RNG,
-    )),
-    "divergence": ("non-convergence along radius schedules", "csv", (
-        _LAMBDA._replace(help="constant test value lambda > 0"),
-        Flag("--schedule", "schedule", str, "constant", "radius schedule",
-             ("constant", "sqrt_n")),
-        Flag("--scale", "scale", float, 1.0, "radius scale"),
-        _NMAX, _NMIN,
-    )),
-    "box-mass": ("exact sigma-finite box masses", "json", (_WEIGHTS, _EDGES)),
-}
-
-_SPECS = {name: flags + _common(fmt) for name, (_help, fmt, flags) in _COMMANDS.items()}
-
-# Config-file keys: any key known to some subcommand is accepted; a file
-# cannot name another config file.
-_FILE_KEYS = {key: flag for spec in _SPECS.values() for flag in spec
-              if flag.dest != "config" for key in (flag.flag[2:], flag.dest)}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conicpd",
@@ -184,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures on the cone of discrete measures.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, spec in _SPECS.items():
-        p = sub.add_parser(name, help=_COMMANDS[name][0])
-        for flag in spec:
+    for name, (help_text, _format, _flags, _run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _SPECS[name]:
             p.add_argument(flag.flag, dest=flag.dest, type=flag.type, choices=flag.choices,
                            default=None, help=flag.help)
     return parser
@@ -267,8 +212,15 @@ def _sample_csv_lines(r: dict) -> str:
                    for atom, (mass, loc) in enumerate(zip(r["masses"], r["locations"])))
 
 
-def _emit(cfg: dict, columns: list[str], records, fh):
-    """Write the meta line (and CSV header), then each record as soon as it is formed."""
+def _emit(cfg: dict, records, fh):
+    """Write the meta line, then each record as soon as it is formed.
+
+    A CSV table's header is its first record's keys, in insertion order, and
+    each line holds ``_fmt(r[c])`` for those keys: the records are the one
+    statement of a table's columns.  ``sample`` alone writes one line per
+    atom, under ``_SAMPLE_COLS``.  Every runner but ``sample``'s refuses an
+    input that would give no record.
+    """
     header = {k: v for k, v in cfg.items() if k not in ("out", "config")}
     meta = {"chunk_rows": CHUNK_ROWS, "config": header, "version": __version__}
     if cfg["command"] == "sample":
@@ -279,13 +231,14 @@ def _emit(cfg: dict, columns: list[str], records, fh):
         for r in records:
             fh.write(json.dumps(r, sort_keys=True) + "\n")
         return
+    columns = _SAMPLE_COLS if cfg["command"] == "sample" else list(records[0])
     fh.write("# " + meta + "\n" + ",".join(columns) + "\n")
     if cfg["command"] == "sample":
         for r in records:
             fh.write(_sample_csv_lines(r))
         return
     for r in records:
-        fh.write(",".join(_fmt(r.get(c)) for c in columns) + "\n")
+        fh.write(",".join(_fmt(r[c]) for c in columns) + "\n")
 
 
 def _output(out: str | None):
@@ -300,7 +253,7 @@ def _run_sample(cfg):
     counts = stream_counts(cfg["samples"], cfg["streams"])
     RngStream(cfg["seed"], len(counts) - 1)
     rows = _batch_rows(cfg["theta"], cfg["eps"], SAMPLE_BATCH_CELLS)
-    return _SAMPLE_COLS, _sample_records(cfg, counts, rows)
+    return _sample_records(cfg, counts, rows)
 
 
 def _sample_records(cfg, counts, rows):
@@ -327,11 +280,9 @@ def _run_laplace(cfg):
     exact = analytic_laplace(cfg["theta"], f)
     est = mc_laplace(cfg["theta"], f, cfg["samples"], RngStream(cfg["seed"]),
                      eps=cfg["eps"], streams=cfg["streams"])
-    z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
-    record = {"theta": cfg["theta"], "f": cfg["f"], "samples": est.n_samples,
-              "estimate": est.estimate, "stderr": est.stderr,
-              "analytic": exact, "z_score": z}
-    return list(record), [record]
+    return [{"theta": cfg["theta"], "f": cfg["f"], "samples": est.n_samples,
+             "estimate": est.estimate, "stderr": est.stderr,
+             "analytic": exact, "z_score": est.z(exact)}]
 
 
 def _random_invariance_pair(gen):
@@ -357,39 +308,34 @@ def _run_invariance(cfg):
     reports = quasi_invariance_pairs(cfg["theta"], pairs, cfg["samples"],
                                      RngStream(cfg["seed"], 1000),
                                      eps=cfg["eps"], streams=cfg["streams"])
-    records = [{
+    return [{
         "pair": pair, "phi": report.phi_a,
         "analytic_f": report.analytic_f, "analytic_af": report.analytic_af,
         "analytic_residual": report.analytic_residual,
         "estimate": report.mc.estimate, "stderr": report.mc.stderr,
         "z_score": report.z_score,
     } for pair, report in enumerate(reports)]
-    cols = ["pair", "phi", "analytic_f", "analytic_af", "analytic_residual",
-            "estimate", "stderr", "z_score"]
-    return cols, records
+
+
+def _partition(cfg):
+    """The parts, the box edges and the edges' exact masses, formed before any draw."""
+    from .densities import PartitionSpec, box_mass_L
+    if not cfg["weights"]:
+        raise DomainError(f"{cfg['command']} needs --weights")
+    spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))
+    edges = _parse_float_list(cfg["b"], "b")
+    return spec, edges, [box_mass_L(spec, b) for b in edges]
 
 
 def _run_partition_sums(cfg):
-    from .densities import PartitionSpec, box_mass_L
     from .laplace import weighted_box_mass
-    if not cfg["weights"]:
-        raise DomainError("partition-sums needs --weights")
-    spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))
-    edges = _parse_float_list(cfg["b"], "b")
-    exacts = [box_mass_L(spec, b) for b in edges]
+    spec, edges, exacts = _partition(cfg)
     results = weighted_box_mass(spec, edges, cfg["samples"], RngStream(cfg["seed"]),
                                 eps=cfg["eps"], streams=cfg["streams"])
-    records = []
-    for b, exact, est in zip(edges, exacts, results):
-        z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
-        records.append({"weights": cfg["weights"], "b": b, "samples": est.n_samples,
-                        "estimate": est.estimate, "stderr": est.stderr,
-                        "exact": exact, "z_score": z})
-    cols = ["weights", "b", "samples", "estimate", "stderr", "exact", "z_score"]
-    return cols, records
-
-
-_MELLIN_COLS = ["n", "lambda", "r", "gamma", "L", "lnFn_over_n", "gap"]
+    return [{"weights": cfg["weights"], "b": b, "samples": est.n_samples,
+             "estimate": est.estimate, "stderr": est.stderr,
+             "exact": exact, "z_score": est.z(exact)}
+            for b, exact, est in zip(edges, exacts, results)]
 
 
 def _run_mellin(cfg):
@@ -398,15 +344,14 @@ def _run_mellin(cfg):
     cfg["extrapolated_limit"] = study.extrapolated_limit
     cfg["extrapolated_gap"] = study.extrapolated_gap
     cfg["envelope_constant"] = study.envelope_constant
-    return _MELLIN_COLS, study.rows()
+    return study.rows()
 
 
 def _run_saddle(cfg):
     from .mellin import solve_saddle
     sol = solve_saddle(cfg["lam"])
-    record = {"lambda": sol.lam, "gamma": sol.gamma, "L": sol.L_value,
-              "curvature": sol.curvature, "ratio_form": sol.ratio_form}
-    return list(record), [record]
+    return [{"lambda": sol.lam, "gamma": sol.gamma, "L": sol.L_value,
+             "curvature": sol.curvature, "ratio_form": sol.ratio_form}]
 
 
 # Most rows (s points x dimensions) an `mp-demo` table may hold.  A table
@@ -424,9 +369,8 @@ def _run_mp_demo(cfg):
         raise DomainError(f"--spoints x dimensions = {cfg['spoints'] * len(dims)} rows exceeds "
                           f"the {MP_DEMO_ROWS}-row mp-demo table; lower --spoints")
     s_grid = np.linspace(0.0, cfg["smax"], cfg["spoints"])
-    rows = charfun_gap_rows(s_grid, dims, samples=cfg["samples"], rng=RngStream(cfg["seed"]),
+    return charfun_gap_rows(s_grid, dims, samples=cfg["samples"], rng=RngStream(cfg["seed"]),
                             streams=cfg["streams"])
-    return ["n", "s", "quad", "mc", "stderr", "gauss", "gap"], rows
 
 
 # Most rows (nmax - nmin + 1) a `divergence` table may hold.  A sqrt_n table
@@ -444,30 +388,69 @@ def _run_divergence(cfg):
     schedule = RadiusSchedule(kind=cfg["schedule"], scale=cfg["scale"])
     table = divergence_experiment(cfg["lam"], schedule,
                                   np.arange(cfg["nmin"], cfg["nmax"] + 1))
-    return _MELLIN_COLS, table.rows()
+    return table.rows()
 
 
 def _run_box_mass(cfg):
-    from .densities import PartitionSpec, box_mass_L
-    if not cfg["weights"]:
-        raise DomainError("box-mass needs --weights")
-    spec = PartitionSpec(np.array(_parse_float_list(cfg["weights"], "weights")))
-    records = [{"weights": cfg["weights"], "b": b, "mass": box_mass_L(spec, b)}
-               for b in _parse_float_list(cfg["b"], "b")]
-    return ["weights", "b", "mass"], records
+    _spec, edges, masses = _partition(cfg)
+    return [{"weights": cfg["weights"], "b": b, "mass": mass} for b, mass in zip(edges, masses)]
 
 
-_HANDLERS = {
-    "sample": _run_sample,
-    "laplace": _run_laplace,
-    "invariance": _run_invariance,
-    "partition-sums": _run_partition_sums,
-    "mellin": _run_mellin,
-    "saddle": _run_saddle,
-    "mp-demo": _run_mp_demo,
-    "divergence": _run_divergence,
-    "box-mass": _run_box_mass,
+# name: (help, default output format, the subcommand's own flags, runner).  A
+# runner checks its configuration and returns the records, or a generator of
+# them; every check that needs no draw runs before it returns.
+_COMMANDS = {
+    "sample": ("draw weighted atom series", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 5, "number of draws"),
+        Flag("--process", "process", str, "gamma", "measure to draw from",
+             ("dirichlet", "gamma", "lebesgue")),
+        *_RNG,
+    ), _run_sample),
+    "laplace": ("Monte Carlo vs analytic Laplace transform", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
+        Flag("--f", "f", str, None, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
+        *_RNG,
+    ), _run_laplace),
+    "invariance": ("multiplicator quasi-invariance identities", "json", (
+        _THETA, _EPS,
+        Flag("--samples", "samples", int, 50_000, "Monte Carlo samples per pair"),
+        Flag("--pairs", "pairs", int, 20, "number of random (a, f) pairs"),
+        Flag("--a", "a", str, None, "explicit multiplicator step function"),
+        Flag("--f", "f", str, None, "explicit test step function"),
+        *_RNG,
+    ), _run_invariance),
+    "partition-sums": ("weighted box masses of partition sums", "json", (
+        _WEIGHTS, _EDGES, _EPS,
+        Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
+        *_RNG,
+    ), _run_partition_sums),
+    "mellin": ("limit study of (log F_n)/n", "csv", (_LAMBDA, _NMAX, _NMIN), _run_mellin),
+    "saddle": ("saddle point and rate L(lambda)", "json", (_LAMBDA,), _run_saddle),
+    "mp-demo": ("sphere vs Gaussian characteristic functions", "csv", (
+        Flag("--n", "n", str, "5,10,20,50,100,200", "comma list of dimensions"),
+        Flag("--smax", "smax", float, 3.0, "right end of the s grid"),
+        Flag("--spoints", "spoints", int, 31, "number of s grid points"),
+        Flag("--samples", "samples", int, 0, "Monte Carlo samples per point (0 = skip)"),
+        *_RNG,
+    ), _run_mp_demo),
+    "divergence": ("non-convergence along radius schedules", "csv", (
+        _LAMBDA._replace(help="constant test value lambda > 0"),
+        Flag("--schedule", "schedule", str, "constant", "radius schedule",
+             ("constant", "sqrt_n")),
+        Flag("--scale", "scale", float, 1.0, "radius scale"),
+        _NMAX, _NMIN,
+    ), _run_divergence),
+    "box-mass": ("exact sigma-finite box masses", "json", (_WEIGHTS, _EDGES), _run_box_mass),
 }
+
+_SPECS = {name: flags + _common(fmt) for name, (_help, fmt, flags, _run) in _COMMANDS.items()}
+
+# Config-file keys: any key known to some subcommand is accepted; a file
+# cannot name another config file.
+_FILE_KEYS = {key: flag for spec in _SPECS.values() for flag in spec
+              if flag.dest != "config" for key in (flag.flag[2:], flag.dest)}
 
 
 def main(argv=None) -> int:
@@ -481,9 +464,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = resolve_config(args)
-        columns, records = _HANDLERS[args.command](cfg)
+        _help, _format, _flags, run = _COMMANDS[args.command]
+        records = run(cfg)
         with _output(cfg.get("out")) as fh:
-            _emit(cfg, columns, records, fh)
+            _emit(cfg, records, fh)
     except InfiniteVarianceError:
         # Reword the library hint: the CLI deliberately has no override flag.
         print(

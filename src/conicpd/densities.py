@@ -120,11 +120,36 @@ def _gamma_log_density_1d(theta: float, s: float) -> float:
     return (theta - 1.0) * math.log(s) - s - float(gammaln(theta))
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_power_ratio(theta, y, shift=0.0):
+    """shift + theta y - log Gamma(theta + 1), the log of e^shift x^theta / Gamma(theta + 1).
+
+    Here y = log x, and the sum is formed elementwise, in that order.  Where
+    it is NaN, which happens only when gammaln(theta + 1) is inf (theta past
+    about 2.5e305) and theta y is inf too, Stirling's form shift + theta (y -
+    log theta + 1) - log(2 pi theta) / 2 serves; its error there, about
+    1 / (12 theta), is far below one ulp of the value.  An overflow is not
+    warned about: the caller's exponentiation refuses an inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = shift + theta * y - gammaln(theta + 1.0)
+        log_theta = np.log(theta)
+        stirling = shift + theta * (y - log_theta + 1.0) - 0.5 * (_LOG_2PI + log_theta)
+    return np.where(np.isnan(plain), stirling, plain)
+
+
 def box_mass_L(spec: PartitionSpec, b: float) -> float:
-    """Scale-free mass of the box [0, b]^n: prod b^{theta_i} / Gamma(theta_i + 1)."""
+    """Scale-free mass of the box [0, b]^n: prod b^{theta_i} / Gamma(theta_i + 1).
+
+    Its exponent is the sum of ``_log_power_ratio(theta_i, log b)``, so a
+    mass that underflows, such as b = 1e300 with two weights of 1e306, is
+    0.0; one past the float range raises NumericalError.
+    """
     log_b = math.log(_positive_real(b, "box edge"))
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
-        exponent = float(np.sum(spec.weights * log_b - gammaln(spec.weights + 1.0)))
+    with np.errstate(over="ignore"):  # an inf is refused below
+        exponent = float(np.sum(_log_power_ratio(spec.weights, log_b)))
     return _finite_exp(exponent, "the box mass prod b^theta_i / Gamma(theta_i + 1)")
 
 

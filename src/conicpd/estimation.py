@@ -37,6 +37,14 @@ class EstimatorResult:
         if self.stderr < 0.0 or self.n_samples < 1 or self.streams < 1:
             raise DomainError("stderr must be >= 0 and counts must be positive")
 
+    def z(self, exact: float) -> float:
+        """The z-score (estimate - exact) / stderr against ``exact``; 0.0 when the stderr is 0.
+
+        A zero stderr comes from one sample, or from a constant integrand,
+        whose estimate is then its own exact value.
+        """
+        return (self.estimate - exact) / self.stderr if self.stderr > 0 else 0.0
+
 
 def stream_counts(n_samples: int, streams: int) -> list[int]:
     """Deterministic split of the sample budget across streams: stream s draws entry s.

@@ -13,6 +13,7 @@ battery checks the convergence table for a shrinking sup-gap.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,12 +55,14 @@ def gaussian_charfun(s_norm: float) -> float:
 def _check_s(s_norm, radius: float = 1.0) -> np.ndarray:
     """``s_norm`` as a float array, each s finite, non-negative, and finite times ``radius``."""
     s = np.asarray(s_norm, dtype=float)
-    if s.ndim > 1 or not np.all(np.isfinite(s)) or np.any(s < 0.0):
+    # The least and the largest s find a NaN, an inf or a negative s in two
+    # reductions.  The largest s * radius is the product of the largest s; a
+    # Python float product overflows to inf without a warning.
+    top = float(s.max()) if s.size else 0.0
+    if s.ndim > 1 or not (math.isfinite(top) and (s.size == 0 or s.min() >= 0.0)):
         raise DomainError("s must be a finite non-negative real or a 1-D array of them")
-    # The largest s * radius is the product of the largest s; a Python float
-    # product overflows to inf without a warning.
-    if s.size and math.isinf(float(s.max()) * radius):
-        raise DomainError(f"s * sqrt(n) overflows a float at s = {float(s.max())!r} and "
+    if math.isinf(top * radius):
+        raise DomainError(f"s * sqrt(n) overflows a float at s = {top!r} and "
                           f"sqrt(n) = {radius!r}")
     return s
 
@@ -143,15 +146,18 @@ def sphere_charfun_quad(cfg: SphereConfig, s_norm):
     # J_{b-1}(x), which would overflow at those small x from n = 176 on.  From
     # n = 230, Debye's expansion is within 1e-15 of mpmath, while hyp0f1 loses
     # digits in J_{b-1} at odd n and returns NaN past n = 343.  The series
-    # overflows from x = 1e52, and z from 2.7e154; neither value is kept there.
-    with np.errstate(over="ignore"):
+    # overflows from x = 8.6e51 (n = 2), and z from 2.7e154; neither value is
+    # kept there, and only a grid that reaches x = 1e51 pays for the guards.
+    big = x.size > 0 and x.max() >= 1e51
+    with np.errstate(over="ignore") if big else contextlib.nullcontext():
         z = -0.25 * x * x
         value = 1.0 + z / b * (1.0 + z / (2.0 * (b + 1.0)) * (1.0 + z / (3.0 * (b + 2.0))))
     rest = -z >= 1e-4 * b
     if cfg.n < 230:
-        far = np.isinf(z)
-        value[far] = _hyp0f1_far(b - 1.0, x[far])
-        rest &= ~far
+        if big:
+            far = np.isinf(z)
+            value[far] = _hyp0f1_far(b - 1.0, x[far])
+            rest &= ~far
         value[rest] = special.hyp0f1(b, z[rest])
         if b in _HYP0F1_DETOURS:
             lo, hi = _HYP0F1_DETOURS[b]

@@ -190,10 +190,9 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
     estimates = pooled_mean(n_samples, rng, streams, kernel, columns=len(exact))
     reports = []
     for (_af, cocycle, value_f, value_af), mc in zip(exact, estimates):
-        z = (mc.estimate - value_af) / mc.stderr if mc.stderr > 0 else 0.0
         reports.append(QuasiInvarianceReport(
             theta=theta, phi_a=cocycle, analytic_f=value_f, analytic_af=value_af,
-            analytic_residual=abs(value_af * cocycle - value_f), mc=mc, z_score=z,
+            analytic_residual=abs(value_af * cocycle - value_f), mc=mc, z_score=mc.z(value_af),
         ))
     return reports
 
@@ -223,7 +222,7 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     positive step function.  The arguments are checked, and the exact side
     formed, before anything is drawn.
     """
-    from scipy.special import gammaln   # the only scipy use here; keeps it off the CLI start-up
+    from .densities import _log_power_ratio   # scipy comes with it; keeps it off the CLI start-up
 
     theta, eps = _check_theta_eps(theta, eps)
     if not isinstance(f, StepFunction):
@@ -231,19 +230,17 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     b = _positive_real(b, "window bound b")
     t_grid = np.linspace(b / 8.0, b, 8)
     c_f = log_mean(f, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
-        exponent = -c_f + theta * np.log(t_grid) - gammaln(theta + 1.0)
-    exact = _finite_exp(exponent, "the window law e^{-c(f)} t^theta / Gamma(theta + 1)")
+    exact = _finite_exp(_log_power_ratio(theta, np.log(t_grid), -c_f),
+                        "the window law e^{-c(f)} t^theta / Gamma(theta + 1)")
 
     kernel = _kernel(theta, eps, *_common_grid([f]), lambda pairing, totals: _window_weights(
         pairing[:, 0] * totals, t_grid, totals))
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)
     est = np.array([r.estimate for r in results])
     err = np.array([r.stderr for r in results])
-    z = np.where(err > 0, (est - exact) / np.where(err > 0, err, 1.0), 0.0)
     return FunctionalWindowReport(
-        theta=theta, c_f=c_f, t_grid=t_grid,
-        estimates=est, stderrs=err, exact=exact, z_scores=z,
+        theta=theta, c_f=c_f, t_grid=t_grid, estimates=est, stderrs=err, exact=exact,
+        z_scores=np.array([r.z(value) for r, value in zip(results, exact)]),
     )
 
 

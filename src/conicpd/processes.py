@@ -757,14 +757,18 @@ def apply_multiplicator(a: StepFunction, series: WeightedAtomSeries) -> Weighted
     )
 
 
-def partition_sums(series: WeightedAtomSeries, spec, rng) -> np.ndarray:
-    """Split atoms independently with probabilities theta_i/theta; return part sums.
+def partition_sums(series: WeightedAtomSeries, spec) -> np.ndarray:
+    """The part sums xi(A_1), ..., xi(A_n): each atom's mass goes to the part its location marks.
 
-    The tail mass beyond the truncation point is unassigned, so each sum is
-    biased low by at most tail_bound.
+    Part i is the i-th piece of [0, 1) between ``spec.breakpoints``, of
+    width theta_i / theta, the rule of ``partition-sums`` and the box
+    kernel.  Uniform locations make that the law of independent marks, each
+    atom in part i with probability theta_i / theta, so the sums of a gamma
+    draw of weight theta are independent Gamma(theta_i).  The tail mass
+    beyond the truncation point is unassigned, so each sum is biased low by
+    at most tail_bound.
     """
-    marks = spec.marks(as_generator(rng).random(series.masses.size))
-    return np.bincount(marks, weights=series.masses, minlength=spec.n)
+    return np.bincount(spec.marks(series.locations), weights=series.masses, minlength=spec.n)
 
 
 def series_from_record(record: dict) -> WeightedAtomSeries:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conicpd import DomainError, PartitionSpec, __version__, box_mass_L, laplace, processes
+from conicpd import (DomainError, PartitionSpec, __version__, box_mass_L, densities, laplace,
+                     processes)
 from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS, stream_counts
@@ -175,7 +176,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.12.0"
+    assert meta["version"] == "0.13.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -231,6 +232,50 @@ def test_sample_json_and_csv(capsys):
                         "log_weight,seed,stream_id")
     draws = {int(line.split(",")[0]) for line in lines[2:]}
     assert draws == {0, 1, 2}
+
+
+_TABLES = {
+    "laplace": ["--f", "2@0:0.5,0.8@0.5:1", "--samples", "200"],
+    "invariance": ["--pairs", "2", "--samples", "200"],
+    "partition-sums": ["--weights", "0.5,1.5", "--b", "1,2", "--samples", "200"],
+    "mellin": ["--nmax", "6"],
+    "saddle": ["--lambda", "2"],
+    "mp-demo": ["--n", "5,10", "--spoints", "3", "--samples", "100"],
+    "divergence": ["--schedule", "sqrt_n", "--nmax", "6"],
+    "box-mass": ["--weights", "0.5,1.5", "--b", "1,2"],
+}
+
+
+@pytest.mark.parametrize("argv", [[command, *flags] for command, flags in _TABLES.items()]
+                         + [["mp-demo", "--n", "5", "--spoints", "2"]])
+def test_csv_and_json_write_the_same_records(capsys, argv):
+    # A CSV table's columns are its records' keys: every cell reads back as
+    # the JSON value, and a null as an empty cell.
+    assert set(_TABLES) == set(cli._COMMANDS) - {"sample"}
+    code, out, _err = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    records = json_lines(out)[1:]
+    code, out, _err = run_cli(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out.split("\n", 1)[1]))
+    assert len(set(header)) == len(header) and len(rows) == len(records) >= 1
+    for row, record in zip(rows, records):
+        assert sorted(header) == sorted(record)
+        for column, cell in zip(header, row):
+            value = record[column]
+            assert cell == "" if value is None else type(value)(cell) == value, (column, cell)
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line.split("#", 1)[0].split() for block in blocks for line in block.splitlines()
+             if line.startswith("conicpd ")]
+    assert {argv[1] for argv in lines} == set(_SPECS)
+    for argv in lines:
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, [*argv[1:], "--out", str(out)])
+        assert (code, stdout, err) == (0, "", "") and out.stat().st_size > 0, argv
 
 
 def test_laplace_output_consistency(capsys):
@@ -406,7 +451,11 @@ _BOX_OVERFLOW = "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(920.87) 
     (["box-mass", "--weights", "0.5,1.5", "--b", "1e200"], 3, _BOX_OVERFLOW),
     (["partition-sums", "--weights", "0.5,1.5", "--b", "1e200", "--samples", "16"], 3,
      _BOX_OVERFLOW),
-    (["box-mass", "--weights", "1e306,1e306", "--b", "1e300"], 3, "exp(nan) is not a finite"),
+    (["box-mass", "--weights", "1e306,1e306", "--b", "1e300"], 0, ""),
+    (["box-mass", "--weights", "1e306,1e306", "--b", "1.7e308"], 3,
+     "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(1.22716e+307) is not a finite"),
+    (["partition-sums", "--weights", "1e306,1e306", "--b", "1e300", "--samples", "16"], 2,
+     "exceeds the 67108864-cell sampler budget"),
     (["box-mass", "--weights", "1e308,1e308", "--b", "2"], 2,
      "partition weights must have a finite total"),
     (["invariance", "--theta", "1e5", "--pairs", "1", "--samples", "16"], 3,
@@ -433,6 +482,19 @@ def test_extreme_inputs_exit_0_2_or_3_without_a_warning_or_a_non_finite_cell(cap
     if argv[:2] == ["sample", "--theta"]:  # the exact limit: one stick of 1, no tail
         for record in json_lines(out)[1:]:
             assert record["masses"] == [record["total_mass"]] and record["tail_bound"] == 0.0
+
+
+def test_a_box_mass_that_underflows_is_0_and_partition_sums_then_meets_the_cell_budget(
+        monkeypatch, capsys):
+    # Each weight's exponent term was inf - inf = NaN, and both commands exited 3.
+    argv = ["--weights", "1e306,1e306", "--b", "1e300"]
+    code, out, err = run_cli(capsys, ["box-mass", *argv])
+    assert code == 0 and err == "" and json_lines(out)[1]["mass"] == 0.0
+    masses = []
+    monkeypatch.setattr(densities, "box_mass_L",
+                        lambda spec, b: masses.append(box_mass_L(spec, b)) or masses[-1])
+    code, out, err = run_cli(capsys, ["partition-sums", *argv, "--samples", "16"])
+    assert code == 2 and out == "" and "cell sampler budget" in err and masses == [0.0]
 
 
 def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeypatch, capsys):

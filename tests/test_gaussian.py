@@ -110,6 +110,18 @@ def test_quad_charfun_past_the_overflow_of_z_is_finite_and_within_the_bessel_env
         sphere_charfun_quad(cfg, np.finfo(float).max / cfg.radius * 1.01)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 229, 230])
+def test_quad_charfun_takes_the_overflow_guards_from_the_first_x_whose_series_overflows(n):
+    # The guards run only for a grid that reaches x = 1e51; the series
+    # overflows from x = 8.6e51 at n = 2.  Each value is the one-point call's,
+    # and ordinary points beside a huge one keep their values.
+    cfg = SphereConfig(n=n)
+    s_grid = np.array([0.0, 0.7, 1e51, 8.7e51, 1e52]) / cfg.radius
+    values = sphere_charfun_quad(cfg, s_grid)
+    assert np.all(np.isfinite(values))
+    assert values.tolist() == [sphere_charfun_quad(cfg, s) for s in s_grid.tolist()]
+
+
 def test_quad_charfun_scalar_and_array_forms_agree():
     cfg = SphereConfig(n=7)
     s_grid = np.array([0.0, 0.3, 1.7, 4.0])

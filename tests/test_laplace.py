@@ -17,12 +17,14 @@ from conicpd import (
     analytic_laplace,
     box_mass_L,
     functional_distribution_check,
+    laplace,
     log_mean,
     mc_laplace,
     phi,
     quasi_invariance_pairs,
     weighted_box_mass,
 )
+from conicpd.processes import _finite_exp
 from conicpd.stepfn import _LOOP_EDGES, _piece_index
 
 
@@ -456,7 +458,7 @@ def test_functional_window_two_level_function():
     assert np.all(np.abs(rep.z_scores) <= 4.0)
 
 
-@pytest.mark.parametrize("theta, b, log", [(50.0, 1e10, "982.542"), (1e306, 1e300, "nan")])
+@pytest.mark.parametrize("theta, b, log", [(50.0, 1e10, "982.542")])
 def test_an_overflowing_window_law_is_refused_before_drawing(monkeypatch, theta, b, log):
     # It was formed after the draws, and overflowed to inf with a warning.
     def refuse(_self):
@@ -465,6 +467,21 @@ def test_an_overflowing_window_law_is_refused_before_drawing(monkeypatch, theta,
     monkeypatch.setattr(RngStream, "generator", refuse)
     with pytest.raises(NumericalError, match=rf"the window law .* = exp\({log}\) is not a finite"):
         functional_distribution_check(theta, StepFunction.constant(1.5), b, 100, RngStream(0))
+
+
+def test_a_window_law_that_underflows_is_0_and_then_meets_the_cell_budget(monkeypatch):
+    # At theta = 1e306 and b = 1e300 the exponent's terms were inf - inf =
+    # NaN, and the law was refused; Stirling's form gives about -1.3e307.
+    exact = []
+
+    def spy(exponent, quantity):
+        exact.append(_finite_exp(exponent, quantity))
+        return exact[-1]
+
+    monkeypatch.setattr(laplace, "_finite_exp", spy)
+    with pytest.raises(DomainError, match="cell sampler budget"):
+        functional_distribution_check(1e306, StepFunction.constant(1.5), 1e300, 100, RngStream(0))
+    assert len(exact) == 1 and exact[0].tolist() == [0.0] * 8
 
 
 @pytest.mark.parametrize("call, match", [

@@ -355,7 +355,7 @@ def test_zero_log_mean_multiplicator_preserves_weighted_law():
 def test_partition_sums_single_part_is_total():
     gen = RngStream(15).generator()
     series = sample_gamma_process(1.0, EPS, gen)
-    sums = partition_sums(series, PartitionSpec(np.array([1.0])), gen)
+    sums = partition_sums(series, PartitionSpec(np.array([1.0])))
     assert sums.shape == (1,)
     assert sums[0] == pytest.approx(series.total_mass, rel=EPS * 10)
 
@@ -375,11 +375,24 @@ def test_partition_sums_marginals_and_independence():
     assert abs(pearsonr(g1, g2).statistic) * math.sqrt(g1.size) <= 4.0
 
 
+def test_partition_sums_of_gamma_draws_split_by_location_are_independent_gammas():
+    # Each atom goes to the part its location lies in, the rule of the box
+    # kernel; uniform locations make the parts' sums independent Gamma(theta_i).
+    gen = RngStream(19).generator()
+    spec = PartitionSpec(np.array([0.5, 1.0, 1.5]))
+    sums = np.array([partition_sums(sample_gamma_process(spec.theta, EPS, gen), spec)
+                     for _ in range(5000)])
+    for part, weight in zip(sums.T, spec.weights):
+        assert kstest(part, lambda x, w=weight: gammainc(w, x)).pvalue >= 1e-3
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert abs(pearsonr(sums[:, i], sums[:, j]).statistic) * math.sqrt(len(sums)) <= 4.0
+
+
 def test_partition_sums_series_route_matches_spec():
     gen = RngStream(17).generator()
     spec = PartitionSpec(np.array([1.0, 1.0]))
     series = sample_gamma_process(spec.theta, EPS, gen)
-    sums = partition_sums(series, spec, gen)
+    sums = partition_sums(series, spec)
     assert sums.shape == (2,)
     assert sums.sum() == pytest.approx(series.masses.sum(), rel=1e-12)
 
