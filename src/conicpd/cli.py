@@ -103,7 +103,6 @@ class Flag(NamedTuple):
 
 
 _THETA = Flag("--theta", "theta", float, 1.0, "total weight theta > 0")
-_EPS = Flag("--eps", "eps", float, 1e-10, "stick-breaking truncation threshold")
 _LAMBDA = Flag("--lambda", "lam", float, 1.0, "argument lambda > 0")
 _NMAX = Flag("--nmax", "nmax", int, 40, "largest n in the table")
 _NMIN = Flag("--nmin", "nmin", int, 2, "smallest n in the table")
@@ -279,7 +278,7 @@ def _run_laplace(cfg):
     f = parse_step_function(cfg["f"])
     exact = analytic_laplace(cfg["theta"], f)
     est = mc_laplace(cfg["theta"], f, cfg["samples"], RngStream(cfg["seed"]),
-                     eps=cfg["eps"], streams=cfg["streams"])
+                     streams=cfg["streams"])
     return [{"theta": cfg["theta"], "f": cfg["f"], "samples": est.n_samples,
              "estimate": est.estimate, "stderr": est.stderr,
              "analytic": exact, "z_score": est.z(exact)}]
@@ -306,8 +305,7 @@ def _run_invariance(cfg):
     else:
         pairs = [_random_invariance_pair(config_gen) for _ in range(pair_count)]
     reports = quasi_invariance_pairs(cfg["theta"], pairs, cfg["samples"],
-                                     RngStream(cfg["seed"], 1000),
-                                     eps=cfg["eps"], streams=cfg["streams"])
+                                     RngStream(cfg["seed"], 1000), streams=cfg["streams"])
     return [{
         "pair": pair, "phi": report.phi_a,
         "analytic_f": report.analytic_f, "analytic_af": report.analytic_af,
@@ -331,7 +329,7 @@ def _run_partition_sums(cfg):
     from .laplace import weighted_box_mass
     spec, edges, exacts = _partition(cfg)
     results = weighted_box_mass(spec, edges, cfg["samples"], RngStream(cfg["seed"]),
-                                eps=cfg["eps"], streams=cfg["streams"])
+                                streams=cfg["streams"])
     return [{"weights": cfg["weights"], "b": b, "samples": est.n_samples,
              "estimate": est.estimate, "stderr": est.stderr,
              "exact": exact, "z_score": est.z(exact)}
@@ -401,20 +399,20 @@ def _run_box_mass(cfg):
 # them; every check that needs no draw runs before it returns.
 _COMMANDS = {
     "sample": ("draw weighted atom series", "json", (
-        _THETA, _EPS,
+        _THETA, Flag("--eps", "eps", float, 1e-10, "stick-breaking truncation threshold"),
         Flag("--samples", "samples", int, 5, "number of draws"),
         Flag("--process", "process", str, "gamma", "measure to draw from",
              ("dirichlet", "gamma", "lebesgue")),
         *_RNG,
     ), _run_sample),
     "laplace": ("Monte Carlo vs analytic Laplace transform", "json", (
-        _THETA, _EPS,
+        _THETA,
         Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
         Flag("--f", "f", str, None, "step function, e.g. 2@0:1 or 2@0:0.5,0.5@0.5:1"),
         *_RNG,
     ), _run_laplace),
     "invariance": ("multiplicator quasi-invariance identities", "json", (
-        _THETA, _EPS,
+        _THETA,
         Flag("--samples", "samples", int, 50_000, "Monte Carlo samples per pair"),
         Flag("--pairs", "pairs", int, 20, "number of random (a, f) pairs"),
         Flag("--a", "a", str, None, "explicit multiplicator step function"),
@@ -422,7 +420,7 @@ _COMMANDS = {
         *_RNG,
     ), _run_invariance),
     "partition-sums": ("weighted box masses of partition sums", "json", (
-        _WEIGHTS, _EDGES, _EPS,
+        _WEIGHTS, _EDGES,
         Flag("--samples", "samples", int, 100_000, "Monte Carlo sample count"),
         *_RNG,
     ), _run_partition_sums),

@@ -10,6 +10,12 @@ marginal.  The Monte Carlo route estimates the same quantity under the
 unnormalized (gamma) law with the importance weight e^{total mass} folded
 into the integrand: E[ exp( -sum c_k (f(x_k) - 1) ) ].
 
+Every estimator reads the gamma process xi only through its masses on the
+pieces of a step function's grid, or of a partition: those are independent
+Gamma(theta |I_j|) variables (the independent splitting of the gamma
+process), so each draw is one row of piece masses, drawn exactly, with no
+stick-breaking and no truncation.
+
 Finite variance rule: the weighted second moment equals Psi_theta(2f - 1),
 so it is finite exactly when min f > 1/2.  Estimators refuse configurations
 below that line unless explicitly overridden.
@@ -20,24 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import processes
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean, stream_counts
-from .processes import (
-    RngStream,
-    _by_rows,
-    _check_theta_eps,
-    _finite_exp,
-    _gamma_totals,
-    _positive_real,
-    _scratch,
-    _skip_uniforms,
-    stick_masses_batch,
-)
-from .stepfn import StepFunction, _common_grid, _piece_index
-
-TRUNCATION_EPS = 1e-10
+from .processes import RngStream, _finite_exp, _positive_real
+from .stepfn import StepFunction, _common_grid
 
 
 def log_mean(f: StepFunction, theta: float = 1.0) -> float:
@@ -59,15 +53,17 @@ def analytic_laplace(theta: float, f: StepFunction) -> float:
 
 
 def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
-               eps: float = TRUNCATION_EPS, streams: int = 1,
-               allow_infinite_variance: bool = False) -> EstimatorResult:
-    """Importance-weighted Monte Carlo estimate of the flat-measure transform."""
+               streams: int = 1, allow_infinite_variance: bool = False) -> EstimatorResult:
+    """Importance-weighted Monte Carlo estimate of the flat-measure transform.
+
+    Each draw is exp(sum_j G_j (1 - f_j)) over the pieces of f, with G_j the
+    draw's Gamma(theta |I_j|) mass on piece j (see ``_kernel``).
+    """
     theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     _check_variance(f, allow_infinite_variance)
-    kernel = _kernel(theta, eps, *_common_grid([f]), _laplace_weights)
-    (result,) = pooled_mean(n_samples, rng, streams, kernel)
+    (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, [f]))
     return result
 
 
@@ -79,72 +75,42 @@ def _check_variance(f, allow_infinite_variance=False):
         )
 
 
-def _kernel(theta, eps, grid, values, finish, fold=None):
-    """The one kernel of every estimator: ``finish(pairing, totals)`` per draw.
+def _kernel(shapes, integrand, columns):
+    """The one kernel of every estimator: ``integrand(masses)`` per row block of piece masses.
 
-    Four steps on ``gamma_batch``'s draws: the stick pass, one streamed
-    pairing of the atoms' locations with the piece ``grid`` and value table
-    ``values`` (``_pairing``, which folds the columns with ``fold`` if one is
-    given), the gamma totals, and ``finish``.  Column k of the pairing is
-    <f_k, P> for the step function f_k whose values column k holds; with an
-    identity table it is the normalized mass of the atoms in piece k.
+    A draw is one row of independent Gamma(shapes_j) masses, one per piece:
+    theta |I_j| on the pieces I_j of a step function's grid, theta_i on a
+    partition's parts.  The rows are drawn by ``gen.standard_gamma`` in row
+    blocks of at most ``processes._BLOCK_CELLS`` cells (and at least one
+    row), so no (rows, pieces) matrix is held, and ``integrand`` reduces each
+    block to its (block rows, ``columns``) values.  Consecutive calls on one
+    generator draw what one call would, and each row is reduced on its own,
+    so the bytes do not depend on the block size; the result is an F-ordered
+    (rows, columns) array, whose columns ``pooled_mean`` reduces alike
+    whatever the column count.
     """
     def kernel(gen, rows):
-        masses, _tails = stick_masses_batch(theta, eps, rows, gen)
-        pairing = _pairing(masses, grid, values, gen, fold)
-        return finish(pairing, _gamma_totals(theta, rows, gen))
+        out = np.empty((rows, columns), order="F")
+        step = max(1, processes._BLOCK_CELLS // shapes.size)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            out[lo:hi] = integrand(gen.standard_gamma(shapes, (hi - lo, shapes.size)))
+        return out
 
     return kernel
 
 
-def _laplace_weights(pairing, totals):
-    """Integrand of Psi(f) per draw and f: exp(total * (1 - <f, P>)), formed in ``pairing``."""
-    np.subtract(1.0, pairing, out=pairing)
-    pairing *= totals[:, None]
-    return np.exp(pairing, out=pairing)
+def _laplace_kernel(theta, fs):
+    """Integrand of Psi(f) for each f of ``fs``: exp(sum_j G_j (1 - f_j)) on their common grid.
 
-
-def _pairing(masses, grid, values, gen, fold=None):
-    """Each row's masses summed against each column at the atoms: an F-ordered (rows, columns).
-
-    The atoms' locations are the (rows, K) uniforms that follow the sticks
-    in ``gen``, as ``gamma_batch`` draws them; piece j of ``grid``, the
-    breakpoints from 0 to 1, gives column k the value values[j, k].  Each
-    row block of uniforms is drawn into scratch and finds its pieces once;
-    each column is then taken, multiplied by the masses and summed in the
-    block's cells, so no location, value or product matrix exists.  A grid
-    of one piece reads no location, and ``gen`` skips them.  Either way
-    ``gen`` ends where ``gamma_batch`` leaves it, and column k holds the
-    floats of ``(masses * values[pieces, k]).sum(axis=1)``, ``pieces`` being
-    the locations' piece indices: for a step function f's column,
-    ``(masses * f(locations)).sum(axis=1)``'s.  A ``fold``, such as
-    np.maximum, folds each block's column sums into one column that starts
-    at 0, as they are formed: (rows, 1), however many columns there are.
+    Each column is an elementwise product summed along the row, never a
+    matrix product, whose order of summation would depend on the block
+    shape and the CPU.
     """
-    rows, cols = masses.shape
-    edges = grid[1:-1]
-    pairing = np.empty((rows, values.shape[1]), order="F") if fold is None else np.zeros((rows, 1))
-    if not edges.size:
-        _skip_uniforms(gen, masses.size)
-
-    def integrand(lo, hi, u):
-        block = masses[lo:hi]
-        # Uniforms lie in [0, 1), so no domain check is needed; once their
-        # pieces are found, the products go to their cells.
-        index = None if u is None else _piece_index(edges, u)
-        out = _scratch("block", block.shape) if u is None else u
-        for k, column in enumerate(values.T):
-            # take() gathers the same floats as column[index], without first
-            # widening _piece_index's uint8 counts.
-            factor = column[0] if index is None else np.take(column, index, out=out, mode="clip")
-            products = np.multiply(block, factor, out=out)
-            if fold is None:
-                products.sum(axis=1, out=pairing[lo:hi, k])
-            else:
-                fold(pairing[lo:hi, 0], products.sum(axis=1), out=pairing[lo:hi, 0])
-
-    _by_rows(rows, cols, integrand, gen if edges.size else None)
-    return pairing
+    grid, values = _common_grid(fs)
+    slopes = (1.0 - values).T
+    return _kernel(theta * np.diff(grid), lambda masses: np.exp(
+        np.column_stack([(masses * slope).sum(axis=1) for slope in slopes])), len(fs))
 
 
 @dataclass(frozen=True)
@@ -161,19 +127,22 @@ class QuasiInvarianceReport:
 
 
 def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
-                           rng: RngStream = RngStream(0), *, eps: float = TRUNCATION_EPS,
+                           rng: RngStream = RngStream(0), *,
                            streams: int = 1) -> list[QuasiInvarianceReport]:
     """Check Psi(a f) * phi(a) = Psi(f) exactly, and Psi(a f) by Monte Carlo, per (a, f).
 
     The reports come in pair order.  One batch of draws serves every pair,
-    as ``weighted_box_mass``'s serves every b: each draw is paired with
-    every a f, so pair k's report is that of the pair of one,
+    as ``weighted_box_mass``'s serves every b: each draw's piece masses on
+    the union of the a f's grids serve every a f, and the pairs' z-scores
+    are correlated.  When every a f has that one grid, as the CLI's random
+    pairs do, pair k's report is that of the pair of one,
     ``quasi_invariance_pairs(theta, [(a_k, f_k)], n_samples, rng)[0]``, bit
-    for bit, its ``mc`` is ``mc_laplace(theta, a_k f_k, n_samples, rng)``,
-    and the pairs' z-scores are correlated.  The exact sides are formed
-    first, in pair order, and an empty ``pairs`` draws nothing.
+    for bit, and its ``mc`` is ``mc_laplace(theta, a_k f_k, n_samples,
+    rng)``; otherwise a finer grid splits some pieces' masses, and the two
+    agree in law only.  The exact sides are formed first, in pair order,
+    and an empty ``pairs`` draws nothing.
     """
-    theta, eps = _check_theta_eps(theta, eps)
+    theta = _positive_real(theta, "theta")
     stream_counts(n_samples, streams)  # refuses bad counts, even with no pairs
     exact = []
     for a, f in pairs:
@@ -186,8 +155,8 @@ def quasi_invariance_pairs(theta: float, pairs, n_samples: int = 100_000,
     if not exact:
         return []
 
-    kernel = _kernel(theta, eps, *_common_grid([af for af, *_ in exact]), _laplace_weights)
-    estimates = pooled_mean(n_samples, rng, streams, kernel, columns=len(exact))
+    estimates = pooled_mean(n_samples, rng, streams,
+                            _laplace_kernel(theta, [af for af, *_ in exact]), columns=len(exact))
     reports = []
     for (_af, cocycle, value_f, value_af), mc in zip(exact, estimates):
         reports.append(QuasiInvarianceReport(
@@ -212,19 +181,20 @@ class FunctionalWindowReport:
 
 def functional_distribution_check(theta: float, f: StepFunction, b: float,
                                   n_samples: int, rng: RngStream, *,
-                                  eps: float = TRUNCATION_EPS,
                                   streams: int = 1) -> FunctionalWindowReport:
     """Compare the weighted law of <f, xi> below b with e^{-c(f)} t^theta / Gamma(theta+1).
 
-    The law is read at the eight points t = b/8, 2b/8, ..., b.  The
-    indicator window keeps the weighted integrand bounded (total mass is at
-    most t / min f on the event), so the estimator has finite variance for any
-    positive step function.  The arguments are checked, and the exact side
-    formed, before anything is drawn.
+    The law is read at the eight points t = b/8, 2b/8, ..., b.  Each draw
+    gives <f, xi> = sum_j G_j f_j and the total mass sum_j G_j from its
+    piece masses G_j on f's grid.  The indicator window keeps the weighted
+    integrand bounded (total mass is at most t / min f on the event), so the
+    estimator has finite variance for any positive step function.  The
+    arguments are checked, and the exact side formed, before anything is
+    drawn.
     """
     from .densities import _log_power_ratio   # scipy comes with it; keeps it off the CLI start-up
 
-    theta, eps = _check_theta_eps(theta, eps)
+    theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
     b = _positive_real(b, "window bound b")
@@ -233,8 +203,8 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
     exact = _finite_exp(_log_power_ratio(theta, np.log(t_grid), -c_f),
                         "the window law e^{-c(f)} t^theta / Gamma(theta + 1)")
 
-    kernel = _kernel(theta, eps, *_common_grid([f]), lambda pairing, totals: _window_weights(
-        pairing[:, 0] * totals, t_grid, totals))
+    kernel = _kernel(theta * f.widths(), lambda masses: _window_weights(
+        (masses * f.values).sum(axis=1), t_grid, masses.sum(axis=1)), t_grid.size)
     results = pooled_mean(n_samples, rng, streams, kernel, columns=t_grid.size)
     est = np.array([r.estimate for r in results])
     err = np.array([r.stderr for r in results])
@@ -245,31 +215,27 @@ def functional_distribution_check(theta: float, f: StepFunction, b: float,
 
 
 def weighted_box_mass(spec, b_values, n_samples: int, rng: RngStream, *,
-                      eps: float = TRUNCATION_EPS, streams: int = 1) -> list[EstimatorResult]:
+                      streams: int = 1) -> list[EstimatorResult]:
     """Weighted mass of the box [0, b]^n under independent splitting of the atoms.
 
-    One batch of draws serves every requested b.  The parts are the pieces
-    of [0, 1) between ``spec.breakpoints``, so an atom falls in part i, with
-    probability theta_i / theta, where its location lies: the kernel pairs
-    the masses with an identity table on that grid, keeping only each row's
-    largest part as it goes, scales it by the draw's total, and weights the
-    all-parts-below-b indicator by e^{total mass}.  ``spec``, ``eps``, the
-    edges and the counts are checked before anything is drawn.
+    One batch of draws serves every requested b.  Each draw's part sums are
+    independent Gamma(theta_i) masses, the gamma process's masses on the
+    pieces of [0, 1) between ``spec.breakpoints``; the kernel keeps each
+    row's largest part and its total, and weights the all-parts-below-b
+    indicator by e^{total mass}.  ``spec``, the edges and the counts are
+    checked before anything is drawn.
     """
     from .densities import PartitionSpec   # scipy comes with it; keeps it off the CLI start-up
 
     if not isinstance(spec, PartitionSpec):
         raise DomainError("spec must be a PartitionSpec")
-    _check_theta_eps(spec.theta, eps)
     b_arr = np.array([_positive_real(b, "box edge b")
                       for b in (b_values if np.ndim(b_values) else [b_values])], dtype=float)
     if b_arr.size == 0:
         raise DomainError("a box mass needs at least one box edge b")
 
-    # The identity table as a read-only view of 2n - 1 floats, not n * n.
-    identity = sliding_window_view(np.eye(1, 2 * spec.n - 1, spec.n - 1)[0], spec.n)[::-1]
-    kernel = _kernel(spec.theta, eps, spec.breakpoints, identity, lambda largest, totals:
-                     _window_weights(largest[:, 0] * totals, b_arr, totals), np.maximum)
+    kernel = _kernel(spec.weights, lambda masses: _window_weights(
+        masses.max(axis=1), b_arr, masses.sum(axis=1)), b_arr.size)
     return pooled_mean(n_samples, rng, streams, kernel, columns=b_arr.size)
 
 

@@ -35,21 +35,20 @@ finite), the total, the tail and, for normalized draws, the sum.  A kept
 mass of zero is a zero stick, refused as such.
 
 Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
-a persistent pool, one thread per usable CPU in all.  A batch chunk makes
-two passes over contiguous row blocks of at most 2^16 cells, through
-``_by_rows``, which draws each block's uniforms into per-thread scratch.
-The first (``_stick_pass``) turns a block's uniforms into sticks and, while
-the block is in cache, into its running sums, cuts, tails and masses, and
-copies the masses to the buffer.  The second (``laplace._pairing``, in
-every estimator kernel) finds each block's location uniforms' pieces of
-the kernel's grid and reduces them at once to the per-row values, one per
-column the kernel serves, so no location, value or product matrix is made.
-A pass from 2^17 cells on is shared out, at least two blocks per thread,
-and each block draws its uniforms from its own copy of the Philox stream,
-moved to the block's first cell; a smaller pass runs its blocks in turn on
-the caller's thread, each drawing from the stream itself.  The jobs are
-row blocks only, and every public function runs on the caller's thread.
-The output bytes do not depend on the CPU count or on thread scheduling.
+a persistent pool, one thread per usable CPU in all.  Only the stick path
+uses it: each stick step (``_stick_pass``) is a pass over contiguous row
+blocks of at most 2^16 cells, through ``_by_rows``, which draws each
+block's uniforms into per-thread scratch and, while the block is in cache,
+turns them into sticks, running sums, cuts, tails and masses, and copies
+the masses to the buffer.  A pass from 2^17 cells on is shared out, at
+least two blocks per thread, and each block draws its uniforms from its own
+copy of the Philox stream, moved to the block's first cell; a smaller pass
+runs its blocks in turn on the caller's thread, each drawing from the
+stream itself.  The jobs are row blocks only, and every public function
+runs on the caller's thread.  The output bytes do not depend on the CPU
+count or on thread scheduling.  The Monte Carlo estimators draw no sticks
+(see ``laplace._kernel``), so the series draws of ``sample`` and the
+batch kernels ``stick_masses_batch`` and ``gamma_batch`` are what run here.
 """
 
 from __future__ import annotations
@@ -217,9 +216,8 @@ def _skip_uniforms(gen, n):
 
 
 # Largest stick buffer, in cells (rows x columns), that a draw may hold: 2^26
-# cells are 512 MB per float array.  At the estimators' 32768-row chunks and
-# eps = 1e-10 the buffer fits up to theta = 80, and a round past it up to
-# theta = 77.
+# cells are 512 MB per float array.  At 32768-row batches and eps = 1e-10
+# the buffer fits up to theta = 80, and a round past it up to theta = 77.
 _CELL_BUDGET = 1 << 26
 
 
@@ -333,9 +331,8 @@ def _scratch(name, shape, dtype=float):
     ``_BLOCK_CELLS`` cells unless a single row is longer; such a block gets
     a fresh array that is not kept, so a thread keeps at most
     ``_BLOCK_CELLS`` cells per name.  Names in use: ``"block"`` (a block's
-    uniforms, or the products of a pairing that draws no uniforms),
-    ``"run"`` (the stick pass's running sums) and ``"closed"`` (the stick
-    pass's cut test).
+    uniforms), ``"run"`` (the stick pass's running sums) and ``"closed"``
+    (the stick pass's cut test).
     """
     cells = shape[0] * shape[1]
     if cells > _BLOCK_CELLS:
@@ -352,14 +349,14 @@ def _scratch(name, shape, dtype=float):
     return buf.reshape(shape)
 
 
-def _by_rows(rows, cols, work, gen=None):
+def _by_rows(rows, cols, work, gen):
     """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
 
     A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
-    what its work reads and writes stays in a core's cache.  With ``gen``,
-    ``u`` is the block's rows of a (rows, cols) matrix of uniforms drawn in
-    row-major order, C-contiguous and free for ``work`` to overwrite, else
-    None.  Each block's uniforms are drawn into its thread's scratch block
+    what its work reads and writes stays in a core's cache.  ``u`` is the
+    block's rows of a (rows, cols) matrix of uniforms drawn from ``gen`` in
+    row-major order, C-contiguous and free for ``work`` to overwrite.  Each
+    block's uniforms are drawn into its thread's scratch block
     (``_scratch("block", ...)``, which ``work`` must then not take itself),
     so the pass never holds the matrix.  ``gen`` ends where one serial draw
     of the matrix would have left it, and the results are the same bytes
@@ -387,9 +384,7 @@ def _by_rows(rows, cols, work, gen=None):
     # and one that cannot be moved on a split pass).
     moved = threads > 1 and _movable(gen)
     in_turn = threads == 1 and type(gen) is np.random.Generator
-    whole = None
-    if gen is not None and not (moved or in_turn):
-        whole = gen.random(rows * cols).reshape(rows, cols)
+    whole = None if moved or in_turn else gen.random(rows * cols).reshape(rows, cols)
     if moved:
         state = gen.bit_generator.state
         spares = getattr(_local, "gens", [])
@@ -399,8 +394,9 @@ def _by_rows(rows, cols, work, gen=None):
 
     def block(b, slot):
         lo, hi = rows * b // blocks, rows * (b + 1) // blocks
-        part = None if whole is None else whole[lo:hi]
-        if moved or in_turn:
+        if whole is not None:
+            part = whole[lo:hi]
+        else:
             part = _scratch("block", (hi - lo, cols))
             if moved:
                 spare = spares[slot]
@@ -427,12 +423,17 @@ def _buffer_width(theta, eps):
 
 
 def _budgeted(theta, eps, rows, width):
-    """``width``, refused when ``rows`` rows of it exceed ``_CELL_BUDGET`` cells."""
+    """``width``, refused when ``rows`` rows of it exceed ``_CELL_BUDGET`` cells.
+
+    Fewer rows can help only when one row fits the budget, so only then does
+    the message advise them.
+    """
     if rows * width > _CELL_BUDGET:
+        fix = ("lower theta or raise eps" if width > _CELL_BUDGET else
+               "lower theta, raise eps, or use fewer --samples per stream to lower the rows")
         raise DomainError(
             f"theta*log(1/eps) = {-theta * math.log(eps):.4g} expected sticks per draw over "
-            f"{rows} rows exceeds the {_CELL_BUDGET}-cell sampler budget; lower theta, raise "
-            "eps, or use fewer --samples per stream to lower the rows")
+            f"{rows} rows exceeds the {_CELL_BUDGET}-cell sampler budget; {fix}")
     return width
 
 
@@ -802,9 +803,10 @@ def gamma_batch(theta: float, eps: float, rows: int, gen):
     """Batch of unnormalized draws as (normalized masses, locations, totals, tails).
 
     The draws are the stick pass, the (rows, K) location uniforms and the
-    gamma totals, in that order.  The estimator kernels draw the locations
-    block by block instead, or skip them when they read none
-    (``laplace._pairing``); this whole-matrix form is their reference.
+    gamma totals, in that order, as ``sample``'s series draws take them.
+    No estimator reads it: the tests keep it as the reference of the stick
+    path, such as the oracle that the estimators' exact piece masses are
+    checked against.
     """
     masses, tails = stick_masses_batch(theta, eps, rows, gen)
     return masses, gen.random(masses.shape), _gamma_totals(theta, rows, gen), tails

@@ -157,12 +157,12 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_oversized_stick_blocks_exit_2_without_running(capsys):
-    # theta * log(1/eps) sticks per draw times the rows of one chunk would
-    # need gigabytes; both routes refuse before drawing anything.
-    for argv in (["sample", "--theta", "1e8", "--samples", "1"],
-                 ["laplace", "--theta", "1e4", "--f", "1@0:1"]):
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2 and out == "" and "--samples" in err, argv
+    # theta * log(1/eps) sticks for a single draw would need gigabytes; the
+    # refusal comes before anything is drawn, and since fewer draws cannot
+    # help, it advises only theta and eps.
+    code, out, err = run_cli(capsys, ["sample", "--theta", "1e8", "--samples", "1"])
+    assert code == 2 and out == ""
+    assert err.endswith("sampler budget; lower theta or raise eps\n") and "--samples" not in err
 
 
 def test_invariance_requires_both_explicit_functions(capsys):
@@ -176,7 +176,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.13.0"
+    assert meta["version"] == "0.14.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -398,16 +398,23 @@ def _run_capped(*argv, budget=0):
 
 @pytest.mark.parametrize("argv", [
     ["laplace", "--theta", "1e4", "--f", "1.5@0:1"],
+    ["laplace", "--theta", "1e4", "--f", "1.0001@0:0.5,1.0002@0.5:1"],
     ["invariance", "--theta", "1e4", "--pairs", "1"],
+    ["invariance", "--theta", "1e4", "--a", "1.0001@0:0.5,0.9999@0.5:1", "--f", "1.0002@0:1"],
     ["partition-sums", "--weights", "5000,5000"],
 ])
-def test_estimators_at_large_theta_exit_0_or_2_in_bounded_memory(argv):
-    # 2.3e5 sticks a draw: eight rows fit the cell budget, a full chunk does
-    # not and is refused before anything is drawn.
-    for samples, codes in (("8", (0, 2)), ("40000", (2,))):
+def test_estimators_at_large_theta_are_served_in_bounded_memory(argv):
+    # A draw at theta = 1e4 held 2.3e5 sticks at eps = 1e-10: eight rows fit
+    # the cell budget, and a full chunk exited 2.  Its piece masses are a few
+    # gammas at any theta.  A zero stderr (every value underflows) must come
+    # with the exact value itself.
+    for samples in ("8", "40000"):
         proc = _run_capped(*argv, "--samples", samples)
-        assert proc.returncode in codes, (samples, proc.stderr)
-        assert "MemoryError" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 0 and proc.stderr == "", (samples, proc.stderr)
+        for record in json_lines(proc.stdout)[1:]:
+            exact = record.get("analytic", record.get("analytic_af", record.get("exact")))
+            assert abs(record["estimate"] - exact) <= 6.0 * record["stderr"], record
+            assert abs(record["z_score"]) <= 6.0
 
 
 def test_rows_outside_every_box_do_not_overflow():
@@ -454,8 +461,9 @@ _BOX_OVERFLOW = "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(920.87) 
     (["box-mass", "--weights", "1e306,1e306", "--b", "1e300"], 0, ""),
     (["box-mass", "--weights", "1e306,1e306", "--b", "1.7e308"], 3,
      "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(1.22716e+307) is not a finite"),
-    (["partition-sums", "--weights", "1e306,1e306", "--b", "1e300", "--samples", "16"], 2,
-     "exceeds the 67108864-cell sampler budget"),
+    (["partition-sums", "--weights", "1e306,1e306", "--b", "1e300", "--samples", "16"], 0, ""),
+    (["sample", "--theta", "1e8", "--samples", "1"], 2,
+     "exceeds the 67108864-cell sampler budget; lower theta or raise eps"),
     (["box-mass", "--weights", "1e308,1e308", "--b", "2"], 2,
      "partition weights must have a finite total"),
     (["invariance", "--theta", "1e5", "--pairs", "1", "--samples", "16"], 3,
@@ -484,9 +492,11 @@ def test_extreme_inputs_exit_0_2_or_3_without_a_warning_or_a_non_finite_cell(cap
             assert record["masses"] == [record["total_mass"]] and record["tail_bound"] == 0.0
 
 
-def test_a_box_mass_that_underflows_is_0_and_partition_sums_then_meets_the_cell_budget(
+def test_a_box_mass_that_underflows_is_0_and_partition_sums_then_estimates_0(
         monkeypatch, capsys):
-    # Each weight's exponent term was inf - inf = NaN, and both commands exited 3.
+    # Each weight's exponent term was inf - inf = NaN, and both commands
+    # exited 3; then partition-sums formed the 0 and met the stick path's
+    # cell budget.  Every part's mass now lies far outside the box.
     argv = ["--weights", "1e306,1e306", "--b", "1e300"]
     code, out, err = run_cli(capsys, ["box-mass", *argv])
     assert code == 0 and err == "" and json_lines(out)[1]["mass"] == 0.0
@@ -494,7 +504,10 @@ def test_a_box_mass_that_underflows_is_0_and_partition_sums_then_meets_the_cell_
     monkeypatch.setattr(densities, "box_mass_L",
                         lambda spec, b: masses.append(box_mass_L(spec, b)) or masses[-1])
     code, out, err = run_cli(capsys, ["partition-sums", *argv, "--samples", "16"])
-    assert code == 2 and out == "" and "cell sampler budget" in err and masses == [0.0]
+    assert code == 0 and err == "" and masses == [0.0]
+    (record,) = json_lines(out)[1:]
+    assert (record["estimate"], record["stderr"], record["exact"], record["z_score"]) == (
+        0.0, 0.0, 0.0, 0.0)
 
 
 def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeypatch, capsys):
@@ -505,20 +518,20 @@ def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeyp
     assert run_cli(capsys, ["partition-sums", "--weights", "0.5,1.5", "--b", "1e200"])[0] == 3
 
 
-@pytest.mark.parametrize("argv, seed", [
-    (["laplace", "--theta", "40", "--f", "1.5@0:1"], 5),
-    (["invariance", "--theta", "40", "--pairs", "1"], 3),
-    (["partition-sums", "--weights", "10,30"], 5),
-])
-def test_a_round_past_the_cell_budget_exits_2(argv, seed):
-    # A budget that holds the stick buffer of one 4000-row chunk at theta =
-    # 40 and no more: a row of this seed's chunk outruns the buffer, and the
-    # round that would grow it is refused before it is allocated.
-    rows = 4000
-    proc = _run_capped(*argv, "--samples", str(rows), "--seed", str(seed),
-                       budget=rows * processes._buffer_width(40.0, 1e-10))
+def test_a_round_past_the_cell_budget_exits_2(tmp_path):
+    # A budget that holds the stick buffer of one sample batch at theta = 40
+    # (250 rows) and no more: a row of this seed's fourth batch outruns the
+    # buffer, and the round that would grow it is refused before it is
+    # allocated, once the first three batches' draws are written.
+    width = processes._buffer_width(40.0, 1e-10)
+    rows = cli.SAMPLE_BATCH_CELLS // width
+    out = tmp_path / "draws.json"
+    proc = _run_capped("sample", "--theta", "40", "--samples", str(4 * rows), "--seed", "81",
+                       "--out", str(out), budget=rows * width)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "sampler budget" in proc.stderr and "Traceback" not in proc.stderr
+    assert "sampler budget" in proc.stderr and "--samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(out.read_text().splitlines()) == 1 + 3 * rows
 
 
 def test_mp_demo_refuses_an_oversized_table_before_allocating():
@@ -582,49 +595,46 @@ _F = {"constant": "1.5@0:1", "three": "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
 
 # sha256 of every line after the meta line of each argv + --seed 11 (and
 # --samples 3000 unless given), frozen from the binary-search lookups that
-# the comparison loop replaced, and re-frozen at 0.9.0 with the narrow first
-# stick block, which changed every byte.  The 40-piece f is counted by the
-# loop and the 80-piece f by the searchsorted fallback; the weights
-# 0.1,0.2,0.3 have cumulative probabilities ending at 0.9999999999999999.
+# the comparison loop replaced, re-frozen at 0.9.0 with the narrow first
+# stick block, and at 0.14.0, when every estimator came to draw its piece
+# masses exactly, which changed every byte.  The 40- and 80-piece fs give
+# rows of that many gammas; the weights 0.1,0.2,0.3 have cumulative
+# probabilities ending at 0.9999999999999999.
 _ESTIMATOR_BODY_SHA256 = [
     (("laplace", "--theta", "0.5", "--f", _F["constant"], "--streams", "1"),
-     "749c21fa41a9c8e883038a5ac807240d629ac2d4cd12f732cce576f31b09db45"),
+     "a1ddb1919856b5b807d954f57e5d4693712b13c45b30f3cf10a4bfcc563bc268"),
     (("laplace", "--theta", "0.5", "--f", _F["three"], "--streams", "1"),
-     "576b22ee3e5b72e9d176bb4de774ee6ac4a1a2f324c38fad2456cbb81d90daae"),
+     "1af3a7d5559ada7ccc1082a1b98541675a207cbbb95b7e888f1e73b8a0f5d566"),
     (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1"),
-     "d8c6251c5b593868b203c049027c75c496c989f122c9e4a79480698eee30377c"),
+     "be591d8226e8fc177330bdce73a5a08ac0b0c8ba5f84c7c38e00a2e676595b3f"),
     (("laplace", "--theta", "1", "--f", _F["three"], "--streams", "1"),
-     "013f3cdaf4e52d366d8d2a7331822296de837709e7b5072e3edc068d56566eb3"),
+     "94e97d50796c90fa63d156f2e3ffa8364d3c7ba6d20c6f6a4c05dea7f759029c"),
     (("laplace", "--theta", "4", "--f", _F["constant"], "--streams", "1"),
-     "3a5618765e9a9e57fe38db6c968749db3bdc8ddc908754f3f69845baa6df59ca"),
+     "11fc7c0fcdd155dd2d6fd2ebfdc84c0e2cd1b270c6bbbbf8e8452c6964ea6ba2"),
     (("laplace", "--theta", "4", "--f", _F["three"], "--streams", "2"),
-     "37eca51b7eae180772177a0da7272099d763451c7be2bd1e76fbc9a68a2349ac"),
+     "81f6396972244c522cba2c7088a6b5028082a6a08c4fce42eba312cd750111e1"),
     (("laplace", "--theta", "8", "--f", _F["constant"], "--streams", "1"),
-     "1b8118f92447a98d0f7bc6258b3b867be4237ad0e82eaa4fa993c04011b47053"),
+     "e60d7b1d51b286daf94c70eee7a8cf5d0e7280fe1b9f05ef04788a58299130f8"),
     (("laplace", "--theta", "8", "--f", _F["three"], "--streams", "1"),
-     "8caf1081bd06c87d819187b943b8a87b429b0496b18d0b721212a75ec96695a6"),
+     "1f3bfd77dcf3d94d99b17f652de1d4ad00555054a62b87fc7a0bcfd2bfe36819"),
     (("laplace", "--theta", "1", "--f", _F["forty"], "--streams", "1"),
-     "bda6cdec578b980a0014cf326a8578b36af39a0bfe1325dbafe78df59d20f384"),
+     "4a6af50f9345bb8f709490dbf153bba950398ec9553f62247b0986c5b37853c2"),
     (("laplace", "--theta", "1", "--f", _F["eighty"], "--streams", "1"),
-     "718e1113a1fd6a4275a5488c37280d5d036f9300fec4880cc4185ec0e7141428"),
-    # Re-frozen at 0.12.0, when the box kernel came to split the atoms by
-    # their locations instead of by marks drawn after the totals.
+     "cb22bc5d897be80748346815b30a5b6c2693be8151a6629237c438edd1533a48"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1,2"),
-     "da4c9e419c9b3d0ed4bf727657f77b16a8e7788ef03e95da70d5527014aa3ecc"),
+     "866b704dbe98ccad39a1f6e16cc473d9c9e8147492ad2a77124fb74fcfcb1035"),
     (("partition-sums", "--weights", "0.1,0.2,0.3"),
-     "4103e89de43eaaa9e6fdc3808afc9a7084943d74078c2566ee4832dd25b86a05"),
-    # Re-frozen at 0.8.0, when the pairs came to share one batch of draws.
+     "29dc3a4ddd587b91056be4ff1092a542c47c505463150c9ed41744ee2e62e124"),
     (("invariance", "--pairs", "4", "--samples", "2000", "--format", "csv"),
-     "5877276b102e96530f8fe0e363ce3690bb73c669d8e186cd3d2f75d6ac306360"),
-    # Kernels that skip their unread location uniforms, frozen while they
-    # still drew them: a chunk boundary inside one stream, and two streams.
+     "12a2a7a22334e127ec8a7cc258033c196d63f4ba67a3739b4171ddbba25c4251"),
+    # A chunk boundary inside one stream, and two streams.
     (("laplace", "--theta", "1", "--f", _F["constant"], "--streams", "1", "--samples", "33000"),
-     "8ed733f1c1eb5adf79e792cdd31abc06f58b9cf60ca3a9af3f391bc6858d65d9"),
+     "1f23add64f19bbc0e364cfc66e031e51c585f98ef5df5cfb76a8d03733630d4f"),
     (("laplace", "--theta", "2", "--f", _F["constant"], "--streams", "2"),
-     "f9fae40282b4061d6a27c2b9d2021b9abe0a1b94b2bf21ecadef50b05446d625"),
-    # The box kernel at a chunk boundary, re-frozen at 0.12.0 as above.
+     "5bf80e15fcf20dfe30acd957bb8d40f242be1404290691b58b101632fac13a1d"),
+    # The box kernel at a chunk boundary.
     (("partition-sums", "--weights", "0.5,1.5", "--b", "1", "--samples", "33000"),
-     "29d653fbe1ec07ad9137723a0d3059683a05037ef605a77a60e27e10d4261c40"),
+     "42557049349b7627120e2fd1ee55064de39f323c51c0c228200b370df3885b9a"),
 ]
 
 
@@ -636,16 +646,40 @@ def test_estimator_output_bytes_are_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("block_cells", [1 << 3, 1 << 7])
 @pytest.mark.parametrize("argv, digest", _ESTIMATOR_BODY_SHA256)
 def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch, argv, digest,
-                                                            width):
-    # Width 1 is the serial path; three threads with no size floor split
-    # every pass of every chunk into six uneven blocks, whatever the host's
-    # CPU count.
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+                                                            block_cells):
+    # Row blocks of at most 8 or 128 cells: one row a block for the 40- and
+    # 80-piece fs, and uneven last blocks elsewhere.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
     test_estimator_output_bytes_are_frozen(capsys, argv, digest)
+
+
+def test_only_sample_reaches_the_stick_path_and_the_row_pool(capsys, monkeypatch):
+    # The estimators draw their piece masses on the caller's thread, so one
+    # that drifted back onto the stick path or the row pool fails here, even
+    # with every pass set to split.  sample still reaches both.
+    stick_rows, share, reached = processes._stick_rows, processes._share, []
+
+    def refuse(name):
+        def call(*_args, **_kwargs):
+            raise AssertionError(f"an estimator reached processes.{name}")
+        return call
+
+    monkeypatch.setattr(processes, "_WIDTH", 2)
+    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(processes, "_stick_rows", refuse("_stick_rows"))
+    monkeypatch.setattr(processes, "_share", refuse("_share"))
+    for argv in (["laplace", "--f", _F["three"], "--samples", "3000"],
+                 ["invariance", "--pairs", "3", "--samples", "3000"],
+                 ["partition-sums", "--weights", "0.5,1.5", "--samples", "3000"]):
+        assert run_cli(capsys, argv)[0] == 0, argv
+    monkeypatch.setattr(processes, "_stick_rows",
+                        lambda *args: reached.append("_stick_rows") or stick_rows(*args))
+    monkeypatch.setattr(processes, "_share", lambda *args: reached.append("_share") or share(*args))
+    assert run_cli(capsys, ["sample", "--samples", "300"])[0] == 0
+    assert set(reached) == {"_stick_rows", "_share"}
 
 
 _STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
@@ -653,52 +687,47 @@ _STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
 # sha256 of every line after the meta line of the bench's 14 mc-shaped argv
 # (workload seed 2), plus a theta = 4 task of workload seed 311, each with
 # its --seed; frozen before the kernels streamed their row blocks, and
-# re-frozen at 0.9.0 as the table above.  Every chunk here extends past its
-# first stick block; the second theta = 1 task and the first theta = 4 task
-# also grow their stick buffer.
+# re-frozen at 0.9.0 and at 0.14.0 as the table above.
 _MC_BODY_SHA256 = [
     (("laplace", "--theta", "0.5", "--f", "1.5@0.0:1.0", "--samples", "8192"),
-     "2104669064", "c03f1bd3094973e62ab153320b4c92b0af4cec377f7cd4f55410ce935bf23103"),
+     "2104669064", "1ec4b12cf0fdd8db063a71958a0b8b3c72399620d9f2c1d61907dc30f2de3450"),
     (("laplace", "--theta", "0.5", "--f", _STEP3, "--samples", "8192"),
-     "1705610640", "4e272ee8c012d861e83a4ba1bbf8283a936b8346c1b3fde06b07a4791eafc3cd"),
+     "1705610640", "f9901e73f349da12ac7f65b5ca0bd388d30a5406080b21952788172724f38c09"),
     (("laplace", "--theta", "1.0", "--f", "1.5@0.0:1.0", "--samples", "8192"),
-     "1457654484", "dceadaf87a00ff62ee20f331009d738a5fc5faf44c33cd66dbb179194b7c4536"),
+     "1457654484", "4f3d90d0602cbb766be4b5e9d572b5dc8acd436fb56046462bdd715c21f4aec5"),
     (("laplace", "--theta", "1.0", "--f", _STEP3, "--samples", "8192"),
-     "1312480814", "12d8f60ff4fbd3df2a5786fb25b4f124222642d6cc6b57158583e9c3eb9ce861"),
+     "1312480814", "0d79994d2640ac07e0af834be3f81a7ec1552b2a0b6d652b3fb618596f4df794"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "816715227", "0a84dafb51e941475dbd46f1bfc175444e4b37081124532a6bfb06f7592c8157"),
+     "816715227", "2bc41ccabd5a9802be62b7f5fa82883fb309504812c358c119f22a4638bcb0fc"),
     (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
-     "1673831587", "ff63565029c1017b4d8097eb4bafe65d6be5493856940e1b47655aa13ead1a5d"),
+     "1673831587", "84a92cb3275f53919c0d8f8c539e8dd80c55f9cb211a2d93dd8e4d6a262771c2"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "1609523211", "318769bff463b9b1c3144f19f69d22ffa11ef9c78e08d24b50e7e14afd481d50"),
+     "1609523211", "f821ae0a0d5eef50e57fd72b924cb4023cd0eb39a0c3e559b8a29343ae12e119"),
     (("laplace", "--theta", "4.0", "--f", _STEP3, "--samples", "4096", "--streams", "2"),
-     "973238861", "9d508feaf43706091dd8f730e2ccaa40e59d8d02275b59c5c3ae142df1d699f3"),
+     "973238861", "bc7b7dc4f4b8ad55c7100f3d9999494c30552f675b9eecadb44f84fe379b29d4"),
     (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
-     "1188544692", "2e47e82187f6284c335a5965b644ae98e005a7c5d05b0026aa349de4e7df0e4d"),
+     "1188544692", "8a961211a8c4f012ff6060271405eb9fbe2364e5e7d3f10eb343361b65abb169"),
     (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
-     "116293682", "5af31e5a75898ebee557431c531d14b9d01cf043474578dab67849a6340bdd73"),
+     "116293682", "08038ff2c4690e09b68d224dc0d3fd680c856cb73c16a166b6b016b3daa8fe2d"),
     (("laplace", "--theta", "8.0", "--f", "1.5@0.0:1.0", "--samples", "2048"),
-     "1120397550", "6a0dbbde953a442c9917d845dfaebcc57bc2609d11788503726c0921388bc377"),
+     "1120397550", "b8bcfec7bcb026b9c9dd623efed8a3b9aad2b380e356b94f9ff5acb7d4f52f6d"),
     (("laplace", "--theta", "8.0", "--f", _STEP3, "--samples", "2048"),
-     "31173149", "1e2d7586513dedcfda851efaa49b0fc464206a9d93c03ee839eb0f01bab070da"),
-    # Re-frozen at 0.12.0, as the partition-sums entries above.
+     "31173149", "3728e97f7a6e3bff2f926ce039820823a5fe0cdf1db1db880558d7f59dc19797"),
     (("partition-sums", "--weights", "0.5,1.5", "--b", "0.5,1.0,2.0", "--samples", "8192"),
-     "433586074", "316056c1fd9b90712420317e2453f1d88be4ca27065cab0c4264f269bc903162"),
-    # Re-frozen at 0.8.0, as the --pairs 4 entry above.
+     "433586074", "82fbc5a37abe52405c00f5a5668dd4773f5b6f0372c6b18b4a84c222d4614851"),
     (("invariance", "--pairs", "24", "--samples", "1500", "--format", "csv"),
-     "540110510", "9a6a9c927f48f587dcd792441c699c004f874e74978eb9c8d8039077b7cea0a4"),
+     "540110510", "80fe9773bc9e8a617d3b4b7381c2b71171f3772591a9bd170e3a2f9e33b1d189"),
     (("laplace", "--theta", "4.0", "--f", "1.5@0.0:1.0", "--samples", "4096"),
-     "1654520701", "459bf98300f6f7d471b540cbdfba5f53708ef2d60e979c39ec528d1de2d29c6a"),
+     "1654520701", "b1ec37a8681fe523bc3d84133b30d05147e842931177ac0bd4b35316068c2f1c"),
 ]
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("block_cells", [1 << 16, 1 << 7, 1 << 3])
 @pytest.mark.parametrize("argv, seed, digest", _MC_BODY_SHA256)
-def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, digest, width):
-    # As in the row-block test above: width 1 is serial, and with no size
-    # floor every pass of two rows or more splits over 2 or 3 threads.
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, digest, block_cells):
+    # As in the row-block test above, in blocks of the default size, of 128
+    # cells and of 8.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
     code, out, _err = run_cli(capsys, list(argv) + ["--seed", seed])
     assert code == 0
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
@@ -1297,10 +1326,9 @@ def test_config_file_accepts_keys_of_other_subcommands(capsys, tmp_path):
 _COMMON_FLAGS = {"--out", "--format", "--config"}
 _FLAGS = {
     "sample": {"--theta", "--eps", "--samples", "--process", "--seed", "--streams"},
-    "laplace": {"--theta", "--eps", "--samples", "--f", "--seed", "--streams"},
-    "invariance": {"--theta", "--eps", "--samples", "--pairs", "--a", "--f", "--seed",
-                   "--streams"},
-    "partition-sums": {"--weights", "--b", "--eps", "--samples", "--seed", "--streams"},
+    "laplace": {"--theta", "--samples", "--f", "--seed", "--streams"},
+    "invariance": {"--theta", "--samples", "--pairs", "--a", "--f", "--seed", "--streams"},
+    "partition-sums": {"--weights", "--b", "--samples", "--seed", "--streams"},
     "mellin": {"--lambda", "--nmax", "--nmin"},
     "saddle": {"--lambda"},
     "mp-demo": {"--n", "--smax", "--spoints", "--samples", "--seed", "--streams"},
@@ -1314,11 +1342,10 @@ _RNG_VALUES = {"seed": "4", "streams": "2"}
 _ROUND_TRIP_VALUES = {
     "sample": {"theta": "2.0", "eps": "1e-8", "samples": "2", "process": "dirichlet",
                **_RNG_VALUES},
-    "laplace": {"theta": "2.0", "eps": "1e-8", "samples": "200", "f": "2@0:1", **_RNG_VALUES},
-    "invariance": {"theta": "2.0", "eps": "1e-8", "samples": "100", "pairs": "1",
-                   "a": "1.5@0:1", "f": "2@0:1", **_RNG_VALUES},
-    "partition-sums": {"weights": "0.5,1.5", "b": "0.5,1", "eps": "1e-8", "samples": "200",
-                       **_RNG_VALUES},
+    "laplace": {"theta": "2.0", "samples": "200", "f": "2@0:1", **_RNG_VALUES},
+    "invariance": {"theta": "2.0", "samples": "100", "pairs": "1", "a": "1.5@0:1",
+                   "f": "2@0:1", **_RNG_VALUES},
+    "partition-sums": {"weights": "0.5,1.5", "b": "0.5,1", "samples": "200", **_RNG_VALUES},
     "mellin": {"lam": "2.0", "nmax": "5", "nmin": "3"},
     "saddle": {"lam": "2.0"},
     "mp-demo": {"n": "5", "smax": "1.5", "spoints": "3", "samples": "16", **_RNG_VALUES},
@@ -1405,6 +1432,28 @@ def test_deterministic_subcommands_take_no_seed(capsys, command):
     for flag in ("--seed", "--streams"):
         code, out, err = run_cli(capsys, [command, flag, "1"])
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--f", "2@0:1", "--samples", "10"],
+    ["invariance", "--pairs", "1", "--samples", "10"],
+    ["partition-sums", "--weights", "0.5,1.5", "--b", "1", "--samples", "10"],
+])
+def test_estimators_take_no_eps(capsys, tmp_path, argv, form):
+    # The estimators draw their piece masses exactly, so a truncation level
+    # would be a setting that changes nothing.  An --eps flag is refused; an
+    # eps line, which a config file shared with sample may hold, is left out
+    # of the run and of its meta line.
+    code, plain, _err = run_cli(capsys, argv)
+    assert code == 0 and "eps" not in json.loads(plain.splitlines()[0].removeprefix("# "))["config"]
+    if form == "flag":
+        code, out, err = run_cli(capsys, [*argv, "--eps", "1e-8"])
+        assert code == 2 and out == "" and "unrecognized arguments: --eps" in err
+    else:
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("eps = 1e-8\n")
+        assert run_cli(capsys, [*argv, "--config", str(cfg)]) == (0, plain, "")
 
 
 # ------------------------------------------------------------- repeatability

@@ -24,7 +24,8 @@ from conicpd import (
     quasi_invariance_pairs,
     weighted_box_mass,
 )
-from conicpd.processes import _finite_exp
+from conicpd import processes
+from conicpd.processes import _finite_exp, gamma_batch
 from conicpd.stepfn import _LOOP_EDGES, _piece_index
 
 
@@ -279,11 +280,10 @@ def test_analytic_laplace_homogeneity():
 # ----------------------------------------------------------------- MC route
 
 def test_mc_laplace_f_equal_one_has_no_noise():
-    # integrand is exp(totals * tail) with tail below the truncation cutoff,
-    # so the estimate pins to 1 up to the truncation bias
+    # The integrand is exp(G (1 - 1)) = 1 exactly: the piece mass carries no
+    # truncation, so neither does the estimate.
     res = mc_laplace(1.0, StepFunction.constant(1.0), 2_000, RngStream(5))
-    assert abs(res.estimate - 1.0) <= 1e-8
-    assert res.stderr <= 1e-8
+    assert res.estimate == 1.0 and res.stderr == 0.0
 
 
 def test_mc_laplace_matches_analytic_constant():
@@ -389,35 +389,50 @@ def test_quasi_invariance_general_multiplicator():
 _SEVENTY = StepFunction(np.linspace(0.0, 1.0, 71), 0.6 + np.random.default_rng(3).random(70))
 
 
+def _on(grid, *values):
+    return StepFunction(grid, np.array(values, dtype=float))
+
+
 @pytest.mark.parametrize("samples", [900, 33_000])
 @pytest.mark.parametrize("streams", [1, 2])
-@pytest.mark.parametrize("width, floor", [(1, 1 << 17), (3, 0)])
-def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, width, floor, streams, samples):
-    # Every pair is estimated from the same draws on rng's own streams, so
-    # pair k's report is that of the pair of one and its estimate
-    # mc_laplace's, bit for bit: serially and with every pass split, across
-    # a chunk boundary at 33 000 samples.  Constant products (the middle and
-    # last pairs) skip the lookup; the 70-piece f takes the binary search.
-    # A pair outside the finite-variance region is refused as mc_laplace
-    # refuses it.
-    from conicpd import processes
-
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", floor)
-    pairs = [(halves(1.3, 0.9), halves(2.0, 1.2)),
-             (StepFunction.constant(1.1), StepFunction.constant(1.4)),
-             (halves(1.2, 1.0), _SEVENTY),
-             (halves(2.0, 0.5), halves(1.5, 2.5)),
-             (halves(0.9, 0.9), StepFunction.constant(1.3))]
+@pytest.mark.parametrize("block_cells", [1 << 16, 1 << 10])
+def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, block_cells, streams, samples):
+    # Pairs whose products share one grid are estimated from the same piece
+    # masses on rng's own streams, so pair k's report is that of the pair of
+    # one and its estimate mc_laplace's, bit for bit, in any row blocks and
+    # across a chunk boundary at 33 000 samples.  The second pair is a
+    # constant written on the grid; the second group's f is the 70-piece
+    # one.  A pair outside the finite-variance region is refused as
+    # mc_laplace refuses it.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    two, seventy = np.array([0.0, 0.5, 1.0]), _SEVENTY.breakpoints
+    groups = [[(halves(1.3, 0.9), halves(2.0, 1.2)), (_on(two, 1.1, 1.1), _on(two, 1.4, 1.4)),
+               (halves(2.0, 0.5), halves(1.5, 2.5))],
+              [(_on(seventy, *np.linspace(0.9, 1.2, 70)), _SEVENTY),
+               (_on(seventy, *[1.3] * 70), _SEVENTY)]]
     rng = RngStream(5, 1000)
-    reports = quasi_invariance_pairs(1.5, pairs, samples, rng, streams=streams)
-    assert len(reports) == len(pairs)
-    for (a, f), rep in zip(pairs, reports):
-        assert rep.mc == mc_laplace(1.5, a * f, samples, rng, streams=streams)
-        assert [rep] == quasi_invariance_pairs(1.5, [(a, f)], samples, rng, streams=streams)
+    for pairs in groups:
+        reports = quasi_invariance_pairs(1.5, pairs, samples, rng, streams=streams)
+        assert len(reports) == len(pairs)
+        for (a, f), rep in zip(pairs, reports):
+            assert rep.mc == mc_laplace(1.5, a * f, samples, rng, streams=streams)
+            assert [rep] == quasi_invariance_pairs(1.5, [(a, f)], samples, rng, streams=streams)
     with pytest.raises(InfiniteVarianceError):
-        quasi_invariance_pairs(1.5, pairs + [(halves(0.5, 1.0), halves(1.0, 1.0))], samples,
+        quasi_invariance_pairs(1.5, groups[0] + [(halves(0.5, 1.0), halves(1.0, 1.0))], samples,
                                rng, streams=streams)
+
+
+def test_invariance_pairs_on_other_grids_agree_in_law():
+    # The union grid is the 70-piece one, which splits each half of the
+    # first pair's grid into 35 independent gamma masses: the same law, other
+    # draws.  The second pair's own grid is the union, so its draws are the same.
+    pairs = [(halves(1.3, 0.9), halves(2.0, 1.2)), (StepFunction.constant(1.1), _SEVENTY)]
+    split, whole = quasi_invariance_pairs(1.5, pairs, 60_000, RngStream(6))
+    alone = [quasi_invariance_pairs(1.5, [pair], 60_000, RngStream(6))[0] for pair in pairs]
+    assert alone[1] == whole
+    assert alone[0].mc != split.mc
+    assert abs(alone[0].mc.estimate - split.mc.estimate) <= 4.0 * math.hypot(
+        alone[0].mc.stderr, split.mc.stderr)
 
 
 def test_no_invariance_pairs_draw_nothing(monkeypatch):
@@ -469,9 +484,11 @@ def test_an_overflowing_window_law_is_refused_before_drawing(monkeypatch, theta,
         functional_distribution_check(theta, StepFunction.constant(1.5), b, 100, RngStream(0))
 
 
-def test_a_window_law_that_underflows_is_0_and_then_meets_the_cell_budget(monkeypatch):
+def test_a_window_law_that_underflows_is_0_and_is_estimated_0(monkeypatch):
     # At theta = 1e306 and b = 1e300 the exponent's terms were inf - inf =
     # NaN, and the law was refused; Stirling's form gives about -1.3e307.
+    # The stick path then met its cell budget; every draw's mass, near
+    # 1e306, now lies outside every window.
     exact = []
 
     def spy(exponent, quantity):
@@ -479,20 +496,18 @@ def test_a_window_law_that_underflows_is_0_and_then_meets_the_cell_budget(monkey
         return exact[-1]
 
     monkeypatch.setattr(laplace, "_finite_exp", spy)
-    with pytest.raises(DomainError, match="cell sampler budget"):
-        functional_distribution_check(1e306, StepFunction.constant(1.5), 1e300, 100, RngStream(0))
+    rep = functional_distribution_check(1e306, StepFunction.constant(1.5), 1e300, 100,
+                                        RngStream(0))
     assert len(exact) == 1 and exact[0].tolist() == [0.0] * 8
+    for values in (rep.exact, rep.estimates, rep.stderrs, rep.z_scores):
+        assert values.tolist() == [0.0] * 8
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda: functional_distribution_check(1.0, 2.0, 1.0, 100, RngStream(0)), "StepFunction"),
     (lambda: functional_distribution_check(1.0, None, 1.0, 100, RngStream(0)), "StepFunction"),
-    (lambda: functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 100, RngStream(0),
-                                           eps=0.0), "eps"),
     (lambda: weighted_box_mass(None, 1.0, 100, RngStream(0)), "PartitionSpec"),
     (lambda: weighted_box_mass(np.array([0.5, 1.5]), 1.0, 100, RngStream(0)), "PartitionSpec"),
-    (lambda: weighted_box_mass(PartitionSpec(np.array([1.0])), 1.0, 100, RngStream(0),
-                               eps=1.5), "eps"),
     # No edge used to draw every sample and return [], and then was refused
     # only by pooled_mean's column check.
     (lambda: weighted_box_mass(PartitionSpec(np.array([1.0])), [], 100, RngStream(0)),
@@ -511,12 +526,9 @@ def test_window_and_box_estimators_check_their_arguments_before_drawing(monkeypa
 
 
 def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
-    from conicpd import processes
-
     reports = []
-    for width in (1, 3):
-        monkeypatch.setattr(processes, "_WIDTH", width)
-        monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+    for block_cells in (1 << 16, 1 << 3):
+        monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
         reports.append(functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 5000,
                                                      RngStream(18)))
     serial, split = reports
@@ -526,23 +538,20 @@ def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
 
 # sha256 of (estimates, stderrs, z_scores) bytes of functional_distribution_check(
 # theta, f, b, samples, RngStream(seed), streams=...), frozen while its kernel
-# still held whole location and f-value matrices, and re-frozen at 0.9.0
-# with the narrow first stick block.  The first case has two chunks in one
-# stream; the last one's batch grows its stick buffer.
+# still held whole location and f-value matrices, re-frozen at 0.9.0 with
+# the narrow first stick block, and at 0.14.0, when the draws became exact
+# piece masses.  The first case has two chunks in one stream.
 _WINDOW_SHA256 = {
-    (1.0, "three", 1.0, 40_000, 7, 2): "dec657c6ce1f896e269e790ea6cbdb6ad442f6496dc1a748fb47f81bd8bd4c09",
-    (2.5, "constant", 2.0, 5000, 8, 1): "ae7b31ec346ab8235f65ef95c75dbb95e8a49888051347df242b99aae4481ac2",
-    (4.0, "three", 1.5, 20_000, 4, 1): "18d1e3e5116a302705169a371d29e8aeff6be69e7b44b94de6d017c59579d3dc",
+    (1.0, "three", 1.0, 40_000, 7, 2): "9dae832e230a116eff9f3556b649d9f7c7999df9ab0b7ce9d782c4ab41cfb52e",
+    (2.5, "constant", 2.0, 5000, 8, 1): "8b35fe548a039ed221ad842e618cc80d784894b783340b744ea707ea97b9859a",
+    (4.0, "three", 1.5, 20_000, 4, 1): "d06ca981e7bd94e106ed5e3c2f96c64ef1a4edf33fc7d4a790b13bc842273a0c",
 }
 
 
-@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("block_cells", [1 << 16, 1 << 3])
 @pytest.mark.parametrize("case", list(_WINDOW_SHA256))
-def test_functional_window_reports_are_frozen(monkeypatch, case, width):
-    from conicpd import processes
-
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
+def test_functional_window_reports_are_frozen(monkeypatch, case, block_cells):
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
     theta, name, b, samples, seed, streams = case
     f = (StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
          if name == "three" else StepFunction.constant(1.5))
@@ -614,3 +623,134 @@ def test_weighted_box_mass_validation():
     want = weighted_box_mass(spec, [1.0, 2.0], 100, RngStream(0))
     assert weighted_box_mass(spec, np.array([1, 2]), 100, RngStream(0)) == want
     assert weighted_box_mass(spec, [np.float32(1.0), np.int64(2)], 100, RngStream(0)) == want
+
+
+# ------------------------------------------- exact piece masses vs the stick path
+
+_THREE = StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
+_BOXES = PartitionSpec(np.array([0.5, 1.5]))
+
+
+def _stick_oracle(theta, statistic, samples, seed):
+    """Mean, stderr and mean tail_bound of ``statistic`` over weighted stick-path draws.
+
+    ``statistic(atoms, locations, totals)`` takes each row's atom masses
+    (the normalized masses times the row's gamma total), their uniform
+    locations and the totals, as ``gamma_batch`` draws them.
+    """
+    gen = RngStream(seed, 77).generator()
+    values, tails = [], []
+    for _ in range(samples // 10_000):
+        masses, locations, totals, tail = gamma_batch(theta, 1e-10, 10_000, gen)
+        values.append(statistic(masses * totals[:, None], locations, totals))
+        tails.append(tail * totals)
+    values = np.concatenate(values)
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size), np.concatenate(tails).mean()
+
+
+def _laplace_statistic(atoms, locations, totals):
+    return np.exp(totals - (atoms * _THREE(locations)).sum(axis=1))
+
+
+def _box_statistic(atoms, locations, totals):
+    parts = [np.where(_BOXES.marks(locations) == i, atoms, 0.0).sum(axis=1)
+             for i in range(_BOXES.n)]
+    return np.where(np.max(parts, axis=0) <= 1.0, np.exp(totals), 0.0)
+
+
+def _window_statistic(atoms, locations, totals):
+    return np.where((atoms * _THREE(locations)).sum(axis=1) <= 1.0, np.exp(totals), 0.0)
+
+
+@pytest.mark.parametrize("theta, seed", [(0.5, 21), (4.0, 22)])
+def test_piece_masses_meet_the_weighted_stick_path(theta, seed):
+    # Each estimator draws its pieces' masses as independent Gamma(theta
+    # |I_j|) variables; the stick path draws atoms and marks them by their
+    # locations, which is the oracle here: mc_laplace on the three-piece f,
+    # the box mass of parts (0.5, 1.5) at b = 1 (theta is their sum, 2), and
+    # the window law of the three-piece f at t = b = 1.  Each pair must agree
+    # within 4 combined stderr plus the stick side's mean tail_bound.
+    exact = [mc_laplace(theta, _THREE, 100_000, RngStream(seed)),
+             weighted_box_mass(_BOXES, 1.0, 100_000, RngStream(seed))[0]]
+    window = functional_distribution_check(theta, _THREE, 1.0, 100_000, RngStream(seed))
+    exact.append((window.estimates[-1], window.stderrs[-1]))
+    sticks = [_stick_oracle(theta, _laplace_statistic, 40_000, seed),
+              _stick_oracle(_BOXES.theta, _box_statistic, 40_000, seed),
+              _stick_oracle(theta, _window_statistic, 40_000, seed)]
+    apart = []
+    for name, got, (mean, stderr, tail) in zip(("laplace", "box", "window"), exact, sticks):
+        estimate, error = (got.estimate, got.stderr) if hasattr(got, "estimate") else got
+        if abs(estimate - mean) > 4.0 * math.hypot(error, stderr) + tail:
+            apart.append((name, estimate, mean))
+    assert apart == []
+
+
+def test_many_pieces_hold_no_piece_matrix_and_keep_their_bytes_in_any_blocks(monkeypatch):
+    # One chunk of 32768 rows over 4096 pieces would be a 1 GB matrix of
+    # piece masses; the kernel draws and reduces it in row blocks of at most
+    # _BLOCK_CELLS cells (16 rows here, one row at 2^10 cells), whose bytes
+    # are the same.  theta = 4096 gives every piece the shape 1.
+    import tracemalloc
+
+    f = StepFunction(np.linspace(0.0, 1.0, 4097),
+                     1.0 + 0.01 * np.random.default_rng(4).random(4096))
+    tracemalloc.start()
+    try:
+        want = mc_laplace(4096.0, f, 32768, RngStream(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20 and abs(want.z(analytic_laplace(4096.0, f))) <= 6.0
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 10)
+    assert mc_laplace(4096.0, f, 32768, RngStream(9)) == want
+
+
+_STEPS = StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
+_T_GRID = np.linspace(1.0 / 8.0, 1.0, 8)
+
+
+def _inside(stat, grid, totals):
+    return np.where(stat[:, None] <= grid[None, :], np.exp(totals)[:, None], 0.0)
+
+
+# Per estimator: the call that builds its kernel, the Gamma shapes of its
+# pieces, and its integrand written out on the whole (rows, pieces) matrix.
+_FINISHES = {
+    "laplace": (lambda: mc_laplace(4.0, _STEPS, 2, RngStream(0)),
+                4.0 * _STEPS.widths(),
+                lambda g: np.exp((g * (1.0 - _STEPS.values)).sum(axis=1))[:, None]),
+    "window": (lambda: functional_distribution_check(4.0, _STEPS, 1.0, 2, RngStream(0)),
+               4.0 * _STEPS.widths(),
+               lambda g: _inside((g * _STEPS.values).sum(axis=1), _T_GRID, g.sum(axis=1))),
+    "box": (lambda: weighted_box_mass(PartitionSpec(np.array([0.5, 1.0, 1.5])),
+                                      [0.5, 1.0, 2.0], 2, RngStream(0)),
+            np.array([0.5, 1.0, 1.5]),
+            lambda g: _inside(g.max(axis=1), np.array([0.5, 1.0, 2.0]), g.sum(axis=1))),
+}
+
+
+@pytest.mark.parametrize("block_cells", [1 << 16, 9, 7, 1])
+@pytest.mark.parametrize("name", list(_FINISHES))
+def test_each_estimator_reads_one_gamma_matrix_of_its_piece_masses(monkeypatch, name,
+                                                                   block_cells):
+    # An estimator's kernel must give, row for row and bit for bit, its
+    # integrand on one whole standard_gamma draw of the piece masses, and
+    # leave the generator where that draw does, whatever the row blocks:
+    # all 1001 rows at once, three or two rows a block, or one row a block
+    # when a block holds less than a row.  The generators start part way
+    # through a Philox block.
+    build, shapes, finish = _FINISHES[name]
+    caught = []
+    pooled = laplace.pooled_mean
+    monkeypatch.setattr(laplace, "pooled_mean", lambda n, rng, streams, kernel, columns=1:
+                        caught.append(kernel) or pooled(n, rng, streams, kernel, columns))
+    build()
+    (kernel,) = caught
+    gens = [RngStream(31).generator() for _ in range(2)]
+    for gen in gens:
+        gen.random(3)
+    want = finish(gens[0].standard_gamma(shapes, (1001, shapes.size)))
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    got = kernel(gens[1], 1001)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(gens[1].random(5), gens[0].random(5))

@@ -33,7 +33,7 @@ from conicpd import (
     sample_gamma_process,
     series_from_record,
 )
-from conicpd import laplace, processes
+from conicpd import processes
 from conicpd.errors import DomainError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
 from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
@@ -42,7 +42,7 @@ from conicpd.processes import (
     gamma_batch,
     stick_masses_batch,
 )
-from conicpd.stepfn import StepFunction, _common_grid
+from conicpd.stepfn import StepFunction
 
 EPS = 1e-10
 
@@ -1058,88 +1058,6 @@ def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, widt
         assert serial[0][0].shape[1] > processes._first_width(theta, EPS, rows)
 
 
-@settings(max_examples=40, deadline=None)
-@given(theta=st.floats(0.3, 10.0), rows=st.integers(1, 700), seed=st.integers(0, 2**32),
-       offset=st.integers(0, 5), width=st.integers(1, 3),
-       pieces=st.lists(st.sampled_from([1, 2, 3, 70]), min_size=1, max_size=3))
-@example(theta=1.5, rows=300, seed=7, offset=3, width=3, pieces=[1, 1])
-@example(theta=2.0, rows=200, seed=8, offset=1, width=2, pieces=[1, 70])
-def test_streamed_pairing_is_the_whole_matrix_product(theta, rows, seed, offset, width, pieces):
-    # The kernels pair each row's masses with every f, on the union of the
-    # fs' grids, at location uniforms drawn block by block into scratch; the
-    # public gamma_batch draws the whole location matrix.  Each f's per-row
-    # sums must be the same floats, whichever functions come before or after
-    # it, and the generator must end where gamma_batch leaves it.  A union
-    # grid past 64 inner edges (any list with a 70-piece f) takes the
-    # binary-search lookup, and a list of constants, a grid of one piece,
-    # draws no uniforms: the two examples pin both.
-    shapes = np.random.default_rng(seed)
-    fs = [StepFunction(np.linspace(0.0, 1.0, count + 1), 0.5 + shapes.random(count))
-          for count in pieces]
-    grid, values = _common_grid(fs)
-    gens = [RngStream(seed).generator() for _ in range(2)]
-    for gen in gens:
-        gen.random(offset)  # a Philox block partly spent
-    masses, locations, totals, _tails = gamma_batch(theta, EPS, rows, gens[0])
-    want = np.column_stack([(masses * f(locations)).sum(axis=1) for f in fs])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(processes, "_WIDTH", width)
-        patch.setattr(processes, "_SPLIT_CELLS", 0)
-        streamed, _tails = stick_masses_batch(theta, EPS, rows, gens[1])
-        got = laplace._pairing(streamed, grid, values, gens[1])
-        got_totals = processes._gamma_totals(theta, rows, gens[1])
-    assert got.flags.f_contiguous and got.shape == (rows, len(fs))
-    assert np.array_equal(got, want) and np.array_equal(got_totals, totals)
-    assert _position(gens[1]) == _position(gens[0])
-    for a, b in zip(_next_draws(gens[1]), _next_draws(gens[0])):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("width", [1, 3])
-@pytest.mark.parametrize("offset", [0, 3])
-@pytest.mark.parametrize("weights, rows", [((0.5, 1.0, 1.5), 700), ((0.1, 0.2, 0.3), 257),
-                                           ((2.0,), 90)])
-def test_box_kernel_splits_the_atoms_by_location(monkeypatch, weights, rows, offset, width):
-    # weighted_box_mass pairs each draw's masses with an identity table on
-    # the partition's pieces, so part i holds the atoms whose location lies
-    # in piece i.  Its largest part, times the total, must be the floats of
-    # gamma_batch's whole mass matrix summed by location piece, and the
-    # generator must end where gamma_batch leaves it.  One part is a grid of
-    # one piece, which skips the locations.
-    spec = PartitionSpec(np.array(weights))
-    gens = [RngStream(31).generator() for _ in range(2)]
-    for gen in gens:
-        gen.random(offset)  # a Philox block partly spent
-    masses, locations, totals, _tails = gamma_batch(spec.theta, EPS, rows, gens[0])
-    marks = spec.marks(locations)
-    parts = np.column_stack([np.where(marks == i, masses, 0.0).sum(axis=1)
-                             for i in range(spec.n)])
-    want = parts.max(axis=1) * totals
-    # The kernel weighted_box_mass builds, caught before anything is drawn,
-    # with its window step replaced by the statistic it windows.
-    monkeypatch.setattr(laplace, "pooled_mean", lambda n, rng, streams, kernel, columns: kernel)
-    monkeypatch.setattr(laplace, "_window_weights", lambda stat, grid, totals: stat)
-    kernel = laplace.weighted_box_mass(spec, [1.0], 1, RngStream(0))
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    assert np.array_equal(kernel(gens[1], rows), want)
-    assert _position(gens[1]) == _position(gens[0])
-
-
-def test_box_kernel_memory_does_not_grow_with_the_parts():
-    # Each row block folds its parts into their maximum as it goes, and the
-    # identity table is a view of 2n - 1 floats, so 400 parts must peak where
-    # 2 parts do.  A (rows, parts) pairing alone would add 6.5 MB here, and
-    # an n x n table 1.3 MB.  The first calls fill the thread's scratch.
-    def peak(n):
-        spec = PartitionSpec(np.full(n, 1.0 / n))
-        laplace.weighted_box_mass(spec, [1.0], 2048, RngStream(1))
-        return _peak_traced_bytes(lambda: laplace.weighted_box_mass(spec, [1.0], 2048,
-                                                                    RngStream(1)))
-
-    assert peak(400) < 1.25 * peak(2)
-
-
 @pytest.mark.parametrize("kind", ["half pair", "pcg64"])
 def test_generators_that_cannot_be_moved_draw_serially(monkeypatch, kind):
     # A Philox holding half of a 32-bit pair would lose it to advance(), and
@@ -1190,7 +1108,7 @@ def test_a_failing_row_block_raises_once_no_block_runs(monkeypatch):
                 finished.append(lo)
 
     with pytest.raises(ValueError, match="block at row"):
-        processes._by_rows(8, 3, work)
+        processes._by_rows(8, 3, work, RngStream(0).generator())
     assert running[0] == 0 and 0 in finished
 
 
@@ -1201,7 +1119,8 @@ def test_passes_inside_a_shared_job_run_as_one_block(monkeypatch):
     blocks = []
 
     def run(k, _slot):
-        processes._by_rows(50, 4, lambda lo, hi, _u: blocks.append((k, lo, hi)))
+        processes._by_rows(50, 4, lambda lo, hi, _u: blocks.append((k, lo, hi)),
+                           RngStream(k).generator())
 
     processes._share(8, run, 3)
     assert sorted(blocks) == [(k, 0, 50) for k in range(8)]
@@ -1238,21 +1157,21 @@ def _invariance_digest(theta, samples, seed):
                                 for r in reports]).encode()).hexdigest()
 
 
-def _invariance_digest_and_pool(theta, samples, seed):
-    return _invariance_digest(theta, samples, seed), processes._pool is not None
+def _gamma_digest_and_pool(theta, rows, seed):
+    return _gamma_digest(theta, rows, seed), processes._pool is not None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_splits_pair_estimates_on_a_pool_of_its_own(monkeypatch):
+def test_a_forked_child_splits_gamma_batches_on_a_pool_of_its_own(monkeypatch):
     import multiprocessing
 
     monkeypatch.setattr(processes, "_WIDTH", 1)
-    want = _invariance_digest(1.5, 900, 6)
+    want = _gamma_digest(1.5, 900, 6)
     monkeypatch.setattr(processes, "_WIDTH", 3)
     monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    assert _invariance_digest(1.5, 900, 6) == want  # the parent's pool exists from here on
+    assert _gamma_digest(1.5, 900, 6) == want  # the parent's pool exists from here on
     with multiprocessing.get_context("fork").Pool(1) as children:
-        got, child_pool = children.apply_async(_invariance_digest_and_pool,
+        got, child_pool = children.apply_async(_gamma_digest_and_pool,
                                                (1.5, 900, 6)).get(timeout=60)
     assert got == want and child_pool
 
@@ -1297,14 +1216,15 @@ def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
     assert _digests_at_once(_gamma_digest, cases) == want and handed
 
 
-def test_concurrent_callers_split_pair_estimates_and_keep_their_bytes(monkeypatch):
-    # The same with the passes of invariance pair estimates: six callers
-    # each split every pass of five pairs' one batch over the one pool at once.
+def test_concurrent_pair_estimates_keep_their_bytes_off_the_pool(monkeypatch):
+    # Six callers of five pairs' estimates at once, with every pass set to
+    # split: the estimators draw piece masses on the caller's thread and hand
+    # nothing to the pool.
     cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
     monkeypatch.setattr(processes, "_WIDTH", 1)
     want = [_invariance_digest(*case) for case in cases]
     handed = _split(monkeypatch, 5)
-    assert _digests_at_once(_invariance_digest, cases) == want and handed
+    assert _digests_at_once(_invariance_digest, cases) == want and handed == []
 
 
 def _wrap_public(monkeypatch, record):
@@ -1323,9 +1243,16 @@ def _wrap_public(monkeypatch, record):
                 monkeypatch.setattr(module, attr, wrapper)
 
 
+_SAMPLE_ARGV = (["sample", "--samples", "700"],
+                ["sample", "--theta", "4", "--samples", "300", "--process", "dirichlet"],
+                ["sample", "--theta", "0.5", "--samples", "500", "--process", "lebesgue",
+                 "--format", "csv"])
+
+
 def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
     # A span tracer wraps every public conicpd function and keeps one span
-    # stack, so only private code may run on the pool's threads.
+    # stack, so only private code may run on the pool's threads.  Only the
+    # stick path of sample uses the pool.
     from conicpd import cli
 
     caller, off_thread = threading.get_ident(), []
@@ -1336,21 +1263,16 @@ def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
 
     _wrap_public(monkeypatch, record)
     handed = _split(monkeypatch, 3)
-    for argv in (["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1", "--samples", "700"],
-                 ["laplace", "--f", "1.5@0:1", "--samples", "700"],
-                 ["partition-sums", "--weights", "0.5,1.5", "--samples", "700"],
-                 ["invariance", "--pairs", "1", "--samples", "700"],
-                 ["invariance", "--pairs", "3", "--samples", "700"]):
-        assert cli.main(argv + ["--seed", "3"]) == 0
-    laplace.functional_distribution_check(1.0, _FLAT, 1.0, 700, RngStream(3))
+    for argv in _SAMPLE_ARGV:
+        assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
     assert handed and off_thread == []
 
 
 def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
-    # What a span tracer counts (the batch samplers, the pooled means and so
-    # the kernel chunks) is the same serially, with rows split, and with
-    # every draw extended in many rounds of two columns after a first block
-    # of one, each round of two rows or more split over three threads.
+    # What a span tracer counts is the same serially, with rows split, and
+    # with every draw extended in many rounds of two columns after a first
+    # block of one, each round of two rows or more split over three threads.
+    # Each sample command here draws one batch.
     from conicpd import cli
 
     counts, passes = [], []
@@ -1367,14 +1289,12 @@ def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
                 patch.setattr(processes, "_round_width", lambda theta, eps: 2)
                 patch.setattr(processes, "_stick_pass",
                               lambda *args, **kw: passes.append(1) or stick_pass(*args, **kw))
-            for argv in (["invariance", "--pairs", "6", "--samples", "1500"],
-                         ["laplace", "--f", "1.8@0:0.3,0.9@0.3:0.7,1.3@0.7:1",
-                          "--samples", "1500"]):
-                assert cli.main(argv + ["--seed", "3"]) == 0
+            for argv in _SAMPLE_ARGV:
+                assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
-    assert len(passes) >= 10 * counts[2]["stick_masses_batch"]
-    assert counts[0]["stick_masses_batch"] > 0 and counts[0]["pooled_mean"] > 0
+    assert counts[0]["main"] == len(_SAMPLE_ARGV) and counts[0]["stream_counts"] > 0
+    assert len(passes) >= 10 * len(_SAMPLE_ARGV)
 
 
 # ---------------------------------------------------------------------------
@@ -1395,14 +1315,14 @@ def _theta_calls(theta, eps):
     return [lambda: sample_dirichlet_process(theta, eps, gen),
             lambda: sample_gamma_process(theta, eps, gen),
             lambda: stick_masses_batch(theta, eps, 4, gen),
-            lambda: gamma_batch(theta, eps, 4, gen),
-            lambda: mc_laplace(theta, _FLAT, 8, RngStream(3), eps=eps)]
+            lambda: gamma_batch(theta, eps, 4, gen)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=_NOT_POSITIVE_REAL)
 def test_samplers_refuse_out_of_domain_theta(theta):
-    for call in _theta_calls(theta, EPS) + [lambda: log_mean(_FLAT, theta)]:
+    for call in _theta_calls(theta, EPS) + [lambda: log_mean(_FLAT, theta),
+                                            lambda: mc_laplace(theta, _FLAT, 8, RngStream(3))]:
         with pytest.raises(DomainError):
             call()
 
