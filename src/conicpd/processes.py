@@ -34,28 +34,23 @@ checks (the last kept mass positive, which NaN fails too, and the first
 finite), the total, the tail and, for normalized draws, the sum.  A kept
 mass of zero is a zero stick, refused as such.
 
-Threads: one scheduler, ``_share``, hands jobs to the caller's thread and
-a persistent pool, one thread per usable CPU in all.  Only the stick path
-uses it: each stick step (``_stick_pass``) is a pass over contiguous row
-blocks of at most 2^16 cells, through ``_by_rows``, which draws each
-block's uniforms into per-thread scratch and, while the block is in cache,
-turns them into sticks, running sums, cuts, tails and masses, and copies
-the masses to the buffer.  A pass from 2^17 cells on is shared out, at
-least two blocks per thread, and each block draws its uniforms from its own
-copy of the Philox stream, moved to the block's first cell; a smaller pass
-runs its blocks in turn on the caller's thread, each drawing from the
-stream itself.  The jobs are row blocks only, and every public function
-runs on the caller's thread.  The output bytes do not depend on the CPU
-count or on thread scheduling.  The Monte Carlo estimators draw no sticks
-(see ``laplace._kernel``), so the series draws of ``sample`` and the
-batch kernels ``stick_masses_batch`` and ``gamma_batch`` are what run here.
+Threads: conicpd starts none.  Each stick step (``_stick_pass``) is a
+pass over contiguous row blocks of at most 2^16 cells, through
+``_by_rows``, which runs them in turn on the caller's thread.  It draws
+each block's uniforms into per-thread scratch and, while the block is in
+cache, turns them into sticks, running sums, cuts, tails and masses, and
+copies the masses to the buffer.  The scratch is per thread, so callers
+on several threads at once each get the bytes they get alone, and the
+bytes do not depend on the block count.  The Monte Carlo estimators draw
+no sticks (see ``laplace._kernel``), so the series draws of ``sample``
+and the batch kernels ``stick_masses_batch`` and ``gamma_batch`` are what
+run here.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass
 
@@ -188,139 +183,17 @@ def _stick_block(u, theta, steps):
     return steps
 
 
-def _skip_uniforms(gen, n):
-    """Leave ``gen`` where drawing ``n`` doubles would, without drawing them.
-
-    Each double takes one 64-bit output.  Philox hands its outputs out in
-    blocks of four, one per counter step, so past the rest of the current
-    block it jumps whole blocks in O(1) with ``advance``.  Any other bit
-    generator, or a Philox holding half of a 32-bit pair (which ``advance``
-    would drop), draws and discards.
-    """
-    bitgen = gen.bit_generator
-    if isinstance(bitgen, np.random.Philox):
-        state = bitgen.state
-        if not state["has_uint32"]:
-            left = min(n, 4 - state["buffer_pos"])
-            if left:
-                bitgen.random_raw(left)
-            n -= left
-            # advance() empties the block buffer even for a zero step, which
-            # would lose the outputs still buffered: call it for whole blocks only.
-            if n >= 4:
-                bitgen.advance(n // 4)
-            if n % 4:
-                bitgen.random_raw(n % 4)
-            return
-    gen.random(n)
-
-
 # Largest stick buffer, in cells (rows x columns), that a draw may hold: 2^26
 # cells are 512 MB per float array.  At 32768-row batches and eps = 1e-10
 # the buffer fits up to theta = 80, and a round past it up to theta = 77.
 _CELL_BUDGET = 1 << 26
 
 
-# A pass over fewer cells than this runs on the caller's thread alone:
-# below it, handing blocks to another thread costs more than it saves.
-_SPLIT_CELLS = 1 << 17
 # Most cells a row block holds: 512 KB per float64 array, so a block's
 # uniforms and its work's scratch stay in a core's cache.
 _BLOCK_CELLS = 1 << 16
-# Threads that run shared jobs, the caller included: one per CPU this
-# process may run on.
-_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-# Per thread: ``gens``, one Philox generator for each thread of a split pass
-# (moving it to a block's first cell is cheaper than making a new one),
-# ``arena``, the thread's scratch arrays (see ``_scratch``), and ``in_job``,
-# set while the thread runs a job of ``_share``.
+# Per thread: ``arena``, the thread's scratch arrays (see ``_scratch``).
 _local = threading.local()
-
-
-def _row_pool():
-    """Threads beside the caller for shared jobs, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max(_WIDTH - 1, 1), thread_name_prefix="conicpd-rows")
-        return _pool
-
-
-def _forget_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# A forked child has none of the pool's threads, and jobs handed to the
-# parent's pool would never run there: it starts a pool of its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _free_threads(jobs):
-    """Threads to share ``jobs`` jobs over: one inside a job of ``_share``, else up to _WIDTH."""
-    return 1 if getattr(_local, "in_job", False) else min(_WIDTH, jobs)
-
-
-def _share(count, run, threads):
-    """Run ``run(k, slot)`` for every k in range(count) on ``threads`` threads.
-
-    The caller's thread (slot 0) and ``threads - 1`` pool threads (slots
-    1, 2, ...) take k in turn off one shared iterator until none is left, so
-    a thread that starts late or runs on a busy CPU leaves its share to one
-    that is free.  Returns once every thread has stopped.  After a failure
-    no thread takes a new k, and the failure with the lowest k is raised:
-    the one a serial loop would meet first, since every lower k was taken
-    earlier and ran to its end.  The jobs are ``_by_rows``'s row blocks.
-    Inside ``run``, ``_free_threads`` is one, so a job never hands work to
-    the pool and waits for it while the pool's threads may all be waiting
-    likewise.
-    """
-    # next() on a range iterator is one call under the interpreter lock, so
-    # each k is taken by exactly one thread.
-    order = iter(range(count))
-    failed = {}
-
-    def drain(slot):
-        _local.in_job = True
-        try:
-            while not failed:
-                k = next(order, None)
-                if k is None:
-                    break
-                try:
-                    run(k, slot)
-                except BaseException as error:  # re-raised on the caller's thread below
-                    failed[k] = error
-        finally:
-            _local.in_job = False
-
-    pool = _row_pool()
-    futures = [pool.submit(drain, slot) for slot in range(1, threads)]
-    try:
-        drain(0)
-    finally:
-        # Wait for every thread, so none still writes once this returns.
-        for future in futures:
-            future.result()
-    if failed:
-        raise failed[min(failed)]
-
-
-def _movable(gen):
-    """Whether copies of ``gen`` can be moved to any cell of its uniform stream.
-
-    True for a numpy Generator on Philox, unless it holds half of a 32-bit
-    pair, which ``advance`` would drop.  A subclass may draw otherwise than
-    its bit generator, so it is not moved.
-    """
-    return (type(gen) is np.random.Generator
-            and isinstance(gen.bit_generator, np.random.Philox)
-            and not gen.bit_generator.state["has_uint32"])
 
 
 def _scratch(name, shape, dtype=float):
@@ -332,7 +205,8 @@ def _scratch(name, shape, dtype=float):
     a fresh array that is not kept, so a thread keeps at most
     ``_BLOCK_CELLS`` cells per name.  Names in use: ``"block"`` (a block's
     uniforms), ``"run"`` (the stick pass's running sums) and ``"closed"``
-    (the stick pass's cut test).
+    (the stick pass's cut test).  Each thread has its own, so library
+    callers on several threads at once never share scratch.
     """
     cells = shape[0] * shape[1]
     if cells > _BLOCK_CELLS:
@@ -350,70 +224,31 @@ def _scratch(name, shape, dtype=float):
 
 
 def _by_rows(rows, cols, work, gen):
-    """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass.
+    """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass, in turn.
 
     A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
     what its work reads and writes stays in a core's cache.  ``u`` is the
     block's rows of a (rows, cols) matrix of uniforms drawn from ``gen`` in
-    row-major order, C-contiguous and free for ``work`` to overwrite.  Each
-    block's uniforms are drawn into its thread's scratch block
-    (``_scratch("block", ...)``, which ``work`` must then not take itself),
-    so the pass never holds the matrix.  ``gen`` ends where one serial draw
-    of the matrix would have left it, and the results are the same bytes
-    whichever thread runs which block, and for any block count.
-
-    ``work`` may write only rows lo..hi of its outputs, use scratch of its
-    own thread only, and call no public conicpd function, so that blocks may
-    run at once: on the caller's thread and on the pool's, as jobs of
-    ``_share``, at least two blocks per thread, each drawing from a copy of
-    ``gen`` moved to its first cell.  Below ``_SPLIT_CELLS`` cells, on one
-    CPU, and inside a job of ``_share``, the blocks run one after another
-    on the calling thread, each drawing from ``gen`` itself.  A generator
-    that can do neither (one that ``_movable`` refuses, on a split pass, or
-    one that is not numpy's own Generator) draws the whole matrix at once
-    with ``gen.random(count)`` before any block runs.
+    row-major order, C-contiguous and free for ``work`` to overwrite.
+    numpy's own Generator draws each block's uniforms, in turn, into the
+    thread's scratch block (``_scratch("block", ...)``, which ``work`` must
+    then not take itself), so the pass never holds the matrix.  Any other
+    generator draws the whole matrix at once with ``gen.random(count)``
+    before any block runs.  Either way ``gen`` ends where one draw of the
+    matrix leaves it, and the results are the same bytes for any block
+    count.
     """
-    threads = _free_threads(rows) if rows * cols >= _SPLIT_CELLS else 1
     blocks = -(-rows // max(1, _BLOCK_CELLS // cols))
-    if threads > 1:
-        # Whole rounds of blocks, so that no thread is left with one more.
-        blocks = min(max(2, -(-blocks // threads)) * threads, rows)
-    # How the uniforms are drawn: by each block from its own moved copy of
-    # gen, by each block in turn from gen itself (numpy's Generator on one
-    # thread), or all at once before the blocks run (any other generator,
-    # and one that cannot be moved on a split pass).
-    moved = threads > 1 and _movable(gen)
-    in_turn = threads == 1 and type(gen) is np.random.Generator
-    whole = None if moved or in_turn else gen.random(rows * cols).reshape(rows, cols)
-    if moved:
-        state = gen.bit_generator.state
-        spares = getattr(_local, "gens", [])
-        if len(spares) < threads:
-            spares = _local.gens = [np.random.Generator(np.random.Philox(0))
-                                    for _ in range(threads)]
-
-    def block(b, slot):
+    in_turn = type(gen) is np.random.Generator
+    whole = None if in_turn else gen.random(rows * cols).reshape(rows, cols)
+    for b in range(blocks):
         lo, hi = rows * b // blocks, rows * (b + 1) // blocks
-        if whole is not None:
-            part = whole[lo:hi]
-        else:
+        if in_turn:
             part = _scratch("block", (hi - lo, cols))
-            if moved:
-                spare = spares[slot]
-                spare.bit_generator.state = state
-                _skip_uniforms(spare, lo * cols)
-                spare.random(out=part)
-            else:
-                gen.random(out=part)
+            gen.random(out=part)
+        else:
+            part = whole[lo:hi]
         work(lo, hi, part)
-
-    if threads == 1:
-        for b in range(blocks):
-            block(b, 0)
-    else:
-        _share(blocks, block, threads)
-    if moved:
-        _skip_uniforms(gen, rows * cols)
 
 
 def _buffer_width(theta, eps):
@@ -784,7 +619,9 @@ def series_from_record(record: dict) -> WeightedAtomSeries:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch kernels used by the Monte Carlo estimators.
+# Stick batches as whole matrices: no estimator reads them since the
+# estimators draw their piece masses exactly; the tests keep them as the
+# stick path's reference.
 
 
 def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.ndarray, np.ndarray]:

@@ -8,33 +8,13 @@ import numpy as np
 
 from .errors import DomainError
 
-# Most inner edges _piece_index counts by comparison; above it, binary search.
-# Measured on a 2-vCPU Xeon VM: on 2048 x 160 to 8192 x 48 matrices (the
-# estimator kernels' shapes) the comparison loop plus the value gather took
-# 0.2-0.4x the time of searchsorted plus the gather at 2 edges, 0.6x at 64,
-# and caught up at 128 to 160.  Each comparison is also one ufunc call
-# (~1.5 us), so on arrays under ~1000 entries searchsorted wins at any count;
-# 64 edges keeps that cost under 0.1 ms a call.  A uint8 count holds at most
-# 255.
-_LOOP_EDGES = 64
-
-
 def _piece_index(edges: np.ndarray, x) -> np.ndarray:
     """Count of ``edges`` <= x, elementwise, for non-decreasing ``edges``.
 
     With ``edges`` the inner breakpoints of a grid on [0, 1), this is the
-    index of the piece that holds each x, the same integers as
-    ``np.searchsorted(edges, x, side="right")``.  Short edge lists are counted
-    with one comparison per edge into a uint8 array, which beats the binary
-    search's per-element call; long ones fall back to that search.
+    index of the piece that holds each x.
     """
-    x = np.asarray(x)
-    if edges.size > _LOOP_EDGES:
-        return np.searchsorted(edges, x, side="right")
-    index = np.zeros(x.shape, dtype=np.uint8)
-    for edge in edges:
-        index += x >= edge
-    return index
+    return np.searchsorted(edges, x, side="right")
 
 
 @dataclass(frozen=True)
@@ -73,9 +53,7 @@ class StepFunction:
         # A NaN propagates through min/max and fails both comparisons.
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
             raise DomainError("step functions are defined on [0, 1)")
-        # take() gathers the same floats as values[index], without first
-        # converting _piece_index's uint8 counts to a wider index array.
-        out = np.take(self.values, _piece_index(self.breakpoints[1:-1], arr), mode="clip")
+        out = self.values[_piece_index(self.breakpoints[1:-1], arr)]
         return float(out) if arr.ndim == 0 else out
 
     @property

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from conicpd import (DomainError, PartitionSpec, __version__, box_mass_L, densit
 from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS, stream_counts
-from conicpd.stepfn import _LOOP_EDGES
 
 
 def run_cli(capsys, argv):
@@ -656,30 +656,35 @@ def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch,
     test_estimator_output_bytes_are_frozen(capsys, argv, digest)
 
 
-def test_only_sample_reaches_the_stick_path_and_the_row_pool(capsys, monkeypatch):
-    # The estimators draw their piece masses on the caller's thread, so one
-    # that drifted back onto the stick path or the row pool fails here, even
-    # with every pass set to split.  sample still reaches both.
-    stick_rows, share, reached = processes._stick_rows, processes._share, []
+def test_only_sample_reaches_the_stick_path_and_no_command_starts_a_thread(capsys, monkeypatch):
+    # The estimators draw their piece masses without sticks, so one that
+    # drifted back onto the stick path fails here.  sample reaches it, with
+    # passes of more than 2^17 cells at 20000 draws.  No command starts a
+    # thread or leaves one behind.
+    threads, started, cells = threading.enumerate(), [], []
+    stick_rows, stick_pass = processes._stick_rows, processes._stick_pass
+    thread_start = threading.Thread.start
 
-    def refuse(name):
-        def call(*_args, **_kwargs):
-            raise AssertionError(f"an estimator reached processes.{name}")
-        return call
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an estimator reached processes._stick_rows")
 
-    monkeypatch.setattr(processes, "_WIDTH", 2)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    monkeypatch.setattr(processes, "_stick_rows", refuse("_stick_rows"))
-    monkeypatch.setattr(processes, "_share", refuse("_share"))
+    def counted_pass(theta, log_eps, out, gen, before=None):
+        cells.append(out.size)
+        return stick_pass(theta, log_eps, out, gen, before=before)
+
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or thread_start(thread))
+    monkeypatch.setattr(processes, "_stick_rows", refuse)
     for argv in (["laplace", "--f", _F["three"], "--samples", "3000"],
                  ["invariance", "--pairs", "3", "--samples", "3000"],
                  ["partition-sums", "--weights", "0.5,1.5", "--samples", "3000"]):
         assert run_cli(capsys, argv)[0] == 0, argv
-    monkeypatch.setattr(processes, "_stick_rows",
-                        lambda *args: reached.append("_stick_rows") or stick_rows(*args))
-    monkeypatch.setattr(processes, "_share", lambda *args: reached.append("_share") or share(*args))
-    assert run_cli(capsys, ["sample", "--samples", "300"])[0] == 0
-    assert set(reached) == {"_stick_rows", "_share"}
+        assert threading.enumerate() == threads and started == [], argv
+    monkeypatch.setattr(processes, "_stick_rows", stick_rows)
+    monkeypatch.setattr(processes, "_stick_pass", counted_pass)
+    assert main(["sample", "--samples", "20000", "--out", os.devnull]) == 0
+    assert threading.enumerate() == threads and started == []
+    assert max(cells) > 1 << 17
 
 
 _STEP3 = "1.8@0.0:0.3,0.9@0.3:0.7,1.3@0.7:1.0"
@@ -800,9 +805,9 @@ def test_quadrature_output_bytes_are_frozen(capsys, argv, digest):
     assert hashlib.sha256((fields + body).encode()).hexdigest() == digest
 
 
-def test_frozen_step_functions_straddle_the_lookup_crossover():
-    inner = {key: parse_step_function(text).breakpoints.size - 2 for key, text in _F.items()}
-    assert inner["three"] < inner["forty"] <= _LOOP_EDGES < inner["eighty"]
+def test_frozen_step_functions_have_the_piece_counts_they_are_named_for():
+    pieces = {key: parse_step_function(text).values.size for key, text in _F.items()}
+    assert pieces == {"constant": 1, "three": 3, "forty": 40, "eighty": 80}
 
 
 def test_divergence_subcommand(capsys):

@@ -26,7 +26,7 @@ from conicpd import (
 )
 from conicpd import processes
 from conicpd.processes import _finite_exp, gamma_batch
-from conicpd.stepfn import _LOOP_EDGES, _piece_index
+from conicpd.stepfn import _piece_index
 
 
 def halves(v0, v1):
@@ -87,15 +87,14 @@ def _grid_and_points(draw, fewest, most):
     return edges, np.concatenate([np.array(points, dtype=float), edges, [0.0]])
 
 
-@pytest.mark.parametrize("fewest, most", [(0, _LOOP_EDGES), (_LOOP_EDGES + 1, _LOOP_EDGES + 12)])
+@pytest.mark.parametrize("fewest, most", [(0, 64), (65, 76)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_piece_index_matches_binary_search_on_both_sides_of_the_crossover(fewest, most, data):
+def test_piece_index_matches_binary_search_on_short_and_long_grids(fewest, most, data):
     edges, x = data.draw(_grid_and_points(fewest, most))
     breakpoints = np.concatenate([[0.0], edges, [1.0]])
     expected = np.searchsorted(breakpoints, x, side="right") - 1
     index = _piece_index(edges, x)
-    assert (index.dtype == np.uint8) == (edges.size <= _LOOP_EDGES)
     assert np.array_equal(index, expected)
     assert np.array_equal(_piece_index(edges, x[:, None].repeat(3, axis=1)),
                           expected[:, None].repeat(3, axis=1))
@@ -105,8 +104,7 @@ def test_piece_index_matches_binary_search_on_both_sides_of_the_crossover(fewest
     assert f(float(x[0])) == values[expected[0]]
 
 
-@pytest.mark.parametrize("fewest, most",
-                         [(1, _LOOP_EDGES + 1), (_LOOP_EDGES + 2, _LOOP_EDGES + 12)])
+@pytest.mark.parametrize("fewest, most", [(1, 65), (66, 76)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_partition_marks_match_clipped_binary_search(fewest, most, data):

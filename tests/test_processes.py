@@ -37,11 +37,7 @@ from conicpd import processes
 from conicpd.errors import DomainError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
 from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
-from conicpd.processes import (
-    _skip_uniforms,
-    gamma_batch,
-    stick_masses_batch,
-)
+from conicpd.processes import gamma_batch, stick_masses_batch
 from conicpd.stepfn import StepFunction
 
 EPS = 1e-10
@@ -502,10 +498,11 @@ def _recursion_batch(theta, eps, rows, gen):
 
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), rows=st.integers(1, 300),
-       seed=st.integers(0, 2**32), width=st.integers(1, 3))
-@example(theta=0.3, log10_eps=-2.0, rows=2, seed=23, width=1)
-@example(theta=1.0, log10_eps=-10.0, rows=300, seed=5, width=3)
-def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed, width):
+       seed=st.integers(0, 2**32), block_cells=st.sampled_from([1 << 16, 1 << 7, 1 << 3]))
+@example(theta=0.3, log10_eps=-2.0, rows=2, seed=23, block_cells=1 << 16)
+@example(theta=1.0, log10_eps=-10.0, rows=300, seed=5, block_cells=1 << 3)
+def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed,
+                                                        block_cells):
     # The vectorized stick step (uniforms drawn into the buffer, a cumsum of
     # the steps, masses formed on the flat block shifted by a cell, rows
     # moved to the buffer's stride, rounds written in place) gives the very
@@ -515,8 +512,7 @@ def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, 
     eps = 10.0 ** log10_eps
     want_masses, want_tails = _recursion_batch(theta, eps, rows, RngStream(seed).generator())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(processes, "_WIDTH", width)
-        patch.setattr(processes, "_SPLIT_CELLS", 0)
+        patch.setattr(processes, "_BLOCK_CELLS", block_cells)
         masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
     assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
 
@@ -643,12 +639,11 @@ def test_stick_batch_peak_memory_is_two_matrices():
 
 
 @pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 4), (1.0, 8192, 9)])
-def test_extending_stick_batch_peak_memory_is_two_matrices(monkeypatch, theta, rows, seed):
+def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed):
     # Rows still open after the first block grow in the buffer, beside
-    # per-round arrays that hold only those rows.  On one thread the warm-up
-    # call makes every scratch block the measured call uses; they are kept
-    # between calls.
-    monkeypatch.setattr(processes, "_WIDTH", 1)
+    # per-round arrays that hold only those rows.  The warm-up call makes
+    # every scratch block the measured call uses; they are kept between
+    # calls.
     stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
     gen = RngStream(seed).generator()
     out = []
@@ -674,13 +669,12 @@ def test_rows_that_extend_inside_the_buffer_are_never_moved(monkeypatch):
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-def test_a_batch_that_outgrows_its_buffer_grows_in_place(monkeypatch):
+def test_a_batch_that_outgrows_its_buffer_grows_in_place():
     # Fewer than 3 rows in 10^5 outrun the buffer; this stream has some
     # among 32768 rows at theta = 4.  The buffer is grown by realloc and its
     # rows moved in place, so the peak stays near one matrix, and the rows
     # stay exact.
     theta, rows = 4.0, 32768
-    monkeypatch.setattr(processes, "_WIDTH", 1)
     stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
     out = []
     peak = _peak_traced_bytes(
@@ -956,7 +950,16 @@ def test_valid_sorted_series_construct_unchanged(atoms):
 
 
 # ---------------------------------------------------------------------------
-# Skipped uniforms: the generator ends where drawing them would leave it
+# Row blocks: the bytes do not depend on how many blocks a pass takes
+
+
+@pytest.mark.parametrize("block_cells", [1 << 7, 1 << 3])
+@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
+def test_stick_batch_digests_do_not_depend_on_row_blocks(monkeypatch, theta, rows, seed,
+                                                         block_cells):
+    # Blocks of at most 128 or 8 cells: a few rows a block, or one.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    test_stick_batch_outputs_are_frozen(theta, rows, seed)
 
 
 def _generator(bit_generator, seed):
@@ -968,8 +971,7 @@ def _position(gen):
     state = gen.bit_generator.state
     if state["bit_generator"] != "Philox":
         return repr(state)
-    # Buffered outputs before buffer_pos are spent; advance() zeroes them.
-    pos = state["buffer_pos"]
+    pos = state["buffer_pos"]  # buffered outputs before buffer_pos are spent
     return (repr(state["state"]), pos, state["has_uint32"], state["uinteger"],
             state["buffer"][pos:].tolist())
 
@@ -981,88 +983,83 @@ def _next_draws(gen):
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), prior=st.integers(0, 9), half=st.booleans(),
-       n=st.one_of(st.integers(0, 9), st.integers(0, 10**5)))
-def test_skipping_uniforms_matches_drawing_them(bit_generator, seed, prior, half, n):
-    drawn, skipped = _generator(bit_generator, seed), _generator(bit_generator, seed)
-    for gen in (drawn, skipped):
+       n=st.one_of(st.integers(0, 9), st.integers(0, 10**5)), block=st.integers(1, 4096))
+def test_drawing_uniforms_in_blocks_matches_drawing_them_at_once(bit_generator, seed, prior,
+                                                                 half, n, block):
+    # What ``_by_rows`` relies on: uniforms drawn block by block into
+    # scratch are the uniforms of one draw, and leave the generator where
+    # that draw leaves it, also with half of a 32-bit pair buffered.
+    at_once, in_blocks = _generator(bit_generator, seed), _generator(bit_generator, seed)
+    for gen in (at_once, in_blocks):
         gen.random(prior)
-        if half:  # leaves half of a 32-bit pair buffered, which advance() would drop
+        if half:
             gen.integers(0, 7, dtype=np.uint32)
-    drawn.random(n)
-    _skip_uniforms(skipped, n)
-    assert _position(skipped) == _position(drawn)
-    for a, b in zip(_next_draws(skipped), _next_draws(drawn)):
+    want = at_once.random(n)
+    got = np.empty(n)
+    for lo in range(0, n, block):
+        in_blocks.random(out=got[lo:lo + block])
+    assert np.array_equal(got, want)
+    assert _position(in_blocks) == _position(at_once)
+    for a, b in zip(_next_draws(in_blocks), _next_draws(at_once)):
         assert np.array_equal(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Row blocks: a pass split over threads gives the bytes of the serial pass
+def _at_block_cells(monkeypatch, block_cells, make_gen, call):
+    """(outputs, generator position, next draws, uniform blocks drawn) at ``block_cells``."""
+    scratch, blocks = processes._scratch, []
 
+    def counting(name, shape, dtype=float):
+        if name == "block":
+            blocks.append(shape)
+        return scratch(name, shape, dtype)
 
-def _split(monkeypatch, width):
-    """Split every pass of two rows or more over ``width`` threads.
-
-    Returns the list of calls handed to the pool, which grows as they are.
-    """
-    monkeypatch.setattr(processes, "_WIDTH", width)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    pool, handed = processes._row_pool(), []
-
-    class Counting:
-        def submit(self, fn, *args):
-            handed.append(args)
-            return pool.submit(fn, *args)
-
-    monkeypatch.setattr(processes, "_row_pool", Counting)
-    return handed
-
-
-def _serial_and_split(monkeypatch, threads, make_gen, call):
-    """(outputs, generator position, next draws, calls handed off), serially and split."""
-    runs = []
-    for width in (1, threads):
-        handed = _split(monkeypatch, width)
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "_BLOCK_CELLS", block_cells)
+        patch.setattr(processes, "_scratch", counting)
         gen = make_gen()
         outputs = call(gen)
-        runs.append((outputs, _position(gen), _next_draws(gen), len(handed)))
-    return runs
+        return outputs, _position(gen), _next_draws(gen), len(blocks)
 
 
-def _assert_same_run(serial, split):
-    for a, b in zip(serial[0], split[0]):
+def _assert_same_run(default, small):
+    for a, b in zip(default[0], small[0]):
         assert np.array_equal(a, b)
-    assert serial[1] == split[1]
-    for a, b in zip(serial[2], split[2]):
+    assert default[1] == small[1]
+    for a, b in zip(default[2], small[2]):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("theta, rows, width, seed", [
-    (0.5, 2001, 3, 9),   # odd rows, uneven blocks
-    (1.0, 2, 5, 9),      # fewer rows than threads
-    (2.5, 513, 4, 9),
-    (4.0, 20_000, 2, 4),  # rows that outgrow the first block
-    (8.0, 999, 3, 9),
+@pytest.mark.parametrize("theta, rows, block_cells, seed", [
+    (0.5, 2001, 1 << 7, 9),    # odd rows, uneven blocks
+    (1.0, 2, 1 << 3, 9),       # one row a block
+    (2.5, 513, 1 << 10, 9),
+    (4.0, 20_000, 1 << 12, 4),  # rows that outgrow the first block
+    (8.0, 999, 1 << 5, 9),
 ])
 @pytest.mark.parametrize("offset", [0, 3])
-def test_split_gamma_batch_gives_the_serial_bytes(monkeypatch, theta, rows, width, seed, offset):
+def test_gamma_batch_bytes_do_not_depend_on_row_blocks(monkeypatch, theta, rows, block_cells,
+                                                        seed, offset):
     def make_gen():
         gen = RngStream(seed).generator()
         gen.random(offset)  # a Philox block partly spent
         return gen
 
-    serial, split = _serial_and_split(monkeypatch, width, make_gen,
-                                      lambda gen: gamma_batch(theta, EPS, rows, gen))
-    _assert_same_run(serial, split)
-    assert serial[3] == 0 and split[3] > 0
+    def call(gen):
+        return gamma_batch(theta, EPS, rows, gen)
+
+    default = _at_block_cells(monkeypatch, processes._BLOCK_CELLS, make_gen, call)
+    small = _at_block_cells(monkeypatch, block_cells, make_gen, call)
+    _assert_same_run(default, small)
+    assert small[3] > default[3] > 0
     if rows == 20_000 and offset == 0:
-        assert serial[0][0].shape[1] > processes._first_width(theta, EPS, rows)
+        assert default[0][0].shape[1] > processes._first_width(theta, EPS, rows)
 
 
+@pytest.mark.parametrize("batch", ["gamma", "stick"])
 @pytest.mark.parametrize("kind", ["half pair", "pcg64"])
-def test_generators_that_cannot_be_moved_draw_serially(monkeypatch, kind):
-    # A Philox holding half of a 32-bit pair would lose it to advance(), and
-    # PCG64's copies are not moved by counter: both draw in one block, and
-    # the passes that draw nothing still split.
+def test_other_bit_generators_give_the_same_bytes_in_any_block_count(monkeypatch, kind, batch):
+    # A Philox holding half of a 32-bit pair, and PCG64, draw their blocks
+    # in turn like a fresh Philox does.
     def make_gen():
         if kind == "pcg64":
             return np.random.Generator(np.random.PCG64(17))
@@ -1071,63 +1068,57 @@ def test_generators_that_cannot_be_moved_draw_serially(monkeypatch, kind):
         assert gen.bit_generator.state["has_uint32"]
         return gen
 
-    serial, split = _serial_and_split(monkeypatch, 3, make_gen,
-                                      lambda gen: gamma_batch(2.0, EPS, 1001, gen))
-    _assert_same_run(serial, split)
-    assert split[3] > 0
+    def call(gen):
+        if batch == "gamma":
+            return gamma_batch(2.0, EPS, 1001, gen)
+        return stick_masses_batch(2.0, EPS, 1001, gen)
+
+    default = _at_block_cells(monkeypatch, processes._BLOCK_CELLS, make_gen, call)
+    small = _at_block_cells(monkeypatch, 1 << 5, make_gen, call)
+    _assert_same_run(default, small)
+    assert small[3] > default[3] > 0
 
 
-def test_duck_typed_generators_keep_drawing_by_count_under_a_split(monkeypatch):
-    # _TinyFirstBlock has random(size) only: every draw stays one serial call.
-    _split(monkeypatch, 3)
+def test_duck_typed_generators_draw_each_pass_in_one_call(monkeypatch):
+    # _TinyFirstBlock has random(size) only: however many blocks a pass
+    # takes, it draws the pass's matrix in one call.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 3)
     test_stick_rows_extend_over_several_rounds()
 
 
-@pytest.mark.parametrize("width", [1, 3])
-@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
-def test_stick_batch_digests_do_not_depend_on_row_blocks(monkeypatch, theta, rows, seed, width):
-    handed = _split(monkeypatch, width)
-    test_stick_batch_outputs_are_frozen(theta, rows, seed)
-    assert (len(handed) > 0) == (width > 1)
-
-
-def test_a_failing_row_block_raises_once_no_block_runs(monkeypatch):
-    _split(monkeypatch, 4)
-    lock, running, finished = threading.Lock(), [0], []
+def test_a_failing_row_block_raises_and_no_later_block_runs(monkeypatch):
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 3)  # one row of three a block
+    seen = []
 
     def work(lo, hi, _u):
-        with lock:
-            running[0] += 1
-        try:
-            time.sleep(0.01)
-            if lo:
-                raise ValueError(f"block at row {lo}")
-        finally:
-            with lock:
-                running[0] -= 1
-                finished.append(lo)
+        seen.append(lo)
+        if lo == 2:
+            raise ValueError(f"block at row {lo}")
 
-    with pytest.raises(ValueError, match="block at row"):
+    with pytest.raises(ValueError, match="block at row 2"):
         processes._by_rows(8, 3, work, RngStream(0).generator())
-    assert running[0] == 0 and 0 in finished
+    assert seen == [0, 1, 2]
+    seen.clear()
+    processes._by_rows(8, 3, lambda lo, hi, _u: seen.append(lo), RngStream(0).generator())
+    assert seen == list(range(8))
 
 
-def test_passes_inside_a_shared_job_run_as_one_block(monkeypatch):
-    # A job that split its pass would hand blocks to the pool and wait for
-    # them while the pool's threads run jobs that wait likewise.
-    handed = _split(monkeypatch, 3)
-    blocks = []
+def test_row_blocks_run_in_order_on_the_calling_thread(monkeypatch):
+    # Blocks of four rows of four cells cover the pass in order, each on
+    # the caller's thread, and their uniforms are the rows of one draw.
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 16)
+    caller, blocks = threading.get_ident(), []
 
-    def run(k, _slot):
-        processes._by_rows(50, 4, lambda lo, hi, _u: blocks.append((k, lo, hi)),
-                           RngStream(k).generator())
+    def work(lo, hi, u):
+        assert u.shape == (hi - lo, 4) and u.flags.c_contiguous
+        blocks.append((lo, hi, threading.get_ident(), u.copy()))
 
-    processes._share(8, run, 3)
-    assert sorted(blocks) == [(k, 0, 50) for k in range(8)]
-    assert len(handed) == 2  # the two pool threads' shares of the jobs, no row blocks
-    blocks.clear()
-    run(0, 0)  # outside a job the same pass splits
-    assert len(blocks) == 6 and len(handed) == 4
+    processes._by_rows(50, 4, work, RngStream(5).generator())
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == [
+        (50 * b // 13, 50 * (b + 1) // 13) for b in range(13)]
+    assert {ident for _, _, ident, _ in blocks} == {caller}
+    want = RngStream(5).generator().random((50, 4))
+    assert np.array_equal(np.concatenate([u for _, _, _, u in blocks]), want)
 
 
 def _stick_digest(theta, rows, seed):
@@ -1136,14 +1127,17 @@ def _stick_digest(theta, rows, seed):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+@pytest.mark.parametrize("name", ["stick", "gamma"])
+def test_a_forked_child_draws_the_bytes_of_its_parent(monkeypatch, name):
+    # The child inherits the parent's thread scratch, filled by the
+    # parent's draws, and draws the same bytes with it.
     import multiprocessing
 
-    monkeypatch.setattr(processes, "_WIDTH", 3)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    want = _stick_digest(2.0, 999, 6)  # the parent's pool exists from here on
+    digest = {"stick": _stick_digest, "gamma": _gamma_digest}[name]
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 7)
+    want = digest(2.0, 999, 6)
     with multiprocessing.get_context("fork").Pool(1) as children:
-        got = children.apply_async(_stick_digest, (2.0, 999, 6)).get(timeout=60)
+        got = children.apply_async(digest, (2.0, 999, 6)).get(timeout=60)
     assert got == want
 
 
@@ -1157,25 +1151,6 @@ def _invariance_digest(theta, samples, seed):
                                 for r in reports]).encode()).hexdigest()
 
 
-def _gamma_digest_and_pool(theta, rows, seed):
-    return _gamma_digest(theta, rows, seed), processes._pool is not None
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_splits_gamma_batches_on_a_pool_of_its_own(monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(processes, "_WIDTH", 1)
-    want = _gamma_digest(1.5, 900, 6)
-    monkeypatch.setattr(processes, "_WIDTH", 3)
-    monkeypatch.setattr(processes, "_SPLIT_CELLS", 0)
-    assert _gamma_digest(1.5, 900, 6) == want  # the parent's pool exists from here on
-    with multiprocessing.get_context("fork").Pool(1) as children:
-        got, child_pool = children.apply_async(_gamma_digest_and_pool,
-                                               (1.5, 900, 6)).get(timeout=60)
-    assert got == want and child_pool
-
-
 def _gamma_digest(theta, rows, seed):
     gen = RngStream(seed).generator()
     masses, locations, totals, tails = gamma_batch(theta, EPS, rows, gen)
@@ -1184,12 +1159,25 @@ def _gamma_digest(theta, rows, seed):
     return digest.hexdigest()
 
 
-def _digests_at_once(digest, cases):
-    """digest(*case) for every case, each on a thread of its own, all at once."""
+def _gamma_and_invariance_digests(theta, rows, seed):
+    return _gamma_digest(theta, rows, seed), _invariance_digest(theta, rows, seed)
+
+
+def test_concurrent_callers_keep_their_bytes(monkeypatch):
+    # Six callers draw stick batches and pair estimates at once, switching
+    # threads every microsecond.  Their passes take several 2^16-cell
+    # blocks, whose numpy loops run outside the interpreter lock, so the
+    # threads overlap.  Each thread's passes use its own scratch, so each
+    # caller must get the bytes it gets alone.  The low cell budget stops
+    # a draw whose scratch another thread overwrote before its rounds grow
+    # the buffer to 512 MB.
+    monkeypatch.setattr(processes, "_CELL_BUDGET", 1 << 22)
+    cases = [(0.7 + 0.5 * k, 4001 + 500 * k, k) for k in range(6)]
+    want = [_gamma_and_invariance_digests(*case) for case in cases]
     got = [None] * len(cases)
 
     def run(k):
-        got[k] = digest(*cases[k])
+        got[k] = _gamma_and_invariance_digests(*cases[k])
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
     interval = sys.getswitchinterval()
@@ -1202,29 +1190,7 @@ def _digests_at_once(digest, cases):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    return got
-
-
-def test_concurrent_callers_share_the_pool_and_keep_their_bytes(monkeypatch):
-    # Six threads split their passes over one pool at once, in more blocks
-    # than there are CPUs, switching threads every microsecond: each must get
-    # the bytes it gets alone and serially.
-    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
-    monkeypatch.setattr(processes, "_WIDTH", 1)
-    want = [_gamma_digest(*case) for case in cases]
-    handed = _split(monkeypatch, 5)
-    assert _digests_at_once(_gamma_digest, cases) == want and handed
-
-
-def test_concurrent_pair_estimates_keep_their_bytes_off_the_pool(monkeypatch):
-    # Six callers of five pairs' estimates at once, with every pass set to
-    # split: the estimators draw piece masses on the caller's thread and hand
-    # nothing to the pool.
-    cases = [(0.7 + 0.5 * k, 601 + 50 * k, k) for k in range(6)]
-    monkeypatch.setattr(processes, "_WIDTH", 1)
-    want = [_invariance_digest(*case) for case in cases]
-    handed = _split(monkeypatch, 5)
-    assert _digests_at_once(_invariance_digest, cases) == want and handed == []
+    assert got == want
 
 
 def _wrap_public(monkeypatch, record):
@@ -1251,39 +1217,37 @@ _SAMPLE_ARGV = (["sample", "--samples", "700"],
 
 def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
     # A span tracer wraps every public conicpd function and keeps one span
-    # stack, so only private code may run on the pool's threads.  Only the
-    # stick path of sample uses the pool.
+    # stack, so public code must run on the caller's thread only, also when
+    # every stick pass of sample takes many row blocks.
     from conicpd import cli
 
-    caller, off_thread = threading.get_ident(), []
+    caller, on_thread, off_thread = threading.get_ident(), [], []
 
     def record(fn):
-        if threading.get_ident() != caller:
-            off_thread.append(fn.__qualname__)
+        (on_thread if threading.get_ident() == caller else off_thread).append(fn.__qualname__)
 
     _wrap_public(monkeypatch, record)
-    handed = _split(monkeypatch, 3)
+    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 3)
     for argv in _SAMPLE_ARGV:
         assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
-    assert handed and off_thread == []
+    assert on_thread.count("main") == len(_SAMPLE_ARGV) and off_thread == []
 
 
-def test_public_calls_do_not_depend_on_the_thread_count(monkeypatch):
-    # What a span tracer counts is the same serially, with rows split, and
-    # with every draw extended in many rounds of two columns after a first
-    # block of one, each round of two rows or more split over three threads.
-    # Each sample command here draws one batch.
+def test_public_calls_do_not_depend_on_the_block_count(monkeypatch):
+    # What a span tracer counts is the same in blocks of 2^16 cells, in
+    # blocks of 8, and with every draw extended in many rounds of two
+    # columns after a first block of one.  Each sample command here draws
+    # one batch.
     from conicpd import cli
 
     counts, passes = [], []
     stick_pass = processes._stick_pass
-    for width, floor, narrow in ((1, processes._SPLIT_CELLS, False), (3, 0, False),
-                                 (3, 0, True)):
+    for block_cells, narrow in ((processes._BLOCK_CELLS, False), (1 << 3, False),
+                                (1 << 3, True)):
         calls = collections.Counter()
         with monkeypatch.context() as patch:
             _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
-            patch.setattr(processes, "_WIDTH", width)
-            patch.setattr(processes, "_SPLIT_CELLS", floor)
+            patch.setattr(processes, "_BLOCK_CELLS", block_cells)
             if narrow:
                 patch.setattr(processes, "_first_width", lambda theta, eps, rows: 1)
                 patch.setattr(processes, "_round_width", lambda theta, eps: 2)
