@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import processes
 from .errors import DomainError, InfiniteVarianceError
 from .estimation import EstimatorResult, pooled_mean, stream_counts
 from .processes import RngStream, _finite_exp, _positive_real
@@ -75,15 +74,20 @@ def _check_variance(f, allow_infinite_variance=False):
         )
 
 
+# Most cells a row block of piece masses holds: 512 KB of float64, so a
+# block and its integrand's work stay in a core's cache.
+_BLOCK_CELLS = 1 << 16
+
+
 def _kernel(shapes, integrand, columns):
     """The one kernel of every estimator: ``integrand(masses)`` per row block of piece masses.
 
     A draw is one row of independent Gamma(shapes_j) masses, one per piece:
     theta |I_j| on the pieces I_j of a step function's grid, theta_i on a
     partition's parts.  The rows are drawn by ``gen.standard_gamma`` in row
-    blocks of at most ``processes._BLOCK_CELLS`` cells (and at least one
-    row), so no (rows, pieces) matrix is held, and ``integrand`` reduces each
-    block to its (block rows, ``columns``) values.  Consecutive calls on one
+    blocks of at most ``_BLOCK_CELLS`` cells (and at least one row), so no
+    (rows, pieces) matrix is held, and ``integrand`` reduces each block to
+    its (block rows, ``columns``) values.  Consecutive calls on one
     generator draw what one call would, and each row is reduced on its own,
     so the bytes do not depend on the block size; the result is an F-ordered
     (rows, columns) array, whose columns ``pooled_mean`` reduces alike
@@ -91,7 +95,7 @@ def _kernel(shapes, integrand, columns):
     """
     def kernel(gen, rows):
         out = np.empty((rows, columns), order="F")
-        step = max(1, processes._BLOCK_CELLS // shapes.size)
+        step = max(1, _BLOCK_CELLS // shapes.size)
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
             out[lo:hi] = integrand(gen.standard_gamma(shapes, (hi - lo, shapes.size)))

@@ -14,44 +14,41 @@ the Monte Carlo error.  Every draw goes through one recursion,
 rate-theta Poisson process, so a draw needs 1 + Poisson(theta log(1/eps))
 sticks: the first block holds about that mean plus a margin that is wide
 for few rows and narrow for many, and the rows still open are extended in
-short rounds.  The masses live in one buffer, sized at the Poisson count's
-far quantile and refused, with ``DomainError``, beyond a fixed cell budget;
-every block is written at the buffer's stride, and the buffer is grown by
-realloc, under the same budget, only in the rare round past it.  The first
-block and each extension round are one stick step, ``_stick_pass``; an
-extension starts from the run its rows reached before it.
+short rounds.  A draw is budgeted for its rows at the Poisson count's far
+quantile and refused, with ``DomainError``, beyond a fixed cell budget, as
+is the rare round past that width that would take it over the budget.  The
+first block and each extension round are one stick pass, ``_stick_pass``,
+over a matrix of their own; an extension starts from the run its rows
+reached before it.  Only when some row extended are the passes copied once
+into one zero-padded matrix.
 
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
 case.  The stick pass forms the masses and each row's cut; the locations
-and, for unnormalized draws, the gamma totals follow in ``gamma_batch``'s
-order, so the rows are ``gamma_batch``'s, each sorted by decreasing mass
-with one stable argsort and scaled by its total.  A row skips
-``WeightedAtomSeries``'s O(K) checks that its construction implies: the
-sort orders finite masses, scaling by a positive total keeps the order,
-and ``gen.random`` puts every location in [0, 1).  It keeps the O(1) end
-checks (the last kept mass positive, which NaN fails too, and the first
-finite), the total, the tail and, for normalized draws, the sum.  A kept
-mass of zero is a zero stick, refused as such.
+and, for unnormalized draws, the gamma totals follow, in that order, and
+each row is sorted by decreasing mass with one stable argsort and scaled
+by its total.  A row skips ``WeightedAtomSeries``'s O(K) checks that its
+construction implies: the sort orders finite masses, scaling by a
+positive total keeps the order, and ``gen.random`` puts every location in
+[0, 1).  It keeps the O(1) end checks (the last kept mass positive, which
+NaN fails too, and the first finite), the total, the tail and, for
+normalized draws, the sum.  A kept mass of zero is a zero stick, refused
+as such, or, once scaled, an underflow of the total's product, a
+``NumericalError``.
 
-Threads: conicpd starts none.  Each stick step (``_stick_pass``) is a
-pass over contiguous row blocks of at most 2^16 cells, through
-``_by_rows``, which runs them in turn on the caller's thread.  It draws
-each block's uniforms into per-thread scratch and, while the block is in
-cache, turns them into sticks, running sums, cuts, tails and masses, and
-copies the masses to the buffer.  The scratch is per thread, so callers
-on several threads at once each get the bytes they get alone, and the
-bytes do not depend on the block count.  The Monte Carlo estimators draw
-no sticks (see ``laplace._kernel``), so the series draws of ``sample``
-and the batch kernels ``stick_masses_batch`` and ``gamma_batch`` are what
-run here.
+Threads: conicpd starts none.  Each stick pass draws its (rows, cols)
+uniforms with one ``gen.random(rows * cols)`` call and turns the whole
+matrix into sticks, running sums, cuts, tails and masses in place, with
+arrays of its own for the running sums and the cut test; so callers on
+several threads at once each get the bytes they get alone.  The Monte
+Carlo estimators draw no sticks (see ``laplace._kernel``), so the series
+draws of ``sample`` are what run here.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,76 +180,15 @@ def _stick_block(u, theta, steps):
     return steps
 
 
-# Largest stick buffer, in cells (rows x columns), that a draw may hold: 2^26
-# cells are 512 MB per float array.  At 32768-row batches and eps = 1e-10
-# the buffer fits up to theta = 80, and a round past it up to theta = 77.
+# Most cells (rows x columns) a draw is budgeted for: its rows at
+# ``_buffer_width`` columns, and again at each round past that width.  2^26
+# cells are 512 MB per float array.  At 32768 rows and eps = 1e-10 the
+# budget holds the buffer width up to theta = 80.
 _CELL_BUDGET = 1 << 26
 
 
-# Most cells a row block holds: 512 KB per float64 array, so a block's
-# uniforms and its work's scratch stay in a core's cache.
-_BLOCK_CELLS = 1 << 16
-# Per thread: ``arena``, the thread's scratch arrays (see ``_scratch``).
-_local = threading.local()
-
-
-def _scratch(name, shape, dtype=float):
-    """This thread's scratch array ``name``, viewed as ``shape``.
-
-    The buffer is kept for the thread's later passes and grows only when a
-    block needs more cells than any before it.  A row block holds at most
-    ``_BLOCK_CELLS`` cells unless a single row is longer; such a block gets
-    a fresh array that is not kept, so a thread keeps at most
-    ``_BLOCK_CELLS`` cells per name.  Names in use: ``"block"`` (a block's
-    uniforms), ``"run"`` (the stick pass's running sums) and ``"closed"``
-    (the stick pass's cut test).  Each thread has its own, so library
-    callers on several threads at once never share scratch.
-    """
-    cells = shape[0] * shape[1]
-    if cells > _BLOCK_CELLS:
-        return np.empty(shape, dtype)
-    try:
-        buf = _local.arena[name]
-        if buf.size >= cells:
-            return buf[:cells].reshape(shape)
-    except AttributeError:
-        _local.arena = {}
-    except KeyError:
-        pass
-    buf = _local.arena[name] = np.empty(cells, dtype)
-    return buf.reshape(shape)
-
-
-def _by_rows(rows, cols, work, gen):
-    """Run ``work(lo, hi, u)`` on contiguous row blocks of a (rows, cols) pass, in turn.
-
-    A block holds at most ``_BLOCK_CELLS`` cells (and at least one row), so
-    what its work reads and writes stays in a core's cache.  ``u`` is the
-    block's rows of a (rows, cols) matrix of uniforms drawn from ``gen`` in
-    row-major order, C-contiguous and free for ``work`` to overwrite.
-    numpy's own Generator draws each block's uniforms, in turn, into the
-    thread's scratch block (``_scratch("block", ...)``, which ``work`` must
-    then not take itself), so the pass never holds the matrix.  Any other
-    generator draws the whole matrix at once with ``gen.random(count)``
-    before any block runs.  Either way ``gen`` ends where one draw of the
-    matrix leaves it, and the results are the same bytes for any block
-    count.
-    """
-    blocks = -(-rows // max(1, _BLOCK_CELLS // cols))
-    in_turn = type(gen) is np.random.Generator
-    whole = None if in_turn else gen.random(rows * cols).reshape(rows, cols)
-    for b in range(blocks):
-        lo, hi = rows * b // blocks, rows * (b + 1) // blocks
-        if in_turn:
-            part = _scratch("block", (hi - lo, cols))
-            gen.random(out=part)
-        else:
-            part = whole[lo:hi]
-        work(lo, hi, part)
-
-
 def _buffer_width(theta, eps):
-    """Columns of the stick buffer a draw at (theta, eps) holds (see ``_stick_rows``)."""
+    """Budgeted columns of a draw at (theta, eps), where its rounds break (see ``_stick_rows``)."""
     m = -theta * math.log(eps)
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
@@ -333,104 +269,77 @@ def _stick_rows(theta, eps, rows, gen):
     columns (``_round_width``), each one ``_stick_pass`` over those rows
     only, so the work stays linear in the sticks drawn.
 
-    Memory: the masses live in one buffer of rows x ``_buffer_width``
-    cells, ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in
-    10^5 outrun; a draw whose buffer exceeds ``_CELL_BUDGET`` cells is
-    refused with ``DomainError`` before anything is allocated.  The first
-    block is written at the buffer's stride, and if a row stays open the
-    columns right of it are zeroed once; each round then writes its rows'
-    columns in place.  A round that starts at the buffer's end grows it by
-    one round with ``ndarray.resize`` (a realloc, refused like the buffer
-    beyond the budget) and moves the rows to the new stride (``_restride``),
-    so an extending draw holds one matrix, never two; only while something
-    else refers to the buffer (a tracer reading locals, say) is it grown by
-    a copy.  ``theta`` and ``eps`` must be checked floats.
+    Memory: a draw is budgeted for rows x ``_buffer_width`` cells,
+    ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
+    outrun; a draw whose budget exceeds ``_CELL_BUDGET`` cells is refused
+    with ``DomainError`` before anything is allocated.  Rounds end at that
+    width's last column, and a round that starts there widens it by one
+    round, refused alike past the budget.  The first block and each round
+    are matrices of their own.  Only when some row extended are they copied
+    once into a zeroed (rows, K) matrix; otherwise the first block, trimmed
+    to K columns, is returned.  ``theta`` and ``eps`` must be checked
+    floats.
     """
     log_eps = math.log(eps)
-    stride = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
+    limit = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
     width = _first_width(theta, eps, rows)
-    buffer = np.empty(rows * stride)
-    tails, cut, last = _stick_pass(theta, log_eps, buffer.reshape(rows, stride)[:, :width], gen)
+    first = gen.random(rows * width).reshape(rows, width)
+    tails, cut, last = _stick_pass(theta, log_eps, first)
     grow = (last > log_eps).nonzero()[0]
-    if grow.size:
-        buffer.reshape(rows, stride)[:, width:] = 0.0  # the padding right of the closed rows
-    add, start = _round_width(theta, eps), width
+    rounds, add, start = [], _round_width(theta, eps), width
     while grow.size:
         # A row still open here has no cut yet; it is found in the round
-        # that closes the row.  A round ends at the buffer's last column,
-        # and only a round that starts there grows the buffer.
-        if start == stride:
-            _budgeted(theta, eps, rows, stride + add)
-            try:
-                buffer.resize(rows * (stride + add))  # a realloc: no second matrix
-            except ValueError:  # something else refers to it (a tracer, say): copy
-                buffer = np.concatenate((buffer, np.empty(rows * (stride + add) - buffer.size)))
-            _restride(buffer, rows, stride, stride + add)
-            stride += add
-        end = min(start + add, stride)
-        ext = np.empty((grow.size, end - start))
-        ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, ext, gen, before=last[grow])
-        buffer.reshape(rows, stride)[grow, start:end] = ext
+        # that closes the row.  A round ends at the budgeted width's last
+        # column, and one that starts there widens it by a round: these
+        # ends fix which uniforms each round draws.
+        if start == limit:
+            limit = _budgeted(theta, eps, rows, limit + add)
+        end = min(start + add, limit)
+        ext = gen.random(grow.size * (end - start)).reshape(grow.size, end - start)
+        ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, ext, before=last[grow])
+        rounds.append((grow, start, ext))
         closing = ext_last <= log_eps
         cut[grow[closing]] = start + ext_cut[closing]
         tails[grow[closing]] = ext_tails[closing]
         last[grow] = ext_last
         grow, start = grow[~closing], end
-    return buffer.reshape(rows, stride)[:, :int(cut.max()) + 1], tails, cut
+    cols = int(cut.max()) + 1
+    if not rounds:
+        return first[:, :cols], tails, cut
+    masses = np.zeros((rows, cols))
+    masses[:, :width] = first
+    for grow, start, ext in rounds:
+        masses[grow, start:start + ext.shape[1]] = ext[:, :cols - start]
+    return masses, tails, cut
 
 
-def _restride(buffer, rows, old, new):
-    """Move the (rows, old) matrix at the front of ``buffer`` to stride ``new`` >= old, in place.
+def _stick_pass(theta, log_eps, u, before=None):
+    """One stick pass: the sticks of uniforms ``u``, formed as masses in place.
 
-    Used only when a round grows the stick buffer past its end.  The rows
-    move in descending blocks, each to cells at or after its own, so no row
-    is overwritten before it has moved.  The new columns are zeroed: the
-    padding right of the rows that are closed.
-    """
-    step = max(1, _BLOCK_CELLS // new)
-    for hi in range(rows, 0, -step):
-        lo = max(0, hi - step)
-        moved = buffer[lo * new:hi * new].reshape(hi - lo, new)
-        moved[:, :old] = buffer[lo * old:hi * old].reshape(hi - lo, old)
-        moved[:, old:] = 0.0
-
-
-def _stick_pass(theta, log_eps, out, gen, before=None):
-    """One stick step: ``out``'s columns of sticks for each of its rows, formed as masses in place.
-
-    Returns (tails, cuts, ends) of the step's columns: exp(run) at the cut;
-    the cut's column in the step (0 for a row that stays open); and run at
-    the step's last column.  ``out``, which may be a view with a wider row
-    stride, receives the masses, zero right of a row's cut.  ``before``
-    holds each row's run just left of the step (a draw's first block has
-    none); it is added to the step's running sums after their cumsum, and
-    scales the step's first mass.
-
-    One pass of row blocks forms all of this while a block is in cache: the
-    masses in the block's uniforms, the running sums and the cut test in
-    per-thread scratch; then the block is copied to ``out``.  Cells right
-    of the cut are the ones whose left neighbour has run <= log(eps): the
+    Returns (tails, cuts, ends) of the pass's columns: exp(run) at the cut;
+    the cut's column in the pass (0 for a row that stays open); and run at
+    the pass's last column.  ``u`` is a C-contiguous (rows, cols) matrix of
+    uniforms, one row per draw, and receives the masses, zero right of a
+    row's cut.  ``before`` holds each row's run just left of the pass (a
+    draw's first block has none); it is added to the pass's running sums
+    after their cumsum, and scales the pass's first mass.  Cells right of
+    the cut are the ones whose left neighbour has run <= log(eps): the
     comparison that finds the cut, shifted one column.
+
+    Memory: besides ``u``, the pass holds its running sums, a matrix of the
+    same shape, and its cut test, an eighth of one, at once.
     """
-    rows, cols = out.shape
-    cuts, tails, ends = np.empty(rows, np.intp), np.empty(rows), np.empty(rows)
-
-    def step(lo, hi, u):
-        # ndarray methods, not their np.* wrappers: a one-row draw's cost is
-        # mostly per-call overhead.
-        run = _stick_block(u, theta, _scratch("run", u.shape))
-        run.cumsum(axis=1, out=run)
-        left = None if before is None else before[lo:hi]
-        if left is not None:
-            run += left[:, None]
-        closed = np.less_equal(run, log_eps, out=_scratch("closed", u.shape, bool))
-        cut = closed.argmax(axis=1, out=cuts[lo:hi])
-        ends[lo:hi] = run[:, -1]
-        np.exp(run[np.arange(hi - lo), cut], out=tails[lo:hi])
-        _form_masses(u, run, closed, left)
-        out[lo:hi] = u
-
-    _by_rows(rows, cols, step, gen)
+    # ndarray methods, not their np.* wrappers: a one-row draw's cost is
+    # mostly per-call overhead.
+    run = _stick_block(u, theta, np.empty_like(u))
+    run.cumsum(axis=1, out=run)
+    if before is not None:
+        run += before[:, None]
+    closed = run <= log_eps
+    cuts = closed.argmax(axis=1)
+    ends = run[:, -1].copy()
+    tails = np.exp(run[np.arange(u.shape[0]), cuts])
+    _form_masses(u, run, closed, before)
     return tails, cuts, ends
 
 
@@ -531,14 +440,14 @@ def _one_draw(theta, eps, rng, *, normalized):
 def _draw_rows(theta, eps, rows, gen, *, normalized):
     """Yield ``rows`` draws as (masses, locations, total, tail), each checked as it is reached.
 
-    The rows are ``gamma_batch(theta, eps, rows, gen)``'s: the stick pass,
-    then the (rows, K) location uniforms, then, unless ``normalized``, the
-    gamma totals, which scale each row's masses and tail (a normalized draw
-    has total 1.0 and draws no totals).  Each row's masses and locations
-    are sorted by decreasing mass and cut to the row's own atoms; they are
-    views of the batch's matrices.  Only the checks the construction does
-    not imply run (see the module docstring), through the constructor's own
-    helpers, so a refusal stops the draws at the row that fails it.
+    The batch draws the stick pass, then the (rows, K) location uniforms,
+    then, unless ``normalized``, the gamma totals, which scale each row's
+    masses and tail (a normalized draw has total 1.0 and draws no totals).
+    Each row's masses and locations are sorted by decreasing mass and cut
+    to the row's own atoms; they are views of the batch's matrices.  Only
+    the checks the construction does not imply run (see the module
+    docstring), through the constructor's own helpers, so a refusal stops
+    the draws at the row that fails it.
     """
     theta, eps = _check_theta_eps(theta, eps)
     masses, tails, cuts = _stick_rows(theta, eps, rows, gen)
@@ -567,6 +476,9 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
                 raise DomainError(_STICK_RANGE)
             raise DomainError(_MASS_RANGE)
         kept = masses[row, :cut + 1]
+        if not kept[-1] > 0.0:  # a positive mass times a positive total
+            raise NumericalError(f"atom masses underflow to 0 when scaled by the draw's "
+                                 f"total mass {total!r}")
         _check_mass_range(kept[-1], kept[0])
         _check_totals(kept, total, tail, normalized)
         yield kept, locations[row, :cut + 1], total, tail
@@ -616,37 +528,6 @@ def series_from_record(record: dict) -> WeightedAtomSeries:
         log_weight=float(record.get("log_weight", 0.0)),
         normalized=bool(record.get("normalized", False)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Stick batches as whole matrices: no estimator reads them since the
-# estimators draw their piece masses exactly; the tests keep them as the
-# stick path's reference.
-
-
-def stick_masses_batch(theta: float, eps: float, rows: int, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized stick-breaking masses for ``rows`` draws at once.
-
-    Returns (masses, tails): a (rows, K) matrix zero-padded after each row's
-    truncation column, with K the longest row's stick count, and the per-row
-    residual mass at the cut.  Zero padding keeps downstream reductions
-    branch-free.
-    """
-    theta, eps = _check_theta_eps(theta, eps)
-    return _stick_rows(theta, eps, _integer(rows, "rows"), gen)[:2]
-
-
-def gamma_batch(theta: float, eps: float, rows: int, gen):
-    """Batch of unnormalized draws as (normalized masses, locations, totals, tails).
-
-    The draws are the stick pass, the (rows, K) location uniforms and the
-    gamma totals, in that order, as ``sample``'s series draws take them.
-    No estimator reads it: the tests keep it as the reference of the stick
-    path, such as the oracle that the estimators' exact piece masses are
-    checked against.
-    """
-    masses, tails = stick_masses_batch(theta, eps, rows, gen)
-    return masses, gen.random(masses.shape), _gamma_totals(theta, rows, gen), tails
 
 
 def _gamma_totals(theta, rows, gen):

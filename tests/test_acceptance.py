@@ -33,7 +33,7 @@ from conicpd import (
     weighted_box_mass,
 )
 from conicpd.cli import main as cli_main
-from conicpd.processes import gamma_batch
+from stick_batches import gamma_batch
 
 
 @pytest.fixture

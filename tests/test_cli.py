@@ -21,6 +21,7 @@ from conicpd import (DomainError, PartitionSpec, __version__, box_mass_L, densit
 from conicpd import cli
 from conicpd.cli import _SPECS, _fmt, _parser, main, parse_step_function
 from conicpd.estimation import CHUNK_ROWS, stream_counts
+from stick_batches import gamma_batch
 
 
 def run_cli(capsys, argv):
@@ -519,10 +520,10 @@ def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeyp
 
 
 def test_a_round_past_the_cell_budget_exits_2(tmp_path):
-    # A budget that holds the stick buffer of one sample batch at theta = 40
-    # (250 rows) and no more: a row of this seed's fourth batch outruns the
-    # buffer, and the round that would grow it is refused before it is
-    # allocated, once the first three batches' draws are written.
+    # A budget that holds one sample batch at theta = 40 (250 rows) at its
+    # budgeted width and no more: a row of this seed's fourth batch outruns
+    # that width, and the round past it is refused before it is drawn,
+    # once the first three batches' draws are written.
     width = processes._buffer_width(40.0, 1e-10)
     rows = cli.SAMPLE_BATCH_CELLS // width
     out = tmp_path / "draws.json"
@@ -652,7 +653,7 @@ def test_estimator_output_bytes_do_not_depend_on_row_blocks(capsys, monkeypatch,
                                                             block_cells):
     # Row blocks of at most 8 or 128 cells: one row a block for the 40- and
     # 80-piece fs, and uneven last blocks elsewhere.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
     test_estimator_output_bytes_are_frozen(capsys, argv, digest)
 
 
@@ -668,9 +669,9 @@ def test_only_sample_reaches_the_stick_path_and_no_command_starts_a_thread(capsy
     def refuse(*_args, **_kwargs):
         raise AssertionError("an estimator reached processes._stick_rows")
 
-    def counted_pass(theta, log_eps, out, gen, before=None):
-        cells.append(out.size)
-        return stick_pass(theta, log_eps, out, gen, before=before)
+    def counted_pass(theta, log_eps, u, before=None):
+        cells.append(u.size)
+        return stick_pass(theta, log_eps, u, before=before)
 
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: started.append(thread.name) or thread_start(thread))
@@ -732,7 +733,7 @@ _MC_BODY_SHA256 = [
 def test_mc_shaped_output_bytes_are_frozen(capsys, monkeypatch, argv, seed, digest, block_cells):
     # As in the row-block test above, in blocks of the default size, of 128
     # cells and of 8.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
     code, out, _err = run_cli(capsys, list(argv) + ["--seed", seed])
     assert code == 0
     assert hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest() == digest
@@ -1075,7 +1076,7 @@ def test_sample_records_are_sorted_gamma_batch_rows(capsys, process, theta, fmt,
         assert all(r["seed"] == seed for r in got)
         gen = processes.RngStream(seed, stream).generator()
         assert_records_match(got, expected_sample_rows(
-            process, processes.gamma_batch(theta, 1e-10, count, gen)))
+            process, gamma_batch(theta, 1e-10, count, gen)))
 
 
 @pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
@@ -1110,9 +1111,23 @@ def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
         for stream, count in enumerate(counts):
             gen = processes.RngStream(seed, stream).generator()
             for start in range(0, count, rows):
-                expected += expected_sample_rows(process, processes.gamma_batch(
+                expected += expected_sample_rows(process, gamma_batch(
                     theta, 1e-10, min(rows, count - start), gen))
         assert_records_match(records, expected)
+
+
+def test_a_gamma_draw_whose_masses_underflow_when_scaled_exits_3(capsys):
+    # At theta = 0.001 and eps = 1e-100 a draw keeps masses down to near
+    # eps, and its Gamma(theta) total is often far below 1e-200, so their
+    # product can round to 0 (16 of the one-draw seeds 0-199): a numerical
+    # failure of a valid configuration.  Seed 0's sixth draw is the first;
+    # the five before it are already written.
+    code, out, err = run_cli(capsys, ["sample", "--theta", "0.001", "--eps", "1e-100",
+                                      "--samples", "200"])
+    assert code == 3 and err.startswith("conicpd: numerical failure") and "total mass" in err
+    records = json_lines(out)
+    assert "batch_cells" in records[0]
+    assert [record["draw"] for record in records[1:]] == list(range(5))
 
 
 @pytest.mark.parametrize("flags", [
@@ -1546,8 +1561,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     second, and only the semigroup convolution check needs it.  scipy.special
     takes about a third of a second, and only the subcommands that compute
     special functions import the modules that use it.  concurrent.futures
-    (with the logging it loads) takes about 11 ms, some 6% of the start-up;
-    the samplers import it when they first split a pass over row blocks.
+    (with the logging it loads) takes about 11 ms, some 6% of the start-up,
+    and nothing in conicpd needs it.
     """
     code = ("import sys, conicpd.cli; conicpd.cli.build_parser(); "
             "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special', "

@@ -24,9 +24,9 @@ from conicpd import (
     quasi_invariance_pairs,
     weighted_box_mass,
 )
-from conicpd import processes
-from conicpd.processes import _finite_exp, gamma_batch
+from conicpd.processes import _finite_exp
 from conicpd.stepfn import _piece_index
+from stick_batches import gamma_batch
 
 
 def halves(v0, v1):
@@ -402,7 +402,7 @@ def test_invariance_pairs_share_one_batch_of_draws(monkeypatch, block_cells, str
     # constant written on the grid; the second group's f is the 70-piece
     # one.  A pair outside the finite-variance region is refused as
     # mc_laplace refuses it.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
     two, seventy = np.array([0.0, 0.5, 1.0]), _SEVENTY.breakpoints
     groups = [[(halves(1.3, 0.9), halves(2.0, 1.2)), (_on(two, 1.1, 1.1), _on(two, 1.4, 1.4)),
                (halves(2.0, 0.5), halves(1.5, 2.5))],
@@ -526,7 +526,7 @@ def test_window_and_box_estimators_check_their_arguments_before_drawing(monkeypa
 def test_functional_window_does_not_depend_on_row_blocks(monkeypatch):
     reports = []
     for block_cells in (1 << 16, 1 << 3):
-        monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
         reports.append(functional_distribution_check(1.0, halves(0.8, 1.6), 1.0, 5000,
                                                      RngStream(18)))
     serial, split = reports
@@ -549,7 +549,7 @@ _WINDOW_SHA256 = {
 @pytest.mark.parametrize("block_cells", [1 << 16, 1 << 3])
 @pytest.mark.parametrize("case", list(_WINDOW_SHA256))
 def test_functional_window_reports_are_frozen(monkeypatch, case, block_cells):
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
     theta, name, b, samples, seed, streams = case
     f = (StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.8, 0.9, 1.3]))
          if name == "three" else StepFunction.constant(1.5))
@@ -699,7 +699,7 @@ def test_many_pieces_hold_no_piece_matrix_and_keep_their_bytes_in_any_blocks(mon
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20 and abs(want.z(analytic_laplace(4096.0, f))) <= 6.0
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 10)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", 1 << 10)
     assert mc_laplace(4096.0, f, 32768, RngStream(9)) == want
 
 
@@ -748,7 +748,7 @@ def test_each_estimator_reads_one_gamma_matrix_of_its_piece_masses(monkeypatch, 
     for gen in gens:
         gen.random(3)
     want = finish(gens[0].standard_gamma(shapes, (1001, shapes.size)))
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(laplace, "_BLOCK_CELLS", block_cells)
     got = kernel(gens[1], 1001)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(gens[1].random(5), gens[0].random(5))

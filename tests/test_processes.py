@@ -34,11 +34,11 @@ from conicpd import (
     series_from_record,
 )
 from conicpd import processes
-from conicpd.errors import DomainError
+from conicpd.errors import DomainError, NumericalError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
 from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
-from conicpd.processes import gamma_batch, stick_masses_batch
 from conicpd.stepfn import StepFunction
+from stick_batches import gamma_batch, stick_masses_batch
 
 EPS = 1e-10
 
@@ -99,14 +99,6 @@ def test_rng_stream_takes_numpy_integer_keys_as_python_ints(key, want):
 def test_integer_refuses_bool_fractions_and_values_out_of_range(value, lower, upper, match):
     with pytest.raises(DomainError, match=match):
         processes._integer(value, "n", lower, upper)
-
-
-@pytest.mark.parametrize("rows", [2.5, True, 0, np.float64(3.0)])
-def test_batch_kernels_refuse_a_row_count_that_is_not_a_positive_integer(rows):
-    # 2.5 and True failed with TypeError inside numpy, and 0 with ValueError.
-    for kernel in (stick_masses_batch, gamma_batch):
-        with pytest.raises(DomainError, match="rows must be a positive integer"):
-            kernel(1.0, 1e-3, rows, RngStream(0).generator())
 
 
 def test_integer_returns_python_ints():
@@ -424,8 +416,8 @@ def _block_ends(theta, eps, rows):
     """Columns at which a draw's first block and each later extension round end, endlessly.
 
     The layout of ``_stick_rows``: a round adds ``_round_width`` columns, but
-    ends at the buffer's last column; a round that starts there grows the
-    buffer by one round.
+    ends at the last column of the budgeted width (``_buffer_width``); a
+    round that starts there widens it by one round.
     """
     end = processes._first_width(theta, eps, rows)
     stride, add = processes._buffer_width(theta, eps), processes._round_width(theta, eps)
@@ -498,23 +490,65 @@ def _recursion_batch(theta, eps, rows, gen):
 
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(0.05, 80.0), log10_eps=st.floats(-12.0, -2.0), rows=st.integers(1, 300),
-       seed=st.integers(0, 2**32), block_cells=st.sampled_from([1 << 16, 1 << 7, 1 << 3]))
-@example(theta=0.3, log10_eps=-2.0, rows=2, seed=23, block_cells=1 << 16)
-@example(theta=1.0, log10_eps=-10.0, rows=300, seed=5, block_cells=1 << 3)
-def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed,
-                                                        block_cells):
-    # The vectorized stick step (uniforms drawn into the buffer, a cumsum of
-    # the steps, masses formed on the flat block shifted by a cell, rows
-    # moved to the buffer's stride, rounds written in place) gives the very
-    # floats of a column-by-column recursion.  The first example keeps one
-    # atom per row of an 8-column first block, a (2, 1) view of it; numpy
-    # 2.4 negates such a view wrongly in place.
+       seed=st.integers(0, 2**32))
+@example(theta=0.3, log10_eps=-2.0, rows=2, seed=23)
+@example(theta=1.0, log10_eps=-10.0, rows=300, seed=5)
+def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed):
+    # The vectorized stick pass (a cumsum of the steps, masses formed on the
+    # flat matrix shifted by a cell, rounds copied once into the padded
+    # matrix) gives the very floats of a column-by-column recursion.  The
+    # first example keeps one atom per row of an 8-column first block, a
+    # (2, 1) view of it; numpy 2.4 negates such a view wrongly in place.
     eps = 10.0 ** log10_eps
     want_masses, want_tails = _recursion_batch(theta, eps, rows, RngStream(seed).generator())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(processes, "_BLOCK_CELLS", block_cells)
-        masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
+    masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
     assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
+
+
+
+@pytest.mark.parametrize("theta, rows, seed", [
+    (0.5, 2001, 9),    # odd rows
+    (1.0, 2, 9),
+    (2.5, 513, 9),
+    (4.0, 20_000, 4),  # rows that outgrow the first block
+    (8.0, 999, 9),
+])
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("process", ["dirichlet", "gamma"])
+def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, rows, seed,
+                                                                          offset, process):
+    # ``_draw_rows`` takes the stick pass, then the (rows, K) location
+    # uniforms, then (gamma draws only) the totals, from a generator whose
+    # Philox block may be partly spent.  Each row is its own atoms sorted by
+    # decreasing mass, ties in column order, and scaled by its total; the
+    # generator ends where the reference leaves it.
+    def make_gen():
+        gen = RngStream(seed).generator()
+        gen.random(offset)
+        return gen
+
+    normalized = process == "dirichlet"
+    gen, want_gen = make_gen(), make_gen()
+    draws = list(processes._draw_rows(theta, EPS, rows, gen, normalized=normalized))
+    sticks, tails = _recursion_batch(theta, EPS, rows, want_gen)
+    locations = want_gen.random(sticks.shape)
+    if normalized:
+        totals = np.ones(rows)
+    else:
+        totals = want_gen.standard_gamma(theta, rows)
+        totals[totals == 0.0] = np.finfo(float).tiny
+    assert len(draws) == rows
+    if rows == 20_000 and offset == 0:
+        assert sticks.shape[1] > processes._first_width(theta, EPS, rows)
+    for row, (masses, locs, total, tail) in enumerate(draws):
+        atoms = np.count_nonzero(sticks[row])
+        order = np.argsort(-sticks[row, :atoms], kind="stable")
+        assert np.array_equal(masses, sticks[row, order] * totals[row])
+        assert np.array_equal(locs, locations[row, order])
+        assert (total, tail) == (totals[row], tails[row] * totals[row])
+    assert _position(gen) == _position(want_gen)
+    for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
+        assert np.array_equal(a, b)
 
 
 def _poisson_moment_gaps(counts, m):
@@ -552,7 +586,7 @@ def test_stick_rows_that_outgrow_the_first_block_stay_exact():
     # The first block of 20000 rows at theta = 4 ends 0.75 standard
     # deviations past the mean stick count, so about a fifth of the rows
     # extend; this stream's longest row takes three rounds, the last of
-    # them past the buffer.
+    # them past the budgeted width.
     theta, rows = 4.0, 20_000
     masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(4).generator())
     sticks = np.count_nonzero(masses, axis=1)
@@ -580,7 +614,7 @@ class _TinyFirstBlock:
 def test_stick_rows_extend_over_several_rounds():
     # Every row is still open after the first block, and the rows close in
     # different extension rounds, so the open set shrinks between rounds;
-    # the later rounds grow the buffer.
+    # the later rounds pass the budgeted width.
     rows = 64
     gen = _TinyFirstBlock(RngStream(32).generator())
     masses, tails = stick_masses_batch(1.0, EPS, rows, gen)
@@ -624,27 +658,13 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-def test_stick_batch_peak_memory_is_two_matrices():
-    # The masses are formed in the stick buffer, the running sums live in
-    # scratch blocks of at most 2^16 cells per thread, and the rows that
-    # outgrow the first block extend inside the buffer, so the peak stays
-    # near one matrix (of the buffer's width) when no row outgrows the buffer.
-    gen = RngStream(3).generator()
-    out = []
-    peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(4.0, EPS, 20_000, gen)))
-    masses, _tails = out[0]
-    assert processes._first_width(4.0, EPS, 20_000) < masses.shape[1]
-    assert masses.shape[1] <= processes._buffer_width(4.0, EPS)
-    assert peak <= 1.3 * masses.nbytes
-
-
-@pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 4), (1.0, 8192, 9)])
+@pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 3), (4.0, 20_000, 4),
+                                               (1.0, 8192, 9)])
 def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed):
-    # Rows still open after the first block grow in the buffer, beside
-    # per-round arrays that hold only those rows.  The warm-up call makes
-    # every scratch block the measured call uses; they are kept between
-    # calls.
-    stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
+    # A batch whose rows outgrow the first block holds the first block,
+    # the rounds, which hold only the rows still open, and the padded
+    # matrix they are copied into.  The first pass holds the first block's
+    # running sums and cut test beside it.
     gen = RngStream(seed).generator()
     out = []
     peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(theta, EPS, rows, gen)))
@@ -653,70 +673,11 @@ def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed):
     assert peak <= 2.1 * masses.nbytes
 
 
-def test_rows_that_extend_inside_the_buffer_are_never_moved(monkeypatch):
-    # The first block is written at the buffer's stride, so rows that
-    # outgrow it but not the buffer extend where they lie: only a round past
-    # the buffer's end moves the rows.
-    theta, rows = 4.0, 4096
-    moves = []
-    restride = processes._restride
-    monkeypatch.setattr(processes, "_restride", lambda *args: (moves.append(args), restride(*args)))
-    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
-    sticks = np.count_nonzero(masses, axis=1)
-    assert processes._first_width(theta, EPS, rows) < sticks.max() <= masses.shape[1]
-    assert masses.shape[1] <= processes._buffer_width(theta, EPS)
-    assert moves == []
-    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
-
-
-def test_a_batch_that_outgrows_its_buffer_grows_in_place():
-    # Fewer than 3 rows in 10^5 outrun the buffer; this stream has some
-    # among 32768 rows at theta = 4.  The buffer is grown by realloc and its
-    # rows moved in place, so the peak stays near one matrix, and the rows
-    # stay exact.
-    theta, rows = 4.0, 32768
-    stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
-    out = []
-    peak = _peak_traced_bytes(
-        lambda: out.append(stick_masses_batch(theta, EPS, rows, RngStream(1).generator())))
-    masses, tails = out[0]
-    sticks = np.count_nonzero(masses, axis=1)
-    assert masses.shape[1] == sticks.max() > processes._buffer_width(theta, EPS)
-    assert peak <= 1.3 * masses.nbytes
-    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
-    last = masses[np.arange(rows), sticks - 1]
-    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
-
-
-def test_a_buffer_that_cannot_be_resized_grows_by_a_copy():
-    # A tracer that reads the frame's locals holds a reference to the stick
-    # buffer, and ndarray.resize refuses a buffer referred to elsewhere: the
-    # buffer is then grown by a copy, to the same bytes.
-    want = stick_masses_batch(4.0, EPS, 20_000, RngStream(4).generator())
-    lines, first = inspect.getsourcelines(processes._stick_rows)
-    copy = first + next(k for k, text in enumerate(lines) if "np.concatenate" in text)
-    seen = set()
-
-    def tracer(frame, _event, _arg):
-        if frame.f_code is not processes._stick_rows.__code__:
-            return None
-        seen.add(frame.f_lineno)
-        frame.f_locals  # noqa: B018  (refers to every local, the buffer too)
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        got = stick_masses_batch(4.0, EPS, 20_000, RngStream(4).generator())
-    finally:
-        sys.settrace(None)
-    assert copy in seen
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 def test_a_round_past_the_cell_budget_is_refused_before_it_is_allocated(monkeypatch):
-    # The same batch with a budget that holds its buffer and no more: the
-    # round that would grow the buffer is refused, and nothing past the
-    # buffer is allocated.
+    # The same batch with a budget that holds its buffer width and no more:
+    # the round past that width is refused before it is drawn, so the peak
+    # is the first pass's: the first block, its running sums and its cut
+    # test.
     theta, rows = 4.0, 32768
     cells = rows * processes._buffer_width(theta, EPS)
     monkeypatch.setattr(processes, "_CELL_BUDGET", cells)
@@ -725,17 +686,48 @@ def test_a_round_past_the_cell_budget_is_refused_before_it_is_allocated(monkeypa
         with pytest.raises(DomainError, match="budget"):
             stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
 
-    assert _peak_traced_bytes(refused) <= 1.1 * 8 * cells
+    first_cells = rows * processes._first_width(theta, EPS, rows)
+    assert _peak_traced_bytes(refused) <= 2.2 * 8 * first_cells
     monkeypatch.setattr(processes, "_CELL_BUDGET", cells + rows * processes._round_width(theta, EPS))
     masses, _tails = stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
     assert masses.shape[1] > processes._buffer_width(theta, EPS)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 8.0, 64.0])
+def test_a_sample_batch_peaks_below_ten_megabytes(theta):
+    # One batch of `sample`'s draws, as many rows as its cell bound allows:
+    # the stick matrix, then the sorted masses and locations.  The warm-up
+    # batch takes the allocations a first call makes.
+    from conicpd.cli import SAMPLE_BATCH_CELLS
+
+    rows = processes._batch_rows(theta, EPS, SAMPLE_BATCH_CELLS)
+
+    def batch(seed):
+        return list(processes._draw_rows(theta, EPS, rows, RngStream(seed).generator(),
+                                         normalized=False))
+
+    batch(99)
+    assert len(batch(3)) == rows
+    assert _peak_traced_bytes(lambda: batch(3)) <= 10e6
+
+
+def test_a_long_one_row_draw_peaks_below_four_and_a_half_matrices():
+    # One row at theta = 1e5 holds 2.3e6 sticks; its peak is set by the
+    # sort, which holds the masses and locations and their sorted copies.
+    out = []
+    peak = _peak_traced_bytes(lambda: out.extend(processes._draw_rows(
+        1e5, EPS, 1, RngStream(1).generator(), normalized=False)))
+    masses = out[0][0]
+    assert masses.size > 2_000_000
+    assert peak <= 4.5 * 8 * masses.size
 
 
 # sha256 of (shape, masses, tails) bytes, with the extension rounds the
 # longest row takes.  Re-frozen at 0.9.0, when the first block narrowed to
 # the Poisson mean and the runs came straight from the uniforms; the
 # recursion test below checks the same layout stick by stick.  Every batch
-# here extends, and the two largest grow their buffer in their third round.
+# here extends, and the two largest pass their budgeted width in their
+# third round.
 _STICK_BATCH_DIGESTS = {
     (0.5, 2000, 9): (2, "dbe2604caa0a709854c9af9382a285f0577e9644276ed127342c1d25df544916"),
     (1.0, 2000, 9): (2, "9919ad2cbcfa26ea41eddba73c3305043f12da3954337bc86d89bd43d8d145a5"),
@@ -755,6 +747,33 @@ def test_stick_batch_outputs_are_frozen(theta, rows, seed):
     digest.update(masses.tobytes())
     digest.update(tails.tobytes())
     assert digest.hexdigest() == want
+
+
+
+@pytest.mark.parametrize("extension", [False, True])
+@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
+def test_a_stick_pass_gives_each_row_the_bytes_of_its_own_pass(theta, rows, seed, extension):
+    # One pass over the whole matrix forms its masses on the flat matrix
+    # shifted by a cell, where a row's first column meets the row above's
+    # last; each row still gets the bytes a pass over that row alone gives.
+    # An extension pass starts from the runs its rows reached before it,
+    # here spread evenly between 0 and the cut.  Some rows close in either
+    # pass and some stay open.
+    gen = RngStream(seed).generator()
+    log_eps = math.log(EPS)
+    cols = processes._first_width(theta, EPS, rows) if not extension else (
+        processes._round_width(theta, EPS))
+    u = gen.random(rows * cols).reshape(rows, cols)
+    before = log_eps * gen.random(rows) if extension else None
+    whole = u.copy()
+    tails, cuts, ends = processes._stick_pass(theta, log_eps, whole, before)
+    assert 0 < np.count_nonzero(ends <= log_eps) < rows or rows <= 2
+    for row in range(rows):
+        alone = u[row:row + 1].copy()
+        got = processes._stick_pass(theta, log_eps, alone,
+                                    None if before is None else before[row:row + 1])
+        assert np.array_equal(alone[0], whole[row])
+        assert (got[0][0], got[1][0], got[2][0]) == (tails[row], cuts[row], ends[row])
 
 
 # ---------------------------------------------------------------------------
@@ -950,20 +969,7 @@ def test_valid_sorted_series_construct_unchanged(atoms):
 
 
 # ---------------------------------------------------------------------------
-# Row blocks: the bytes do not depend on how many blocks a pass takes
-
-
-@pytest.mark.parametrize("block_cells", [1 << 7, 1 << 3])
-@pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
-def test_stick_batch_digests_do_not_depend_on_row_blocks(monkeypatch, theta, rows, seed,
-                                                         block_cells):
-    # Blocks of at most 128 or 8 cells: a few rows a block, or one.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", block_cells)
-    test_stick_batch_outputs_are_frozen(theta, rows, seed)
-
-
-def _generator(bit_generator, seed):
-    return np.random.Generator(bit_generator(seed))
+# Other bit generators, forked children and threads draw the same bytes
 
 
 def _position(gen):
@@ -980,86 +986,11 @@ def _next_draws(gen):
     return (gen.random(5), gen.standard_gamma(0.7, 5), gen.standard_normal(5))
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32), prior=st.integers(0, 9), half=st.booleans(),
-       n=st.one_of(st.integers(0, 9), st.integers(0, 10**5)), block=st.integers(1, 4096))
-def test_drawing_uniforms_in_blocks_matches_drawing_them_at_once(bit_generator, seed, prior,
-                                                                 half, n, block):
-    # What ``_by_rows`` relies on: uniforms drawn block by block into
-    # scratch are the uniforms of one draw, and leave the generator where
-    # that draw leaves it, also with half of a 32-bit pair buffered.
-    at_once, in_blocks = _generator(bit_generator, seed), _generator(bit_generator, seed)
-    for gen in (at_once, in_blocks):
-        gen.random(prior)
-        if half:
-            gen.integers(0, 7, dtype=np.uint32)
-    want = at_once.random(n)
-    got = np.empty(n)
-    for lo in range(0, n, block):
-        in_blocks.random(out=got[lo:lo + block])
-    assert np.array_equal(got, want)
-    assert _position(in_blocks) == _position(at_once)
-    for a, b in zip(_next_draws(in_blocks), _next_draws(at_once)):
-        assert np.array_equal(a, b)
-
-
-def _at_block_cells(monkeypatch, block_cells, make_gen, call):
-    """(outputs, generator position, next draws, uniform blocks drawn) at ``block_cells``."""
-    scratch, blocks = processes._scratch, []
-
-    def counting(name, shape, dtype=float):
-        if name == "block":
-            blocks.append(shape)
-        return scratch(name, shape, dtype)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(processes, "_BLOCK_CELLS", block_cells)
-        patch.setattr(processes, "_scratch", counting)
-        gen = make_gen()
-        outputs = call(gen)
-        return outputs, _position(gen), _next_draws(gen), len(blocks)
-
-
-def _assert_same_run(default, small):
-    for a, b in zip(default[0], small[0]):
-        assert np.array_equal(a, b)
-    assert default[1] == small[1]
-    for a, b in zip(default[2], small[2]):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("theta, rows, block_cells, seed", [
-    (0.5, 2001, 1 << 7, 9),    # odd rows, uneven blocks
-    (1.0, 2, 1 << 3, 9),       # one row a block
-    (2.5, 513, 1 << 10, 9),
-    (4.0, 20_000, 1 << 12, 4),  # rows that outgrow the first block
-    (8.0, 999, 1 << 5, 9),
-])
-@pytest.mark.parametrize("offset", [0, 3])
-def test_gamma_batch_bytes_do_not_depend_on_row_blocks(monkeypatch, theta, rows, block_cells,
-                                                        seed, offset):
-    def make_gen():
-        gen = RngStream(seed).generator()
-        gen.random(offset)  # a Philox block partly spent
-        return gen
-
-    def call(gen):
-        return gamma_batch(theta, EPS, rows, gen)
-
-    default = _at_block_cells(monkeypatch, processes._BLOCK_CELLS, make_gen, call)
-    small = _at_block_cells(monkeypatch, block_cells, make_gen, call)
-    _assert_same_run(default, small)
-    assert small[3] > default[3] > 0
-    if rows == 20_000 and offset == 0:
-        assert default[0][0].shape[1] > processes._first_width(theta, EPS, rows)
-
-
-@pytest.mark.parametrize("batch", ["gamma", "stick"])
 @pytest.mark.parametrize("kind", ["half pair", "pcg64"])
-def test_other_bit_generators_give_the_same_bytes_in_any_block_count(monkeypatch, kind, batch):
-    # A Philox holding half of a 32-bit pair, and PCG64, draw their blocks
-    # in turn like a fresh Philox does.
+def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind):
+    # A Philox holding half of a 32-bit pair, and PCG64, give the batch of
+    # the column-by-column recursion on the same generator, and leave the
+    # generator where the recursion leaves it.
     def make_gen():
         if kind == "pcg64":
             return np.random.Generator(np.random.PCG64(17))
@@ -1068,57 +999,14 @@ def test_other_bit_generators_give_the_same_bytes_in_any_block_count(monkeypatch
         assert gen.bit_generator.state["has_uint32"]
         return gen
 
-    def call(gen):
-        if batch == "gamma":
-            return gamma_batch(2.0, EPS, 1001, gen)
-        return stick_masses_batch(2.0, EPS, 1001, gen)
-
-    default = _at_block_cells(monkeypatch, processes._BLOCK_CELLS, make_gen, call)
-    small = _at_block_cells(monkeypatch, 1 << 5, make_gen, call)
-    _assert_same_run(default, small)
-    assert small[3] > default[3] > 0
-
-
-def test_duck_typed_generators_draw_each_pass_in_one_call(monkeypatch):
-    # _TinyFirstBlock has random(size) only: however many blocks a pass
-    # takes, it draws the pass's matrix in one call.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 3)
-    test_stick_rows_extend_over_several_rounds()
-
-
-def test_a_failing_row_block_raises_and_no_later_block_runs(monkeypatch):
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 3)  # one row of three a block
-    seen = []
-
-    def work(lo, hi, _u):
-        seen.append(lo)
-        if lo == 2:
-            raise ValueError(f"block at row {lo}")
-
-    with pytest.raises(ValueError, match="block at row 2"):
-        processes._by_rows(8, 3, work, RngStream(0).generator())
-    assert seen == [0, 1, 2]
-    seen.clear()
-    processes._by_rows(8, 3, lambda lo, hi, _u: seen.append(lo), RngStream(0).generator())
-    assert seen == list(range(8))
-
-
-def test_row_blocks_run_in_order_on_the_calling_thread(monkeypatch):
-    # Blocks of four rows of four cells cover the pass in order, each on
-    # the caller's thread, and their uniforms are the rows of one draw.
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 16)
-    caller, blocks = threading.get_ident(), []
-
-    def work(lo, hi, u):
-        assert u.shape == (hi - lo, 4) and u.flags.c_contiguous
-        blocks.append((lo, hi, threading.get_ident(), u.copy()))
-
-    processes._by_rows(50, 4, work, RngStream(5).generator())
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == [
-        (50 * b // 13, 50 * (b + 1) // 13) for b in range(13)]
-    assert {ident for _, _, ident, _ in blocks} == {caller}
-    want = RngStream(5).generator().random((50, 4))
-    assert np.array_equal(np.concatenate([u for _, _, _, u in blocks]), want)
+    gen, want_gen = make_gen(), make_gen()
+    masses, tails = stick_masses_batch(2.0, EPS, 1001, gen)
+    want_masses, want_tails = _recursion_batch(2.0, EPS, 1001, want_gen)
+    assert masses.shape[1] > processes._first_width(2.0, EPS, 1001)
+    assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
+    assert _position(gen) == _position(want_gen)
+    for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
+        assert np.array_equal(a, b)
 
 
 def _stick_digest(theta, rows, seed):
@@ -1128,13 +1016,11 @@ def _stick_digest(theta, rows, seed):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 @pytest.mark.parametrize("name", ["stick", "gamma"])
-def test_a_forked_child_draws_the_bytes_of_its_parent(monkeypatch, name):
-    # The child inherits the parent's thread scratch, filled by the
-    # parent's draws, and draws the same bytes with it.
+def test_a_forked_child_draws_the_bytes_of_its_parent(name):
+    # A child forked after the parent has drawn draws the parent's bytes.
     import multiprocessing
 
     digest = {"stick": _stick_digest, "gamma": _gamma_digest}[name]
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 7)
     want = digest(2.0, 999, 6)
     with multiprocessing.get_context("fork").Pool(1) as children:
         got = children.apply_async(digest, (2.0, 999, 6)).get(timeout=60)
@@ -1165,12 +1051,11 @@ def _gamma_and_invariance_digests(theta, rows, seed):
 
 def test_concurrent_callers_keep_their_bytes(monkeypatch):
     # Six callers draw stick batches and pair estimates at once, switching
-    # threads every microsecond.  Their passes take several 2^16-cell
-    # blocks, whose numpy loops run outside the interpreter lock, so the
-    # threads overlap.  Each thread's passes use its own scratch, so each
-    # caller must get the bytes it gets alone.  The low cell budget stops
-    # a draw whose scratch another thread overwrote before its rounds grow
-    # the buffer to 512 MB.
+    # threads every microsecond.  Their passes are large, and their numpy
+    # loops run outside the interpreter lock, so the threads overlap.  Each
+    # pass works in arrays of its own, so each caller must get the bytes it
+    # gets alone.  The low cell budget stops a draw that another thread
+    # broke before its rounds reach 512 MB.
     monkeypatch.setattr(processes, "_CELL_BUDGET", 1 << 22)
     cases = [(0.7 + 0.5 * k, 4001 + 500 * k, k) for k in range(6)]
     want = [_gamma_and_invariance_digests(*case) for case in cases]
@@ -1215,39 +1100,18 @@ _SAMPLE_ARGV = (["sample", "--samples", "700"],
                  "--format", "csv"])
 
 
-def test_row_blocks_call_no_public_function_off_the_calling_thread(monkeypatch):
-    # A span tracer wraps every public conicpd function and keeps one span
-    # stack, so public code must run on the caller's thread only, also when
-    # every stick pass of sample takes many row blocks.
-    from conicpd import cli
-
-    caller, on_thread, off_thread = threading.get_ident(), [], []
-
-    def record(fn):
-        (on_thread if threading.get_ident() == caller else off_thread).append(fn.__qualname__)
-
-    _wrap_public(monkeypatch, record)
-    monkeypatch.setattr(processes, "_BLOCK_CELLS", 1 << 3)
-    for argv in _SAMPLE_ARGV:
-        assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
-    assert on_thread.count("main") == len(_SAMPLE_ARGV) and off_thread == []
-
-
-def test_public_calls_do_not_depend_on_the_block_count(monkeypatch):
-    # What a span tracer counts is the same in blocks of 2^16 cells, in
-    # blocks of 8, and with every draw extended in many rounds of two
-    # columns after a first block of one.  Each sample command here draws
-    # one batch.
+def test_public_calls_do_not_depend_on_the_stick_layout(monkeypatch):
+    # What a span tracer counts is the same when every draw is extended in
+    # many rounds of two columns after a first block of one.  Each sample
+    # command here draws one batch.
     from conicpd import cli
 
     counts, passes = [], []
     stick_pass = processes._stick_pass
-    for block_cells, narrow in ((processes._BLOCK_CELLS, False), (1 << 3, False),
-                                (1 << 3, True)):
+    for narrow in (False, True):
         calls = collections.Counter()
         with monkeypatch.context() as patch:
             _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
-            patch.setattr(processes, "_BLOCK_CELLS", block_cells)
             if narrow:
                 patch.setattr(processes, "_first_width", lambda theta, eps, rows: 1)
                 patch.setattr(processes, "_round_width", lambda theta, eps: 2)
@@ -1256,7 +1120,7 @@ def test_public_calls_do_not_depend_on_the_block_count(monkeypatch):
             for argv in _SAMPLE_ARGV:
                 assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
         counts.append(calls)
-    assert counts[0] == counts[1] == counts[2]
+    assert counts[0] == counts[1]
     assert counts[0]["main"] == len(_SAMPLE_ARGV) and counts[0]["stream_counts"] > 0
     assert len(passes) >= 10 * len(_SAMPLE_ARGV)
 
@@ -1359,8 +1223,9 @@ _TINY_FIRST_BLOCK_SHA256 = {
 @pytest.mark.parametrize("name", list(_TINY_FIRST_BLOCK_SHA256))
 def test_one_row_draw_past_its_first_block_is_frozen(name):
     # The row is open after its first block and closes in its third
-    # extension round, past the buffer, so a one-row draw goes through the
-    # growth path: the first block, three rounds, then the locations.
+    # extension round, past the budgeted width, so a one-row draw goes
+    # through every step: the first block, three rounds, then the
+    # locations.
     gen = _Uniforms(32, _tiny_first_block)
     draw = getattr(processes, name)(1.0, EPS, gen)
     fields = (draw.masses.tobytes() + draw.locations.tobytes()
@@ -1371,27 +1236,16 @@ def test_one_row_draw_past_its_first_block_is_frozen(name):
     assert digest == _TINY_FIRST_BLOCK_SHA256[name]
 
 
-def test_retained_scratch_is_bounded():
-    # A one-row draw at theta = 1e4 holds 2.3e5 sticks, so its one block is
-    # longer than _BLOCK_CELLS; its scratch is made for it and let go.  The
-    # draw runs on a new thread, whose scratch starts empty.  The digest,
-    # of the draw's fields and the next three uniforms, was taken when every
-    # block's scratch was kept.
-    kept, digest = [], []
-
-    def draw():
-        gen = RngStream(41).generator()
-        series = sample_gamma_process(1e4, EPS, gen)
-        fields = (series.masses.tobytes() + series.locations.tobytes()
-                  + struct.pack("<dd", series.total_mass, series.tail_bound))
-        digest.append(hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest())
-        kept.extend(array.size for array in getattr(processes._local, "arena", {}).values())
-
-    thread = threading.Thread(target=draw)
-    thread.start()
-    thread.join()
-    assert max(kept, default=0) <= processes._BLOCK_CELLS
-    assert digest == ["c2473a4e9f6c318be387326aaea3095c6233bece4f27aec2da98a188dc1d3f82"]
+def test_a_long_one_row_draw_is_frozen():
+    # A one-row draw at theta = 1e4 holds 2.3e5 sticks.  The digest, of the
+    # draw's fields and the next three uniforms, was taken when its stick
+    # pass ran in row blocks with per-thread scratch.
+    gen = RngStream(41).generator()
+    series = sample_gamma_process(1e4, EPS, gen)
+    fields = (series.masses.tobytes() + series.locations.tobytes()
+              + struct.pack("<dd", series.total_mass, series.tail_bound))
+    digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
+    assert digest == "c2473a4e9f6c318be387326aaea3095c6233bece4f27aec2da98a188dc1d3f82"
 
 
 def _fields(obj):
@@ -1442,11 +1296,11 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
 
 
 def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
-    # At theta 0.3 and eps 0.25 both rows of stream 2 keep one atom of an
-    # 8-column buffer: a (2, 1) view, which numpy 2.4 negates wrongly in
-    # place.
-    rows = list(processes._draw_rows(0.3, 0.25, 2, RngStream(2).generator(), normalized=True))
-    masses, locations, _totals, tails = gamma_batch(0.3, 0.25, 2, RngStream(2).generator())
+    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of an
+    # 8-column first block: a (2, 1) view, which numpy 2.4 negates wrongly
+    # in place.
+    rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(), normalized=True))
+    masses, locations, _totals, tails = gamma_batch(0.3, 0.01, 2, RngStream(23).generator())
     assert masses.shape == (2, 1) and masses.strides[0] == 8 * masses.itemsize
     for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
         assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
@@ -1482,9 +1336,9 @@ def test_scalar_draws_refuse_a_nan_mass(monkeypatch, sampler):
 
 def test_gamma_draw_refuses_masses_that_underflow_when_scaled():
     # A subnormal total is a valid total, but the smallest masses times it
-    # round to zero.
+    # round to zero: a numerical failure, not an invalid configuration.
     gen = _Uniforms(7, lambda _call, u: u, total=1e-316)
-    with pytest.raises(DomainError, match="^atom masses must be finite and strictly positive$"):
+    with pytest.raises(NumericalError, match=r"underflow .* total mass 1e-316$"):
         sample_gamma_process(3.0, EPS, gen)
     # The same masses at a normal total pass.
     series = sample_gamma_process(3.0, EPS, _Uniforms(7, lambda _call, u: u, total=1e-3))
