@@ -197,9 +197,10 @@ def _fmt(value):
 
 _SAMPLE_DRAW_COLS = ["total_mass", "tail_bound", "log_weight", "seed", "stream_id"]
 _SAMPLE_COLS = ["draw", "atom", "mass", "location"] + _SAMPLE_DRAW_COLS
-# Most stick cells (rows x ``processes._buffer_width`` columns) that one
-# batch of `sample` draws is budgeted for, with at least one row.  It fixes which draws
-# share a stick pass, and so the output bytes: the meta line records it.
+# Most cells of a batch of `sample` draws' first stick block (rows x
+# ``processes._buffer_width`` columns), with at least one row.  It fixes
+# which draws share a stick pass, and so the output bytes: the meta line
+# records it.
 SAMPLE_BATCH_CELLS = 1 << 18
 
 

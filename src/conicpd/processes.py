@@ -12,11 +12,11 @@ the draw as ``tail_bound`` so estimator bias can always be budgeted against
 the Monte Carlo error.  Every draw goes through one recursion,
 ``_stick_rows``.  The steps of a row's running sum of log(1 - y) form a
 rate-theta Poisson process, so a draw needs 1 + Poisson(theta log(1/eps))
-sticks: the first block holds about that mean plus a margin that is wide
-for few rows and narrow for many, and the rows still open are extended in
-short rounds.  A draw is budgeted for its rows at the Poisson count's far
-quantile and refused, with ``DomainError``, beyond a fixed cell budget, as
-is the rare round past that width that would take it over the budget.  The
+sticks: the first block is that mean plus four standard deviations and
+four columns wide, which fewer than 3 rows in 10^5 outrun, and the rows
+still open are extended in short rounds.  A draw is budgeted for its rows
+at that width and refused, with ``DomainError``, beyond a fixed cell
+budget, as is the rare round that would take it over the budget.  The
 first block and each extension round are one stick pass, ``_stick_pass``,
 over a matrix of their own; an extension starts from the run its rows
 reached before it.  Only when some row extended are the passes copied once
@@ -25,15 +25,18 @@ into one zero-padded matrix.
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
 case.  The stick pass forms the masses and each row's cut; the locations
-and, for unnormalized draws, the gamma totals follow, in that order, and
-each row is sorted by decreasing mass with one stable argsort and scaled
-by its total.  A row skips ``WeightedAtomSeries``'s O(K) checks that its
-construction implies: the sort orders finite masses, scaling by a
-positive total keeps the order, and ``gen.random`` puts every location in
-[0, 1).  It keeps the O(1) end checks (the last kept mass positive, which
-NaN fails too, and the first finite), the total, the tail and, for
-normalized draws, the sum.  A kept mass of zero is a zero stick, refused
-as such, or, once scaled, an underflow of the total's product, a
+and, for unnormalized draws, the gamma totals follow, in that order.  Each
+row's masses are sorted in place, read in decreasing order and scaled by
+its total, and its locations stay in draw order: i.i.d. uniforms,
+independent of the masses, keep their law whatever mass each one is paired
+with.  A row skips ``WeightedAtomSeries``'s O(K) checks that its
+construction implies: the sort orders finite masses, scaling by a positive
+total keeps the order, and ``gen.random`` puts every location in [0, 1).
+It keeps the O(1) end checks (the last kept mass positive, which NaN fails
+too, and the first finite), the total, the tail and, for normalized draws,
+the sum.  A kept mass of zero is a zero stick, refused as such, unless eps
+is so small that the least mass a kept stick can carry underflows; that,
+and a kept mass that scaling by the total takes to zero, are a
 ``NumericalError``.
 
 Threads: conicpd starts none.  Each stick pass draws its (rows, cols)
@@ -181,14 +184,13 @@ def _stick_block(u, theta, steps):
 
 
 # Most cells (rows x columns) a draw is budgeted for: its rows at
-# ``_buffer_width`` columns, and again at each round past that width.  2^26
-# cells are 512 MB per float array.  At 32768 rows and eps = 1e-10 the
-# budget holds the buffer width up to theta = 80.
+# ``_buffer_width`` columns, and again at the width each extension round
+# takes them to.  2^26 cells are 512 MB per float array.
 _CELL_BUDGET = 1 << 26
 
 
 def _buffer_width(theta, eps):
-    """Budgeted columns of a draw at (theta, eps), where its rounds break (see ``_stick_rows``)."""
+    """Columns of a draw's first stick block at (theta, eps), the width it is budgeted for."""
     m = -theta * math.log(eps)
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
@@ -206,31 +208,6 @@ def _budgeted(theta, eps, rows, width):
             f"theta*log(1/eps) = {-theta * math.log(eps):.4g} expected sticks per draw over "
             f"{rows} rows exceeds the {_CELL_BUDGET}-cell sampler budget; {fix}")
     return width
-
-
-# Margin of a draw's first stick block, in standard deviations of its stick
-# count: wide for few rows, whose extension round would cost more than the
-# cells it saves, and narrow for many, which extend a few rows anyway.  The
-# switch goes by rows * sqrt(m), the cells one unit of margin costs.
-_WIDE_MARGIN, _NARROW_MARGIN = 4.0, 0.75
-_WIDE_CELLS, _NARROW_CELLS = 1 << 8, 1 << 12
-
-
-def _first_width(theta, eps, rows):
-    """Columns of the first stick block of a ``rows``-row draw at (theta, eps) (see ``_stick_rows``).
-
-    At most ``_buffer_width(theta, eps)``, since the margin is at most 4.
-    """
-    m = -theta * math.log(eps)
-    scale = rows * math.sqrt(m)
-    if scale <= _WIDE_CELLS:
-        margin = _WIDE_MARGIN
-    elif scale >= _NARROW_CELLS:
-        margin = _NARROW_MARGIN
-    else:
-        share = math.log(scale / _WIDE_CELLS) / math.log(_NARROW_CELLS / _WIDE_CELLS)
-        margin = _WIDE_MARGIN + share * (_NARROW_MARGIN - _WIDE_MARGIN)
-    return math.ceil(1.0 + m + margin * math.sqrt(m))
 
 
 def _round_width(theta, eps):
@@ -260,56 +237,46 @@ def _stick_rows(theta, eps, rows, gen):
 
     Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so the
     steps of run form a rate-theta Poisson process, and a draw needs
-    1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block has
-    ceil(1 + m + a sqrt(m)) columns (``_first_width``): a = 4 while rows *
-    sqrt(m) is at most 2^8, so one-row draws and small batches seldom
-    extend; a = 0.75 from 2^12 on, where some rows extend anyway and a
-    narrow block saves more cells than the rounds cost; log-linear between.
-    The rows still open are extended in rounds of max(4, ceil(2 sqrt(m)))
-    columns (``_round_width``), each one ``_stick_pass`` over those rows
-    only, so the work stays linear in the sticks drawn.
+    1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block is
+    the budgeted width, ``_buffer_width``: ceil(1 + m + 4 sqrt(m)) + 4
+    columns, which fewer than 3 rows in 10^5 outrun.  The rows still open
+    are extended in rounds of max(4, ceil(2 sqrt(m))) columns
+    (``_round_width``), each one ``_stick_pass`` over those rows only, so
+    the work stays linear in the sticks drawn.
 
-    Memory: a draw is budgeted for rows x ``_buffer_width`` cells,
-    ceil(1 + m + 4 sqrt(m)) + 4 columns, which fewer than 3 rows in 10^5
-    outrun; a draw whose budget exceeds ``_CELL_BUDGET`` cells is refused
-    with ``DomainError`` before anything is allocated.  Rounds end at that
-    width's last column, and a round that starts there widens it by one
-    round, refused alike past the budget.  The first block and each round
-    are matrices of their own.  Only when some row extended are they copied
-    once into a zeroed (rows, K) matrix; otherwise the first block, trimmed
-    to K columns, is returned.  ``theta`` and ``eps`` must be checked
-    floats.
+    Memory: a draw whose rows x ``_buffer_width`` cells exceed
+    ``_CELL_BUDGET`` is refused with ``DomainError`` before anything is
+    allocated, and so is a round that would take the rows' width past it.
+    The first block and each round are matrices of their own.  Only when
+    some row extended are they copied once into a zeroed (rows, K) matrix;
+    otherwise the first block, trimmed to K columns, is returned.
+    ``theta`` and ``eps`` must be checked floats.
     """
     log_eps = math.log(eps)
-    limit = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
-    width = _first_width(theta, eps, rows)
+    width = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
     first = gen.random(rows * width).reshape(rows, width)
     tails, cut, last = _stick_pass(theta, log_eps, first)
     grow = (last > log_eps).nonzero()[0]
     rounds, add, start = [], _round_width(theta, eps), width
     while grow.size:
         # A row still open here has no cut yet; it is found in the round
-        # that closes the row.  A round ends at the budgeted width's last
-        # column, and one that starts there widens it by a round: these
-        # ends fix which uniforms each round draws.
-        if start == limit:
-            limit = _budgeted(theta, eps, rows, limit + add)
-        end = min(start + add, limit)
-        ext = gen.random(grow.size * (end - start)).reshape(grow.size, end - start)
+        # that closes the row.
+        _budgeted(theta, eps, rows, start + add)
+        ext = gen.random(grow.size * add).reshape(grow.size, add)
         ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, ext, before=last[grow])
         rounds.append((grow, start, ext))
         closing = ext_last <= log_eps
         cut[grow[closing]] = start + ext_cut[closing]
         tails[grow[closing]] = ext_tails[closing]
         last[grow] = ext_last
-        grow, start = grow[~closing], end
+        grow, start = grow[~closing], start + add
     cols = int(cut.max()) + 1
     if not rounds:
         return first[:, :cols], tails, cut
     masses = np.zeros((rows, cols))
     masses[:, :width] = first
     for grow, start, ext in rounds:
-        masses[grow, start:start + ext.shape[1]] = ext[:, :cols - start]
+        masses[grow, start:start + add] = ext[:, :cols - start]
     return masses, tails, cut
 
 
@@ -443,22 +410,21 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     The batch draws the stick pass, then the (rows, K) location uniforms,
     then, unless ``normalized``, the gamma totals, which scale each row's
     masses and tail (a normalized draw has total 1.0 and draws no totals).
-    Each row's masses and locations are sorted by decreasing mass and cut
-    to the row's own atoms; they are views of the batch's matrices.  Only
+    Each row's masses are sorted in place and read in decreasing order, and
+    its locations are its uniforms in draw order: they are i.i.d. and
+    independent of the masses, so pairing them by rank keeps the law.  Both
+    are cut to the row's own atoms, as views of the batch's matrices.  Only
     the checks the construction does not imply run (see the module
     docstring), through the constructor's own helpers, so a refusal stops
     the draws at the row that fails it.
     """
     theta, eps = _check_theta_eps(theta, eps)
     masses, tails, cuts = _stick_rows(theta, eps, rows, gen)
-    # One stable argsort orders each row by decreasing mass: the zeros right
-    # of its cut follow its atoms, and NaN sorts last.  (Not negated in place:
-    # numpy 2.4 negates a one-column view of an 8-column matrix wrongly.)
-    order = np.argsort(-masses, axis=1, kind="stable")
-    index = np.arange(rows)
-    masses = masses[index[:, None], order]
-    locations = gen.random(masses.shape)[index[:, None], order]
-    smallest = masses[index, cuts].tolist()
+    # Read decreasing, each row's zeros right of its cut follow its atoms.
+    masses.sort(axis=1)
+    masses = masses[:, ::-1]
+    locations = gen.random(masses.shape)
+    smallest = masses[np.arange(rows), cuts].tolist()
     if normalized:
         totals = [1.0] * rows
     else:
@@ -469,12 +435,15 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     for row, (cut, low, total, tail) in enumerate(zip(cuts.tolist(), smallest, totals,
                                                       tails.tolist())):
         if not low > 0.0:
-            # A kept mass of 0 is a zero stick (u = 0 at theta != 1): every
-            # kept cell's stick product exceeds eps, so it does not underflow
-            # unless eps is below about 1e-290.
-            if not np.isnan(masses[row]).any():
+            if np.isnan(masses[row]).any():
+                raise DomainError(_MASS_RANGE)
+            # Every kept stick's residual exceeds eps, and a stick is at
+            # least 2^-53 / theta unless its uniform is 0, so a kept mass
+            # of 0 is a zero stick unless that bound itself underflows.
+            if eps * 2.0**-53 / theta > 0.0:
                 raise DomainError(_STICK_RANGE)
-            raise DomainError(_MASS_RANGE)
+            raise NumericalError(f"atom masses underflow to 0 at truncation eps {eps!r}; "
+                                 f"raise eps")
         kept = masses[row, :cut + 1]
         if not kept[-1] > 0.0:  # a positive mass times a positive total
             raise NumericalError(f"atom masses underflow to 0 when scaled by the draw's "

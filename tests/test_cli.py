@@ -177,7 +177,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.14.0"
+    assert meta["version"] == "0.15.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -527,7 +527,7 @@ def test_a_round_past_the_cell_budget_exits_2(tmp_path):
     width = processes._buffer_width(40.0, 1e-10)
     rows = cli.SAMPLE_BATCH_CELLS // width
     out = tmp_path / "draws.json"
-    proc = _run_capped("sample", "--theta", "40", "--samples", str(4 * rows), "--seed", "81",
+    proc = _run_capped("sample", "--theta", "40", "--samples", str(4 * rows), "--seed", "262",
                        "--out", str(out), budget=rows * width)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "sampler budget" in proc.stderr and "--samples" in proc.stderr
@@ -935,44 +935,45 @@ def test_csv_text_cells_with_commas_stay_in_their_column(capsys, argv, key, text
 # sample --format F --process P --theta T --streams S --samples 3 --seed 7,
 # frozen at version 0.5.0 (batched draws), once the records had matched
 # test_sample_records_are_sorted_gamma_batch_rows, and re-frozen at 0.9.0
-# with the stick batches.
+# with the stick batches and at 0.15.0, when the first block became the
+# budgeted width and the locations came in draw order.
 _SAMPLE_BODY_SHA256 = {
-    ("json", "dirichlet", 1, 1): "12bcd0dce0c616e4e8ad61b2b62a6f81902318afc678f8456cabf1460cd6e26d",
-    ("json", "dirichlet", 1, 2): "9332cfdaa1bafbedca69e17ed63a33eaf6c243535c9c6c6231a0076af57c8572",
-    ("json", "dirichlet", 8, 1): "f3154fc5980674ba1c4cd30b2d9663065959e8f2b4f4047b0210d40346836760",
-    ("json", "dirichlet", 8, 2): "3f30af03858fe2c843dcf080c44d6654d167064f7f6862dcb28bd6a4c6283c5d",
-    ("json", "dirichlet", 64, 1): "8fa564381ca52636492d00c02ff4c102b5671eb4a61d1ceb0d48794e3a2669d8",
-    ("json", "dirichlet", 64, 2): "5ce51f5107e8017dee22b97ebc1d77ddc20f4ed25c729a8c3137d681623d0ef6",
-    ("json", "gamma", 1, 1): "daea83c34968050ac497d71c4953d2db0afef3a7f4de5833f127a44b8263d920",
-    ("json", "gamma", 1, 2): "23e94e1284e072fe823f12e213c1ac74deee219d73d1a719f46c7f7c407be040",
-    ("json", "gamma", 8, 1): "cfe81a54784a1e91b41e393186a2dedc2120feb8d1c96f237ff206bf7042681e",
-    ("json", "gamma", 8, 2): "7f1022793f7799300509f2fd22e241da37f3350546dc29e97e2176834a334a79",
-    ("json", "gamma", 64, 1): "c433b602a1508cad927c7fa500074e24ce176d19f1bc65be9df9286308b44d94",
-    ("json", "gamma", 64, 2): "e03325f3ac11af707bb8374fc2c1e32358fa65254788e0320c478b80ad1a7667",
-    ("json", "lebesgue", 1, 1): "7fb59634f953e807a1a568f2959c884305dc71342266c189a43bb9389e1763ab",
-    ("json", "lebesgue", 1, 2): "7670ac3d431910b1d2a943b538ee41907d934a49c6ad576d9d5903388b7feb17",
-    ("json", "lebesgue", 8, 1): "328bfe671dc78d91dce71d68bcf15aee5949ec16cfcd1118b19eb126d5a22db8",
-    ("json", "lebesgue", 8, 2): "5d07ac540f926a34d8cfb0088efcd044e8c9d69dbef548b7dfc86e2996c0c253",
-    ("json", "lebesgue", 64, 1): "95ae121f66a89dc5b0aab79771dc94956d9cd9525dc7309733b6c6b3e1d27b66",
-    ("json", "lebesgue", 64, 2): "e3ef70005ba655f914718784ef109a263364c133229b554b2cfac8070ab90b01",
-    ("csv", "dirichlet", 1, 1): "f8ff35b382154c87762680fa830cc067c702499cf15f2d2181c3de4e4660fa79",
-    ("csv", "dirichlet", 1, 2): "d9fa2459f65ed58d665d730ab5a6c8b1eb94cc4a2620c4a17fca6e1a8c74ce82",
-    ("csv", "dirichlet", 8, 1): "8e9429c91bc7033dd173219ce7d39b935166d50d0ab3430aaf93e1b1c6b06a59",
-    ("csv", "dirichlet", 8, 2): "ec3bf0efe4061487534bd5d78725ac64802f5f20d93423f54005dba48ac2c7e4",
-    ("csv", "dirichlet", 64, 1): "f4f5a6036a2a6ab2cdaa962a1ffa41ecc711c5841c51d39d2288a3547dfd278d",
-    ("csv", "dirichlet", 64, 2): "cee16305237d424ef804d0c374245094d69e47a7266d5f115c0823066e12d5bd",
-    ("csv", "gamma", 1, 1): "ae74273b559841f6a3893e1d68cd3b3b81bb9904ae2282a0a1588f78b708e905",
-    ("csv", "gamma", 1, 2): "85163221d4dc3afa6ac555e764a46c895079b4ad7d132fcd4e766088879b8513",
-    ("csv", "gamma", 8, 1): "894d981dda46ff434450c34b543d1ee589127d3384d8b8ead07902f29d03cdd2",
-    ("csv", "gamma", 8, 2): "24d068ca1038cc7686e71a90b07f12825190613450f3210b871d69992d35c66d",
-    ("csv", "gamma", 64, 1): "2bf1f5e50f7f742d6b24a21036031f1a1e22bf9c97a4812ce431c29ab0179017",
-    ("csv", "gamma", 64, 2): "14a4c5af6c2cd6c22378a3feabce5f2850d597dba8464716338936424bd3eaef",
-    ("csv", "lebesgue", 1, 1): "cbef4d7b630d90f3ad72fae4710e005e7fe81126f9fcd569a045d2f30d9ce90f",
-    ("csv", "lebesgue", 1, 2): "4df4015a8a7bcb893deb5bf35af755d2ba3c49bc10bc598d179bfb527a0955ef",
-    ("csv", "lebesgue", 8, 1): "5e6cb98190d065f24df852168e40d62e55199be79a1ae65029f7229aa7af75d2",
-    ("csv", "lebesgue", 8, 2): "447749b53218e39e22d24bbea988a98b0639316b9848a93a7c26bde555371aad",
-    ("csv", "lebesgue", 64, 1): "77a3105916ae69bb67ca362f40cb5df4e7667309887b10ad3c4ead7c777c21f7",
-    ("csv", "lebesgue", 64, 2): "44ffa5cc4a881b712a1ffdb32ab8f92009203fd94ebf8beb4902648739e80927",
+    ("json", "dirichlet", 1, 1): "3f5f61caa654add11568718568250ff774ad9b65d3c2e57d1a3c98939bd2c7e5",
+    ("json", "dirichlet", 1, 2): "49b11aea40360f0d5b212da93d1e579625abc473820c79384fe7c2d2e4085ef3",
+    ("json", "dirichlet", 8, 1): "e58aae6467610b47c46b99c6cbf5a284c719d8fb1702ae5c8e7a2847f043271e",
+    ("json", "dirichlet", 8, 2): "4e9a23f206c0937878160322e015d66d84d1a0d96d49adb87f58355699b2ac90",
+    ("json", "dirichlet", 64, 1): "509b271dac5614db40892e57a7854f2881c7aee841b00324111ee81b15432141",
+    ("json", "dirichlet", 64, 2): "86f5ebcf98aed85c4335cbbd759eed165d5d343740d52ab1657801a2dd4c3121",
+    ("json", "gamma", 1, 1): "f2ed828710d5e90c8ef1bae9783183111c38cf347860866cbfb54fc376ed0845",
+    ("json", "gamma", 1, 2): "b3330b3c918f58c33ad163706d9c77f038f0f5d2d1e371393c5a4eb0683173e8",
+    ("json", "gamma", 8, 1): "0917ebce0fb75201b90a686fe497753d3b181220639e747f06da833b723be085",
+    ("json", "gamma", 8, 2): "82b39fe886d8b5a97cff6450b1c6bfbe28d5c712a3793245dfa77df7b092d515",
+    ("json", "gamma", 64, 1): "d03cdda8189a01bb5c74ec765b712cae0a8d3e02886d36878647e95443c92169",
+    ("json", "gamma", 64, 2): "f66f2c15724969693dd8d025d90aed861c8cff77d14186902f006f4b1390f8de",
+    ("json", "lebesgue", 1, 1): "c37486db6ff110d177e71b771d9cf75912536bf26152bdedfc3e29d793830cbd",
+    ("json", "lebesgue", 1, 2): "39773040e7d12748427812711ddf3090b5893879bb718987366c4dddaa919c68",
+    ("json", "lebesgue", 8, 1): "8969bb6b7cfee09ba76d5482b66881ebb1b5ea671a92ff0185ee8031e1a96631",
+    ("json", "lebesgue", 8, 2): "763146af9eda5735e1761f2c36a0a56e5f5afc52499a39803c61d15eb6fea22a",
+    ("json", "lebesgue", 64, 1): "480b25ca87211ebdf99f05feefb1860c45bb76d89793b0618d3a912e1f724c92",
+    ("json", "lebesgue", 64, 2): "5e49cd6732f234e82d4a850a93c2b681dcbcf2c14f9d2160aec701632e72ceef",
+    ("csv", "dirichlet", 1, 1): "7f59744bf2dd5030d26d5138c82d72090ddcc5969114cbcb4767c316e7734a2f",
+    ("csv", "dirichlet", 1, 2): "89e5b5d915970d93c1050d7c565f57fd236ad910f709c8733e54279da391b009",
+    ("csv", "dirichlet", 8, 1): "2d4014b988a1190939c18794b4d9be0dbfcde6419daa792ffc2e681217fcd5e7",
+    ("csv", "dirichlet", 8, 2): "440b0de02fbcac36528d40c1b0607497904726b36bb9f0ad192654c4e8d6b2c7",
+    ("csv", "dirichlet", 64, 1): "b8f28968954690d32798cbfafd67e98756fb93ef3186195de1e2142cb54939ee",
+    ("csv", "dirichlet", 64, 2): "5a7b8f4231f9e198265f52c82a05a0a0bd04455776a091e74d90e66117f7fdb4",
+    ("csv", "gamma", 1, 1): "4668f657d5d4d8fc92e9a43dd53492472a93deedca97babaabf02e468563eca3",
+    ("csv", "gamma", 1, 2): "68a317bb1342be542256a6e274e29d5fda40c3341d4546ceb70be7f8d67e4f00",
+    ("csv", "gamma", 8, 1): "8cbde13e0c6a1cf70708bdfb31201e7060a0799ba471f390cf5941139476c5fe",
+    ("csv", "gamma", 8, 2): "2b07f4f890437466d30acf9992c61dabcec2e74ac6660cf0bda9807e77db728a",
+    ("csv", "gamma", 64, 1): "01cec3c65c18df9e26e23a36864325cdaa86d96dd2506b79c2db43b683f9bd68",
+    ("csv", "gamma", 64, 2): "c4b14931f8c1b4d96a99bcc5c1141dc1b0e5ae7fd577101286e1a7af0fc76dae",
+    ("csv", "lebesgue", 1, 1): "ec6be38f1f4f3518d03636275b4f8e948bead9984e15cd479d75dedcf986cc55",
+    ("csv", "lebesgue", 1, 2): "b752ee994fe67ddb71698e879cb8e08f7f3bdd726f25368e173128b9437407a6",
+    ("csv", "lebesgue", 8, 1): "74bd4bb5f217ae8145546d3cb9fdbe9e611db31b4859744285566bc39816fddc",
+    ("csv", "lebesgue", 8, 2): "02cf3ab834f2c8e45cf3f5b54230299f3061c5774c4d2f16eb5393ed330587ad",
+    ("csv", "lebesgue", 64, 1): "cb798e061931e4786e50429357a936aead0a55517eb2937a8379c6dc6afe1dce",
+    ("csv", "lebesgue", 64, 2): "97a729234c53fcfe565d454a26c6eed32b9dbc06bf6ee2952298b2788c5d489e",
 }
 
 
@@ -989,20 +990,20 @@ def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
 
 # sha256 of every line after the meta line of the bench's draws-shaped
 # sample --theta T --process P --format F --samples N --seed 14, frozen at
-# version 0.5.0 and re-frozen at 0.9.0 like the table above.
+# version 0.5.0 and re-frozen at 0.9.0 and 0.15.0 like the table above.
 _DRAWS_BODY_SHA256 = {
-    (1, 150, "gamma", "json"): "00653d93ca3334e5573f9e92a44fc67b85b0927693aed94cb5cd9e397bb4dd8c",
-    (1, 150, "gamma", "csv"): "ad3e2e973c6bd99558b2f67cc775d6d21b97a29c4bc54a91d1401b8b486cc7de",
-    (1, 150, "lebesgue", "json"): "a349d8668a2ddf261e2792851dec833bb783bd22e942c8f7bb0b233a33f68111",
-    (1, 150, "lebesgue", "csv"): "c42ce884e8fdee20aeecf5c0be8357e762432d2f4fd8feadf8305c8bb28e3152",
-    (8, 25, "gamma", "json"): "c32437e81ce0dd1262e302c26b57346807af4f2a97d679e9cfe8f3d76ff6425d",
-    (8, 25, "gamma", "csv"): "1484dd16403f0523cb759477e5af685f0647ad3cdf33c442ae01d77256ccdd50",
-    (8, 25, "lebesgue", "json"): "90c936be6a9301a304c23cd7c3f8aa26ed4be120338c1286af80a1bdb0693905",
-    (8, 25, "lebesgue", "csv"): "3c5b6bb45a7f44c452ed490b5147b26243915698b0c3fea1bb6e2880533c7a09",
-    (64, 4, "gamma", "json"): "d8a018fb634eae0dd7c8fb040be232be03a9dcb3592520fa9bb6f5f09f47758b",
-    (64, 4, "gamma", "csv"): "01e9b9c73da212c36993235f4b61eefaf6ce3c00b2be3e96149686961c86ba41",
-    (64, 4, "lebesgue", "json"): "208e671aa579c87d48e1808a39ffddb58f4ffdb3dd3fcaa3ef62f8bcf2dc0c69",
-    (64, 4, "lebesgue", "csv"): "2ac904bbe385d04f4a23491f721f2b153dc3ae7212739c939dec70d1af561ae7",
+    (1, 150, "gamma", "json"): "1aa7c9b3230fa640d045869920eaa6123d0983b5fe07ce968c38bf07e66a7f6c",
+    (1, 150, "gamma", "csv"): "daac8b9c2acdefa83be137f593dd47201948370abb71893df68e625cbce9ada3",
+    (1, 150, "lebesgue", "json"): "176086755cd8191a664ca1d8b0726aed8c8a728ce7630bc9df64cb14cc37e2cc",
+    (1, 150, "lebesgue", "csv"): "cc7efdaffda49fee84a03ea4189c54d1be7f38f43273cfae06db35e1939aa404",
+    (8, 25, "gamma", "json"): "033c9ffb5455a05854bdec72fcea30c92cdd0c8aa4183c0e85df65827295e20c",
+    (8, 25, "gamma", "csv"): "a7951edd9abbb03b2e94079a5e8609b55ac93f8e04a4d1fd0ca8807467cdd03b",
+    (8, 25, "lebesgue", "json"): "e0f4c668754fce1ebcfdbf6467974611b209af659e1be8bec99e1fb483d6d0c0",
+    (8, 25, "lebesgue", "csv"): "e1828fde94f742f8c5cd315d13d72eecc1e5acb56d4ae5a79f918618bf5a32f7",
+    (64, 4, "gamma", "json"): "53ef8f88b380ce343f6325277a77251f472fbbfecab44f2ba8aecb74d063a9ea",
+    (64, 4, "gamma", "csv"): "c8fc27b5ad2616c56e276ef2763078c25caf7f68f08236a8d5288e4e90a2e6ed",
+    (64, 4, "lebesgue", "json"): "9753617aa495e34eef39adbdcbbf16604fdd943d52f8ab32281370aa26ba8a59",
+    (64, 4, "lebesgue", "csv"): "cb8113a937cd7514b65285a0228ebcc09a7318cc3319c01ed80f7a53135c1d5f",
 }
 
 
@@ -1035,13 +1036,18 @@ def sample_records(out, fmt):
 
 
 def expected_sample_rows(process, batch):
-    """``sample``'s records of a ``gamma_batch`` batch: each row sorted by decreasing mass."""
+    """``sample``'s records of a ``gamma_batch`` batch.
+
+    Each row's masses are sorted decreasing and its locations are the first
+    of its row of uniforms, in draw order.
+    """
     masses, locations, totals, tails = batch
     rows = []
     for m, x, total, tail in zip(masses, locations, totals.tolist(), tails.tolist()):
-        order = np.argsort(-m, kind="stable")[:np.count_nonzero(m)]
+        atoms = np.count_nonzero(m)
         scale = 1.0 if process == "dirichlet" else total
-        rows.append({"masses": m[order] * scale, "locations": x[order], "total_mass": scale,
+        rows.append({"masses": np.sort(m)[::-1][:atoms] * scale, "locations": x[:atoms],
+                     "total_mass": scale,
                      "tail_bound": tail * scale,
                      "log_weight": total if process == "lebesgue" else 0.0})
     return rows
@@ -1062,8 +1068,9 @@ def assert_records_match(records, expected):
 @pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
 def test_sample_records_are_sorted_gamma_batch_rows(capsys, process, theta, fmt, streams):
     # One batch per stream here: the stream's records are the rows of one
-    # gamma_batch call on its generator, each sorted by decreasing mass, the
-    # masses and tail scaled by the total (a dirichlet draw has total 1).
+    # gamma_batch call on its generator, each with its masses sorted
+    # decreasing and its locations in draw order, the masses and tail
+    # scaled by the total (a dirichlet draw has total 1).
     samples, seed = 5, 23
     code, out, err = run_cli(capsys, [
         "sample", "--process", process, "--theta", str(theta), "--format", fmt,
@@ -1119,15 +1126,28 @@ def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
 def test_a_gamma_draw_whose_masses_underflow_when_scaled_exits_3(capsys):
     # At theta = 0.001 and eps = 1e-100 a draw keeps masses down to near
     # eps, and its Gamma(theta) total is often far below 1e-200, so their
-    # product can round to 0 (16 of the one-draw seeds 0-199): a numerical
-    # failure of a valid configuration.  Seed 0's sixth draw is the first;
-    # the five before it are already written.
+    # product can round to 0 (13 of the one-draw seeds 0-199): a numerical
+    # failure of a valid configuration.  Seed 0's tenth draw is the first;
+    # the nine before it are already written.
     code, out, err = run_cli(capsys, ["sample", "--theta", "0.001", "--eps", "1e-100",
                                       "--samples", "200"])
     assert code == 3 and err.startswith("conicpd: numerical failure") and "total mass" in err
     records = json_lines(out)
     assert "batch_cells" in records[0]
-    assert [record["draw"] for record in records[1:]] == list(range(5))
+    assert [record["draw"] for record in records[1:]] == list(range(9))
+
+
+def test_a_kept_mass_that_underflows_at_subnormal_eps_exits_3(capsys):
+    # At eps = 1e-320 a kept stick's mass y * exp(run) can round to 0, which
+    # used to be refused as a zero stick (exit 2).  Seed 0's 107th draw, in
+    # its second batch, is the first such; the 106 before it are written.
+    code, out, err = run_cli(capsys, ["sample", "--theta", "4", "--eps", "1e-320",
+                                      "--samples", "200"])
+    assert code == 3 and err.strip() == ("conicpd: numerical failure: atom masses underflow "
+                                         "to 0 at truncation eps 1e-320; raise eps")
+    records = json_lines(out)
+    assert "batch_cells" in records[0]
+    assert [record["draw"] for record in records[1:]] == list(range(106))
 
 
 @pytest.mark.parametrize("flags", [

@@ -245,16 +245,17 @@ def test_lebesgue_weighting():
 @pytest.mark.parametrize("sticks, order", [
     ([0.2, 0.5, 0.3], [1, 2, 0]),
     ([0.5, 0.3, 0.2], [0, 1, 2]),
-    ([0.25, 0.5, 0.25], [1, 0, 2]),  # ties keep their stick order
+    ([0.25, 0.5, 0.25], [1, 0, 2]),
 ])
-def test_draws_sort_masses_and_locations_together(monkeypatch, sticks, order):
-    # Masses in stick order come back decreasing, each with its own location.
+def test_draws_sort_masses_and_keep_locations_in_draw_order(monkeypatch, sticks, order):
+    # Masses in stick order come back decreasing; the locations, i.i.d. and
+    # independent of the masses, come in the order they were drawn.
     monkeypatch.setattr(processes, "_stick_rows",
                         lambda *args: (np.array([sticks]), np.array([0.0]), np.array([2])))
     locations = RngStream(8).generator().random((1, 3))[0]
     series = sample_dirichlet_process(1.0, EPS, RngStream(8))
     assert np.array_equal(series.masses, np.array(sticks)[order])
-    assert np.array_equal(series.locations, locations[order])
+    assert np.array_equal(series.locations, locations)
 
 
 @pytest.mark.parametrize("process", ["dirichlet", "gamma", "lebesgue"])
@@ -412,25 +413,21 @@ def test_gamma_batch_layout():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-def _block_ends(theta, eps, rows):
+def _block_ends(theta, eps):
     """Columns at which a draw's first block and each later extension round end, endlessly.
 
-    The layout of ``_stick_rows``: a round adds ``_round_width`` columns, but
-    ends at the last column of the budgeted width (``_buffer_width``); a
-    round that starts there widens it by one round.
+    The layout of ``_stick_rows``: the first block is ``_buffer_width``
+    columns wide, and each round adds ``_round_width`` columns.
     """
-    end = processes._first_width(theta, eps, rows)
-    stride, add = processes._buffer_width(theta, eps), processes._round_width(theta, eps)
+    end, add = processes._buffer_width(theta, eps), processes._round_width(theta, eps)
     while True:
         yield end
-        if end == stride:
-            stride += add
-        end = min(end + add, stride)
+        end += add
 
 
-def _rounds(theta, eps, rows, sticks):
-    """Extension rounds that a row of ``sticks`` sticks takes in a ``rows``-row draw."""
-    return next(k for k, end in enumerate(_block_ends(theta, eps, rows)) if sticks <= end)
+def _rounds(theta, eps, sticks):
+    """Extension rounds that a row of ``sticks`` sticks takes."""
+    return next(k for k, end in enumerate(_block_ends(theta, eps)) if sticks <= end)
 
 
 def _recursion_step(theta, log_eps, u, before):
@@ -472,7 +469,7 @@ def _recursion_batch(theta, eps, rows, gen):
     log_eps = math.log(eps)
     masses, cuts, tails, runs = np.zeros((rows, 0)), np.full(rows, -1), np.zeros(rows), None
     live, start = np.arange(rows), 0
-    for end in _block_ends(theta, eps, rows):
+    for end in _block_ends(theta, eps):
         if not live.size:
             break
         u = gen.random(live.size * (end - start)).reshape(live.size, end - start)
@@ -497,8 +494,8 @@ def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, 
     # The vectorized stick pass (a cumsum of the steps, masses formed on the
     # flat matrix shifted by a cell, rounds copied once into the padded
     # matrix) gives the very floats of a column-by-column recursion.  The
-    # first example keeps one atom per row of an 8-column first block, a
-    # (2, 1) view of it; numpy 2.4 negates such a view wrongly in place.
+    # first example keeps one atom per row of a 12-column first block, a
+    # (2, 1) view of it (see test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are).
     eps = 10.0 ** log10_eps
     want_masses, want_tails = _recursion_batch(theta, eps, rows, RngStream(seed).generator())
     masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
@@ -510,7 +507,7 @@ def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, 
     (0.5, 2001, 9),    # odd rows
     (1.0, 2, 9),
     (2.5, 513, 9),
-    (4.0, 20_000, 4),  # rows that outgrow the first block
+    (4.0, 20_000, 4),  # a row that outgrows the first block
     (8.0, 999, 9),
 ])
 @pytest.mark.parametrize("offset", [0, 3])
@@ -520,8 +517,9 @@ def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, 
     # ``_draw_rows`` takes the stick pass, then the (rows, K) location
     # uniforms, then (gamma draws only) the totals, from a generator whose
     # Philox block may be partly spent.  Each row is its own atoms sorted by
-    # decreasing mass, ties in column order, and scaled by its total; the
-    # generator ends where the reference leaves it.
+    # decreasing mass and scaled by its total, with the first of its row of
+    # location uniforms in draw order; the generator ends where the
+    # reference leaves it.
     def make_gen():
         gen = RngStream(seed).generator()
         gen.random(offset)
@@ -539,12 +537,11 @@ def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, 
         totals[totals == 0.0] = np.finfo(float).tiny
     assert len(draws) == rows
     if rows == 20_000 and offset == 0:
-        assert sticks.shape[1] > processes._first_width(theta, EPS, rows)
+        assert sticks.shape[1] > processes._buffer_width(theta, EPS)
     for row, (masses, locs, total, tail) in enumerate(draws):
         atoms = np.count_nonzero(sticks[row])
-        order = np.argsort(-sticks[row, :atoms], kind="stable")
-        assert np.array_equal(masses, sticks[row, order] * totals[row])
-        assert np.array_equal(locs, locations[row, order])
+        assert np.array_equal(masses, np.sort(sticks[row, :atoms])[::-1] * totals[row])
+        assert np.array_equal(locs, locations[row, :atoms])
         assert (total, tail) == (totals[row], tails[row] * totals[row])
     assert _position(gen) == _position(want_gen)
     for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
@@ -582,16 +579,42 @@ def test_stick_matrix_is_as_wide_as_its_longest_row(theta, rows):
     assert tails.shape == (rows,)
 
 
+def _short_first_block(theta, rows, seed, width):
+    """Stream ``seed``, but each row of the first block keeps only its last ``width`` full sticks.
+
+    The block's leading sticks are made smaller than 1e-3, so they take
+    almost nothing off the residual: a row closes in the first block about
+    as often as in a block ``width`` columns wide, and a batch extends many
+    rows, as a natural one seldom does.  A ``width`` of 0 leaves every row
+    open.
+    """
+    tiny = processes._buffer_width(theta, EPS) - width
+
+    def alter(call, u):
+        if call == 1:
+            lead = u.reshape(rows, -1)[:, :tiny]
+            if theta == 1.0:  # the stick is 1 - u
+                lead *= -1e-3
+                lead += 1.0
+            else:  # the stick is about u / theta
+                np.subtract(1.0, lead, out=lead)
+                lead *= 1e-3
+        return u
+
+    return _Uniforms(seed, alter)
+
+
 def test_stick_rows_that_outgrow_the_first_block_stay_exact():
-    # The first block of 20000 rows at theta = 4 ends 0.75 standard
-    # deviations past the mean stick count, so about a fifth of the rows
-    # extend; this stream's longest row takes three rounds, the last of
-    # them past the budgeted width.
+    # A first block of 20000 rows at theta = 4 that leaves each row 0.75
+    # standard deviations past the mean stick count of full sticks, so about
+    # a fifth of the rows extend; this stream's longest row takes three
+    # rounds.
     theta, rows = 4.0, 20_000
-    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(4).generator())
+    gen = _short_first_block(theta, rows, 17, 101)
+    masses, tails = stick_masses_batch(theta, EPS, rows, gen)
     sticks = np.count_nonzero(masses, axis=1)
-    assert _rounds(theta, EPS, rows, sticks.max()) == 3
-    assert 0.1 < np.mean(sticks > processes._first_width(theta, EPS, rows)) < 0.4
+    assert _rounds(theta, EPS, sticks.max()) == 3
+    assert 0.1 < np.mean(sticks > processes._buffer_width(theta, EPS)) < 0.4
     assert masses.shape[1] == sticks.max()
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
     # the cut is the first stick that takes the residual to eps
@@ -599,27 +622,14 @@ def test_stick_rows_that_outgrow_the_first_block_stay_exact():
     assert np.all(tails <= EPS) and np.all(tails + last > EPS)
 
 
-class _TinyFirstBlock:
-    """Generator whose first batch of uniforms gives theta=1 sticks below 1e-3."""
-
-    def __init__(self, gen):
-        self.gen, self.calls = gen, 0
-
-    def random(self, size):
-        self.calls += 1
-        u = self.gen.random(size)
-        return 1.0 - 1e-3 * u if self.calls == 1 else u
-
-
 def test_stick_rows_extend_over_several_rounds():
     # Every row is still open after the first block, and the rows close in
-    # different extension rounds, so the open set shrinks between rounds;
-    # the later rounds pass the budgeted width.
+    # different extension rounds, so the open set shrinks between rounds.
     rows = 64
-    gen = _TinyFirstBlock(RngStream(32).generator())
+    gen = _short_first_block(1.0, rows, 32, 0)
     masses, tails = stick_masses_batch(1.0, EPS, rows, gen)
     sticks = np.count_nonzero(masses, axis=1)
-    rounds = {_rounds(1.0, EPS, rows, count) for count in sticks}
+    rounds = {_rounds(1.0, EPS, count) for count in sticks}
     assert gen.calls == 1 + max(rounds) and min(rounds) >= 1 and len(rounds) >= 3
     assert sticks.max() > processes._buffer_width(1.0, EPS)
     assert masses.shape[1] == sticks.max()
@@ -658,57 +668,69 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 3), (4.0, 20_000, 4),
-                                               (1.0, 8192, 9)])
-def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed):
+@pytest.mark.parametrize("theta, rows, seed, width", [(4.0, 20_000, 3, 101),
+                                                      (4.0, 20_000, 4, 101), (1.0, 8192, 9, 28)])
+def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed, width):
     # A batch whose rows outgrow the first block holds the first block,
     # the rounds, which hold only the rows still open, and the padded
     # matrix they are copied into.  The first pass holds the first block's
     # running sums and cut test beside it.
-    gen = RngStream(seed).generator()
+    gen = _short_first_block(theta, rows, seed, width)
     out = []
     peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(theta, EPS, rows, gen)))
     masses, _tails = out[0]
-    assert masses.shape[1] > processes._first_width(theta, EPS, rows)
+    assert masses.shape[1] > processes._buffer_width(theta, EPS)
     assert peak <= 2.1 * masses.nbytes
 
 
 def test_a_round_past_the_cell_budget_is_refused_before_it_is_allocated(monkeypatch):
-    # The same batch with a budget that holds its buffer width and no more:
-    # the round past that width is refused before it is drawn, so the peak
-    # is the first pass's: the first block, its running sums and its cut
-    # test.
+    # A batch with a budget that holds its buffer width and no more, on a
+    # stream where one row outgrows that width: the round past it is
+    # refused before it is drawn, so the peak is the first pass's: the
+    # first block, its running sums and its cut test.
     theta, rows = 4.0, 32768
     cells = rows * processes._buffer_width(theta, EPS)
     monkeypatch.setattr(processes, "_CELL_BUDGET", cells)
 
     def refused():
         with pytest.raises(DomainError, match="budget"):
-            stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+            stick_masses_batch(theta, EPS, rows, RngStream(2).generator())
 
-    first_cells = rows * processes._first_width(theta, EPS, rows)
-    assert _peak_traced_bytes(refused) <= 2.2 * 8 * first_cells
+    assert _peak_traced_bytes(refused) <= 2.2 * 8 * cells
     monkeypatch.setattr(processes, "_CELL_BUDGET", cells + rows * processes._round_width(theta, EPS))
-    masses, _tails = stick_masses_batch(theta, EPS, rows, RngStream(1).generator())
+    masses, _tails = stick_masses_batch(theta, EPS, rows, RngStream(2).generator())
     assert masses.shape[1] > processes._buffer_width(theta, EPS)
+
+
+def _sample_batch(theta, seed):
+    """One batch of `sample`'s gamma draws, as many rows as its cell bound allows."""
+    from conicpd.cli import SAMPLE_BATCH_CELLS
+
+    rows = processes._batch_rows(theta, EPS, SAMPLE_BATCH_CELLS)
+    draws = list(processes._draw_rows(theta, EPS, rows, RngStream(seed).generator(),
+                                      normalized=False))
+    assert len(draws) == rows
+    return draws
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 8.0, 64.0])
 def test_a_sample_batch_peaks_below_ten_megabytes(theta):
-    # One batch of `sample`'s draws, as many rows as its cell bound allows:
-    # the stick matrix, then the sorted masses and locations.  The warm-up
+    # The stick matrix, then the sorted masses and locations.  The warm-up
     # batch takes the allocations a first call makes.
-    from conicpd.cli import SAMPLE_BATCH_CELLS
+    _sample_batch(theta, 99)
+    assert _peak_traced_bytes(lambda: _sample_batch(theta, 3)) <= 10e6
 
-    rows = processes._batch_rows(theta, EPS, SAMPLE_BATCH_CELLS)
 
-    def batch(seed):
-        return list(processes._draw_rows(theta, EPS, rows, RngStream(seed).generator(),
-                                         normalized=False))
-
-    batch(99)
-    assert len(batch(3)) == rows
-    assert _peak_traced_bytes(lambda: batch(3)) <= 10e6
+@pytest.mark.parametrize("theta", [8.0, 64.0])
+def test_a_sample_batch_peaks_below_three_stick_matrices(theta):
+    # The first block with its running sums and cut test during the stick
+    # pass, then the masses, sorted in place, and the location uniforms: at
+    # most three (rows, K) matrices at once, K the longest row's atoms.
+    _sample_batch(theta, 99)
+    out = []
+    peak = _peak_traced_bytes(lambda: out.extend(_sample_batch(theta, 3)))
+    atoms = max(masses.size for masses, *_ in out)
+    assert peak <= 3 * len(out) * atoms * 8
 
 
 def test_a_long_one_row_draw_peaks_below_four_and_a_half_matrices():
@@ -722,27 +744,28 @@ def test_a_long_one_row_draw_peaks_below_four_and_a_half_matrices():
     assert peak <= 4.5 * 8 * masses.size
 
 
-# sha256 of (shape, masses, tails) bytes, with the extension rounds the
-# longest row takes.  Re-frozen at 0.9.0, when the first block narrowed to
-# the Poisson mean and the runs came straight from the uniforms; the
-# recursion test below checks the same layout stick by stick.  Every batch
-# here extends, and the two largest pass their budgeted width in their
-# third round.
+# sha256 of (shape, masses, tails) bytes of a batch drawn from
+# _short_first_block(theta, rows, seed, width), with the width and the
+# extension rounds the longest row takes.  Re-frozen at 0.15.0, when the
+# first block became the budgeted width; the recursion test below checks
+# the same layout stick by stick.  Every batch here extends, and the two
+# largest take three rounds.
 _STICK_BATCH_DIGESTS = {
-    (0.5, 2000, 9): (2, "dbe2604caa0a709854c9af9382a285f0577e9644276ed127342c1d25df544916"),
-    (1.0, 2000, 9): (2, "9919ad2cbcfa26ea41eddba73c3305043f12da3954337bc86d89bd43d8d145a5"),
-    (4.0, 2000, 9): (2, "623ce9879ab83005b633e0aeee3284644259e23d4e41ae449f73432331cc8df9"),
-    (64.0, 64, 9): (1, "e8c27a353918301670c29068c781eb2b5afe8023d2f797e731fa151300874189"),
-    (4.0, 20000, 4): (3, "4d6b1b3502b0e7af9d6c5f8b4465fbb305d45f634355aec0b16419f49d101997"),
-    (4.0, 32768, 1): (3, "b9fb10492b03fc44c7f4b9dd86afe763d862b476ba6682a9c48625301e317adb"),
+    (0.5, 2000, 9): (16, 1, "3cb45daa3f9b70e2b07f3480852475f5388ea765d06b1e3f4c482907f1a20d4b"),
+    (1.0, 2000, 9): (28, 2, "6c8f8d66b81d5418ecb8efda8478e316798a456cae8c80433bd9042f4747626b"),
+    (4.0, 2000, 9): (101, 2, "4ee2a6cdb2fead08984a246b3e012be1d9c15b5e5ef2edda1861bf5d0c07bd3f"),
+    (64.0, 64, 9): (1504, 1, "700029f3c42c5cf13ec2e0ef7194d4c7d9b5b4fbfec8955e8f738b50710f9c00"),
+    (4.0, 20000, 3): (94, 3, "1f08b88ea957b47bf9e8a1f0c9d6a3420086010b4d1798fb37a858641990dd26"),
+    (4.0, 32768, 2): (94, 3, "05d81a42159dde841ada3e5bcaf97d4bb895be831f732635bc0f3d7941215614"),
 }
 
 
 @pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
 def test_stick_batch_outputs_are_frozen(theta, rows, seed):
-    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
-    rounds, want = _STICK_BATCH_DIGESTS[theta, rows, seed]
-    assert _rounds(theta, EPS, rows, masses.shape[1]) == rounds
+    width, rounds, want = _STICK_BATCH_DIGESTS[theta, rows, seed]
+    gen = _short_first_block(theta, rows, seed, width)
+    masses, tails = stick_masses_batch(theta, EPS, rows, gen)
+    assert _rounds(theta, EPS, masses.shape[1]) == rounds
     digest = hashlib.sha256(np.asarray(masses.shape, dtype=np.int64).tobytes())
     digest.update(masses.tobytes())
     digest.update(tails.tobytes())
@@ -757,12 +780,13 @@ def test_a_stick_pass_gives_each_row_the_bytes_of_its_own_pass(theta, rows, seed
     # shifted by a cell, where a row's first column meets the row above's
     # last; each row still gets the bytes a pass over that row alone gives.
     # An extension pass starts from the runs its rows reached before it,
-    # here spread evenly between 0 and the cut.  Some rows close in either
-    # pass and some stay open.
+    # here spread evenly between 0 and the cut.  A first pass as wide as
+    # the table's width and an extension pass of a round's width each close
+    # some rows and leave some open.
     gen = RngStream(seed).generator()
     log_eps = math.log(EPS)
-    cols = processes._first_width(theta, EPS, rows) if not extension else (
-        processes._round_width(theta, EPS))
+    width = _STICK_BATCH_DIGESTS[theta, rows, seed][0]
+    cols = processes._round_width(theta, EPS) if extension else width
     u = gen.random(rows * cols).reshape(rows, cols)
     before = log_eps * gen.random(rows) if extension else None
     whole = u.copy()
@@ -986,15 +1010,16 @@ def _next_draws(gen):
     return (gen.random(5), gen.standard_gamma(0.7, 5), gen.standard_normal(5))
 
 
-@pytest.mark.parametrize("kind", ["half pair", "pcg64"])
-def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind):
+@pytest.mark.parametrize("kind, seed", [("half pair", 47), ("pcg64", 36)])
+def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind, seed):
     # A Philox holding half of a 32-bit pair, and PCG64, give the batch of
     # the column-by-column recursion on the same generator, and leave the
-    # generator where the recursion leaves it.
+    # generator where the recursion leaves it.  Each seed gives a row that
+    # outgrows the first block.
     def make_gen():
         if kind == "pcg64":
-            return np.random.Generator(np.random.PCG64(17))
-        gen = RngStream(17).generator()
+            return np.random.Generator(np.random.PCG64(seed))
+        gen = RngStream(seed).generator()
         gen.integers(0, 7, dtype=np.uint32)
         assert gen.bit_generator.state["has_uint32"]
         return gen
@@ -1002,7 +1027,7 @@ def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind):
     gen, want_gen = make_gen(), make_gen()
     masses, tails = stick_masses_batch(2.0, EPS, 1001, gen)
     want_masses, want_tails = _recursion_batch(2.0, EPS, 1001, want_gen)
-    assert masses.shape[1] > processes._first_width(2.0, EPS, 1001)
+    assert masses.shape[1] > processes._buffer_width(2.0, EPS)
     assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
     assert _position(gen) == _position(want_gen)
     for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
@@ -1113,7 +1138,7 @@ def test_public_calls_do_not_depend_on_the_stick_layout(monkeypatch):
         with monkeypatch.context() as patch:
             _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
             if narrow:
-                patch.setattr(processes, "_first_width", lambda theta, eps, rows: 1)
+                patch.setattr(processes, "_buffer_width", lambda theta, eps: 1)
                 patch.setattr(processes, "_round_width", lambda theta, eps: 2)
                 patch.setattr(processes, "_stick_pass",
                               lambda *args, **kw: passes.append(1) or stick_pass(*args, **kw))
@@ -1206,46 +1231,41 @@ class _Uniforms(np.random.Generator):
         return self.total if size is None else np.full(size, self.total)
 
 
-def _tiny_first_block(call, u):
-    # theta = 1 sticks below 1e-3 in the first block: a one-row draw stays open.
-    return 1.0 - 1e-3 * u if call == 1 else u
-
-
 # sha256 of the draw's fields and the next three uniforms, frozen at version
 # 0.5.0, when the series samplers became one-row batches, and re-frozen at
-# 0.9.0 with the stick batches.
+# 0.9.0 with the stick batches and at 0.15.0, when the first block became
+# the budgeted width and the locations came in draw order.
 _TINY_FIRST_BLOCK_SHA256 = {
-    "sample_dirichlet_process": "7c2fb161dee0cd29aa2b74b905beaefbe0bb2bfeac3c4ff4fcaa3ac45fd65a52",
-    "sample_gamma_process": "f8bd4c30ec4aa5110e17bf607f4d4dda1912efb37457d674d328a915079eb395",
+    "sample_dirichlet_process": "8a1ca488b1eea2f81acffa9e085e346b0121a55812bc3b6a8d91b10034af3213",
+    "sample_gamma_process": "45d25739f60f6b7b29a43753d57c60632e17f220a27ff1c5bef1cce85a6ed1c3",
 }
 
 
 @pytest.mark.parametrize("name", list(_TINY_FIRST_BLOCK_SHA256))
 def test_one_row_draw_past_its_first_block_is_frozen(name):
     # The row is open after its first block and closes in its third
-    # extension round, past the budgeted width, so a one-row draw goes
-    # through every step: the first block, three rounds, then the
-    # locations.
-    gen = _Uniforms(32, _tiny_first_block)
+    # extension round, so a one-row draw goes through every step: the
+    # first block, three rounds, then the locations.
+    gen = _short_first_block(1.0, 1, 32, 0)
     draw = getattr(processes, name)(1.0, EPS, gen)
     fields = (draw.masses.tobytes() + draw.locations.tobytes()
               + struct.pack("<dd", draw.total_mass, draw.tail_bound))
-    assert gen.calls == 5 and _rounds(1.0, EPS, 1, draw.masses.size) == 3
+    assert gen.calls == 5 and _rounds(1.0, EPS, draw.masses.size) == 3
     assert draw.masses.size > processes._buffer_width(1.0, EPS)
     digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
     assert digest == _TINY_FIRST_BLOCK_SHA256[name]
 
 
 def test_a_long_one_row_draw_is_frozen():
-    # A one-row draw at theta = 1e4 holds 2.3e5 sticks.  The digest, of the
-    # draw's fields and the next three uniforms, was taken when its stick
-    # pass ran in row blocks with per-thread scratch.
+    # A one-row draw at theta = 1e4 holds 2.3e5 sticks.  The digest is of
+    # the draw's fields and the next three uniforms, re-frozen at 0.15.0,
+    # when the locations came in draw order.
     gen = RngStream(41).generator()
     series = sample_gamma_process(1e4, EPS, gen)
     fields = (series.masses.tobytes() + series.locations.tobytes()
               + struct.pack("<dd", series.total_mass, series.tail_bound))
     digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
-    assert digest == "c2473a4e9f6c318be387326aaea3095c6233bece4f27aec2da98a188dc1d3f82"
+    assert digest == "c31d0d9ae601ea8b5f54a375456b2fd79057d9aace0a83d1b335bbb39cece33c"
 
 
 def _fields(obj):
@@ -1296,12 +1316,12 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
 
 
 def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
-    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of an
-    # 8-column first block: a (2, 1) view, which numpy 2.4 negates wrongly
-    # in place.
+    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of a
+    # 12-column first block: a (2, 1) view, the shape that numpy 2.4
+    # negates wrongly in place, and which the draws sort in place.
     rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(), normalized=True))
     masses, locations, _totals, tails = gamma_batch(0.3, 0.01, 2, RngStream(23).generator())
-    assert masses.shape == (2, 1) and masses.strides[0] == 8 * masses.itemsize
+    assert masses.shape == (2, 1) and masses.strides[0] >= 8 * masses.itemsize
     for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
         assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
         assert (total, tail) == (1.0, want_tail)
@@ -1332,6 +1352,16 @@ def test_scalar_draws_refuse_a_nan_mass(monkeypatch, sampler):
     monkeypatch.setattr(processes, "_stick_rows", with_nan)
     with pytest.raises(DomainError, match="^atom masses must be finite and strictly positive$"):
         sampler(3.0, EPS, RngStream(6))
+
+
+def test_a_kept_zero_at_subnormal_eps_is_an_underflow():
+    # At eps = 1e-320, eps * 2^-53 / theta, the least mass a kept stick can
+    # carry, rounds to 0: a kept mass y * exp(run) of 0 is an underflow, a
+    # numerical failure, not a zero stick.  Stream 2's batch holds one.
+    draws = processes._draw_rows(4.0, 1e-320, 200, RngStream(2).generator(), normalized=True)
+    with pytest.raises(NumericalError, match=r"^atom masses underflow to 0 at truncation "
+                                             r"eps 1e-320; raise eps$"):
+        list(draws)
 
 
 def test_gamma_draw_refuses_masses_that_underflow_when_scaled():
