@@ -197,8 +197,8 @@ def _fmt(value):
 
 _SAMPLE_DRAW_COLS = ["total_mass", "tail_bound", "log_weight", "seed", "stream_id"]
 _SAMPLE_COLS = ["draw", "atom", "mass", "location"] + _SAMPLE_DRAW_COLS
-# Most cells of a batch of `sample` draws' first stick block (rows x
-# ``processes._buffer_width`` columns), with at least one row.  It fixes
+# Most cells of a batch of `sample` draws, each row sized at
+# ``processes._buffer_width`` columns, with at least one row.  It fixes
 # which draws share a stick pass, and so the output bytes: the meta line
 # records it.
 SAMPLE_BATCH_CELLS = 1 << 18
@@ -249,7 +249,7 @@ def _output(out: str | None):
 
 def _run_sample(cfg):
     # Every refusal that needs no draw runs here, before anything is written:
-    # theta, eps, the sample count, the last stream's key and the first block.
+    # theta, eps, the sample count, the last stream's key and an oversized row.
     counts = stream_counts(cfg["samples"], cfg["streams"])
     RngStream(cfg["seed"], len(counts) - 1)
     rows = _batch_rows(cfg["theta"], cfg["eps"], SAMPLE_BATCH_CELLS)

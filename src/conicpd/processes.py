@@ -9,18 +9,15 @@ here ever tries to sample an infinite measure directly.
 Truncation policy: stick-breaking stops at the first stick that takes the
 residual stick product to ``eps`` or below; the discarded mass is recorded on
 the draw as ``tail_bound`` so estimator bias can always be budgeted against
-the Monte Carlo error.  Every draw goes through one recursion,
-``_stick_rows``.  The steps of a row's running sum of log(1 - y) form a
-rate-theta Poisson process, so a draw needs 1 + Poisson(theta log(1/eps))
-sticks: the first block is that mean plus four standard deviations and
-four columns wide, which fewer than 3 rows in 10^5 outrun, and the rows
-still open are extended in short rounds.  A draw is budgeted for its rows
-at that width and refused, with ``DomainError``, beyond a fixed cell
-budget, as is the rare round that would take it over the budget.  The
-first block and each extension round are one stick pass, ``_stick_pass``,
-over a matrix of their own; an extension starts from the run its rows
-reached before it.  Only when some row extended are the passes copied once
-into one zero-padded matrix.
+the Monte Carlo error.  Every draw goes through one pass, ``_stick_rows``.
+The log-residuals of a GEM(theta) draw are the points of a rate-theta
+Poisson process, so the pass first draws each row's count of points in
+[0, log(1/eps)], 1 + that count being its sticks, and then the points
+themselves, as normalised exponential spacings, and the cut point past
+them: one matrix as wide as the longest row, with no extension.  A draw
+whose mean count, or whose matrix once the counts are drawn, exceeds a
+fixed cell budget is refused with ``DomainError`` before the matrix is
+allocated, and so is an eps at which a kept mass could round to 0.
 
 Series draws: ``_draw_rows`` builds ``rows`` draws at once, and
 ``sample_dirichlet_process`` and ``sample_gamma_process`` are its one-row
@@ -34,18 +31,15 @@ construction implies: the sort orders finite masses, scaling by a positive
 total keeps the order, and ``gen.random`` puts every location in [0, 1).
 It keeps the O(1) end checks (the last kept mass positive, which NaN fails
 too, and the first finite), the total, the tail and, for normalized draws,
-the sum.  A kept mass of zero is a zero stick, refused as such, unless eps
-is so small that the least mass a kept stick can carry underflows; that,
-and a kept mass that scaling by the total takes to zero, are a
-``NumericalError``.
+the sum.  A kept mass of zero is a zero stick, refused as such; a kept
+mass that scaling by the total takes to zero is a ``NumericalError``.
 
-Threads: conicpd starts none.  Each stick pass draws its (rows, cols)
-uniforms with one ``gen.random(rows * cols)`` call and turns the whole
-matrix into sticks, running sums, cuts, tails and masses in place, with
-arrays of its own for the running sums and the cut test; so callers on
-several threads at once each get the bytes they get alone.  The Monte
-Carlo estimators draw no sticks (see ``laplace._kernel``), so the series
-draws of ``sample`` are what run here.
+Threads: conicpd starts none.  Each stick pass draws its counts, its
+(rows, cols) exponentials and its cut exponentials with one call each and
+turns the matrix into masses in place, with one array of its own for the
+running sums; so callers on several threads at once each get the bytes
+they get alone.  The Monte Carlo estimators draw no sticks (see
+``laplace._kernel``), so the series draws of ``sample`` are what run here.
 """
 
 from __future__ import annotations
@@ -156,41 +150,25 @@ def _unchecked(cls, **fields):
     return obj
 
 
-# log(1 - u) >= log(2^-53) > -37 for a uniform u < 1, so only a theta below
-# this can take a step log(1 - u) / theta past the float range.
-_TINY_THETA = 37.0 / np.finfo(float).max
+# numpy's ``standard_exponential`` draws 0 or at least 7.08e-18 (its
+# narrowest ziggurat layer times the least positive integer it scales) and
+# at most 44.44 (the tail, 7.697 - log(2^-53)).
+_EXP_LEAST = 7.08e-18
+_EXP_MOST = 44.44
 
+# Only a theta below this can take a cut step e / theta past the float range.
+_TINY_THETA = _EXP_MOST / np.finfo(float).max
 
-def _stick_block(u, theta, steps):
-    # Inverse CDF of Beta(1, theta): a stick y has log(1 - y) = log(1 - u) /
-    # theta, which goes to ``steps`` as the step of its row's running sum,
-    # and y is -expm1 of it, so that large theta (sticks near zero) keeps
-    # full precision; at theta = 1 the step is log(u) and y = 1 - u.  The
-    # sticks overwrite the uniforms.
-    if theta != 1.0:
-        np.subtract(1.0, u, out=steps)
-        np.log(steps, out=steps)
-        if theta > _TINY_THETA:
-            np.divide(steps, theta, out=steps)
-        else:  # a step of -inf is the exact limit: a stick of 1, and no tail
-            with np.errstate(over="ignore"):
-                np.divide(steps, theta, out=steps)
-        np.expm1(steps, out=u)
-        np.negative(u, out=u)
-    else:
-        np.log(u, out=steps)
-        np.subtract(1.0, u, out=u)
-    return steps
-
-
-# Most cells (rows x columns) a draw is budgeted for: its rows at
-# ``_buffer_width`` columns, and again at the width each extension round
-# takes them to.  2^26 cells are 512 MB per float array.
+# Most cells (rows x columns) a draw's matrix may hold; 2^26 cells are 512 MB
+# per float array.
 _CELL_BUDGET = 1 << 26
 
 
 def _buffer_width(theta, eps):
-    """Columns of a draw's first stick block at (theta, eps), the width it is budgeted for."""
+    """Columns ``_batch_rows`` sizes a row for: ceil(1 + m + 4 sqrt(m)) + 4, m = theta log(1/eps).
+
+    A row needs 1 + Poisson(m) columns; fewer than 3 rows in 10^5 need more.
+    """
     m = -theta * math.log(eps)
     return math.ceil(min(1.0 + m + 4.0 * math.sqrt(m), _CELL_BUDGET)) + 4
 
@@ -210,123 +188,70 @@ def _budgeted(theta, eps, rows, width):
     return width
 
 
-def _round_width(theta, eps):
-    """Columns each extension round adds to the rows still open: 2 sqrt(m), at least 4."""
-    return max(4, math.ceil(2.0 * math.sqrt(-theta * math.log(eps))))
-
-
 def _batch_rows(theta, eps, cells):
-    """Rows of a batch of at most ``cells`` buffer cells at (theta, eps), at least one.
+    """Rows of a batch of at most ``cells`` cells of ``_buffer_width`` at (theta, eps), at least one.
 
-    Checks theta and eps, and refuses, as ``_stick_rows`` would, a draw
-    whose single row outgrows the cell budget, so a caller can refuse
-    before it draws anything.
+    Checks theta and eps, and refuses a draw whose single row outgrows the
+    cell budget at that width, so a caller can refuse before it draws
+    anything.
     """
     theta, eps = _check_theta_eps(theta, eps)
     return max(1, cells // _budgeted(theta, eps, 1, _buffer_width(theta, eps)))
 
 
 def _stick_rows(theta, eps, rows, gen):
-    """Masses of ``rows`` independent draws, each cut where its residual reaches eps.
+    """Masses of ``rows`` independent GEM(theta) draws, each cut where its residual reaches eps.
 
-    Returns (masses, tails, cuts).  ``masses`` is (rows, K) with K =
-    max(cuts) + 1, where a row's cut is its first column with run <=
-    log(eps), run being the row's running sum of log(1 - y) over its sticks
-    y.  It holds c_0 = y_0, c_j = y_j * exp(run_{j-1}), zero right of a
-    row's cut, and ``tails`` is exp(run) at each row's cut.
+    Returns (masses, tails, cuts).  The log-residuals E_k = -log R_k of a
+    draw, R_k its residual after k sticks, are the points of a rate-theta
+    Poisson process.  So with L = log(1/eps) a row keeps N + 1 sticks, N ~
+    Poisson(theta L) the points in [0, L].  Given N, those points are
+    uniform order statistics on [0, L]: E_k = L S_k / S, S_k the running
+    sum of k exponentials and S that of N + 1 (Devroye 1986, ch. V 2).  The
+    process is memoryless, so the cut point is L + Exp(theta).  The draws
+    come in that order: the counts N (``cuts``), one (rows, max N + 1)
+    matrix of exponentials, of which a row keeps its first N + 1, and one
+    cut exponential per row, which over theta joins the row's step N.
 
-    Sizing: -log(1 - y) ~ Exp(theta) for a Beta(1, theta) stick, so the
-    steps of run form a rate-theta Poisson process, and a draw needs
-    1 + Poisson(m) sticks with m = theta * log(1/eps).  The first block is
-    the budgeted width, ``_buffer_width``: ceil(1 + m + 4 sqrt(m)) + 4
-    columns, which fewer than 3 rows in 10^5 outrun.  The rows still open
-    are extended in rounds of max(4, ceil(2 sqrt(m))) columns
-    (``_round_width``), each one ``_stick_pass`` over those rows only, so
-    the work stays linear in the sticks drawn.
+    ``masses`` holds c_k = exp(-E_{k-1}) (-expm1(-step_k)) for the steps
+    E_k - E_{k-1}, each formed as L e_k / S, and zeros right of a row's
+    cut; ``tails`` holds exp(-(L + the cut step)).  Each row's sums run
+    from its left, so a row gets the bytes of a pass over that row alone.
 
-    Memory: a draw whose rows x ``_buffer_width`` cells exceed
-    ``_CELL_BUDGET`` is refused with ``DomainError`` before anything is
-    allocated, and so is a round that would take the rows' width past it.
-    The first block and each round are matrices of their own.  Only when
-    some row extended are they copied once into a zeroed (rows, K) matrix;
-    otherwise the first block, trimmed to K columns, is returned.
-    ``theta`` and ``eps`` must be checked floats.
+    Memory: a mean theta L past ``_CELL_BUDGET`` is refused with
+    ``DomainError`` before any draw, as is a matrix past it once the counts
+    are drawn.  The pass holds the steps, which become the masses, and
+    their running sums at once.  ``theta`` and ``eps`` must be checked
+    floats.
     """
     log_eps = math.log(eps)
-    width = _budgeted(theta, eps, rows, _buffer_width(theta, eps))
-    first = gen.random(rows * width).reshape(rows, width)
-    tails, cut, last = _stick_pass(theta, log_eps, first)
-    grow = (last > log_eps).nonzero()[0]
-    rounds, add, start = [], _round_width(theta, eps), width
-    while grow.size:
-        # A row still open here has no cut yet; it is found in the round
-        # that closes the row.
-        _budgeted(theta, eps, rows, start + add)
-        ext = gen.random(grow.size * add).reshape(grow.size, add)
-        ext_tails, ext_cut, ext_last = _stick_pass(theta, log_eps, ext, before=last[grow])
-        rounds.append((grow, start, ext))
-        closing = ext_last <= log_eps
-        cut[grow[closing]] = start + ext_cut[closing]
-        tails[grow[closing]] = ext_tails[closing]
-        last[grow] = ext_last
-        grow, start = grow[~closing], start + add
-    cols = int(cut.max()) + 1
-    if not rounds:
-        return first[:, :cols], tails, cut
-    masses = np.zeros((rows, cols))
-    masses[:, :width] = first
-    for grow, start, ext in rounds:
-        masses[grow, start:start + add] = ext[:, :cols - start]
-    return masses, tails, cut
-
-
-def _stick_pass(theta, log_eps, u, before=None):
-    """One stick pass: the sticks of uniforms ``u``, formed as masses in place.
-
-    Returns (tails, cuts, ends) of the pass's columns: exp(run) at the cut;
-    the cut's column in the pass (0 for a row that stays open); and run at
-    the pass's last column.  ``u`` is a C-contiguous (rows, cols) matrix of
-    uniforms, one row per draw, and receives the masses, zero right of a
-    row's cut.  ``before`` holds each row's run just left of the pass (a
-    draw's first block has none); it is added to the pass's running sums
-    after their cumsum, and scales the pass's first mass.  Cells right of
-    the cut are the ones whose left neighbour has run <= log(eps): the
-    comparison that finds the cut, shifted one column.
-
-    Memory: besides ``u``, the pass holds its running sums, a matrix of the
-    same shape, and its cut test, an eighth of one, at once.
-    """
-    # ndarray methods, not their np.* wrappers: a one-row draw's cost is
-    # mostly per-call overhead.
-    run = _stick_block(u, theta, np.empty_like(u))
-    run.cumsum(axis=1, out=run)
-    if before is not None:
-        run += before[:, None]
-    closed = run <= log_eps
-    cuts = closed.argmax(axis=1)
-    ends = run[:, -1].copy()
-    tails = np.exp(run[np.arange(u.shape[0]), cuts])
-    _form_masses(u, run, closed, before)
-    return tails, cuts, ends
-
-
-def _form_masses(y, run, closed, run_before=None):
-    """Turn a block of sticks y into masses in place: y_j * exp(run_{j-1}), zero right of the cut.
-
-    ``run`` holds the block's running sums of log(1 - y) and ``closed`` the
-    test run <= log(eps); all three are C-contiguous and of one shape, and
-    ``run`` is overwritten.  Column 0 is multiplied by exp(run_before), the
-    running sum just left of the block, or kept as it is without it: a
-    draw's first mass is its first stick.  No row is closed left of a block.
-    """
-    first = y[:, 0].copy() if run_before is None else y[:, 0] * np.exp(run_before)
-    # One pass over the flat block shifted by a cell, so each cell meets its
-    # left neighbour's exp(run) and cut test; column 0 meets the previous
-    # row's last, and is put back after.
-    flat, before = y.reshape(-1)[1:], run.reshape(-1)[:-1]
-    np.multiply(flat, np.exp(before, out=before), out=flat)
-    flat[closed.reshape(-1)[:-1]] = 0.0
-    y[:, 0] = first
+    # A mean past the budget is refused before it reaches numpy's Poisson.
+    counts = gen.poisson(_budgeted(theta, eps, 1, -theta * log_eps), rows)
+    width = _budgeted(theta, eps, rows, int(counts.max()) + 1)
+    steps = gen.standard_exponential((rows, width))
+    np.copyto(steps, 0.0, where=np.arange(width) > counts[:, None])
+    # Column k of run holds the running sum left of it, the one step k
+    # meets; a row's total adds its last exponential to its last column.
+    run = np.zeros_like(steps)
+    steps[:, :-1].cumsum(axis=1, out=run[:, 1:])
+    # Scaled to sum to L, and held negated, -step_k and -E_{k-1}, so that
+    # the exponentials take them as they are.
+    scale = log_eps / (run[:, -1:] + steps[:, -1:])
+    steps *= scale
+    run *= scale
+    cut = gen.standard_exponential(rows)
+    if theta > _TINY_THETA:
+        cut /= -theta
+    else:  # a cut step of inf is the exact limit: a stick of 1, and no tail
+        with np.errstate(over="ignore"):
+            cut /= -theta
+    steps[np.arange(rows), counts] += cut
+    tails = np.exp(log_eps + cut)
+    np.exp(run, out=run)
+    np.expm1(steps, out=steps)
+    np.negative(steps, out=steps)
+    steps *= run
+    return steps, tails, counts
 
 
 def _positive_real(value, name, upper=math.inf) -> float:
@@ -383,7 +308,26 @@ def _integer(value, name, lower=1, upper=None) -> int:
 
 
 def _check_theta_eps(theta, eps):
-    return _positive_real(theta, "theta"), _positive_real(eps, "truncation eps", 1.0)
+    """theta and eps as floats; eps is refused where a kept mass could round to 0.
+
+    A kept mass is exp(-E_{k-1}) (1 - exp(-step_k)), E_{k-1} <= L =
+    log(1/eps) up to rounding (see ``_stick_rows``).  A positive step is at
+    least L e_min / (e_max W), for e_min and e_max the least positive and
+    the largest exponential numpy draws (``_EXP_LEAST``, ``_EXP_MOST``) and
+    a row of W <= ``_CELL_BUDGET`` columns, or, at the cut, e_min / theta >=
+    e_min L / ``_CELL_BUDGET``.  So no kept mass is below eps L e_min /
+    (e_max ``_CELL_BUDGET``), and an eps at which half of that, for the
+    rounding of the mass's two factors, rounds to 0 is refused: every eps
+    below about 4.5e-300 at the default budget.  A kept mass of 0 is then
+    a zero step, which only a zero exponential gives.
+    """
+    theta = _positive_real(theta, "theta")
+    eps = _positive_real(eps, "truncation eps", 1.0)
+    least = eps * -math.log(eps) * _EXP_LEAST / (_EXP_MOST * _CELL_BUDGET)
+    if not least * 0.5 > 0.0:
+        raise DomainError(f"truncation eps {eps!r} lets a kept atom mass underflow to 0; "
+                          f"raise eps")
+    return theta, eps
 
 
 def sample_dirichlet_process(theta: float, eps: float, rng) -> WeightedAtomSeries:
@@ -435,15 +379,9 @@ def _draw_rows(theta, eps, rows, gen, *, normalized):
     for row, (cut, low, total, tail) in enumerate(zip(cuts.tolist(), smallest, totals,
                                                       tails.tolist())):
         if not low > 0.0:
-            if np.isnan(masses[row]).any():
-                raise DomainError(_MASS_RANGE)
-            # Every kept stick's residual exceeds eps, and a stick is at
-            # least 2^-53 / theta unless its uniform is 0, so a kept mass
-            # of 0 is a zero stick unless that bound itself underflows.
-            if eps * 2.0**-53 / theta > 0.0:
-                raise DomainError(_STICK_RANGE)
-            raise NumericalError(f"atom masses underflow to 0 at truncation eps {eps!r}; "
-                                 f"raise eps")
+            # ``_check_theta_eps`` keeps every positive step's mass above 0,
+            # so a kept mass of 0 is a zero step: a zero stick.
+            raise DomainError(_MASS_RANGE if np.isnan(masses[row]).any() else _STICK_RANGE)
         kept = masses[row, :cut + 1]
         if not kept[-1] > 0.0:  # a positive mass times a positive total
             raise NumericalError(f"atom masses underflow to 0 when scaled by the draw's "

@@ -1,8 +1,9 @@
 """The stick path as whole batches, the reference the tests check it against.
 
 ``stick_masses_batch`` and ``gamma_batch`` draw what ``sample``'s series
-draws take, in the same order: the stick pass, the (rows, K) location
-uniforms and the gamma totals.  No library code calls them.
+draws take, in the same order: the stick pass (each row's stick count,
+the (rows, K) exponentials and each row's cut exponential), the (rows, K)
+location uniforms and the gamma totals.  No library code calls them.
 """
 
 from conicpd import processes

@@ -177,7 +177,7 @@ def test_saddle_json_output(capsys):
     code, out, _err = run_cli(capsys, ["saddle"])
     assert code == 0
     meta, record = json_lines(out)
-    assert meta["version"] == "0.15.0"
+    assert meta["version"] == "0.16.0"
     assert meta["config"]["command"] == "saddle"
     assert meta["config"]["lam"] == 1.0
     assert "out" not in meta["config"] and "config" not in meta["config"]
@@ -519,16 +519,25 @@ def test_partition_sums_refuses_an_overflowing_exact_side_before_drawing(monkeyp
     assert run_cli(capsys, ["partition-sums", "--weights", "0.5,1.5", "--b", "1e200"])[0] == 3
 
 
-def test_a_round_past_the_cell_budget_exits_2(tmp_path):
-    # A budget that holds one sample batch at theta = 40 (250 rows) at its
-    # budgeted width and no more: a row of this seed's fourth batch outruns
-    # that width, and the round past it is refused before it is drawn,
-    # once the first three batches' draws are written.
-    width = processes._buffer_width(40.0, 1e-10)
-    rows = cli.SAMPLE_BATCH_CELLS // width
+def test_a_count_past_the_cell_budget_exits_2(tmp_path, monkeypatch, capsys):
+    # Seed 5's fourth batch at theta = 40 (250 rows a batch) holds a longer
+    # row than its first three.  Under a budget that holds the first three
+    # and no more, the fourth is refused once its counts are drawn, before
+    # its matrix is, and the first three batches' draws stay written.
+    rows = cli.SAMPLE_BATCH_CELLS // processes._buffer_width(40.0, 1e-10)
+    argv = ["sample", "--theta", "40", "--samples", str(4 * rows), "--seed", "5"]
+    stick_rows, widths = processes._stick_rows, []
+
+    def measured(*args):
+        masses, tails, cuts = stick_rows(*args)
+        widths.append(masses.shape[1])
+        return masses, tails, cuts
+
+    monkeypatch.setattr(processes, "_stick_rows", measured)
+    assert run_cli(capsys, argv + ["--out", os.devnull])[0] == 0
+    assert len(widths) == 4 and widths[3] > max(widths[:3])
     out = tmp_path / "draws.json"
-    proc = _run_capped("sample", "--theta", "40", "--samples", str(4 * rows), "--seed", "262",
-                       "--out", str(out), budget=rows * width)
+    proc = _run_capped(*argv, "--out", str(out), budget=rows * max(widths[:3]))
     assert proc.returncode == 2 and proc.stdout == ""
     assert "sampler budget" in proc.stderr and "--samples" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -663,15 +672,16 @@ def test_only_sample_reaches_the_stick_path_and_no_command_starts_a_thread(capsy
     # passes of more than 2^17 cells at 20000 draws.  No command starts a
     # thread or leaves one behind.
     threads, started, cells = threading.enumerate(), [], []
-    stick_rows, stick_pass = processes._stick_rows, processes._stick_pass
+    stick_rows = processes._stick_rows
     thread_start = threading.Thread.start
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("an estimator reached processes._stick_rows")
 
-    def counted_pass(theta, log_eps, u, before=None):
-        cells.append(u.size)
-        return stick_pass(theta, log_eps, u, before=before)
+    def counted(*args):
+        masses, tails, cuts = stick_rows(*args)
+        cells.append(masses.size)
+        return masses, tails, cuts
 
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: started.append(thread.name) or thread_start(thread))
@@ -681,8 +691,7 @@ def test_only_sample_reaches_the_stick_path_and_no_command_starts_a_thread(capsy
                  ["partition-sums", "--weights", "0.5,1.5", "--samples", "3000"]):
         assert run_cli(capsys, argv)[0] == 0, argv
         assert threading.enumerate() == threads and started == [], argv
-    monkeypatch.setattr(processes, "_stick_rows", stick_rows)
-    monkeypatch.setattr(processes, "_stick_pass", counted_pass)
+    monkeypatch.setattr(processes, "_stick_rows", counted)
     assert main(["sample", "--samples", "20000", "--out", os.devnull]) == 0
     assert threading.enumerate() == threads and started == []
     assert max(cells) > 1 << 17
@@ -935,45 +944,46 @@ def test_csv_text_cells_with_commas_stay_in_their_column(capsys, argv, key, text
 # sample --format F --process P --theta T --streams S --samples 3 --seed 7,
 # frozen at version 0.5.0 (batched draws), once the records had matched
 # test_sample_records_are_sorted_gamma_batch_rows, and re-frozen at 0.9.0
-# with the stick batches and at 0.15.0, when the first block became the
-# budgeted width and the locations came in draw order.
+# with the stick batches, at 0.15.0, when the first block became the
+# budgeted width and the locations came in draw order, and at 0.16.0, when
+# the stick pass came to draw each row's stick count first.
 _SAMPLE_BODY_SHA256 = {
-    ("json", "dirichlet", 1, 1): "3f5f61caa654add11568718568250ff774ad9b65d3c2e57d1a3c98939bd2c7e5",
-    ("json", "dirichlet", 1, 2): "49b11aea40360f0d5b212da93d1e579625abc473820c79384fe7c2d2e4085ef3",
-    ("json", "dirichlet", 8, 1): "e58aae6467610b47c46b99c6cbf5a284c719d8fb1702ae5c8e7a2847f043271e",
-    ("json", "dirichlet", 8, 2): "4e9a23f206c0937878160322e015d66d84d1a0d96d49adb87f58355699b2ac90",
-    ("json", "dirichlet", 64, 1): "509b271dac5614db40892e57a7854f2881c7aee841b00324111ee81b15432141",
-    ("json", "dirichlet", 64, 2): "86f5ebcf98aed85c4335cbbd759eed165d5d343740d52ab1657801a2dd4c3121",
-    ("json", "gamma", 1, 1): "f2ed828710d5e90c8ef1bae9783183111c38cf347860866cbfb54fc376ed0845",
-    ("json", "gamma", 1, 2): "b3330b3c918f58c33ad163706d9c77f038f0f5d2d1e371393c5a4eb0683173e8",
-    ("json", "gamma", 8, 1): "0917ebce0fb75201b90a686fe497753d3b181220639e747f06da833b723be085",
-    ("json", "gamma", 8, 2): "82b39fe886d8b5a97cff6450b1c6bfbe28d5c712a3793245dfa77df7b092d515",
-    ("json", "gamma", 64, 1): "d03cdda8189a01bb5c74ec765b712cae0a8d3e02886d36878647e95443c92169",
-    ("json", "gamma", 64, 2): "f66f2c15724969693dd8d025d90aed861c8cff77d14186902f006f4b1390f8de",
-    ("json", "lebesgue", 1, 1): "c37486db6ff110d177e71b771d9cf75912536bf26152bdedfc3e29d793830cbd",
-    ("json", "lebesgue", 1, 2): "39773040e7d12748427812711ddf3090b5893879bb718987366c4dddaa919c68",
-    ("json", "lebesgue", 8, 1): "8969bb6b7cfee09ba76d5482b66881ebb1b5ea671a92ff0185ee8031e1a96631",
-    ("json", "lebesgue", 8, 2): "763146af9eda5735e1761f2c36a0a56e5f5afc52499a39803c61d15eb6fea22a",
-    ("json", "lebesgue", 64, 1): "480b25ca87211ebdf99f05feefb1860c45bb76d89793b0618d3a912e1f724c92",
-    ("json", "lebesgue", 64, 2): "5e49cd6732f234e82d4a850a93c2b681dcbcf2c14f9d2160aec701632e72ceef",
-    ("csv", "dirichlet", 1, 1): "7f59744bf2dd5030d26d5138c82d72090ddcc5969114cbcb4767c316e7734a2f",
-    ("csv", "dirichlet", 1, 2): "89e5b5d915970d93c1050d7c565f57fd236ad910f709c8733e54279da391b009",
-    ("csv", "dirichlet", 8, 1): "2d4014b988a1190939c18794b4d9be0dbfcde6419daa792ffc2e681217fcd5e7",
-    ("csv", "dirichlet", 8, 2): "440b0de02fbcac36528d40c1b0607497904726b36bb9f0ad192654c4e8d6b2c7",
-    ("csv", "dirichlet", 64, 1): "b8f28968954690d32798cbfafd67e98756fb93ef3186195de1e2142cb54939ee",
-    ("csv", "dirichlet", 64, 2): "5a7b8f4231f9e198265f52c82a05a0a0bd04455776a091e74d90e66117f7fdb4",
-    ("csv", "gamma", 1, 1): "4668f657d5d4d8fc92e9a43dd53492472a93deedca97babaabf02e468563eca3",
-    ("csv", "gamma", 1, 2): "68a317bb1342be542256a6e274e29d5fda40c3341d4546ceb70be7f8d67e4f00",
-    ("csv", "gamma", 8, 1): "8cbde13e0c6a1cf70708bdfb31201e7060a0799ba471f390cf5941139476c5fe",
-    ("csv", "gamma", 8, 2): "2b07f4f890437466d30acf9992c61dabcec2e74ac6660cf0bda9807e77db728a",
-    ("csv", "gamma", 64, 1): "01cec3c65c18df9e26e23a36864325cdaa86d96dd2506b79c2db43b683f9bd68",
-    ("csv", "gamma", 64, 2): "c4b14931f8c1b4d96a99bcc5c1141dc1b0e5ae7fd577101286e1a7af0fc76dae",
-    ("csv", "lebesgue", 1, 1): "ec6be38f1f4f3518d03636275b4f8e948bead9984e15cd479d75dedcf986cc55",
-    ("csv", "lebesgue", 1, 2): "b752ee994fe67ddb71698e879cb8e08f7f3bdd726f25368e173128b9437407a6",
-    ("csv", "lebesgue", 8, 1): "74bd4bb5f217ae8145546d3cb9fdbe9e611db31b4859744285566bc39816fddc",
-    ("csv", "lebesgue", 8, 2): "02cf3ab834f2c8e45cf3f5b54230299f3061c5774c4d2f16eb5393ed330587ad",
-    ("csv", "lebesgue", 64, 1): "cb798e061931e4786e50429357a936aead0a55517eb2937a8379c6dc6afe1dce",
-    ("csv", "lebesgue", 64, 2): "97a729234c53fcfe565d454a26c6eed32b9dbc06bf6ee2952298b2788c5d489e",
+    ("json", "dirichlet", 1, 1): "523cd6abe0e4638c7095e6800434f019657d500b80d41cab75f38293b7894679",
+    ("json", "dirichlet", 1, 2): "e48398ff15fa18e9da066c56def255d720a42ad6e9c883fda3c86fcecf2db673",
+    ("json", "dirichlet", 8, 1): "bc33bb280240e1ca6a2be107aea5273e974e7912752fcdb8df51985dd7c05c2d",
+    ("json", "dirichlet", 8, 2): "86d3bebb22f6a27cbb8e733d49b7ff889754fab2012703fdb93b337f45190aa4",
+    ("json", "dirichlet", 64, 1): "010e7d2f92463df88eb6a1dfbaaaa6cbb13722d570a910fbb2d65648d44dce67",
+    ("json", "dirichlet", 64, 2): "b30b58f93da55bc652e0e67e45d5798916f6a0d2f77eb65a23f2343d6e5836eb",
+    ("json", "gamma", 1, 1): "93f0d3087c6a55038e1e72e3cc5734a911050ace248801f187264828449fd5f0",
+    ("json", "gamma", 1, 2): "7217b217d700f4698955ca1648c62a345ef8b300ec6b725dc60cce9a901bde3e",
+    ("json", "gamma", 8, 1): "b0959140eeb0c445c4ac351390218a62c044d3fd686e7c80a68e3b2d64297809",
+    ("json", "gamma", 8, 2): "29ebb7df00d87a74d42d60ce08395b9ca823db6015bb703ec87ca20364a48145",
+    ("json", "gamma", 64, 1): "6964ef4033a45f243374db4aac8c9ce246cb066976d831d98d40353378e477a4",
+    ("json", "gamma", 64, 2): "8820302deca23ec73812a33bdafa67ebc73a2d2d31c0c4d0488528b6cfa1ca00",
+    ("json", "lebesgue", 1, 1): "13af272a002fde4b58fc0491d83177f11a3711cacc97b0298af0be3c8500a808",
+    ("json", "lebesgue", 1, 2): "7bf909674e14beaf1ccbae4f8621d54632e2a65789b9f429656a6cf3e6f8b6d6",
+    ("json", "lebesgue", 8, 1): "cdefef2ede7972a8ac8d44ecf2edf4dfd6e60619c9f9fe614083cc3aa2922264",
+    ("json", "lebesgue", 8, 2): "95d16786060c0e927c5108c50ec721196c528eec8ddc128ebf43d6894aa455ef",
+    ("json", "lebesgue", 64, 1): "8ee8df80f14de5fbc3ab93bcf111aadd2016036078980f3b677296e0b248f8d8",
+    ("json", "lebesgue", 64, 2): "09a041e6be67f1c32f0dfaabe1c2874fa123bf72bf2b4ea9de9cab7e0bfed89d",
+    ("csv", "dirichlet", 1, 1): "892e32ec7f0d03d55dffa83432a97764cd2adb0b57676e9adde9bfa5e7a75f25",
+    ("csv", "dirichlet", 1, 2): "8dc51150f61d44ef8f8656da581384afcc9f287d9c35bb0566cfd16934328b7f",
+    ("csv", "dirichlet", 8, 1): "ae6bcd2a92a45a33c94fafbb86aef9d66011253d04554affa84406b70cbac434",
+    ("csv", "dirichlet", 8, 2): "2fd897f6ddc0cd02ac1167535d0b26bfe0c2fec7b478e13e56c4726b3ccbe282",
+    ("csv", "dirichlet", 64, 1): "7a0dabc5c7ae48d452684c8cbcb787c227c105d6daea2164bdab14d24b580884",
+    ("csv", "dirichlet", 64, 2): "64dc27b795ce3bf6509fc50d761e357953cb3d818d9f01ee722cd2210b0071c9",
+    ("csv", "gamma", 1, 1): "7d5195cc2ed6b29a33c41e610a507042a579bc41f92ced15b4457e8e4d021079",
+    ("csv", "gamma", 1, 2): "d73fef19ec3cc351f35de597e27d6871ebb8c42d69bc00a5194dda48095af639",
+    ("csv", "gamma", 8, 1): "2e02a52e4f586869e0113942cfeff9975b67fc3dbcb83a7e9363e11f61d4fc2f",
+    ("csv", "gamma", 8, 2): "52b85a5e4c8d5cd0c12bba07c19dcd0a6e66618eb0cc6c3fb1318e3f0dc7570b",
+    ("csv", "gamma", 64, 1): "dc203f4e1bdcaf7d1f0b7fad3cf006063557a35041e66a90e638cf1f470d4c50",
+    ("csv", "gamma", 64, 2): "443241cbd02b3a2f3dfa6b66728ab1d150507303de5f4aa3428262ff22af230b",
+    ("csv", "lebesgue", 1, 1): "63c3b5dd3a950356e1ab1fca55e56b1037b45a10d03cc3bd4c11a6c26a0bb3de",
+    ("csv", "lebesgue", 1, 2): "cf86052e92cefaf6162e5055ce315f08cd6c748a35b91776c751f3713224ddf1",
+    ("csv", "lebesgue", 8, 1): "d91c66aebafb61bc14d0dfb6780a0696d099961502a9e3f78e0691cf465ec6ec",
+    ("csv", "lebesgue", 8, 2): "246363a533dd6b9ba1332850894204450dbc6c988f912ac893b298cf5014bfff",
+    ("csv", "lebesgue", 64, 1): "2ca060cb07a2b39f6de937345cb76df7901c1e17125cc86812680002c03f4d0b",
+    ("csv", "lebesgue", 64, 2): "a52fe577d0ba1d699c2758bbc367405054fe50bdc04666a35ad82559a1784f3a",
 }
 
 
@@ -990,20 +1000,21 @@ def test_sample_output_bytes_are_frozen(capsys, fmt, process, theta, streams):
 
 # sha256 of every line after the meta line of the bench's draws-shaped
 # sample --theta T --process P --format F --samples N --seed 14, frozen at
-# version 0.5.0 and re-frozen at 0.9.0 and 0.15.0 like the table above.
+# version 0.5.0 and re-frozen at 0.9.0, 0.15.0 and 0.16.0 like the table
+# above.
 _DRAWS_BODY_SHA256 = {
-    (1, 150, "gamma", "json"): "1aa7c9b3230fa640d045869920eaa6123d0983b5fe07ce968c38bf07e66a7f6c",
-    (1, 150, "gamma", "csv"): "daac8b9c2acdefa83be137f593dd47201948370abb71893df68e625cbce9ada3",
-    (1, 150, "lebesgue", "json"): "176086755cd8191a664ca1d8b0726aed8c8a728ce7630bc9df64cb14cc37e2cc",
-    (1, 150, "lebesgue", "csv"): "cc7efdaffda49fee84a03ea4189c54d1be7f38f43273cfae06db35e1939aa404",
-    (8, 25, "gamma", "json"): "033c9ffb5455a05854bdec72fcea30c92cdd0c8aa4183c0e85df65827295e20c",
-    (8, 25, "gamma", "csv"): "a7951edd9abbb03b2e94079a5e8609b55ac93f8e04a4d1fd0ca8807467cdd03b",
-    (8, 25, "lebesgue", "json"): "e0f4c668754fce1ebcfdbf6467974611b209af659e1be8bec99e1fb483d6d0c0",
-    (8, 25, "lebesgue", "csv"): "e1828fde94f742f8c5cd315d13d72eecc1e5acb56d4ae5a79f918618bf5a32f7",
-    (64, 4, "gamma", "json"): "53ef8f88b380ce343f6325277a77251f472fbbfecab44f2ba8aecb74d063a9ea",
-    (64, 4, "gamma", "csv"): "c8fc27b5ad2616c56e276ef2763078c25caf7f68f08236a8d5288e4e90a2e6ed",
-    (64, 4, "lebesgue", "json"): "9753617aa495e34eef39adbdcbbf16604fdd943d52f8ab32281370aa26ba8a59",
-    (64, 4, "lebesgue", "csv"): "cb8113a937cd7514b65285a0228ebcc09a7318cc3319c01ed80f7a53135c1d5f",
+    (1, 150, "gamma", "json"): "4d58f9c3944173c632a2519133bd368cb5c7968cb28e86a6b762e59c4a076d87",
+    (1, 150, "gamma", "csv"): "4c4933adaae3fb2693622688b2ca2530231d5b81e63e545816d28a8b408ec919",
+    (1, 150, "lebesgue", "json"): "f8a795010f43922d8b45580583d9c411fe790df5b35e68c1f246c1261a426a88",
+    (1, 150, "lebesgue", "csv"): "74daf11f4d93ffb01425372e1c21226f7507043a9e9ead01bd1408b3863067f4",
+    (8, 25, "gamma", "json"): "03b6cd61918b61a1af767e74c7460ba4ec07627817a7368d1f4734ae6307e434",
+    (8, 25, "gamma", "csv"): "61173584155a9be516a277c50846676408cec9ebdde2a1c14829ffc56b2af88a",
+    (8, 25, "lebesgue", "json"): "20b94c0d7134c98edfa743eba676d1a3648df385db4816241ae301a73312fa0b",
+    (8, 25, "lebesgue", "csv"): "bfd5ba8f6ee8bc8b3540135f7677366f1faa8b5b312e58ba0503497ae4a3db82",
+    (64, 4, "gamma", "json"): "4d010e76460085f9c13fb85e69042a3a8c9a46d7bfb95bc2d94cd79305c73cbd",
+    (64, 4, "gamma", "csv"): "d10701492b692370101b45a02c3f7fab8a0e5f247460ef6dd93b1e9d8b599e7b",
+    (64, 4, "lebesgue", "json"): "b6922eb09645e833ba4714bacc8372af8ed0c3dc17e59e3a77466f6769fc8991",
+    (64, 4, "lebesgue", "csv"): "d202ec3fae9869ac366420dacfc0f64861c3964b3592abd341213073d00d9532",
 }
 
 
@@ -1126,33 +1137,31 @@ def test_sample_runs_one_stick_pass_per_batch(capsys, monkeypatch, process):
 def test_a_gamma_draw_whose_masses_underflow_when_scaled_exits_3(capsys):
     # At theta = 0.001 and eps = 1e-100 a draw keeps masses down to near
     # eps, and its Gamma(theta) total is often far below 1e-200, so their
-    # product can round to 0 (13 of the one-draw seeds 0-199): a numerical
-    # failure of a valid configuration.  Seed 0's tenth draw is the first;
-    # the nine before it are already written.
+    # product can round to 0 (15 of the one-draw seeds 0-199): a numerical
+    # failure of a valid configuration.  Seed 0's seventh draw is the
+    # first; the six before it are already written.
     code, out, err = run_cli(capsys, ["sample", "--theta", "0.001", "--eps", "1e-100",
                                       "--samples", "200"])
     assert code == 3 and err.startswith("conicpd: numerical failure") and "total mass" in err
     records = json_lines(out)
     assert "batch_cells" in records[0]
-    assert [record["draw"] for record in records[1:]] == list(range(9))
+    assert [record["draw"] for record in records[1:]] == list(range(6))
 
 
-def test_a_kept_mass_that_underflows_at_subnormal_eps_exits_3(capsys):
-    # At eps = 1e-320 a kept stick's mass y * exp(run) can round to 0, which
-    # used to be refused as a zero stick (exit 2).  Seed 0's 107th draw, in
-    # its second batch, is the first such; the 106 before it are written.
+def test_a_subnormal_eps_exits_2_before_any_draw(capsys):
+    # At eps = 1e-320 a kept stick's mass could round to 0.  The run used
+    # to stop part-way with exit 3 (106 draws written at this seed); the eps
+    # is now refused before any draw, with the output empty.
     code, out, err = run_cli(capsys, ["sample", "--theta", "4", "--eps", "1e-320",
                                       "--samples", "200"])
-    assert code == 3 and err.strip() == ("conicpd: numerical failure: atom masses underflow "
-                                         "to 0 at truncation eps 1e-320; raise eps")
-    records = json_lines(out)
-    assert "batch_cells" in records[0]
-    assert [record["draw"] for record in records[1:]] == list(range(106))
+    assert code == 2 and out == "" and err.strip() == (
+        "conicpd: invalid configuration: truncation eps 1e-320 lets a kept atom mass "
+        "underflow to 0; raise eps")
 
 
 @pytest.mark.parametrize("flags", [
     ["--theta", "-1"], ["--theta", "nan"], ["--eps", "1.5"], ["--eps", "0"],
-    ["--seed", str(2**64)], ["--samples", "0"], ["--theta", "1e8"],
+    ["--seed", str(2**64)], ["--samples", "0"], ["--theta", "1e8"], ["--eps", "1e-320"],
 ])
 def test_sample_refusals_before_any_draw_leave_the_output_empty(capsys, tmp_path, flags):
     out = tmp_path / "draws.json"

@@ -150,15 +150,22 @@ def test_stick_rows_stop_at_the_first_residual_below_eps(theta):
     assert np.allclose(masses.sum(axis=1) + tails, 1.0, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("u, eps, want_masses, want_tail", [
-    (0.5, 0.35, [0.5, 0.25], 0.25),
-    (0.3, 0.35, [0.7], 0.3),
-])
-def test_known_sticks_break_into_known_masses(u, eps, want_masses, want_tail):
-    # At theta = 1 a uniform u is the stick 1 - u, so a constant u gives
-    # equal sticks: c_j = y (1 - y)^j up to the first residual at most eps.
-    gen = _Uniforms(1, lambda call, v: np.full_like(v, u) if call == 1 else v)
-    masses, tails = stick_masses_batch(1.0, eps, 1, gen)
+_L35 = math.log(1.0 / 0.35)
+
+
+@pytest.mark.parametrize("count, spacings, cut, want_masses, want_tail", [
+    # Residuals 1/2 and 1/4: log-residuals log 2 < L and log 4 > L.
+    (1, [math.log(2.0), _L35 - math.log(2.0)], math.log(4.0) - _L35, [0.5, 0.25], 0.25),
+    # No point in [0, L]; the cut point L + log(0.35 / 0.3) leaves 0.3.
+    (0, [2.0], math.log(0.35 / 0.3), [0.7], 0.3),
+], ids=["two sticks", "one stick"])
+def test_known_sticks_break_into_known_masses(count, spacings, cut, want_masses, want_tail):
+    # At eps = 0.35 and theta = 1 a row with ``count`` points in [0, L],
+    # L = log(1/eps), takes its spacings scaled to sum to L, then the cut
+    # exponential; residual R_k = exp(-E_k) gives masses R_{k-1} - R_k.
+    gen = _Forced(1, lambda call, e: np.array([spacings]) if call == 1 else np.array([cut]),
+                  counts=[count])
+    masses, tails = stick_masses_batch(1.0, 0.35, 1, gen)
     assert np.allclose(masses[0], want_masses, rtol=0.0, atol=1e-15)
     assert abs(tails[0] - want_tail) <= 1e-15
 
@@ -413,21 +420,36 @@ def test_gamma_batch_layout():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-def _block_ends(theta, eps):
-    """Columns at which a draw's first block and each later extension round end, endlessly.
+def _row_by_row(theta, eps, rows, gen):
+    """``stick_masses_batch`` row by row, as (masses, tails), in the pass's draw order.
 
-    The layout of ``_stick_rows``: the first block is ``_buffer_width``
-    columns wide, and each round adds ``_round_width`` columns.
+    All counts N first, then each row's run of exponentials, as wide as the
+    widest row (a row keeps its first N + 1), then the cut exponentials.
+    With L = log(1/eps) and S the sum of a row's exponentials from its
+    left, E_k is L / S times the sum of its first k, and step k is L / S
+    times exponential k, plus the cut exponential over theta at step N.
+    The masses are exp(-E_{k-1}) (1 - exp(-step_k)) and the tail exp(-(L
+    + the cut step)).
     """
-    end, add = processes._buffer_width(theta, eps), processes._round_width(theta, eps)
-    while True:
-        yield end
-        end += add
-
-
-def _rounds(theta, eps, sticks):
-    """Extension rounds that a row of ``sticks`` sticks takes."""
-    return next(k for k, end in enumerate(_block_ends(theta, eps)) if sticks <= end)
+    length = -math.log(eps)
+    counts = gen.poisson(theta * length, rows)
+    width = counts.max() + 1
+    exps = [gen.standard_exponential(width) for _ in range(rows)]
+    cuts = gen.standard_exponential(rows)
+    masses, tails = np.zeros((rows, width)), np.zeros(rows)
+    for row, (count, e, cut) in enumerate(zip(counts, exps, cuts)):
+        sums = [0.0]
+        for x in e[:count + 1]:
+            sums.append(sums[-1] + x)
+        scale = length / sums[-1]
+        steps = e[:count + 1] * scale
+        with np.errstate(over="ignore"):
+            cut_step = cut / theta
+        steps[count] += cut_step
+        left = np.exp(-(np.array(sums[:-1]) * scale))
+        masses[row, :count + 1] = left * -np.expm1(-steps)
+        tails[row] = np.exp(-(length + cut_step))
+    return masses, tails
 
 
 def _recursion_step(theta, log_eps, u, before):
@@ -460,29 +482,26 @@ def _recursion_step(theta, log_eps, u, before):
     return masses, cuts, tails, run
 
 
-def _recursion_batch(theta, eps, rows, gen):
-    """``stick_masses_batch`` by ``_recursion_step`` over the same uniform layout.
+def _recursion_batch(theta, eps, rows, gen, cols=64):
+    """GEM(theta) draws stick by stick, as (masses, tails): the law reference.
 
-    The first block's uniforms come first, then each round's, for the rows
-    still open, in row order.
+    Each round draws ``cols`` Beta(1, theta) sticks by inverse CDF for the
+    rows still open and runs ``_recursion_step`` over them.
     """
     log_eps = math.log(eps)
-    masses, cuts, tails, runs = np.zeros((rows, 0)), np.full(rows, -1), np.zeros(rows), None
-    live, start = np.arange(rows), 0
-    for end in _block_ends(theta, eps):
-        if not live.size:
-            break
-        u = gen.random(live.size * (end - start)).reshape(live.size, end - start)
-        block, cut, tail, run = _recursion_step(theta, log_eps, u,
-                                                None if runs is None else runs[live])
-        masses = np.hstack([masses, np.zeros((rows, end - start))])
-        masses[live, start:] = block
-        runs = np.zeros(rows) if runs is None else runs
+    blocks, cuts, tails, runs = [], np.full(rows, -1), np.zeros(rows), np.zeros(rows)
+    live = np.arange(rows)
+    while live.size:
+        start = cols * len(blocks)
+        block, cut, tail, run = _recursion_step(theta, log_eps, gen.random((live.size, cols)),
+                                                runs[live] if blocks else None)
+        blocks.append(np.zeros((rows, cols)))
+        blocks[-1][live] = block
         runs[live] = run
         closed = cut >= 0
         cuts[live[closed]], tails[live[closed]] = start + cut[closed], tail[closed]
-        live, start = live[~closed], end
-    return masses[:, :cuts.max() + 1], tails
+        live = live[~closed]
+    return np.hstack(blocks)[:, :cuts.max() + 1], tails
 
 
 @settings(max_examples=50, deadline=None)
@@ -490,30 +509,31 @@ def _recursion_batch(theta, eps, rows, gen):
        seed=st.integers(0, 2**32))
 @example(theta=0.3, log10_eps=-2.0, rows=2, seed=23)
 @example(theta=1.0, log10_eps=-10.0, rows=300, seed=5)
-def test_stick_batches_are_the_stick_by_stick_recursion(theta, log10_eps, rows, seed):
-    # The vectorized stick pass (a cumsum of the steps, masses formed on the
-    # flat matrix shifted by a cell, rounds copied once into the padded
-    # matrix) gives the very floats of a column-by-column recursion.  The
-    # first example keeps one atom per row of a 12-column first block, a
-    # (2, 1) view of it (see test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are).
+@example(theta=1e-320, log10_eps=-10.0, rows=3, seed=1)
+def test_stick_rows_are_the_row_by_row_reference(theta, log10_eps, rows, seed):
+    # The vectorized pass (one matrix as wide as the widest row, zeros
+    # right of each cut, running sums shifted one column) gives the very
+    # floats of each row's own sums from its left.  At theta = 1e-320 each
+    # row is one stick of 1 and a tail of 0.
     eps = 10.0 ** log10_eps
-    want_masses, want_tails = _recursion_batch(theta, eps, rows, RngStream(seed).generator())
-    masses, tails = stick_masses_batch(theta, eps, rows, RngStream(seed).generator())
+    gen, want_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    masses, tails = stick_masses_batch(theta, eps, rows, gen)
+    want_masses, want_tails = _row_by_row(theta, eps, rows, want_gen)
     assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
-
+    assert _position(gen) == _position(want_gen)
 
 
 @pytest.mark.parametrize("theta, rows, seed", [
     (0.5, 2001, 9),    # odd rows
     (1.0, 2, 9),
     (2.5, 513, 9),
-    (4.0, 20_000, 4),  # a row that outgrows the first block
+    (4.0, 20_000, 4),
     (8.0, 999, 9),
 ])
 @pytest.mark.parametrize("offset", [0, 3])
 @pytest.mark.parametrize("process", ["dirichlet", "gamma"])
-def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, rows, seed,
-                                                                          offset, process):
+def test_series_draws_are_the_row_by_row_reference_sorted_and_scaled(theta, rows, seed,
+                                                                     offset, process):
     # ``_draw_rows`` takes the stick pass, then the (rows, K) location
     # uniforms, then (gamma draws only) the totals, from a generator whose
     # Philox block may be partly spent.  Each row is its own atoms sorted by
@@ -528,7 +548,7 @@ def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, 
     normalized = process == "dirichlet"
     gen, want_gen = make_gen(), make_gen()
     draws = list(processes._draw_rows(theta, EPS, rows, gen, normalized=normalized))
-    sticks, tails = _recursion_batch(theta, EPS, rows, want_gen)
+    sticks, tails = _row_by_row(theta, EPS, rows, want_gen)
     locations = want_gen.random(sticks.shape)
     if normalized:
         totals = np.ones(rows)
@@ -536,8 +556,6 @@ def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, 
         totals = want_gen.standard_gamma(theta, rows)
         totals[totals == 0.0] = np.finfo(float).tiny
     assert len(draws) == rows
-    if rows == 20_000 and offset == 0:
-        assert sticks.shape[1] > processes._buffer_width(theta, EPS)
     for row, (masses, locs, total, tail) in enumerate(draws):
         atoms = np.count_nonzero(sticks[row])
         assert np.array_equal(masses, np.sort(sticks[row, :atoms])[::-1] * totals[row])
@@ -546,6 +564,26 @@ def test_series_draws_are_the_stick_by_stick_recursion_sorted_and_scaled(theta, 
     assert _position(gen) == _position(want_gen)
     for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
         assert np.array_equal(a, b)
+
+
+def _law_statistics(masses, tails):
+    """Stick count, V_1, V_2 (0 for a one-stick row), sum of V^2 and tail of each row."""
+    return {"count": np.count_nonzero(masses, axis=1), "V1": masses[:, 0],
+            "V2": masses[:, 1] if masses.shape[1] > 1 else np.zeros(len(masses)),
+            "sum V^2": (masses * masses).sum(axis=1), "tail": tails}
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 8.0, 64.0])
+def test_stick_rows_draw_the_law_of_the_stick_by_stick_recursion(theta):
+    # Two-sample KS of the pass against Beta(1, theta) sticks drawn one by
+    # one, 10^4 rows each at eps = 1e-4, on five statistics of each row.
+    # Streams and the level 1e-3 per statistic (20 tests in all) were
+    # fixed before the first run.
+    rows, eps = 10_000, 1e-4
+    got = _law_statistics(*stick_masses_batch(theta, eps, rows, RngStream(61).generator()))
+    want = _law_statistics(*_recursion_batch(theta, eps, rows, RngStream(62).generator()))
+    p_values = {name: ks_2samp(got[name], want[name]).pvalue for name in got}
+    assert min(p_values.values()) >= 1e-3, p_values
 
 
 def _poisson_moment_gaps(counts, m):
@@ -579,65 +617,6 @@ def test_stick_matrix_is_as_wide_as_its_longest_row(theta, rows):
     assert tails.shape == (rows,)
 
 
-def _short_first_block(theta, rows, seed, width):
-    """Stream ``seed``, but each row of the first block keeps only its last ``width`` full sticks.
-
-    The block's leading sticks are made smaller than 1e-3, so they take
-    almost nothing off the residual: a row closes in the first block about
-    as often as in a block ``width`` columns wide, and a batch extends many
-    rows, as a natural one seldom does.  A ``width`` of 0 leaves every row
-    open.
-    """
-    tiny = processes._buffer_width(theta, EPS) - width
-
-    def alter(call, u):
-        if call == 1:
-            lead = u.reshape(rows, -1)[:, :tiny]
-            if theta == 1.0:  # the stick is 1 - u
-                lead *= -1e-3
-                lead += 1.0
-            else:  # the stick is about u / theta
-                np.subtract(1.0, lead, out=lead)
-                lead *= 1e-3
-        return u
-
-    return _Uniforms(seed, alter)
-
-
-def test_stick_rows_that_outgrow_the_first_block_stay_exact():
-    # A first block of 20000 rows at theta = 4 that leaves each row 0.75
-    # standard deviations past the mean stick count of full sticks, so about
-    # a fifth of the rows extend; this stream's longest row takes three
-    # rounds.
-    theta, rows = 4.0, 20_000
-    gen = _short_first_block(theta, rows, 17, 101)
-    masses, tails = stick_masses_batch(theta, EPS, rows, gen)
-    sticks = np.count_nonzero(masses, axis=1)
-    assert _rounds(theta, EPS, sticks.max()) == 3
-    assert 0.1 < np.mean(sticks > processes._buffer_width(theta, EPS)) < 0.4
-    assert masses.shape[1] == sticks.max()
-    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
-    # the cut is the first stick that takes the residual to eps
-    last = masses[np.arange(rows), sticks - 1]
-    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
-
-
-def test_stick_rows_extend_over_several_rounds():
-    # Every row is still open after the first block, and the rows close in
-    # different extension rounds, so the open set shrinks between rounds.
-    rows = 64
-    gen = _short_first_block(1.0, rows, 32, 0)
-    masses, tails = stick_masses_batch(1.0, EPS, rows, gen)
-    sticks = np.count_nonzero(masses, axis=1)
-    rounds = {_rounds(1.0, EPS, count) for count in sticks}
-    assert gen.calls == 1 + max(rounds) and min(rounds) >= 1 and len(rounds) >= 3
-    assert sticks.max() > processes._buffer_width(1.0, EPS)
-    assert masses.shape[1] == sticks.max()
-    assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
-    last = masses[np.arange(rows), sticks - 1]
-    assert np.all(tails <= EPS) and np.all(tails + last > EPS)
-
-
 def _peak_traced_bytes(call):
     tracemalloc.start()
     try:
@@ -668,38 +647,35 @@ def test_stick_sampler_refuses_oversized_blocks_before_allocating():
     assert np.abs(masses.sum(axis=1) + tails - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("theta, rows, seed, width", [(4.0, 20_000, 3, 101),
-                                                      (4.0, 20_000, 4, 101), (1.0, 8192, 9, 28)])
-def test_extending_stick_batch_peak_memory_is_two_matrices(theta, rows, seed, width):
-    # A batch whose rows outgrow the first block holds the first block,
-    # the rounds, which hold only the rows still open, and the padded
-    # matrix they are copied into.  The first pass holds the first block's
-    # running sums and cut test beside it.
-    gen = _short_first_block(theta, rows, seed, width)
-    out = []
-    peak = _peak_traced_bytes(lambda: out.append(stick_masses_batch(theta, EPS, rows, gen)))
-    masses, _tails = out[0]
-    assert masses.shape[1] > processes._buffer_width(theta, EPS)
-    assert peak <= 2.1 * masses.nbytes
-
-
-def test_a_round_past_the_cell_budget_is_refused_before_it_is_allocated(monkeypatch):
-    # A batch with a budget that holds its buffer width and no more, on a
-    # stream where one row outgrows that width: the round past it is
-    # refused before it is drawn, so the peak is the first pass's: the
-    # first block, its running sums and its cut test.
+def test_a_count_past_the_cell_budget_is_refused_before_the_matrix_is_allocated(monkeypatch):
+    # A budget one column short of what stream 2's counts need: the batch
+    # is refused once the counts are drawn, before its exponentials are, so
+    # the peak is the counts'.  One column more and the batch is drawn.
     theta, rows = 4.0, 32768
-    cells = rows * processes._buffer_width(theta, EPS)
-    monkeypatch.setattr(processes, "_CELL_BUDGET", cells)
+    width = RngStream(2).generator().poisson(-theta * math.log(EPS), rows).max() + 1
+    monkeypatch.setattr(processes, "_CELL_BUDGET", rows * (width - 1))
 
     def refused():
-        with pytest.raises(DomainError, match="budget"):
+        with pytest.raises(DomainError, match="budget.*--samples"):
             stick_masses_batch(theta, EPS, rows, RngStream(2).generator())
 
-    assert _peak_traced_bytes(refused) <= 2.2 * 8 * cells
-    monkeypatch.setattr(processes, "_CELL_BUDGET", cells + rows * processes._round_width(theta, EPS))
+    assert _peak_traced_bytes(refused) <= 4 * 8 * rows
+    monkeypatch.setattr(processes, "_CELL_BUDGET", rows * width)
     masses, _tails = stick_masses_batch(theta, EPS, rows, RngStream(2).generator())
-    assert masses.shape[1] > processes._buffer_width(theta, EPS)
+    assert masses.shape == (rows, width)
+
+
+@pytest.mark.parametrize("theta, rows, seed", [(4.0, 20_000, 3), (4.0, 20_000, 4),
+                                               (1.0, 8192, 9), (8.0, 4096, 5)])
+def test_a_stick_pass_peaks_at_two_matrices_and_its_zero_mask(theta, rows, seed):
+    # The pass holds the steps, which become the masses, and their running
+    # sums at once, beside the boolean mask of the cells right of each
+    # row's cut while it is formed and a few row vectors.
+    out = []
+    peak = _peak_traced_bytes(lambda: out.append(
+        stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())))
+    masses, _tails = out[0]
+    assert peak <= 2.125 * masses.nbytes + 8 * 8 * rows
 
 
 def _sample_batch(theta, seed):
@@ -744,60 +720,74 @@ def test_a_long_one_row_draw_peaks_below_four_and_a_half_matrices():
     assert peak <= 4.5 * 8 * masses.size
 
 
-# sha256 of (shape, masses, tails) bytes of a batch drawn from
-# _short_first_block(theta, rows, seed, width), with the width and the
-# extension rounds the longest row takes.  Re-frozen at 0.15.0, when the
-# first block became the budgeted width; the recursion test below checks
-# the same layout stick by stick.  Every batch here extends, and the two
-# largest take three rounds.
+# sha256 of (shape, masses, tails) bytes of a batch on stream ``seed``,
+# re-frozen at 0.16.0, when the pass came to draw each row's stick count
+# first; the row-by-row reference test checks the same draws.
 _STICK_BATCH_DIGESTS = {
-    (0.5, 2000, 9): (16, 1, "3cb45daa3f9b70e2b07f3480852475f5388ea765d06b1e3f4c482907f1a20d4b"),
-    (1.0, 2000, 9): (28, 2, "6c8f8d66b81d5418ecb8efda8478e316798a456cae8c80433bd9042f4747626b"),
-    (4.0, 2000, 9): (101, 2, "4ee2a6cdb2fead08984a246b3e012be1d9c15b5e5ef2edda1861bf5d0c07bd3f"),
-    (64.0, 64, 9): (1504, 1, "700029f3c42c5cf13ec2e0ef7194d4c7d9b5b4fbfec8955e8f738b50710f9c00"),
-    (4.0, 20000, 3): (94, 3, "1f08b88ea957b47bf9e8a1f0c9d6a3420086010b4d1798fb37a858641990dd26"),
-    (4.0, 32768, 2): (94, 3, "05d81a42159dde841ada3e5bcaf97d4bb895be831f732635bc0f3d7941215614"),
+    (0.5, 2000, 9): "2b0d63958ee5c61c57f9bfc6d82fd4c9649656cdc4336b2813cb9593ddb15b57",
+    (1.0, 2000, 9): "11b0031c6d055c065fa52140a455d66eb509e02ab9c2624d129d76cc246f2176",
+    (4.0, 2000, 9): "9299315582780e8ba9d0bc8223ad4b828c7fae88311837e8816bf0558e007f8b",
+    (64.0, 64, 9): "89bcc50c869a9e74b3c61359259956bdf0b13cb7f085953aaffdc58e9dfaefb5",
+    (4.0, 20000, 3): "7ade580279a840364ad8e2bbb35d493a9c7e4c4c5e4ae18b62525818c111d60d",
+    (4.0, 32768, 2): "66d9ce42b98ed1193ca6bcbf35b7037b5524dbdcd855bcf05b29391290cdd9a2",
 }
 
 
 @pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
 def test_stick_batch_outputs_are_frozen(theta, rows, seed):
-    width, rounds, want = _STICK_BATCH_DIGESTS[theta, rows, seed]
-    gen = _short_first_block(theta, rows, seed, width)
-    masses, tails = stick_masses_batch(theta, EPS, rows, gen)
-    assert _rounds(theta, EPS, masses.shape[1]) == rounds
+    masses, tails = stick_masses_batch(theta, EPS, rows, RngStream(seed).generator())
     digest = hashlib.sha256(np.asarray(masses.shape, dtype=np.int64).tobytes())
     digest.update(masses.tobytes())
     digest.update(tails.tobytes())
-    assert digest.hexdigest() == want
+    assert digest.hexdigest() == _STICK_BATCH_DIGESTS[theta, rows, seed]
 
 
+class _OneRow:
+    """Stands in for a generator: hands ``_stick_rows`` one row's draws.
 
-@pytest.mark.parametrize("extension", [False, True])
+    ``poisson`` returns the row's count, a matrix of exponentials its
+    ``exps`` as one row, and a vector of them its cut exponential.
+    """
+
+    def __init__(self, count, exps, cut):
+        self.count, self.exps, self.cut = count, exps, cut
+
+    def poisson(self, lam, size):
+        return np.array([self.count])
+
+    def standard_exponential(self, size):
+        return self.exps[None, :].copy() if isinstance(size, tuple) else np.array([self.cut])
+
+
 @pytest.mark.parametrize("theta, rows, seed", list(_STICK_BATCH_DIGESTS))
-def test_a_stick_pass_gives_each_row_the_bytes_of_its_own_pass(theta, rows, seed, extension):
-    # One pass over the whole matrix forms its masses on the flat matrix
-    # shifted by a cell, where a row's first column meets the row above's
-    # last; each row still gets the bytes a pass over that row alone gives.
-    # An extension pass starts from the runs its rows reached before it,
-    # here spread evenly between 0 and the cut.  A first pass as wide as
-    # the table's width and an extension pass of a round's width each close
-    # some rows and leave some open.
+def test_each_row_of_a_batch_gets_the_bytes_of_its_own_pass(theta, rows, seed):
+    # A row's sums run from its left over its own N + 1 exponentials, so
+    # the zeros that pad it to the widest row's width change none of its
+    # bytes: a pass over that row alone, given its count, exponentials and
+    # cut exponential, gives the same masses and tail.
+    masses, tails, counts = processes._stick_rows(theta, EPS, rows, RngStream(seed).generator())
     gen = RngStream(seed).generator()
-    log_eps = math.log(EPS)
-    width = _STICK_BATCH_DIGESTS[theta, rows, seed][0]
-    cols = processes._round_width(theta, EPS) if extension else width
-    u = gen.random(rows * cols).reshape(rows, cols)
-    before = log_eps * gen.random(rows) if extension else None
-    whole = u.copy()
-    tails, cuts, ends = processes._stick_pass(theta, log_eps, whole, before)
-    assert 0 < np.count_nonzero(ends <= log_eps) < rows or rows <= 2
-    for row in range(rows):
-        alone = u[row:row + 1].copy()
-        got = processes._stick_pass(theta, log_eps, alone,
-                                    None if before is None else before[row:row + 1])
-        assert np.array_equal(alone[0], whole[row])
-        assert (got[0][0], got[1][0], got[2][0]) == (tails[row], cuts[row], ends[row])
+    assert np.array_equal(counts, gen.poisson(-theta * math.log(EPS), rows))
+    exps = gen.standard_exponential((rows, counts.max() + 1))
+    cuts = gen.standard_exponential(rows)
+    for row, count in enumerate(counts.tolist()):
+        alone = processes._stick_rows(theta, EPS, 1,
+                                      _OneRow(count, exps[row, :count + 1], cuts[row]))
+        assert np.array_equal(alone[0][0], masses[row, :count + 1])
+        assert not masses[row, count + 1:].any()
+        assert alone[1][0] == tails[row]
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 8.0, 64.0])
+def test_stick_rows_cut_each_row_after_its_poisson_count(theta):
+    # ``_draw_rows`` reads a row's least kept mass at its count N: the pass
+    # returns the stream's first draws, the counts, and keeps N + 1
+    # positive masses in each row.
+    rows, eps = 3000, 1e-4
+    masses, _tails, counts = processes._stick_rows(theta, eps, rows, RngStream(8).generator())
+    assert np.array_equal(counts, RngStream(8).generator().poisson(-theta * math.log(eps), rows))
+    assert np.array_equal(np.count_nonzero(masses, axis=1), counts + 1)
+    assert np.all(masses[np.arange(rows), counts] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,11 +1001,10 @@ def _next_draws(gen):
 
 
 @pytest.mark.parametrize("kind, seed", [("half pair", 47), ("pcg64", 36)])
-def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind, seed):
+def test_other_bit_generators_draw_the_row_by_row_bytes(kind, seed):
     # A Philox holding half of a 32-bit pair, and PCG64, give the batch of
-    # the column-by-column recursion on the same generator, and leave the
-    # generator where the recursion leaves it.  Each seed gives a row that
-    # outgrows the first block.
+    # the row-by-row reference on the same generator, and leave the
+    # generator where the reference leaves it.
     def make_gen():
         if kind == "pcg64":
             return np.random.Generator(np.random.PCG64(seed))
@@ -1026,8 +1015,7 @@ def test_other_bit_generators_draw_the_stick_by_stick_bytes(kind, seed):
 
     gen, want_gen = make_gen(), make_gen()
     masses, tails = stick_masses_batch(2.0, EPS, 1001, gen)
-    want_masses, want_tails = _recursion_batch(2.0, EPS, 1001, want_gen)
-    assert masses.shape[1] > processes._buffer_width(2.0, EPS)
+    want_masses, want_tails = _row_by_row(2.0, EPS, 1001, want_gen)
     assert np.array_equal(masses, want_masses) and np.array_equal(tails, want_tails)
     assert _position(gen) == _position(want_gen)
     for a, b in zip(_next_draws(gen), _next_draws(want_gen)):
@@ -1080,7 +1068,7 @@ def test_concurrent_callers_keep_their_bytes(monkeypatch):
     # loops run outside the interpreter lock, so the threads overlap.  Each
     # pass works in arrays of its own, so each caller must get the bytes it
     # gets alone.  The low cell budget stops a draw that another thread
-    # broke before its rounds reach 512 MB.
+    # broke before its matrix reaches 512 MB.
     monkeypatch.setattr(processes, "_CELL_BUDGET", 1 << 22)
     cases = [(0.7 + 0.5 * k, 4001 + 500 * k, k) for k in range(6)]
     want = [_gamma_and_invariance_digests(*case) for case in cases]
@@ -1101,53 +1089,6 @@ def test_concurrent_callers_keep_their_bytes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
-
-
-def _wrap_public(monkeypatch, record):
-    """Make every public conicpd function call ``record(function)`` first."""
-    from conicpd import cli, laplace  # noqa: F401  (loads every module the runs use)
-
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("conicpd."):
-            continue
-        for attr, value in list(vars(module).items()):
-            if (inspect.isfunction(value) and not attr.startswith("_")
-                    and value.__module__.startswith("conicpd.")):
-                def wrapper(*args, _fn=value, **kwargs):
-                    record(_fn)
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(module, attr, wrapper)
-
-
-_SAMPLE_ARGV = (["sample", "--samples", "700"],
-                ["sample", "--theta", "4", "--samples", "300", "--process", "dirichlet"],
-                ["sample", "--theta", "0.5", "--samples", "500", "--process", "lebesgue",
-                 "--format", "csv"])
-
-
-def test_public_calls_do_not_depend_on_the_stick_layout(monkeypatch):
-    # What a span tracer counts is the same when every draw is extended in
-    # many rounds of two columns after a first block of one.  Each sample
-    # command here draws one batch.
-    from conicpd import cli
-
-    counts, passes = [], []
-    stick_pass = processes._stick_pass
-    for narrow in (False, True):
-        calls = collections.Counter()
-        with monkeypatch.context() as patch:
-            _wrap_public(patch, lambda fn: calls.update([fn.__qualname__]))
-            if narrow:
-                patch.setattr(processes, "_buffer_width", lambda theta, eps: 1)
-                patch.setattr(processes, "_round_width", lambda theta, eps: 2)
-                patch.setattr(processes, "_stick_pass",
-                              lambda *args, **kw: passes.append(1) or stick_pass(*args, **kw))
-            for argv in _SAMPLE_ARGV:
-                assert cli.main(argv + ["--seed", "3", "--out", os.devnull]) == 0
-        counts.append(calls)
-    assert counts[0] == counts[1]
-    assert counts[0]["main"] == len(_SAMPLE_ARGV) and counts[0]["stream_counts"] > 0
-    assert len(passes) >= 10 * len(_SAMPLE_ARGV)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,19 +1152,24 @@ def test_numpy_scalars_draw_like_the_equal_float(theta, eps, kind):
 # Scalar draws: one sorted series per draw, checked where construction does not imply
 
 
-class _Uniforms(np.random.Generator):
-    """Philox generator whose k-th ``random`` call returns ``alter(k, u)``.
+class _Forced(np.random.Generator):
+    """Philox generator whose k-th ``standard_exponential`` call returns ``alter(k, e)``.
 
-    With ``total``, every gamma draw returns ``total`` instead.
+    With ``counts``, ``poisson`` returns them instead, and with ``total``,
+    every gamma draw returns ``total``.
     """
 
-    def __init__(self, seed, alter, total=None):
+    def __init__(self, seed, alter, counts=None, total=None):
         super().__init__(RngStream(seed).generator().bit_generator)
-        self.alter, self.total, self.calls = alter, total, 0
+        self.alter, self.counts, self.total, self.calls = alter, counts, total, 0
 
-    def random(self, size=None):
+    def standard_exponential(self, size=None):
         self.calls += 1
-        return self.alter(self.calls, super().random(size))
+        return self.alter(self.calls, super().standard_exponential(size))
+
+    def poisson(self, lam, size=None):
+        drawn = super().poisson(lam, size)
+        return drawn if self.counts is None else np.array(self.counts)
 
     def standard_gamma(self, shape, size=None):
         if self.total is None:
@@ -1231,41 +1177,44 @@ class _Uniforms(np.random.Generator):
         return self.total if size is None else np.full(size, self.total)
 
 
-# sha256 of the draw's fields and the next three uniforms, frozen at version
-# 0.5.0, when the series samplers became one-row batches, and re-frozen at
-# 0.9.0 with the stick batches and at 0.15.0, when the first block became
-# the budgeted width and the locations came in draw order.
-_TINY_FIRST_BLOCK_SHA256 = {
-    "sample_dirichlet_process": "8a1ca488b1eea2f81acffa9e085e346b0121a55812bc3b6a8d91b10034af3213",
-    "sample_gamma_process": "45d25739f60f6b7b29a43753d57c60632e17f220a27ff1c5bef1cce85a6ed1c3",
-}
-
-
-@pytest.mark.parametrize("name", list(_TINY_FIRST_BLOCK_SHA256))
-def test_one_row_draw_past_its_first_block_is_frozen(name):
-    # The row is open after its first block and closes in its third
-    # extension round, so a one-row draw goes through every step: the
-    # first block, three rounds, then the locations.
-    gen = _short_first_block(1.0, 1, 32, 0)
-    draw = getattr(processes, name)(1.0, EPS, gen)
-    fields = (draw.masses.tobytes() + draw.locations.tobytes()
-              + struct.pack("<dd", draw.total_mass, draw.tail_bound))
-    assert gen.calls == 5 and _rounds(1.0, EPS, draw.masses.size) == 3
-    assert draw.masses.size > processes._buffer_width(1.0, EPS)
-    digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
-    assert digest == _TINY_FIRST_BLOCK_SHA256[name]
-
-
 def test_a_long_one_row_draw_is_frozen():
     # A one-row draw at theta = 1e4 holds 2.3e5 sticks.  The digest is of
     # the draw's fields and the next three uniforms, re-frozen at 0.15.0,
-    # when the locations came in draw order.
+    # when the locations came in draw order, and at 0.16.0, when the pass
+    # came to draw the stick count first.
     gen = RngStream(41).generator()
     series = sample_gamma_process(1e4, EPS, gen)
     fields = (series.masses.tobytes() + series.locations.tobytes()
               + struct.pack("<dd", series.total_mass, series.tail_bound))
     digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
-    assert digest == "c31d0d9ae601ea8b5f54a375456b2fd79057d9aace0a83d1b335bbb39cece33c"
+    assert digest == "38a1c94230188366b3021515b0b153955ab3a8720ca132b19d312c3b15a77f1d"
+
+
+# sha256 of the draw's fields and the next three uniforms of stream 32,
+# frozen at 0.16.0, when the pass came to draw the stick count first.
+_ONE_ROW_SHA256 = {
+    ("sample_dirichlet_process", 1.0):
+        "1808b42c9f6421fef4687b498851289032a932abaf991098371ddb1ec3b86eb4",
+    ("sample_dirichlet_process", 8.0):
+        "9a9150928fc0b7f5041476a3f7bbd5b4888df8bbf98fbfd462058a41493412ec",
+    ("sample_gamma_process", 1.0):
+        "db1c5b61c5147520520084f37bcdd0fa1cbafeaf04a9835866d99b5a5a1d38e7",
+    ("sample_gamma_process", 8.0):
+        "4aba1dadc1a5a002bbbfc29b1925db4839aac691422eafee773211b8ae4aa45b",
+}
+
+
+@pytest.mark.parametrize("name, theta", list(_ONE_ROW_SHA256))
+def test_one_row_draws_are_frozen(name, theta):
+    # A public one-row draw goes through every step of a batch: the
+    # count, the stick pass, the sort, the locations and, for a gamma
+    # draw, the total.
+    gen = RngStream(32).generator()
+    draw = getattr(processes, name)(theta, EPS, gen)
+    fields = (draw.masses.tobytes() + draw.locations.tobytes()
+              + struct.pack("<dd", draw.total_mass, draw.tail_bound))
+    digest = hashlib.sha256(fields + gen.random(3).tobytes()).hexdigest()
+    assert digest == _ONE_ROW_SHA256[name, theta]
 
 
 def _fields(obj):
@@ -1315,29 +1264,40 @@ def test_scalar_draws_pass_the_full_constructors(theta, log10_eps, seed, process
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
-def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are():
-    # At theta 0.3 and eps 0.01 both rows of stream 23 keep one atom of a
-    # 12-column first block: a (2, 1) view, the shape that numpy 2.4
-    # negates wrongly in place, and which the draws sort in place.
-    rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(), normalized=True))
-    masses, locations, _totals, tails = gamma_batch(0.3, 0.01, 2, RngStream(23).generator())
-    assert masses.shape == (2, 1) and masses.strides[0] >= 8 * masses.itemsize
-    for (m, x, total, tail), want_m, want_x, want_tail in zip(rows, masses, locations, tails):
-        assert np.array_equal(m, want_m) and np.array_equal(x, want_x)
-        assert (total, tail) == (1.0, want_tail)
+@pytest.mark.parametrize("normalized", [True, False])
+def test_one_atom_rows_of_a_wide_batch_are_sorted_as_they_are(monkeypatch, normalized):
+    # Stick masses that are a (2, 1) view of a C-ordered (2, 8) matrix, the
+    # shape that numpy 2.4 negates wrongly in place.  The draws sort that
+    # view in place and scale its reversal by the totals in place; each row
+    # must come out as its one mass times its total, and the rest of the
+    # matrix must stay as it was.
+    parent = np.arange(1.0, 17.0).reshape(2, 8) / 16.0
+    untouched = parent[:, 1:].copy()
+    monkeypatch.setattr(processes, "_stick_rows", lambda *args: (
+        parent[:, :1], np.array([15.0, 7.0]) / 16.0, np.array([0, 0])))
+    rows = list(processes._draw_rows(0.3, 0.01, 2, RngStream(23).generator(),
+                                     normalized=normalized))
+    want = RngStream(23).generator()
+    locations = want.random((2, 1))
+    totals = np.ones(2) if normalized else processes._gamma_totals(0.3, 2, want)
+    for (m, x, total, tail), mass, tail_left, loc, scale in zip(
+            rows, (1.0, 9.0), (15.0, 7.0), locations, totals):
+        assert m.tolist() == [mass / 16.0 * scale] and x.tolist() == loc.tolist()
+        assert (total, tail) == (scale, tail_left / 16.0 * scale)
+    assert np.array_equal(parent[:, 1:], untouched)
 
 
-def _zero_stick(call, u):
-    # u = 0 gives a zero stick at theta != 1.
+def _zero_step(call, e):
+    # A zero exponential in a kept column is a zero step: a zero stick.
     if call == 1:
-        u[3] = 0.0
-    return u
+        e[0, 3] = 0.0
+    return e
 
 
 @pytest.mark.parametrize("sampler", [sample_dirichlet_process, sample_gamma_process])
 def test_scalar_draws_refuse_a_zero_stick(sampler):
     with pytest.raises(DomainError, match=r"^stick fractions must lie strictly inside \(0, 1\)$"):
-        sampler(2.0, EPS, _Uniforms(5, _zero_stick))
+        sampler(2.0, EPS, _Forced(5, _zero_step))
 
 
 @pytest.mark.parametrize("sampler", [sample_dirichlet_process, sample_gamma_process])
@@ -1354,22 +1314,52 @@ def test_scalar_draws_refuse_a_nan_mass(monkeypatch, sampler):
         sampler(3.0, EPS, RngStream(6))
 
 
-def test_a_kept_zero_at_subnormal_eps_is_an_underflow():
-    # At eps = 1e-320, eps * 2^-53 / theta, the least mass a kept stick can
-    # carry, rounds to 0: a kept mass y * exp(run) of 0 is an underflow, a
-    # numerical failure, not a zero stick.  Stream 2's batch holds one.
-    draws = processes._draw_rows(4.0, 1e-320, 200, RngStream(2).generator(), normalized=True)
-    with pytest.raises(NumericalError, match=r"^atom masses underflow to 0 at truncation "
-                                             r"eps 1e-320; raise eps$"):
-        list(draws)
+def test_an_eps_whose_least_kept_mass_underflows_is_refused_before_any_draw():
+    # The least mass a kept stick can carry is eps L e_min / (e_max
+    # budget); at eps = 1e-320, halved, it rounds to 0, and the eps is
+    # refused before the generator moves.  The bound crosses 0 near eps =
+    # 4.5e-300, above which draws are served.
+    gen = RngStream(2).generator()
+    start = _position(gen)
+    for eps in (1e-320, 4e-300):
+        with pytest.raises(DomainError, match=rf"^truncation eps {eps!r} lets a kept atom mass "
+                                              r"underflow to 0; raise eps$"):
+            list(processes._draw_rows(4.0, eps, 200, gen, normalized=True))
+        with pytest.raises(DomainError, match="underflow"):
+            processes._batch_rows(4.0, eps, 1 << 18)
+    assert _position(gen) == start
+    draws = list(processes._draw_rows(4.0, 5e-300, 200, gen, normalized=True))
+    assert min(masses[-1] for masses, *_ in draws) > 0.0
+
+
+def _exponential_from(words):
+    """numpy's standard exponential drawn from the 64-bit ``words``, as Philox's next outputs."""
+    bits = np.random.Philox(0)
+    state = bits.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    return np.random.Generator(bits).standard_exponential()
+
+
+def test_exponential_draws_lie_where_the_eps_check_assumes():
+    # numpy's ziggurat splits a word into a layer j (8 bits) and a 53-bit
+    # integer i and draws i w_j, or, on layer 0, its tail past 7.697.  So
+    # the least positive draw is i = 1 on the narrowest layer, the largest
+    # is the tail at the largest uniform below 1, and i = 0 draws 0.
+    least = min(_exponential_from([((1 << 8) | layer) << 3, 0, 0, 0]) for layer in range(1, 256))
+    most = _exponential_from([((1 << 53) - 1) << 11, 2**64 - 1, 0, 0])
+    assert processes._EXP_LEAST <= least <= 1.002 * processes._EXP_LEAST
+    assert processes._EXP_MOST / 1.0002 <= most <= processes._EXP_MOST
+    assert _exponential_from([0, 0, 0, 0]) == 0.0
 
 
 def test_gamma_draw_refuses_masses_that_underflow_when_scaled():
     # A subnormal total is a valid total, but the smallest masses times it
     # round to zero: a numerical failure, not an invalid configuration.
-    gen = _Uniforms(7, lambda _call, u: u, total=1e-316)
+    gen = _Forced(7, lambda _call, e: e, total=1e-316)
     with pytest.raises(NumericalError, match=r"underflow .* total mass 1e-316$"):
         sample_gamma_process(3.0, EPS, gen)
     # The same masses at a normal total pass.
-    series = sample_gamma_process(3.0, EPS, _Uniforms(7, lambda _call, u: u, total=1e-3))
+    series = sample_gamma_process(3.0, EPS, _Forced(7, lambda _call, e: e, total=1e-3))
     assert series.masses[-1] > 0.0 and series.total_mass == 1e-3
