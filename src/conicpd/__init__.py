@@ -14,7 +14,7 @@ The package has three layers:
   (:mod:`~conicpd.mellin`, :mod:`~conicpd.gaussian`).
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 import importlib
 

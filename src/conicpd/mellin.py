@@ -76,35 +76,35 @@ class SaddleSolution:
 
 
 def solve_saddle(lam: float) -> SaddleSolution:
-    """Solve psi(gamma) = log lambda by safeguarded Newton iteration."""
+    """Solve psi(gamma) = log lambda by Newton's method from the inverse-digamma start.
+
+    The start is lambda + 1/2 for log lambda >= -2.22 and -1/(log lambda
+    + euler_gamma) below (Minka, Estimating a Dirichlet distribution, 2000,
+    app. C).  psi is increasing and concave, so a Newton step from the left
+    of the root stays left of it and climbs to it; one from the right lands
+    left of it, and a step that would not be positive halves gamma instead.
+    It stops once |psi(gamma) - log lambda| <= max(1e-13, 2 eps |log lambda|):
+    near gamma = 0 the floats next to the root move psi by up to two ulps
+    of log lambda.  A lambda whose L is not a finite float (from about
+    2.5e305, where log Gamma(gamma) overflows) raises NumericalError.
+    """
     lam = _positive_real(lam, "lambda")
     target = math.log(lam)
-    lo, hi = 1.0, 2.0
-    while special.digamma(lo) > target:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NumericalError("saddle bracket collapsed at the lower end")
-    while special.digamma(hi) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericalError("saddle bracket ran away at the upper end")
-    g = 0.5 * (lo + hi)
+    tol = max(1e-13, 2.0 * _EPS * abs(target))
+    g = lam + 0.5 if target >= -2.22 else -1.0 / (target + np.euler_gamma)
     # psi'(g) is zeta(2, g), the bits of scipy's polygamma(1, g) without its dispatch.
-    for _ in range(200):
+    for _ in range(50):
         resid = float(special.digamma(g)) - target
-        if abs(resid) <= 1e-13:
-            return SaddleSolution(
-                lam=lam, gamma=g,
-                L_value=float(special.gammaln(g)) - g * target,
-                curvature=float(special.zeta(2.0, g)),
-            )
-        if resid > 0.0:
-            hi = g
-        else:
-            lo = g
+        if abs(resid) <= tol:
+            L_value = float(special.gammaln(g)) - g * target
+            if not math.isfinite(L_value):
+                raise NumericalError(f"L(lambda) = log Gamma(gamma) - gamma log lambda is not "
+                                     f"a finite float at lambda={lam}")
+            return SaddleSolution(lam=lam, gamma=g, L_value=L_value,
+                                  curvature=float(special.zeta(2.0, g)))
         step = g - resid / float(special.zeta(2.0, g))
-        g = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NumericalError("saddle iteration did not reach tolerance 1e-13")
+        g = step if step > 0.0 else 0.5 * g
+    raise NumericalError(f"saddle iteration did not reach tolerance {tol:.3g} at lambda={lam}")
 
 
 @dataclass(frozen=True)
@@ -424,8 +424,8 @@ class LimitStudy(DivergenceTable):
 def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     """Tabulate (log F_n)/n for n_min..n_max and its n -> inf limit.
 
-    The study is the divergence table at the constant radius 1, from one
-    saddle solve and one :func:`log_F_contour_rows` grid at the saddle.  The
+    The study is :func:`divergence_experiment`'s table at the constant
+    radius 1, which solves one saddle and forms one contour grid.  The
     raw rate sits -(1/2) log(2 pi n a)/n away from L, about 0.07 at n = 40.
     ``corrected`` adds that term back and leaves the O(1/n^2) Laplace term
     log(1 + kappa_1/n)/n (module docstring); ``series`` removes it too and
@@ -435,43 +435,39 @@ def L_limit_study(lam: float, n_max: int = 40, n_min: int = 2) -> LimitStudy:
     """
     if not (2 <= n_min <= n_max <= 60):
         raise DomainError("limit study supports 2 <= n_min <= n_max <= 60")
-    sol = solve_saddle(lam)
-    ns = np.arange(n_min, n_max + 1)
-    contour = log_F_contour_rows(ns, lam, abscissa=sol.gamma)
-    rates = contour.log_F / ns
-    a = sol.curvature
+    table = divergence_experiment(lam, RadiusSchedule("constant"), np.arange(n_min, n_max + 1))
+    ns, rates = table.ns, table.rates
+    g, L = float(table.gammas[0]), float(table.limits[0])
+    a = float(special.zeta(2.0, g))
     corrected = rates + 0.5 * np.log(2.0 * math.pi * ns * a) / ns
     # psi''(g) and psi'''(g): scipy's polygamma(n, x) is (-1)^(n+1) n! zeta(n+1, x),
     # so these are its bits without its dispatch.
-    c3, c4 = -2.0 * special.zeta(3.0, sol.gamma), 6.0 * special.zeta(4.0, sol.gamma)
+    c3, c4 = -2.0 * special.zeta(3.0, g), 6.0 * special.zeta(4.0, g)
     kappa1 = c4 / (8.0 * a * a) - 5.0 * c3 * c3 / (24.0 * a ** 3)
     series = corrected - np.log1p(kappa1 / ns) / ns
     limit = float(series[-1])
     return LimitStudy(
-        lam=sol.lam, schedule=RadiusSchedule("constant"), ns=ns, radii=np.ones(ns.size),
-        log_F=contour.log_F, rates=rates, limits=np.full(ns.size, sol.L_value),
-        gammas=np.full(ns.size, sol.gamma), log_F_error=contour.error, nodes=contour.nodes,
-        saddle=sol, corrected=corrected, series=series, extrapolated_limit=limit,
-        extrapolated_gap=limit - sol.L_value,
-        envelope_constant=float(np.max(np.abs(rates - sol.L_value) * ns / np.log(ns))),
+        **vars(table), saddle=SaddleSolution(table.lam, g, L, a), corrected=corrected,
+        series=series, extrapolated_limit=limit, extrapolated_gap=limit - L,
+        envelope_constant=float(np.max(np.abs(rates - L) * ns / np.log(ns))),
     )
 
 
 def find_L_zero() -> float:
-    """Bisection for the unique lambda where L crosses zero (L is strictly decreasing).
+    """The unique lambda where L crosses zero (L is strictly decreasing), near 0.918.
 
-    The bracket is [0.5, 1.5]: L(0.5) > 0 > L(1.5), and the zero lies near 0.918.
+    At the saddle, L = h(gamma) = log Gamma(gamma) - gamma psi(gamma), and
+    h'(gamma) = -gamma psi'(gamma) < 0; Newton's method on h from
+    gamma = 1.5 finds its root, and lambda = e^{psi(gamma)}.
     """
-    lo, hi = 0.5, 1.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if solve_saddle(mid).L_value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    g = 1.5
+    for _ in range(50):
+        h = float(special.gammaln(g)) - g * float(special.digamma(g))
+        step = h / (g * float(special.zeta(2.0, g)))
+        g += step
+        if abs(step) <= _EPS * g:
+            return math.exp(float(special.digamma(g)))
+    raise NumericalError("the zero of L did not converge")
 
 
 def divergence_experiment(lam: float, schedule: RadiusSchedule, ns) -> DivergenceTable:

@@ -90,6 +90,27 @@ def test_saddle_gamma_increases_with_lambda():
     assert np.all(np.diff(gammas) > 0.0)
 
 
+def test_saddle_meets_its_stop_bound_from_the_least_subnormal_to_1e305():
+    # |psi(gamma) - log lambda| <= max(1e-13, 2 eps |log lambda|) at every
+    # lambda of a fixed grid, and gamma rises with lambda.  At the two extra
+    # lambdas the iterate settles two ulps of log lambda, over 1e-13, from it.
+    eps = np.finfo(float).eps
+    # The subnormal end of the grid rounds to repeats, which np.unique drops.
+    lams = np.unique(np.concatenate([np.geomspace(5e-324, 1e305, 4001),
+                                     [3.01094951880484e-235, 2.168520123694784e-162]])).tolist()
+    gammas = []
+    for lam in lams:
+        sol = solve_saddle(lam)
+        target = math.log(lam)
+        assert abs(psi(sol.gamma) - target) <= max(1e-13, 2.0 * eps * abs(target)), lam
+        assert math.isfinite(sol.L_value) and sol.curvature > 0.0, lam
+        gammas.append(sol.gamma)
+    assert np.all(np.diff(gammas) > 0.0)
+    # From about 2.5e305, log Gamma(gamma) overflows and L is not a finite float.
+    with pytest.raises(NumericalError, match=r"not a finite float at lambda=1\.7e\+308"):
+        solve_saddle(1.7e308)
+
+
 def test_saddle_solution_validation():
     with pytest.raises(DomainError):
         SaddleSolution(lam=1.0, gamma=2.0, L_value=0.0, curvature=1.0)
@@ -281,7 +302,7 @@ def test_L_is_strictly_decreasing():
 
 def test_find_L_zero():
     zero = find_L_zero()
-    assert zero == pytest.approx(0.9179235347379753136428, abs=1e-10)
+    assert abs(zero - 0.9179235347379753136428) <= 2.0 * math.ulp(0.9179235347379753)
     assert abs(solve_saddle(zero).L_value) <= 1e-11
 
 
@@ -483,25 +504,27 @@ def test_contour_rows_keep_input_order_and_repeats():
 
 # sha256 of the bytes of log_F, error and nodes of log_F_contour_rows(ns,
 # lam, abscissa), frozen at 0.12.0 before each grid level came to evaluate
-# only the nodes it keeps.  lambda = 1e-300 runs ~10^5 nodes in several
-# blocks; abscissa 2.0 at lambda = 1 sits off the saddle (gamma ~ 1.46).
+# only the nodes it keeps, and re-frozen at 0.17.0 like the CLI's quadrature
+# digests, when the saddle's new solve moved the abscissa.  lambda = 1e-300
+# runs ~10^5 nodes in several blocks; abscissa 2.0 at lambda = 1 sits off the
+# saddle (gamma ~ 1.46).
 _CONTOUR_ROWS_SHA256 = [
     (np.arange(2, 61), 1e-300, None,
      "b0b1cd2388ba4a88805f93efa81e0650e5c81984f77d039cbd8470f3e579d54f"),
     (np.arange(2, 61), 0.01, None,
      "b9294ce18705861d12302463d25fbf14c0e238bf93dbfdfc4ac3cf60066f928f"),
     (np.arange(2, 61), 0.3, None,
-     "9ad8e180166db31f3f79d99ea5f9a6033cc69a7cd39f5827a8bff2cbfc5b6c45"),
+     "dd5e4f20d04bcd9a476a966527e8f03d905b05e3384a2a3aa0a2c986ec0e39dd"),
     (np.arange(2, 61), 1.0, None,
      "27a860d1c4b9afb348acafad3a1e6b49b833fdf079452506c1b2282fcd4524db"),
     (np.arange(2, 61), 3.0, None,
-     "bcab7cbeebf988faafde3ad142ee9c9e6c81d042bf63be36ab259c372d7c7b5e"),
+     "50e5b3cbced686e94ed4b09d7bb0bdd1541af060cc391dbc64cc9040e8e10a3d"),
     (np.arange(2, 61), 1e3, None,
-     "700a94a0c1378bb4eb29cf898a78498324e0a6cb9e7011dc8667e63c43452208"),
+     "fe13a90dcd86f651964720a7fe4ccbbee2f7696cafc55dfbfe882293e2c5fce9"),
     (np.arange(2, 61), 1e6, None,
-     "b05affd33626301a0c4cb5cb614d5adac64973c265b294bba763d36a8a0fa5a5"),
+     "bf632f08ac49efe061435e6cfff1cf36a71e944a691cc6b2ef3b9b5372d96bd6"),
     ([7, 2, 7, 40], 1.3, None,
-     "f4ee02f93e1db5f010f521ee4bc33ed1370bcca01b3475c2a0caa23d96472a57"),
+     "191dceebb5268f7bdb7309d7660b8afcd66b06291aa312703ef0e5077a4aaa79"),
     (np.arange(2, 13), 1.0, 2.0,
      "82716ef8eb4ca5c791881d02e8e621b54e4ecdd8db0c5fa3896549493a232870"),
 ]

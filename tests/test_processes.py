@@ -699,9 +699,10 @@ def test_a_sample_batch_peaks_below_ten_megabytes(theta):
 
 @pytest.mark.parametrize("theta", [8.0, 64.0])
 def test_a_sample_batch_peaks_below_three_stick_matrices(theta):
-    # The first block with its running sums and cut test during the stick
-    # pass, then the masses, sorted in place, and the location uniforms: at
-    # most three (rows, K) matrices at once, K the longest row's atoms.
+    # The stick pass holds its steps and their running sums, and then the
+    # batch holds the masses, sorted in place, and the location uniforms:
+    # two (rows, K) matrices at a time, K the longest row's atoms, and the
+    # pass's zeroing mask adds an eighth of one (2.04 to 2.20 measured).
     _sample_batch(theta, 99)
     out = []
     peak = _peak_traced_bytes(lambda: out.extend(_sample_batch(theta, 3)))
@@ -711,7 +712,9 @@ def test_a_sample_batch_peaks_below_three_stick_matrices(theta):
 
 def test_a_long_one_row_draw_peaks_below_four_and_a_half_matrices():
     # One row at theta = 1e5 holds 2.3e6 sticks; its peak is set by the
-    # sort, which holds the masses and locations and their sorted copies.
+    # stick pass, which forms its zeroing mask from an int64 column index as
+    # long as the row: the steps, that index and the mask, about 2.1
+    # matrices.  The sort is in place, so the masses and locations then hold two.
     out = []
     peak = _peak_traced_bytes(lambda: out.extend(processes._draw_rows(
         1e5, EPS, 1, RngStream(1).generator(), normalized=False)))
