@@ -6,7 +6,7 @@ with e^{total mass}.  Its transform over a positive step function f has the
 closed form exp(-theta * integral of log f), so every estimate below can be
 scored exactly.  The weighted second moment equals the transform at 2f - 1,
 which ceases to exist once min f drops to 1/2 -- the estimator refuses that
-region unless forced, and the forced runs show why it refuses.
+region, and the runs just above it show why it refuses.
 """
 
 import numpy as np
@@ -31,12 +31,12 @@ for label, f in cases:
     z = (est.estimate - exact) / est.stderr
     print(f"{label:>28} {exact:>10.6f} {est.estimate:>10.6f} {est.stderr:>9.2e} {z:>+6.2f}")
 
-print("\napproaching min f = 1/2 from above (forced past the guard):")
+print("\napproaching min f = 1/2 from above:")
 print(f"{'min f':>7} {'analytic':>10} {'estimate':>10} {'stderr':>10}")
 for low in (0.70, 0.60, 0.55, 0.52):
     f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([low, 2.0]))
     exact = analytic_laplace(theta, f)
-    est = mc_laplace(theta, f, samples, RngStream(8), allow_infinite_variance=True)
+    est = mc_laplace(theta, f, samples, RngStream(8))
     print(f"{low:>7.2f} {exact:>10.4f} {est.estimate:>10.4f} {est.stderr:>10.2e}")
 print("\nthe reported error grows without bound as the second moment diverges;")
 print("at min f <= 1/2 the estimator raises InfiniteVarianceError instead.")

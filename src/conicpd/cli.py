@@ -28,7 +28,7 @@ import numpy as np
 # Modules with functions that call scipy are imported by the runners that use
 # them, so `sample`, `laplace` and `invariance` start without scipy.
 from . import __version__
-from .errors import DomainError, InfiniteVarianceError, NumericalError
+from .errors import DomainError, NumericalError
 from .estimation import CHUNK_ROWS, _stream_chunks, stream_counts
 from .processes import RngStream, _batch_rows, _draw_rows, _integer
 from .stepfn import StepFunction
@@ -467,14 +467,6 @@ def main(argv=None) -> int:
         records = run(cfg)
         with _output(cfg.get("out")) as fh:
             _emit(cfg, records, fh)
-    except InfiniteVarianceError:
-        # Reword the library hint: the CLI deliberately has no override flag.
-        print(
-            "conicpd: invalid configuration: second moment Psi(2f-1) diverges "
-            "for min f <= 1/2; raise f above 1/2 everywhere",
-            file=sys.stderr,
-        )
-        return 2
     except DomainError as exc:
         print(f"conicpd: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ stick-breaking and no truncation.
 
 Finite variance rule: the weighted second moment equals Psi_theta(2f - 1),
 so it is finite exactly when min f > 1/2.  Estimators refuse configurations
-below that line unless explicitly overridden.
+below that line.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def analytic_laplace(theta: float, f: StepFunction) -> float:
 
 
 def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
-               streams: int = 1, allow_infinite_variance: bool = False) -> EstimatorResult:
+               streams: int = 1) -> EstimatorResult:
     """Importance-weighted Monte Carlo estimate of the flat-measure transform.
 
     Each draw is exp(sum_j G_j (1 - f_j)) over the pieces of f, with G_j the
@@ -61,17 +61,15 @@ def mc_laplace(theta: float, f: StepFunction, n_samples: int, rng: RngStream, *,
     theta = _positive_real(theta, "theta")
     if not isinstance(f, StepFunction):
         raise DomainError("f must be a StepFunction")
-    _check_variance(f, allow_infinite_variance)
+    _check_variance(f)
     (result,) = pooled_mean(n_samples, rng, streams, _laplace_kernel(theta, [f]))
     return result
 
 
-def _check_variance(f, allow_infinite_variance=False):
-    if f.min_value <= 0.5 and not allow_infinite_variance:
-        raise InfiniteVarianceError(
-            "second moment Psi(2f-1) diverges for min f <= 1/2; "
-            "raise f or pass allow_infinite_variance=True to force the estimate"
-        )
+def _check_variance(f):
+    if f.min_value <= 0.5:
+        raise InfiniteVarianceError("second moment Psi(2f-1) diverges for min f <= 1/2; "
+                                    "raise f above 1/2 everywhere")
 
 
 # Most cells a row block of piece masses holds: 512 KB of float64, so a

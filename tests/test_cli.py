@@ -153,8 +153,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and "cannot write" in err
 
     # estimator refuses the infinite-variance region rather than emitting noise
-    code, _out, err = run_cli(capsys, ["laplace", "--f", "0.5@0:1", "--samples", "10"])
-    assert code == 2 and "diverges" in err
+    code, out, err = run_cli(capsys, ["laplace", "--f", "0.5@0:1", "--samples", "10"])
+    assert code == 2 and out == "" and err == (
+        "conicpd: invalid configuration: second moment Psi(2f-1) diverges for min f <= 1/2; "
+        "raise f above 1/2 everywhere\n")
 
 
 def test_oversized_stick_blocks_exit_2_without_running(capsys):
@@ -483,14 +485,32 @@ _BOX_OVERFLOW = "the box mass prod b^theta_i / Gamma(theta_i + 1) = exp(920.87) 
     (["saddle", "--lambda", "1e300"], 0, ""),
     (["saddle", "--lambda", "1.7e308"], 3,
      "L(lambda) = log Gamma(gamma) - gamma log lambda is not a finite float at lambda=1.7e+308"),
+    # Psi(f) = e^471 is finite, but the sample variance overflows.
+    (["laplace", "--theta", "700", "--f", "0.51@0:1", "--samples", "16"], 3,
+     "the sample mean or variance of the estimate overflows a float"),
+    # A full chunk of 2049 columns is one cell row past the 2^26-cell budget.
+    (["invariance", "--pairs", "2049", "--samples", "32768"], 2,
+     "32768 rows of 2049 columns exceed the 67108864-cell sampler budget"),
+    (["partition-sums", "--weights", "1", "--b", ",".join(map(str, range(1, 2050))),
+      "--samples", "32768"], 2, "32768 rows of 2049 columns exceed the 67108864-cell"),
+    (["mellin", "--lambda", "1e8", "--nmin", "2", "--nmax", "3"], 3,
+     "contour quadrature did not converge in 11419 nodes"),
+    (["laplace", "--f", "nan@0:1"], 2, "non-finite number in step segment 'nan@0:1'"),
+    (["partition-sums", "--weights", "abc"], 2,
+     "weights must be a comma-separated list of numbers"),
+    (["partition-sums", "--weights", ","], 2, "weights must not be empty"),
+    (["partition-sums"], 2, "partition-sums needs --weights"),
+    (["mp-demo", "--smax", "0"], 2, "need smax > 0 and at least two s points"),
+    (["mp-demo", "--spoints", "1"], 2, "need smax > 0 and at least two s points"),
 ])
 def test_extreme_inputs_exit_0_2_or_3_without_a_warning_or_a_non_finite_cell(capsys, argv,
                                                                              code, message):
     # Each of these used to exit 1 with a traceback, to warn on stderr, or to
-    # print NaN.  Under this suite's filterwarnings, a warning raises here.
+    # print NaN, or is a refusal no other test reaches.  Under this suite's
+    # filterwarnings, a warning raises here.  A refusal writes nothing.
     got, out, err = run_cli(capsys, argv)
     assert got == code, err
-    assert message in err and (err == "") == (code == 0)
+    assert message in err and (err == "") == (code == 0) and (out == "") == (code != 0)
     assert "NaN" not in out and "Infinity" not in out
     if argv[:2] == ["sample", "--theta"]:  # the exact limit: one stick of 1, no tail
         for record in json_lines(out)[1:]:
@@ -1354,6 +1374,7 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     ("saddle", "format", "xml"),
     ("sample", "process", "weird"),
     ("divergence", "schedule", "spiral"),
+    ("laplace", "theta", "abc"),
 ])
 def test_allowed_values_are_checked_for_flags_and_config_files(
         capsys, tmp_path, source, command, key, value):

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from conicpd import (
     sample_gamma_process,
     series_from_record,
 )
-from conicpd import processes
+from conicpd import estimation, processes
 from conicpd.errors import DomainError, NumericalError
 from conicpd.estimation import EstimatorResult, pooled_mean, stream_counts
 from conicpd.laplace import log_mean, mc_laplace, quasi_invariance_pairs
@@ -804,23 +805,50 @@ def test_stream_counts_split():
         stream_counts(0, 1)
 
 
-@pytest.mark.parametrize("rng, chunk, match", [
-    (np.random.default_rng(3), 100, "RngStream"),
-    (np.random.Generator(np.random.Philox(3)), 100, "RngStream"),
-    (3, 100, "RngStream"),
-    (RngStream(3), 0, "chunk"),
-    (RngStream(3), -1, "chunk"),
-    (RngStream(3), 2.5, "chunk"),
-    (RngStream(3), True, "chunk"),
+@pytest.mark.parametrize("rng", [
+    np.random.default_rng(3), np.random.Generator(np.random.Philox(3)), 3,
 ])
-def test_pooled_mean_refuses_before_any_draw(rng, chunk, match):
-    # A numpy Generator failed on its missing child(), chunk 0 divided by
-    # zero and -1 failed inside numpy.
+def test_pooled_mean_refuses_before_any_draw(rng):
+    # A numpy Generator failed on its missing child().
     def kernel(gen, rows):
         raise AssertionError("drew before refusing")
 
-    with pytest.raises(DomainError, match=match):
-        pooled_mean(100, rng, 1, kernel, chunk=chunk)
+    with pytest.raises(DomainError, match="RngStream"):
+        pooled_mean(100, rng, 1, kernel)
+
+
+@pytest.mark.parametrize("samples, streams, columns", [
+    (32_768, 1, 2049), (2 * 40_000, 2, 2049), (4096, 1, 1 << 14 | 1),
+])
+def test_pooled_mean_refuses_a_chunk_past_the_cell_budget_before_any_draw(samples, streams,
+                                                                          columns):
+    # A chunk holds min(CHUNK_ROWS, the largest stream count) rows of every
+    # column, and two temporaries of its size: 20000 columns at a full
+    # chunk asked for 4.9 GiB.  One cell past the budget is refused.
+    def kernel(gen, rows):
+        raise AssertionError("drew before refusing")
+
+    rows = min(estimation.CHUNK_ROWS, stream_counts(samples, streams)[0])
+    assert rows * (columns - 1) <= processes._CELL_BUDGET < rows * columns
+    with pytest.raises(DomainError, match="cell sampler budget"):
+        pooled_mean(samples, RngStream(3), streams, kernel, columns=columns)
+
+
+def test_pooled_mean_refuses_a_mean_or_variance_that_overflows():
+    # Values near 1e200 have a finite mean, but their squared deviations
+    # overflow; so does the sum of values near 1e308.  Neither warns.  One
+    # sample, or a constant, of 1e200 has a finite mean and variance, and
+    # across a chunk boundary too.
+    def kernel(scale, spread=1.0):
+        return lambda gen, rows: scale * (1.0 + spread * gen.random(rows))
+
+    assert pooled_mean(100, RngStream(3), 1, kernel(1e150))[0].stderr > 0.0
+    for n in (1, 100, estimation.CHUNK_ROWS + 1):
+        got = pooled_mean(n, RngStream(3), 1, kernel(1e200, 0.0))
+        assert got == [EstimatorResult(1e200, 0.0, n)]
+    for scale in (1e200, 1.7e308 / 2.0):
+        with pytest.raises(NumericalError, match="overflows a float"):
+            pooled_mean(100, RngStream(3), 1, kernel(scale))
 
 
 @pytest.mark.parametrize("columns", [True, 2.0, 0, -1, None, "2"])
@@ -879,7 +907,8 @@ def test_pooled_mean_matches_two_pass_on_offset_values():
         return np.column_stack([1e4 + 1e-4 * gen.standard_normal(rows),
                                 1.0 + 1e-9 * gen.random(rows)])
 
-    got = pooled_mean(n, RngStream(31), streams, kernel, columns=2, chunk=chunk)
+    with mock.patch.object(estimation, "CHUNK_ROWS", chunk):
+        got = pooled_mean(n, RngStream(31), streams, kernel, columns=2)
     parts = []
     for s, rows in enumerate(stream_counts(n, streams)):
         gen = RngStream(31).child(s).generator()
@@ -898,12 +927,13 @@ def test_pooled_mean_matches_two_pass_on_offset_values():
        seed=st.integers(0, 2**16))
 def test_pooled_merge_equals_the_one_shot_mean_and_variance(n, streams, chunk, columns,
                                                             loc, scale, seed):
-    # For any fixed chunk policy, merging per-chunk (count, mean, M2) gives the
-    # mean and variance of all values at once, column by column.
+    # For any chunk size, merging per-chunk (count, mean, M2) gives the mean
+    # and variance of all values at once, column by column.
     def kernel(gen, rows):
         return loc + scale * gen.standard_normal((rows, columns))
 
-    got = pooled_mean(n, RngStream(seed), streams, kernel, columns=columns, chunk=chunk)
+    with mock.patch.object(estimation, "CHUNK_ROWS", chunk):
+        got = pooled_mean(n, RngStream(seed), streams, kernel, columns=columns)
     parts = []
     for s, rows in enumerate(stream_counts(n, streams)):
         gen = RngStream(seed).child(s).generator()
@@ -912,7 +942,7 @@ def test_pooled_merge_equals_the_one_shot_mean_and_variance(n, streams, chunk, c
     assert len(got) == columns
     for col, result in zip(vals.T, got):
         mean = math.fsum(col) / n
-        assert result.n_samples == n and result.streams == streams
+        assert result.n_samples == n
         assert result.estimate == pytest.approx(mean, rel=1e-12, abs=1e-12 * (abs(loc) + scale))
         if n == 1:
             assert result.stderr == 0.0
@@ -923,9 +953,9 @@ def test_pooled_merge_equals_the_one_shot_mean_and_variance(n, streams, chunk, c
 
 def test_estimator_result_validation():
     with pytest.raises(DomainError):
-        EstimatorResult(math.nan, 0.0, 10, 0, 1)
+        EstimatorResult(math.nan, 0.0, 10)
     with pytest.raises(DomainError):
-        EstimatorResult(1.0, -0.5, 10, 0, 1)
+        EstimatorResult(1.0, -0.5, 10)
 
 
 # ---------------------------------------------------------------------------
